@@ -1,18 +1,15 @@
 """Command-line front end.
 
-Subcommands: solve | sweep | limits | spectrum | check.  Exit codes: 0 when
-every enabled verdict passes, 2 on numerical failure (partial manifest still
-written where possible), 64 on usage errors.  SNGS_THREADS caps the fan-out of
-independent per-lambda / per-sector tasks.
+Subcommands: solve | sweep | limits | spectrum | scan | check.  Exit codes:
+0 when every enabled verdict passes, 2 on numerical failure (partial manifest
+still written where possible), 64 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,22 +49,6 @@ def parse_lambdas(spec: str):
         return vals
     except ValueError as exc:
         raise BadRange(f"bad sweep spec {spec!r}: {exc}") from exc
-
-
-def _threads():
-    env = os.environ.get("SNGS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _fanout(fn, items):
-    """Run independent tasks, preserving item order in the results."""
-    workers = _threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def build_parser():
@@ -207,13 +188,12 @@ def cmd_limits(args, argv):
     q_ref = args.q if kind == scaling.KWONG else None
     ref = solver.reference_profile(kind, ref_grid, q=q_ref)
     opts = solver.SolverOptions(tol=args.tol)
-
-    def one(lam):
+    states = []
+    for lam in lams:
         params = solver.ModelParams(lam=lam, a=1.0, nu=1.0, q=args.q)
         grid = _grid_for(args, lam)
-        return solver.newton_solve(solver.default_guess(params, grid), params, opts)
-
-    states = _fanout(one, lams)
+        states.append(solver.newton_solve(solver.default_guess(params, grid),
+                                          params, opts))
     report = scaling.limit_study(states, args.side, ref)
     rows = [list(row) + [r1, r2]
             for row, (_, r1, r2) in zip(report.rows, report.mass_ratios)]

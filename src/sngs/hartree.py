@@ -52,6 +52,28 @@ def coulomb_apply(grid: RadialGrid, density: np.ndarray) -> np.ndarray:
     return v
 
 
+def coulomb_inverse_bands(grid: RadialGrid):
+    """Exact inverse of coulomb_apply without its Euler-Maclaurin diagonal.
+
+    Returns (diag, off, src, em) such that coulomb_apply(rho) = w + em * rho,
+    where y on nodes 1..n-1 solves the tridiagonal system
+    tridiag(off, diag, off) y = (src * rho)[1:], w_i = y_i / r_i for i >= 1
+    and w_0 = y_1 / r_1.  The sweep kernel is c_j r_j min(r_i, r_j) / r_i
+    (c_j the trapezoid weight), and min(i, j) has the second-difference
+    matrix with a free last end as its inverse.
+    """
+    r, h, n = grid.nodes, grid.h, grid.n
+    diag = np.full(n - 1, 2.0 / h)
+    diag[-1] = 1.0 / h
+    off = np.full(n - 2, -1.0 / h)
+    src = h * r
+    src[-1] *= 0.5
+    em = np.full(n, -h * h / 12.0)
+    em[0] = h * h / 12.0
+    em[-1] = 0.0
+    return diag, off, src, em
+
+
 def hartree_potential(u: RadialField) -> HartreePotential:
     r"""Potential, far-field mass and line integral of a radial field."""
     grid = u.grid

@@ -36,7 +36,6 @@ from .hartree import hartree_potential
 from .solver import GroundState, ModelParams, _dpower, _wnorm, residual
 
 A2 = "symmetric_a2"
-A_GENERAL = "a_general"
 
 CONVERGED_TOL = 1e-8
 

@@ -118,48 +118,6 @@ def banded_lu(mat: sp.spmatrix):
         raise FactorizationFailure(str(exc)) from exc
 
 
-def gcr_solve(apply_op, b, precond=None, rtol=1e-12, maxiter=400, restart=60):
-    """Preconditioned conjugate-residual (GCR) iteration for J x = b.
-
-    Minimizes the residual over the preconditioned Krylov space; reduces to
-    classical PCR when the preconditioner is SPD but tolerates the indefinite
-    banded preconditioners this package uses.  Returns (x, relres, iters).
-    """
-    n = b.shape[0]
-    x = np.zeros(n)
-    r = b.copy()
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return x, 0.0, 0
-    ps, qs = [], []   # search directions and their images
-    it = 0
-    while it < maxiter:
-        nr = np.linalg.norm(r)
-        if nr <= rtol * nb:
-            break
-        p = precond(r) if precond is not None else r.copy()
-        q = apply_op(p)
-        # orthogonalize q against previous images
-        for pk, qk in zip(ps, qs):
-            beta = np.dot(q, qk)
-            p -= beta * pk
-            q -= beta * qk
-        nq = np.linalg.norm(q)
-        if nq == 0.0 or not np.isfinite(nq):
-            break
-        p /= nq
-        q /= nq
-        alpha = np.dot(r, q)
-        x += alpha * p
-        r -= alpha * q
-        ps.append(p)
-        qs.append(q)
-        if len(ps) >= restart:
-            ps, qs = [], []
-        it += 1
-    return x, np.linalg.norm(r) / nb, it
-
-
 def _gershgorin_lower_bound(form: sp.spmatrix, mass: np.ndarray) -> float:
     """Lower bound on the pencil spectrum via Gershgorin on M^-1/2 A M^-1/2."""
     A = sp.csr_matrix(form)

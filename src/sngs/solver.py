@@ -6,9 +6,11 @@ Jacobian is self-adjoint in the r^2-weighted inner product.  newton_solve runs
 a deterministic spectral-renormalization warm start (amplitude-stabilized
 Picard iteration; plain damped Newton from generic bumps measurably stalls on
 a near-singular Jacobian ridge between the trivial and ground branches),
-then damped Newton with the step equation solved by a preconditioned
-conjugate-residual iteration, preconditioned by the banded local part of the
-Jacobian.
+then damped Newton.  Each Newton step J d = -F is solved exactly as one
+banded system: the Coulomb sweep without its Euler-Maclaurin diagonal has a
+tridiagonal inverse (hartree.coulomb_inverse_bands), so adding y = r w with
+w the screening potential of the step as unknowns turns the dense nonlocal
+Jacobian into a system of bandwidth 4 when d and y are interleaved.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import operators
 from .errors import (ContinuationStuck, InvalidExponent, NegativeStateDetected,
                      NonConvergence, TrivialCollapse, WrongParams)
 from .grid import EVEN, RadialField, RadialGrid, make_grid
-from .hartree import coulomb_apply, hartree_potential
+from .hartree import coulomb_apply, coulomb_inverse_bands, hartree_potential
 
 TRIVIAL_SUP = 1e-8
 
@@ -62,8 +65,6 @@ class SolverOptions:
     max_iter: int = 60
     damping: int = 20            # max step halvings per Newton iteration
     warm_iters: int = 60         # spectral-renormalization warm-start sweeps
-    krylov_rtol: float = 1e-13
-    krylov_maxiter: int = 400
 
 
 @dataclass
@@ -134,28 +135,58 @@ def apply_jacobian(u: RadialField, delta: RadialField, params: ModelParams) -> R
     -a u (I_2 * (2 u delta)) from the same two-sweep as the potential."""
     if delta.grid != u.grid:
         raise WrongParams("direction lives on a different grid")
-    grid = u.grid
+    grid, uv, d = u.grid, u.values, delta.values
     A = operators.radial_laplacian(grid)
-    v = coulomb_apply(grid, u.values**2) if params.a != 0.0 else np.zeros(grid.n)
-    y = _jacobian_matvec(u.values, v, params, grid, A, delta.values)
+    v = coulomb_apply(grid, uv**2) if params.a != 0.0 else np.zeros(grid.n)
+    y = A @ d + _local_potential(uv, v, params) * d
+    if params.a != 0.0:
+        screen = params.a * uv * coulomb_apply(grid, 2.0 * uv * d)
+        screen[-2:] = 0.0
+        y -= screen
     return RadialField(grid=grid, values=y, parity=EVEN)
 
 
-def _local_potential(u: np.ndarray, v: np.ndarray, params: ModelParams,
-                     grid: RadialGrid) -> np.ndarray:
+def _local_potential(u: np.ndarray, v: np.ndarray, params: ModelParams) -> np.ndarray:
     pot = params.lam - params.a * v - params.nu * _dpower(u, params.q - 1.0)
     pot[-2:] = 0.0   # keep the Dirichlet pad rows as pure identities
     return pot
 
 
-def _jacobian_matvec(u, v, params, grid, A, d):
-    pot = _local_potential(u, v, params, grid)
-    y = A @ d + pot * d
-    if params.a != 0.0:
-        screen = params.a * u * coulomb_apply(grid, 2.0 * u * d)
-        screen[-2:] = 0.0
-        y -= screen
-    return y
+def _newton_step(u, v, F, params, grid, A):
+    """Exact solution d of J(u) d = -F through one banded LU.
+
+    The unknowns are d and y = r w with w = K0(2 u d), K0 the Coulomb sweep
+    without its Euler-Maclaurin diagonal em; then K(2 u d) = w + 2 em u d
+    and tridiag(off, diag, off) y = 2 src u d on nodes 1..n-1.  Interleaving
+    d_0, d_1, y_1, d_2, y_2, ... gives bandwidth 4 on each side, written
+    straight into LAPACK band storage (row 4 + i - j holds entry (i, j)).
+    """
+    n, r = grid.n, grid.nodes
+    diag, off, src, em = coulomb_inverse_bands(grid)
+    sd = 2 * np.arange(n) - 1   # slot of d_i
+    sd[0] = 0
+    sy = sd[1:] + 1             # slot of y_j, j = 1..n-1
+    ab = np.zeros((9, 2 * n - 1))
+    Ac = A.tocoo()
+    ab[4 + sd[Ac.row] - sd[Ac.col], sd[Ac.col]] = Ac.data
+    au = params.a * u
+    au[-2:] = 0.0   # the Dirichlet pad rows carry no screening term
+    ab[4, sd] += _local_potential(u, v, params) - 2.0 * em * au * u
+    # screening rows: -a u_i w_i with w_i = y_i / r_i and w_0 = y_1 / r_1
+    ab[3, sy] = -au[1:] / r[1:]
+    ab[2, sy[0]] = -au[0] / r[1]
+    # sweep rows: tridiag(off, diag, off) y - 2 src u d = 0
+    ab[4, sy] = diag
+    ab[2, sy[1:]] = off
+    ab[6, sy[:-1]] = off
+    ab[5, sd[1:]] = -2.0 * src[1:] * u[1:]
+    b = np.zeros(2 * n - 1)
+    b[sd] = -F
+    try:
+        x = sla.solve_banded((4, 4), ab, b, overwrite_ab=True, overwrite_b=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:   # singular or non-finite
+        raise NonConvergence(f"Newton step for {params.label()}: {exc}") from exc
+    return x[sd]
 
 
 def _wnorm(grid: RadialGrid, x: np.ndarray) -> float:
@@ -196,6 +227,19 @@ def _identity_masked(grid: RadialGrid) -> sp.csr_matrix:
     return sp.diags(d).tocsr()
 
 
+def _live_norm(grid: RadialGrid, u: np.ndarray) -> float:
+    """Weighted norm of an iterate; TrivialCollapse when it is numerically
+    zero, including a spike on node 0, whose r^2 dr weight vanishes."""
+    sup = np.max(np.abs(u))
+    if sup < TRIVIAL_SUP:
+        raise TrivialCollapse(f"iterate collapsed (sup {sup:.2e})")
+    nu_norm = _wnorm(grid, u)
+    if nu_norm == 0.0:
+        raise TrivialCollapse(
+            f"iterate collapsed onto the origin (u(0) = {u[0]:.2e})")
+    return nu_norm
+
+
 def newton_solve(guess: RadialField, params: ModelParams,
                  opts: SolverOptions | None = None) -> GroundState:
     """Damped Newton with a deterministic warm start; see module docstring.
@@ -216,39 +260,15 @@ def newton_solve(guess: RadialField, params: ModelParams,
 
     u = _warm_start(u, params, grid, A, opts.warm_iters)
 
-    nu_norm = _wnorm(grid, u)
     it = 0
     F, v = _residual_values(u, params, grid, A)
     nF = _wnorm(grid, F)
     for it in range(1, opts.max_iter + 1):
-        sup = np.max(np.abs(u))
-        if sup < TRIVIAL_SUP:
-            raise TrivialCollapse(f"iterate collapsed (sup {sup:.2e})")
-        nu_norm = _wnorm(grid, u)
+        nu_norm = _live_norm(grid, u)
         if nF <= tol_eff * nu_norm:
             break
 
-        pot = _local_potential(u, v, params, grid)
-        Jloc = A + sp.diags(pot)
-        try:
-            lu = operators.banded_lu(Jloc)
-            precond = lu.solve
-        except operators.FactorizationFailure:
-            precond = None
-
-        def matvec(d, u=u, v=v):
-            return _jacobian_matvec(u, v, params, grid, A, d)
-
-        d, relres, _ = operators.gcr_solve(matvec, -F, precond=precond,
-                                           rtol=opts.krylov_rtol,
-                                           maxiter=opts.krylov_maxiter)
-        if relres > 1e-6:
-            import scipy.sparse.linalg as spla
-            op = spla.LinearOperator((grid.n, grid.n), matvec=matvec)
-            M = (spla.LinearOperator((grid.n, grid.n), matvec=precond)
-                 if precond is not None else None)
-            d, _ = spla.lgmres(op, -F, M=M, rtol=opts.krylov_rtol, atol=0.0,
-                               maxiter=opts.krylov_maxiter)
+        d = _newton_step(u, v, F, params, grid, A)
 
         t, accepted = 1.0, False
         for _ in range(opts.damping + 1):
@@ -260,16 +280,16 @@ def newton_solve(guess: RadialField, params: ModelParams,
         if not accepted:
             raise NonConvergence(
                 f"line search stalled at |F| = {nF:.3e} for {params.label()}",
-                residual_norm=nF / max(nu_norm, 1e-300), iterations=it)
+                residual_norm=nF / nu_norm, iterations=it)
         u = u + t * d
         F, v = F_try, v_try
         nF = _wnorm(grid, F)
     else:
-        nu_norm = _wnorm(grid, u)
+        nu_norm = _live_norm(grid, u)
         if not nF <= tol_eff * nu_norm:   # the last update may have converged
             raise NonConvergence(
                 f"no convergence in {opts.max_iter} iterations for {params.label()}",
-                residual_norm=nF / max(nu_norm, 1e-300), iterations=opts.max_iter)
+                residual_norm=nF / nu_norm, iterations=opts.max_iter)
 
     sup = float(np.max(u))
     if np.min(u[:-2]) < -1e-10 * max(sup, abs(float(np.min(u)))):

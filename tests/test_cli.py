@@ -123,12 +123,11 @@ def test_spectrum_cli_small(tmp_path):
     assert payload["convention_check"]["paper_displayed_pair_first_eq_residual"] > 1e-3
 
 
-def test_fanout_determinism(tmp_path, monkeypatch):
-    outs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("SNGS_THREADS", threads)
-        out = str(tmp_path / f"lim{threads}")
-        assert run(["limits", "--q", "4", "--side", "zero",
-                    "--lambdas", "0.1,0.01", "--n", "512", "--out", out]) == 0
-        outs.append(open(out + ".csv", "rb").read())
-    assert outs[0] == outs[1]
+def test_origin_spike_collapse_exits_2(tmp_path, capsys):
+    """At q=5.95, lambda=100 the iterate collapses onto node 0, whose r^2 dr
+    weight is zero; that is a typed collapse, not a division by zero."""
+    out = str(tmp_path / "spike")
+    assert run(["solve", "--q", "5.95", "--lambda", "100", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "collapsed" in err
+    assert "Traceback" not in err

@@ -118,6 +118,27 @@ def test_discrete_poisson_residual():
     assert errs[0] / errs[1] >= 3.5
 
 
+def test_inverse_bands_reproduce_sweep():
+    """The tridiagonal inverse of the sweep, plus its Euler-Maclaurin
+    diagonal, is coulomb_apply on arbitrary (signed) densities."""
+    from scipy.linalg import solve_banded
+    from sngs.hartree import coulomb_apply, coulomb_inverse_bands
+    rng = np.random.default_rng(3)
+    for n in (48, 1001):
+        g = sngs.make_grid(20.0, n)
+        diag, off, src, em = coulomb_inverse_bands(g)
+        bands = np.zeros((3, n - 1))
+        bands[0, 1:] = off
+        bands[1] = diag
+        bands[2, :-1] = off
+        for _ in range(3):
+            rho = rng.normal(size=n)
+            y = solve_banded((1, 1), bands, (src * rho)[1:])
+            w = np.concatenate(([y[0] / g.nodes[1]], y / g.nodes[1:]))
+            v = coulomb_apply(g, rho)
+            assert np.max(np.abs(v - em * rho - w)) <= 1e-11 * np.max(np.abs(v))
+
+
 def test_potential_monotone_nonincreasing():
     rng = np.random.default_rng(5)
     g = sngs.make_grid(12.0, 400)

@@ -71,18 +71,6 @@ def test_eigen_residuals():
         assert np.linalg.norm(ax - sigma * mass * x) <= 1e-8 * np.linalg.norm(ax)
 
 
-def test_gcr_matches_direct_solve():
-    rng = np.random.default_rng(7)
-    m = 200
-    A = dirichlet_1d(m, 0.05) + sp.diags(rng.uniform(0.5, 1.5, m))
-    b = rng.normal(size=m)
-    lu = operators.banded_lu(A)
-    x, relres, _ = operators.gcr_solve(lambda v: A @ v, b, precond=lu.solve,
-                                       rtol=1e-13)
-    assert relres <= 1e-13
-    assert np.allclose(x, lu.solve(b), atol=1e-10)
-
-
 def test_radial_laplacian_fourth_order():
     errs = []
     for n in (257, 513):

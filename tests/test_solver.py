@@ -4,7 +4,7 @@ import pytest
 import sngs
 from sngs.errors import (ContinuationStuck, InvalidExponent, TrivialCollapse,
                          WrongParams)
-from sngs.solver import _wnorm
+from sngs.solver import _newton_step, _residual_values, _wnorm
 from conftest import smooth_bumps
 
 
@@ -61,6 +61,26 @@ def test_jacobian_matches_finite_differences(solved_cache):
               - sngs.residual(dn, st.params).values) / (2 * eps)
         err = _wnorm(st.grid, jd - fd) / _wnorm(st.grid, jd)
         assert err <= 1e-6
+
+
+@pytest.mark.parametrize("a,nu,q", [(1.0, 0.0, 4.0),    # Choquard
+                                    (1.0, 1.0, 2.5),    # mixed
+                                    (0.0, 1.0, 4.0)])   # Kwong
+def test_banded_step_solves_jacobian(solved_cache, a, nu, q):
+    """The banded Newton step is exact against the matrix-free Jacobian at
+    perturbed (non-converged) states."""
+    rng = np.random.default_rng(17)
+    st = solved_cache(1.0, a, nu, q)
+    g = st.grid
+    A = sngs.operators.radial_laplacian(g)
+    for _ in range(3):
+        u = st.u.values + 0.1 * smooth_bumps(g, rng, amp=st.sup_u())
+        F, v = _residual_values(u, st.params, g, A)
+        d = _newton_step(u, v, F, st.params, g, A)
+        jd = sngs.apply_jacobian(sngs.RadialField(grid=g, values=u),
+                                 sngs.RadialField(grid=g, values=d),
+                                 st.params).values
+        assert np.linalg.norm(jd + F) <= 1e-9 * np.linalg.norm(F)
 
 
 def test_jacobian_symmetry(solved_cache):
