@@ -22,6 +22,10 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
+# |Nehari|, |Pohozaev| <= IDENTITY_RTOL * G and the level identity
+# <= IDENTITY_RTOL * |J|: the bound a state must meet to be accepted
+IDENTITY_RTOL = 1e-6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -113,6 +117,19 @@ def _solve_one(args, lam: float, grid=None):
     return solver.newton_solve(solver.default_guess(params, grid), params, opts)
 
 
+def identity_failures(rep) -> list:
+    """(name, value, value) for each variational identity the diagnostics
+    `rep` of a state miss by more than IDENTITY_RTOL; empty when it passes."""
+    failures = []
+    G = rep.grad_sq
+    if abs(rep.nehari) > IDENTITY_RTOL * G or abs(rep.pohozaev) > IDENTITY_RTOL * G:
+        failures.append(("identity_residuals", rep.nehari, rep.pohozaev))
+    if rep.level_identity_residual is not None and rep.J and \
+            rep.level_identity_residual > IDENTITY_RTOL * abs(rep.J):
+        failures.append(("level_identity", rep.level_identity_residual, None))
+    return failures
+
+
 def cmd_solve(args, argv):
     io.check_clobber([args.out + ".csv", args.out + ".json"], args.force)
     try:
@@ -128,12 +145,16 @@ def cmd_solve(args, argv):
         man.write(args.out + ".json")
         print(f"solve: no convergence ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
+    failures = identity_failures(state.diagnostics)
     io.save_state(state, args.out, " ".join(argv), args.seed, args.force,
-                  tolerances={"tol": args.tol})
+                  tolerances={"tol": args.tol},
+                  summary={"identity_failures": failures})
     d = state.diagnostics
     print(f"solve: converged in {state.iterations} iterations, "
           f"residual {state.residual_norm:.3e}, J = {d.J:.12g}")
-    return EXIT_OK
+    for f in failures:
+        print(f"solve: under-resolved state {f}", file=sys.stderr)
+    return EXIT_NUMERICAL if failures else EXIT_OK
 
 
 _SWEEP_HEADER = ["lambda", "J", "grad_sq", "l2_sq", "lq", "D", "sup_u", "sup_v",
@@ -162,16 +183,21 @@ def cmd_sweep(args, argv):
     io.write_table_csv(out_csv, _SWEEP_HEADER, rows, force=True)
     mono = diagnostics.monotonicity_check([(s.params.lam, s.diagnostics.J)
                                            for s in states])
+    failures = [{"lambda": s.params.lam, "failures": fails} for s in states
+                if (fails := identity_failures(s.diagnostics))]
     man = io.RunManifest(
         command_line=" ".join(argv),
         params={"a": args.a, "nu": args.nu, "q": args.q, "lambdas": lams},
         grid={"n": args.n, "r_max": "auto-per-lambda"},
         rng_seed=args.seed, code_version=__version__, created=io._now(),
         outputs=[out_csv], summary={"monotone": mono["pass"],
-                                    "violations": mono["violations"]})
+                                    "violations": mono["violations"],
+                                    "identity_failures": failures})
     man.write(args.out + ".json")
     print(f"sweep: {len(states)} states, c_lambda monotone = {mono['pass']}")
-    return EXIT_OK if mono["pass"] else EXIT_NUMERICAL
+    for f in failures:
+        print(f"sweep: under-resolved state {f}", file=sys.stderr)
+    return EXIT_OK if mono["pass"] and not failures else EXIT_NUMERICAL
 
 
 _LIMITS_HEADER = ["lambda", "small_parameter", "sup_distance", "h1_distance",
@@ -272,8 +298,11 @@ def cmd_spectrum(args, argv):
         "grid": {"r_max": SPECTRUM_RMAX, "n": args.n},
         "sectors": [{"k": e.k, "eigenvalues": e.eigenvalues,
                      "kernel_dimension": e.kernel_dimension,
-                     "zero_mode_match": e.zero_mode_match}
+                     "zero_mode_match": e.zero_mode_match,
+                     "below_split": e.below_split,
+                     "backward_error": e.backward_error}
                     for e in report.sectors],
+        "split": report.split,
         "verdict": report.verdict,
         "tolerances": {"zero_tol": report.zero_tol, "gap_tol": report.gap_tol},
         "convention_check": convention_check,
@@ -326,12 +355,7 @@ def cmd_check(args, argv):
     if state.residual_norm > manifest["tolerances"].get("tol", 1e-10) * 10:
         failures.append(("residual_norm", manifest["summary"]["residual_norm"],
                          state.residual_norm))
-    G = rep.grad_sq
-    if abs(rep.nehari) > 1e-6 * G or abs(rep.pohozaev) > 1e-6 * G:
-        failures.append(("identity_residuals", rep.nehari, rep.pohozaev))
-    if rep.level_identity_residual is not None and rep.J and \
-            rep.level_identity_residual > 1e-6 * abs(rep.J):
-        failures.append(("level_identity", rep.level_identity_residual, None))
+    failures += identity_failures(rep)
     if failures:
         for f in failures:
             print(f"check: mismatch {f}", file=sys.stderr)

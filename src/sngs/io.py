@@ -53,12 +53,13 @@ def check_clobber(paths, force: bool):
 
 
 def manifest_for(state: GroundState, command_line: str, rng_seed: int,
-                 outputs, tolerances=None) -> RunManifest:
+                 outputs, tolerances=None, summary=None) -> RunManifest:
     d = state.diagnostics
     summary = {
         "residual_norm": state.residual_norm,
         "iterations": state.iterations,
         "diagnostics": d.as_dict() if d is not None else None,
+        **(summary or {}),
     }
     return RunManifest(
         command_line=command_line,
@@ -75,14 +76,17 @@ def manifest_for(state: GroundState, command_line: str, rng_seed: int,
 
 
 def save_state(state: GroundState, out_prefix: str, command_line: str = "",
-               rng_seed: int = 0, force: bool = False, tolerances=None):
+               rng_seed: int = 0, force: bool = False, tolerances=None,
+               summary=None):
+    """Write `<out_prefix>.csv` and its manifest; `summary` adds entries to
+    the manifest's summary."""
     csv_path = out_prefix + ".csv"
     json_path = out_prefix + ".json"
     check_clobber([csv_path, json_path], force)
     write_field_csv(csv_path, state.grid,
                     {"u": state.u.values, "v": state.v.values})
     man = manifest_for(state, command_line, rng_seed, [csv_path, json_path],
-                       tolerances)
+                       tolerances, summary)
     man.write(json_path)
     return csv_path, json_path
 

@@ -39,6 +39,11 @@ A2 = "symmetric_a2"
 
 CONVERGED_TOL = 1e-8
 
+# Radial-sector gap below which the verdict is not nondegenerate; also the
+# inertia split of every sector eigensolve: eigenvalues below -GAP_TOL are
+# clear Morse directions, the zero mode and the box modes sit above it.
+GAP_TOL = 1e-3
+
 
 def convention_map(state: GroundState, direction: str) -> GroundState:
     """Move a state between the single-coefficient family and the symmetric
@@ -153,6 +158,9 @@ def translation_mode(state: GroundState):
 class SpectrumReport:
     k: int
     eigenvalues: list
+    split: float
+    below_split: int             # inertia count, confirmed by the eigensolve
+    backward_error: float        # largest over the returned pairs
     eigenvectors: np.ndarray = field(repr=False, default=None)
     mass: np.ndarray = field(repr=False, default=None)
 
@@ -173,14 +181,21 @@ def _spectrum_lower_bound(op: SectorOperator) -> float:
 
 
 def sector_spectrum(op: SectorOperator, m: int) -> SpectrumReport:
-    """m algebraically lowest eigenpairs of the sector pencil."""
+    """m algebraically lowest eigenpairs of the sector pencil, sliced by
+    inertia at -GAP_TOL."""
     if m < 1:
         raise ValueError("m >= 1")
+    split = -GAP_TOL
     pairs = operators.smallest_eigenpairs(op.form, op.mass, m,
-                                          shift=_spectrum_lower_bound(op))
+                                          shift=_spectrum_lower_bound(op),
+                                          split=split)
     vals = [s for s, _ in pairs]
     vecs = np.stack([x for _, x in pairs], axis=1)
-    return SpectrumReport(k=op.k, eigenvalues=vals, eigenvectors=vecs, mass=op.mass)
+    return SpectrumReport(
+        k=op.k, eigenvalues=vals, eigenvectors=vecs, mass=op.mass, split=split,
+        below_split=sum(1 for s in vals if s < split),
+        backward_error=float(np.max(
+            operators.backward_errors(op.form, op.mass, vals, vecs))))
 
 
 @dataclass
@@ -188,6 +203,8 @@ class SectorEntry:
     k: int
     eigenvalues: list
     kernel_dimension: int
+    below_split: int
+    backward_error: float
     zero_mode_match: Optional[float] = None
 
 
@@ -198,6 +215,7 @@ class NondegeneracyReport:
     zero_tol: float
     gap_tol: float
     k_max: int
+    split: float
     convention: str = A2
 
 
@@ -244,13 +262,15 @@ def nondegeneracy_report(state: GroundState, k_max: int,
     vals1 = sorted(spectra[1].eigenvalues, key=abs)
     sigma2 = abs(vals1[1]) if len(vals1) > 1 else 1.0
     zero_tol = tolerances.get("zero_tol", 50.0 * h * h * sigma2)
-    gap_tol = tolerances.get("gap_tol", 1e-3)
+    gap_tol = tolerances.get("gap_tol", GAP_TOL)
 
     sectors = []
     for k in range(k_max + 1):
         vals = spectra[k].eigenvalues
         kdim = sum(1 for s in vals if abs(s) <= zero_tol)
-        entry = SectorEntry(k=k, eigenvalues=vals, kernel_dimension=kdim)
+        entry = SectorEntry(k=k, eigenvalues=vals, kernel_dimension=kdim,
+                            below_split=spectra[k].below_split,
+                            backward_error=spectra[k].backward_error)
         if k == 1:
             rep = spectra[1]
             iz = int(np.argmin(np.abs(rep.eigenvalues)))
@@ -279,4 +299,5 @@ def nondegeneracy_report(state: GroundState, k_max: int,
     else:
         verdict = "inconclusive"
     return NondegeneracyReport(sectors=sectors, verdict=verdict,
-                               zero_tol=zero_tol, gap_tol=gap_tol, k_max=k_max)
+                               zero_tol=zero_tol, gap_tol=gap_tol, k_max=k_max,
+                               split=spectra[0].split)

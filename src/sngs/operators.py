@@ -13,6 +13,13 @@ Weighted by the r^2 dr quadrature the interior entries become
 c_k * r_i * r_{i+k} / h, so the weighted operator is exactly symmetric; this
 is what makes the matrix-free Jacobian self-adjoint in the r^2-weighted inner
 product and the sector forms symmetric to round-off.
+
+The eigensolver is inertia-sliced shift-invert Lanczos: a symmetric
+factorization counts the pencil eigenvalues below a split point (Sylvester's
+law of inertia); the eigenvalues just above the split come from a
+shift-invert call at the split itself, those below it from a call at a lower
+bound of the spectrum, and the count checks that none went missing.  Every
+returned eigenpair is held to a normwise backward error of 1e-12.
 """
 
 from __future__ import annotations
@@ -129,13 +136,49 @@ def _gershgorin_lower_bound(form: sp.spmatrix, mass: np.ndarray) -> float:
     return float(np.min(diag - radii))
 
 
-def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int, shift=None):
+def count_below(form: sp.spmatrix, mass: np.ndarray, tau: float) -> int:
+    """Number of eigenvalues of form x = sigma * mass * x below tau."""
+    return _inertia(form, mass, tau)[1]
+
+
+def _inertia(form, mass, tau):
+    """SuperLU's symmetric no-pivot factorization of form - tau*mass and the
+    number of its negative pivots.
+
+    Sylvester's law of inertia: with mass > 0 that number counts the pencil
+    eigenvalues below tau.  The pivots are the diagonal of U, because the
+    factorization permutes rows and columns alike (U = D L^T).  Raises
+    FactorizationFailure when tau hits an eigenvalue or SuperLU leaves the
+    diagonal, where the count would be void.
+    """
+    shifted = sp.csc_matrix(form - tau * sp.diags(mass))
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise FactorizationFailure(f"inertia at {tau}: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise FactorizationFailure(
+            f"inertia at {tau}: SuperLU pivoted off the diagonal")
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int, shift=None,
+                        split=None):
     """m algebraically smallest eigenpairs of form x = sigma * mass * x.
 
-    Shift-invert Lanczos (ARPACK) with the factorization of (form - shift*mass);
-    when no shift is given a Gershgorin bound below the spectrum is used so the
-    nearest eigenvalues are the smallest ones.  Eigenvectors come back
-    mass-orthonormal; residuals are verified against 1e-8 * ||form x||.
+    Inertia-sliced shift-invert Lanczos (ARPACK; Ericsson & Ruhe 1980).  An
+    inertia count puts below = min(count_below(split), m) eigenvalues below
+    `split`; they come from one shift-invert call at `shift` (which="LM"),
+    which must lie below the spectrum, and the m - below above `split` from
+    one call at `split` itself (which="LA": the largest 1/(sigma - split) are
+    the eigenvalues just above it), which solves with the factorization that
+    made the count.  A returned set with other than `below` values under
+    `split` raises FactorizationFailure, so no eigenvalue goes missing
+    silently.  With no shift a Gershgorin bound below the spectrum is
+    used; with no split, split = shift, below = 0 and the one call is at shift.
+    Eigenvectors come back mass-orthonormal, each with a backward error of
+    at most 1e-12 (see `backward_errors`).
     """
     form = sp.csr_matrix(form)
     mass = np.asarray(mass, dtype=float)
@@ -146,48 +189,77 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int, shift=None)
         raise ValueError("m must be >= 1")
     if np.any(mass <= 0):
         raise ValueError("mass must be positive on active nodes")
-    Msp = sp.diags(mass)
     if m > dim - 2 or dim < 64:
         # ARPACK needs k < n-1; small/dense cases go to LAPACK directly
-        import scipy.linalg as sla
-        w, v = sla.eigh(form.toarray(), np.diag(mass))
-        pairs = [(float(w[i]), v[:, i]) for i in range(m)]
-        return _verified(form, mass, pairs)
+        return _verified(form, mass, _dense_pairs(form, mass, m))
     if shift is None:
         shift = _gershgorin_lower_bound(form, mass) - 1.0
+    if split is None:
+        split = shift
+    lu, below = _inertia(form, mass, split)
+    below = min(below, m)
+    split_inv = spla.LinearOperator(form.shape, matvec=lu.solve, dtype=float)
+    Msp = sp.diags(mass)
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
+    vals, vecs = [], []
     try:
-        vals, vecs = spla.eigsh(form, k=m, M=Msp, sigma=shift, which="LM", v0=v0)
+        for k, sigma, which, inv in ((below, shift, "LM", None),
+                                     (m - below, split, "LA", split_inv)):
+            if k:
+                w, v = spla.eigsh(form, k=k, M=Msp, sigma=sigma, which=which,
+                                  v0=v0, OPinv=inv)
+                vals.append(w)
+                vecs.append(v)
     except RuntimeError as exc:
         if dim <= 4000:
             # clustered/degenerate spectra starve the Arnoldi cycle; go dense
-            import scipy.linalg as sla
-            w, v = sla.eigh(form.toarray(), np.diag(mass))
-            return _verified(form, mass, [(float(w[i]), v[:, i]) for i in range(m)])
+            return _verified(form, mass, _dense_pairs(form, mass, m))
         raise FactorizationFailure(
-            f"shift {shift} appears to hit an eigenvalue: {exc}") from exc
+            f"shift {sigma} appears to hit an eigenvalue: {exc}") from exc
+    vals = np.concatenate(vals)
+    vecs = np.concatenate(vecs, axis=1)
+    found = int(np.count_nonzero(vals < split))
+    if found != below:
+        raise FactorizationFailure(
+            f"{found} eigenvalues below {split} returned, inertia counts {below}")
     order = np.argsort(vals)
     pairs = [(float(vals[i]), vecs[:, i]) for i in order]
     return _verified(form, mass, pairs)
 
 
+def _dense_pairs(form, mass, m):
+    import scipy.linalg as sla
+    w, v = sla.eigh(form.toarray(), np.diag(mass))
+    return [(float(w[i]), v[:, i]) for i in range(m)]
+
+
+BACKWARD_TOL = 1e-12
+
+
+def backward_errors(form, mass, sigmas, vectors) -> np.ndarray:
+    """Normwise backward errors ||A x - s M x|| / ((||A||_1 + |s| max M) ||x||)
+    of the eigenpairs (sigmas[j], vectors[:, j]) of the pencil (A, M),
+    M = diag(mass)."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    res = np.linalg.norm(form @ vectors - mass[:, None] * vectors * sigmas, axis=0)
+    scale = float(abs(form).sum(axis=0).max()) + np.abs(sigmas) * float(np.max(mass))
+    return res / (scale * np.linalg.norm(vectors, axis=0))
+
+
 def _verified(form, mass, pairs):
-    out = []
-    for sigma, x in pairs:
-        nx = np.sqrt(np.dot(mass * x, x))
-        x = x / nx
-        ax = form @ x
-        res = np.linalg.norm(ax - sigma * mass * x)
-        scale = max(np.linalg.norm(ax), 1e-300)
-        if res > 1e-8 * scale:
-            # one inverse-iteration refinement against the verified bound
-            try:
-                lu = banded_lu(form - (sigma + 1e-12) * sp.diags(mass))
-                y = lu.solve(mass * x)
-                y /= np.sqrt(np.dot(mass * y, y))
-                sigma = float(np.dot(y, form @ y))
-                x = y
-            except FactorizationFailure:
-                pass
-        out.append((sigma, x))
-    return out
+    """Mass-normalize each pair and hold it to BACKWARD_TOL; a pair over the
+    bound gets one inverse-iteration refinement, and one still over it raises
+    FactorizationFailure."""
+    sigmas = [s for s, _ in pairs]
+    X = np.stack([x / np.sqrt(np.dot(mass * x, x)) for _, x in pairs], axis=1)
+    for j in np.flatnonzero(backward_errors(form, mass, sigmas, X) > BACKWARD_TOL):
+        lu = banded_lu(form - (sigmas[j] + 1e-12) * sp.diags(mass))
+        y = lu.solve(mass * X[:, j])
+        X[:, j] = y / np.sqrt(np.dot(mass * y, y))
+        sigmas[j] = float(np.dot(X[:, j], form @ X[:, j]))
+        err = backward_errors(form, mass, sigmas[j:j + 1], X[:, j:j + 1])[0]
+        if err > BACKWARD_TOL:
+            raise FactorizationFailure(
+                f"eigenpair {sigmas[j]:.6e} has backward error {err:.2e} "
+                f"> {BACKWARD_TOL:.0e} after refinement")
+    return [(sigmas[j], X[:, j]) for j in range(len(sigmas))]

@@ -50,6 +50,7 @@ def test_solve_roundtrip_and_determinism(tmp_path):
     man = json.load(open(out1 + ".json"))
     assert man["params"]["q"] == 4.0
     assert man["summary"]["diagnostics"]["J"] is not None
+    assert man["summary"]["identity_failures"] == []
     assert man["code_version"]
 
 
@@ -77,6 +78,19 @@ def test_check_detects_tampering(tmp_path):
     man = json.load(open(out + ".json"))
     man["summary"]["diagnostics"]["J"] *= 1.01
     json.dump(man, open(out + ".json", "w"))
+    assert run(["check", "--out", out]) == 2
+
+
+def test_solve_rejects_under_resolved_state(tmp_path):
+    # n=4096 under-resolves q=5.95, lambda=1: Newton converges, the identities
+    # miss the bound `check` applies, so `solve` exits 2 with its artifacts
+    out = str(tmp_path / "run")
+    assert run(["solve", "--q", "5.95", "--lambda", "1", "--out", out]) == 2
+    assert os.path.exists(out + ".csv")
+    man = json.load(open(out + ".json"))
+    names = [f[0] for f in man["summary"]["identity_failures"]]
+    assert "level_identity" in names
+    assert man["summary"]["diagnostics"]["J"] is not None
     assert run(["check", "--out", out]) == 2
 
 
@@ -118,6 +132,9 @@ def test_spectrum_cli_small(tmp_path):
     assert code == 0
     payload = json.load(open(out + ".json"))
     assert payload["verdict"] == "nondegenerate"
+    assert payload["split"] == -payload["tolerances"]["gap_tol"]
+    assert [s["below_split"] for s in payload["sectors"]] == [1, 0, 0]
+    assert all(s["backward_error"] <= 1e-12 for s in payload["sectors"])
     assert payload["sectors"][1]["zero_mode_match"] >= 0.999
     assert "suspected typo" in payload["convention_check"]["note"]
     assert payload["convention_check"]["paper_displayed_pair_first_eq_residual"] > 1e-3

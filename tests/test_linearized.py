@@ -3,7 +3,7 @@ import pytest
 
 import sngs
 from sngs.errors import ParityMismatch, UnconvergedState, WrongConvention
-from sngs.linearized import (_compensated_translation, convention_map,
+from sngs.linearized import (GAP_TOL, _compensated_translation, convention_map,
                              nondegeneracy_report, quadratic_form_value,
                              sector_form, sector_spectrum, translation_mode)
 from sngs.solver import _wnorm
@@ -209,3 +209,43 @@ def test_nondegeneracy_kwong_radial_kernel_free(solved_cache):
     rep = nondegeneracy_report(st, 2)
     assert min(abs(s) for s in rep.sectors[0].eigenvalues) > rep.gap_tol
     assert rep.sectors[1].kernel_dimension == 1
+
+
+# sector eigenvalues (k = 0..3, six each) of the two scripts/run_spectrum.py
+# cases at n=4096, recorded with the eigensolve that shifted every sector from
+# a lower bound of the spectrum, before the inertia split at -GAP_TOL
+RUN_SPECTRUM_EIGENVALUES = {
+    (4.0, 1e-2): [
+        [-0.6305178479064808, 0.0029081044656975585, 0.01162784807915651,
+         0.026145753389727133, 0.04644002292793514, 0.07248115451551307],
+        [2.5554456561800762e-05, 0.0059683374569297065, 0.017601356280816827,
+         0.03503191881516576, 0.05824436451714066, 0.08721698089166585],
+        [0.009231800572650606, 0.022987806584178205, 0.04219309658710069,
+         0.06685466260913264, 0.09694743296324893, 0.1324206884032031],
+        [0.013571358971310232, 0.030159262784422047, 0.0521481917066513,
+         0.07959836290023325, 0.11252210494140336, 0.15092018614301672],
+    ],
+    (2.5, 1e2): [
+        [-0.6300573806006282, 0.0029100656098095534, 0.011635664277219515,
+         0.026163237239109627, 0.04647086752821794, 0.07252893014564421],
+        [2.4962574395646494e-05, 0.00596012631032572, 0.017577980648474156,
+         0.03498605865871429, 0.05816894716419885, 0.08710517162819986],
+        [0.009231808871868363, 0.022987924216319122, 0.042193785959013574,
+         0.06685727167229594, 0.09695500510183575, 0.13243906582454112],
+        [0.013571359123443205, 0.030159266036794197, 0.05214821814154691,
+         0.07959849325107271, 0.11252257435560109, 0.1509215454474937],
+    ],
+}
+
+
+@pytest.mark.parametrize("q,lam", sorted(RUN_SPECTRUM_EIGENVALUES))
+def test_run_spectrum_cases_match_recorded(q, lam):
+    from sngs.cli import normalized_state_for_spectrum
+    st, _ = normalized_state_for_spectrum(q, lam, 4096)
+    rep = nondegeneracy_report(st, 3)
+    assert rep.verdict == "nondegenerate"
+    assert rep.split == -GAP_TOL
+    got = np.array([e.eigenvalues for e in rep.sectors])
+    assert np.max(np.abs(got - RUN_SPECTRUM_EIGENVALUES[(q, lam)])) <= 1e-10
+    assert [e.below_split for e in rep.sectors] == [1, 0, 0, 0]
+    assert max(e.backward_error for e in rep.sectors) <= 1e-12

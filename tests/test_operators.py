@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import sngs
 from sngs import operators
-from sngs.errors import TooManyRequested
+from sngs.errors import FactorizationFailure, TooManyRequested
 
 
 def dirichlet_1d(m, h):
@@ -23,6 +23,54 @@ def test_dirichlet_spectrum_matches_discrete_formula():
     for k, (sigma, _) in enumerate(pairs, start=1):
         expect = 4.0 / h**2 * np.sin(k * h / 2.0) ** 2
         assert sigma == pytest.approx(expect, rel=1e-10)
+
+
+def test_count_below_dirichlet():
+    m = 200
+    h = np.pi / (m + 1)
+    A = dirichlet_1d(m, h)
+    mass = np.ones(m)
+    exact = 4.0 / h**2 * np.sin(np.arange(1, m + 1) * h / 2.0) ** 2
+    assert operators.count_below(A, mass, exact[0] - 0.5) == 0
+    for k in (1, 2, 7, 50, 199):
+        tau = 0.5 * (exact[k - 1] + exact[k])
+        assert operators.count_below(A, mass, tau) == k
+
+
+def two_block_pencil(m=60):
+    """[[T1, C], [C, T2]] on 2m nodes: a delta well in T1 binds one isolated
+    eigenvalue near -42, and T2, a Dirichlet chain on [0, 60], puts a tight
+    cluster near (pi j/60)^2 ~ 0.0027 j^2 just above zero."""
+    h1 = 1.0 / (m + 1)
+    well = np.zeros(m)
+    well[m // 2] = -13.0 / h1
+    T1 = dirichlet_1d(m, h1) + sp.diags(well)
+    T2 = dirichlet_1d(m, 60.0 / (m + 1))
+    C = sp.diags(np.full(m, 1e-3))
+    A = sp.bmat([[T1, C], [C, T2]], format="csr")
+    mass = np.concatenate([np.ones(m), 1.0 + 0.3 * np.sin(np.arange(m))])
+    return A, mass
+
+
+def test_inertia_split_matches_dense():
+    import scipy.linalg as sla
+    A, mass = two_block_pencil()
+    assert A.shape[0] >= 64
+    exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
+    assert exact[0] < -40.0 and 0.0 < exact[1] < 0.003   # deep, then the cluster
+    shift = operators._gershgorin_lower_bound(A, mass) - 1.0
+    pairs = operators.smallest_eigenpairs(A, mass, 6, shift=shift, split=-1e-3)
+    got = np.array([s for s, _ in pairs])
+    assert np.max(np.abs(got - exact[:6])) <= 1e-10
+    assert operators.count_below(A, mass, -1e-3) == 1
+
+
+def test_inertia_split_detects_missed_eigenvalue():
+    # a shift between the deep eigenvalue and the split is nearest to the
+    # cluster, so the shift-invert call misses the eigenvalue the count sees
+    A, mass = two_block_pencil()
+    with pytest.raises(FactorizationFailure):
+        operators.smallest_eigenpairs(A, mass, 6, shift=-0.01, split=-1e-3)
 
 
 def test_dirichlet_smallest_tends_to_one():
@@ -69,6 +117,25 @@ def test_eigen_residuals():
     for sigma, x in operators.smallest_eigenpairs(A, mass, 3):
         ax = A @ x
         assert np.linalg.norm(ax - sigma * mass * x) <= 1e-8 * np.linalg.norm(ax)
+
+
+def test_verified_refines_once_then_raises():
+    m = 200
+    h = np.pi / (m + 1)
+    A = dirichlet_1d(m, h)
+    mass = np.ones(m)
+    (s1, x1), (s2, _) = operators.smallest_eigenpairs(A, mass, 2)
+    noisy = x1 + 1e-6 * np.random.default_rng(5).normal(size=m)
+    assert operators.backward_errors(A, mass, [s1], noisy[:, None])[0] \
+        > operators.BACKWARD_TOL
+    [(sigma, x)] = operators._verified(A, mass, [(s1, noisy)])
+    assert operators.backward_errors(A, mass, [sigma], x[:, None])[0] \
+        <= operators.BACKWARD_TOL
+    assert sigma == pytest.approx(s1, rel=1e-12)
+    # midway between two eigenvalues one inverse-iteration step leaves the
+    # pair far from any eigenpair, so it is refused rather than returned
+    with pytest.raises(FactorizationFailure):
+        operators._verified(A, mass, [(0.5 * (s1 + s2), np.ones(m))])
 
 
 def test_radial_laplacian_fourth_order():
