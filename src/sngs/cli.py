@@ -86,7 +86,7 @@ def build_parser():
     sp.add_argument("--side", choices=["zero", "infinity"], required=True)
 
     sp = sub.add_parser("spectrum", help="sector spectra and nondegeneracy verdict")
-    common(sp)
+    common(sp, rmax=False)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--k-max", dest="k_max", type=int, default=3)
     sp.add_argument("--num-eigs", dest="num_eigs", type=int, default=6)

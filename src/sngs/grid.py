@@ -11,7 +11,6 @@ weight vector, which is what makes the discrete variational identities close.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,9 +19,6 @@ from .errors import NonPositiveRadius, TooFewNodes
 
 EVEN = "even"   # f'(0) = 0
 ODD = "odd"     # f(0) = 0
-
-FF_ZERO = "zero"          # Dirichlet-zero far field
-FF_COULOMB = "coulomb"    # v ~ tail_mass / r beyond r_max
 
 
 @dataclass(frozen=True)
@@ -35,7 +31,7 @@ class RadialGrid:
     weights_r2dr: np.ndarray
 
     def key(self):
-        """Hashable identity used for caching."""
+        """Hashable identity: grids with the same r_max and n are equal."""
         return (float(self.r_max), int(self.n))
 
     def __eq__(self, other):
@@ -50,8 +46,6 @@ class RadialField:
     grid: RadialGrid
     values: np.ndarray
     parity: str = EVEN
-    far_field: str = FF_ZERO
-    tail_mass: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -95,18 +89,19 @@ def differentiate(f: RadialField) -> RadialField:
     """
     df = np.gradient(f.values, f.grid.h, edge_order=2)
     parity = ODD if f.parity == EVEN else EVEN
-    return RadialField(grid=f.grid, values=df, parity=parity, far_field=FF_ZERO)
+    return RadialField(grid=f.grid, values=df, parity=parity)
 
 
 def _lagrange4(x, xs, ys):
-    """Cubic Lagrange through four points, vectorized over x."""
+    """Cubic Lagrange through four points per query: xs and ys hold each
+    query's stencil along their last axis."""
     total = np.zeros_like(x)
     for i in range(4):
         li = np.ones_like(x)
         for j in range(4):
             if j != i:
-                li *= (x - xs[j]) / (xs[i] - xs[j])
-        total += ys[i] * li
+                li *= (x - xs[..., j]) / (xs[..., i] - xs[..., j])
+        total += ys[..., i] * li
     return total
 
 
@@ -114,7 +109,7 @@ def interpolate(f: RadialField, target: RadialGrid) -> RadialField:
     """Local cubic (4-point Lagrange) resampling; zero beyond the source r_max.
 
     Zero extension matches the vanishing-at-infinity far field of the states
-    this package manipulates; parity and far-field metadata carry over.
+    this package manipulates; parity carries over.
     """
     src = f.grid
     x = target.nodes
@@ -123,38 +118,26 @@ def interpolate(f: RadialField, target: RadialGrid) -> RadialField:
     xi = x[inside]
     # stencil start: two nodes left of the query, clipped to the grid
     idx = np.clip(np.floor(xi / src.h).astype(int) - 1, 0, src.n - 4)
-    vals = np.empty_like(xi)
-    for s in np.unique(idx):
-        sel = idx == s
-        xs = src.nodes[s:s + 4]
-        ys = f.values[s:s + 4]
-        vals[sel] = _lagrange4(xi[sel], xs, ys)
-    out[inside] = vals
-    return RadialField(grid=target, values=out, parity=f.parity,
-                       far_field=f.far_field, tail_mass=f.tail_mass)
+    stencil = idx[:, None] + np.arange(4)
+    out[inside] = _lagrange4(xi, src.nodes[stencil], f.values[stencil])
+    return RadialField(grid=target, values=out, parity=f.parity)
 
 
 # -- field CSV format ---------------------------------------------------------
 
 def write_field_csv(path, grid: RadialGrid, columns: dict) -> None:
     """CSV with header r,<names...>, one row per node, 17 significant digits."""
-    names = list(columns)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r"] + names)
-        cols = [np.asarray(columns[k]) for k in names]
-        for i in range(grid.n):
-            w.writerow([f"{grid.nodes[i]:.17g}"] + [f"{c[i]:.17g}" for c in cols])
+    data = np.column_stack([grid.nodes] + [columns[k] for k in columns])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", newline="\r\n",
+               header=",".join(["r", *columns]), comments="")
 
 
 def read_field_csv(path):
     """Inverse of write_field_csv: returns (r, {name: array})."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    r = data[:, 0]
-    return r, {name: data[:, j + 1] for j, name in enumerate(header[1:])}
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return data[:, 0], {name: data[:, j + 1] for j, name in enumerate(header[1:])}
 
 
 def save_field(path, f: RadialField) -> None:

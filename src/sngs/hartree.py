@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import EVEN, FF_COULOMB, RadialField, RadialGrid
+from .grid import EVEN, RadialField, RadialGrid
 
 
 @dataclass
@@ -84,8 +84,7 @@ def hartree_potential(u: RadialField) -> HartreePotential:
     f1 = rho * r
     mass = float(np.sum(0.5 * h * (f2[1:] + f2[:-1])))
     line = float(np.sum(0.5 * h * (f1[1:] + f1[:-1]))) + (h * h / 12.0) * rho[0]
-    vf = RadialField(grid=grid, values=v, parity=EVEN,
-                     far_field=FF_COULOMB, tail_mass=mass)
+    vf = RadialField(grid=grid, values=v, parity=EVEN)
     return HartreePotential(v=vf, mass=mass, line_integral=line)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import operators
 from .errors import GridMismatch, InvalidExponent, MixedExponents, WrongParams
-from .grid import RadialField, RadialGrid, interpolate
+from .grid import RadialField, RadialGrid, interpolate, make_grid
 from .solver import GroundState, ModelParams
 
 MU_FORM = "mu_form"
@@ -86,16 +86,12 @@ def scale_state(state: GroundState, form: str, target: RadialGrid):
         raise ValueError(form)
     lam, q = p.lam, p.q
     amp = lam ** (-1.0 / (q - 2.0)) if form == MU_FORM else 1.0 / lam
-    # evaluate u(r/sqrt(lam)) on the target nodes = interpolate after
-    # relabeling the source grid radii by sqrt(lam)
-    shrunk = RadialGrid(
-        r_max=state.grid.r_max * math.sqrt(lam), n=state.grid.n,
-        nodes=state.grid.nodes * math.sqrt(lam), h=state.grid.h * math.sqrt(lam),
-        weights_dr=state.grid.weights_dr * math.sqrt(lam),
-        weights_r2dr=state.grid.weights_r2dr * lam ** 1.5)
-    relabeled = RadialField(grid=shrunk, values=amp * state.u.values,
-                            parity=state.u.parity)
-    scaled = interpolate(relabeled, target)
+    # u(r/sqrt(lam)) on the target nodes is u sampled on the target grid
+    # shrunk by sqrt(lam)
+    shrunk = make_grid(target.r_max / math.sqrt(lam), target.n)
+    sampled = interpolate(state.u, shrunk)
+    scaled = RadialField(grid=target, values=amp * sampled.values,
+                         parity=state.u.parity)
     scaled.values[-2:] = 0.0
     if form == MU_FORM:
         eff = ModelParams(lam=1.0, a=small_parameter(q, lam, MU_FORM), nu=1.0, q=q)

@@ -30,6 +30,8 @@ from .grid import EVEN, RadialField, RadialGrid, make_grid
 from .hartree import coulomb_apply, coulomb_inverse_bands, hartree_potential
 
 TRIVIAL_SUP = 1e-8
+DAMPING = 20          # max step halvings per Newton iteration
+DEDUP_TOL = 1e-6      # relative sup distance under which two scan states agree
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,6 @@ class ModelParams:
 class SolverOptions:
     tol: float = 1e-10           # relative residual in the r^2-weighted norm
     max_iter: int = 60
-    damping: int = 20            # max step halvings per Newton iteration
     warm_iters: int = 60         # spectral-renormalization warm-start sweeps
 
 
@@ -271,7 +272,7 @@ def newton_solve(guess: RadialField, params: ModelParams,
         d = _newton_step(u, v, F, params, grid, A)
 
         t, accepted = 1.0, False
-        for _ in range(opts.damping + 1):
+        for _ in range(DAMPING + 1):
             F_try, v_try = _residual_values(u + t * d, params, grid, A)
             if _wnorm(grid, F_try) < nF:
                 accepted = True
@@ -451,8 +452,7 @@ def _sup_distance_rel(u1: np.ndarray, u2: np.ndarray) -> float:
 
 def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
                     grid: RadialGrid | None = None,
-                    opts: SolverOptions | None = None,
-                    dedup_tol: float = 1e-6) -> ScanResult:
+                    opts: SolverOptions | None = None) -> ScanResult:
     """Multi-start evidence for uniqueness: seeded Gaussian guesses
     c exp(-kappa r^2) with (c, kappa) log-uniform over [1e-2, 1e2]^2.
 
@@ -479,7 +479,7 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
             continue
         converged += 1
         for known in distinct:
-            if _sup_distance_rel(state.u.values, known.u.values) <= dedup_tol:
+            if _sup_distance_rel(state.u.values, known.u.values) <= DEDUP_TOL:
                 break
         else:
             distinct.append(state)

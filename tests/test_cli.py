@@ -125,6 +125,14 @@ def test_limits_cli_small(tmp_path):
     assert sups[1] < sups[0]
 
 
+def test_spectrum_rejects_rmax(tmp_path):
+    # spectra are solved on the fixed SPECTRUM_RMAX domain
+    out = str(tmp_path / "spec")
+    assert run(["spectrum", "--q", "4", "--lambda", "0.01", "--rmax", "30",
+                "--out", out]) == 64
+    assert not os.path.exists(out + ".json")
+
+
 def test_spectrum_cli_small(tmp_path):
     out = str(tmp_path / "spec")
     code = run(["spectrum", "--q", "4", "--lambda", "0.01", "--n", "2048",

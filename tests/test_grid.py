@@ -146,6 +146,24 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.array_equal(cols["u"], u)
 
 
+def test_field_csv_exact_bytes(tmp_path):
+    # header line, CRLF endings, 17 significant digits, negative zero kept
+    g = sngs.make_grid(2.0, 16)
+    u = np.zeros(g.n)
+    u[0], u[1], u[2] = 1.0 / 3.0, -0.0, -2.5e-300
+    path = tmp_path / "field.csv"
+    from sngs.grid import write_field_csv
+    write_field_csv(path, g, {"u": u, "w": 2.0 * g.nodes})
+    lines = open(path, "rb").read().split(b"\r\n")
+    assert lines[0] == b"r,u,w"
+    assert lines[1] == b"0,0.33333333333333331,0"
+    assert lines[2] == b"0.13333333333333333,-0,0.26666666666666666"
+    assert lines[3] == b"0.26666666666666666,-2.5e-300,0.53333333333333333"
+    assert lines[-2] == b"2,0,4"
+    assert lines[-1] == b""
+    assert len(lines) == g.n + 2
+
+
 def test_single_field_csv_interface(tmp_path):
     from sngs.grid import load_field, save_field
     g = sngs.make_grid(4.0, 65)

@@ -154,7 +154,6 @@ def test_coulomb_tail_consistency():
     u = sngs.RadialField(grid=g, values=np.exp(-g.nodes))
     hp = sngs.hartree_potential(u)
     assert hp.v.values[-1] * g.r_max == pytest.approx(hp.mass, rel=1e-10)
-    assert hp.v.far_field == sngs.grid.FF_COULOMB
     assert hp.v.values[0] == pytest.approx(hp.line_integral, rel=1e-12)
 
 

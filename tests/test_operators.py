@@ -169,3 +169,17 @@ def test_dirichlet_form_exactly_symmetric():
     for parity in (sngs.EVEN, sngs.ODD):
         S = operators.dirichlet_form(g, parity)
         assert abs(S - S.T).max() == 0.0
+
+
+def test_laplacian_and_dirichlet_form_share_the_stencil():
+    # diag(W) A on the active nodes is the sector form of even parity; the
+    # couplings into the origin vanish and the pad rows are identities
+    g = sngs.make_grid(15.0, 300)
+    A = operators.radial_laplacian(g)
+    act = operators.active_slice(g)
+    WA = (sp.diags(g.weights_r2dr) @ A).tocsr()[act][:, act]
+    S = operators.dirichlet_form(g, sngs.EVEN)
+    assert abs(WA - S).max() <= 2e-15 * abs(S).max()
+    assert A[1, 0] == 0.0 and A[2, 0] == 0.0
+    pad = A[-2:].toarray()
+    assert np.array_equal(pad, np.eye(g.n)[-2:])
