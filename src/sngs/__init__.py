@@ -11,12 +11,12 @@ from .hartree import (HartreePotential, far_field_mass, hartree_energy,
                       hartree_potential)
 from .solver import (GroundState, ModelParams, ScanResult, SolverOptions,
                      apply_jacobian, auto_rmax, continuation_path,
-                     default_guess, newton_solve, reference_profile, residual,
-                     uniqueness_scan)
+                     default_guess, ground_state, newton_solve,
+                     reference_profile, residual, uniqueness_scan)
 from .diagnostics import DiagnosticsReport, identities, monotonicity_check, norm_report
 from .scaling import (ScalingReport, limit_distance, limit_regime,
-                      limit_study, mass_ratio_report, scale_state,
-                      small_parameter)
+                      limit_study, mass_ratio_report, normal_form,
+                      scale_state, small_parameter)
 from .linearized import (NondegeneracyReport, SectorOperator, convention_map,
                          nondegeneracy_report, quadratic_form_value,
                          sector_form, sector_spectrum, translation_mode)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,6 +29,12 @@ IDENTITY_RTOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
+    """Usage errors raise UsageError; flags must be spelled out in full (an
+    abbreviation would let spectrum's `--nu` stand for `--num-eigs`)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -60,39 +67,43 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, rmax=True):
+    optional = {"--a": dict(type=float, default=1.0),
+                "--nu": dict(type=float, default=1.0),
+                "--rmax": dict(default="auto")}
+
+    def common(sp, *flags):
+        """The flags every solving subcommand takes, plus those of `flags`
+        (keys of `optional`); the others are usage errors."""
         sp.add_argument("--q", type=float, required=True)
-        sp.add_argument("--a", type=float, default=1.0)
-        sp.add_argument("--nu", type=float, default=1.0)
+        for flag in flags:
+            sp.add_argument(flag, **optional[flag])
         sp.add_argument("--n", type=int, default=4096)
-        if rmax:
-            sp.add_argument("--rmax", default="auto")
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", required=True)
         sp.add_argument("--force", action="store_true")
 
     sp = sub.add_parser("solve", help="one ground state")
-    common(sp)
+    common(sp, "--a", "--nu", "--rmax")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
 
     sp = sub.add_parser("sweep", help="lambda sweep with c_lambda monotonicity verdict")
-    common(sp)
+    common(sp, "--a", "--nu", "--rmax")
     sp.add_argument("--lambdas", required=True)
 
     sp = sub.add_parser("limits", help="scaling-limit distances to W or U")
-    common(sp)
+    common(sp, "--rmax")
     sp.add_argument("--lambdas", required=True)
     sp.add_argument("--side", choices=["zero", "infinity"], required=True)
 
     sp = sub.add_parser("spectrum", help="sector spectra and nondegeneracy verdict")
-    common(sp, rmax=False)
+    common(sp)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--k-max", dest="k_max", type=int, default=3)
     sp.add_argument("--num-eigs", dest="num_eigs", type=int, default=6)
 
     sp = sub.add_parser("scan", help="multi-start uniqueness scan")
-    common(sp)
+    common(sp, "--a", "--nu", "--rmax")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--starts", type=int, default=20)
 
@@ -103,10 +114,7 @@ def build_parser():
 
 
 def _grid_for(args, lam: float):
-    if getattr(args, "rmax", "auto") in ("auto", None):
-        rmax = solver.auto_rmax(lam)
-    else:
-        rmax = float(args.rmax)
+    rmax = solver.auto_rmax(lam) if args.rmax == "auto" else float(args.rmax)
     return make_grid(rmax, args.n)
 
 
@@ -171,9 +179,8 @@ def cmd_sweep(args, argv):
     first = solver.newton_solve(solver.default_guess(params0, grid0), params0, opts)
     states = [first]
     for lam in lams[1:]:
-        target = solver.ModelParams(lam=lam, a=args.a, nu=args.nu, q=args.q)
-        states.extend(solver.continuation_path(states[-1].params, target, 1,
-                                               states[-1], opts))
+        states.extend(solver.continuation_path(
+            states[-1].params, replace(params0, lam=lam), 1, states[-1], opts))
     rows = []
     for s in states:
         d = s.diagnostics
@@ -254,11 +261,7 @@ def normalized_state_for_spectrum(q: float, lam: float, n: int,
     (lam, 1, 1, q) state: mu- or nu-form by regime, then the a=2 convention."""
     side = "zero" if lam < 1.0 else "infinity"
     form, _ = scaling.limit_regime(q, side)
-    eps = scaling.small_parameter(q, lam, form)
-    if form == scaling.MU_FORM:
-        params = solver.ModelParams(lam=1.0, a=eps, nu=1.0, q=q)
-    else:
-        params = solver.ModelParams(lam=1.0, a=1.0, nu=eps, q=q)
+    _, params = scaling.normal_form(q, lam, form)
     grid = make_grid(SPECTRUM_RMAX, n)
     state = solver.newton_solve(solver.default_guess(params, grid), params,
                                 solver.SolverOptions(tol=tol))
@@ -273,20 +276,13 @@ def cmd_spectrum(args, argv):
     report = linearized.nondegeneracy_report(a2_state, args.k_max,
                                              num_eigs=args.num_eigs)
     # convention check: the correct pair halves the potential; keeping the
-    # unscaled potential leaves an O(1) residual in the first equation
-    from . import operators
-    from .solver import _power, _wnorm
-    u2 = a2_state.u.values
-    v_unscaled = 2.0 * a2_state.v.values
-    F_wrong = (operators.radial_laplacian(a2_state.grid) @ u2
-               + a2_state.params.lam * u2
-               - 2.0 * v_unscaled * u2
-               - a2_state.params.nu * _power(u2, a2_state.params.q - 1.0))
-    F_wrong[-2:] = 0.0
+    # unscaled potential 2v in the first equation, -2 (2v) u, is the
+    # residual at coupling a = 4 and leaves an O(1) ratio
+    unscaled = solver.ground_state(a2_state.u, replace(a2_state.params, a=4.0),
+                                   a2_state.iterations)
     convention_check = {
         "mapped_pair_residual": a2_state.residual_norm,
-        "paper_displayed_pair_first_eq_residual":
-            _wnorm(a2_state.grid, F_wrong) / _wnorm(a2_state.grid, u2),
+        "paper_displayed_pair_first_eq_residual": unscaled.residual_norm,
         "note": "the doubled-coupling ground state is (u/sqrt2, v/2); the "
                 "displayed pair with v unscaled does not satisfy the system "
                 "(suspected typo) -- the potential must be halved",
@@ -341,7 +337,7 @@ def cmd_scan(args, argv):
 
 def cmd_check(args, argv):
     state, manifest = io.load_state(args.out)
-    rep = diagnostics.identities(state)
+    rep = state.diagnostics
     stored = manifest["summary"]["diagnostics"]
     tol = args.tol
     failures = []

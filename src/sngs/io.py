@@ -18,8 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import IoError
 from .grid import EVEN, RadialField, make_grid, read_field_csv, write_field_csv
-from .hartree import hartree_potential
-from .solver import GroundState, ModelParams
+from .solver import GroundState, ModelParams, ground_state
 
 
 @dataclass
@@ -92,8 +91,9 @@ def save_state(state: GroundState, out_prefix: str, command_line: str = "",
 
 
 def load_state(out_prefix: str) -> tuple[GroundState, dict]:
-    """Rebuild a GroundState from artifacts; the stored v is recomputed from u
-    so the pair is self-consistent regardless of file tampering."""
+    """Rebuild a GroundState from artifacts through `solver.ground_state`:
+    v, the residual and the diagnostics are recomputed from u, so the state
+    is self-consistent regardless of file tampering."""
     csv_path = out_prefix + ".csv"
     json_path = out_prefix + ".json"
     for p in (csv_path, json_path):
@@ -108,13 +108,7 @@ def load_state(out_prefix: str) -> tuple[GroundState, dict]:
     if not np.allclose(grid.nodes, r, rtol=0, atol=1e-12 * grid.r_max):
         raise IoError(f"{csv_path}: nodes are not a uniform grid")
     u = RadialField(grid=grid, values=cols["u"], parity=EVEN)
-    hp = hartree_potential(u)
-    from .solver import residual, _wnorm
-    F = residual(u, params)
-    res = _wnorm(grid, F.values) / _wnorm(grid, u.values)
-    state = GroundState(params=params, u=u, v=hp.v, residual_norm=res,
-                        iterations=int(manifest["summary"]["iterations"]),
-                        grid=grid)
+    state = ground_state(u, params, int(manifest["summary"]["iterations"]))
     return state, manifest
 
 

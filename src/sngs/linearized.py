@@ -32,8 +32,7 @@ import scipy.sparse as sp
 from . import operators
 from .errors import ParityMismatch, UnconvergedState, WrongConvention
 from .grid import EVEN, ODD, RadialField, differentiate
-from .hartree import hartree_potential
-from .solver import GroundState, ModelParams, _dpower, _wnorm, residual
+from .solver import GroundState, ModelParams, _dpower, ground_state
 
 A2 = "symmetric_a2"
 
@@ -73,11 +72,7 @@ def convention_map(state: GroundState, direction: str) -> GroundState:
     else:
         raise WrongConvention(f"direction {direction!r}")
     ufield = RadialField(grid=state.grid, values=u_vals, parity=EVEN)
-    hp = hartree_potential(ufield)
-    F = residual(ufield, new)
-    res = _wnorm(state.grid, F.values) / _wnorm(state.grid, u_vals)
-    return GroundState(params=new, u=ufield, v=hp.v, residual_norm=res,
-                       iterations=state.iterations, grid=state.grid)
+    return ground_state(ufield, new, state.iterations)
 
 
 @dataclass

@@ -114,17 +114,6 @@ def banded_lu(mat: sp.spmatrix):
         raise FactorizationFailure(str(exc)) from exc
 
 
-def _gershgorin_lower_bound(form: sp.spmatrix, mass: np.ndarray) -> float:
-    """Lower bound on the pencil spectrum via Gershgorin on M^-1/2 A M^-1/2."""
-    A = sp.csr_matrix(form)
-    s = 1.0 / np.sqrt(mass)
-    B = sp.diags(s) @ A @ sp.diags(s)
-    B = B.tocsr()
-    diag = B.diagonal()
-    radii = np.abs(B).sum(axis=1).A1 - np.abs(diag)
-    return float(np.min(diag - radii))
-
-
 def count_below(form: sp.spmatrix, mass: np.ndarray, tau: float) -> int:
     """Number of eigenvalues of form x = sigma * mass * x below tau."""
     return _inertia(form, mass, tau)[1]
@@ -152,8 +141,8 @@ def _inertia(form, mass, tau):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int, shift=None,
-                        split=None):
+def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
+                        shift: float, split: float):
     """m algebraically smallest eigenpairs of form x = sigma * mass * x.
 
     Inertia-sliced shift-invert Lanczos (ARPACK; Ericsson & Ruhe 1980).  An
@@ -164,10 +153,9 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int, shift=None,
     the eigenvalues just above it), which solves with the factorization that
     made the count.  A returned set with other than `below` values under
     `split` raises FactorizationFailure, so no eigenvalue goes missing
-    silently.  With no shift a Gershgorin bound below the spectrum is
-    used; with no split, split = shift, below = 0 and the one call is at shift.
-    Eigenvectors come back mass-orthonormal, each with a backward error of
-    at most 1e-12 (see `backward_errors`).
+    silently.  With split = shift below the spectrum, below = 0 and the one
+    call is at the split.  Eigenvectors come back mass-orthonormal, each
+    with a backward error of at most 1e-12 (see `backward_errors`).
     """
     form = sp.csr_matrix(form)
     mass = np.asarray(mass, dtype=float)
@@ -181,10 +169,6 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int, shift=None,
     if m > dim - 2 or dim < 64:
         # ARPACK needs k < n-1; small/dense cases go to LAPACK directly
         return _verified(form, mass, _dense_pairs(form, mass, m))
-    if shift is None:
-        shift = _gershgorin_lower_bound(form, mass) - 1.0
-    if split is None:
-        split = shift
     lu, below = _inertia(form, mass, split)
     below = min(below, m)
     split_inv = spla.LinearOperator(form.shape, matvec=lu.solve, dtype=float)

@@ -1,12 +1,19 @@
 """Scaling maps onto the normalized families and limit-profile comparisons.
 
 A state of the (lam, 1, 1, q) family maps onto exactly one of two normalized
-families:
+families, u~(r) = lam^(-alpha) u(r / sqrt(lam)):
 
-    mu_form: u~(r) = lam^(-1/(q-2)) u(r / sqrt(lam)), solving
+    mu_form: alpha = 1/(q-2), solving
              -Delta w + w = mu (I_2*w^2) w + w^(q-1),  mu = lam^(-2(q-3)/(q-2))
-    nu_form: u~(r) = lam^(-1) u(r / sqrt(lam)), solving
+    nu_form: alpha = 1, solving
              -Delta w + w = (I_2*w^2) w + nu w^(q-1),  nu = lam^(q-3)
+
+`normal_form` is the one place alpha and the normalized parameters are
+written; the forward map (`scale_state`), the continuation seed
+(`solver._rescale_seed`) and the spectrum's normalized solve all use it.
+Under the map F(u) = lam^(alpha+1) F~(u~), so the residual ratio
+|F| / (lam |u|) of `solver.ground_state` is the same number in both sets of
+variables.
 
 The regime table says which small parameter goes to zero on each end of the
 lambda axis, hence which reference profile (Kwong W or Choquard U) is the
@@ -72,6 +79,15 @@ def small_parameter(q: float, lam: float, form: str) -> float:
     raise ValueError(form)
 
 
+def normal_form(q: float, lam: float, form: str):
+    """(alpha, normalized ModelParams) of the (lam, 1, 1, q) state in `form`:
+    u~(r) = lam^(-alpha) u(r / sqrt(lam)) solves (1, mu, 1, q) or (1, 1, nu, q)."""
+    eps = small_parameter(q, lam, form)
+    if form == MU_FORM:
+        return 1.0 / (q - 2.0), ModelParams(lam=1.0, a=eps, nu=1.0, q=q)
+    return 1.0, ModelParams(lam=1.0, a=1.0, nu=eps, q=q)
+
+
 def scale_state(state: GroundState, form: str, target: RadialGrid):
     """Rescale a (lam, 1, 1, q) state onto a normalized family member.
 
@@ -82,21 +98,15 @@ def scale_state(state: GroundState, form: str, target: RadialGrid):
     p = state.params
     if p.a != 1.0 or p.nu != 1.0:
         raise WrongParams(f"scale_state needs the (lam,1,1,q) family, got {p.label()}")
-    if form not in (MU_FORM, NU_FORM):
-        raise ValueError(form)
-    lam, q = p.lam, p.q
-    amp = lam ** (-1.0 / (q - 2.0)) if form == MU_FORM else 1.0 / lam
+    lam = p.lam
+    alpha, eff = normal_form(p.q, lam, form)
     # u(r/sqrt(lam)) on the target nodes is u sampled on the target grid
     # shrunk by sqrt(lam)
     shrunk = make_grid(target.r_max / math.sqrt(lam), target.n)
     sampled = interpolate(state.u, shrunk)
-    scaled = RadialField(grid=target, values=amp * sampled.values,
+    scaled = RadialField(grid=target, values=lam ** -alpha * sampled.values,
                          parity=state.u.parity)
     scaled.values[-2:] = 0.0
-    if form == MU_FORM:
-        eff = ModelParams(lam=1.0, a=small_parameter(q, lam, MU_FORM), nu=1.0, q=q)
-    else:
-        eff = ModelParams(lam=1.0, a=1.0, nu=small_parameter(q, lam, NU_FORM), q=q)
     return scaled, eff
 
 

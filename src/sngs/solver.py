@@ -6,7 +6,12 @@ Jacobian is self-adjoint in the r^2-weighted inner product.  newton_solve runs
 a deterministic spectral-renormalization warm start (amplitude-stabilized
 Picard iteration; plain damped Newton from generic bumps measurably stalls on
 a near-singular Jacobian ridge between the trivial and ground branches),
-then damped Newton.  Each Newton step J d = -F is solved exactly as one
+then damped Newton, stopped at |F| <= tol lam |u| in the r^2 dr norm.
+Every GroundState comes from `ground_state`, whose residual_norm is the
+scale-invariant ratio |F(u)| / (lam |u|): by the mu/nu maps of `scaling`,
+F = lam^(alpha+1) F~, so it equals the relative residual of the normal-form
+member at lam = 1 and means the same at every lambda.  Continuation moves
+lambda alone.  Each Newton step J d = -F is solved exactly as one
 banded system: the Coulomb sweep without its Euler-Maclaurin diagonal has a
 tridiagonal inverse (hartree.coulomb_inverse_bands), so adding y = r w with
 w the screening potential of the step as unknowns turns the dense nonlocal
@@ -73,7 +78,7 @@ class GroundState:
     params: ModelParams
     u: RadialField
     v: RadialField
-    residual_norm: float
+    residual_norm: float        # |F(u)| / (lam |u|), r^2 dr norms
     iterations: int
     grid: RadialGrid
     diagnostics: Optional[object] = field(default=None, repr=False)
@@ -241,6 +246,20 @@ def _live_norm(grid: RadialGrid, u: np.ndarray) -> float:
     return nu_norm
 
 
+def ground_state(u: RadialField, params: ModelParams,
+                 iterations: int) -> GroundState:
+    """The GroundState of the field u: v from the Hartree sweep, the residual
+    ratio |F(u)| / (lam |u|) in the r^2 dr norm, and the identities."""
+    grid = u.grid
+    F = residual(u, params).values
+    res = _wnorm(grid, F) / (params.lam * _wnorm(grid, u.values))
+    state = GroundState(params=params, u=u, v=hartree_potential(u).v,
+                        residual_norm=res, iterations=iterations, grid=grid)
+    from .diagnostics import identities  # deferred: diagnostics uses GroundState
+    state.diagnostics = identities(state)
+    return state
+
+
 def newton_solve(guess: RadialField, params: ModelParams,
                  opts: SolverOptions | None = None) -> GroundState:
     """Damped Newton with a deterministic warm start; see module docstring.
@@ -254,11 +273,6 @@ def newton_solve(guess: RadialField, params: ModelParams,
     u[-2:] = 0.0
     if np.max(np.abs(u)) < TRIVIAL_SUP:
         raise TrivialCollapse("initial guess is numerically zero")
-    # the residual evaluation floor is eps/h^2 * ||u||; on the lambda-scaled
-    # grids (h ~ 1/sqrt(lam)) that floor grows with lambda, so the stopping
-    # tolerance carries the same factor (backward-error scaling)
-    tol_eff = opts.tol * max(1.0, params.lam)
-
     u = _warm_start(u, params, grid, A, opts.warm_iters)
 
     it = 0
@@ -266,7 +280,7 @@ def newton_solve(guess: RadialField, params: ModelParams,
     nF = _wnorm(grid, F)
     for it in range(1, opts.max_iter + 1):
         nu_norm = _live_norm(grid, u)
-        if nF <= tol_eff * nu_norm:
+        if nF <= opts.tol * params.lam * nu_norm:
             break
 
         d = _newton_step(u, v, F, params, grid, A)
@@ -281,29 +295,25 @@ def newton_solve(guess: RadialField, params: ModelParams,
         if not accepted:
             raise NonConvergence(
                 f"line search stalled at |F| = {nF:.3e} for {params.label()}",
-                residual_norm=nF / nu_norm, iterations=it)
+                residual_norm=nF / (params.lam * nu_norm), iterations=it)
         u = u + t * d
         F, v = F_try, v_try
         nF = _wnorm(grid, F)
     else:
         nu_norm = _live_norm(grid, u)
-        if not nF <= tol_eff * nu_norm:   # the last update may have converged
+        # the last update may have converged
+        if not nF <= opts.tol * params.lam * nu_norm:
             raise NonConvergence(
                 f"no convergence in {opts.max_iter} iterations for {params.label()}",
-                residual_norm=nF / nu_norm, iterations=opts.max_iter)
+                residual_norm=nF / (params.lam * nu_norm),
+                iterations=opts.max_iter)
 
     sup = float(np.max(u))
     if np.min(u[:-2]) < -1e-10 * max(sup, abs(float(np.min(u)))):
         raise NegativeStateDetected(
             f"converged to a sign-changing branch (min {np.min(u):.2e})")
 
-    ufield = RadialField(grid=grid, values=u, parity=EVEN)
-    hp = hartree_potential(ufield)
-    state = GroundState(params=params, u=ufield, v=hp.v,
-                        residual_norm=nF / nu_norm, iterations=it, grid=grid)
-    from .diagnostics import identities  # deferred: diagnostics uses GroundState
-    state.diagnostics = identities(state)
-    return state
+    return ground_state(RadialField(grid=grid, values=u, parity=EVEN), params, it)
 
 
 # -- canonical reference profiles ----------------------------------------------
@@ -343,27 +353,18 @@ def reference_profile(kind: str, grid: RadialGrid, q: float | None = None) -> Gr
 # -- continuation ----------------------------------------------------------------
 
 
-def _interp_values(x0: float, x1: float, steps: int) -> np.ndarray:
-    if x0 == x1:
-        return np.full(steps, x0)
-    if x0 > 0 and x1 > 0:
-        return np.geomspace(x0, x1, steps)
-    return np.linspace(x0, x1, steps)   # geometric undefined through 0
-
-
 def _rescale_seed(state: GroundState, lam_new: float) -> RadialField:
     """Seed for a new lambda: nodally exact scaling-map transfer.
 
     The grid stretches with the decay length (r_max ~ 1/sqrt(lam)), so
-    u_new[j] = s^alpha u_old[j] with s = lam_new/lam_old; alpha follows the
-    limit profile the step moves toward (1/(q-2) toward W, 1 toward U).
+    u_new[j] = s^alpha u_old[j] with s = lam_new/lam_old; alpha is that of
+    the normal form of the limit profile the step moves toward.
     """
-    from .scaling import limit_regime
+    from .scaling import limit_regime, normal_form
     p = state.params
     s = lam_new / p.lam
     side = "zero" if lam_new < p.lam else "infinity"
-    form, _ = limit_regime(p.q, side)
-    alpha = 1.0 / (p.q - 2.0) if form == "mu_form" else 1.0
+    alpha, _ = normal_form(p.q, s, limit_regime(p.q, side)[0])
     new_grid = make_grid(state.grid.r_max / math.sqrt(s), state.grid.n)
     return RadialField(grid=new_grid, values=(s ** alpha) * state.u.values,
                        parity=EVEN)
@@ -372,25 +373,25 @@ def _rescale_seed(state: GroundState, lam_new: float) -> RadialField:
 def continuation_path(from_params: ModelParams, to_params: ModelParams,
                       steps: int, seed: GroundState,
                       opts: SolverOptions | None = None) -> list[GroundState]:
-    """Solve along a geometric parameter path, reusing rescaled previous states.
+    """Solve along a geometric lambda path, reusing rescaled previous states.
 
-    Returns `steps` states at the interpolated parameter values (the first one
-    is the seed when the path starts at its parameters).  A failed step is
-    bisected up to 6 times before ContinuationStuck.
+    lambda is the only continuation parameter: from_params and to_params
+    must differ in nothing else.  Returns `steps` states at the interpolated
+    lambdas (the first one is the seed when the path starts at its
+    parameters).  A failed step is bisected up to 6 times before
+    ContinuationStuck.
     """
     if seed.params != from_params:
         raise WrongParams("seed was not converged at from_params")
-    if from_params.q != to_params.q:
-        raise WrongParams("q is not a continuation parameter")
+    if replace(from_params, lam=to_params.lam) != to_params:
+        raise WrongParams("lambda is the only continuation parameter")
     if steps < 1:
         raise ValueError("steps >= 1")
     opts = opts or SolverOptions()
     # steps points along the geometric path, ending at to_params; the seed's
     # own parameter point is not repeated (a trivial from == to path returns
     # the seed itself)
-    lams = _interp_values(from_params.lam, to_params.lam, steps + 1)[1:]
-    a_s = _interp_values(from_params.a, to_params.a, steps + 1)[1:]
-    nus = _interp_values(from_params.nu, to_params.nu, steps + 1)[1:]
+    lams = np.geomspace(from_params.lam, to_params.lam, steps + 1)[1:]
 
     out: list[GroundState] = []
     current = seed
@@ -398,18 +399,12 @@ def continuation_path(from_params: ModelParams, to_params: ModelParams,
     def solve_at(target: ModelParams, src: GroundState) -> GroundState:
         if target == src.params:
             return src
-        if target.lam != src.params.lam:
-            guess = _rescale_seed(src, target.lam)
-        else:
-            guess = src.u
         # seeded solves skip the warm start; Newton corrects the rescale
         o = replace(opts, warm_iters=0)
-        return newton_solve(guess, target, o)
+        return newton_solve(_rescale_seed(src, target.lam), target, o)
 
-    for i in range(steps):
-        target = ModelParams(lam=float(lams[i]), a=float(a_s[i]),
-                             nu=float(nus[i]), q=from_params.q)
-        stack = [target]
+    for lam in lams:
+        stack = [replace(from_params, lam=float(lam))]
         depth = 0
         while stack:
             goal = stack[-1]
@@ -421,16 +416,8 @@ def continuation_path(from_params: ModelParams, to_params: ModelParams,
                 if depth > 6:
                     raise ContinuationStuck(
                         f"minimum step reached near {goal.label()}")
-                mid = ModelParams(
-                    lam=math.sqrt(current.params.lam * goal.lam),
-                    a=0.5 * (current.params.a + goal.a)
-                    if min(current.params.a, goal.a) == 0
-                    else math.sqrt(current.params.a * goal.a),
-                    nu=0.5 * (current.params.nu + goal.nu)
-                    if min(current.params.nu, goal.nu) == 0
-                    else math.sqrt(current.params.nu * goal.nu),
-                    q=goal.q)
-                stack.append(mid)
+                stack.append(replace(
+                    from_params, lam=math.sqrt(current.params.lam * goal.lam)))
         out.append(current)
     return out
 

@@ -7,6 +7,7 @@ oracle) or the sector analysis domain (R = 60, see the nondegeneracy notes).
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,9 +95,8 @@ def sweep_states(q, lams):
     g0 = sngs.make_grid(sngs.auto_rmax(lams[0]), N)
     states = [sngs.newton_solve(sngs.default_guess(p0, g0), p0)]
     for lam in lams[1:]:
-        target = sngs.ModelParams(lam=lam, a=1.0, nu=1.0, q=q)
-        states.extend(sngs.continuation_path(states[-1].params, target, 1,
-                                             states[-1]))
+        states.extend(sngs.continuation_path(
+            states[-1].params, replace(p0, lam=lam), 1, states[-1]))
     return states
 
 

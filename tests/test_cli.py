@@ -71,6 +71,17 @@ def test_check_on_solve_artifacts(tmp_path):
     assert run(["check", "--out", out]) == 0
 
 
+def test_check_accepts_large_lambda_solve(tmp_path):
+    # solve stops at |F| <= tol lam |u| and check bounds the same ratio
+    # |F| / (lam |u|), so a state that solve accepts at lambda > 1 also
+    # passes check
+    out = str(tmp_path / "run")
+    assert run(["solve", "--q", "4.75", "--lambda", repr(10.0 ** 1.25),
+                "--out", out]) == 0
+    assert json.load(open(out + ".json"))["summary"]["residual_norm"] <= 1e-10
+    assert run(["check", "--out", out]) == 0
+
+
 def test_check_detects_tampering(tmp_path):
     out = str(tmp_path / "run")
     assert run(["solve", "--q", "4", "--lambda", "1", "--n", "1536",
@@ -130,6 +141,24 @@ def test_spectrum_rejects_rmax(tmp_path):
     out = str(tmp_path / "spec")
     assert run(["spectrum", "--q", "4", "--lambda", "0.01", "--rmax", "30",
                 "--out", out]) == 64
+    assert not os.path.exists(out + ".json")
+
+
+def test_limits_rejects_family_flags(tmp_path):
+    # limits always studies the (lam, 1, 1, q) family
+    out = str(tmp_path / "lim")
+    for flag in ("--a", "--nu"):
+        assert run(["limits", "--q", "4", "--side", "zero", "--lambdas", "0.1",
+                    flag, "7", "--out", out]) == 64
+    assert not os.path.exists(out + ".csv")
+
+
+def test_spectrum_rejects_family_flags(tmp_path):
+    # spectra are those of the normalized (lam, 1, 1, q) family member
+    out = str(tmp_path / "spec")
+    for flag in ("--a", "--nu"):
+        assert run(["spectrum", "--q", "4", "--lambda", "0.01", flag, "3",
+                    "--out", out]) == 64
     assert not os.path.exists(out + ".json")
 
 

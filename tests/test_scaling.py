@@ -4,7 +4,7 @@ import pytest
 import sngs
 from sngs.errors import GridMismatch, InvalidExponent, MixedExponents, WrongParams
 from sngs.scaling import (CHOQUARD, KWONG, MU_FORM, NU_FORM, limit_regime,
-                          mass_ratio_report, small_parameter)
+                          mass_ratio_report, normal_form, small_parameter)
 
 
 def test_limit_regime_table():
@@ -28,6 +28,19 @@ def test_small_parameter_values():
     assert small_parameter(2.5, 0.01, MU_FORM) == pytest.approx(1e-4, rel=1e-12)
     # nu = lam^{q-3}: at q=4 this is lam
     assert small_parameter(4.0, 0.01, NU_FORM) == pytest.approx(1e-2, rel=1e-12)
+
+
+def test_normal_form():
+    alpha, p = normal_form(2.5, 0.01, MU_FORM)
+    assert alpha == 2.0
+    assert p == sngs.ModelParams(lam=1.0, a=small_parameter(2.5, 0.01, MU_FORM),
+                                 nu=1.0, q=2.5)
+    alpha, p = normal_form(4.0, 0.01, NU_FORM)
+    assert alpha == 1.0
+    assert p == sngs.ModelParams(lam=1.0, a=1.0,
+                                 nu=small_parameter(4.0, 0.01, NU_FORM), q=4.0)
+    with pytest.raises(ValueError):
+        normal_form(4.0, 0.01, "sideways")
 
 
 def test_scale_state_identity_at_lambda_one(solved_cache):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,16 @@ def test_converged_state_residual(solved_cache):
     assert st.residual_norm <= 1e-10
     F = sngs.residual(st.u, st.params)
     assert _wnorm(st.grid, F.values) <= 1e-10 * _wnorm(st.grid, st.u.values)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 10.0])
+def test_residual_norm_is_lambda_relative(solved_cache, lam):
+    # |F| / (lam |u|) is the normal-form relative residual at every lambda
+    st = solved_cache(lam, 1.0, 1.0, 4.0)
+    F = sngs.residual(st.u, st.params)
+    by_hand = _wnorm(st.grid, F.values) / (lam * _wnorm(st.grid, st.u.values))
+    assert st.residual_norm == by_hand
+    assert st.residual_norm <= sngs.SolverOptions().tol
 
 
 def test_kwong_state_fails_choquard_equation(solved_cache):
@@ -166,15 +178,23 @@ def test_continuation_seed_mismatch(solved_cache):
         sngs.continuation_path(other, other, 2, st)
 
 
+def test_continuation_moves_lambda_only(solved_cache):
+    st = solved_cache(1.0, 1.0, 1.0, 4.0)
+    for other in (replace(st.params, a=0.5), replace(st.params, nu=2.0),
+                  replace(st.params, lam=2.0, a=0.5), replace(st.params, q=4.5)):
+        with pytest.raises(WrongParams):
+            sngs.continuation_path(st.params, other, 2, st)
+
+
 def test_continuation_lambda_path_monotone_action(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 2.5, n=768)
-    target = sngs.ModelParams(lam=10.0, a=1.0, nu=1.0, q=2.5)
+    target = replace(st.params, lam=10.0)
     states = sngs.continuation_path(st.params, target, 5, st)
     assert len(states) == 5
     js = [s.diagnostics.J for s in states]
     assert all(b >= a for a, b in zip(js, js[1:]))
     for s in states:
-        assert s.residual_norm <= 1e-9 * max(1.0, s.params.lam)
+        assert s.residual_norm <= 1e-10
 
 
 def test_scaling_closure(solved_cache):
@@ -216,7 +236,7 @@ def test_negative_branch_detected():
 
 def test_continuation_stuck(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0, n=768)
-    target = sngs.ModelParams(lam=100.0, a=1.0, nu=1.0, q=4.0)
+    target = replace(st.params, lam=100.0)
     crippled = sngs.SolverOptions(max_iter=0)
     with pytest.raises(ContinuationStuck):
         sngs.continuation_path(st.params, target, 2, st, crippled)
@@ -224,7 +244,7 @@ def test_continuation_stuck(solved_cache):
 
 def test_sup_norm_grows_toward_large_lambda(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0, n=768)
-    target = sngs.ModelParams(lam=1000.0, a=1.0, nu=1.0, q=4.0)
+    target = replace(st.params, lam=1000.0)
     states = sngs.continuation_path(st.params, target, 4, st)
     sups = [s.sup_u() + s.sup_v() for s in states]
     assert all(b > a for a, b in zip(sups, sups[1:]))
