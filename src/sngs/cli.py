@@ -154,9 +154,11 @@ def cmd_solve(args, argv):
         print(f"solve: no convergence ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
     failures = identity_failures(state.diagnostics)
+    floor = solver.residual_floor(state.grid, state.u.values, state.params.lam)
     io.save_state(state, args.out, " ".join(argv), args.seed, args.force,
                   tolerances={"tol": args.tol},
-                  summary={"identity_failures": failures})
+                  summary={"identity_failures": failures,
+                           "residual_floor": floor})
     d = state.diagnostics
     print(f"solve: converged in {state.iterations} iterations, "
           f"residual {state.residual_norm:.3e}, J = {d.J:.12g}")
@@ -348,7 +350,10 @@ def cmd_check(args, argv):
         scale = max(abs(ref), abs(val), 1e-300)
         if abs(val - ref) > tol * scale:
             failures.append((key, ref, val))
-    if state.residual_norm > manifest["tolerances"].get("tol", 1e-10) * 10:
+    # the rounding level of F where it lies above tol, as in newton_solve
+    floor = solver.residual_floor(state.grid, state.u.values, state.params.lam)
+    if state.residual_norm > 10 * max(manifest["tolerances"].get("tol", 1e-10),
+                                      floor):
         failures.append(("residual_norm", manifest["summary"]["residual_norm"],
                          state.residual_norm))
     failures += identity_failures(rep)

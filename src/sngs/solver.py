@@ -6,7 +6,11 @@ Jacobian is self-adjoint in the r^2-weighted inner product.  newton_solve runs
 a deterministic spectral-renormalization warm start (amplitude-stabilized
 Picard iteration; plain damped Newton from generic bumps measurably stalls on
 a near-singular Jacobian ridge between the trivial and ground branches),
-then damped Newton, stopped at |F| <= tol lam |u| in the r^2 dr norm.
+then damped Newton.  The warm start factors the symmetric weighted form
+S + lam W once by banded Cholesky and stops as soon as its Rayleigh ratio is
+within WARM_TOL of 1 (warm_iters caps the sweeps).  Newton stops at
+|F| <= max(tol, floor) lam |u| in the r^2 dr norm, where `residual_floor` is
+the rounding level of F, taken once per solve after the warm start.
 Every GroundState comes from `ground_state`, whose residual_norm is the
 scale-invariant ratio |F(u)| / (lam |u|): by the mu/nu maps of `scaling`,
 F = lam^(alpha+1) F~, so it equals the relative residual of the normal-form
@@ -15,7 +19,10 @@ lambda alone.  Each Newton step J d = -F is solved exactly as one
 banded system: the Coulomb sweep without its Euler-Maclaurin diagonal has a
 tridiagonal inverse (hartree.coulomb_inverse_bands), so adding y = r w with
 w the screening potential of the step as unknowns turns the dense nonlocal
-Jacobian into a system of bandwidth 4 when d and y are interleaved.
+Jacobian into a system of bandwidth 4 when d and y are interleaved.  The
+step-independent entries of that band matrix are built once per solve
+(`_step_bands`); every step copies them into one workspace, adds the
+u-dependent entries and solves in place with LAPACK's dgbsv.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbsv
 
 from . import operators
 from .errors import (ContinuationStuck, InvalidExponent, NegativeStateDetected,
@@ -36,6 +44,7 @@ from .hartree import coulomb_apply, coulomb_inverse_bands, hartree_potential
 
 TRIVIAL_SUP = 1e-8
 DAMPING = 20          # max step halvings per Newton iteration
+WARM_TOL = 1e-4       # the warm start stops at |Rayleigh ratio - 1| <= WARM_TOL
 DEDUP_TOL = 1e-6      # relative sup distance under which two scan states agree
 
 
@@ -70,7 +79,7 @@ class ModelParams:
 class SolverOptions:
     tol: float = 1e-10           # relative residual in the r^2-weighted norm
     max_iter: int = 60
-    warm_iters: int = 60         # spectral-renormalization warm-start sweeps
+    warm_iters: int = 60         # cap on the spectral-renormalization sweeps
 
 
 @dataclass
@@ -158,40 +167,76 @@ def _local_potential(u: np.ndarray, v: np.ndarray, params: ModelParams) -> np.nd
     return pot
 
 
-def _newton_step(u, v, F, params, grid, A):
+@dataclass
+class _StepBands:
+    """The Newton band matrix of one solve.  The workspace `ab` is dgbsv
+    storage (13 rows, Fortran order); its rows 4..12 hold the matrix, entry
+    (i, j) of the interleaved system at row 4 + i - j of ab[4:], and its rows
+    0..3 are the LU fill-in space, which dgbsv need not find set."""
+    fixed: np.ndarray   # the step-independent entries of ab[4:]
+    ab: np.ndarray      # workspace: fixed plus u-dependent entries
+    b: np.ndarray       # workspace: the right-hand side
+
+
+def _slots(n: int):
+    """Slots of d_i (i = 0..n-1) and y_j (j = 1..n-1) in d_0, d_1, y_1, d_2, ..."""
+    sd = 2 * np.arange(n) - 1
+    sd[0] = 0
+    return sd, sd[1:] + 1
+
+
+def _step_bands(grid: RadialGrid, A: sp.csr_matrix) -> _StepBands:
+    """The Laplacian entries and the sweep rows of the Newton band matrix,
+    which no iterate changes, and the workspace every step solves in."""
+    n = grid.n
+    diag, off, _, _ = coulomb_inverse_bands(grid)
+    sd, sy = _slots(n)
+    fixed = np.zeros((9, 2 * n - 1))
+    Ac = A.tocoo()
+    fixed[4 + sd[Ac.row] - sd[Ac.col], sd[Ac.col]] = Ac.data
+    # sweep rows: tridiag(off, diag, off) y - 2 src u d = 0
+    fixed[4, sy] = diag
+    fixed[2, sy[1:]] = off
+    fixed[6, sy[:-1]] = off
+    return _StepBands(fixed=fixed, ab=np.empty((13, 2 * n - 1), order="F"),
+                      b=np.empty(2 * n - 1))
+
+
+def _newton_step(u, v, F, params, grid, bands: _StepBands):
     """Exact solution d of J(u) d = -F through one banded LU.
 
     The unknowns are d and y = r w with w = K0(2 u d), K0 the Coulomb sweep
     without its Euler-Maclaurin diagonal em; then K(2 u d) = w + 2 em u d
     and tridiag(off, diag, off) y = 2 src u d on nodes 1..n-1.  Interleaving
-    d_0, d_1, y_1, d_2, y_2, ... gives bandwidth 4 on each side, written
-    straight into LAPACK band storage (row 4 + i - j holds entry (i, j)).
+    d_0, d_1, y_1, d_2, y_2, ... gives bandwidth 4 on each side.  The
+    u-dependent entries go on top of `bands.fixed` in the workspace, which
+    dgbsv overwrites.  A non-finite or singular system raises NonConvergence.
     """
     n, r = grid.n, grid.nodes
-    diag, off, src, em = coulomb_inverse_bands(grid)
-    sd = 2 * np.arange(n) - 1   # slot of d_i
-    sd[0] = 0
-    sy = sd[1:] + 1             # slot of y_j, j = 1..n-1
-    ab = np.zeros((9, 2 * n - 1))
-    Ac = A.tocoo()
-    ab[4 + sd[Ac.row] - sd[Ac.col], sd[Ac.col]] = Ac.data
+    _, _, src, em = coulomb_inverse_bands(grid)
+    sd, sy = _slots(n)
     au = params.a * u
     au[-2:] = 0.0   # the Dirichlet pad rows carry no screening term
-    ab[4, sd] += _local_potential(u, v, params) - 2.0 * em * au * u
-    # screening rows: -a u_i w_i with w_i = y_i / r_i and w_0 = y_1 / r_1
-    ab[3, sy] = -au[1:] / r[1:]
-    ab[2, sy[0]] = -au[0] / r[1]
-    # sweep rows: tridiag(off, diag, off) y - 2 src u d = 0
-    ab[4, sy] = diag
-    ab[2, sy[1:]] = off
-    ab[6, sy[:-1]] = off
-    ab[5, sd[1:]] = -2.0 * src[1:] * u[1:]
-    b = np.zeros(2 * n - 1)
+    pot = _local_potential(u, v, params) - 2.0 * em * au * u
+    screen = -au / np.r_[r[1], r[1:]]   # w_i = y_i / r_i and w_0 = y_1 / r_1
+    source = -2.0 * src[1:] * u[1:]
+    if not all(np.isfinite(x).all() for x in (pot, screen, source, F)):
+        raise NonConvergence(f"Newton step for {params.label()}: "
+                             "non-finite Jacobian or residual")
+    band, b = bands.ab[4:], bands.b
+    np.copyto(band, bands.fixed)
+    band[4, sd] += pot
+    # screening rows: -a u_i w_i
+    band[3, sy] = screen[1:]
+    band[2, sy[0]] = screen[0]
+    band[5, sd[1:]] = source
+    b.fill(0.0)
     b[sd] = -F
-    try:
-        x = sla.solve_banded((4, 4), ab, b, overwrite_ab=True, overwrite_b=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:   # singular or non-finite
-        raise NonConvergence(f"Newton step for {params.label()}: {exc}") from exc
+    _, _, x, info = dgbsv(4, 4, bands.ab, b, overwrite_ab=True,
+                          overwrite_b=True)
+    if info != 0:
+        raise NonConvergence(
+            f"Newton step for {params.label()}: singular band matrix (info {info})")
     return x[sd]
 
 
@@ -199,16 +244,46 @@ def _wnorm(grid: RadialGrid, x: np.ndarray) -> float:
     return math.sqrt(float(np.dot(grid.weights_r2dr, x * x)))
 
 
+def _shifted_solve(grid: RadialGrid, A: sp.csr_matrix, lam: float):
+    """Solver of (A + lam) w = N, lam masked on the Dirichlet pad, for fields N
+    that vanish on the pad.
+
+    On the active nodes 1..n-3 the system is W^-1 (S + lam W) with S the
+    symmetric weighted form (operators.dirichlet_form), so S + lam W is
+    factored once by banded Cholesky: rows 1 and 2 couple into node 0 only
+    through r_0 = 0, and w vanishes on the pad.  w_0 then follows from row 0
+    of A, the origin limit.
+    """
+    n = grid.n
+    W = grid.weights_r2dr
+    S = operators.dirichlet_form(grid)
+    ab = np.zeros((3, n - 3))
+    ab[0, 2:] = S.diagonal(2)
+    ab[1, 1:] = S.diagonal(1)
+    ab[2] = S.diagonal() + lam * W[1:n - 2]
+    chol = (sla.cholesky_banded(ab, check_finite=False), False)
+    a00, a01, a02 = A[0, :3].toarray().ravel()
+
+    def solve(N):
+        w = np.zeros(n)
+        w[1:n - 2] = sla.cho_solve_banded(chol, (W * N)[1:n - 2],
+                                          check_finite=False)
+        w[0] = (N[0] - a01 * w[1] - a02 * w[2]) / (a00 + lam)
+        return w
+    return solve
+
+
 def _warm_start(u, params, grid, A, sweeps):
     """Amplitude-stabilized Picard iteration (spectral renormalization).
 
     u <- S^gamma (A + lam)^(-1) N(u) with S the Rayleigh ratio of the linear
-    and nonlinear pairings; gamma from the dominant homogeneity of N.
+    and nonlinear pairings; gamma from the dominant homogeneity of N.  Stops
+    once |S - 1| <= WARM_TOL or after `sweeps` sweeps.
     """
     if sweeps <= 0:
         return u
     W = grid.weights_r2dr
-    lu = operators.banded_lu(A + params.lam * _identity_masked(grid))
+    solve = _shifted_solve(grid, A, params.lam)
     gamma = 1.5 if params.a > 0 else (params.q - 1.0) / (params.q - 2.0)
     for _ in range(sweeps):
         if np.max(np.abs(u)) < TRIVIAL_SUP:
@@ -219,18 +294,20 @@ def _warm_start(u, params, grid, A, sweeps):
         den = float(np.dot(W * u, N))
         if den <= 0.0 or not np.isfinite(den) or num <= 0.0:
             break
-        w = lu.solve(N)
-        w[-2:] = 0.0
-        u = (num / den) ** gamma * w
+        ratio = num / den
+        if abs(ratio - 1.0) <= WARM_TOL:
+            break
+        u = ratio ** gamma * solve(N)
     return u
 
 
-def _identity_masked(grid: RadialGrid) -> sp.csr_matrix:
-    """Identity with zeros at the two Dirichlet pad rows (already identities
-    inside the Laplacian)."""
-    d = np.ones(grid.n)
-    d[-2:] = 0.0
-    return sp.diags(d).tocsr()
+def residual_floor(grid: RadialGrid, u: np.ndarray, lam: float) -> float:
+    """Rounding level of the residual ratio |F| / (lam |u|) at the field u:
+    eps |(|A| |u|)| / (lam |u|) in r^2 dr norms, A = -Delta_r.  It grows like
+    1/h^2 and does not depend on lam (A scales like lam with the grid)."""
+    A = operators.radial_laplacian(grid)
+    return (np.finfo(float).eps * _wnorm(grid, abs(A) @ np.abs(u))
+            / (lam * _wnorm(grid, u)))
 
 
 def _live_norm(grid: RadialGrid, u: np.ndarray) -> float:
@@ -264,7 +341,9 @@ def newton_solve(guess: RadialField, params: ModelParams,
                  opts: SolverOptions | None = None) -> GroundState:
     """Damped Newton with a deterministic warm start; see module docstring.
 
-    Raises TrivialCollapse / NonConvergence / NegativeStateDetected.
+    Raises TrivialCollapse / NonConvergence / NegativeStateDetected; a
+    NonConvergence from a stalled line search or at max_iter carries the
+    last (lowest-residual) iterate as its `state`.
     """
     opts = opts or SolverOptions()
     grid = guess.grid
@@ -274,16 +353,25 @@ def newton_solve(guess: RadialField, params: ModelParams,
     if np.max(np.abs(u)) < TRIVIAL_SUP:
         raise TrivialCollapse("initial guess is numerically zero")
     u = _warm_start(u, params, grid, A, opts.warm_iters)
+    _live_norm(grid, u)   # a collapsed warm start is typed before |u| divides
+    stop = max(opts.tol, residual_floor(grid, u, params.lam)) * params.lam
+    bands = _step_bands(grid, A)
+
+    def stalled(message, nu_norm, iterations):
+        return NonConvergence(
+            f"{message} for {params.label()}",
+            state=RadialField(grid=grid, values=u.copy(), parity=EVEN),
+            residual_norm=nF / (params.lam * nu_norm), iterations=iterations)
 
     it = 0
     F, v = _residual_values(u, params, grid, A)
     nF = _wnorm(grid, F)
     for it in range(1, opts.max_iter + 1):
         nu_norm = _live_norm(grid, u)
-        if nF <= opts.tol * params.lam * nu_norm:
+        if nF <= stop * nu_norm:
             break
 
-        d = _newton_step(u, v, F, params, grid, A)
+        d = _newton_step(u, v, F, params, grid, bands)
 
         t, accepted = 1.0, False
         for _ in range(DAMPING + 1):
@@ -293,20 +381,16 @@ def newton_solve(guess: RadialField, params: ModelParams,
                 break
             t *= 0.5
         if not accepted:
-            raise NonConvergence(
-                f"line search stalled at |F| = {nF:.3e} for {params.label()}",
-                residual_norm=nF / (params.lam * nu_norm), iterations=it)
+            raise stalled(f"line search stalled at |F| = {nF:.3e}", nu_norm, it)
         u = u + t * d
         F, v = F_try, v_try
         nF = _wnorm(grid, F)
     else:
         nu_norm = _live_norm(grid, u)
         # the last update may have converged
-        if not nF <= opts.tol * params.lam * nu_norm:
-            raise NonConvergence(
-                f"no convergence in {opts.max_iter} iterations for {params.label()}",
-                residual_norm=nF / (params.lam * nu_norm),
-                iterations=opts.max_iter)
+        if not nF <= stop * nu_norm:
+            raise stalled(f"no convergence in {opts.max_iter} iterations",
+                          nu_norm, opts.max_iter)
 
     sup = float(np.max(u))
     if np.min(u[:-2]) < -1e-10 * max(sup, abs(float(np.min(u)))):

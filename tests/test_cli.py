@@ -105,6 +105,18 @@ def test_solve_rejects_under_resolved_state(tmp_path):
     assert run(["check", "--out", out]) == 2
 
 
+def test_solve_and_check_accept_rounding_floor(tmp_path):
+    # at n=32761 the rounding floor of |F| / (lam |u|) lies above tol = 1e-10:
+    # Newton stops on the floor and check bounds the residual by it
+    out = str(tmp_path / "fine")
+    assert run(["solve", "--q", "5.25", "--lambda", "1", "--n", "32761",
+                "--out", out]) == 0
+    summary = json.load(open(out + ".json"))["summary"]
+    assert summary["residual_floor"] > 1e-10
+    assert summary["residual_norm"] <= summary["residual_floor"]
+    assert run(["check", "--out", out]) == 0
+
+
 def test_sweep_monotone(tmp_path):
     out = str(tmp_path / "sweep")
     assert run(["sweep", "--q", "4", "--lambdas", "0.5,1,2", "--n", "1024",

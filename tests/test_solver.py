@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import sngs
-from sngs.errors import (ContinuationStuck, InvalidExponent, TrivialCollapse,
-                         WrongParams)
-from sngs.solver import _newton_step, _residual_values, _wnorm
+from scipy.sparse import diags
+from scipy.sparse.linalg import splu
+
+from sngs.errors import (ContinuationStuck, InvalidExponent, NonConvergence,
+                         TrivialCollapse, WrongParams)
+from sngs.solver import (WARM_TOL, _newton_step, _residual_values,
+                         _shifted_solve, _step_bands, _warm_start, _wnorm,
+                         residual_floor)
 from conftest import smooth_bumps
 
 
@@ -88,11 +93,97 @@ def test_banded_step_solves_jacobian(solved_cache, a, nu, q):
     for _ in range(3):
         u = st.u.values + 0.1 * smooth_bumps(g, rng, amp=st.sup_u())
         F, v = _residual_values(u, st.params, g, A)
-        d = _newton_step(u, v, F, st.params, g, A)
+        d = _newton_step(u, v, F, st.params, g, _step_bands(g, A))
         jd = sngs.apply_jacobian(sngs.RadialField(grid=g, values=u),
                                  sngs.RadialField(grid=g, values=d),
                                  st.params).values
         assert np.linalg.norm(jd + F) <= 1e-9 * np.linalg.norm(F)
+
+
+def test_newton_step_reuses_its_workspace(solved_cache):
+    """Steps that share one workspace equal, bit for bit, the step of a fresh
+    band matrix."""
+    rng = np.random.default_rng(19)
+    st = solved_cache(1.0, 1.0, 1.0, 4.0)
+    g = st.grid
+    A = sngs.operators.radial_laplacian(g)
+    shared = _step_bands(g, A)
+    for _ in range(2):
+        u = st.u.values + 0.1 * smooth_bumps(g, rng, amp=st.sup_u())
+        F, v = _residual_values(u, st.params, g, A)
+        d = _newton_step(u, v, F, st.params, g, shared)
+        fresh = _newton_step(u, v, F, st.params, g, _step_bands(g, A))
+        assert np.array_equal(d, fresh)
+
+
+@pytest.mark.parametrize("where", ["u", "F"])
+def test_newton_step_rejects_nan(solved_cache, where):
+    st = solved_cache(1.0, 1.0, 1.0, 4.0)
+    g = st.grid
+    A = sngs.operators.radial_laplacian(g)
+    u = st.u.values.copy()
+    F, v = _residual_values(u, st.params, g, A)
+    (u if where == "u" else F)[g.n // 3] = np.nan
+    with pytest.raises(NonConvergence):
+        _newton_step(u, v, F, st.params, g, _step_bands(g, A))
+
+
+@pytest.mark.parametrize("n", [300, 4096])
+def test_shifted_solve_matches_sparse_lu(n):
+    """The banded Cholesky solve of the warm start is the system
+    (A + lam diag(1, ..., 1, 0, 0)) w = N for N vanishing on the pad."""
+    lam = 0.37
+    g = sngs.make_grid(sngs.auto_rmax(lam), n)
+    A = sngs.operators.radial_laplacian(g)
+    mask = np.ones(n)
+    mask[-2:] = 0.0
+    oracle = splu((A + lam * diags(mask)).tocsc())
+    rng = np.random.default_rng(n)
+    N = smooth_bumps(g, rng, max_center=g.r_max / 6.0)
+    N[0] = 1.3   # the origin row enters through row 0 of A alone
+    w = _shifted_solve(g, A, lam)(N)
+    ref = oracle.solve(N)
+    assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_warm_start_stops_on_settled_ratio():
+    # a warm-started u already meets WARM_TOL, so a second warm start
+    # returns it without a sweep
+    p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
+    g = sngs.make_grid(sngs.auto_rmax(1.0), 1536)
+    A = sngs.operators.radial_laplacian(g)
+    u = _warm_start(sngs.default_guess(p, g).values, p, g, A, 60)
+    field = sngs.RadialField(grid=g, values=u)
+    N = sngs.hartree_potential(field).v.values * u + u**3
+    W = g.weights_r2dr
+    ratio = float(np.dot(W * u, A @ u + u)) / float(np.dot(W * u, N))
+    assert abs(ratio - 1.0) <= WARM_TOL
+    again = _warm_start(u, p, g, A, 60)
+    assert np.array_equal(again, u)
+
+
+def test_residual_floor_scales_with_the_grid(solved_cache):
+    # eps |(|A| |u|)| / (lam |u|): independent of lambda, ~4x per n -> 2n-1
+    floors = [residual_floor(st.grid, st.u.values, st.params.lam)
+              for st in (solved_cache(lam, 1.0, 1.0, 4.0)
+                         for lam in (0.01, 1.0, 100.0))]
+    assert max(floors) - min(floors) <= 1e-3 * min(floors)
+    fine = solved_cache(1.0, 1.0, 1.0, 4.0, n=2 * 1536 - 1)
+    ratio = residual_floor(fine.grid, fine.u.values, 1.0) / floors[1]
+    assert 3.9 <= ratio <= 4.1
+
+
+def test_nonconvergence_carries_best_iterate():
+    p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
+    g = sngs.make_grid(sngs.auto_rmax(1.0), 768)
+    with pytest.raises(NonConvergence) as info:
+        sngs.newton_solve(sngs.default_guess(p, g), p,
+                          sngs.SolverOptions(max_iter=1))
+    state = info.value.state
+    assert state.grid == g
+    assert np.all(np.isfinite(state.values))
+    assert np.max(np.abs(state.values)) > 0.0
+    assert info.value.iterations == 1
 
 
 def test_jacobian_symmetry(solved_cache):
