@@ -5,10 +5,8 @@ uniqueness scans, and sector-decomposed nondegeneracy certificates."""
 __version__ = "0.1.0"
 
 from .grid import (EVEN, ODD, RadialField, RadialGrid, differentiate,
-                   integrate_radial, interpolate, load_field, make_grid,
-                   save_field)
-from .hartree import (HartreePotential, far_field_mass, hartree_energy,
-                      hartree_potential)
+                   integrate_radial, interpolate, make_grid)
+from .hartree import HartreePotential, hartree_energy, hartree_potential
 from .solver import (GroundState, ModelParams, ScanResult, SolverOptions,
                      apply_jacobian, auto_rmax, continuation_path,
                      default_guess, ground_state, newton_solve,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -62,6 +63,29 @@ def parse_lambdas(spec: str):
         raise BadRange(f"bad sweep spec {spec!r}: {exc}") from exc
 
 
+def _int_from(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} < {low}")
+        return value
+    return parse
+
+
+def _positive(text):
+    """argparse type: a positive finite number."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{value} is not positive and finite")
+    return value
+
+
+def _rmax(text):
+    """argparse type: 'auto' or a positive finite radius."""
+    return text if text == "auto" else _positive(text)
+
+
 def build_parser():
     p = _Parser(prog="sngs", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -69,7 +93,8 @@ def build_parser():
 
     optional = {"--a": dict(type=float, default=1.0),
                 "--nu": dict(type=float, default=1.0),
-                "--rmax": dict(default="auto")}
+                "--rmax": dict(type=_rmax, default="auto"),
+                "--seed": dict(type=int, default=0)}
 
     def common(sp, *flags):
         """The flags every solving subcommand takes, plus those of `flags`
@@ -79,13 +104,12 @@ def build_parser():
             sp.add_argument(flag, **optional[flag])
         sp.add_argument("--n", type=int, default=4096)
         sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", required=True)
         sp.add_argument("--force", action="store_true")
 
     sp = sub.add_parser("solve", help="one ground state")
     common(sp, "--a", "--nu", "--rmax")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_positive, required=True)
 
     sp = sub.add_parser("sweep", help="lambda sweep with c_lambda monotonicity verdict")
     common(sp, "--a", "--nu", "--rmax")
@@ -98,14 +122,14 @@ def build_parser():
 
     sp = sub.add_parser("spectrum", help="sector spectra and nondegeneracy verdict")
     common(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=3)
-    sp.add_argument("--num-eigs", dest="num_eigs", type=int, default=6)
+    sp.add_argument("--lambda", dest="lam", type=_positive, required=True)
+    sp.add_argument("--k-max", dest="k_max", type=_int_from(2), default=3)
+    sp.add_argument("--num-eigs", dest="num_eigs", type=_int_from(1), default=6)
 
     sp = sub.add_parser("scan", help="multi-start uniqueness scan")
-    common(sp, "--a", "--nu", "--rmax")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--starts", type=int, default=20)
+    common(sp, "--a", "--nu", "--rmax", "--seed")
+    sp.add_argument("--lambda", dest="lam", type=_positive, required=True)
+    sp.add_argument("--starts", type=_int_from(2), default=20)
 
     sp = sub.add_parser("check", help="re-derive diagnostics from artifacts")
     sp.add_argument("--out", required=True)
@@ -114,7 +138,7 @@ def build_parser():
 
 
 def _grid_for(args, lam: float):
-    rmax = solver.auto_rmax(lam) if args.rmax == "auto" else float(args.rmax)
+    rmax = solver.auto_rmax(lam) if args.rmax == "auto" else args.rmax
     return make_grid(rmax, args.n)
 
 
@@ -146,7 +170,7 @@ def cmd_solve(args, argv):
         man = io.RunManifest(
             command_line=" ".join(argv), params={"lam": args.lam, "a": args.a,
                                                  "nu": args.nu, "q": args.q},
-            grid={"r_max": None, "n": args.n}, rng_seed=args.seed,
+            grid={"r_max": None, "n": args.n},
             code_version=__version__, created=io._now(), outputs=[],
             summary={"error": str(exc), "residual_norm": exc.residual_norm,
                      "iterations": exc.iterations})
@@ -154,11 +178,9 @@ def cmd_solve(args, argv):
         print(f"solve: no convergence ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
     failures = identity_failures(state.diagnostics)
-    floor = solver.residual_floor(state.grid, state.u.values, state.params.lam)
-    io.save_state(state, args.out, " ".join(argv), args.seed, args.force,
+    io.save_state(state, args.out, " ".join(argv), args.force,
                   tolerances={"tol": args.tol},
-                  summary={"identity_failures": failures,
-                           "residual_floor": floor})
+                  summary={"identity_failures": failures})
     d = state.diagnostics
     print(f"solve: converged in {state.iterations} iterations, "
           f"residual {state.residual_norm:.3e}, J = {d.J:.12g}")
@@ -181,8 +203,7 @@ def cmd_sweep(args, argv):
     first = solver.newton_solve(solver.default_guess(params0, grid0), params0, opts)
     states = [first]
     for lam in lams[1:]:
-        states.extend(solver.continuation_path(
-            states[-1].params, replace(params0, lam=lam), 1, states[-1], opts))
+        states.append(solver.continuation_path(states[-1], lam, opts))
     rows = []
     for s in states:
         d = s.diagnostics
@@ -198,7 +219,7 @@ def cmd_sweep(args, argv):
         command_line=" ".join(argv),
         params={"a": args.a, "nu": args.nu, "q": args.q, "lambdas": lams},
         grid={"n": args.n, "r_max": "auto-per-lambda"},
-        rng_seed=args.seed, code_version=__version__, created=io._now(),
+        code_version=__version__, created=io._now(),
         outputs=[out_csv], summary={"monotone": mono["pass"],
                                     "violations": mono["violations"],
                                     "identity_failures": failures})
@@ -242,7 +263,7 @@ def cmd_limits(args, argv):
         params={"q": args.q, "side": args.side, "lambdas": lams,
                 "form": form, "limit_kind": kind},
         grid={"n": args.n, "r_max": "auto-per-lambda"},
-        rng_seed=args.seed, code_version=__version__, created=io._now(),
+        code_version=__version__, created=io._now(),
         outputs=[out_csv],
         summary={"regime": report.regime,
                  "distances_decreasing": decreasing, "final_sup_ok": close,
@@ -351,10 +372,10 @@ def cmd_check(args, argv):
         if abs(val - ref) > tol * scale:
             failures.append((key, ref, val))
     # the rounding level of F where it lies above tol, as in newton_solve
-    floor = solver.residual_floor(state.grid, state.u.values, state.params.lam)
-    if state.residual_norm > 10 * max(manifest["tolerances"].get("tol", 1e-10),
-                                      floor):
-        failures.append(("residual_norm", manifest["summary"]["residual_norm"],
+    tol_solve = manifest.get("tolerances", {}).get("tol", 1e-10)
+    if state.residual_norm > 10 * max(tol_solve, state.residual_floor):
+        failures.append(("residual_norm",
+                         manifest["summary"].get("residual_norm"),
                          state.residual_norm))
     failures += identity_failures(rep)
     if failures:

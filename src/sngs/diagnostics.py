@@ -83,11 +83,11 @@ def identities(state: GroundState) -> DiagnosticsReport:
     return rep
 
 
-def monotonicity_check(levels, slack_rel: float = 1e-8):
+def monotonicity_check(levels):
     """Non-decreasing check for (lambda, J) pairs; lambdas must be increasing.
 
     Returns {"pass": bool, "violations": [(i, j), ...]} with index pairs of
-    adjacent violations beyond slack_rel * max|J|.
+    adjacent violations beyond 1e-8 max|J|.
     """
     lams = [float(l) for l, _ in levels]
     js = [float(j) for _, j in levels]
@@ -95,7 +95,7 @@ def monotonicity_check(levels, slack_rel: float = 1e-8):
         raise UnsortedInput("lambdas must be strictly increasing")
     if not levels:
         return {"pass": True, "violations": []}
-    slack = slack_rel * max(abs(j) for j in js)
+    slack = 1e-8 * max(abs(j) for j in js)
     violations = [(i, i + 1) for i in range(len(js) - 1)
                   if js[i + 1] < js[i] - slack]
     return {"pass": not violations, "violations": violations}

@@ -138,16 +138,3 @@ def read_field_csv(path):
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     return data[:, 0], {name: data[:, j + 1] for j, name in enumerate(header[1:])}
-
-
-def save_field(path, f: RadialField) -> None:
-    """Single-field file: header r,value, one row per node."""
-    write_field_csv(path, f.grid, {"value": f.values})
-
-
-def load_field(path, parity: str = EVEN) -> RadialField:
-    r, cols = read_field_csv(path)
-    grid = make_grid(float(r[-1]), len(r))
-    if not np.allclose(grid.nodes, r, rtol=0, atol=1e-12 * grid.r_max):
-        raise ValueError(f"{path}: nodes are not a uniform [0, r_max] grid")
-    return RadialField(grid=grid, values=cols["value"], parity=parity)

@@ -94,7 +94,3 @@ def hartree_energy(u: RadialField) -> float:
     v = coulomb_apply(grid, u.values * u.values)
     val = 4.0 * np.pi * float(np.dot(grid.weights_r2dr, v * u.values**2))
     return max(val, 0.0)
-
-
-def far_field_mass(u: RadialField) -> float:
-    return hartree_potential(u).mass

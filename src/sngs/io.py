@@ -2,8 +2,11 @@
 
 A solve produces `<out>.csv` with columns r,u,v at 17 significant digits
 (float64 round-trips exactly) and `<out>.json` with the manifest: parameters,
-grid, seed, code version, timestamps, outputs and the diagnostics summary.
+grid, code version, timestamps, outputs, tolerances and the summary (the
+residual ratio with its rounding floor, iterations and diagnostics).
 Re-running an identical configuration reproduces the CSV bit for bit.
+`load_state` reads such a pair back and raises IoError, naming the file, on
+artifacts that are not a solve's.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import IoError
+from .errors import (BadRange, InvalidExponent, IoError, NonPositiveRadius,
+                     TooFewNodes)
 from .grid import EVEN, RadialField, make_grid, read_field_csv, write_field_csv
 from .solver import GroundState, ModelParams, ground_state
 
@@ -26,7 +30,6 @@ class RunManifest:
     command_line: str
     params: dict
     grid: dict
-    rng_seed: int
     code_version: str
     created: str
     outputs: list
@@ -51,11 +54,12 @@ def check_clobber(paths, force: bool):
             raise IoError(f"{p} exists; pass --force to overwrite")
 
 
-def manifest_for(state: GroundState, command_line: str, rng_seed: int,
-                 outputs, tolerances=None, summary=None) -> RunManifest:
+def manifest_for(state: GroundState, command_line: str, outputs,
+                 tolerances=None, summary=None) -> RunManifest:
     d = state.diagnostics
     summary = {
         "residual_norm": state.residual_norm,
+        "residual_floor": state.residual_floor,
         "iterations": state.iterations,
         "diagnostics": d.as_dict() if d is not None else None,
         **(summary or {}),
@@ -65,7 +69,6 @@ def manifest_for(state: GroundState, command_line: str, rng_seed: int,
         params={"lam": state.params.lam, "a": state.params.a,
                 "nu": state.params.nu, "q": state.params.q},
         grid={"r_max": state.grid.r_max, "n": state.grid.n},
-        rng_seed=rng_seed,
         code_version=__version__,
         created=_now(),
         outputs=list(outputs),
@@ -75,8 +78,7 @@ def manifest_for(state: GroundState, command_line: str, rng_seed: int,
 
 
 def save_state(state: GroundState, out_prefix: str, command_line: str = "",
-               rng_seed: int = 0, force: bool = False, tolerances=None,
-               summary=None):
+               force: bool = False, tolerances=None, summary=None):
     """Write `<out_prefix>.csv` and its manifest; `summary` adds entries to
     the manifest's summary."""
     csv_path = out_prefix + ".csv"
@@ -84,7 +86,7 @@ def save_state(state: GroundState, out_prefix: str, command_line: str = "",
     check_clobber([csv_path, json_path], force)
     write_field_csv(csv_path, state.grid,
                     {"u": state.u.values, "v": state.v.values})
-    man = manifest_for(state, command_line, rng_seed, [csv_path, json_path],
+    man = manifest_for(state, command_line, [csv_path, json_path],
                        tolerances, summary)
     man.write(json_path)
     return csv_path, json_path
@@ -99,16 +101,27 @@ def load_state(out_prefix: str) -> tuple[GroundState, dict]:
     for p in (csv_path, json_path):
         if not os.path.exists(p):
             raise IoError(f"missing artifact {p}")
-    r, cols = read_field_csv(csv_path)
-    with open(json_path) as fh:
-        manifest = json.load(fh)
-    pd = manifest["params"]
-    params = ModelParams(lam=pd["lam"], a=pd["a"], nu=pd["nu"], q=pd["q"])
-    grid = make_grid(float(r[-1]), len(r))
+    try:
+        with open(json_path) as fh:
+            manifest = json.load(fh)
+        pd, summary = manifest["params"], manifest["summary"]
+        params = ModelParams(lam=pd["lam"], a=pd["a"], nu=pd["nu"], q=pd["q"])
+        iterations = int(summary["iterations"])
+        if not isinstance(summary["diagnostics"], dict):
+            raise TypeError("summary.diagnostics is not a table")
+    except (KeyError, TypeError, ValueError, BadRange, InvalidExponent) as exc:
+        raise IoError(f"{json_path} is not a solve manifest: {exc!r}") from exc
+    try:
+        r, cols = read_field_csv(csv_path)
+        u = cols["u"]
+        grid = make_grid(float(r[-1]), len(r))
+    except (KeyError, IndexError, ValueError, NonPositiveRadius,
+            TooFewNodes) as exc:
+        raise IoError(f"{csv_path} is not a solve's field CSV: {exc!r}") from exc
     if not np.allclose(grid.nodes, r, rtol=0, atol=1e-12 * grid.r_max):
         raise IoError(f"{csv_path}: nodes are not a uniform grid")
-    u = RadialField(grid=grid, values=cols["u"], parity=EVEN)
-    state = ground_state(u, params, int(manifest["summary"]["iterations"]))
+    state = ground_state(RadialField(grid=grid, values=u, parity=EVEN), params,
+                         iterations)
     return state, manifest
 
 

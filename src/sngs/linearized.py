@@ -10,9 +10,11 @@ quadratic form (symmetric a=2 convention, general lam and power weight nu)
 
 assembled against the r^2-weighted mass for both components.  Only in the
 a=2 convention is this the second derivative of a functional, hence symmetric;
-states from the single-coefficient family are auto-converted.  For the pure
-power case (a=0) the potential component is dropped entirely and the form is
-the scalar linearization around the Kwong profile.
+states from the single-coefficient family are auto-converted, so every sector
+form is in that one convention.  For the pure power case (a=0) the potential
+component is dropped entirely and the form is the scalar linearization around
+the Kwong profile.  The nondegeneracy verdict has fixed tolerances: GAP_TOL
+for the radial gap and 50 h^2 sigma_2 for the translation zero mode.
 
 The sector operator is banded-plus-diagonal-coupling; the Hartree screening of
 the radial problem enters only through v and the -4 u f g coupling, both local
@@ -33,8 +35,6 @@ from . import operators
 from .errors import ParityMismatch, UnconvergedState, WrongConvention
 from .grid import EVEN, ODD, RadialField, differentiate
 from .solver import GroundState, ModelParams, _dpower, ground_state
-
-A2 = "symmetric_a2"
 
 CONVERGED_TOL = 1e-8
 
@@ -79,7 +79,6 @@ def convention_map(state: GroundState, direction: str) -> GroundState:
 class SectorOperator:
     k: int
     centrifugal: float
-    convention: str
     form: sp.csr_matrix          # symmetric weighted form on active nodes
     mass: np.ndarray             # diagonal r^2-weighted mass, both components
     act: np.ndarray              # active node indices on the state's grid
@@ -122,8 +121,8 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
         C = sp.diags(Wa * (-p.a) * u)    # -2u per side in the a=2 convention
         form = sp.bmat([[Sf, C], [C, Sg]], format="csr")
         mass = np.concatenate([Wa, Wa])
-    return SectorOperator(k=k, centrifugal=lam_k, convention=A2, form=form,
-                          mass=mass, act=act, scalar=scalar, state=st)
+    return SectorOperator(k=k, centrifugal=lam_k, form=form, mass=mass,
+                          act=act, scalar=scalar, state=st)
 
 
 def quadratic_form_value(op: SectorOperator, f: RadialField,
@@ -211,7 +210,6 @@ class NondegeneracyReport:
     gap_tol: float
     k_max: int
     split: float
-    convention: str = A2
 
 
 def _compensated_translation(op: SectorOperator):
@@ -235,18 +233,17 @@ def _compensated_translation(op: SectorOperator):
 
 
 def nondegeneracy_report(state: GroundState, k_max: int,
-                         tolerances: Optional[dict] = None,
                          num_eigs: int = 6) -> NondegeneracyReport:
     """Sector-by-sector spectral certificate for nondegeneracy.
 
-    nondegenerate: the radial sector has no eigenvalue within gap_tol of zero,
-    sector 1 carries exactly one zero mode matching the translation pair, and
-    every sector 2..k_max is strictly positive (the sector ordering extends the
-    verdict beyond k_max).
+    nondegenerate: the radial sector has no eigenvalue within GAP_TOL of
+    zero, sector 1 carries exactly one zero mode (|sigma| <= zero_tol =
+    50 h^2 sigma_2, sigma_2 its next eigenvalue by magnitude) matching the
+    translation pair, and every sector 2..k_max is strictly positive (the
+    sector ordering extends the verdict beyond k_max).
     """
     if k_max < 2:
         raise ValueError("k_max >= 2")
-    tolerances = dict(tolerances or {})
     spectra = {}
     ops = {}
     for k in range(k_max + 1):
@@ -256,8 +253,7 @@ def nondegeneracy_report(state: GroundState, k_max: int,
     h = state.grid.h
     vals1 = sorted(spectra[1].eigenvalues, key=abs)
     sigma2 = abs(vals1[1]) if len(vals1) > 1 else 1.0
-    zero_tol = tolerances.get("zero_tol", 50.0 * h * h * sigma2)
-    gap_tol = tolerances.get("gap_tol", GAP_TOL)
+    zero_tol = 50.0 * h * h * sigma2
 
     sectors = []
     for k in range(k_max + 1):
@@ -281,7 +277,7 @@ def nondegeneracy_report(state: GroundState, k_max: int,
     k1 = sectors[1]
     high_positive = all(min(spectra[k].eigenvalues) > 0.0
                         for k in range(2, k_max + 1))
-    ok = (k0_min_abs > gap_tol
+    ok = (k0_min_abs > GAP_TOL
           and k1.kernel_dimension == 1
           and (k1.zero_mode_match or 0.0) >= 0.999
           and high_positive)
@@ -294,5 +290,5 @@ def nondegeneracy_report(state: GroundState, k_max: int,
     else:
         verdict = "inconclusive"
     return NondegeneracyReport(sectors=sectors, verdict=verdict,
-                               zero_tol=zero_tol, gap_tol=gap_tol, k_max=k_max,
+                               zero_tol=zero_tol, gap_tol=GAP_TOL, k_max=k_max,
                                split=spectra[0].split)

@@ -124,13 +124,13 @@ def limit_distance(scaled_u: RadialField, reference: GroundState):
     return sup, h1
 
 
-def mass_ratio_report(states: list, window=RATIO_WINDOW):
+def mass_ratio_report(states: list):
     """Tabulate (M^(q-2)/lam, M/lam) with M = sup u + sup v per state.
 
-    Both ratios are tabulated; the window flag checks only the regime-relevant
-    one (M^(q-2)/lam toward the W limit, M/lam toward U), with the lambda end
-    inferred from the trend of the sampled sequence.  A single state is checked
-    on both ratios (no trend to infer).
+    Both ratios are tabulated; the flag checks that the regime-relevant one
+    (M^(q-2)/lam toward the W limit, M/lam toward U) lies in RATIO_WINDOW,
+    with the lambda end inferred from the trend of the sampled sequence.  A
+    single state is checked on both ratios (no trend to infer).
     """
     if not states:
         return [], True
@@ -141,7 +141,7 @@ def mass_ratio_report(states: list, window=RATIO_WINDOW):
             raise MixedExponents("states mix different exponents q")
         M = s.sup_u() + s.sup_v()
         rows.append((s.params.lam, M ** (q - 2.0) / s.params.lam, M / s.params.lam))
-    lo, hi = window
+    lo, hi = RATIO_WINDOW
     if len(rows) >= 2:
         side = "zero" if rows[-1][0] < rows[0][0] else "infinity"
         j = 1 + relevant_ratio_index(q, side)

@@ -14,11 +14,12 @@ the rounding level of F, taken once per solve after the warm start.
 Every GroundState comes from `ground_state`, whose residual_norm is the
 scale-invariant ratio |F(u)| / (lam |u|): by the mu/nu maps of `scaling`,
 F = lam^(alpha+1) F~, so it equals the relative residual of the normal-form
-member at lam = 1 and means the same at every lambda.  Continuation moves
-lambda alone.  Each Newton step J d = -F is solved exactly as one
-banded system: the Coulomb sweep without its Euler-Maclaurin diagonal has a
-tridiagonal inverse (hartree.coulomb_inverse_bands), so adding y = r w with
-w the screening potential of the step as unknowns turns the dense nonlocal
+member at lam = 1 and means the same at every lambda; residual_floor is the
+rounding level of that ratio at the state.  `continuation_path` moves lambda
+alone, to one target per call.  Each Newton step J d = -F is solved exactly
+as one banded system: the Coulomb sweep without its Euler-Maclaurin diagonal
+has a tridiagonal inverse (hartree.coulomb_inverse_bands), so adding y = r w
+with w the screening potential of the step as unknowns turns the dense nonlocal
 Jacobian into a system of bandwidth 4 when d and y are interleaved.  The
 step-independent entries of that band matrix are built once per solve
 (`_step_bands`); every step copies them into one workspace, adds the
@@ -37,8 +38,9 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv
 
 from . import operators
-from .errors import (ContinuationStuck, InvalidExponent, NegativeStateDetected,
-                     NonConvergence, TrivialCollapse, WrongParams)
+from .errors import (BadRange, ContinuationStuck, InvalidExponent,
+                     NegativeStateDetected, NonConvergence, TrivialCollapse,
+                     WrongParams)
 from .grid import EVEN, RadialField, RadialGrid, make_grid
 from .hartree import coulomb_apply, coulomb_inverse_bands, hartree_potential
 
@@ -64,12 +66,12 @@ class ModelParams:
     def __post_init__(self):
         if not (2.0 < self.q < 6.0) or self.q == 3.0:
             raise InvalidExponent(f"q = {self.q} outside (2,3) u (3,6)")
-        if self.a < 0 or self.nu < 0:
-            raise ValueError("a and nu must be nonnegative")
+        if not (self.a >= 0 and self.nu >= 0):
+            raise BadRange(f"a = {self.a}, nu = {self.nu}: both must be >= 0")
         if self.a == 0 and self.nu == 0:
-            raise ValueError("at least one of a, nu must be positive")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+            raise BadRange("at least one of a, nu must be positive")
+        if not (0 < self.lam < math.inf):
+            raise BadRange(f"lam = {self.lam} must be positive and finite")
 
     def label(self):
         return f"(lam={self.lam:g}, a={self.a:g}, nu={self.nu:g}, q={self.q:g})"
@@ -88,6 +90,7 @@ class GroundState:
     u: RadialField
     v: RadialField
     residual_norm: float        # |F(u)| / (lam |u|), r^2 dr norms
+    residual_floor: float       # rounding level of residual_norm at u
     iterations: int
     grid: RadialGrid
     diagnostics: Optional[object] = field(default=None, repr=False)
@@ -174,6 +177,8 @@ class _StepBands:
     (i, j) of the interleaved system at row 4 + i - j of ab[4:], and its rows
     0..3 are the LU fill-in space, which dgbsv need not find set."""
     fixed: np.ndarray   # the step-independent entries of ab[4:]
+    src: np.ndarray     # sweep source weights (coulomb_inverse_bands)
+    em: np.ndarray      # Euler-Maclaurin diagonal of the sweep
     ab: np.ndarray      # workspace: fixed plus u-dependent entries
     b: np.ndarray       # workspace: the right-hand side
 
@@ -189,7 +194,7 @@ def _step_bands(grid: RadialGrid, A: sp.csr_matrix) -> _StepBands:
     """The Laplacian entries and the sweep rows of the Newton band matrix,
     which no iterate changes, and the workspace every step solves in."""
     n = grid.n
-    diag, off, _, _ = coulomb_inverse_bands(grid)
+    diag, off, src, em = coulomb_inverse_bands(grid)
     sd, sy = _slots(n)
     fixed = np.zeros((9, 2 * n - 1))
     Ac = A.tocoo()
@@ -198,7 +203,8 @@ def _step_bands(grid: RadialGrid, A: sp.csr_matrix) -> _StepBands:
     fixed[4, sy] = diag
     fixed[2, sy[1:]] = off
     fixed[6, sy[:-1]] = off
-    return _StepBands(fixed=fixed, ab=np.empty((13, 2 * n - 1), order="F"),
+    return _StepBands(fixed=fixed, src=src, em=em,
+                      ab=np.empty((13, 2 * n - 1), order="F"),
                       b=np.empty(2 * n - 1))
 
 
@@ -213,13 +219,12 @@ def _newton_step(u, v, F, params, grid, bands: _StepBands):
     dgbsv overwrites.  A non-finite or singular system raises NonConvergence.
     """
     n, r = grid.n, grid.nodes
-    _, _, src, em = coulomb_inverse_bands(grid)
     sd, sy = _slots(n)
     au = params.a * u
     au[-2:] = 0.0   # the Dirichlet pad rows carry no screening term
-    pot = _local_potential(u, v, params) - 2.0 * em * au * u
+    pot = _local_potential(u, v, params) - 2.0 * bands.em * au * u
     screen = -au / np.r_[r[1], r[1:]]   # w_i = y_i / r_i and w_0 = y_1 / r_1
-    source = -2.0 * src[1:] * u[1:]
+    source = -2.0 * bands.src[1:] * u[1:]
     if not all(np.isfinite(x).all() for x in (pot, screen, source, F)):
         raise NonConvergence(f"Newton step for {params.label()}: "
                              "non-finite Jacobian or residual")
@@ -301,11 +306,11 @@ def _warm_start(u, params, grid, A, sweeps):
     return u
 
 
-def residual_floor(grid: RadialGrid, u: np.ndarray, lam: float) -> float:
+def residual_floor(grid: RadialGrid, A: sp.csr_matrix, u: np.ndarray,
+                   lam: float) -> float:
     """Rounding level of the residual ratio |F| / (lam |u|) at the field u:
     eps |(|A| |u|)| / (lam |u|) in r^2 dr norms, A = -Delta_r.  It grows like
     1/h^2 and does not depend on lam (A scales like lam with the grid)."""
-    A = operators.radial_laplacian(grid)
     return (np.finfo(float).eps * _wnorm(grid, abs(A) @ np.abs(u))
             / (lam * _wnorm(grid, u)))
 
@@ -326,12 +331,17 @@ def _live_norm(grid: RadialGrid, u: np.ndarray) -> float:
 def ground_state(u: RadialField, params: ModelParams,
                  iterations: int) -> GroundState:
     """The GroundState of the field u: v from the Hartree sweep, the residual
-    ratio |F(u)| / (lam |u|) in the r^2 dr norm, and the identities."""
+    ratio |F(u)| / (lam |u|) in the r^2 dr norm with its rounding floor, and
+    the identities."""
     grid = u.grid
-    F = residual(u, params).values
+    A = operators.radial_laplacian(grid)
+    F, _ = _residual_values(u.values, params, grid, A)
     res = _wnorm(grid, F) / (params.lam * _wnorm(grid, u.values))
     state = GroundState(params=params, u=u, v=hartree_potential(u).v,
-                        residual_norm=res, iterations=iterations, grid=grid)
+                        residual_norm=res,
+                        residual_floor=residual_floor(grid, A, u.values,
+                                                      params.lam),
+                        iterations=iterations, grid=grid)
     from .diagnostics import identities  # deferred: diagnostics uses GroundState
     state.diagnostics = identities(state)
     return state
@@ -354,7 +364,7 @@ def newton_solve(guess: RadialField, params: ModelParams,
         raise TrivialCollapse("initial guess is numerically zero")
     u = _warm_start(u, params, grid, A, opts.warm_iters)
     _live_norm(grid, u)   # a collapsed warm start is typed before |u| divides
-    stop = max(opts.tol, residual_floor(grid, u, params.lam)) * params.lam
+    stop = max(opts.tol, residual_floor(grid, A, u, params.lam)) * params.lam
     bands = _step_bands(grid, A)
 
     def stalled(message, nu_norm, iterations):
@@ -397,17 +407,16 @@ def newton_solve(guess: RadialField, params: ModelParams,
         raise NegativeStateDetected(
             f"converged to a sign-changing branch (min {np.min(u):.2e})")
 
+    del bands   # ground_state's operators need not coexist with the workspace
     return ground_state(RadialField(grid=grid, values=u, parity=EVEN), params, it)
 
 
 # -- canonical reference profiles ----------------------------------------------
 
-_ref_cache: dict = {}
-
 
 def reference_profile(kind: str, grid: RadialGrid, q: float | None = None) -> GroundState:
     """Kwong profile W (kind='kwong', exponent q) or Choquard profile U
-    (kind='choquard') on the given grid; results are cached per (kind, q, grid)."""
+    (kind='choquard') on the given grid."""
     if kind == "kwong":
         if q is None:
             raise WrongParams("kwong profile needs q")
@@ -416,10 +425,6 @@ def reference_profile(kind: str, grid: RadialGrid, q: float | None = None) -> Gr
         params = ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0)  # q inert at nu=0
     else:
         raise WrongParams(f"unknown reference kind {kind!r}")
-    key = (kind, None if kind == "choquard" else float(q), grid.key())
-    hit = _ref_cache.get(key)
-    if hit is not None:
-        return hit
     r = grid.nodes
     if kind == "kwong":
         c = 3.0 * (q / 2.0) ** (1.0 / (q - 2.0))
@@ -429,9 +434,7 @@ def reference_profile(kind: str, grid: RadialGrid, q: float | None = None) -> Gr
         vals = 2.0 * np.exp(-r**2 / 4.0)
     vals[-2:] = 0.0
     guess = RadialField(grid=grid, values=vals, parity=EVEN)
-    state = newton_solve(guess, params, SolverOptions())
-    _ref_cache[key] = state
-    return state
+    return newton_solve(guess, params, SolverOptions())
 
 
 # -- continuation ----------------------------------------------------------------
@@ -454,56 +457,32 @@ def _rescale_seed(state: GroundState, lam_new: float) -> RadialField:
                        parity=EVEN)
 
 
-def continuation_path(from_params: ModelParams, to_params: ModelParams,
-                      steps: int, seed: GroundState,
-                      opts: SolverOptions | None = None) -> list[GroundState]:
-    """Solve along a geometric lambda path, reusing rescaled previous states.
+def continuation_path(seed: GroundState, lam: float,
+                      opts: SolverOptions | None = None) -> GroundState:
+    """The ground state at `lam` of the seed's family, reached from `seed`.
 
-    lambda is the only continuation parameter: from_params and to_params
-    must differ in nothing else.  Returns `steps` states at the interpolated
-    lambdas (the first one is the seed when the path starts at its
-    parameters).  A failed step is bisected up to 6 times before
-    ContinuationStuck.
+    Newton starts from the rescaled seed without a warm start.  A failed
+    solve first solves at the geometric midpoint in lambda and retries from
+    there; the 7th failure raises ContinuationStuck.  Returns `seed` itself
+    when lam is its lambda.
     """
-    if seed.params != from_params:
-        raise WrongParams("seed was not converged at from_params")
-    if replace(from_params, lam=to_params.lam) != to_params:
-        raise WrongParams("lambda is the only continuation parameter")
-    if steps < 1:
-        raise ValueError("steps >= 1")
-    opts = opts or SolverOptions()
-    # steps points along the geometric path, ending at to_params; the seed's
-    # own parameter point is not repeated (a trivial from == to path returns
-    # the seed itself)
-    lams = np.geomspace(from_params.lam, to_params.lam, steps + 1)[1:]
-
-    out: list[GroundState] = []
-    current = seed
-
-    def solve_at(target: ModelParams, src: GroundState) -> GroundState:
-        if target == src.params:
-            return src
-        # seeded solves skip the warm start; Newton corrects the rescale
-        o = replace(opts, warm_iters=0)
-        return newton_solve(_rescale_seed(src, target.lam), target, o)
-
-    for lam in lams:
-        stack = [replace(from_params, lam=float(lam))]
-        depth = 0
-        while stack:
-            goal = stack[-1]
-            try:
-                current = solve_at(goal, current)
-                stack.pop()
-            except (NonConvergence, TrivialCollapse, NegativeStateDetected):
-                depth += 1
-                if depth > 6:
-                    raise ContinuationStuck(
-                        f"minimum step reached near {goal.label()}")
-                stack.append(replace(
-                    from_params, lam=math.sqrt(current.params.lam * goal.lam)))
-        out.append(current)
-    return out
+    # Newton corrects the rescale; the warm start would discard the seed
+    opts = replace(opts or SolverOptions(), warm_iters=0)
+    current, stack, depth = seed, [float(lam)], 0
+    while stack:
+        goal = replace(seed.params, lam=stack[-1])
+        try:
+            if goal != current.params:
+                current = newton_solve(_rescale_seed(current, goal.lam), goal,
+                                       opts)
+            stack.pop()
+        except (NonConvergence, TrivialCollapse, NegativeStateDetected):
+            depth += 1
+            if depth > 6:
+                raise ContinuationStuck(
+                    f"minimum step reached near {goal.label()}")
+            stack.append(math.sqrt(current.params.lam * goal.lam))
+    return current
 
 
 # -- multistart uniqueness scan ---------------------------------------------------
@@ -522,8 +501,7 @@ def _sup_distance_rel(u1: np.ndarray, u2: np.ndarray) -> float:
 
 
 def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
-                    grid: RadialGrid | None = None,
-                    opts: SolverOptions | None = None) -> ScanResult:
+                    grid: RadialGrid) -> ScanResult:
     """Multi-start evidence for uniqueness: seeded Gaussian guesses
     c exp(-kappa r^2) with (c, kappa) log-uniform over [1e-2, 1e2]^2.
 
@@ -532,8 +510,7 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
     """
     if n_starts < 2:
         raise ValueError("n_starts >= 2")
-    grid = grid or make_grid(auto_rmax(params.lam), 4096)
-    opts = opts or SolverOptions(max_iter=40, warm_iters=50)
+    opts = SolverOptions(max_iter=40, warm_iters=50)
     rng = np.random.default_rng(rng_seed)
     draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n_starts, 2))
     distinct: list[GroundState] = []

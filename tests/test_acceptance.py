@@ -7,7 +7,6 @@ oracle) or the sector analysis domain (R = 60, see the nondegeneracy notes).
 """
 
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,8 +94,7 @@ def sweep_states(q, lams):
     g0 = sngs.make_grid(sngs.auto_rmax(lams[0]), N)
     states = [sngs.newton_solve(sngs.default_guess(p0, g0), p0)]
     for lam in lams[1:]:
-        states.extend(sngs.continuation_path(
-            states[-1].params, replace(p0, lam=lam), 1, states[-1]))
+        states.append(sngs.continuation_path(states[-1], lam))
     return states
 
 
@@ -106,7 +104,7 @@ def test_criterion_5_action_monotonicity():
         for q in (2.5, 4.0):
             states = sweep_states(q, lams)
             levels = [(s.params.lam, s.diagnostics.J) for s in states]
-            verdict = sngs.monotonicity_check(levels, slack_rel=1e-8)
+            verdict = sngs.monotonicity_check(levels)
             assert verdict["pass"], verdict["violations"]
 
 

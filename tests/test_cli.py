@@ -23,6 +23,26 @@ def test_usage_errors(tmp_path):
                 "--out", out]) == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--q", "4", "--lambda", "1", "--starts", "1"],
+    ["spectrum", "--q", "4", "--lambda", "0.01", "--k-max", "1"],
+    ["spectrum", "--q", "4", "--lambda", "0.01", "--num-eigs", "0"],
+    ["solve", "--q", "4", "--lambda", "-1"],
+    ["solve", "--q", "4", "--lambda", "1", "--a", "-1"],
+    ["solve", "--q", "4", "--lambda", "1", "--a", "0", "--nu", "0"],
+    ["solve", "--q", "4", "--lambda", "1", "--rmax", "abc"],
+    ["solve", "--q", "4", "--lambda", "nan"],
+    ["solve", "--q", "4", "--lambda", "1", "--seed", "3"],
+    ["spectrum", "--q", "4.5", "--lambda", "-1"],
+    ["sweep", "--q", "4", "--lambdas", "nan,1"],
+])
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
+    out = str(tmp_path / "x")
+    assert run(argv + ["--out", out]) == 64
+    assert "usage error" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_parse_lambdas():
     vals = cli.parse_lambdas("1e-3:1e3:log:13")
     assert len(vals) == 13
@@ -51,6 +71,8 @@ def test_solve_roundtrip_and_determinism(tmp_path):
     assert man["params"]["q"] == 4.0
     assert man["summary"]["diagnostics"]["J"] is not None
     assert man["summary"]["identity_failures"] == []
+    assert man["summary"]["residual_floor"] > 0.0
+    assert "rng_seed" not in man
     assert man["code_version"]
 
 
@@ -80,6 +102,43 @@ def test_check_accepts_large_lambda_solve(tmp_path):
                 "--out", out]) == 0
     assert json.load(open(out + ".json"))["summary"]["residual_norm"] <= 1e-10
     assert run(["check", "--out", out]) == 0
+
+
+@pytest.fixture
+def solved(tmp_path):
+    out = str(tmp_path / "run")
+    assert run(["solve", "--q", "4", "--lambda", "0.5", "--n", "512",
+                "--out", out]) == 0
+    return out
+
+
+def test_check_rejects_sweep_output(tmp_path, capsys):
+    out = str(tmp_path / "sweep")
+    assert run(["sweep", "--q", "4", "--lambdas", "0.5,1", "--n", "1024",
+                "--out", out]) == 0
+    assert run(["check", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{out}.json is not a solve manifest" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda man: man["summary"].pop("diagnostics"),
+    lambda man: man["params"].update(q=7.0),
+], ids=["no_diagnostics", "q_out_of_range"])
+def test_check_rejects_foreign_manifest(solved, capsys, spoil):
+    man = json.load(open(solved + ".json"))
+    spoil(man)
+    json.dump(man, open(solved + ".json", "w"))
+    assert run(["check", "--out", solved]) == 2
+    assert f"{solved}.json is not a solve manifest" in capsys.readouterr().err
+
+
+def test_check_rejects_header_only_csv(solved, capsys):
+    with open(solved + ".csv", "w") as fh:
+        fh.write("r,u,v\r\n")
+    assert run(["check", "--out", solved]) == 2
+    assert f"{solved}.csv is not a solve's field CSV" in capsys.readouterr().err
 
 
 def test_check_detects_tampering(tmp_path):

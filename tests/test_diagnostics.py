@@ -17,7 +17,8 @@ def fake_state(grid, values, lam=1.0, a=1.0, nu=1.0, q=4.0):
     u = sngs.RadialField(grid=grid, values=values)
     v = hartree_potential(u).v
     return GroundState(params=ModelParams(lam=lam, a=a, nu=nu, q=q), u=u, v=v,
-                       residual_norm=1.0, iterations=0, grid=grid)
+                       residual_norm=1.0, residual_floor=0.0, iterations=0,
+                       grid=grid)
 
 
 def test_norms_indicator():

@@ -163,14 +163,3 @@ def test_field_csv_exact_bytes(tmp_path):
     assert lines[-1] == b""
     assert len(lines) == g.n + 2
 
-
-def test_single_field_csv_interface(tmp_path):
-    from sngs.grid import load_field, save_field
-    g = sngs.make_grid(4.0, 65)
-    f = sngs.RadialField(grid=g, values=np.exp(-g.nodes))
-    path = tmp_path / "u.csv"
-    save_field(path, f)
-    assert open(path).readline().strip() == "r,value"
-    back = load_field(path)
-    assert np.array_equal(back.values, f.values)
-    assert back.grid == g

@@ -77,7 +77,7 @@ def test_gaussian_values():
     u = sngs.RadialField(grid=g, values=np.exp(-g.nodes**2 / 2.0))
     hp = sngs.hartree_potential(u)
     assert hp.v.values[0] == pytest.approx(0.5, abs=1e-8)     # int e^{-s^2} s ds
-    assert sngs.far_field_mass(u) == pytest.approx(np.sqrt(np.pi) / 4.0, rel=1e-8)
+    assert hp.mass == pytest.approx(np.sqrt(np.pi) / 4.0, rel=1e-8)
 
 
 def test_hartree_energy_indicator():

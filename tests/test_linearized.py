@@ -98,7 +98,7 @@ def test_sector_form_unconverged():
     u = sngs.RadialField(grid=g, values=np.exp(-g.nodes**2))
     bogus = GroundState(params=ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0),
                         u=u, v=hartree_potential(u).v, residual_norm=0.5,
-                        iterations=0, grid=g)
+                        residual_floor=0.0, iterations=0, grid=g)
     with pytest.raises(UnconvergedState):
         sector_form(bogus, 0)
     with pytest.raises(UnconvergedState):

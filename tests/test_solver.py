@@ -10,8 +10,7 @@ from scipy.sparse.linalg import splu
 from sngs.errors import (ContinuationStuck, InvalidExponent, NonConvergence,
                          TrivialCollapse, WrongParams)
 from sngs.solver import (WARM_TOL, _newton_step, _residual_values,
-                         _shifted_solve, _step_bands, _warm_start, _wnorm,
-                         residual_floor)
+                         _shifted_solve, _step_bands, _warm_start, _wnorm)
 from conftest import smooth_bumps
 
 
@@ -164,12 +163,11 @@ def test_warm_start_stops_on_settled_ratio():
 
 def test_residual_floor_scales_with_the_grid(solved_cache):
     # eps |(|A| |u|)| / (lam |u|): independent of lambda, ~4x per n -> 2n-1
-    floors = [residual_floor(st.grid, st.u.values, st.params.lam)
-              for st in (solved_cache(lam, 1.0, 1.0, 4.0)
-                         for lam in (0.01, 1.0, 100.0))]
+    floors = [solved_cache(lam, 1.0, 1.0, 4.0).residual_floor
+              for lam in (0.01, 1.0, 100.0)]
     assert max(floors) - min(floors) <= 1e-3 * min(floors)
     fine = solved_cache(1.0, 1.0, 1.0, 4.0, n=2 * 1536 - 1)
-    ratio = residual_floor(fine.grid, fine.u.values, 1.0) / floors[1]
+    ratio = fine.residual_floor / floors[1]
     assert 3.9 <= ratio <= 4.1
 
 
@@ -245,43 +243,31 @@ def test_grid_refinement_second_order_or_better(solved_cache):
     assert abs(l2[0] - l2[1]) <= 1.0 * h**2 * l2[1]
 
 
-def test_reference_profile_cache_and_errors():
+def test_reference_profile_errors():
     g = sngs.make_grid(28.0, 768)
     with pytest.raises(InvalidExponent):
         sngs.reference_profile("kwong", g, q=3.0)
-    w1 = sngs.reference_profile("kwong", g, q=4.0)
-    w2 = sngs.reference_profile("kwong", g, q=4.0)
-    assert w1 is w2
     with pytest.raises(WrongParams):
         sngs.reference_profile("mystery", g)
 
 
+def continue_along(seed, lams):
+    """States at each of `lams`, each continued from the one before."""
+    states = [seed]
+    for lam in lams:
+        states.append(sngs.continuation_path(states[-1], lam))
+    return states[1:]
+
+
 def test_continuation_trivial_path(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    out = sngs.continuation_path(st.params, st.params, 1, st)
-    assert out == [st]
-
-
-def test_continuation_seed_mismatch(solved_cache):
-    st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    other = sngs.ModelParams(lam=2.0, a=1.0, nu=1.0, q=4.0)
-    with pytest.raises(WrongParams):
-        sngs.continuation_path(other, other, 2, st)
-
-
-def test_continuation_moves_lambda_only(solved_cache):
-    st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    for other in (replace(st.params, a=0.5), replace(st.params, nu=2.0),
-                  replace(st.params, lam=2.0, a=0.5), replace(st.params, q=4.5)):
-        with pytest.raises(WrongParams):
-            sngs.continuation_path(st.params, other, 2, st)
+    assert sngs.continuation_path(st, st.params.lam) is st
 
 
 def test_continuation_lambda_path_monotone_action(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 2.5, n=768)
-    target = replace(st.params, lam=10.0)
-    states = sngs.continuation_path(st.params, target, 5, st)
-    assert len(states) == 5
+    states = continue_along(st, np.geomspace(1.0, 10.0, 6)[1:])
+    assert states[-1].params == replace(st.params, lam=10.0)
     js = [s.diagnostics.J for s in states]
     assert all(b >= a for a, b in zip(js, js[1:]))
     for s in states:
@@ -312,7 +298,7 @@ def test_uniqueness_scan_determinism():
 def test_uniqueness_scan_needs_two_starts():
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     with pytest.raises(ValueError):
-        sngs.uniqueness_scan(p, 1, rng_seed=0)
+        sngs.uniqueness_scan(p, 1, rng_seed=0, grid=sngs.make_grid(28.0, 512))
 
 
 def test_negative_branch_detected():
@@ -327,16 +313,14 @@ def test_negative_branch_detected():
 
 def test_continuation_stuck(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0, n=768)
-    target = replace(st.params, lam=100.0)
     crippled = sngs.SolverOptions(max_iter=0)
     with pytest.raises(ContinuationStuck):
-        sngs.continuation_path(st.params, target, 2, st, crippled)
+        sngs.continuation_path(st, 100.0, crippled)
 
 
 def test_sup_norm_grows_toward_large_lambda(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0, n=768)
-    target = replace(st.params, lam=1000.0)
-    states = sngs.continuation_path(st.params, target, 4, st)
+    states = continue_along(st, np.geomspace(1.0, 1000.0, 5)[1:])
     sups = [s.sup_u() + s.sup_v() for s in states]
     assert all(b > a for a, b in zip(sups, sups[1:]))
     assert sups[-1] > 10 * (st.sup_u() + st.sup_v())
