@@ -102,7 +102,7 @@ def build_parser():
         sp.add_argument("--q", type=float, required=True)
         for flag in flags:
             sp.add_argument(flag, **optional[flag])
-        sp.add_argument("--n", type=int, default=4096)
+        sp.add_argument("--n", type=_int_from(16), default=4096)
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--out", required=True)
         sp.add_argument("--force", action="store_true")
@@ -321,9 +321,10 @@ def cmd_spectrum(args, argv):
                      "below_split": e.below_split,
                      "backward_error": e.backward_error}
                     for e in report.sectors],
-        "split": report.split,
+        "split": -linearized.GAP_TOL,
         "verdict": report.verdict,
-        "tolerances": {"zero_tol": report.zero_tol, "gap_tol": report.gap_tol},
+        "tolerances": {"zero_tol": report.zero_tol,
+                       "gap_tol": linearized.GAP_TOL},
         "convention_check": convention_check,
         "code_version": __version__,
         "command_line": " ".join(argv),
@@ -332,7 +333,7 @@ def cmd_spectrum(args, argv):
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"spectrum: verdict = {report.verdict} "
-          f"(zero_tol {report.zero_tol:.3e}, gap_tol {report.gap_tol:.3e})")
+          f"(zero_tol {report.zero_tol:.3e}, gap_tol {linearized.GAP_TOL:.3e})")
     return EXIT_OK if report.verdict == "nondegenerate" else EXIT_NUMERICAL
 
 

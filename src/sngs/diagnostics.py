@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import operators
 from .errors import UnsortedInput
@@ -45,19 +46,19 @@ class DiagnosticsReport:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def _norms(u: RadialField, q: float):
+def _norms(u: RadialField, q: float, A: sp.csr_matrix):
     grid = u.grid
     W = grid.weights_r2dr
-    A = operators.radial_laplacian(grid)
     G = 4.0 * np.pi * operators.grad_sq_pairing(grid, A, u.values)
     L = 4.0 * np.pi * float(np.dot(W, u.values**2))
     P = 4.0 * np.pi * float(np.dot(W, _power(np.abs(u.values), q)))
     return G, L, P
 
 
-def norm_report(state: GroundState) -> DiagnosticsReport:
-    """Norm fields only (no identities); sup norms from node maxima."""
-    G, L, P = _norms(state.u, state.params.q)
+def norm_report(state: GroundState, A: sp.csr_matrix) -> DiagnosticsReport:
+    """Norm fields only (no identities); sup norms from node maxima.  A is
+    the state's `operators.radial_laplacian`, built by the caller."""
+    G, L, P = _norms(state.u, state.params.q, A)
     W = state.grid.weights_r2dr
     D = 4.0 * np.pi * float(np.dot(W, state.v.values * state.u.values**2))
     su, sv = state.sup_u(), state.sup_v()
@@ -65,13 +66,14 @@ def norm_report(state: GroundState) -> DiagnosticsReport:
                              sup_u=su, sup_v=sv, M=su + sv)
 
 
-def identities(state: GroundState) -> DiagnosticsReport:
-    """Full report with action, Nehari and Pohozaev values.
+def identities(state: GroundState, A: sp.csr_matrix) -> DiagnosticsReport:
+    """Full report with action, Nehari and Pohozaev values; A as in
+    `norm_report`.
 
     Values are reported raw (nonzero for non-solutions); the ground-level
     residual |J - G/3 - D/6| is filled only for the a=1, nu=1 family.
     """
-    rep = norm_report(state)
+    rep = norm_report(state, A)
     p = state.params
     G, L, P, D = rep.grad_sq, rep.l2_sq, rep.lq, rep.D
     rep.J = 0.5 * G + 0.5 * p.lam * L - 0.25 * p.a * D - p.nu / p.q * P

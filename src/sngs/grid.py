@@ -136,5 +136,8 @@ def read_field_csv(path):
     """Inverse of write_field_csv: returns (r, {name: array})."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = fh.readlines()
+    if not any(map(str.strip, rows)):   # spares numpy's empty-input warning
+        raise ValueError(f"{path} has no data rows")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     return data[:, 0], {name: data[:, j + 1] for j, name in enumerate(header[1:])}

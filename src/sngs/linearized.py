@@ -149,14 +149,24 @@ def translation_mode(state: GroundState):
 
 
 @dataclass
-class SpectrumReport:
+class SectorEntry:
+    """One sector's lowest eigenpairs; `nondegeneracy_report` fills in the
+    kernel dimension and, in sector 1, the match with the translation mode."""
     k: int
     eigenvalues: list
-    split: float
     below_split: int             # inertia count, confirmed by the eigensolve
     backward_error: float        # largest over the returned pairs
-    eigenvectors: np.ndarray = field(repr=False, default=None)
-    mass: np.ndarray = field(repr=False, default=None)
+    eigenvectors: np.ndarray = field(repr=False)
+    kernel_dimension: Optional[int] = None
+    zero_mode_match: Optional[float] = None
+
+
+@dataclass
+class NondegeneracyReport:
+    sectors: list
+    verdict: str
+    zero_tol: float
+    k_max: int
 
 
 def _spectrum_lower_bound(op: SectorOperator) -> float:
@@ -174,42 +184,21 @@ def _spectrum_lower_bound(op: SectorOperator) -> float:
     return bound - 1.0
 
 
-def sector_spectrum(op: SectorOperator, m: int) -> SpectrumReport:
+def sector_spectrum(op: SectorOperator, m: int) -> SectorEntry:
     """m algebraically lowest eigenpairs of the sector pencil, sliced by
     inertia at -GAP_TOL."""
     if m < 1:
         raise ValueError("m >= 1")
-    split = -GAP_TOL
     pairs = operators.smallest_eigenpairs(op.form, op.mass, m,
                                           shift=_spectrum_lower_bound(op),
-                                          split=split)
+                                          split=-GAP_TOL)
     vals = [s for s, _ in pairs]
     vecs = np.stack([x for _, x in pairs], axis=1)
-    return SpectrumReport(
-        k=op.k, eigenvalues=vals, eigenvectors=vecs, mass=op.mass, split=split,
-        below_split=sum(1 for s in vals if s < split),
+    return SectorEntry(
+        k=op.k, eigenvalues=vals, eigenvectors=vecs,
+        below_split=sum(1 for s in vals if s < -GAP_TOL),
         backward_error=float(np.max(
             operators.backward_errors(op.form, op.mass, vals, vecs))))
-
-
-@dataclass
-class SectorEntry:
-    k: int
-    eigenvalues: list
-    kernel_dimension: int
-    below_split: int
-    backward_error: float
-    zero_mode_match: Optional[float] = None
-
-
-@dataclass
-class NondegeneracyReport:
-    sectors: list
-    verdict: str
-    zero_tol: float
-    gap_tol: float
-    k_max: int
-    split: float
 
 
 def _compensated_translation(op: SectorOperator):
@@ -244,51 +233,38 @@ def nondegeneracy_report(state: GroundState, k_max: int,
     """
     if k_max < 2:
         raise ValueError("k_max >= 2")
-    spectra = {}
-    ops = {}
-    for k in range(k_max + 1):
-        ops[k] = sector_form(state, k)
-        spectra[k] = sector_spectrum(ops[k], num_eigs)
+    ops = [sector_form(state, k) for k in range(k_max + 1)]
+    sectors = [sector_spectrum(op, num_eigs) for op in ops]
 
     h = state.grid.h
-    vals1 = sorted(spectra[1].eigenvalues, key=abs)
+    vals1 = sorted(sectors[1].eigenvalues, key=abs)
     sigma2 = abs(vals1[1]) if len(vals1) > 1 else 1.0
     zero_tol = 50.0 * h * h * sigma2
 
-    sectors = []
-    for k in range(k_max + 1):
-        vals = spectra[k].eigenvalues
-        kdim = sum(1 for s in vals if abs(s) <= zero_tol)
-        entry = SectorEntry(k=k, eigenvalues=vals, kernel_dimension=kdim,
-                            below_split=spectra[k].below_split,
-                            backward_error=spectra[k].backward_error)
-        if k == 1:
-            rep = spectra[1]
-            iz = int(np.argmin(np.abs(rep.eigenvalues)))
-            x = rep.eigenvectors[:, iz]
-            t = _compensated_translation(ops[1])
-            M = rep.mass
-            entry.zero_mode_match = float(
-                abs(np.sum(M * x * t))
-                / math.sqrt(np.sum(M * x * x) * np.sum(M * t * t)))
-        sectors.append(entry)
-
-    k0_min_abs = min(abs(s) for s in spectra[0].eigenvalues)
+    for entry in sectors:
+        entry.kernel_dimension = sum(1 for s in entry.eigenvalues
+                                     if abs(s) <= zero_tol)
     k1 = sectors[1]
-    high_positive = all(min(spectra[k].eigenvalues) > 0.0
+    x = k1.eigenvectors[:, int(np.argmin(np.abs(k1.eigenvalues)))]
+    t = _compensated_translation(ops[1])
+    M = ops[1].mass
+    k1.zero_mode_match = float(
+        abs(np.sum(M * x * t)) / math.sqrt(np.sum(M * x * x) * np.sum(M * t * t)))
+
+    k0_min_abs = min(abs(s) for s in sectors[0].eigenvalues)
+    high_positive = all(min(sectors[k].eigenvalues) > 0.0
                         for k in range(2, k_max + 1))
     ok = (k0_min_abs > GAP_TOL
           and k1.kernel_dimension == 1
-          and (k1.zero_mode_match or 0.0) >= 0.999
+          and k1.zero_mode_match >= 0.999
           and high_positive)
     if ok:
         verdict = "nondegenerate"
     elif (k0_min_abs <= zero_tol or k1.kernel_dimension > 1
-          or any(min(spectra[k].eigenvalues) < -zero_tol
+          or any(min(sectors[k].eigenvalues) < -zero_tol
                  for k in range(2, k_max + 1))):
         verdict = "degenerate"
     else:
         verdict = "inconclusive"
     return NondegeneracyReport(sectors=sectors, verdict=verdict,
-                               zero_tol=zero_tol, gap_tol=GAP_TOL, k_max=k_max,
-                               split=spectra[0].split)
+                               zero_tol=zero_tol, k_max=k_max)

@@ -18,12 +18,16 @@ restricts them to the active nodes, and `radial_laplacian` divides them by
 the weight of their row.  Both are assembled on every call, without a cache
 (under 1 ms at n=4096).
 
-The eigensolver is inertia-sliced shift-invert Lanczos: a symmetric
-factorization counts the pencil eigenvalues below a split point (Sylvester's
-law of inertia); the eigenvalues just above the split come from a
-shift-invert call at the split itself, those below it from a call at a lower
-bound of the spectrum, and the count checks that none went missing.  Every
-returned eigenpair is held to a normwise backward error of 1e-12.
+The eigensolver is inertia-sliced shift-invert Lanczos, and every
+factorization it uses is one symmetric no-pivot LDL^T (`_inertia`), which also
+counts the pencil eigenvalues below its shift (Sylvester's law of inertia).
+The count at a split point says how many eigenvalues lie below it; those
+just above the split come from a shift-invert call at the split itself, those
+below it from a call at a lower bound of the spectrum, whose count of zero
+certifies the bound, and the count at the split checks that none went
+missing.  Every returned eigenpair is held to a normwise backward error of
+1e-12, and a pair over it is refined by one inverse iteration through the
+same factorization.
 """
 
 from __future__ import annotations
@@ -103,15 +107,7 @@ def grad_sq_pairing(grid: RadialGrid, A: sp.csr_matrix, values: np.ndarray) -> f
     return max(val, 0.0)
 
 
-# -- linear solves -------------------------------------------------------------
-
-
-def banded_lu(mat: sp.spmatrix):
-    """Sparse LU of a banded matrix; raises FactorizationFailure when singular."""
-    try:
-        return spla.splu(sp.csc_matrix(mat))
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise FactorizationFailure(str(exc)) from exc
+# -- the one factorization and the eigensolve ----------------------------------
 
 
 def count_below(form: sp.spmatrix, mass: np.ndarray, tau: float) -> int:
@@ -148,47 +144,49 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
     Inertia-sliced shift-invert Lanczos (ARPACK; Ericsson & Ruhe 1980).  An
     inertia count puts below = min(count_below(split), m) eigenvalues below
     `split`; they come from one shift-invert call at `shift` (which="LM"),
-    which must lie below the spectrum, and the m - below above `split` from
-    one call at `split` itself (which="LA": the largest 1/(sigma - split) are
-    the eigenvalues just above it), which solves with the factorization that
-    made the count.  A returned set with other than `below` values under
-    `split` raises FactorizationFailure, so no eigenvalue goes missing
-    silently.  With split = shift below the spectrum, below = 0 and the one
-    call is at the split.  Eigenvectors come back mass-orthonormal, each
-    with a backward error of at most 1e-12 (see `backward_errors`).
+    whose own count must be zero, so `shift` is certified to lie below the
+    spectrum, and the m - below above `split` from one call at `split`
+    itself (which="LA": the largest 1/(sigma - split) are the eigenvalues
+    just above it).  Each call solves with the factorization that made its
+    count.  A returned set with other than `below` values under `split`
+    raises FactorizationFailure, so no eigenvalue goes missing silently; so
+    does an ARPACK failure.  With split = shift below the spectrum, below = 0
+    and the one call is at the split.  Eigenvectors come back
+    mass-orthonormal, each with a backward error of at most 1e-12 (see
+    `backward_errors`).
     """
     form = sp.csr_matrix(form)
     mass = np.asarray(mass, dtype=float)
     dim = form.shape[0]
-    if m > dim:
-        raise TooManyRequested(f"requested {m} eigenpairs of a {dim}-dim pencil")
+    if m > dim - 2:
+        raise TooManyRequested(
+            f"requested {m} eigenpairs of a {dim}-dim pencil (at most {dim - 2})")
     if m <= 0:
         raise ValueError("m must be >= 1")
     if np.any(mass <= 0):
         raise ValueError("mass must be positive on active nodes")
-    if m > dim - 2 or dim < 64:
-        # ARPACK needs k < n-1; small/dense cases go to LAPACK directly
-        return _verified(form, mass, _dense_pairs(form, mass, m))
-    lu, below = _inertia(form, mass, split)
+    split_lu, below = _inertia(form, mass, split)
     below = min(below, m)
-    split_inv = spla.LinearOperator(form.shape, matvec=lu.solve, dtype=float)
     Msp = sp.diags(mass)
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
     vals, vecs = [], []
-    try:
-        for k, sigma, which, inv in ((below, shift, "LM", None),
-                                     (m - below, split, "LA", split_inv)):
-            if k:
-                w, v = spla.eigsh(form, k=k, M=Msp, sigma=sigma, which=which,
-                                  v0=v0, OPinv=inv)
-                vals.append(w)
-                vecs.append(v)
-    except RuntimeError as exc:
-        if dim <= 4000:
-            # clustered/degenerate spectra starve the Arnoldi cycle; go dense
-            return _verified(form, mass, _dense_pairs(form, mass, m))
-        raise FactorizationFailure(
-            f"shift {sigma} appears to hit an eigenvalue: {exc}") from exc
+    for k, sigma, which in ((below, shift, "LM"), (m - below, split, "LA")):
+        if not k:
+            continue
+        lu, under = (split_lu, 0) if which == "LA" else _inertia(form, mass, shift)
+        if under:
+            raise FactorizationFailure(
+                f"shift {shift} is not below the spectrum: "
+                f"{under} eigenvalues lie under it")
+        inv = spla.LinearOperator(form.shape, matvec=lu.solve, dtype=float)
+        try:
+            w, v = spla.eigsh(form, k=k, M=Msp, sigma=sigma, which=which,
+                              v0=v0, OPinv=inv)
+        except RuntimeError as exc:
+            raise FactorizationFailure(
+                f"ARPACK failed at shift {sigma}: {exc}") from exc
+        vals.append(w)
+        vecs.append(v)
     vals = np.concatenate(vals)
     vecs = np.concatenate(vecs, axis=1)
     found = int(np.count_nonzero(vals < split))
@@ -198,12 +196,6 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
     order = np.argsort(vals)
     pairs = [(float(vals[i]), vecs[:, i]) for i in order]
     return _verified(form, mass, pairs)
-
-
-def _dense_pairs(form, mass, m):
-    import scipy.linalg as sla
-    w, v = sla.eigh(form.toarray(), np.diag(mass))
-    return [(float(w[i]), v[:, i]) for i in range(m)]
 
 
 BACKWARD_TOL = 1e-12
@@ -221,12 +213,12 @@ def backward_errors(form, mass, sigmas, vectors) -> np.ndarray:
 
 def _verified(form, mass, pairs):
     """Mass-normalize each pair and hold it to BACKWARD_TOL; a pair over the
-    bound gets one inverse-iteration refinement, and one still over it raises
-    FactorizationFailure."""
+    bound gets one inverse-iteration refinement through `_inertia` just above
+    its eigenvalue, and one still over it raises FactorizationFailure."""
     sigmas = [s for s, _ in pairs]
     X = np.stack([x / np.sqrt(np.dot(mass * x, x)) for _, x in pairs], axis=1)
     for j in np.flatnonzero(backward_errors(form, mass, sigmas, X) > BACKWARD_TOL):
-        lu = banded_lu(form - (sigmas[j] + 1e-12) * sp.diags(mass))
+        lu, _ = _inertia(form, mass, sigmas[j] + 1e-12)
         y = lu.solve(mass * X[:, j])
         X[:, j] = y / np.sqrt(np.dot(mass * y, y))
         sigmas[j] = float(np.dot(X[:, j], form @ X[:, j]))

@@ -42,7 +42,7 @@ from .errors import (BadRange, ContinuationStuck, InvalidExponent,
                      NegativeStateDetected, NonConvergence, TrivialCollapse,
                      WrongParams)
 from .grid import EVEN, RadialField, RadialGrid, make_grid
-from .hartree import coulomb_apply, coulomb_inverse_bands, hartree_potential
+from .hartree import coulomb_apply, coulomb_inverse_bands
 
 TRIVIAL_SUP = 1e-8
 DAMPING = 20          # max step halvings per Newton iteration
@@ -332,18 +332,21 @@ def ground_state(u: RadialField, params: ModelParams,
                  iterations: int) -> GroundState:
     """The GroundState of the field u: v from the Hartree sweep, the residual
     ratio |F(u)| / (lam |u|) in the r^2 dr norm with its rounding floor, and
-    the identities."""
+    the identities, all from one -Delta_r and one Coulomb sweep."""
     grid = u.grid
     A = operators.radial_laplacian(grid)
-    F, _ = _residual_values(u.values, params, grid, A)
+    F, v = _residual_values(u.values, params, grid, A)
+    if params.a == 0.0:   # the residual skipped the sweep
+        v = coulomb_apply(grid, u.values * u.values)
     res = _wnorm(grid, F) / (params.lam * _wnorm(grid, u.values))
-    state = GroundState(params=params, u=u, v=hartree_potential(u).v,
+    state = GroundState(params=params, u=u,
+                        v=RadialField(grid=grid, values=v, parity=EVEN),
                         residual_norm=res,
                         residual_floor=residual_floor(grid, A, u.values,
                                                       params.lam),
                         iterations=iterations, grid=grid)
     from .diagnostics import identities  # deferred: diagnostics uses GroundState
-    state.diagnostics = identities(state)
+    state.diagnostics = identities(state, A)
     return state
 
 

@@ -13,8 +13,8 @@ import pytest
 
 import sngs
 from sngs import cli
-from sngs.linearized import (convention_map, nondegeneracy_report, sector_form,
-                             sector_spectrum, quadratic_form_value)
+from sngs.linearized import (GAP_TOL, convention_map, nondegeneracy_report,
+                             sector_form, sector_spectrum, quadratic_form_value)
 from sngs.solver import _wnorm
 from conftest import smooth_bumps
 from test_hartree import indicator_field, indicator_v_exact, kform_oracle
@@ -197,7 +197,7 @@ def test_criterion_10_nondegeneracy(spectrum_states, solved_cache):
             assert k1.kernel_dimension == 1
             assert min(abs(s) for s in k1.eigenvalues) <= rep.zero_tol
             assert k1.zero_mode_match >= 0.999
-            assert min(abs(s) for s in rep.sectors[0].eigenvalues) >= rep.gap_tol
+            assert min(abs(s) for s in rep.sectors[0].eigenvalues) >= GAP_TOL
             for k in (2, 3):
                 assert min(rep.sectors[k].eigenvalues) > 0.0
 

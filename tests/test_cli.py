@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ def test_usage_errors(tmp_path):
     ["solve", "--q", "4", "--lambda", "1", "--seed", "3"],
     ["spectrum", "--q", "4.5", "--lambda", "-1"],
     ["sweep", "--q", "4", "--lambdas", "nan,1"],
+    ["solve", "--q", "4", "--lambda", "1", "--n", "5"],
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     out = str(tmp_path / "x")
@@ -137,7 +139,9 @@ def test_check_rejects_foreign_manifest(solved, capsys, spoil):
 def test_check_rejects_header_only_csv(solved, capsys):
     with open(solved + ".csv", "w") as fh:
         fh.write("r,u,v\r\n")
-    assert run(["check", "--out", solved]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["check", "--out", solved]) == 2
     assert f"{solved}.csv is not a solve's field CSV" in capsys.readouterr().err
 
 

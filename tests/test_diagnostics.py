@@ -7,6 +7,7 @@ import sngs
 from sngs.diagnostics import identities, monotonicity_check, norm_report
 from sngs.errors import UnsortedInput
 from sngs.hartree import hartree_potential
+from sngs.operators import radial_laplacian
 from sngs.solver import GroundState, ModelParams
 from conftest import smooth_bumps
 from test_hartree import indicator_field
@@ -24,20 +25,21 @@ def fake_state(grid, values, lam=1.0, a=1.0, nu=1.0, q=4.0):
 def test_norms_indicator():
     g = sngs.make_grid(5.0, 4096)
     u = indicator_field(g)
-    rep = norm_report(fake_state(g, u.values))
+    rep = norm_report(fake_state(g, u.values), radial_laplacian(g))
     assert rep.l2_sq == pytest.approx(4 * np.pi / 3.0, rel=1e-5)
 
 
 def test_norms_zero():
     g = sngs.make_grid(5.0, 128)
-    rep = norm_report(fake_state(g, np.zeros(g.n)))
+    rep = norm_report(fake_state(g, np.zeros(g.n)), radial_laplacian(g))
     assert rep.grad_sq == rep.l2_sq == rep.lq == rep.D == 0.0
     assert rep.M == 0.0
 
 
 def test_norms_gaussian():
     g = sngs.make_grid(24.0, 2048)
-    rep = norm_report(fake_state(g, np.exp(-g.nodes**2 / 2.0)))
+    rep = norm_report(fake_state(g, np.exp(-g.nodes**2 / 2.0)),
+                      radial_laplacian(g))
     assert rep.l2_sq == pytest.approx(np.pi**1.5, rel=1e-6)
     assert rep.sup_u == 1.0
     assert rep.M == rep.sup_u + rep.sup_v
@@ -47,7 +49,7 @@ def test_identities_on_converged_states(solved_cache):
     for (lam, a, nu, q) in [(1.0, 0.0, 1.0, 4.0), (1.0, 1.0, 1.0, 4.0),
                             (1.0, 1.0, 1.0, 2.5)]:
         st_ = solved_cache(lam, a, nu, q)
-        d = identities(st_)
+        d = identities(st_, radial_laplacian(st_.grid))
         assert abs(d.nehari) <= 1e-8 * d.grad_sq
         assert abs(d.pohozaev) <= 1e-6 * d.grad_sq
         if a == 1.0 and nu == 1.0:
@@ -58,7 +60,7 @@ def test_identities_on_converged_states(solved_cache):
 
 def test_identities_raw_for_non_solution():
     g = sngs.make_grid(20.0, 1024)
-    d = identities(fake_state(g, 2.0 * np.exp(-g.nodes**2)))
+    d = identities(fake_state(g, 2.0 * np.exp(-g.nodes**2)), radial_laplacian(g))
     assert abs(d.nehari) > 1e-3 * d.grad_sq
     assert abs(d.pohozaev) > 1e-3 * d.grad_sq
 
@@ -102,7 +104,7 @@ def test_monotonicity_check_examples():
 def test_action_finite_and_D_nonnegative(seed):
     rng = np.random.default_rng(seed)
     g = sngs.make_grid(12.0, 160)
-    d = identities(fake_state(g, smooth_bumps(g, rng)))
+    d = identities(fake_state(g, smooth_bumps(g, rng)), radial_laplacian(g))
     assert np.isfinite(d.J)
     assert d.D >= 0.0
     assert d.grad_sq >= 0.0

@@ -207,7 +207,7 @@ def test_nondegeneracy_report_choquard(solved_cache):
 def test_nondegeneracy_kwong_radial_kernel_free(solved_cache):
     st = solved_cache(1.0, 0.0, 1.0, 4.0, n=1536, rmax=30.0)
     rep = nondegeneracy_report(st, 2)
-    assert min(abs(s) for s in rep.sectors[0].eigenvalues) > rep.gap_tol
+    assert min(abs(s) for s in rep.sectors[0].eigenvalues) > GAP_TOL
     assert rep.sectors[1].kernel_dimension == 1
 
 
@@ -244,7 +244,9 @@ def test_run_spectrum_cases_match_recorded(q, lam):
     st, _ = normalized_state_for_spectrum(q, lam, 4096)
     rep = nondegeneracy_report(st, 3)
     assert rep.verdict == "nondegenerate"
-    assert rep.split == -GAP_TOL
+    assert [e.below_split for e in rep.sectors] == [
+        sngs.operators.count_below(op.form, op.mass, -GAP_TOL)
+        for op in (sector_form(st, k) for k in range(4))]
     got = np.array([e.eigenvalues for e in rep.sectors])
     assert np.max(np.abs(got - RUN_SPECTRUM_EIGENVALUES[(q, lam)])) <= 1e-10
     assert [e.below_split for e in rep.sectors] == [1, 0, 0, 0]

@@ -67,9 +67,10 @@ def test_inertia_split_matches_dense():
 
 def test_inertia_split_detects_missed_eigenvalue():
     # a shift between the deep eigenvalue and the split is nearest to the
-    # cluster, so the shift-invert call misses the eigenvalue the count sees
+    # cluster, so a shift-invert call there would miss the eigenvalue the
+    # count sees; the inertia count at the shift refuses it by name
     A, mass = two_block_pencil()
-    with pytest.raises(FactorizationFailure):
+    with pytest.raises(FactorizationFailure, match="shift -0.01 "):
         operators.smallest_eigenpairs(A, mass, 6, shift=-0.01, split=-1e-3)
 
 
@@ -95,8 +96,21 @@ def test_identity_pencil():
 
 def test_too_many_requested():
     A = dirichlet_1d(10, 0.1)
-    with pytest.raises(TooManyRequested):
-        operators.smallest_eigenpairs(A, np.ones(10), 11, shift=-1.0, split=-1.0)
+    for m in (9, 11):   # ARPACK takes at most dim - 2
+        with pytest.raises(TooManyRequested):
+            operators.smallest_eigenpairs(A, np.ones(10), m, shift=-1.0,
+                                          split=-1.0)
+
+
+def test_small_pencil_goes_through_arpack():
+    import scipy.linalg as sla
+    m = 30
+    A = dirichlet_1d(m, np.pi / (m + 1))
+    mass = 1.0 + 0.3 * np.sin(np.arange(m))
+    exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
+    pairs = operators.smallest_eigenpairs(A, mass, m - 2, shift=-1.0, split=-1.0)
+    got = np.array([s for s, _ in pairs])
+    assert np.max(np.abs(got - exact[:m - 2])) <= 1e-10
 
 
 def test_eigenvectors_mass_orthonormal():
