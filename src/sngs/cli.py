@@ -319,8 +319,10 @@ def cmd_spectrum(args, argv):
                      "kernel_dimension": e.kernel_dimension,
                      "zero_mode_match": e.zero_mode_match,
                      "below_split": e.below_split,
-                     "backward_error": e.backward_error}
+                     "backward_error": e.backward_error,
+                     "solves": e.solves, "factorizations": e.factorizations}
                     for e in report.sectors],
+        "timing": {"eigensolve_s": [e.seconds for e in report.sectors]},
         "split": -linearized.GAP_TOL,
         "verdict": report.verdict,
         "tolerances": {"zero_tol": report.zero_tol,

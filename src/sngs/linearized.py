@@ -25,6 +25,7 @@ components vanish on the two-node Dirichlet pad at r_max.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -150,12 +151,16 @@ def translation_mode(state: GroundState):
 
 @dataclass
 class SectorEntry:
-    """One sector's lowest eigenpairs; `nondegeneracy_report` fills in the
-    kernel dimension and, in sector 1, the match with the translation mode."""
+    """One sector's lowest eigenpairs and what the eigensolve spent on them;
+    `nondegeneracy_report` fills in the kernel dimension and, in sector 1,
+    the match with the translation mode."""
     k: int
     eigenvalues: list
     below_split: int             # inertia count, confirmed by the eigensolve
     backward_error: float        # largest over the returned pairs
+    solves: int                  # shift-invert applications
+    factorizations: int          # inertia LDL^T factorizations
+    seconds: float               # eigensolve wall time
     eigenvectors: np.ndarray = field(repr=False)
     kernel_dimension: Optional[int] = None
     zero_mode_match: Optional[float] = None
@@ -189,16 +194,16 @@ def sector_spectrum(op: SectorOperator, m: int) -> SectorEntry:
     inertia at -GAP_TOL."""
     if m < 1:
         raise ValueError("m >= 1")
-    pairs = operators.smallest_eigenpairs(op.form, op.mass, m,
-                                          shift=_spectrum_lower_bound(op),
-                                          split=-GAP_TOL)
-    vals = [s for s, _ in pairs]
-    vecs = np.stack([x for _, x in pairs], axis=1)
+    t0 = time.perf_counter()
+    eig = operators.smallest_eigenpairs(op.form, op.mass, m,
+                                        shift=_spectrum_lower_bound(op),
+                                        split=-GAP_TOL)
+    seconds = time.perf_counter() - t0
     return SectorEntry(
-        k=op.k, eigenvalues=vals, eigenvectors=vecs,
-        below_split=sum(1 for s in vals if s < -GAP_TOL),
-        backward_error=float(np.max(
-            operators.backward_errors(op.form, op.mass, vals, vecs))))
+        k=op.k, eigenvalues=eig.values.tolist(), eigenvectors=eig.vectors,
+        below_split=int(np.count_nonzero(eig.values < -GAP_TOL)),
+        backward_error=float(np.max(eig.backward_errors)),
+        solves=eig.solves, factorizations=eig.factorizations, seconds=seconds)
 
 
 def _compensated_translation(op: SectorOperator):

@@ -25,12 +25,17 @@ The count at a split point says how many eigenvalues lie below it; those
 just above the split come from a shift-invert call at the split itself, those
 below it from a call at a lower bound of the spectrum, whose count of zero
 certifies the bound, and the count at the split checks that none went
-missing.  Every returned eigenpair is held to a normwise backward error of
-1e-12, and a pair over it is refined by one inverse iteration through the
-same factorization.
+missing.  ARPACK runs on the standard-form matrix D A D, D = M^(-1/2), so each
+Lanczos step is one solve through the LDL^T and no mass product, and it stops
+at the relative accuracy BACKWARD_TOL = 1e-12 that the certificate asks for.
+Every returned eigenpair is then held to a normwise backward error of 1e-12,
+computed once and returned with the pairs; a pair over it is refined by one
+inverse iteration through `_inertia` just above its eigenvalue.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,8 +142,22 @@ def _inertia(form, mass, tau):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
+# the normwise backward error every returned eigenpair meets, and the
+# relative accuracy at which ARPACK stops
+BACKWARD_TOL = 1e-12
+
+
+class Eigenpairs(NamedTuple):
+    """Pencil eigenpairs in ascending order, with their certificate."""
+    values: np.ndarray           # (m,)
+    vectors: np.ndarray          # (dim, m), mass-orthonormal columns
+    backward_errors: np.ndarray  # (m,), each at most BACKWARD_TOL
+    solves: int                  # shift-invert applications, refinements included
+    factorizations: int          # `_inertia` calls
+
+
 def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
-                        shift: float, split: float):
+                        shift: float, split: float) -> Eigenpairs:
     """m algebraically smallest eigenpairs of form x = sigma * mass * x.
 
     Inertia-sliced shift-invert Lanczos (ARPACK; Ericsson & Ruhe 1980).  An
@@ -151,9 +170,14 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
     count.  A returned set with other than `below` values under `split`
     raises FactorizationFailure, so no eigenvalue goes missing silently; so
     does an ARPACK failure.  With split = shift below the spectrum, below = 0
-    and the one call is at the split.  Eigenvectors come back
-    mass-orthonormal, each with a backward error of at most 1e-12 (see
-    `backward_errors`).
+    and the one call is at the split.
+
+    Lanczos runs in standard form on D A D, D = M^(-1/2): its shift-invert
+    operator y -> s * LDL^T.solve(s * y), s = sqrt(mass), costs one solve per
+    step, and x = y / s recovers mass-orthonormal eigenvectors.  ARPACK stops
+    at relative accuracy BACKWARD_TOL, and `_verified` holds each pair to a
+    backward error of BACKWARD_TOL (see `backward_errors`); those errors come
+    back with the pairs.
     """
     form = sp.csr_matrix(form)
     mass = np.asarray(mass, dtype=float)
@@ -167,7 +191,8 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
         raise ValueError("mass must be positive on active nodes")
     split_lu, below = _inertia(form, mass, split)
     below = min(below, m)
-    Msp = sp.diags(mass)
+    solves = 0
+    s = np.sqrt(mass)
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
     vals, vecs = [], []
     for k, sigma, which in ((below, shift, "LM"), (m - below, split, "LA")):
@@ -178,27 +203,35 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
             raise FactorizationFailure(
                 f"shift {shift} is not below the spectrum: "
                 f"{under} eigenvalues lie under it")
-        inv = spla.LinearOperator(form.shape, matvec=lu.solve, dtype=float)
+
+        def apply(y, lu=lu):
+            nonlocal solves
+            solves += 1
+            return s * lu.solve(s * y)
+        # shift-invert mode without a mass reads only the shape of eigsh's
+        # first argument, so the operator stands in for D A D there
+        inv = spla.LinearOperator(form.shape, matvec=apply, dtype=float)
         try:
-            w, v = spla.eigsh(form, k=k, M=Msp, sigma=sigma, which=which,
-                              v0=v0, OPinv=inv)
+            w, y = spla.eigsh(inv, k=k, sigma=sigma, which=which, v0=v0,
+                              OPinv=inv, tol=BACKWARD_TOL)
         except RuntimeError as exc:
             raise FactorizationFailure(
                 f"ARPACK failed at shift {sigma}: {exc}") from exc
         vals.append(w)
-        vecs.append(v)
+        vecs.append(y)
     vals = np.concatenate(vals)
-    vecs = np.concatenate(vecs, axis=1)
     found = int(np.count_nonzero(vals < split))
     if found != below:
         raise FactorizationFailure(
             f"{found} eigenvalues below {split} returned, inertia counts {below}")
     order = np.argsort(vals)
-    pairs = [(float(vals[i]), vecs[:, i]) for i in order]
-    return _verified(form, mass, pairs)
-
-
-BACKWARD_TOL = 1e-12
+    vals = vals[order]
+    X = np.concatenate(vecs, axis=1)[:, order]
+    X /= s[:, None]
+    errors, refined = _verified(form, mass, vals, X)
+    # one factorization at the split, one at the shift if it was called
+    return Eigenpairs(vals, X, errors, solves + refined,
+                      1 + (below > 0) + refined)
 
 
 def backward_errors(form, mass, sigmas, vectors) -> np.ndarray:
@@ -211,20 +244,23 @@ def backward_errors(form, mass, sigmas, vectors) -> np.ndarray:
     return res / (scale * np.linalg.norm(vectors, axis=0))
 
 
-def _verified(form, mass, pairs):
-    """Mass-normalize each pair and hold it to BACKWARD_TOL; a pair over the
-    bound gets one inverse-iteration refinement through `_inertia` just above
-    its eigenvalue, and one still over it raises FactorizationFailure."""
-    sigmas = [s for s, _ in pairs]
-    X = np.stack([x / np.sqrt(np.dot(mass * x, x)) for _, x in pairs], axis=1)
-    for j in np.flatnonzero(backward_errors(form, mass, sigmas, X) > BACKWARD_TOL):
+def _verified(form, mass, sigmas, X):
+    """Hold each mass-normalized pair (sigmas[j], X[:, j]) to BACKWARD_TOL.
+
+    A pair over the bound gets one inverse-iteration refinement through
+    `_inertia` just above its eigenvalue, in place in `sigmas` and `X`, and
+    one still over it raises FactorizationFailure.  Returns the backward
+    errors of the pairs as they leave and the number refined."""
+    errors = backward_errors(form, mass, sigmas, X)
+    over = np.flatnonzero(~(errors <= BACKWARD_TOL))   # NaN included
+    for j in over:
         lu, _ = _inertia(form, mass, sigmas[j] + 1e-12)
         y = lu.solve(mass * X[:, j])
         X[:, j] = y / np.sqrt(np.dot(mass * y, y))
-        sigmas[j] = float(np.dot(X[:, j], form @ X[:, j]))
-        err = backward_errors(form, mass, sigmas[j:j + 1], X[:, j:j + 1])[0]
-        if err > BACKWARD_TOL:
+        sigmas[j] = np.dot(X[:, j], form @ X[:, j])
+        errors[j] = backward_errors(form, mass, sigmas[j:j + 1], X[:, j:j + 1])[0]
+        if not errors[j] <= BACKWARD_TOL:
             raise FactorizationFailure(
-                f"eigenpair {sigmas[j]:.6e} has backward error {err:.2e} "
+                f"eigenpair {sigmas[j]:.6e} has backward error {errors[j]:.2e} "
                 f"> {BACKWARD_TOL:.0e} after refinement")
-    return [(sigmas[j], X[:, j]) for j in range(len(sigmas))]
+    return errors, len(over)

@@ -283,26 +283,36 @@ def _warm_start(u, params, grid, A, sweeps):
 
     u <- S^gamma (A + lam)^(-1) N(u) with S the Rayleigh ratio of the linear
     and nonlinear pairings; gamma from the dominant homogeneity of N.  Stops
-    once |S - 1| <= WARM_TOL or after `sweeps` sweeps.
+    once |S - 1| <= WARM_TOL or after `sweeps` sweeps.  On a grid too coarse
+    for the state the iteration can blow up: the first non-finite ratio or
+    iterate raises NonConvergence, and the overflow that produced it is not
+    reported as a warning.
     """
     if sweeps <= 0:
         return u
     W = grid.weights_r2dr
     solve = _shifted_solve(grid, A, params.lam)
     gamma = 1.5 if params.a > 0 else (params.q - 1.0) / (params.q - 2.0)
-    for _ in range(sweeps):
-        if np.max(np.abs(u)) < TRIVIAL_SUP:
-            break
-        v = coulomb_apply(grid, u * u) if params.a != 0.0 else 0.0
-        N = params.a * v * u + params.nu * _power(u, params.q - 1.0)
-        num = float(np.dot(W * u, A @ u + params.lam * u))
-        den = float(np.dot(W * u, N))
-        if den <= 0.0 or not np.isfinite(den) or num <= 0.0:
-            break
-        ratio = num / den
-        if abs(ratio - 1.0) <= WARM_TOL:
-            break
-        u = ratio ** gamma * solve(N)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        for sweep in range(1, sweeps + 1):
+            if np.max(np.abs(u)) < TRIVIAL_SUP:
+                break
+            v = coulomb_apply(grid, u * u) if params.a != 0.0 else 0.0
+            N = params.a * v * u + params.nu * _power(u, params.q - 1.0)
+            num = np.dot(W * u, A @ u + params.lam * u)
+            den = np.dot(W * u, N)
+            if den <= 0.0 or num <= 0.0:
+                break
+            ratio = num / den
+            if not np.isfinite(ratio):
+                raise NonConvergence(f"warm start for {params.label()}: "
+                                     f"non-finite Rayleigh ratio in sweep {sweep}")
+            if abs(ratio - 1.0) <= WARM_TOL:
+                break
+            u = ratio ** gamma * solve(N)
+            if not np.all(np.isfinite(u)):
+                raise NonConvergence(f"warm start for {params.label()}: "
+                                     f"non-finite iterate in sweep {sweep}")
     return u
 
 

@@ -247,6 +247,9 @@ def test_spectrum_cli_small(tmp_path):
     assert payload["split"] == -payload["tolerances"]["gap_tol"]
     assert [s["below_split"] for s in payload["sectors"]] == [1, 0, 0]
     assert all(s["backward_error"] <= 1e-12 for s in payload["sectors"])
+    assert [s["factorizations"] for s in payload["sectors"]] == [2, 1, 1]
+    assert all(s["solves"] >= 6 for s in payload["sectors"])
+    assert len(payload["timing"]["eigensolve_s"]) == 3
     assert payload["sectors"][1]["zero_mode_match"] >= 0.999
     assert "suspected typo" in payload["convention_check"]["note"]
     assert payload["convention_check"]["paper_displayed_pair_first_eq_residual"] > 1e-3
@@ -260,3 +263,17 @@ def test_origin_spike_collapse_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "collapsed" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--q", "2.25", "--lambda", "0.01", "--n", "16", "--k-max", "3"],
+    ["solve", "--q", "2.25", "--lambda", "0.01", "--n", "16"],
+])
+def test_diverging_warm_start_is_typed(tmp_path, capsys, command):
+    """On 16 nodes the warm start blows up; that is a NonConvergence naming
+    the warm start, exit 2, with no numpy overflow warning on the way."""
+    assert run(command + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "warm start" in err and "non-finite" in err
+    assert "Warning" not in err

@@ -251,3 +251,23 @@ def test_run_spectrum_cases_match_recorded(q, lam):
     assert np.max(np.abs(got - RUN_SPECTRUM_EIGENVALUES[(q, lam)])) <= 1e-10
     assert [e.below_split for e in rep.sectors] == [1, 0, 0, 0]
     assert max(e.backward_error for e in rep.sectors) <= 1e-12
+
+
+@pytest.mark.parametrize("q,lam", sorted(RUN_SPECTRUM_EIGENVALUES))
+def test_run_spectrum_cases_never_refine(q, lam, monkeypatch):
+    # ARPACK stops at BACKWARD_TOL; a pair it leaves over that bound would be
+    # refined through one more factorization, so the count of factorizations
+    # is one per sector plus sector 0's lower-bound shift and nothing else
+    from sngs.cli import normalized_state_for_spectrum
+    st, _ = normalized_state_for_spectrum(q, lam, 4096)
+    calls = []
+    inertia = sngs.operators._inertia
+
+    def counted(form, mass, tau):
+        calls.append(tau)
+        return inertia(form, mass, tau)
+    monkeypatch.setattr(sngs.operators, "_inertia", counted)
+    rep = nondegeneracy_report(st, 3)
+    assert len(calls) == 5
+    assert [e.factorizations for e in rep.sectors] == [2, 1, 1, 1]
+    assert all(e.solves > 0 for e in rep.sectors)

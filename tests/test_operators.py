@@ -19,8 +19,8 @@ def test_dirichlet_spectrum_matches_discrete_formula():
     h = np.pi / (m + 1)
     A = dirichlet_1d(m, h)
     mass = np.ones(m)
-    pairs = operators.smallest_eigenpairs(A, mass, 3, shift=-1.0, split=-1.0)
-    for k, (sigma, _) in enumerate(pairs, start=1):
+    eig = operators.smallest_eigenpairs(A, mass, 3, shift=-1.0, split=-1.0)
+    for k, sigma in enumerate(eig.values, start=1):
         expect = 4.0 / h**2 * np.sin(k * h / 2.0) ** 2
         assert sigma == pytest.approx(expect, rel=1e-10)
 
@@ -59,9 +59,8 @@ def test_inertia_split_matches_dense():
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
     assert exact[0] < -40.0 and 0.0 < exact[1] < 0.003   # deep, then the cluster
     # a bound below the spectrum; the deep eigenvalue is the nearest to it
-    pairs = operators.smallest_eigenpairs(A, mass, 6, shift=-800.0, split=-1e-3)
-    got = np.array([s for s, _ in pairs])
-    assert np.max(np.abs(got - exact[:6])) <= 1e-10
+    eig = operators.smallest_eigenpairs(A, mass, 6, shift=-800.0, split=-1e-3)
+    assert np.max(np.abs(eig.values - exact[:6])) <= 1e-10
     assert operators.count_below(A, mass, -1e-3) == 1
 
 
@@ -80,7 +79,7 @@ def test_dirichlet_smallest_tends_to_one():
         h = np.pi / (m + 1)
         A = dirichlet_1d(m, h)
         vals.append(operators.smallest_eigenpairs(A, np.ones(m), 1, shift=-1.0,
-                                                    split=-1.0)[0][0])
+                                                    split=-1.0).values[0])
     assert abs(vals[-1] - 1.0) < 1e-5
     assert abs(vals[0] - 1.0) > abs(vals[-1] - 1.0)
 
@@ -89,8 +88,8 @@ def test_identity_pencil():
     m = 120
     mass = np.linspace(0.5, 2.0, m)
     A = sp.diags(mass).tocsr()
-    pairs = operators.smallest_eigenpairs(A, mass, 4, shift=-1.0, split=-1.0)
-    for sigma, _ in pairs:
+    eig = operators.smallest_eigenpairs(A, mass, 4, shift=-1.0, split=-1.0)
+    for sigma in eig.values:
         assert sigma == pytest.approx(1.0, rel=1e-12)
 
 
@@ -108,9 +107,44 @@ def test_small_pencil_goes_through_arpack():
     A = dirichlet_1d(m, np.pi / (m + 1))
     mass = 1.0 + 0.3 * np.sin(np.arange(m))
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
-    pairs = operators.smallest_eigenpairs(A, mass, m - 2, shift=-1.0, split=-1.0)
-    got = np.array([s for s, _ in pairs])
-    assert np.max(np.abs(got - exact[:m - 2])) <= 1e-10
+    eig = operators.smallest_eigenpairs(A, mass, m - 2, shift=-1.0, split=-1.0)
+    assert np.max(np.abs(eig.values - exact[:m - 2])) <= 1e-10
+
+
+def test_small_mass_rows_match_dense_oracle():
+    # the weighted forms scale like r_i r_j and their mass like r_i^2, which
+    # spans 1e-9 .. 1 here; the D = M^(-1/2) scaling of the Lanczos operator
+    # must lose nothing on the rows where the mass is smallest
+    import scipy.linalg as sla
+    m = 200
+    r = np.geomspace(10 ** -4.5, 1.0, m)
+    mass = r * r
+    well = np.where(r < 1e-2, -40.0, 0.0)
+    T = dirichlet_1d(m, 1.0 / (m + 1)) + sp.diags(well)
+    A = (sp.diags(r) @ T @ sp.diags(r)).tocsr()
+    exact, V = sla.eigh(A.toarray(), np.diag(mass))
+    assert mass.min() < 1.01e-9 and exact[0] < -1e-3
+    eig = operators.smallest_eigenpairs(A, mass, 6, shift=-100.0, split=-1e-3)
+    assert np.max(np.abs(eig.values - exact[:6])) <= 1e-10
+    for x, v in zip(eig.vectors.T, V.T):   # entrywise, smallest-mass rows too
+        x = x * np.sign(np.dot(mass * x, v))
+        assert np.max(np.abs(x - v)) <= 1e-10 * np.max(np.abs(v))
+    assert np.all(eig.backward_errors <= operators.BACKWARD_TOL)
+    np.testing.assert_array_equal(
+        eig.backward_errors,
+        operators.backward_errors(A, mass, eig.values, eig.vectors))
+
+
+def test_eigensolve_counts():
+    # one factorization at the split and one at the shift, no refinement
+    A, mass = two_block_pencil()
+    eig = operators.smallest_eigenpairs(A, mass, 6, shift=-800.0, split=-1e-3)
+    assert eig.factorizations == 2
+    assert eig.solves >= 6
+    # with nothing below the split there is one call and one factorization
+    eig = operators.smallest_eigenpairs(dirichlet_1d(50, 0.02), np.ones(50), 3,
+                                        shift=-1.0, split=-1.0)
+    assert eig.factorizations == 1
 
 
 def test_eigenvectors_mass_orthonormal():
@@ -118,8 +152,7 @@ def test_eigenvectors_mass_orthonormal():
     h = 1.0 / (m + 1)
     A = dirichlet_1d(m, h)
     mass = 1.0 + 0.3 * np.sin(np.arange(m))
-    pairs = operators.smallest_eigenpairs(A, mass, 4, shift=-1.0, split=-1.0)
-    V = np.stack([x for _, x in pairs], axis=1)
+    V = operators.smallest_eigenpairs(A, mass, 4, shift=-1.0, split=-1.0).vectors
     G = V.T @ (mass[:, None] * V)
     assert np.max(np.abs(G - np.eye(4))) < 1e-8
 
@@ -129,8 +162,8 @@ def test_eigen_residuals():
     h = np.pi / (m + 1)
     A = dirichlet_1d(m, h)
     mass = np.ones(m)
-    for sigma, x in operators.smallest_eigenpairs(A, mass, 3, shift=-1.0,
-                                                  split=-1.0):
+    eig = operators.smallest_eigenpairs(A, mass, 3, shift=-1.0, split=-1.0)
+    for sigma, x in zip(eig.values, eig.vectors.T):
         ax = A @ x
         assert np.linalg.norm(ax - sigma * mass * x) <= 1e-8 * np.linalg.norm(ax)
 
@@ -140,19 +173,26 @@ def test_verified_refines_once_then_raises():
     h = np.pi / (m + 1)
     A = dirichlet_1d(m, h)
     mass = np.ones(m)
-    (s1, x1), (s2, _) = operators.smallest_eigenpairs(A, mass, 2, shift=-1.0,
-                                                      split=-1.0)
-    noisy = x1 + 1e-6 * np.random.default_rng(5).normal(size=m)
-    assert operators.backward_errors(A, mass, [s1], noisy[:, None])[0] \
+    (s1, s2), X, _, _, _ = operators.smallest_eigenpairs(A, mass, 2, shift=-1.0,
+                                                         split=-1.0)
+    noisy = X[:, :1] + 1e-6 * np.random.default_rng(5).normal(size=(m, 1))
+    noisy /= np.sqrt(np.dot(mass, noisy[:, 0] ** 2))
+    sigma = np.array([s1])
+    assert operators.backward_errors(A, mass, sigma, noisy)[0] \
         > operators.BACKWARD_TOL
-    [(sigma, x)] = operators._verified(A, mass, [(s1, noisy)])
-    assert operators.backward_errors(A, mass, [sigma], x[:, None])[0] \
+    errors, refined = operators._verified(A, mass, sigma, noisy)
+    assert refined == 1
+    assert errors[0] == operators.backward_errors(A, mass, sigma, noisy)[0] \
         <= operators.BACKWARD_TOL
-    assert sigma == pytest.approx(s1, rel=1e-12)
+    assert sigma[0] == pytest.approx(s1, rel=1e-12)
     # midway between two eigenvalues one inverse-iteration step leaves the
     # pair far from any eigenpair, so it is refused rather than returned
     with pytest.raises(FactorizationFailure):
-        operators._verified(A, mass, [(0.5 * (s1 + s2), np.ones(m))])
+        operators._verified(A, mass, np.array([0.5 * (s1 + s2)]),
+                            np.ones((m, 1)) / np.sqrt(m))
+    # a NaN backward error is over the bound too
+    with pytest.raises(FactorizationFailure):
+        operators._verified(A, mass, np.array([s1]), np.full((m, 1), np.nan))
 
 
 def test_radial_laplacian_fourth_order():
