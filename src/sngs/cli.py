@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, diagnostics, io, linearized, scaling, solver
 from .errors import (BadRange, InvalidExponent, IoError, NonConvergence,
                      SngsError, UsageError)
-from .grid import make_grid
+from .grid import make_grid, write_table_csv
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -210,7 +210,7 @@ def cmd_sweep(args, argv):
         rows.append([s.params.lam, d.J, d.grad_sq, d.l2_sq, d.lq, d.D, d.sup_u,
                      d.sup_v, d.M, d.nehari, d.pohozaev, s.residual_norm,
                      s.iterations])
-    io.write_table_csv(out_csv, _SWEEP_HEADER, rows, force=True)
+    write_table_csv(out_csv, _SWEEP_HEADER, rows)
     mono = diagnostics.monotonicity_check([(s.params.lam, s.diagnostics.J)
                                            for s in states])
     failures = [{"lambda": s.params.lam, "failures": fails} for s in states
@@ -253,7 +253,7 @@ def cmd_limits(args, argv):
     report = scaling.limit_study(states, args.side, ref)
     rows = [list(row) + [r1, r2]
             for row, (_, r1, r2) in zip(report.rows, report.mass_ratios)]
-    io.write_table_csv(out_csv, _LIMITS_HEADER, rows, force=True)
+    write_table_csv(out_csv, _LIMITS_HEADER, rows)
     decreasing = report.distances_decreasing()
     final_sup = report.rows[-1][2]
     close = final_sup <= 0.05 * ref.sup_u()
@@ -275,9 +275,6 @@ def cmd_limits(args, argv):
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-SPECTRUM_RMAX = 60.0
-
-
 def normalized_state_for_spectrum(q: float, lam: float, n: int,
                                   tol: float = 1e-10):
     """Solve the section-6 normalized family member equivalent to the
@@ -285,7 +282,7 @@ def normalized_state_for_spectrum(q: float, lam: float, n: int,
     side = "zero" if lam < 1.0 else "infinity"
     form, _ = scaling.limit_regime(q, side)
     _, params = scaling.normal_form(q, lam, form)
-    grid = make_grid(SPECTRUM_RMAX, n)
+    grid = make_grid(solver.auto_rmax(params.lam), n)
     state = solver.newton_solve(solver.default_guess(params, grid), params,
                                 solver.SolverOptions(tol=tol))
     return linearized.convention_map(state, "to_a2"), params
@@ -314,7 +311,7 @@ def cmd_spectrum(args, argv):
         "lambda": args.lam, "q": args.q,
         "normalized_params": {"lam": base_params.lam, "a": base_params.a,
                               "nu": base_params.nu, "q": base_params.q},
-        "grid": {"r_max": SPECTRUM_RMAX, "n": args.n},
+        "grid": {"r_max": a2_state.grid.r_max, "n": args.n},
         "sectors": [{"k": e.k, "eigenvalues": e.eigenvalues,
                      "kernel_dimension": e.kernel_dimension,
                      "zero_mode_match": e.zero_mode_match,

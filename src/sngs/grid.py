@@ -125,11 +125,16 @@ def interpolate(f: RadialField, target: RadialGrid) -> RadialField:
 
 # -- field CSV format ---------------------------------------------------------
 
+def write_table_csv(path, header, rows) -> None:
+    """CSV with a header line and CRLF rows at 17 significant digits."""
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+               header=",".join(header), comments="")
+
+
 def write_field_csv(path, grid: RadialGrid, columns: dict) -> None:
-    """CSV with header r,<names...>, one row per node, 17 significant digits."""
-    data = np.column_stack([grid.nodes] + [columns[k] for k in columns])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", newline="\r\n",
-               header=",".join(["r", *columns]), comments="")
+    """Table CSV with header r,<names...>, one row per node."""
+    write_table_csv(path, ["r", *columns],
+                    np.column_stack([grid.nodes] + [columns[k] for k in columns]))
 
 
 def read_field_csv(path):

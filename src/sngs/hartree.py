@@ -9,11 +9,13 @@ with the tail beyond r_max treated as zero (states decay exponentially; the
 boundary value is the exact Coulomb tail m/r_max).  Cumulative trapezoid plus
 the Euler-Maclaurin endpoint term -(h^2/12) u(r)^2 makes the sweep fourth-order
 while keeping the discrete kernel exactly symmetric in the r^2 dr weights,
-which the Jacobian self-adjointness and D >= 0 rely on.
+which the Jacobian self-adjointness and D >= 0 rely on.  `green_bands`, the
+tridiagonal inverse of the sector-k kernel, serves Newton (k = 0) and sectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,18 @@ def coulomb_apply(grid: RadialGrid, density: np.ndarray) -> np.ndarray:
     return v
 
 
+def green_bands(k: int, m: int, h: float):
+    """(diag, off) of the tridiagonal inverse of the sector-k kernel
+    r_<^(k+1) r_>^(-k) / (2k+1) = h a_min b_max on r_i = i h, i = 1..m,
+    a_i = i^(k+1), b_i = i^(-k) / (2k+1) (Vandebril, Van Barel & Mastronardi
+    2008); the Wronskians a_(i+1) b_i - a_i b_(i+1) are binomial sums."""
+    c = 2 * k + 1
+    i = np.arange(m + 1.0)
+    inv_p = 1.0 / sum(math.comb(c, j) * i ** j for j in range(c))
+    diag = c * i[1:] ** (2 * k) * (inv_p[:-1] + np.r_[inv_p[1:-1], 0.0])
+    return diag / h, -c * (i[1:-1] * i[2:]) ** k * inv_p[1:-1] / h
+
+
 def coulomb_inverse_bands(grid: RadialGrid):
     """Exact inverse of coulomb_apply without its Euler-Maclaurin diagonal.
 
@@ -59,13 +73,11 @@ def coulomb_inverse_bands(grid: RadialGrid):
     where y on nodes 1..n-1 solves the tridiagonal system
     tridiag(off, diag, off) y = (src * rho)[1:], w_i = y_i / r_i for i >= 1
     and w_0 = y_1 / r_1.  The sweep kernel is c_j r_j min(r_i, r_j) / r_i
-    (c_j the trapezoid weight), and min(i, j) has the second-difference
-    matrix with a free last end as its inverse.
+    (c_j the trapezoid weight): min(r_i, r_j) is the k = 0 kernel of
+    `green_bands`.
     """
     r, h, n = grid.nodes, grid.h, grid.n
-    diag = np.full(n - 1, 2.0 / h)
-    diag[-1] = 1.0 / h
-    off = np.full(n - 2, -1.0 / h)
+    diag, off = green_bands(0, n - 1, h)
     src = h * r
     src[-1] *= 0.5
     em = np.full(n, -h * h / 12.0)

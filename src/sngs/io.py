@@ -124,12 +124,3 @@ def load_state(out_prefix: str) -> tuple[GroundState, dict]:
                          iterations)
     return state, manifest
 
-
-def write_table_csv(path, header, rows, force=False):
-    check_clobber([path], force)
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])

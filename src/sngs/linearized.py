@@ -1,25 +1,27 @@
 """Spherical-harmonics sector forms of the linearized operator and spectra.
 
-In the harmonic sector k the pair perturbation (f, g) of (u, v) feels the
-quadratic form (symmetric a=2 convention, general lam and power weight nu)
+In the harmonic sector k the perturbation f of u feels the quadratic form
+(symmetric a=2 convention, general lam and power weight nu)
 
-  A_k((f,g),(f,g)) = int f_r^2 r^2 dr + k(k+1) int f^2 dr + lam int f^2 r^2 dr
-                     - 2 int v f^2 r^2 dr - nu (q-1) int u^(q-2) f^2 r^2 dr
-                     - 4 int u f g r^2 dr
-                     + int g_r^2 r^2 dr + k(k+1) int g^2 dr,
+  L_k(f, f) = int f_r^2 r^2 dr + k(k+1) int f^2 dr + lam int f^2 r^2 dr
+              - 2 int v f^2 r^2 dr - nu (q-1) int u^(q-2) f^2 r^2 dr
+              - a^2 int u f G_k(u f) r^2 dr,
 
-assembled against the r^2-weighted mass for both components.  Only in the
-a=2 convention is this the second derivative of a functional, hence symmetric;
-states from the single-coefficient family are auto-converted, so every sector
-form is in that one convention.  For the pure power case (a=0) the potential
-component is dropped entirely and the form is the scalar linearization around
-the Kwong profile.  The nondegeneracy verdict has fixed tolerances: GAP_TOL
-for the radial gap and 50 h^2 sigma_2 for the translation zero mode.
+the pair form with the potential perturbation g minimized out (g = a G_k(u f)),
+G_k the whole-space sector-k Green's function r_<^k / r_>^(k+1) / (2k+1)
+discretized as the Coulomb sweep is, so sector 0 is the weighted Newton
+Jacobian.  Only in the a=2 convention is this the second derivative of a
+functional, hence symmetric; states from the single-coefficient family are
+auto-converted, so every sector form is in that one convention.  For the pure
+power case (a=0) there is no potential and the form is the scalar
+linearization around the Kwong profile.  The nondegeneracy verdict has fixed
+tolerances: GAP_TOL for the radial gap and 50 h^2 sigma_2 for the
+translation zero mode.
 
-The sector operator is banded-plus-diagonal-coupling; the Hartree screening of
-the radial problem enters only through v and the -4 u f g coupling, both local
-in the sector picture.  k=0 uses even parity at the origin, k>=1 odd; both
-components vanish on the two-node Dirichlet pad at r_max.
+The form is one symmetric matrix in (f, y = r g), mass on f alone; `operators`
+eliminates its y block, G_k's tridiagonal inverse `hartree.green_bands` (no
+boundary condition on g).  k=0 uses even parity at the origin, k>=1 odd; f
+vanishes on the two-node Dirichlet pad at r_max.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ import scipy.sparse as sp
 from . import operators
 from .errors import ParityMismatch, UnconvergedState, WrongConvention
 from .grid import EVEN, ODD, RadialField, differentiate
+from .hartree import coulomb_apply, green_bands
 from .solver import GroundState, ModelParams, _dpower, ground_state
 
 CONVERGED_TOL = 1e-8
 
 # Radial-sector gap below which the verdict is not nondegenerate; also the
 # inertia split of every sector eigensolve: eigenvalues below -GAP_TOL are
-# clear Morse directions, the zero mode and the box modes sit above it.
+# clear Morse directions, the zero mode sits above it.
 GAP_TOL = 1e-3
 
 
@@ -81,9 +84,8 @@ class SectorOperator:
     k: int
     centrifugal: float
     form: sp.csr_matrix          # symmetric weighted form on active nodes
-    mass: np.ndarray             # diagonal r^2-weighted mass, both components
+    mass: np.ndarray             # diagonal r^2-weighted mass of f
     act: np.ndarray              # active node indices on the state's grid
-    scalar: bool                 # True when the potential component is dropped
     state: GroundState = field(repr=False, default=None)
 
 
@@ -100,7 +102,6 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
     if state.residual_norm > CONVERGED_TOL:
         raise UnconvergedState(
             f"residual {state.residual_norm:.2e} > {CONVERGED_TOL:.0e}")
-    scalar = state.params.a == 0.0
     st = _as_a2(state)
     p = st.params
     grid = st.grid
@@ -113,40 +114,33 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
     u = st.u.values[act]
     v = st.v.values[act]
     pot = p.lam - p.a * v - p.nu * _dpower(u, p.q - 1.0)
-    Sf = S + sp.diags(Wa * pot) + lam_k * sp.diags(wdr)
-    if scalar:
-        form = Sf.tocsr()
-        mass = Wa.copy()
-    else:
-        Sg = S + lam_k * sp.diags(wdr)
-        C = sp.diags(Wa * (-p.a) * u)    # -2u per side in the a=2 convention
-        form = sp.bmat([[Sf, C], [C, Sg]], format="csr")
-        mass = np.concatenate([Wa, Wa])
-    return SectorOperator(k=k, centrifugal=lam_k, form=form, mass=mass,
-                          act=act, scalar=scalar, state=st)
+    # -a^2 u^2 times the sweep's Euler-Maclaurin diagonal -h^2/12
+    form = S + sp.diags(Wa * (pot + (p.a * grid.h * u) ** 2 / 12.0) + lam_k * wdr)
+    if p.a != 0.0:
+        # y = r g; with W = sigma h r^2 and the sweep's weights h r_j,
+        # B T_k^-1 B is a^2 W u G_k(u .) less its Euler-Maclaurin term
+        B = sp.diags(p.a * np.sqrt(grid.h * Wa) * u)
+        diag, off = green_bands(k, len(act), grid.h)
+        form = sp.bmat([[form, B], [B, sp.diags([off, diag, off], [-1, 0, 1])]])
+    return SectorOperator(k=k, centrifugal=lam_k, form=form.tocsr(), mass=Wa,
+                          act=act, state=st)
 
 
-def quadratic_form_value(op: SectorOperator, f: RadialField,
-                         g: Optional[RadialField] = None) -> float:
-    """A_k((f,g),(f,g)) by quadrature (g ignored for scalar sectors)."""
+def quadratic_form_value(op: SectorOperator, f: RadialField) -> float:
+    """L_k(f, f) by quadrature: the pair form minimized over g."""
     want = EVEN if op.k == 0 else ODD
     if f.parity != want:
         raise ParityMismatch(f"sector {op.k} needs {want} fields")
-    if op.scalar:
-        x = f.values[op.act]
-    else:
-        if g is None or g.parity != want:
-            raise ParityMismatch(f"sector {op.k} needs an {want} pair")
-        x = np.concatenate([f.values[op.act], g.values[op.act]])
-    return float(x @ (op.form @ x))
+    x = f.values[op.act]
+    return float(x @ operators.schur_apply(op.form, op.mass, x))
 
 
-def translation_mode(state: GroundState):
-    """(d_r u, d_r v): the sector-1 zero mode of the linearization."""
+def translation_mode(state: GroundState) -> RadialField:
+    """d_r u: the sector-1 zero mode of the linearization."""
     if state.residual_norm > CONVERGED_TOL:
         raise UnconvergedState(
             f"residual {state.residual_norm:.2e} > {CONVERGED_TOL:.0e}")
-    return differentiate(state.u), differentiate(state.v)
+    return differentiate(state.u)
 
 
 @dataclass
@@ -175,18 +169,16 @@ class NondegeneracyReport:
 
 
 def _spectrum_lower_bound(op: SectorOperator) -> float:
-    """O(1) lower bound for the sector pencil: kinetic and centrifugal parts
-    are nonnegative, the local potential is bounded below by its nodal minimum,
-    and the coupling quadratic -2a u f g is bounded by a sup(u) (f^2 + g^2)."""
+    """O(1) lower bound for the sector pencil: kinetic, centrifugal and
+    Euler-Maclaurin parts are >= 0, the local potential >= its nodal minimum,
+    and -a^2 <uf, G_k(uf)> >= -a^2 max(u G_0 u) |f|^2 as 0 < G_k <= G_0."""
     st = op.state
     p = st.params
     act = op.act
     u = st.u.values[act]
     pot = p.lam - p.a * st.v.values[act] - p.nu * _dpower(u, p.q - 1.0)
-    bound = min(0.0, float(np.min(pot)))
-    if not op.scalar:
-        bound -= p.a * float(np.max(np.abs(u)))
-    return bound - 1.0
+    uGu = st.u.values * coulomb_apply(st.grid, st.u.values)
+    return min(0.0, float(np.min(pot))) - p.a ** 2 * float(np.max(uGu)) - 1.0
 
 
 def sector_spectrum(op: SectorOperator, m: int) -> SectorEntry:
@@ -204,26 +196,6 @@ def sector_spectrum(op: SectorOperator, m: int) -> SectorEntry:
         below_split=int(np.count_nonzero(eig.values < -GAP_TOL)),
         backward_error=float(np.max(eig.backward_errors)),
         solves=eig.solves, factorizations=eig.factorizations, seconds=seconds)
-
-
-def _compensated_translation(op: SectorOperator):
-    """Translation mode on the active nodes, with the interior-harmonic
-    compensator c r^k subtracted from the potential component.
-
-    The finite domain imposes g(r_max)=0 on the pencil while the true mode
-    decays only like 1/r^2; the pencil's zero vector therefore carries an
-    extra regular-harmonic piece, which we add to the comparison target
-    instead of polluting the cosine.
-    """
-    st = op.state
-    f, g = translation_mode(st)
-    tf = f.values[op.act]
-    if op.scalar:
-        return tf
-    tg = g.values[op.act]
-    Ra = st.grid.nodes[op.act][-1]
-    tg = tg - tg[-1] * (st.grid.nodes[op.act] / Ra) ** op.k
-    return np.concatenate([tf, tg])
 
 
 def nondegeneracy_report(state: GroundState, k_max: int,
@@ -251,7 +223,7 @@ def nondegeneracy_report(state: GroundState, k_max: int,
                                      if abs(s) <= zero_tol)
     k1 = sectors[1]
     x = k1.eigenvectors[:, int(np.argmin(np.abs(k1.eigenvalues)))]
-    t = _compensated_translation(ops[1])
+    t = translation_mode(ops[1].state).values[ops[1].act]
     M = ops[1].mass
     k1.zero_mode_match = float(
         abs(np.sum(M * x * t)) / math.sqrt(np.sum(M * x * x) * np.sum(M * t * t)))

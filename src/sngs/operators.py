@@ -30,7 +30,8 @@ Lanczos step is one solve through the LDL^T and no mass product, and it stops
 at the relative accuracy BACKWARD_TOL = 1e-12 that the certificate asks for.
 Every returned eigenpair is then held to a normwise backward error of 1e-12,
 computed once and returned with the pairs; a pair over it is refined by one
-inverse iteration through `_inertia` just above its eigenvalue.
+inverse iteration through `_inertia` just above its eigenvalue.  A mass
+shorter than the form eliminates its trailing block (`schur_apply`, Haynsworth).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -125,12 +127,13 @@ def _inertia(form, mass, tau):
     number of its negative pivots.
 
     Sylvester's law of inertia: with mass > 0 that number counts the pencil
-    eigenvalues below tau.  The pivots are the diagonal of U, because the
-    factorization permutes rows and columns alike (U = D L^T).  Raises
-    FactorizationFailure when tau hits an eigenvalue or SuperLU leaves the
-    diagonal, where the count would be void.
+    eigenvalues below tau, of the Schur complement for a short mass.  The
+    pivots are the diagonal of U, because the factorization permutes rows and
+    columns alike (U = D L^T).  Raises FactorizationFailure when tau hits an
+    eigenvalue or SuperLU leaves the diagonal, where the count would be void.
     """
-    shifted = sp.csc_matrix(form - tau * sp.diags(mass))
+    M = sp.dia_matrix((mass[None], [0]), shape=form.shape)   # zero past the mass
+    shifted = sp.csc_matrix(form - tau * M)
     try:
         lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
@@ -140,6 +143,19 @@ def _inertia(form, mass, tau):
         raise FactorizationFailure(
             f"inertia at {tau}: SuperLU pivoted off the diagonal")
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def schur_apply(form, mass, X):
+    """form @ X with the trailing block of form = [[A, B], [B^T, T]] past
+    len(mass) eliminated: A X - B T^-1 B^T X, T tridiagonal and positive
+    definite and solved through its bands (form is CSR)."""
+    N = len(mass)
+    if N == form.shape[0]:
+        return form @ X
+    T = form[N:, N:]
+    Y = sla.solveh_banded([np.r_[0.0, T.diagonal(1)], T.diagonal()],
+                          form[N:, :N] @ X, check_finite=False)
+    return form[:N, :N] @ X - form[:N, N:] @ Y
 
 
 # the normwise backward error every returned eigenpair meets, and the
@@ -173,15 +189,15 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
     and the one call is at the split.
 
     Lanczos runs in standard form on D A D, D = M^(-1/2): its shift-invert
-    operator y -> s * LDL^T.solve(s * y), s = sqrt(mass), costs one solve per
-    step, and x = y / s recovers mass-orthonormal eigenvectors.  ARPACK stops
-    at relative accuracy BACKWARD_TOL, and `_verified` holds each pair to a
-    backward error of BACKWARD_TOL (see `backward_errors`); those errors come
-    back with the pairs.
+    operator y -> s * LDL^T.solve((s * y, 0))[:N], s = sqrt(mass) of length
+    N, costs one solve per step, and x = y / s recovers mass-orthonormal
+    eigenvectors.  ARPACK stops at relative accuracy BACKWARD_TOL, and
+    `_verified` holds each pair to a backward error of BACKWARD_TOL (see
+    `backward_errors`); those errors come back with the pairs.
     """
     form = sp.csr_matrix(form)
     mass = np.asarray(mass, dtype=float)
-    dim = form.shape[0]
+    dim = len(mass)
     if m > dim - 2:
         raise TooManyRequested(
             f"requested {m} eigenpairs of a {dim}-dim pencil (at most {dim - 2})")
@@ -193,6 +209,7 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
     below = min(below, m)
     solves = 0
     s = np.sqrt(mass)
+    pad = np.zeros(form.shape[0] - dim)
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
     vals, vecs = [], []
     for k, sigma, which in ((below, shift, "LM"), (m - below, split, "LA")):
@@ -207,10 +224,10 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
         def apply(y, lu=lu):
             nonlocal solves
             solves += 1
-            return s * lu.solve(s * y)
+            return s * lu.solve(np.r_[s * y, pad])[:dim]
         # shift-invert mode without a mass reads only the shape of eigsh's
         # first argument, so the operator stands in for D A D there
-        inv = spla.LinearOperator(form.shape, matvec=apply, dtype=float)
+        inv = spla.LinearOperator((dim, dim), matvec=apply, dtype=float)
         try:
             w, y = spla.eigsh(inv, k=k, sigma=sigma, which=which, v0=v0,
                               OPinv=inv, tol=BACKWARD_TOL)
@@ -237,10 +254,12 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
 def backward_errors(form, mass, sigmas, vectors) -> np.ndarray:
     """Normwise backward errors ||A x - s M x|| / ((||A||_1 + |s| max M) ||x||)
     of the eigenpairs (sigmas[j], vectors[:, j]) of the pencil (A, M),
-    M = diag(mass)."""
+    M = diag(mass), A = `schur_apply` and ||A||_1 that of the leading block."""
     sigmas = np.asarray(sigmas, dtype=float)
-    res = np.linalg.norm(form @ vectors - mass[:, None] * vectors * sigmas, axis=0)
-    scale = float(abs(form).sum(axis=0).max()) + np.abs(sigmas) * float(np.max(mass))
+    res = np.linalg.norm(schur_apply(form, mass, vectors)
+                         - mass[:, None] * vectors * sigmas, axis=0)
+    lead = form[:len(mass), :len(mass)]
+    scale = float(abs(lead).sum(axis=0).max()) + np.abs(sigmas) * float(np.max(mass))
     return res / (scale * np.linalg.norm(vectors, axis=0))
 
 
@@ -255,9 +274,9 @@ def _verified(form, mass, sigmas, X):
     over = np.flatnonzero(~(errors <= BACKWARD_TOL))   # NaN included
     for j in over:
         lu, _ = _inertia(form, mass, sigmas[j] + 1e-12)
-        y = lu.solve(mass * X[:, j])
+        y = lu.solve(np.pad(mass * X[:, j], (0, form.shape[0] - len(mass))))[:len(mass)]
         X[:, j] = y / np.sqrt(np.dot(mass * y, y))
-        sigmas[j] = np.dot(X[:, j], form @ X[:, j])
+        sigmas[j] = np.dot(X[:, j], schur_apply(form, mass, X[:, j]))
         errors[j] = backward_errors(form, mass, sigmas[j:j + 1], X[:, j:j + 1])[0]
         if not errors[j] <= BACKWARD_TOL:
             raise FactorizationFailure(

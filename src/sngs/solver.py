@@ -387,8 +387,11 @@ def newton_solve(guess: RadialField, params: ModelParams,
             residual_norm=nF / (params.lam * nu_norm), iterations=iterations)
 
     it = 0
-    F, v = _residual_values(u, params, grid, A)
-    nF = _wnorm(grid, F)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        F, v = _residual_values(u, params, grid, A)
+        nF = _wnorm(grid, F)
+    if not math.isfinite(nF):
+        raise NonConvergence(f"warm start for {params.label()}: non-finite residual norm")
     for it in range(1, opts.max_iter + 1):
         nu_norm = _live_norm(grid, u)
         if nF <= stop * nu_norm:
@@ -397,12 +400,13 @@ def newton_solve(guess: RadialField, params: ModelParams,
         d = _newton_step(u, v, F, params, grid, bands)
 
         t, accepted = 1.0, False
-        for _ in range(DAMPING + 1):
-            F_try, v_try = _residual_values(u + t * d, params, grid, A)
-            if _wnorm(grid, F_try) < nF:
-                accepted = True
-                break
-            t *= 0.5
+        with np.errstate(over="ignore", invalid="ignore"):   # NaN norms fail
+            for _ in range(DAMPING + 1):
+                F_try, v_try = _residual_values(u + t * d, params, grid, A)
+                if _wnorm(grid, F_try) < nF:
+                    accepted = True
+                    break
+                t *= 0.5
         if not accepted:
             raise stalled(f"line search stalled at |F| = {nF:.3e}", nu_norm, it)
         u = u + t * d

@@ -3,7 +3,7 @@ printing one PASS/FAIL line per criterion (run with -s to see them live).
 
 Everything runs at n = 4096; domains follow the solver's decay-resolving
 heuristic except where a criterion needs exact node placement (the indicator
-oracle) or the sector analysis domain (R = 60, see the nondegeneracy notes).
+oracle).
 """
 
 from contextlib import contextmanager
@@ -14,11 +14,11 @@ import pytest
 import sngs
 from sngs import cli
 from sngs.linearized import (GAP_TOL, convention_map, nondegeneracy_report,
-                             sector_form, sector_spectrum, quadratic_form_value)
+                             sector_form, sector_spectrum)
 from sngs.solver import _wnorm
 from conftest import smooth_bumps
 from test_hartree import indicator_field, indicator_v_exact, kform_oracle
-from test_linearized import odd_pair
+from test_linearized import assert_nonnegative_pair_forms, odd_field
 
 N = 4096
 
@@ -177,9 +177,9 @@ def test_criterion_9_uniqueness_scans():
 
 @pytest.fixture(scope="module")
 def spectrum_states(solved_cache):
-    """Section-6-convention states on the R=60 sector-analysis domain."""
+    """Section-6-convention states on the spectrum's domain."""
     cases = {}
-    choq = solved_cache(1.0, 1.0, 0.0, 4.0, n=N, rmax=cli.SPECTRUM_RMAX)
+    choq = solved_cache(1.0, 1.0, 0.0, 4.0, n=N)
     cases["choquard"] = convention_map(choq, "to_a2")
     a2_small, _ = cli.normalized_state_for_spectrum(4.0, 1e-2, N)
     cases["lam1e-2_q4"] = a2_small
@@ -204,22 +204,19 @@ def test_criterion_10_nondegeneracy(spectrum_states, solved_cache):
         # k=0 gap stable within 5% under n -> 2n (Choquard certificate)
         gaps = []
         for n in (N, 2 * N):
-            choq = solved_cache(1.0, 1.0, 0.0, 4.0, n=n, rmax=cli.SPECTRUM_RMAX)
+            choq = solved_cache(1.0, 1.0, 0.0, 4.0, n=n)
             a2 = convention_map(choq, "to_a2")
             rep0 = sector_spectrum(sector_form(a2, 0), 6)
             gaps.append(min(abs(s) for s in rep0.eigenvalues))
         assert abs(gaps[1] - gaps[0]) <= 0.05 * gaps[0], gaps
 
-        # Corollary-3.8 nonnegativity on 100 random odd test pairs
+        # Corollary-3.8 nonnegativity on 100 random odd test fields, each
+        # with the potential that minimizes the pair form
         rng = np.random.default_rng(38)
         st = spectrum_states["choquard"]
-        op = sector_form(st, 1)
-        for _ in range(100):
-            f, g = odd_pair(st.grid, rng)
-            val = quadratic_form_value(op, f, g)
-            x = np.concatenate([f.values[op.act], g.values[op.act]])
-            scale = float(np.dot(op.mass * x, x))
-            assert val >= -1e-8 * scale
+        assert_nonnegative_pair_forms(
+            sector_form(st, 1), [odd_field(st.grid, rng) for _ in range(100)],
+            rng)
 
 
 def test_criterion_11_convention_map(acc, solved_cache, tmp_path):

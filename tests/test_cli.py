@@ -212,7 +212,7 @@ def test_limits_cli_small(tmp_path):
 
 
 def test_spectrum_rejects_rmax(tmp_path):
-    # spectra are solved on the fixed SPECTRUM_RMAX domain
+    # spectra are solved on the normalized member's own domain
     out = str(tmp_path / "spec")
     assert run(["spectrum", "--q", "4", "--lambda", "0.01", "--rmax", "30",
                 "--out", out]) == 64
@@ -267,12 +267,15 @@ def test_origin_spike_collapse_exits_2(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", [
-    ["spectrum", "--q", "2.25", "--lambda", "0.01", "--n", "16", "--k-max", "3"],
+    ["spectrum", "--q", "2.5", "--lambda", "0.01", "--n", "16", "--k-max", "3"],
     ["solve", "--q", "2.25", "--lambda", "0.01", "--n", "16"],
+    ["solve", "--q", "4.75", "--lambda", "3", "--n", "33"],
 ])
 def test_diverging_warm_start_is_typed(tmp_path, capsys, command):
-    """On 16 nodes the warm start blows up; that is a NonConvergence naming
-    the warm start, exit 2, with no numpy overflow warning on the way."""
+    """On 16 nodes the warm start blows up, and on 33 nodes at q=4.75 it
+    leaves an iterate whose residual norm overflows; either is a
+    NonConvergence naming the warm start, exit 2, with no numpy overflow
+    warning on the way."""
     assert run(command + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "warm start" in err and "non-finite" in err

@@ -120,13 +120,17 @@ def test_discrete_poisson_residual():
 
 def test_inverse_bands_reproduce_sweep():
     """The tridiagonal inverse of the sweep, plus its Euler-Maclaurin
-    diagonal, is coulomb_apply on arbitrary (signed) densities."""
+    diagonal, is coulomb_apply on arbitrary (signed) densities; its bands
+    are exactly 2/h, 1/h and -1/h, and for k >= 1 the same routine inverts
+    the sector-k kernel r_<^(k+1) r_>^(-k) / (2k+1)."""
     from scipy.linalg import solve_banded
-    from sngs.hartree import coulomb_apply, coulomb_inverse_bands
+    from sngs.hartree import coulomb_apply, coulomb_inverse_bands, green_bands
     rng = np.random.default_rng(3)
     for n in (48, 1001):
         g = sngs.make_grid(20.0, n)
         diag, off, src, em = coulomb_inverse_bands(g)
+        assert np.array_equal(diag, np.r_[np.full(n - 2, 2.0 / g.h), 1.0 / g.h])
+        assert np.array_equal(off, np.full(n - 2, -1.0 / g.h))
         bands = np.zeros((3, n - 1))
         bands[0, 1:] = off
         bands[1] = diag
@@ -137,6 +141,14 @@ def test_inverse_bands_reproduce_sweep():
             w = np.concatenate(([y[0] / g.nodes[1]], y / g.nodes[1:]))
             v = coulomb_apply(g, rho)
             assert np.max(np.abs(v - em * rho - w)) <= 1e-11 * np.max(np.abs(v))
+    g = sngs.make_grid(20.0, 48)
+    r = g.nodes[1:]
+    lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+    for k in (1, 2, 3):
+        diag, off = green_bands(k, len(r), g.h)
+        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        kernel = lo ** (k + 1) * hi ** (-k) / (2 * k + 1)
+        assert np.max(np.abs(np.linalg.inv(T) - kernel)) <= 1e-12 * kernel.max()
 
 
 def test_potential_monotone_nonincreasing():

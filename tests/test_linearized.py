@@ -3,24 +3,32 @@ import pytest
 
 import sngs
 from sngs.errors import ParityMismatch, UnconvergedState, WrongConvention
-from sngs.linearized import (GAP_TOL, _compensated_translation, convention_map,
-                             nondegeneracy_report, quadratic_form_value,
-                             sector_form, sector_spectrum, translation_mode)
+from sngs.linearized import (GAP_TOL, convention_map, nondegeneracy_report,
+                             quadratic_form_value, sector_form, sector_spectrum,
+                             translation_mode)
 from sngs.solver import _wnorm
 
 
-def odd_pair(grid, rng, width_max=4.0):
+def odd_field(grid, rng, width_max=4.0):
     r = grid.nodes
     f = np.zeros(grid.n)
-    g = np.zeros(grid.n)
-    for arr in (f, g):
-        for _ in range(2):
-            w = rng.uniform(0.7, width_max)
-            a = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
-            arr += a * r * np.exp(-(r / w) ** 2)
-    f[-2:] = g[-2:] = 0.0
-    return (sngs.RadialField(grid=grid, values=f, parity=sngs.ODD),
-            sngs.RadialField(grid=grid, values=g, parity=sngs.ODD))
+    for _ in range(2):
+        w = rng.uniform(0.7, width_max)
+        a = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
+        f += a * r * np.exp(-(r / w) ** 2)
+    f[-2:] = 0.0
+    return sngs.RadialField(grid=grid, values=f, parity=sngs.ODD)
+
+
+def assert_nonnegative_pair_forms(op, fields, rng):
+    """L_1(f, f) >= 0 on each field, and L_1 is the minimum over the
+    potential: the pair form at any y = r g is not below it."""
+    for f in fields:
+        val = quadratic_form_value(op, f)
+        x = f.values[op.act]
+        assert val >= -1e-8 * float(np.dot(op.mass * x, x))
+        xy = np.concatenate([x, rng.normal(size=op.form.shape[0] - len(x))])
+        assert float(xy @ (op.form @ xy)) >= val - 1e-12 * abs(val)
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +95,7 @@ def test_sector_form_centrifugal(choquard):
 def test_sector_form_kwong_scalar(solved_cache):
     st = solved_cache(1.0, 0.0, 1.0, 4.0, n=1536, rmax=30.0)
     op = sector_form(st, 0)
-    assert op.scalar
-    assert op.form.shape[0] == len(op.act)
+    assert op.form.shape[0] == len(op.act) == len(op.mass)
 
 
 def test_sector_form_unconverged():
@@ -115,7 +122,7 @@ def test_quadratic_form_zero_pair(choquard):
     op = sector_form(choquard, 1)
     z = sngs.RadialField(grid=choquard.grid,
                          values=np.zeros(choquard.grid.n), parity=sngs.ODD)
-    assert quadratic_form_value(op, z, z) == 0.0
+    assert quadratic_form_value(op, z) == 0.0
 
 
 def test_quadratic_form_parity_mismatch(choquard):
@@ -123,62 +130,54 @@ def test_quadratic_form_parity_mismatch(choquard):
     f = sngs.RadialField(grid=choquard.grid,
                          values=np.exp(-choquard.grid.nodes), parity=sngs.EVEN)
     with pytest.raises(ParityMismatch):
-        quadratic_form_value(op, f, f)
+        quadratic_form_value(op, f)
 
 
 def test_a1_nonnegative_on_random_odd_pairs(choquard):
     rng = np.random.default_rng(21)
     op = sector_form(choquard, 1)
-    for _ in range(30):
-        f, g = odd_pair(choquard.grid, rng)
-        val = quadratic_form_value(op, f, g)
-        x = np.concatenate([f.values[op.act], g.values[op.act]])
-        scale = float(np.dot(op.mass * x, x))
-        assert val >= -1e-8 * scale
+    assert_nonnegative_pair_forms(
+        op, [odd_field(choquard.grid, rng) for _ in range(30)], rng)
 
 
 def test_translation_mode_signs(choquard, solved_cache):
-    f, g = translation_mode(choquard)
+    f = translation_mode(choquard)
     assert np.all(f.values[1:-2] <= 1e-12 * choquard.sup_u())
-    assert np.all(g.values[1:-2] <= 1e-12 * choquard.sup_v())
     kw = solved_cache(1.0, 0.0, 1.0, 4.0, n=1536, rmax=30.0)
-    fk, _ = translation_mode(kw)
-    interior = fk.values[2:-12]
+    interior = translation_mode(kw).values[2:-12]
     assert np.all(interior < 0.0)
 
 
-def test_translation_mode_near_kernel(solved_cache):
-    # The potential component decays like 1/r^2, so on a finite Dirichlet
-    # domain the zero-mode value is limited by the boundary gauge (~1/R^3),
-    # not by h; at R=120 the pair is in the kernel to ~1e-6 of its norm.
-    vals = []
-    for (n, rmax) in [(1024, 30.0), (2048, 60.0)]:
-        st = solved_cache(1.0, 1.0, 0.0, 4.0, n=n, rmax=rmax)
-        op = sector_form(st, 1)
-        x = _compensated_translation(op)
-        val = float(x @ (op.form @ x))
-        scale = float(np.dot(op.mass * x, x))
-        vals.append(abs(val) / scale)
-    assert vals[0] <= 1e-3
-    assert vals[1] <= vals[0] / 6.0  # ~cubic decay with the domain size
+def test_pencil_matches_dense_schur_complement(solved_cache):
+    # the augmented (f, y) pencil against a dense eigh of L_k itself
+    import scipy.linalg as sla
+    st = solved_cache(1.0, 1.0, 1.0, 4.0, n=201, rmax=28.0)
+    for k in range(4):
+        op = sector_form(st, k)
+        N = len(op.mass)
+        A = op.form.toarray()
+        schur = A[:N, :N] - A[:N, N:] @ np.linalg.solve(A[N:, N:], A[N:, :N])
+        exact = sla.eigh(schur, np.diag(op.mass), eigvals_only=True)[:6]
+        got = sector_spectrum(op, 6).eigenvalues
+        assert np.max(np.abs(got - exact)) <= 1e-10
 
 
-def test_translation_mode_residual_shrinks_with_domain(solved_cache):
-    norms = []
-    for (n, rmax) in [(1024, 30.0), (2048, 60.0)]:
-        st = solved_cache(1.0, 1.0, 0.0, 4.0, n=n, rmax=rmax)
-        op = sector_form(st, 1)
-        x = _compensated_translation(op)
-        res = op.form @ x
-        norms.append(float(np.sqrt(np.sum(res * res / op.mass)))
-                     / float(np.sqrt(np.dot(op.mass * x, x))))
-    assert norms[1] <= norms[0] / 3.5
+def test_translation_eigenvalue_falls_under_refinement():
+    # the whole-space potential leaves only the discretization error in the
+    # zero mode: about 15x per n -> 2n - 1 at q=4.75, lambda=10
+    from sngs.cli import normalized_state_for_spectrum
+    zero = []
+    for n in (1024, 2047, 4093):
+        st, _ = normalized_state_for_spectrum(4.75, 10.0, n)
+        zero.append(min(abs(s) for s in
+                        sector_spectrum(sector_form(st, 1), 2).eigenvalues))
+    assert zero[1] <= zero[0] / 10.0 and zero[2] <= zero[1] / 10.0, zero
 
 
 def test_sector_spectrum_choquard(choquard):
     op1 = sector_form(choquard, 1)
     rep1 = sector_spectrum(op1, 2)
-    assert abs(rep1.eigenvalues[0]) <= 5e-4   # zero mode (truncation floor)
+    assert abs(rep1.eigenvalues[0]) <= 5e-4   # zero mode
     assert rep1.eigenvalues[1] > 0.0
     op2 = sector_form(choquard, 2)
     rep2 = sector_spectrum(op2, 2)
@@ -212,28 +211,29 @@ def test_nondegeneracy_kwong_radial_kernel_free(solved_cache):
 
 
 # sector eigenvalues (k = 0..3, six each) of the two scripts/run_spectrum.py
-# cases at n=4096, recorded with the eigensolve that shifted every sector from
-# a lower bound of the spectrum, before the inertia split at -GAP_TOL
+# cases at n=4096, recorded with the pencil that eliminates the potential
+# through the sweep's Green's kernel; a dense eigh of each Schur complement
+# agreed within 4.1e-11
 RUN_SPECTRUM_EIGENVALUES = {
     (4.0, 1e-2): [
-        [-0.6305178479064808, 0.0029081044656975585, 0.01162784807915651,
-         0.026145753389727133, 0.04644002292793514, 0.07248115451551307],
-        [2.5554456561800762e-05, 0.0059683374569297065, 0.017601356280816827,
-         0.03503191881516576, 0.05824436451714066, 0.08721698089166585],
-        [0.009231800572650606, 0.022987806584178205, 0.04219309658710069,
-         0.06685466260913264, 0.09694743296324893, 0.1324206884032031],
-        [0.013571358971310232, 0.030159262784422047, 0.0521481917066513,
-         0.07959836290023325, 0.11252210494140336, 0.15092018614301672],
+        [-2.8047572638077263, 0.4054845449779494, 0.7321944681643586,
+         0.8443191539014439, 0.929830326892794, 1.0451106565492079],
+        [1.1515976871103242e-08, 0.6681886067528003, 0.8153738927348796,
+         0.8971634672771587, 0.9966396376648926, 1.1290124185529427],
+        [0.6239759642132343, 0.7997594196331491, 0.8815581225827517,
+         0.967566712117883, 1.084969302778332, 1.2326107923150904],
+        [0.8078326414075249, 0.8817824244238105, 0.9557548842785283,
+         1.0584777212228513, 1.1904102840012145, 1.3505566897151031],
     ],
     (2.5, 1e2): [
-        [-0.6300573806006282, 0.0029100656098095534, 0.011635664277219515,
-         0.026163237239109627, 0.04647086752821794, 0.07252893014564421],
-        [2.4962574395646494e-05, 0.00596012631032572, 0.017577980648474156,
-         0.03498605865871429, 0.05816894716419885, 0.08710517162819986],
-        [0.009231808871868363, 0.022987924216319122, 0.042193785959013574,
-         0.06685727167229594, 0.09695500510183575, 0.13243906582454112],
-        [0.013571359123443205, 0.030159266036794197, 0.05214821814154691,
-         0.07959849325107271, 0.11252257435560109, 0.1509215454474937],
+        [-2.7005196484294753, 0.40815817037479685, 0.7424900969664004,
+         0.8534277613688287, 0.9380969843276525, 1.0530830443883523],
+        [1.1520399308779725e-08, 0.6755892320638913, 0.8248630664701003,
+         0.9053701545582973, 1.0044549078331146, 1.1365088257086884],
+        [0.6226485090588613, 0.8090900298135043, 0.8896956118633129,
+         0.9750996585114075, 1.0921429747839462, 1.2394628885909227],
+        [0.8180202311922482, 0.8903142285509721, 0.9634380597355603,
+         1.0656628654645157, 1.1971832447876354, 1.3569956257641238],
     ],
 }
 

@@ -184,6 +184,20 @@ def test_nonconvergence_carries_best_iterate():
     assert info.value.iterations == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_line_search_rejects_non_finite_trials(monkeypatch):
+    # a step so long that every trial residual overflows: each trial fails
+    # the descent test quietly and the stall is typed
+    from sngs import solver
+    step = solver._newton_step
+    monkeypatch.setattr(solver, "_newton_step",
+                        lambda *args: 1e100 * step(*args))
+    p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
+    g = sngs.make_grid(sngs.auto_rmax(1.0), 256)
+    with pytest.raises(NonConvergence, match="line search stalled"):
+        sngs.newton_solve(sngs.default_guess(p, g), p)
+
+
 def test_jacobian_symmetry(solved_cache):
     rng = np.random.default_rng(13)
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
