@@ -8,7 +8,6 @@ still written where possible), 64 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -328,9 +327,7 @@ def cmd_spectrum(args, argv):
         "code_version": __version__,
         "command_line": " ".join(argv),
     }
-    with open(out_json, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    io.write_json(out_json, payload)
     print(f"spectrum: verdict = {report.verdict} "
           f"(zero_tol {report.zero_tol:.3e}, gap_tol {linearized.GAP_TOL:.3e})")
     return EXIT_OK if report.verdict == "nondegenerate" else EXIT_NUMERICAL
@@ -350,9 +347,7 @@ def cmd_scan(args, argv):
         "sup_norms": [s.sup_u() for s in res.distinct_states],
         "code_version": __version__, "command_line": " ".join(argv),
     }
-    with open(out_json, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    io.write_json(out_json, payload)
     print(f"scan: {res.converged} converged / {res.failed} failed, "
           f"{len(res.distinct_states)} distinct state(s)")
     return EXIT_OK if len(res.distinct_states) == 1 else EXIT_NUMERICAL

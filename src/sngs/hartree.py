@@ -10,7 +10,9 @@ boundary value is the exact Coulomb tail m/r_max).  Cumulative trapezoid plus
 the Euler-Maclaurin endpoint term -(h^2/12) u(r)^2 makes the sweep fourth-order
 while keeping the discrete kernel exactly symmetric in the r^2 dr weights,
 which the Jacobian self-adjointness and D >= 0 rely on.  `green_bands`, the
-tridiagonal inverse of the sector-k kernel, serves Newton (k = 0) and sectors.
+tridiagonal inverse of the sector-k kernel, is the potential block of every
+pair form of the linearized operator: the Newton step solves the k = 0 form
+on the active nodes (`solver`), and `linearized` builds all k.
 """
 
 from __future__ import annotations
@@ -64,26 +66,6 @@ def green_bands(k: int, m: int, h: float):
     inv_p = 1.0 / sum(math.comb(c, j) * i ** j for j in range(c))
     diag = c * i[1:] ** (2 * k) * (inv_p[:-1] + np.r_[inv_p[1:-1], 0.0])
     return diag / h, -c * (i[1:-1] * i[2:]) ** k * inv_p[1:-1] / h
-
-
-def coulomb_inverse_bands(grid: RadialGrid):
-    """Exact inverse of coulomb_apply without its Euler-Maclaurin diagonal.
-
-    Returns (diag, off, src, em) such that coulomb_apply(rho) = w + em * rho,
-    where y on nodes 1..n-1 solves the tridiagonal system
-    tridiag(off, diag, off) y = (src * rho)[1:], w_i = y_i / r_i for i >= 1
-    and w_0 = y_1 / r_1.  The sweep kernel is c_j r_j min(r_i, r_j) / r_i
-    (c_j the trapezoid weight): min(r_i, r_j) is the k = 0 kernel of
-    `green_bands`.
-    """
-    r, h, n = grid.nodes, grid.h, grid.n
-    diag, off = green_bands(0, n - 1, h)
-    src = h * r
-    src[-1] *= 0.5
-    em = np.full(n, -h * h / 12.0)
-    em[0] = h * h / 12.0
-    em[-1] = 0.0
-    return diag, off, src, em
 
 
 def hartree_potential(u: RadialField) -> HartreePotential:

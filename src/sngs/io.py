@@ -37,9 +37,15 @@ class RunManifest:
     tolerances: dict = field(default_factory=dict)
 
     def write(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
+
+
+def write_json(path, payload: dict):
+    """The one JSON writer of the package: indented, sorted keys, a final
+    newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _now():

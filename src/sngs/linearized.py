@@ -1,22 +1,24 @@
 """Spherical-harmonics sector forms of the linearized operator and spectra.
 
 In the harmonic sector k the perturbation f of u feels the quadratic form
-(symmetric a=2 convention, general lam and power weight nu)
+(general lam, a and power weight nu)
 
   L_k(f, f) = int f_r^2 r^2 dr + k(k+1) int f^2 dr + lam int f^2 r^2 dr
-              - 2 int v f^2 r^2 dr - nu (q-1) int u^(q-2) f^2 r^2 dr
-              - a^2 int u f G_k(u f) r^2 dr,
+              - a int v f^2 r^2 dr - nu (q-1) int u^(q-2) f^2 r^2 dr
+              - 2a int u f G_k(u f) r^2 dr,
 
-the pair form with the potential perturbation g minimized out (g = a G_k(u f)),
-G_k the whole-space sector-k Green's function r_<^k / r_>^(k+1) / (2k+1)
-discretized as the Coulomb sweep is, so sector 0 is the weighted Newton
-Jacobian.  Only in the a=2 convention is this the second derivative of a
-functional, hence symmetric; states from the single-coefficient family are
-auto-converted, so every sector form is in that one convention.  For the pure
-power case (a=0) there is no potential and the form is the scalar
-linearization around the Kwong profile.  The nondegeneracy verdict has fixed
-tolerances: GAP_TOL for the radial gap and 50 h^2 sigma_2 for the
-translation zero mode.
+the pair form with the potential perturbation g minimized out
+(g = sqrt(2a) G_k(u f)), G_k the whole-space sector-k Green's function
+r_<^k / r_>^(k+1) / (2k+1) discretized as the Coulomb sweep is.  With v
+eliminated this is the second derivative of the action at every a, so the
+form is symmetric in every convention and sector 0 is the weighted Newton
+Jacobian; its local diagonal and its coupling sqrt(2a) u come from
+`solver.linearization`, which the Newton step solves with too.
+`convention_map` moves a state to the paper's symmetric a=2 pair (u, v),
+whose forms are the same.  For the pure power case (a=0) there is no
+potential and the form is the scalar linearization around the Kwong profile.
+The nondegeneracy verdict has fixed tolerances: GAP_TOL for the radial gap
+and 50 h^2 sigma_2 for the translation zero mode.
 
 The form is one symmetric matrix in (f, y = r g), mass on f alone; `operators`
 eliminates its y block, G_k's tridiagonal inverse `hartree.green_bands` (no
@@ -38,7 +40,7 @@ from . import operators
 from .errors import ParityMismatch, UnconvergedState, WrongConvention
 from .grid import EVEN, ODD, RadialField, differentiate
 from .hartree import coulomb_apply, green_bands
-from .solver import GroundState, ModelParams, _dpower, ground_state
+from .solver import GroundState, ModelParams, ground_state, linearization
 
 CONVERGED_TOL = 1e-8
 
@@ -89,12 +91,6 @@ class SectorOperator:
     state: GroundState = field(repr=False, default=None)
 
 
-def _as_a2(state: GroundState) -> GroundState:
-    if state.params.a == 0.0 or state.params.a == 2.0:
-        return state
-    return convention_map(state, "to_a2")
-
-
 def sector_form(state: GroundState, k: int) -> SectorOperator:
     """Assemble the sector-k quadratic form around a converged state."""
     if k < 0:
@@ -102,28 +98,21 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
     if state.residual_norm > CONVERGED_TOL:
         raise UnconvergedState(
             f"residual {state.residual_norm:.2e} > {CONVERGED_TOL:.0e}")
-    st = _as_a2(state)
-    p = st.params
-    grid = st.grid
-    parity = EVEN if k == 0 else ODD
-    S = operators.dirichlet_form(grid, parity)
+    grid = state.grid
+    S = operators.dirichlet_form(grid, EVEN if k == 0 else ODD)
     act = operators.active_slice(grid)
     Wa = grid.weights_r2dr[act]
-    wdr = grid.weights_dr[act]
     lam_k = float(k * (k + 1))
-    u = st.u.values[act]
-    v = st.v.values[act]
-    pot = p.lam - p.a * v - p.nu * _dpower(u, p.q - 1.0)
-    # -a^2 u^2 times the sweep's Euler-Maclaurin diagonal -h^2/12
-    form = S + sp.diags(Wa * (pot + (p.a * grid.h * u) ** 2 / 12.0) + lam_k * wdr)
-    if p.a != 0.0:
+    pot, b = linearization(state.u.values, state.v.values, state.params, grid.h)
+    form = S + sp.diags(Wa * pot[act] + lam_k * grid.weights_dr[act])
+    if state.params.a != 0.0:
         # y = r g; with W = sigma h r^2 and the sweep's weights h r_j,
-        # B T_k^-1 B is a^2 W u G_k(u .) less its Euler-Maclaurin term
-        B = sp.diags(p.a * np.sqrt(grid.h * Wa) * u)
+        # B T_k^-1 B is W b G_k(b .) less its Euler-Maclaurin term
+        B = sp.diags(np.sqrt(grid.h * Wa) * b[act])
         diag, off = green_bands(k, len(act), grid.h)
         form = sp.bmat([[form, B], [B, sp.diags([off, diag, off], [-1, 0, 1])]])
     return SectorOperator(k=k, centrifugal=lam_k, form=form.tocsr(), mass=Wa,
-                          act=act, state=st)
+                          act=act, state=state)
 
 
 def quadratic_form_value(op: SectorOperator, f: RadialField) -> float:
@@ -169,16 +158,14 @@ class NondegeneracyReport:
 
 
 def _spectrum_lower_bound(op: SectorOperator) -> float:
-    """O(1) lower bound for the sector pencil: kinetic, centrifugal and
-    Euler-Maclaurin parts are >= 0, the local potential >= its nodal minimum,
-    and -a^2 <uf, G_k(uf)> >= -a^2 max(u G_0 u) |f|^2 as 0 < G_k <= G_0."""
+    """O(1) lower bound for the sector pencil: kinetic and centrifugal parts
+    are >= 0, the local diagonal >= its nodal minimum, and
+    -<bf, G_k(bf)> >= -max(b G_0 b) |f|^2 as 0 < G_k <= G_0 (b the coupling
+    of `solver.linearization`)."""
     st = op.state
-    p = st.params
-    act = op.act
-    u = st.u.values[act]
-    pot = p.lam - p.a * st.v.values[act] - p.nu * _dpower(u, p.q - 1.0)
-    uGu = st.u.values * coulomb_apply(st.grid, st.u.values)
-    return min(0.0, float(np.min(pot))) - p.a ** 2 * float(np.max(uGu)) - 1.0
+    pot, b = linearization(st.u.values, st.v.values, st.params, st.grid.h)
+    bGb = b * coulomb_apply(st.grid, b)
+    return min(0.0, float(np.min(pot[op.act]))) - float(np.max(bGb)) - 1.0
 
 
 def sector_spectrum(op: SectorOperator, m: int) -> SectorEntry:
@@ -206,7 +193,9 @@ def nondegeneracy_report(state: GroundState, k_max: int,
     zero, sector 1 carries exactly one zero mode (|sigma| <= zero_tol =
     50 h^2 sigma_2, sigma_2 its next eigenvalue by magnitude) matching the
     translation pair, and every sector 2..k_max is strictly positive (the
-    sector ordering extends the verdict beyond k_max).
+    sector ordering extends the verdict beyond k_max).  under-resolved:
+    zero_tol >= sigma_2, a grid so coarse (50 h^2 >= 1) that the zero test
+    cannot tell any sector-1 eigenvalue from zero.
     """
     if k_max < 2:
         raise ValueError("k_max >= 2")
@@ -235,7 +224,9 @@ def nondegeneracy_report(state: GroundState, k_max: int,
           and k1.kernel_dimension == 1
           and k1.zero_mode_match >= 0.999
           and high_positive)
-    if ok:
+    if zero_tol >= sigma2:   # 50 h^2 >= 1: every sector-1 eigenvalue counts as zero
+        verdict = "under-resolved"
+    elif ok:
         verdict = "nondegenerate"
     elif (k0_min_abs <= zero_tol or k1.kernel_dimension > 1
           or any(min(sectors[k].eigenvalues) < -zero_tol

@@ -16,14 +16,15 @@ scale-invariant ratio |F(u)| / (lam |u|): by the mu/nu maps of `scaling`,
 F = lam^(alpha+1) F~, so it equals the relative residual of the normal-form
 member at lam = 1 and means the same at every lambda; residual_floor is the
 rounding level of that ratio at the state.  `continuation_path` moves lambda
-alone, to one target per call.  Each Newton step J d = -F is solved exactly
-as one banded system: the Coulomb sweep without its Euler-Maclaurin diagonal
-has a tridiagonal inverse (hartree.coulomb_inverse_bands), so adding y = r w
-with w the screening potential of the step as unknowns turns the dense nonlocal
-Jacobian into a system of bandwidth 4 when d and y are interleaved.  The
-step-independent entries of that band matrix are built once per solve
-(`_step_bands`); every step copies them into one workspace, adds the
-u-dependent entries and solves in place with LAPACK's dgbsv.
+alone, to one target per call.  The linearized operator is written once
+(`linearization`): a local diagonal pot and a coupling b, whose sector-k pair
+form in (f, y = r g), g the potential perturbation, is
+[[S + W pot, B], [B, T_k]] with B = sqrt(h W) b, S = operators.dirichlet_form
+and T_k = hartree.green_bands; `linearized` builds it for every k.  Its
+sector-0 Schur complement is W J, so each Newton step J d = -F solves that
+pair form exactly, in standard form on the active nodes, by one banded LU
+(`_newton_step`); the entries no iterate changes are built once per solve
+(`_step_bands`), beside the one dgbsv workspace every step solves in.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (BadRange, ContinuationStuck, InvalidExponent,
                      NegativeStateDetected, NonConvergence, TrivialCollapse,
                      WrongParams)
 from .grid import EVEN, RadialField, RadialGrid, make_grid
-from .hartree import coulomb_apply, coulomb_inverse_bands
+from .hartree import coulomb_apply, green_bands
 
 TRIVIAL_SUP = 1e-8
 DAMPING = 20          # max step halvings per Newton iteration
@@ -55,8 +56,8 @@ class ModelParams:
     """One member of the family -Delta u + lam u = a (I_2*u^2) u + nu u^(q-1).
 
     The Kwong profile W is (lam=1, a=0, nu=1, q); the Choquard profile U is
-    (lam=1, a=1, nu=0, q arbitrary); the symmetric convention used by the
-    sector analysis doubles a.
+    (lam=1, a=1, nu=0, q arbitrary); the paper's symmetric convention
+    doubles a (linearized.convention_map).
     """
     lam: float
     a: float
@@ -156,7 +157,9 @@ def apply_jacobian(u: RadialField, delta: RadialField, params: ModelParams) -> R
     grid, uv, d = u.grid, u.values, delta.values
     A = operators.radial_laplacian(grid)
     v = coulomb_apply(grid, uv**2) if params.a != 0.0 else np.zeros(grid.n)
-    y = A @ d + _local_potential(uv, v, params) * d
+    pot = params.lam - params.a * v - params.nu * _dpower(uv, params.q - 1.0)
+    pot[-2:] = 0.0   # keep the Dirichlet pad rows as pure identities
+    y = A @ d + pot * d
     if params.a != 0.0:
         screen = params.a * uv * coulomb_apply(grid, 2.0 * uv * d)
         screen[-2:] = 0.0
@@ -164,85 +167,94 @@ def apply_jacobian(u: RadialField, delta: RadialField, params: ModelParams) -> R
     return RadialField(grid=grid, values=y, parity=EVEN)
 
 
-def _local_potential(u: np.ndarray, v: np.ndarray, params: ModelParams) -> np.ndarray:
-    pot = params.lam - params.a * v - params.nu * _dpower(u, params.q - 1.0)
-    pot[-2:] = 0.0   # keep the Dirichlet pad rows as pure identities
-    return pot
+def linearization(u: np.ndarray, v: np.ndarray, params: ModelParams,
+                  h: float):
+    """(pot, b) at (u, v) on a grid of spacing h: the local diagonal
+    lam - a v - nu (q-1) u^(q-2) + 2a h^2 u^2 / 12 of the linearized operator,
+    the last term the sweep's Euler-Maclaurin diagonal (its sign flips at the
+    origin), and the coupling b = sqrt(2a) u of its pair form, which with v
+    eliminated is the Hessian of the action at every a."""
+    euler_maclaurin = 2.0 * params.a * (h * u) ** 2 / 12.0
+    euler_maclaurin[0] = -euler_maclaurin[0]
+    pot = (params.lam - params.a * v - params.nu * _dpower(u, params.q - 1.0)
+           + euler_maclaurin)
+    return pot, math.sqrt(2.0 * params.a) * u
 
 
 @dataclass
 class _StepBands:
-    """The Newton band matrix of one solve.  The workspace `ab` is dgbsv
-    storage (13 rows, Fortran order); its rows 4..12 hold the matrix, entry
+    """The sector-0 pair form of one solve in dgbsv storage.  The workspace
+    `ab` has 13 rows (Fortran order); its rows 4..12 hold the matrix, entry
     (i, j) of the interleaved system at row 4 + i - j of ab[4:], and its rows
     0..3 are the LU fill-in space, which dgbsv need not find set."""
-    fixed: np.ndarray   # the step-independent entries of ab[4:]
-    src: np.ndarray     # sweep source weights (coulomb_inverse_bands)
-    em: np.ndarray      # Euler-Maclaurin diagonal of the sweep
+    fixed: np.ndarray   # D S D and T_0: the step-independent entries of ab[4:]
+    scale: np.ndarray   # W^(1/2) on the active nodes, D = 1 / scale
+    origin: np.ndarray  # row 0 of -Delta_r on nodes 0, 1, 2
     ab: np.ndarray      # workspace: fixed plus u-dependent entries
-    b: np.ndarray       # workspace: the right-hand side
-
-
-def _slots(n: int):
-    """Slots of d_i (i = 0..n-1) and y_j (j = 1..n-1) in d_0, d_1, y_1, d_2, ..."""
-    sd = 2 * np.arange(n) - 1
-    sd[0] = 0
-    return sd, sd[1:] + 1
+    rhs: np.ndarray     # workspace: the right-hand side
 
 
 def _step_bands(grid: RadialGrid, A: sp.csr_matrix) -> _StepBands:
-    """The Laplacian entries and the sweep rows of the Newton band matrix,
-    which no iterate changes, and the workspace every step solves in."""
-    n = grid.n
-    diag, off, src, em = coulomb_inverse_bands(grid)
-    sd, sy = _slots(n)
-    fixed = np.zeros((9, 2 * n - 1))
-    Ac = A.tocoo()
-    fixed[4 + sd[Ac.row] - sd[Ac.col], sd[Ac.col]] = Ac.data
-    # sweep rows: tridiag(off, diag, off) y - 2 src u d = 0
-    fixed[4, sy] = diag
-    fixed[2, sy[1:]] = off
-    fixed[6, sy[:-1]] = off
-    return _StepBands(fixed=fixed, src=src, em=em,
-                      ab=np.empty((13, 2 * n - 1), order="F"),
-                      b=np.empty(2 * n - 1))
+    """The entries of the Newton pair form that no iterate changes, S from
+    operators.dirichlet_form and T_0 from hartree.green_bands, and the
+    workspace every step solves in."""
+    m = grid.n - 3
+    S = operators.dirichlet_form(grid)
+    scale = np.sqrt(grid.weights_r2dr[1:m + 1])
+    diag, off = green_bands(0, m, grid.h)
+    fixed = np.zeros((9, 2 * m))
+    # f_i at slot 2i, y_i at slot 2i + 1 (i counts the active nodes from 0)
+    for k in (1, 2):
+        band = S.diagonal(k) / (scale[:-k] * scale[k:])
+        fixed[4 - 2 * k, 2 * k::2] = band
+        fixed[4 + 2 * k, :-2 * k:2] = band
+    fixed[4, ::2] = S.diagonal() / scale ** 2
+    fixed[4, 1::2] = diag
+    fixed[2, 3::2] = off
+    fixed[6, 1:-2:2] = off
+    return _StepBands(fixed=fixed, scale=scale,
+                      origin=A[0, :3].toarray().ravel(),
+                      ab=np.empty((13, 2 * m), order="F"),
+                      rhs=np.empty(2 * m))
 
 
 def _newton_step(u, v, F, params, grid, bands: _StepBands):
-    """Exact solution d of J(u) d = -F through one banded LU.
+    """Exact solution d of J(u) d = -F through one banded LU, for u vanishing
+    on the Dirichlet pad, as every iterate does (d vanishes there too).
 
-    The unknowns are d and y = r w with w = K0(2 u d), K0 the Coulomb sweep
-    without its Euler-Maclaurin diagonal em; then K(2 u d) = w + 2 em u d
-    and tridiag(off, diag, off) y = 2 src u d on nodes 1..n-1.  Interleaving
-    d_0, d_1, y_1, d_2, y_2, ... gives bandwidth 4 on each side.  The
+    On the active nodes W J d = -W F is the Schur complement of the sector-0
+    pair form [[S + W pot, B], [B, T_0]] in (d, y = r w), B = sqrt(h W) b
+    (`linearization`).  In standard form, d = D x with D = W^(-1/2), it is
+    [[D S D + pot, sqrt(h) b], [sqrt(h) b, T_0]] (x, y) = (-W^(1/2) F, 0);
+    interleaving x_1, y_1, x_2, ... gives bandwidth 4 on each side.  The
     u-dependent entries go on top of `bands.fixed` in the workspace, which
-    dgbsv overwrites.  A non-finite or singular system raises NonConvergence.
+    dgbsv overwrites.  d_0 then follows from row 0 of -Delta_r, the origin
+    limit, with the screening potential w_0 the trapezoid line integral of
+    2 u d r (its Euler-Maclaurin term is in pot_0).  A non-finite or singular
+    system raises NonConvergence.
     """
-    n, r = grid.n, grid.nodes
-    sd, sy = _slots(n)
-    au = params.a * u
-    au[-2:] = 0.0   # the Dirichlet pad rows carry no screening term
-    pot = _local_potential(u, v, params) - 2.0 * bands.em * au * u
-    screen = -au / np.r_[r[1], r[1:]]   # w_i = y_i / r_i and w_0 = y_1 / r_1
-    source = -2.0 * bands.src[1:] * u[1:]
-    if not all(np.isfinite(x).all() for x in (pot, screen, source, F)):
+    h, act = grid.h, slice(1, grid.n - 2)
+    pot, b = linearization(u, v, params, h)
+    if not (np.isfinite(pot).all() and np.isfinite(F).all()):
         raise NonConvergence(f"Newton step for {params.label()}: "
                              "non-finite Jacobian or residual")
-    band, b = bands.ab[4:], bands.b
+    band, rhs = bands.ab[4:], bands.rhs
     np.copyto(band, bands.fixed)
-    band[4, sd] += pot
-    # screening rows: -a u_i w_i
-    band[3, sy] = screen[1:]
-    band[2, sy[0]] = screen[0]
-    band[5, sd[1:]] = source
-    b.fill(0.0)
-    b[sd] = -F
-    _, _, x, info = dgbsv(4, 4, bands.ab, b, overwrite_ab=True,
+    band[4, ::2] += pot[act]
+    band[3, 1::2] = band[5, ::2] = math.sqrt(h) * b[act]
+    rhs[::2] = -bands.scale * F[act]
+    rhs[1::2] = 0.0
+    _, _, x, info = dgbsv(4, 4, bands.ab, rhs, overwrite_ab=True,
                           overwrite_b=True)
     if info != 0:
         raise NonConvergence(
             f"Newton step for {params.label()}: singular band matrix (info {info})")
-    return x[sd]
+    d = np.zeros(grid.n)
+    d[act] = x[::2] / bands.scale
+    a00, a01, a02 = bands.origin
+    screen = b[0] * np.dot(h * grid.nodes[act] * b[act], d[act])
+    d[0] = (screen - F[0] - a01 * d[1] - a02 * d[2]) / (a00 + pot[0])
+    return d
 
 
 def _wnorm(grid: RadialGrid, x: np.ndarray) -> float:

@@ -180,6 +180,15 @@ def test_solve_and_check_accept_rounding_floor(tmp_path):
     assert run(["check", "--out", out]) == 0
 
 
+def test_solve_and_check_at_65536_nodes(tmp_path):
+    # the pair-form Newton step holds its accuracy at h = 28/65535, where the
+    # rounding floor of the residual is 6.5e-9
+    out = str(tmp_path / "large")
+    assert run(["solve", "--q", "4", "--lambda", "1", "--n", "65536",
+                "--out", out]) == 0
+    assert run(["check", "--out", out]) == 0
+
+
 def test_sweep_monotone(tmp_path):
     out = str(tmp_path / "sweep")
     assert run(["sweep", "--q", "4", "--lambdas", "0.5,1,2", "--n", "1024",
@@ -253,6 +262,26 @@ def test_spectrum_cli_small(tmp_path):
     assert payload["sectors"][1]["zero_mode_match"] >= 0.999
     assert "suspected typo" in payload["convention_check"]["note"]
     assert payload["convention_check"]["paper_displayed_pair_first_eq_residual"] > 1e-3
+
+
+@pytest.mark.parametrize("q,lam,n,verdict", [
+    ("2.75", "100", 33, "under-resolved"),
+    ("4", "0.01", 64, "under-resolved"),
+    ("4", "0.01", 128, "under-resolved"),
+    ("4", "0.01", 256, "nondegenerate"),
+])
+def test_spectrum_under_resolved_grid(tmp_path, q, lam, n, verdict):
+    """Where 50 h^2 >= 1 the zero tolerance 50 h^2 sigma_2 swallows every
+    sector-1 eigenvalue: the verdict says the grid is too coarse (exit 2)
+    instead of asserting a kernel."""
+    out = str(tmp_path / "spec")
+    code = run(["spectrum", "--q", q, "--lambda", lam, "--n", str(n),
+                "--k-max", "3", "--out", out])
+    payload = json.load(open(out + ".json"))
+    assert payload["verdict"] == verdict
+    assert code == (0 if verdict == "nondegenerate" else 2)
+    h = payload["grid"]["r_max"] / (n - 1)
+    assert (50.0 * h * h >= 1.0) == (verdict == "under-resolved")
 
 
 def test_origin_spike_collapse_exits_2(tmp_path, capsys):

@@ -119,18 +119,26 @@ def test_discrete_poisson_residual():
 
 
 def test_inverse_bands_reproduce_sweep():
-    """The tridiagonal inverse of the sweep, plus its Euler-Maclaurin
-    diagonal, is coulomb_apply on arbitrary (signed) densities; its bands
-    are exactly 2/h, 1/h and -1/h, and for k >= 1 the same routine inverts
-    the sector-k kernel r_<^(k+1) r_>^(-k) / (2k+1)."""
+    """The k = 0 tridiagonal inverse on nodes 1..n-1, fed the sweep's source
+    weights and plus its Euler-Maclaurin diagonal, is coulomb_apply on
+    arbitrary (signed) densities; its bands are exactly 2/h, 1/h and -1/h,
+    and for k >= 1 the same routine inverts the sector-k kernel
+    r_<^(k+1) r_>^(-k) / (2k+1)."""
     from scipy.linalg import solve_banded
-    from sngs.hartree import coulomb_apply, coulomb_inverse_bands, green_bands
+    from sngs.hartree import coulomb_apply, green_bands
     rng = np.random.default_rng(3)
     for n in (48, 1001):
         g = sngs.make_grid(20.0, n)
-        diag, off, src, em = coulomb_inverse_bands(g)
+        diag, off = green_bands(0, n - 1, g.h)
         assert np.array_equal(diag, np.r_[np.full(n - 2, 2.0 / g.h), 1.0 / g.h])
         assert np.array_equal(off, np.full(n - 2, -1.0 / g.h))
+        # trapezoid weight times r_j, and the Euler-Maclaurin endpoint terms:
+        # -h^2/12 inside, +h^2/12 at the origin, none at the exact tail node
+        src = g.h * g.nodes
+        src[-1] *= 0.5
+        em = np.full(n, -g.h * g.h / 12.0)
+        em[0] = g.h * g.h / 12.0
+        em[-1] = 0.0
         bands = np.zeros((3, n - 1))
         bands[0, 1:] = off
         bands[1] = diag

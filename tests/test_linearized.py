@@ -87,6 +87,20 @@ def test_convention_wrong_direction(choquard, choquard_a2):
         convention_map(choquard, "upside_down")
 
 
+@pytest.mark.parametrize("a", [1.0, 0.3])
+def test_sector_form_invariant_under_convention_map(solved_cache, a):
+    # the form is written at every a; the a=2 image of the state carries
+    # the same operator, entry by entry and in its spectrum
+    st = solved_cache(1.0, a, 1.0, 4.0)
+    a2 = convention_map(st, "to_a2")
+    for k in (0, 1, 3):
+        op, op2 = sector_form(st, k), sector_form(a2, k)
+        assert abs(op.form - op2.form).max() <= 1e-15 * abs(op.form).max()
+        e1 = np.array(sector_spectrum(op, 4).eigenvalues)
+        e2 = np.array(sector_spectrum(op2, 4).eigenvalues)
+        assert np.max(np.abs(e1 - e2)) <= 1e-12 * max(1.0, np.max(np.abs(e1)))
+
+
 def test_sector_form_centrifugal(choquard):
     assert sector_form(choquard, 1).centrifugal == 2.0
     assert sector_form(choquard, 2).centrifugal == 6.0
@@ -210,10 +224,10 @@ def test_nondegeneracy_kwong_radial_kernel_free(solved_cache):
     assert rep.sectors[1].kernel_dimension == 1
 
 
-# sector eigenvalues (k = 0..3, six each) of the two scripts/run_spectrum.py
-# cases at n=4096, recorded with the pencil that eliminates the potential
-# through the sweep's Green's kernel; a dense eigh of each Schur complement
-# agreed within 4.1e-11
+# sector eigenvalues (k = 0..3, six each) of the two `spectrum` runs listed
+# under "Experiment runs" in the README, at n=4096, recorded with the pencil
+# that eliminates the potential through the sweep's Green's kernel; a dense
+# eigh of each Schur complement agreed within 4.1e-11
 RUN_SPECTRUM_EIGENVALUES = {
     (4.0, 1e-2): [
         [-2.8047572638077263, 0.4054845449779494, 0.7321944681643586,
