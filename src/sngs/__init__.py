@@ -7,10 +7,10 @@ __version__ = "0.1.0"
 from .grid import (EVEN, ODD, RadialField, RadialGrid, differentiate,
                    integrate_radial, interpolate, make_grid)
 from .hartree import HartreePotential, hartree_energy, hartree_potential
-from .solver import (GroundState, ModelParams, ScanResult, SolverOptions,
-                     apply_jacobian, auto_rmax, continuation_path,
-                     default_guess, ground_state, newton_solve,
-                     reference_profile, residual, uniqueness_scan)
+from .solver import (GroundState, ModelParams, ScanResult, apply_jacobian,
+                     auto_rmax, continuation_path, default_guess,
+                     ground_state, newton_solve, reference_profile, residual,
+                     solve, uniqueness_scan)
 from .diagnostics import DiagnosticsReport, identities, monotonicity_check, norm_report
 from .scaling import (ScalingReport, limit_distance, limit_regime,
                       limit_study, mass_ratio_report, normal_form,

@@ -26,11 +26,13 @@ EXIT_USAGE = 64
 # |Nehari|, |Pohozaev| <= IDENTITY_RTOL * G and the level identity
 # <= IDENTITY_RTOL * |J|: the bound a state must meet to be accepted
 IDENTITY_RTOL = 1e-6
+# relative agreement `check` asks of each re-derived diagnostic with the
+# value the manifest stored
+CHECK_RTOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise UsageError; flags must be spelled out in full (an
-    abbreviation would let spectrum's `--nu` stand for `--num-eigs`)."""
+    """Usage errors raise UsageError; flags must be spelled out in full."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
@@ -80,11 +82,6 @@ def _positive(text):
     return value
 
 
-def _rmax(text):
-    """argparse type: 'auto' or a positive finite radius."""
-    return text if text == "auto" else _positive(text)
-
-
 def build_parser():
     p = _Parser(prog="sngs", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -92,7 +89,6 @@ def build_parser():
 
     optional = {"--a": dict(type=float, default=1.0),
                 "--nu": dict(type=float, default=1.0),
-                "--rmax": dict(type=_rmax, default="auto"),
                 "--seed": dict(type=int, default=0)}
 
     def common(sp, *flags):
@@ -102,20 +98,19 @@ def build_parser():
         for flag in flags:
             sp.add_argument(flag, **optional[flag])
         sp.add_argument("--n", type=_int_from(16), default=4096)
-        sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--out", required=True)
         sp.add_argument("--force", action="store_true")
 
     sp = sub.add_parser("solve", help="one ground state")
-    common(sp, "--a", "--nu", "--rmax")
+    common(sp, "--a", "--nu")
     sp.add_argument("--lambda", dest="lam", type=_positive, required=True)
 
     sp = sub.add_parser("sweep", help="lambda sweep with c_lambda monotonicity verdict")
-    common(sp, "--a", "--nu", "--rmax")
+    common(sp, "--a", "--nu")
     sp.add_argument("--lambdas", required=True)
 
     sp = sub.add_parser("limits", help="scaling-limit distances to W or U")
-    common(sp, "--rmax")
+    common(sp)
     sp.add_argument("--lambdas", required=True)
     sp.add_argument("--side", choices=["zero", "infinity"], required=True)
 
@@ -123,29 +118,20 @@ def build_parser():
     common(sp)
     sp.add_argument("--lambda", dest="lam", type=_positive, required=True)
     sp.add_argument("--k-max", dest="k_max", type=_int_from(2), default=3)
-    sp.add_argument("--num-eigs", dest="num_eigs", type=_int_from(1), default=6)
 
     sp = sub.add_parser("scan", help="multi-start uniqueness scan")
-    common(sp, "--a", "--nu", "--rmax", "--seed")
+    common(sp, "--a", "--nu", "--seed")
     sp.add_argument("--lambda", dest="lam", type=_positive, required=True)
     sp.add_argument("--starts", type=_int_from(2), default=20)
 
     sp = sub.add_parser("check", help="re-derive diagnostics from artifacts")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--tol", type=float, default=1e-6)
     return p
 
 
-def _grid_for(args, lam: float):
-    rmax = solver.auto_rmax(lam) if args.rmax == "auto" else args.rmax
-    return make_grid(rmax, args.n)
-
-
-def _solve_one(args, lam: float, grid=None):
-    params = solver.ModelParams(lam=lam, a=args.a, nu=args.nu, q=args.q)
-    grid = grid or _grid_for(args, lam)
-    opts = solver.SolverOptions(tol=args.tol)
-    return solver.newton_solve(solver.default_guess(params, grid), params, opts)
+def _params(args, lam: float):
+    """The family member (lam, a, nu, q) the flags name at lambda `lam`."""
+    return solver.ModelParams(lam=lam, a=args.a, nu=args.nu, q=args.q)
 
 
 def identity_failures(rep) -> list:
@@ -164,7 +150,7 @@ def identity_failures(rep) -> list:
 def cmd_solve(args, argv):
     io.check_clobber([args.out + ".csv", args.out + ".json"], args.force)
     try:
-        state = _solve_one(args, args.lam)
+        state = solver.solve(_params(args, args.lam), args.n)
     except NonConvergence as exc:
         man = io.RunManifest(
             command_line=" ".join(argv), params={"lam": args.lam, "a": args.a,
@@ -178,7 +164,7 @@ def cmd_solve(args, argv):
         return EXIT_NUMERICAL
     failures = identity_failures(state.diagnostics)
     io.save_state(state, args.out, " ".join(argv), args.force,
-                  tolerances={"tol": args.tol},
+                  tolerances={"tol": solver.TOL},
                   summary={"identity_failures": failures})
     d = state.diagnostics
     print(f"solve: converged in {state.iterations} iterations, "
@@ -196,13 +182,9 @@ def cmd_sweep(args, argv):
     out_csv = args.out + ".csv"
     io.check_clobber([out_csv, args.out + ".json"], args.force)
     lams = sorted(parse_lambdas(args.lambdas))
-    params0 = solver.ModelParams(lam=lams[0], a=args.a, nu=args.nu, q=args.q)
-    grid0 = _grid_for(args, lams[0])
-    opts = solver.SolverOptions(tol=args.tol)
-    first = solver.newton_solve(solver.default_guess(params0, grid0), params0, opts)
-    states = [first]
+    states = [solver.solve(_params(args, lams[0]), args.n)]
     for lam in lams[1:]:
-        states.append(solver.continuation_path(states[-1], lam, opts))
+        states.append(solver.continuation_path(states[-1], lam))
     rows = []
     for s in states:
         d = s.diagnostics
@@ -242,13 +224,8 @@ def cmd_limits(args, argv):
     ref_grid = make_grid(solver.auto_rmax(1.0), args.n)
     q_ref = args.q if kind == scaling.KWONG else None
     ref = solver.reference_profile(kind, ref_grid, q=q_ref)
-    opts = solver.SolverOptions(tol=args.tol)
-    states = []
-    for lam in lams:
-        params = solver.ModelParams(lam=lam, a=1.0, nu=1.0, q=args.q)
-        grid = _grid_for(args, lam)
-        states.append(solver.newton_solve(solver.default_guess(params, grid),
-                                          params, opts))
+    states = [solver.solve(solver.ModelParams(lam=lam, a=1.0, nu=1.0, q=args.q),
+                           args.n) for lam in lams]
     report = scaling.limit_study(states, args.side, ref)
     rows = [list(row) + [r1, r2]
             for row, (_, r1, r2) in zip(report.rows, report.mass_ratios)]
@@ -274,26 +251,21 @@ def cmd_limits(args, argv):
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def normalized_state_for_spectrum(q: float, lam: float, n: int,
-                                  tol: float = 1e-10):
+def normalized_state_for_spectrum(q: float, lam: float, n: int):
     """Solve the section-6 normalized family member equivalent to the
     (lam, 1, 1, q) state: mu- or nu-form by regime, then the a=2 convention."""
     side = "zero" if lam < 1.0 else "infinity"
     form, _ = scaling.limit_regime(q, side)
     _, params = scaling.normal_form(q, lam, form)
-    grid = make_grid(solver.auto_rmax(params.lam), n)
-    state = solver.newton_solve(solver.default_guess(params, grid), params,
-                                solver.SolverOptions(tol=tol))
-    return linearized.convention_map(state, "to_a2"), params
+    return linearized.convention_map(solver.solve(params, n), "to_a2"), params
 
 
 def cmd_spectrum(args, argv):
     out_json = args.out + ".json"
     io.check_clobber([out_json], args.force)
-    a2_state, base_params = normalized_state_for_spectrum(
-        args.q, args.lam, args.n, args.tol)
-    report = linearized.nondegeneracy_report(a2_state, args.k_max,
-                                             num_eigs=args.num_eigs)
+    a2_state, base_params = normalized_state_for_spectrum(args.q, args.lam,
+                                                          args.n)
+    report = linearized.nondegeneracy_report(a2_state, args.k_max)
     # convention check: the correct pair halves the potential; keeping the
     # unscaled potential 2v in the first equation, -2 (2v) u, is the
     # residual at coupling a = 4 and leaves an O(1) ratio
@@ -336,9 +308,9 @@ def cmd_spectrum(args, argv):
 def cmd_scan(args, argv):
     out_json = args.out + ".json"
     io.check_clobber([out_json], args.force)
-    params = solver.ModelParams(lam=args.lam, a=args.a, nu=args.nu, q=args.q)
-    grid = _grid_for(args, args.lam)
-    res = solver.uniqueness_scan(params, args.starts, args.seed, grid=grid)
+    grid = make_grid(solver.auto_rmax(args.lam), args.n)
+    res = solver.uniqueness_scan(_params(args, args.lam), args.starts,
+                                 args.seed, grid=grid)
     payload = {
         "params": {"lam": args.lam, "a": args.a, "nu": args.nu, "q": args.q},
         "n_starts": args.starts, "rng_seed": args.seed,
@@ -357,18 +329,16 @@ def cmd_check(args, argv):
     state, manifest = io.load_state(args.out)
     rep = state.diagnostics
     stored = manifest["summary"]["diagnostics"]
-    tol = args.tol
     failures = []
     for key, val in rep.as_dict().items():
         ref = stored.get(key)
         if ref is None or val is None:
             continue
         scale = max(abs(ref), abs(val), 1e-300)
-        if abs(val - ref) > tol * scale:
+        if abs(val - ref) > CHECK_RTOL * scale:
             failures.append((key, ref, val))
-    # the rounding level of F where it lies above tol, as in newton_solve
-    tol_solve = manifest.get("tolerances", {}).get("tol", 1e-10)
-    if state.residual_norm > 10 * max(tol_solve, state.residual_floor):
+    # the rounding level of F where it lies above TOL, as in newton_solve
+    if state.residual_norm > 10 * max(solver.TOL, state.residual_floor):
         failures.append(("residual_norm",
                          manifest["summary"].get("residual_norm"),
                          state.residual_norm))

@@ -49,6 +49,9 @@ CONVERGED_TOL = 1e-8
 # clear Morse directions, the zero mode sits above it.
 GAP_TOL = 1e-3
 
+# eigenpairs computed per sector
+NUM_EIGS = 6
+
 
 def convention_map(state: GroundState, direction: str) -> GroundState:
     """Move a state between the single-coefficient family and the symmetric
@@ -185,8 +188,7 @@ def sector_spectrum(op: SectorOperator, m: int) -> SectorEntry:
         solves=eig.solves, factorizations=eig.factorizations, seconds=seconds)
 
 
-def nondegeneracy_report(state: GroundState, k_max: int,
-                         num_eigs: int = 6) -> NondegeneracyReport:
+def nondegeneracy_report(state: GroundState, k_max: int) -> NondegeneracyReport:
     """Sector-by-sector spectral certificate for nondegeneracy.
 
     nondegenerate: the radial sector has no eigenvalue within GAP_TOL of
@@ -200,7 +202,7 @@ def nondegeneracy_report(state: GroundState, k_max: int,
     if k_max < 2:
         raise ValueError("k_max >= 2")
     ops = [sector_form(state, k) for k in range(k_max + 1)]
-    sectors = [sector_spectrum(op, num_eigs) for op in ops]
+    sectors = [sector_spectrum(op, NUM_EIGS) for op in ops]
 
     h = state.grid.h
     vals1 = sorted(sectors[1].eigenvalues, key=abs)

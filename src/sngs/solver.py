@@ -8,9 +8,11 @@ Picard iteration; plain damped Newton from generic bumps measurably stalls on
 a near-singular Jacobian ridge between the trivial and ground branches),
 then damped Newton.  The warm start factors the symmetric weighted form
 S + lam W once by banded Cholesky and stops as soon as its Rayleigh ratio is
-within WARM_TOL of 1 (warm_iters caps the sweeps).  Newton stops at
-|F| <= max(tol, floor) lam |u| in the r^2 dr norm, where `residual_floor` is
-the rounding level of F, taken once per solve after the warm start.
+within WARM_TOL of 1 (WARM_SWEEPS caps the sweeps).  Newton stops at
+|F| <= max(TOL, floor) lam |u| in the r^2 dr norm, where `residual_floor` is
+the rounding level of F, taken once per solve after the warm start.  Every
+solve runs the warm start, continuation included, and `solve` is the one
+place that picks a state's domain and start from (params, n).
 Every GroundState comes from `ground_state`, whose residual_norm is the
 scale-invariant ratio |F(u)| / (lam |u|): by the mu/nu maps of `scaling`,
 F = lam^(alpha+1) F~, so it equals the relative residual of the normal-form
@@ -46,7 +48,10 @@ from .grid import EVEN, RadialField, RadialGrid, make_grid
 from .hartree import coulomb_apply, green_bands
 
 TRIVIAL_SUP = 1e-8
+TOL = 1e-10           # Newton's stop: |F| / (lam |u|) in r^2 dr norms
+MAX_ITER = 60         # Newton iterations
 DAMPING = 20          # max step halvings per Newton iteration
+WARM_SWEEPS = 60      # cap on the spectral-renormalization sweeps
 WARM_TOL = 1e-4       # the warm start stops at |Rayleigh ratio - 1| <= WARM_TOL
 DEDUP_TOL = 1e-6      # relative sup distance under which two scan states agree
 
@@ -76,13 +81,6 @@ class ModelParams:
 
     def label(self):
         return f"(lam={self.lam:g}, a={self.a:g}, nu={self.nu:g}, q={self.q:g})"
-
-
-@dataclass
-class SolverOptions:
-    tol: float = 1e-10           # relative residual in the r^2-weighted norm
-    max_iter: int = 60
-    warm_iters: int = 60         # cap on the spectral-renormalization sweeps
 
 
 @dataclass
@@ -134,7 +132,7 @@ def _dpower(u: np.ndarray, p: float) -> np.ndarray:
 
 def _residual_values(u: np.ndarray, params: ModelParams, grid: RadialGrid,
                      A: sp.csr_matrix):
-    v = coulomb_apply(grid, u * u) if params.a != 0.0 else np.zeros(grid.n)
+    v = coulomb_apply(grid, u * u)
     F = A @ u + params.lam * u - params.a * v * u - params.nu * _power(u, params.q - 1.0)
     F[-2] = u[-2]
     F[-1] = u[-1]
@@ -156,14 +154,12 @@ def apply_jacobian(u: RadialField, delta: RadialField, params: ModelParams) -> R
         raise WrongParams("direction lives on a different grid")
     grid, uv, d = u.grid, u.values, delta.values
     A = operators.radial_laplacian(grid)
-    v = coulomb_apply(grid, uv**2) if params.a != 0.0 else np.zeros(grid.n)
+    v = coulomb_apply(grid, uv**2)
     pot = params.lam - params.a * v - params.nu * _dpower(uv, params.q - 1.0)
     pot[-2:] = 0.0   # keep the Dirichlet pad rows as pure identities
-    y = A @ d + pot * d
-    if params.a != 0.0:
-        screen = params.a * uv * coulomb_apply(grid, 2.0 * uv * d)
-        screen[-2:] = 0.0
-        y -= screen
+    screen = params.a * uv * coulomb_apply(grid, 2.0 * uv * d)
+    screen[-2:] = 0.0
+    y = A @ d + pot * d - screen
     return RadialField(grid=grid, values=y, parity=EVEN)
 
 
@@ -290,26 +286,24 @@ def _shifted_solve(grid: RadialGrid, A: sp.csr_matrix, lam: float):
     return solve
 
 
-def _warm_start(u, params, grid, A, sweeps):
+def _warm_start(u, params, grid, A):
     """Amplitude-stabilized Picard iteration (spectral renormalization).
 
     u <- S^gamma (A + lam)^(-1) N(u) with S the Rayleigh ratio of the linear
     and nonlinear pairings; gamma from the dominant homogeneity of N.  Stops
-    once |S - 1| <= WARM_TOL or after `sweeps` sweeps.  On a grid too coarse
+    once |S - 1| <= WARM_TOL or after WARM_SWEEPS sweeps.  On a grid too coarse
     for the state the iteration can blow up: the first non-finite ratio or
     iterate raises NonConvergence, and the overflow that produced it is not
     reported as a warning.
     """
-    if sweeps <= 0:
-        return u
     W = grid.weights_r2dr
     solve = _shifted_solve(grid, A, params.lam)
     gamma = 1.5 if params.a > 0 else (params.q - 1.0) / (params.q - 2.0)
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        for sweep in range(1, sweeps + 1):
+        for sweep in range(1, WARM_SWEEPS + 1):
             if np.max(np.abs(u)) < TRIVIAL_SUP:
                 break
-            v = coulomb_apply(grid, u * u) if params.a != 0.0 else 0.0
+            v = coulomb_apply(grid, u * u)
             N = params.a * v * u + params.nu * _power(u, params.q - 1.0)
             num = np.dot(W * u, A @ u + params.lam * u)
             den = np.dot(W * u, N)
@@ -358,8 +352,6 @@ def ground_state(u: RadialField, params: ModelParams,
     grid = u.grid
     A = operators.radial_laplacian(grid)
     F, v = _residual_values(u.values, params, grid, A)
-    if params.a == 0.0:   # the residual skipped the sweep
-        v = coulomb_apply(grid, u.values * u.values)
     res = _wnorm(grid, F) / (params.lam * _wnorm(grid, u.values))
     state = GroundState(params=params, u=u,
                         v=RadialField(grid=grid, values=v, parity=EVEN),
@@ -372,24 +364,22 @@ def ground_state(u: RadialField, params: ModelParams,
     return state
 
 
-def newton_solve(guess: RadialField, params: ModelParams,
-                 opts: SolverOptions | None = None) -> GroundState:
+def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
     """Damped Newton with a deterministic warm start; see module docstring.
 
     Raises TrivialCollapse / NonConvergence / NegativeStateDetected; a
-    NonConvergence from a stalled line search or at max_iter carries the
+    NonConvergence from a stalled line search or at MAX_ITER carries the
     last (lowest-residual) iterate as its `state`.
     """
-    opts = opts or SolverOptions()
     grid = guess.grid
     A = operators.radial_laplacian(grid)
     u = guess.values.astype(float).copy()
     u[-2:] = 0.0
     if np.max(np.abs(u)) < TRIVIAL_SUP:
         raise TrivialCollapse("initial guess is numerically zero")
-    u = _warm_start(u, params, grid, A, opts.warm_iters)
+    u = _warm_start(u, params, grid, A)
     _live_norm(grid, u)   # a collapsed warm start is typed before |u| divides
-    stop = max(opts.tol, residual_floor(grid, A, u, params.lam)) * params.lam
+    stop = max(TOL, residual_floor(grid, A, u, params.lam)) * params.lam
     bands = _step_bands(grid, A)
 
     def stalled(message, nu_norm, iterations):
@@ -404,7 +394,7 @@ def newton_solve(guess: RadialField, params: ModelParams,
         nF = _wnorm(grid, F)
     if not math.isfinite(nF):
         raise NonConvergence(f"warm start for {params.label()}: non-finite residual norm")
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         nu_norm = _live_norm(grid, u)
         if nF <= stop * nu_norm:
             break
@@ -428,8 +418,8 @@ def newton_solve(guess: RadialField, params: ModelParams,
         nu_norm = _live_norm(grid, u)
         # the last update may have converged
         if not nF <= stop * nu_norm:
-            raise stalled(f"no convergence in {opts.max_iter} iterations",
-                          nu_norm, opts.max_iter)
+            raise stalled(f"no convergence in {MAX_ITER} iterations",
+                          nu_norm, MAX_ITER)
 
     sup = float(np.max(u))
     if np.min(u[:-2]) < -1e-10 * max(sup, abs(float(np.min(u)))):
@@ -438,6 +428,14 @@ def newton_solve(guess: RadialField, params: ModelParams,
 
     del bands   # ground_state's operators need not coexist with the workspace
     return ground_state(RadialField(grid=grid, values=u, parity=EVEN), params, it)
+
+
+def solve(params: ModelParams, n: int) -> GroundState:
+    """The ground state of `params` on n nodes, solved from default_guess on
+    the auto_rmax(lam) domain: the one rule that picks a solve's domain and
+    start from (params, n)."""
+    grid = make_grid(auto_rmax(params.lam), n)
+    return newton_solve(default_guess(params, grid), params)
 
 
 # -- canonical reference profiles ----------------------------------------------
@@ -463,7 +461,7 @@ def reference_profile(kind: str, grid: RadialGrid, q: float | None = None) -> Gr
         vals = 2.0 * np.exp(-r**2 / 4.0)
     vals[-2:] = 0.0
     guess = RadialField(grid=grid, values=vals, parity=EVEN)
-    return newton_solve(guess, params, SolverOptions())
+    return newton_solve(guess, params)
 
 
 # -- continuation ----------------------------------------------------------------
@@ -486,24 +484,20 @@ def _rescale_seed(state: GroundState, lam_new: float) -> RadialField:
                        parity=EVEN)
 
 
-def continuation_path(seed: GroundState, lam: float,
-                      opts: SolverOptions | None = None) -> GroundState:
+def continuation_path(seed: GroundState, lam: float) -> GroundState:
     """The ground state at `lam` of the seed's family, reached from `seed`.
 
-    Newton starts from the rescaled seed without a warm start.  A failed
+    Each step runs the warm start and Newton from the rescaled seed.  A failed
     solve first solves at the geometric midpoint in lambda and retries from
     there; the 7th failure raises ContinuationStuck.  Returns `seed` itself
     when lam is its lambda.
     """
-    # Newton corrects the rescale; the warm start would discard the seed
-    opts = replace(opts or SolverOptions(), warm_iters=0)
     current, stack, depth = seed, [float(lam)], 0
     while stack:
         goal = replace(seed.params, lam=stack[-1])
         try:
             if goal != current.params:
-                current = newton_solve(_rescale_seed(current, goal.lam), goal,
-                                       opts)
+                current = newton_solve(_rescale_seed(current, goal.lam), goal)
             stack.pop()
         except (NonConvergence, TrivialCollapse, NegativeStateDetected):
             depth += 1
@@ -539,7 +533,6 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
     """
     if n_starts < 2:
         raise ValueError("n_starts >= 2")
-    opts = SolverOptions(max_iter=40, warm_iters=50)
     rng = np.random.default_rng(rng_seed)
     draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n_starts, 2))
     distinct: list[GroundState] = []
@@ -550,7 +543,7 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
         vals[-2:] = 0.0
         guess = RadialField(grid=grid, values=vals, parity=EVEN)
         try:
-            state = newton_solve(guess, params, opts)
+            state = newton_solve(guess, params)
         except (NonConvergence, TrivialCollapse, NegativeStateDetected):
             failed += 1
             continue

@@ -27,16 +27,18 @@ def test_usage_errors(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["scan", "--q", "4", "--lambda", "1", "--starts", "1"],
     ["spectrum", "--q", "4", "--lambda", "0.01", "--k-max", "1"],
-    ["spectrum", "--q", "4", "--lambda", "0.01", "--num-eigs", "0"],
+    ["spectrum", "--q", "4", "--lambda", "0.01", "--num-eigs", "6"],
     ["solve", "--q", "4", "--lambda", "-1"],
     ["solve", "--q", "4", "--lambda", "1", "--a", "-1"],
     ["solve", "--q", "4", "--lambda", "1", "--a", "0", "--nu", "0"],
-    ["solve", "--q", "4", "--lambda", "1", "--rmax", "abc"],
+    ["solve", "--q", "4", "--lambda", "1", "--rmax", "30"],
     ["solve", "--q", "4", "--lambda", "nan"],
     ["solve", "--q", "4", "--lambda", "1", "--seed", "3"],
     ["spectrum", "--q", "4.5", "--lambda", "-1"],
     ["sweep", "--q", "4", "--lambdas", "nan,1"],
     ["solve", "--q", "4", "--lambda", "1", "--n", "5"],
+    ["solve", "--q", "4", "--lambda", "1", "--tol", "1e-8"],
+    ["check", "--tol", "1e-3"],
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     out = str(tmp_path / "x")

@@ -45,7 +45,7 @@ def test_residual_norm_is_lambda_relative(solved_cache, lam):
     F = sngs.residual(st.u, st.params)
     by_hand = _wnorm(st.grid, F.values) / (lam * _wnorm(st.grid, st.u.values))
     assert st.residual_norm == by_hand
-    assert st.residual_norm <= sngs.SolverOptions().tol
+    assert st.residual_norm <= sngs.solver.TOL
 
 
 def test_kwong_state_fails_choquard_equation(solved_cache):
@@ -151,13 +151,13 @@ def test_warm_start_stops_on_settled_ratio():
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     g = sngs.make_grid(sngs.auto_rmax(1.0), 1536)
     A = sngs.operators.radial_laplacian(g)
-    u = _warm_start(sngs.default_guess(p, g).values, p, g, A, 60)
+    u = _warm_start(sngs.default_guess(p, g).values, p, g, A)
     field = sngs.RadialField(grid=g, values=u)
     N = sngs.hartree_potential(field).v.values * u + u**3
     W = g.weights_r2dr
     ratio = float(np.dot(W * u, A @ u + u)) / float(np.dot(W * u, N))
     assert abs(ratio - 1.0) <= WARM_TOL
-    again = _warm_start(u, p, g, A, 60)
+    again = _warm_start(u, p, g, A)
     assert np.array_equal(again, u)
 
 
@@ -171,12 +171,12 @@ def test_residual_floor_scales_with_the_grid(solved_cache):
     assert 3.9 <= ratio <= 4.1
 
 
-def test_nonconvergence_carries_best_iterate():
+def test_nonconvergence_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(sngs.solver, "MAX_ITER", 1)
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     g = sngs.make_grid(sngs.auto_rmax(1.0), 768)
     with pytest.raises(NonConvergence) as info:
-        sngs.newton_solve(sngs.default_guess(p, g), p,
-                          sngs.SolverOptions(max_iter=1))
+        sngs.newton_solve(sngs.default_guess(p, g), p)
     state = info.value.state
     assert state.grid == g
     assert np.all(np.isfinite(state.values))
@@ -316,20 +316,32 @@ def test_uniqueness_scan_needs_two_starts():
 
 
 def test_negative_branch_detected():
+    # -W solves the a=0 equation exactly: the warm start stops at its first
+    # ratio and Newton converges onto the negative branch
     g = sngs.make_grid(28.0, 768)
     p = sngs.ModelParams(lam=1.0, a=0.0, nu=1.0, q=4.0)
     W = sngs.reference_profile("kwong", g, q=4.0)
     guess = sngs.RadialField(grid=g, values=-W.u.values)
     from sngs.errors import NegativeStateDetected
     with pytest.raises(NegativeStateDetected):
-        sngs.newton_solve(guess, p, sngs.SolverOptions(warm_iters=0))
+        sngs.newton_solve(guess, p)
 
 
-def test_continuation_stuck(solved_cache):
+def test_continuation_stuck(solved_cache, monkeypatch):
     st = solved_cache(1.0, 1.0, 1.0, 4.0, n=768)
-    crippled = sngs.SolverOptions(max_iter=0)
+    monkeypatch.setattr(sngs.solver, "MAX_ITER", 0)
     with pytest.raises(ContinuationStuck):
-        sngs.continuation_path(st, 100.0, crippled)
+        sngs.continuation_path(st, 100.0)
+
+
+def test_continuation_reaches_large_lambda_at_q525(solved_cache):
+    # Newton from the bare rescaled seed stalls near lambda = 0.72 at
+    # q = 5.25; with the warm start on every step the path reaches 100
+    st = solved_cache(1e-2, 1.0, 1.0, 5.25, n=768)
+    states = continue_along(st, np.geomspace(1e-2, 1e2, 9)[1:])
+    assert states[-1].params == replace(st.params, lam=100.0)
+    for s in states:
+        assert s.residual_norm <= sngs.solver.TOL
 
 
 def test_sup_norm_grows_toward_large_lambda(solved_cache):
