@@ -8,13 +8,12 @@ from .grid import (EVEN, ODD, RadialField, RadialGrid, differentiate,
                    integrate_radial, interpolate, make_grid)
 from .hartree import HartreePotential, hartree_energy, hartree_potential
 from .solver import (GroundState, ModelParams, ScanResult, apply_jacobian,
-                     auto_rmax, continuation_path, default_guess,
-                     ground_state, newton_solve, reference_profile, residual,
-                     solve, uniqueness_scan)
+                     auto_rmax, default_guess, ground_state, newton_solve,
+                     residual, solve, uniqueness_scan)
 from .diagnostics import DiagnosticsReport, identities, monotonicity_check, norm_report
-from .scaling import (ScalingReport, limit_distance, limit_regime,
-                      limit_study, mass_ratio_report, normal_form,
-                      scale_state, small_parameter)
+from .scaling import (ScalingReport, limit_distance, limit_member,
+                      limit_regime, limit_study, mass_ratio_report,
+                      normal_form, scale_state, small_parameter)
 from .linearized import (NondegeneracyReport, SectorOperator, convention_map,
                          nondegeneracy_report, quadratic_form_value,
                          sector_form, sector_spectrum, translation_mode)

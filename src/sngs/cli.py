@@ -15,9 +15,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, diagnostics, io, linearized, scaling, solver
-from .errors import (BadRange, InvalidExponent, IoError, NonConvergence,
-                     SngsError, UsageError)
-from .grid import make_grid, write_table_csv
+from .errors import (BadRange, InvalidExponent, IoError, NegativeStateDetected,
+                     NonConvergence, SngsError, TrivialCollapse, UsageError)
+from .grid import write_table_csv
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -147,20 +147,27 @@ def identity_failures(rep) -> list:
     return failures
 
 
+def _failures_by_lambda(states) -> list:
+    """{lambda, failures} for each state that misses the identity bound."""
+    return [{"lambda": s.params.lam, "failures": fails} for s in states
+            if (fails := identity_failures(s.diagnostics))]
+
+
 def cmd_solve(args, argv):
     io.check_clobber([args.out + ".csv", args.out + ".json"], args.force)
     try:
         state = solver.solve(_params(args, args.lam), args.n)
-    except NonConvergence as exc:
+    except (NonConvergence, TrivialCollapse, NegativeStateDetected) as exc:
         man = io.RunManifest(
             command_line=" ".join(argv), params={"lam": args.lam, "a": args.a,
                                                  "nu": args.nu, "q": args.q},
             grid={"r_max": None, "n": args.n},
             code_version=__version__, created=io._now(), outputs=[],
-            summary={"error": str(exc), "residual_norm": exc.residual_norm,
-                     "iterations": exc.iterations})
+            summary={"error": str(exc),
+                     "residual_norm": getattr(exc, "residual_norm", None),
+                     "iterations": getattr(exc, "iterations", None)})
         man.write(args.out + ".json")
-        print(f"solve: no convergence ({exc})", file=sys.stderr)
+        print(f"solve: {type(exc).__name__} ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
     failures = identity_failures(state.diagnostics)
     io.save_state(state, args.out, " ".join(argv), args.force,
@@ -182,9 +189,7 @@ def cmd_sweep(args, argv):
     out_csv = args.out + ".csv"
     io.check_clobber([out_csv, args.out + ".json"], args.force)
     lams = sorted(parse_lambdas(args.lambdas))
-    states = [solver.solve(_params(args, lams[0]), args.n)]
-    for lam in lams[1:]:
-        states.append(solver.continuation_path(states[-1], lam))
+    states = [solver.solve(_params(args, lam), args.n) for lam in lams]
     rows = []
     for s in states:
         d = s.diagnostics
@@ -194,8 +199,7 @@ def cmd_sweep(args, argv):
     write_table_csv(out_csv, _SWEEP_HEADER, rows)
     mono = diagnostics.monotonicity_check([(s.params.lam, s.diagnostics.J)
                                            for s in states])
-    failures = [{"lambda": s.params.lam, "failures": fails} for s in states
-                if (fails := identity_failures(s.diagnostics))]
+    failures = _failures_by_lambda(states)
     man = io.RunManifest(
         command_line=" ".join(argv),
         params={"a": args.a, "nu": args.nu, "q": args.q, "lambdas": lams},
@@ -221,9 +225,7 @@ def cmd_limits(args, argv):
     lams = parse_lambdas(args.lambdas)
     lams = sorted(lams, reverse=(args.side == "zero"))
     form, kind = scaling.limit_regime(args.q, args.side)
-    ref_grid = make_grid(solver.auto_rmax(1.0), args.n)
-    q_ref = args.q if kind == scaling.KWONG else None
-    ref = solver.reference_profile(kind, ref_grid, q=q_ref)
+    ref = solver.solve(scaling.limit_member(args.q, args.side), args.n)
     states = [solver.solve(solver.ModelParams(lam=lam, a=1.0, nu=1.0, q=args.q),
                            args.n) for lam in lams]
     report = scaling.limit_study(states, args.side, ref)
@@ -233,7 +235,10 @@ def cmd_limits(args, argv):
     decreasing = report.distances_decreasing()
     final_sup = report.rows[-1][2]
     close = final_sup <= 0.05 * ref.sup_u()
-    ok = decreasing and close and report.ratios_in_window
+    failures = _failures_by_lambda(states)
+    if (fails := identity_failures(ref.diagnostics)):
+        failures.insert(0, {"reference": kind, "failures": fails})
+    ok = decreasing and close and report.ratios_in_window and not failures
     man = io.RunManifest(
         command_line=" ".join(argv),
         params={"q": args.q, "side": args.side, "lambdas": lams,
@@ -243,11 +248,14 @@ def cmd_limits(args, argv):
         outputs=[out_csv],
         summary={"regime": report.regime,
                  "distances_decreasing": decreasing, "final_sup_ok": close,
-                 "ratios_in_window": report.ratios_in_window})
+                 "ratios_in_window": report.ratios_in_window,
+                 "identity_failures": failures})
     man.write(args.out + ".json")
     print(f"limits: limit={kind}, decreasing={decreasing}, "
           f"final sup {final_sup:.3e} (<= 5% of {ref.sup_u():.3e}: {close}), "
           f"ratios in window = {report.ratios_in_window}")
+    for f in failures:
+        print(f"limits: under-resolved state {f}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
@@ -308,9 +316,8 @@ def cmd_spectrum(args, argv):
 def cmd_scan(args, argv):
     out_json = args.out + ".json"
     io.check_clobber([out_json], args.force)
-    grid = make_grid(solver.auto_rmax(args.lam), args.n)
     res = solver.uniqueness_scan(_params(args, args.lam), args.starts,
-                                 args.seed, grid=grid)
+                                 args.seed, args.n)
     payload = {
         "params": {"lam": args.lam, "a": args.a, "nu": args.nu, "q": args.q},
         "n_starts": args.starts, "rng_seed": args.seed,

@@ -57,10 +57,6 @@ class NegativeStateDetected(SngsError):
     """Converged to a sign-changing branch, not a ground state."""
 
 
-class ContinuationStuck(SngsError):
-    """Step bisection hit the minimum step without converging."""
-
-
 class WrongParams(SngsError):
     pass
 

@@ -9,17 +9,19 @@ families, u~(r) = lam^(-alpha) u(r / sqrt(lam)):
              -Delta w + w = (I_2*w^2) w + nu w^(q-1),  nu = lam^(q-3)
 
 `normal_form` is the one place alpha and the normalized parameters are
-written; the forward map (`scale_state`), the continuation seed
-(`solver._rescale_seed`) and the spectrum's normalized solve all use it.
+written; the forward map (`scale_state`) and the spectrum's normalized solve
+use it.
 Under the map F(u) = lam^(alpha+1) F~(u~), so the residual ratio
 |F| / (lam |u|) of `solver.ground_state` is the same number in both sets of
 variables.
 
 The regime table says which small parameter goes to zero on each end of the
 lambda axis, hence which reference profile (Kwong W or Choquard U) is the
-limit.  Scaled potentials are recomputed from the scaled field through the
-Newton-theorem sweep rather than rescaled, so the pair stays consistent with
-the single-coefficient family used everywhere else.
+limit; `limit_member` writes that profile as a family member at lam = 1, so
+`solver.solve` computes it as it does every state.  Scaled potentials are
+recomputed from the scaled field through the Newton-theorem sweep rather than
+rescaled, so the pair stays consistent with the single-coefficient family used
+everywhere else.
 """
 
 from __future__ import annotations
@@ -69,6 +71,15 @@ def limit_regime(q: float, side: str):
     if side == "zero":
         return (MU_FORM, KWONG) if low_q else (NU_FORM, CHOQUARD)
     return (NU_FORM, CHOQUARD) if low_q else (MU_FORM, KWONG)
+
+
+def limit_member(q: float, side: str) -> ModelParams:
+    """The limit profile of the (q, side) regime as a family member: Kwong W
+    is (1, 0, 1, q) and Choquard U is (1, 1, 0, q), q inert at nu = 0 and
+    taken as 4."""
+    if limit_regime(q, side)[1] == KWONG:
+        return ModelParams(lam=1.0, a=0.0, nu=1.0, q=q)
+    return ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0)
 
 
 def small_parameter(q: float, lam: float, form: str) -> float:

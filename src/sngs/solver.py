@@ -10,17 +10,18 @@ then damped Newton.  The warm start factors the symmetric weighted form
 S + lam W once by banded Cholesky and stops as soon as its Rayleigh ratio is
 within WARM_TOL of 1 (WARM_SWEEPS caps the sweeps).  Newton stops at
 |F| <= max(TOL, floor) lam |u| in the r^2 dr norm, where `residual_floor` is
-the rounding level of F, taken once per solve after the warm start.  Every
-solve runs the warm start, continuation included, and `solve` is the one
-place that picks a state's domain and start from (params, n).
+the rounding level of F, taken once per solve after the warm start.
+`solve` is the one place that picks a state's domain and start from
+(params, n); the scan's random starts share its domain.  The ground state is
+unique at each lambda, so a lambda sweep solves every lambda afresh, and the
+limit profiles W and U are the family members of `scaling.limit_member`.
 Every GroundState comes from `ground_state`, whose residual_norm is the
 scale-invariant ratio |F(u)| / (lam |u|): by the mu/nu maps of `scaling`,
 F = lam^(alpha+1) F~, so it equals the relative residual of the normal-form
 member at lam = 1 and means the same at every lambda; residual_floor is the
-rounding level of that ratio at the state.  `continuation_path` moves lambda
-alone, to one target per call.  The linearized operator is written once
-(`linearization`): a local diagonal pot and a coupling b, whose sector-k pair
-form in (f, y = r g), g the potential perturbation, is
+rounding level of that ratio at the state.  The linearized operator is
+written once (`linearization`): a local diagonal pot and a coupling b, whose
+sector-k pair form in (f, y = r g), g the potential perturbation, is
 [[S + W pot, B], [B, T_k]] with B = sqrt(h W) b, S = operators.dirichlet_form
 and T_k = hartree.green_bands; `linearized` builds it for every k.  Its
 sector-0 Schur complement is W J, so each Newton step J d = -F solves that
@@ -32,7 +33,7 @@ pair form exactly, in standard form on the active nodes, by one banded LU
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -41,9 +42,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv
 
 from . import operators
-from .errors import (BadRange, ContinuationStuck, InvalidExponent,
-                     NegativeStateDetected, NonConvergence, TrivialCollapse,
-                     WrongParams)
+from .errors import (BadRange, InvalidExponent, NegativeStateDetected,
+                     NonConvergence, TrivialCollapse, WrongParams)
 from .grid import EVEN, RadialField, RadialGrid, make_grid
 from .hartree import coulomb_apply, green_bands
 
@@ -60,9 +60,8 @@ DEDUP_TOL = 1e-6      # relative sup distance under which two scan states agree
 class ModelParams:
     """One member of the family -Delta u + lam u = a (I_2*u^2) u + nu u^(q-1).
 
-    The Kwong profile W is (lam=1, a=0, nu=1, q); the Choquard profile U is
-    (lam=1, a=1, nu=0, q arbitrary); the paper's symmetric convention
-    doubles a (linearized.convention_map).
+    The limit profiles W and U are members too (scaling.limit_member); the
+    paper's symmetric convention doubles a (linearized.convention_map).
     """
     lam: float
     a: float
@@ -430,82 +429,18 @@ def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
     return ground_state(RadialField(grid=grid, values=u, parity=EVEN), params, it)
 
 
+def _solve_grid(params: ModelParams, n: int) -> RadialGrid:
+    """The n-node grid on the auto_rmax(lam) domain: the one rule for the
+    grid of `solve` and of `uniqueness_scan`."""
+    return make_grid(auto_rmax(params.lam), n)
+
+
 def solve(params: ModelParams, n: int) -> GroundState:
     """The ground state of `params` on n nodes, solved from default_guess on
-    the auto_rmax(lam) domain: the one rule that picks a solve's domain and
-    start from (params, n)."""
-    grid = make_grid(auto_rmax(params.lam), n)
+    `_solve_grid`: the one rule that picks a solve's domain and start from
+    (params, n)."""
+    grid = _solve_grid(params, n)
     return newton_solve(default_guess(params, grid), params)
-
-
-# -- canonical reference profiles ----------------------------------------------
-
-
-def reference_profile(kind: str, grid: RadialGrid, q: float | None = None) -> GroundState:
-    """Kwong profile W (kind='kwong', exponent q) or Choquard profile U
-    (kind='choquard') on the given grid."""
-    if kind == "kwong":
-        if q is None:
-            raise WrongParams("kwong profile needs q")
-        params = ModelParams(lam=1.0, a=0.0, nu=1.0, q=q)
-    elif kind == "choquard":
-        params = ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0)  # q inert at nu=0
-    else:
-        raise WrongParams(f"unknown reference kind {kind!r}")
-    r = grid.nodes
-    if kind == "kwong":
-        c = 3.0 * (q / 2.0) ** (1.0 / (q - 2.0))
-        kap = (q - 2.0) / 2.0
-        vals = c / np.cosh(kap * r) ** (2.0 / (q - 2.0))
-    else:
-        vals = 2.0 * np.exp(-r**2 / 4.0)
-    vals[-2:] = 0.0
-    guess = RadialField(grid=grid, values=vals, parity=EVEN)
-    return newton_solve(guess, params)
-
-
-# -- continuation ----------------------------------------------------------------
-
-
-def _rescale_seed(state: GroundState, lam_new: float) -> RadialField:
-    """Seed for a new lambda: nodally exact scaling-map transfer.
-
-    The grid stretches with the decay length (r_max ~ 1/sqrt(lam)), so
-    u_new[j] = s^alpha u_old[j] with s = lam_new/lam_old; alpha is that of
-    the normal form of the limit profile the step moves toward.
-    """
-    from .scaling import limit_regime, normal_form
-    p = state.params
-    s = lam_new / p.lam
-    side = "zero" if lam_new < p.lam else "infinity"
-    alpha, _ = normal_form(p.q, s, limit_regime(p.q, side)[0])
-    new_grid = make_grid(state.grid.r_max / math.sqrt(s), state.grid.n)
-    return RadialField(grid=new_grid, values=(s ** alpha) * state.u.values,
-                       parity=EVEN)
-
-
-def continuation_path(seed: GroundState, lam: float) -> GroundState:
-    """The ground state at `lam` of the seed's family, reached from `seed`.
-
-    Each step runs the warm start and Newton from the rescaled seed.  A failed
-    solve first solves at the geometric midpoint in lambda and retries from
-    there; the 7th failure raises ContinuationStuck.  Returns `seed` itself
-    when lam is its lambda.
-    """
-    current, stack, depth = seed, [float(lam)], 0
-    while stack:
-        goal = replace(seed.params, lam=stack[-1])
-        try:
-            if goal != current.params:
-                current = newton_solve(_rescale_seed(current, goal.lam), goal)
-            stack.pop()
-        except (NonConvergence, TrivialCollapse, NegativeStateDetected):
-            depth += 1
-            if depth > 6:
-                raise ContinuationStuck(
-                    f"minimum step reached near {goal.label()}")
-            stack.append(math.sqrt(current.params.lam * goal.lam))
-    return current
 
 
 # -- multistart uniqueness scan ---------------------------------------------------
@@ -524,15 +459,17 @@ def _sup_distance_rel(u1: np.ndarray, u2: np.ndarray) -> float:
 
 
 def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
-                    grid: RadialGrid) -> ScanResult:
+                    n: int) -> ScanResult:
     """Multi-start evidence for uniqueness: seeded Gaussian guesses
-    c exp(-kappa r^2) with (c, kappa) log-uniform over [1e-2, 1e2]^2.
+    c exp(-kappa r^2) with (c, kappa) log-uniform over [1e-2, 1e2]^2, on the
+    n-node grid of `solve`.
 
     Converged positive states are deduplicated by relative sup distance;
     everything else (non-convergence, collapse, sign change) counts as failed.
     """
     if n_starts < 2:
         raise ValueError("n_starts >= 2")
+    grid = _solve_grid(params, n)
     rng = np.random.default_rng(rng_seed)
     draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n_starts, 2))
     distinct: list[GroundState] = []

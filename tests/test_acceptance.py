@@ -71,11 +71,15 @@ def test_criterion_2_two_formula_agreement():
 def test_criterion_3_reference_ratios():
     with criterion(3, "Kwong/Choquard norm ratios"):
         g = sngs.make_grid(40.0, N)
+
+        def profile(a, nu, q):
+            p = sngs.ModelParams(lam=1.0, a=a, nu=nu, q=q)
+            return sngs.newton_solve(sngs.default_guess(p, g), p).diagnostics
         for q in (2.5, 4.0, 5.0):
-            d = sngs.reference_profile("kwong", g, q=q).diagnostics
+            d = profile(0.0, 1.0, q)
             expect = 3.0 * (q - 2.0) / (6.0 - q)
             assert d.grad_sq / d.l2_sq == pytest.approx(expect, rel=1e-4)
-        d = sngs.reference_profile("choquard", g).diagnostics
+        d = profile(1.0, 0.0, 4.0)
         assert d.grad_sq / d.l2_sq == pytest.approx(1.0 / 3.0, rel=1e-4)
 
 
@@ -90,12 +94,8 @@ def test_criterion_4_identities(acc):
 
 
 def sweep_states(q, lams):
-    p0 = sngs.ModelParams(lam=lams[0], a=1.0, nu=1.0, q=q)
-    g0 = sngs.make_grid(sngs.auto_rmax(lams[0]), N)
-    states = [sngs.newton_solve(sngs.default_guess(p0, g0), p0)]
-    for lam in lams[1:]:
-        states.append(sngs.continuation_path(states[-1], lam))
-    return states
+    return [sngs.solve(sngs.ModelParams(lam=lam, a=1.0, nu=1.0, q=q), N)
+            for lam in lams]
 
 
 def test_criterion_5_action_monotonicity():
@@ -144,8 +144,8 @@ def test_criterion_7_scaling_limits(regime_states):
         ref_grid = sngs.make_grid(sngs.auto_rmax(1.0), N)
         for q, side, lams in REGIMES:
             form, kind = sngs.limit_regime(q, side)
-            ref = sngs.reference_profile(kind, ref_grid,
-                                         q=q if kind == "kwong" else None)
+            ref = sngs.solve(sngs.limit_member(q, side), N)
+            assert ref.grid == ref_grid
             sups, h1s = [], []
             for st in regime_states[(q, side)]:
                 scaled, _ = sngs.scale_state(st, form, ref_grid)
@@ -169,8 +169,7 @@ def test_criterion_9_uniqueness_scans():
         for lam in (1e-2, 1e2):
             for q in (2.5, 4.0):
                 params = sngs.ModelParams(lam=lam, a=1.0, nu=1.0, q=q)
-                grid = sngs.make_grid(sngs.auto_rmax(lam), N)
-                res = sngs.uniqueness_scan(params, 20, rng_seed=20240, grid=grid)
+                res = sngs.uniqueness_scan(params, 20, rng_seed=20240, n=N)
                 assert res.converged >= 1, (lam, q)
                 assert len(res.distinct_states) == 1, (lam, q, res)
 

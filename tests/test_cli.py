@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sngs import cli
+from sngs import cli, solver
 
 
 def run(args, cwd=None):
@@ -202,6 +202,36 @@ def test_sweep_monotone(tmp_path):
     assert js == sorted(js)
 
 
+def test_sweep_rows_are_direct_solves(tmp_path):
+    # every sweep row is the `solve` state at its lambda, bit for bit
+    out = str(tmp_path / "sweep")
+    assert run(["sweep", "--q", "4", "--lambdas", "0.5,1,2", "--n", "1024",
+                "--out", out]) == 0
+    header, *rows = [line.split(",") for line in
+                     open(out + ".csv").read().strip().splitlines()]
+    col = {name: header.index(name)
+           for name in ("lambda", "J", "residual_norm", "iterations")}
+    for row in rows:
+        lam = float(row[col["lambda"]])
+        st = solver.solve(solver.ModelParams(lam=lam, a=1.0, nu=1.0, q=4.0),
+                          1024)
+        assert float(row[col["J"]]) == st.diagnostics.J
+        assert float(row[col["residual_norm"]]) == st.residual_norm
+        assert int(row[col["iterations"]]) == st.iterations
+
+
+def test_failed_solve_writes_its_manifest(tmp_path, capsys):
+    # q=2.05, lambda=0.01 collapses (TrivialCollapse): exit 2, and the
+    # manifest still records the error
+    out = str(tmp_path / "run")
+    assert run(["solve", "--q", "2.05", "--lambda", "0.01", "--out", out]) == 2
+    assert "TrivialCollapse" in capsys.readouterr().err
+    man = json.load(open(out + ".json"))
+    assert "collapsed" in man["summary"]["error"]
+    assert man["outputs"] == []
+    assert not os.path.exists(out + ".csv")
+
+
 def test_scan_cli(tmp_path):
     out = str(tmp_path / "scan")
     assert run(["scan", "--q", "4", "--lambda", "1", "--starts", "4",
@@ -220,6 +250,18 @@ def test_limits_cli_small(tmp_path):
     assert rows[0].split(",")[0] == "lambda"
     sups = [float(line.split(",")[2]) for line in rows[1:]]
     assert sups[1] < sups[0]
+    assert json.load(open(out + ".json"))["summary"]["identity_failures"] == []
+
+
+def test_limits_rejects_under_resolved_states(tmp_path):
+    # at q=5.5 toward lambda = infinity every state and the Kwong reference
+    # miss the Pohozaev identity at n=4096 (about 1.5e-5 G against 1e-6 G)
+    out = str(tmp_path / "lim")
+    assert run(["limits", "--q", "5.5", "--side", "infinity",
+                "--lambdas", "1e1,1e2,1e3", "--out", out]) == 2
+    failures = json.load(open(out + ".json"))["summary"]["identity_failures"]
+    assert failures[0]["reference"] == "kwong"
+    assert [f["lambda"] for f in failures[1:]] == [10.0, 100.0, 1000.0]
 
 
 def test_spectrum_rejects_rmax(tmp_path):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,7 @@ import sngs
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
-from sngs.errors import (ContinuationStuck, InvalidExponent, NonConvergence,
-                         TrivialCollapse, WrongParams)
+from sngs.errors import InvalidExponent, NonConvergence, TrivialCollapse
 from sngs.solver import (WARM_TOL, _newton_step, _residual_values,
                          _shifted_solve, _step_bands, _warm_start, _wnorm)
 from conftest import smooth_bumps
@@ -257,31 +254,15 @@ def test_grid_refinement_second_order_or_better(solved_cache):
     assert abs(l2[0] - l2[1]) <= 1.0 * h**2 * l2[1]
 
 
-def test_reference_profile_errors():
-    g = sngs.make_grid(28.0, 768)
-    with pytest.raises(InvalidExponent):
-        sngs.reference_profile("kwong", g, q=3.0)
-    with pytest.raises(WrongParams):
-        sngs.reference_profile("mystery", g)
+def solve_along(lams, a, nu, q, n):
+    """The states at each of `lams`, each solved directly (`sngs.solve`)."""
+    return [sngs.solve(sngs.ModelParams(lam=lam, a=a, nu=nu, q=q), n)
+            for lam in lams]
 
 
-def continue_along(seed, lams):
-    """States at each of `lams`, each continued from the one before."""
-    states = [seed]
-    for lam in lams:
-        states.append(sngs.continuation_path(states[-1], lam))
-    return states[1:]
-
-
-def test_continuation_trivial_path(solved_cache):
-    st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    assert sngs.continuation_path(st, st.params.lam) is st
-
-
-def test_continuation_lambda_path_monotone_action(solved_cache):
-    st = solved_cache(1.0, 1.0, 1.0, 2.5, n=768)
-    states = continue_along(st, np.geomspace(1.0, 10.0, 6)[1:])
-    assert states[-1].params == replace(st.params, lam=10.0)
+def test_continuation_lambda_path_monotone_action():
+    # the family followed in lambda by direct solves: c_lambda non-decreasing
+    states = solve_along(np.geomspace(1.0, 10.0, 6)[1:], 1.0, 1.0, 2.5, 768)
     js = [s.diagnostics.J for s in states]
     assert all(b >= a for a, b in zip(js, js[1:]))
     for s in states:
@@ -300,9 +281,9 @@ def test_scaling_closure(solved_cache):
 
 def test_uniqueness_scan_determinism():
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
-    g = sngs.make_grid(28.0, 512)
-    r1 = sngs.uniqueness_scan(p, 3, rng_seed=7, grid=g)
-    r2 = sngs.uniqueness_scan(p, 3, rng_seed=7, grid=g)
+    r1 = sngs.uniqueness_scan(p, 3, rng_seed=7, n=512)
+    r2 = sngs.uniqueness_scan(p, 3, rng_seed=7, n=512)
+    assert r1.distinct_states[0].grid == sngs.make_grid(28.0, 512)
     assert r1.failed == r2.failed
     assert len(r1.distinct_states) == len(r2.distinct_states)
     for s1, s2 in zip(r1.distinct_states, r2.distinct_states):
@@ -312,7 +293,7 @@ def test_uniqueness_scan_determinism():
 def test_uniqueness_scan_needs_two_starts():
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     with pytest.raises(ValueError):
-        sngs.uniqueness_scan(p, 1, rng_seed=0, grid=sngs.make_grid(28.0, 512))
+        sngs.uniqueness_scan(p, 1, rng_seed=0, n=512)
 
 
 def test_negative_branch_detected():
@@ -320,41 +301,29 @@ def test_negative_branch_detected():
     # ratio and Newton converges onto the negative branch
     g = sngs.make_grid(28.0, 768)
     p = sngs.ModelParams(lam=1.0, a=0.0, nu=1.0, q=4.0)
-    W = sngs.reference_profile("kwong", g, q=4.0)
+    W = sngs.newton_solve(sngs.default_guess(p, g), p)
     guess = sngs.RadialField(grid=g, values=-W.u.values)
     from sngs.errors import NegativeStateDetected
     with pytest.raises(NegativeStateDetected):
         sngs.newton_solve(guess, p)
 
 
-def test_continuation_stuck(solved_cache, monkeypatch):
-    st = solved_cache(1.0, 1.0, 1.0, 4.0, n=768)
-    monkeypatch.setattr(sngs.solver, "MAX_ITER", 0)
-    with pytest.raises(ContinuationStuck):
-        sngs.continuation_path(st, 100.0)
-
-
-def test_continuation_reaches_large_lambda_at_q525(solved_cache):
-    # Newton from the bare rescaled seed stalls near lambda = 0.72 at
-    # q = 5.25; with the warm start on every step the path reaches 100
-    st = solved_cache(1e-2, 1.0, 1.0, 5.25, n=768)
-    states = continue_along(st, np.geomspace(1e-2, 1e2, 9)[1:])
-    assert states[-1].params == replace(st.params, lam=100.0)
-    for s in states:
+def test_continuation_reaches_large_lambda_at_q525():
+    # q = 5.25 from lambda = 1e-2 to 1e2: every direct solve converges
+    for s in solve_along(np.geomspace(1e-2, 1e2, 9), 1.0, 1.0, 5.25, 768):
         assert s.residual_norm <= sngs.solver.TOL
 
 
 def test_sup_norm_grows_toward_large_lambda(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0, n=768)
-    states = continue_along(st, np.geomspace(1.0, 1000.0, 5)[1:])
+    states = solve_along(np.geomspace(1.0, 1000.0, 5)[1:], 1.0, 1.0, 4.0, 768)
     sups = [s.sup_u() + s.sup_v() for s in states]
     assert all(b > a for a, b in zip(sups, sups[1:]))
     assert sups[-1] > 10 * (st.sup_u() + st.sup_v())
 
 
 def test_reference_profile_choquard_pohozaev():
-    g = sngs.make_grid(28.0, 2048)
-    d = sngs.reference_profile("choquard", g).diagnostics
+    d = sngs.solve(sngs.limit_member(4.0, "zero"), 2048).diagnostics
     assert abs(d.pohozaev) <= 1e-8 * d.grad_sq
 
 
