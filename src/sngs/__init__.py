@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 from .grid import (EVEN, ODD, RadialField, RadialGrid, differentiate,
                    integrate_radial, interpolate, make_grid)
 from .hartree import HartreePotential, hartree_energy, hartree_potential
-from .solver import (GroundState, ModelParams, ScanResult, apply_jacobian,
-                     auto_rmax, default_guess, ground_state, newton_solve,
-                     residual, solve, uniqueness_scan)
+from .solver import (GroundState, ModelParams, ScanResult, acceptance_failures,
+                     apply_jacobian, auto_rmax, default_guess, ground_state,
+                     newton_solve, residual, solve, uniqueness_scan)
 from .diagnostics import DiagnosticsReport, identities, monotonicity_check, norm_report
 from .scaling import (ScalingReport, limit_distance, limit_member,
                       limit_regime, limit_study, mass_ratio_report,

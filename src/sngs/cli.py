@@ -2,7 +2,9 @@
 
 Subcommands: solve | sweep | limits | spectrum | scan | check.  Exit codes:
 0 when every enabled verdict passes, 2 on numerical failure (partial manifest
-still written where possible), 64 on usage errors.
+still written where possible), 64 on usage errors.  `solve`, `sweep`,
+`limits` and `check` accept a state by `solver.acceptance_failures`, whose
+entries a refused state's manifest lists under `identity_failures`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
-# |Nehari|, |Pohozaev| <= IDENTITY_RTOL * G and the level identity
-# <= IDENTITY_RTOL * |J|: the bound a state must meet to be accepted
-IDENTITY_RTOL = 1e-6
 # relative agreement `check` asks of each re-derived diagnostic with the
 # value the manifest stored
 CHECK_RTOL = 1e-6
@@ -52,9 +51,9 @@ def parse_lambdas(spec: str):
             if count < 1 or start <= 0 or stop <= 0:
                 raise BadRange(f"bad sweep spec {spec!r}")
             if kind == "log":
-                return list(np.geomspace(start, stop, count))
+                return np.geomspace(start, stop, count).tolist()
             if kind == "lin":
-                return list(np.linspace(start, stop, count))
+                return np.linspace(start, stop, count).tolist()
             raise BadRange(f"unknown spacing {kind!r}")
         vals = [float(tok) for tok in spec.split(",") if tok]
         if not vals or any(v <= 0 for v in vals):
@@ -134,34 +133,23 @@ def _params(args, lam: float):
     return solver.ModelParams(lam=lam, a=args.a, nu=args.nu, q=args.q)
 
 
-def identity_failures(rep) -> list:
-    """(name, value, value) for each variational identity the diagnostics
-    `rep` of a state miss by more than IDENTITY_RTOL; empty when it passes."""
-    failures = []
-    G = rep.grad_sq
-    if abs(rep.nehari) > IDENTITY_RTOL * G or abs(rep.pohozaev) > IDENTITY_RTOL * G:
-        failures.append(("identity_residuals", rep.nehari, rep.pohozaev))
-    if rep.level_identity_residual is not None and rep.J and \
-            rep.level_identity_residual > IDENTITY_RTOL * abs(rep.J):
-        failures.append(("level_identity", rep.level_identity_residual, None))
-    return failures
-
-
 def _failures_by_lambda(states) -> list:
-    """{lambda, failures} for each state that misses the identity bound."""
+    """{lambda, failures} for each state `solver.acceptance_failures` refuses."""
     return [{"lambda": s.params.lam, "failures": fails} for s in states
-            if (fails := identity_failures(s.diagnostics))]
+            if (fails := solver.acceptance_failures(s))]
 
 
 def cmd_solve(args, argv):
     io.check_clobber([args.out + ".csv", args.out + ".json"], args.force)
+    params = _params(args, args.lam)
     try:
-        state = solver.solve(_params(args, args.lam), args.n)
+        state = solver.solve(params, args.n)
     except (NonConvergence, TrivialCollapse, NegativeStateDetected) as exc:
         man = io.RunManifest(
             command_line=" ".join(argv), params={"lam": args.lam, "a": args.a,
                                                  "nu": args.nu, "q": args.q},
-            grid={"r_max": None, "n": args.n},
+            grid={"r_max": solver._solve_grid(params, args.n).r_max,
+                  "n": args.n},
             code_version=__version__, created=io._now(), outputs=[],
             summary={"error": str(exc),
                      "residual_norm": getattr(exc, "residual_norm", None),
@@ -169,7 +157,7 @@ def cmd_solve(args, argv):
         man.write(args.out + ".json")
         print(f"solve: {type(exc).__name__} ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
-    failures = identity_failures(state.diagnostics)
+    failures = solver.acceptance_failures(state)
     io.save_state(state, args.out, " ".join(argv), args.force,
                   tolerances={"tol": solver.TOL},
                   summary={"identity_failures": failures})
@@ -236,7 +224,7 @@ def cmd_limits(args, argv):
     final_sup = report.rows[-1][2]
     close = final_sup <= 0.05 * ref.sup_u()
     failures = _failures_by_lambda(states)
-    if (fails := identity_failures(ref.diagnostics)):
+    if (fails := solver.acceptance_failures(ref)):
         failures.insert(0, {"reference": kind, "failures": fails})
     ok = decreasing and close and report.ratios_in_window and not failures
     man = io.RunManifest(
@@ -344,12 +332,7 @@ def cmd_check(args, argv):
         scale = max(abs(ref), abs(val), 1e-300)
         if abs(val - ref) > CHECK_RTOL * scale:
             failures.append((key, ref, val))
-    # the rounding level of F where it lies above TOL, as in newton_solve
-    if state.residual_norm > 10 * max(solver.TOL, state.residual_floor):
-        failures.append(("residual_norm",
-                         manifest["summary"].get("residual_norm"),
-                         state.residual_norm))
-    failures += identity_failures(rep)
+    failures += solver.acceptance_failures(state)
     if failures:
         for f in failures:
             print(f"check: mismatch {f}", file=sys.stderr)

@@ -6,7 +6,8 @@ grid, code version, timestamps, outputs, tolerances and the summary (the
 residual ratio with its rounding floor, iterations and diagnostics).
 Re-running an identical configuration reproduces the CSV bit for bit.
 `load_state` reads such a pair back and raises IoError, naming the file, on
-artifacts that are not a solve's.
+artifacts that are not a solve's, and naming the error on the manifest of a
+failed solve.
 """
 
 from __future__ import annotations
@@ -104,19 +105,24 @@ def load_state(out_prefix: str) -> tuple[GroundState, dict]:
     is self-consistent regardless of file tampering."""
     csv_path = out_prefix + ".csv"
     json_path = out_prefix + ".json"
-    for p in (csv_path, json_path):
-        if not os.path.exists(p):
-            raise IoError(f"missing artifact {p}")
+    if not os.path.exists(json_path):
+        raise IoError(f"missing artifact {json_path}")
     try:
         with open(json_path) as fh:
             manifest = json.load(fh)
         pd, summary = manifest["params"], manifest["summary"]
+        if summary.get("error"):
+            raise IoError(f"{json_path} records a failed solve: "
+                          f"{summary['error']}")
         params = ModelParams(lam=pd["lam"], a=pd["a"], nu=pd["nu"], q=pd["q"])
         iterations = int(summary["iterations"])
         if not isinstance(summary["diagnostics"], dict):
             raise TypeError("summary.diagnostics is not a table")
-    except (KeyError, TypeError, ValueError, BadRange, InvalidExponent) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, BadRange,
+            InvalidExponent) as exc:
         raise IoError(f"{json_path} is not a solve manifest: {exc!r}") from exc
+    if not os.path.exists(csv_path):
+        raise IoError(f"missing artifact {csv_path}")
     try:
         r, cols = read_field_csv(csv_path)
         u = cols["u"]

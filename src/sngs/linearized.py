@@ -18,7 +18,8 @@ Jacobian; its local diagonal and its coupling sqrt(2a) u come from
 whose forms are the same.  For the pure power case (a=0) there is no
 potential and the form is the scalar linearization around the Kwong profile.
 The nondegeneracy verdict has fixed tolerances: GAP_TOL for the radial gap
-and 50 h^2 sigma_2 for the translation zero mode.
+and 50 h^2 sigma_2 for the translation zero mode.  A state enters only if
+its residual ratio meets its GroundState.residual_bound.
 
 The form is one symmetric matrix in (f, y = r g), mass on f alone; `operators`
 eliminates its y block, G_k's tridiagonal inverse `hartree.green_bands` (no
@@ -41,8 +42,6 @@ from .errors import ParityMismatch, UnconvergedState, WrongConvention
 from .grid import EVEN, ODD, RadialField, differentiate
 from .hartree import coulomb_apply, green_bands
 from .solver import GroundState, ModelParams, ground_state, linearization
-
-CONVERGED_TOL = 1e-8
 
 # Radial-sector gap below which the verdict is not nondegenerate; also the
 # inertia split of every sector eigensolve: eigenvalues below -GAP_TOL are
@@ -94,13 +93,18 @@ class SectorOperator:
     state: GroundState = field(repr=False, default=None)
 
 
+def _require_converged(state: GroundState):
+    """The residual part of `solver.acceptance_failures`, raised."""
+    if not state.residual_norm <= state.residual_bound:
+        raise UnconvergedState(f"residual {state.residual_norm:.2e} > "
+                               f"bound {state.residual_bound:.2e}")
+
+
 def sector_form(state: GroundState, k: int) -> SectorOperator:
     """Assemble the sector-k quadratic form around a converged state."""
     if k < 0:
         raise ValueError("k >= 0")
-    if state.residual_norm > CONVERGED_TOL:
-        raise UnconvergedState(
-            f"residual {state.residual_norm:.2e} > {CONVERGED_TOL:.0e}")
+    _require_converged(state)
     grid = state.grid
     S = operators.dirichlet_form(grid, EVEN if k == 0 else ODD)
     act = operators.active_slice(grid)
@@ -129,9 +133,7 @@ def quadratic_form_value(op: SectorOperator, f: RadialField) -> float:
 
 def translation_mode(state: GroundState) -> RadialField:
     """d_r u: the sector-1 zero mode of the linearization."""
-    if state.residual_norm > CONVERGED_TOL:
-        raise UnconvergedState(
-            f"residual {state.residual_norm:.2e} > {CONVERGED_TOL:.0e}")
+    _require_converged(state)
     return differentiate(state.u)
 
 

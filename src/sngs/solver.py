@@ -11,6 +11,10 @@ S + lam W once by banded Cholesky and stops as soon as its Rayleigh ratio is
 within WARM_TOL of 1 (WARM_SWEEPS caps the sweeps).  Newton stops at
 |F| <= max(TOL, floor) lam |u| in the r^2 dr norm, where `residual_floor` is
 the rounding level of F, taken once per solve after the warm start.
+`acceptance_failures` is the one rule that accepts a state: its residual
+ratio within GroundState.residual_bound = 10 max(TOL, floor), the floor
+taken at the state, and its Nehari, Pohozaev and ground-level identities
+within IDENTITY_RTOL; `linearized` asks the residual part alone.
 `solve` is the one place that picks a state's domain and start from
 (params, n); the scan's random starts share its domain.  The ground state is
 unique at each lambda, so a lambda sweep solves every lambda afresh, and the
@@ -49,6 +53,7 @@ from .hartree import coulomb_apply, green_bands
 
 TRIVIAL_SUP = 1e-8
 TOL = 1e-10           # Newton's stop: |F| / (lam |u|) in r^2 dr norms
+IDENTITY_RTOL = 1e-6  # |Nehari|, |Pohozaev| <= it G; level identity <= it |J|
 MAX_ITER = 60         # Newton iterations
 DAMPING = 20          # max step halvings per Newton iteration
 WARM_SWEEPS = 60      # cap on the spectral-renormalization sweeps
@@ -92,6 +97,12 @@ class GroundState:
     iterations: int
     grid: RadialGrid
     diagnostics: Optional[object] = field(default=None, repr=False)
+
+    @property
+    def residual_bound(self) -> float:
+        """The largest residual_norm at which the state is accepted: ten times
+        Newton's stop max(TOL, residual_floor), taken at the state itself."""
+        return 10.0 * max(TOL, self.residual_floor)
 
     def sup_u(self) -> float:
         return float(np.max(np.abs(self.u.values)))
@@ -326,8 +337,8 @@ def residual_floor(grid: RadialGrid, A: sp.csr_matrix, u: np.ndarray,
     """Rounding level of the residual ratio |F| / (lam |u|) at the field u:
     eps |(|A| |u|)| / (lam |u|) in r^2 dr norms, A = -Delta_r.  It grows like
     1/h^2 and does not depend on lam (A scales like lam with the grid)."""
-    return (np.finfo(float).eps * _wnorm(grid, abs(A) @ np.abs(u))
-            / (lam * _wnorm(grid, u)))
+    return float(np.finfo(float).eps * _wnorm(grid, abs(A) @ np.abs(u))
+                 / (lam * _wnorm(grid, u)))
 
 
 def _live_norm(grid: RadialGrid, u: np.ndarray) -> float:
@@ -427,6 +438,25 @@ def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
 
     del bands   # ground_state's operators need not coexist with the workspace
     return ground_state(RadialField(grid=grid, values=u, parity=EVEN), params, it)
+
+
+def acceptance_failures(state: GroundState) -> list:
+    """What keeps `state` from being accepted, empty when nothing does:
+    ("residual_norm", residual_norm, residual_bound), ("identity_residuals",
+    nehari, pohozaev) beyond IDENTITY_RTOL G, and ("level_identity",
+    residual, None) beyond IDENTITY_RTOL |J|."""
+    failures = []
+    if not state.residual_norm <= state.residual_bound:
+        failures.append(("residual_norm", state.residual_norm,
+                         state.residual_bound))
+    rep = state.diagnostics
+    G = rep.grad_sq
+    if abs(rep.nehari) > IDENTITY_RTOL * G or abs(rep.pohozaev) > IDENTITY_RTOL * G:
+        failures.append(("identity_residuals", rep.nehari, rep.pohozaev))
+    if rep.level_identity_residual is not None and rep.J and \
+            rep.level_identity_residual > IDENTITY_RTOL * abs(rep.J):
+        failures.append(("level_identity", rep.level_identity_residual, None))
+    return failures
 
 
 def _solve_grid(params: ModelParams, n: int) -> RadialGrid:

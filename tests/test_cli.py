@@ -222,14 +222,29 @@ def test_sweep_rows_are_direct_solves(tmp_path):
 
 def test_failed_solve_writes_its_manifest(tmp_path, capsys):
     # q=2.05, lambda=0.01 collapses (TrivialCollapse): exit 2, and the
-    # manifest still records the error
+    # manifest still records the error and the domain of `solve`'s grid;
+    # `check` names that error
     out = str(tmp_path / "run")
     assert run(["solve", "--q", "2.05", "--lambda", "0.01", "--out", out]) == 2
     assert "TrivialCollapse" in capsys.readouterr().err
     man = json.load(open(out + ".json"))
     assert "collapsed" in man["summary"]["error"]
     assert man["outputs"] == []
+    assert man["grid"] == {"r_max": solver.auto_rmax(0.01), "n": 4096}
     assert not os.path.exists(out + ".csv")
+    assert run(["check", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{out}.json records a failed solve: {man['summary']['error']}" in err
+
+
+def test_sweep_stderr_prints_plain_floats(tmp_path, capsys):
+    # n=1024 under-resolves q=5.25 at lambda = 1 and 10 (identity misses)
+    out = str(tmp_path / "sweep")
+    assert run(["sweep", "--q", "5.25", "--lambdas", "1:10:log:2",
+                "--n", "1024", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "{'lambda': 1.0, 'failures'" in err
+    assert "np.float64(" not in err
 
 
 def test_scan_cli(tmp_path):

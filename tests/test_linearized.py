@@ -112,18 +112,32 @@ def test_sector_form_kwong_scalar(solved_cache):
     assert op.form.shape[0] == len(op.act) == len(op.mass)
 
 
-def test_sector_form_unconverged():
+def hand_built_state(residual_norm, residual_floor):
     g = sngs.make_grid(20.0, 256)
     from sngs.solver import GroundState, ModelParams
     from sngs.hartree import hartree_potential
     u = sngs.RadialField(grid=g, values=np.exp(-g.nodes**2))
-    bogus = GroundState(params=ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0),
-                        u=u, v=hartree_potential(u).v, residual_norm=0.5,
-                        residual_floor=0.0, iterations=0, grid=g)
+    return GroundState(params=ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0),
+                       u=u, v=hartree_potential(u).v,
+                       residual_norm=residual_norm,
+                       residual_floor=residual_floor, iterations=0, grid=g)
+
+
+def test_sector_form_unconverged():
+    bogus = hand_built_state(0.5, 0.0)
     with pytest.raises(UnconvergedState):
         sector_form(bogus, 0)
     with pytest.raises(UnconvergedState):
         translation_mode(bogus)
+
+
+def test_sector_form_accepts_residual_within_its_bound():
+    # the bound is the state's own 10 max(TOL, floor) = 2.6e-7, not a fixed
+    # 1e-8: a state solved to its rounding floor on a fine grid is accepted
+    st = hand_built_state(2e-8, 2.6e-8)
+    assert sector_form(st, 1).k == 1
+    assert translation_mode(st).values.shape == st.u.values.shape
+    assert st.residual_bound == pytest.approx(2.6e-7)
 
 
 def test_sector_form_exactly_symmetric(choquard):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,25 @@ def test_warm_start_stops_on_settled_ratio():
     assert abs(ratio - 1.0) <= WARM_TOL
     again = _warm_start(u, p, g, A)
     assert np.array_equal(again, u)
+
+
+@pytest.mark.parametrize("spoil,names", [
+    (lambda st, rep: replace(st, residual_norm=1e-7), ["residual_norm"]),
+    (lambda st, rep: replace(st, diagnostics=replace(
+        rep, pohozaev=1e-5 * rep.grad_sq)), ["identity_residuals"]),
+    (lambda st, rep: replace(st, diagnostics=replace(
+        rep, level_identity_residual=1e-5 * abs(rep.J))), ["level_identity"]),
+    (lambda st, rep: st, []),
+], ids=["residual", "identity", "level_identity", "clean"])
+def test_acceptance_failures(solved_cache, spoil, names):
+    st = solved_cache(1.0, 1.0, 1.0, 4.0)
+    state = spoil(st, st.diagnostics)
+    failures = sngs.acceptance_failures(state)
+    assert [f[0] for f in failures] == names
+    if names == ["residual_norm"]:
+        # the floor lies below TOL at n=1536, so the bound is 10 TOL
+        assert failures[0] == ("residual_norm", 1e-7, 10 * sngs.solver.TOL)
+        assert state.residual_bound == 10 * sngs.solver.TOL
 
 
 def test_residual_floor_scales_with_the_grid(solved_cache):
