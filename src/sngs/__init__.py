@@ -13,8 +13,8 @@ from .solver import (GroundState, ModelParams, ScanResult, acceptance_failures,
 from .diagnostics import DiagnosticsReport, identities, monotonicity_check, norm_report
 from .scaling import (ScalingReport, limit_distance, limit_member,
                       limit_regime, limit_study, mass_ratio_report,
-                      normal_form, scale_state, small_parameter)
-from .linearized import (NondegeneracyReport, SectorOperator, convention_map,
+                      normal_form, normal_member, scale_state, small_parameter)
+from .linearized import (NondegeneracyReport, SectorOperator,
                          nondegeneracy_report, quadratic_form_value,
                          sector_form, sector_spectrum, translation_mode)
 from .operators import smallest_eigenpairs

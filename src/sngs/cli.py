@@ -5,6 +5,8 @@ Subcommands: solve | sweep | limits | spectrum | scan | check.  Exit codes:
 still written where possible), 64 on usage errors.  `solve`, `sweep`,
 `limits` and `check` accept a state by `solver.acceptance_failures`, whose
 entries a refused state's manifest lists under `identity_failures`.
+`spectrum` certifies the state `solver.solve` returns for the normal-form
+member `scaling.normal_member`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_lambdas(spec: str):
-    """'start:stop:log|lin:count' or a comma list of positive values."""
+    """'start:stop:log|lin:count' or a comma list of distinct positive values."""
     try:
         if ":" in spec:
             parts = spec.split(":")
@@ -51,16 +52,20 @@ def parse_lambdas(spec: str):
             if count < 1 or start <= 0 or stop <= 0:
                 raise BadRange(f"bad sweep spec {spec!r}")
             if kind == "log":
-                return np.geomspace(start, stop, count).tolist()
-            if kind == "lin":
-                return np.linspace(start, stop, count).tolist()
-            raise BadRange(f"unknown spacing {kind!r}")
-        vals = [float(tok) for tok in spec.split(",") if tok]
-        if not vals or any(v <= 0 for v in vals):
-            raise BadRange(f"bad lambda list {spec!r}")
-        return vals
+                vals = np.geomspace(start, stop, count).tolist()
+            elif kind == "lin":
+                vals = np.linspace(start, stop, count).tolist()
+            else:
+                raise BadRange(f"unknown spacing {kind!r}")
+        else:
+            vals = [float(tok) for tok in spec.split(",") if tok]
+            if not vals or any(v <= 0 for v in vals):
+                raise BadRange(f"bad lambda list {spec!r}")
     except ValueError as exc:
         raise BadRange(f"bad sweep spec {spec!r}: {exc}") from exc
+    if len(set(vals)) < len(vals):
+        raise BadRange(f"repeated lambda in {spec!r}")
+    return vals
 
 
 def _int_from(low: int):
@@ -247,38 +252,16 @@ def cmd_limits(args, argv):
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def normalized_state_for_spectrum(q: float, lam: float, n: int):
-    """Solve the section-6 normalized family member equivalent to the
-    (lam, 1, 1, q) state: mu- or nu-form by regime, then the a=2 convention."""
-    side = "zero" if lam < 1.0 else "infinity"
-    form, _ = scaling.limit_regime(q, side)
-    _, params = scaling.normal_form(q, lam, form)
-    return linearized.convention_map(solver.solve(params, n), "to_a2"), params
-
-
 def cmd_spectrum(args, argv):
     out_json = args.out + ".json"
     io.check_clobber([out_json], args.force)
-    a2_state, base_params = normalized_state_for_spectrum(args.q, args.lam,
-                                                          args.n)
-    report = linearized.nondegeneracy_report(a2_state, args.k_max)
-    # convention check: the correct pair halves the potential; keeping the
-    # unscaled potential 2v in the first equation, -2 (2v) u, is the
-    # residual at coupling a = 4 and leaves an O(1) ratio
-    unscaled = solver.ground_state(a2_state.u, replace(a2_state.params, a=4.0),
-                                   a2_state.iterations)
-    convention_check = {
-        "mapped_pair_residual": a2_state.residual_norm,
-        "paper_displayed_pair_first_eq_residual": unscaled.residual_norm,
-        "note": "the doubled-coupling ground state is (u/sqrt2, v/2); the "
-                "displayed pair with v unscaled does not satisfy the system "
-                "(suspected typo) -- the potential must be halved",
-    }
+    state = solver.solve(scaling.normal_member(args.q, args.lam), args.n)
+    report = linearized.nondegeneracy_report(state, args.k_max)
+    p = state.params
     payload = {
         "lambda": args.lam, "q": args.q,
-        "normalized_params": {"lam": base_params.lam, "a": base_params.a,
-                              "nu": base_params.nu, "q": base_params.q},
-        "grid": {"r_max": a2_state.grid.r_max, "n": args.n},
+        "normalized_params": {"lam": p.lam, "a": p.a, "nu": p.nu, "q": p.q},
+        "grid": {"r_max": state.grid.r_max, "n": args.n},
         "sectors": [{"k": e.k, "eigenvalues": e.eigenvalues,
                      "kernel_dimension": e.kernel_dimension,
                      "zero_mode_match": e.zero_mode_match,
@@ -291,7 +274,6 @@ def cmd_spectrum(args, argv):
         "verdict": report.verdict,
         "tolerances": {"zero_tol": report.zero_tol,
                        "gap_tol": linearized.GAP_TOL},
-        "convention_check": convention_check,
         "code_version": __version__,
         "command_line": " ".join(argv),
     }

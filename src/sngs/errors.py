@@ -81,10 +81,6 @@ class UnconvergedState(SngsError):
     pass
 
 
-class WrongConvention(SngsError):
-    pass
-
-
 # -- cli ----------------------------------------------------------------------
 
 class UsageError(SngsError):

@@ -13,10 +13,11 @@ r_<^k / r_>^(k+1) / (2k+1) discretized as the Coulomb sweep is.  With v
 eliminated this is the second derivative of the action at every a, so the
 form is symmetric in every convention and sector 0 is the weighted Newton
 Jacobian; its local diagonal and its coupling sqrt(2a) u come from
-`solver.linearization`, which the Newton step solves with too.
-`convention_map` moves a state to the paper's symmetric a=2 pair (u, v),
-whose forms are the same.  For the pure power case (a=0) there is no
-potential and the form is the scalar linearization around the Kwong profile.
+`solver.linearization`, which the Newton step solves with too.  Both are
+unchanged by the map onto the paper's symmetric a=2 pair (s u, t v), with
+t = a/2 and s = sqrt(t), so a state is certified in the convention it was
+solved in.  For the pure power case (a=0) there is no potential and the form
+is the scalar linearization around the Kwong profile.
 The nondegeneracy verdict has fixed tolerances: GAP_TOL for the radial gap
 and 50 h^2 sigma_2 for the translation zero mode.  A state enters only if
 its residual ratio meets its GroundState.residual_bound.
@@ -38,10 +39,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import operators
-from .errors import ParityMismatch, UnconvergedState, WrongConvention
+from .errors import ParityMismatch, UnconvergedState
 from .grid import EVEN, ODD, RadialField, differentiate
 from .hartree import coulomb_apply, green_bands
-from .solver import GroundState, ModelParams, ground_state, linearization
+from .solver import GroundState, linearization
 
 # Radial-sector gap below which the verdict is not nondegenerate; also the
 # inertia split of every sector eigensolve: eigenvalues below -GAP_TOL are
@@ -50,37 +51,6 @@ GAP_TOL = 1e-3
 
 # eigenpairs computed per sector
 NUM_EIGS = 6
-
-
-def convention_map(state: GroundState, direction: str) -> GroundState:
-    """Move a state between the single-coefficient family and the symmetric
-    a=2 convention.
-
-    to_a2:  (u, v; lam, a, nu, q) -> (s u, t v; lam, 2, nu t^(-(q-2)/2), q)
-            with t = a/2, s = sqrt(t); at a=1 this is the (u/sqrt2, v/2) map.
-            (The paper's displayed pair keeps v unscaled, which leaves an O(1)
-            residual in the potential equation; v must be halved.)
-    from_a2: exact inverse onto a=1.
-    """
-    p = state.params
-    if direction == "to_a2":
-        if p.a <= 0 or p.a == 2.0:
-            raise WrongConvention(f"to_a2 needs 0 < a != 2, got a={p.a}")
-        t = p.a / 2.0
-        s = math.sqrt(t)
-        new = ModelParams(lam=p.lam, a=2.0, nu=p.nu * t ** (-(p.q - 2.0) / 2.0), q=p.q)
-        u_vals = s * state.u.values
-    elif direction == "from_a2":
-        if p.a != 2.0:
-            raise WrongConvention(f"from_a2 needs a=2, got a={p.a}")
-        t = 0.5
-        s = math.sqrt(2.0)
-        new = ModelParams(lam=p.lam, a=1.0, nu=p.nu * 2.0 ** (-(p.q - 2.0) / 2.0), q=p.q)
-        u_vals = s * state.u.values
-    else:
-        raise WrongConvention(f"direction {direction!r}")
-    ufield = RadialField(grid=state.grid, values=u_vals, parity=EVEN)
-    return ground_state(ufield, new, state.iterations)
 
 
 @dataclass

@@ -9,8 +9,8 @@ families, u~(r) = lam^(-alpha) u(r / sqrt(lam)):
              -Delta w + w = (I_2*w^2) w + nu w^(q-1),  nu = lam^(q-3)
 
 `normal_form` is the one place alpha and the normalized parameters are
-written; the forward map (`scale_state`) and the spectrum's normalized solve
-use it.
+written; the forward map (`scale_state`) and the spectrum's normal-form
+member (`normal_member`) use it.
 Under the map F(u) = lam^(alpha+1) F~(u~), so the residual ratio
 |F| / (lam |u|) of `solver.ground_state` is the same number in both sets of
 variables.
@@ -82,6 +82,13 @@ def limit_member(q: float, side: str) -> ModelParams:
     return ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0)
 
 
+def normal_member(q: float, lam: float) -> ModelParams:
+    """The normal-form member the (lam, 1, 1, q) state rescales onto: lam < 1
+    is the zero side, whose regime picks the mu- or nu-form."""
+    form, _ = limit_regime(q, "zero" if lam < 1.0 else "infinity")
+    return normal_form(q, lam, form)[1]
+
+
 def small_parameter(q: float, lam: float, form: str) -> float:
     if form == MU_FORM:
         return lam ** (-2.0 * (q - 3.0) / (q - 2.0))
@@ -135,17 +142,17 @@ def limit_distance(scaled_u: RadialField, reference: GroundState):
     return sup, h1
 
 
-def mass_ratio_report(states: list):
+def mass_ratio_report(states: list, side: str):
     """Tabulate (M^(q-2)/lam, M/lam) with M = sup u + sup v per state.
 
-    Both ratios are tabulated; the flag checks that the regime-relevant one
-    (M^(q-2)/lam toward the W limit, M/lam toward U) lies in RATIO_WINDOW,
-    with the lambda end inferred from the trend of the sampled sequence.  A
-    single state is checked on both ratios (no trend to infer).
+    Both ratios are tabulated; the flag checks that the one of the (q, side)
+    regime's limit (M^(q-2)/lam toward W, M/lam toward U) lies in
+    RATIO_WINDOW.
     """
     if not states:
         return [], True
     q = states[0].params.q
+    j = 1 if limit_regime(q, side)[1] == KWONG else 2
     rows = []
     for s in states:
         if s.params.q != q:
@@ -153,13 +160,7 @@ def mass_ratio_report(states: list):
         M = s.sup_u() + s.sup_v()
         rows.append((s.params.lam, M ** (q - 2.0) / s.params.lam, M / s.params.lam))
     lo, hi = RATIO_WINDOW
-    if len(rows) >= 2:
-        side = "zero" if rows[-1][0] < rows[0][0] else "infinity"
-        j = 1 + relevant_ratio_index(q, side)
-        ok = all(lo <= row[j] <= hi for row in rows)
-    else:
-        ok = all(lo <= r <= hi for r in rows[0][1:])
-    return rows, ok
+    return rows, all(lo <= row[j] <= hi for row in rows)
 
 
 def limit_study(states: list, side: str, reference) -> ScalingReport:
@@ -179,7 +180,7 @@ def limit_study(states: list, side: str, reference) -> ScalingReport:
         sup, h1 = limit_distance(scaled, reference)
         rows.append((s.params.lam, small_parameter(q, s.params.lam, form),
                      sup, h1))
-    ratios, ok = mass_ratio_report(states)
+    ratios, ok = mass_ratio_report(states, side)
     return ScalingReport(regime=regime_name(q, side), limit_kind=kind, q=q,
                          side=side, rows=rows, mass_ratios=ratios,
                          ratios_in_window=ok)
@@ -190,9 +191,3 @@ def regime_name(q: float, side: str) -> str:
     if side == "zero":
         return "q_low_lambda_zero" if low_q else "q_high_lambda_zero"
     return "q_low_lambda_inf" if low_q else "q_high_lambda_inf"
-
-
-def relevant_ratio_index(q: float, side: str) -> int:
-    """0 -> M^(q-2)/lam (W regimes), 1 -> M/lam (U regimes)."""
-    _, kind = limit_regime(q, side)
-    return 0 if kind == KWONG else 1

@@ -65,8 +65,9 @@ DEDUP_TOL = 1e-6      # relative sup distance under which two scan states agree
 class ModelParams:
     """One member of the family -Delta u + lam u = a (I_2*u^2) u + nu u^(q-1).
 
-    The limit profiles W and U are members too (scaling.limit_member); the
-    paper's symmetric convention doubles a (linearized.convention_map).
+    The limit profiles W and U are members too (scaling.limit_member).  The
+    paper's symmetric a=2 pair is (u/sqrt2, v/2) at a=1; the sector forms of
+    `linearized` are the same in either convention.
     """
     lam: float
     a: float

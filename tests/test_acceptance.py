@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 import sngs
-from sngs import cli
-from sngs.linearized import (GAP_TOL, convention_map, nondegeneracy_report,
-                             sector_form, sector_spectrum)
+from sngs.linearized import (GAP_TOL, nondegeneracy_report, sector_form,
+                             sector_spectrum)
 from sngs.solver import _wnorm
 from conftest import smooth_bumps
 from test_hartree import indicator_field, indicator_v_exact, kform_oracle
@@ -160,7 +159,7 @@ def test_criterion_7_scaling_limits(regime_states):
 def test_criterion_8_mass_ratio_windows(regime_states):
     with criterion(8, "mass ratios inside [1e-3, 1e3]"):
         for q, side, lams in REGIMES:
-            rows, ok = sngs.mass_ratio_report(regime_states[(q, side)])
+            rows, ok = sngs.mass_ratio_report(regime_states[(q, side)], side)
             assert ok, (q, side, rows)
 
 
@@ -176,15 +175,10 @@ def test_criterion_9_uniqueness_scans():
 
 @pytest.fixture(scope="module")
 def spectrum_states(solved_cache):
-    """Section-6-convention states on the spectrum's domain."""
-    cases = {}
-    choq = solved_cache(1.0, 1.0, 0.0, 4.0, n=N)
-    cases["choquard"] = convention_map(choq, "to_a2")
-    a2_small, _ = cli.normalized_state_for_spectrum(4.0, 1e-2, N)
-    cases["lam1e-2_q4"] = a2_small
-    a2_large, _ = cli.normalized_state_for_spectrum(2.5, 1e2, N)
-    cases["lam1e2_q2.5"] = a2_large
-    return cases
+    """The Choquard profile and the normal-form states `spectrum` certifies."""
+    return {"choquard": solved_cache(1.0, 1.0, 0.0, 4.0, n=N),
+            "lam1e-2_q4": sngs.solve(sngs.normal_member(4.0, 1e-2), N),
+            "lam1e2_q2.5": sngs.solve(sngs.normal_member(2.5, 1e2), N)}
 
 
 def test_criterion_10_nondegeneracy(spectrum_states, solved_cache):
@@ -204,8 +198,7 @@ def test_criterion_10_nondegeneracy(spectrum_states, solved_cache):
         gaps = []
         for n in (N, 2 * N):
             choq = solved_cache(1.0, 1.0, 0.0, 4.0, n=n)
-            a2 = convention_map(choq, "to_a2")
-            rep0 = sector_spectrum(sector_form(a2, 0), 6)
+            rep0 = sector_spectrum(sector_form(choq, 0), 6)
             gaps.append(min(abs(s) for s in rep0.eigenvalues))
         assert abs(gaps[1] - gaps[0]) <= 0.05 * gaps[0], gaps
 
@@ -216,31 +209,3 @@ def test_criterion_10_nondegeneracy(spectrum_states, solved_cache):
         assert_nonnegative_pair_forms(
             sector_form(st, 1), [odd_field(st.grid, rng) for _ in range(100)],
             rng)
-
-
-def test_criterion_11_convention_map(acc, solved_cache, tmp_path):
-    with criterion(11, "a=2 convention map and documented typo"):
-        for st in (acc(1.0, q=4.0),
-                   solved_cache(1.0, 1.0, 0.0, 4.0, n=N, rmax=30.0)):
-            a2 = convention_map(st, "to_a2")
-            assert a2.residual_norm <= 1e-10
-            # the paper-displayed pair (u/sqrt2, v) violates the first equation
-            from sngs import operators
-            A = operators.radial_laplacian(st.grid)
-            u2 = a2.u.values
-            F_wrong = A @ u2 + st.params.lam * u2 \
-                - 2.0 * st.v.values * u2 \
-                - a2.params.nu * np.abs(u2) ** (st.params.q - 2.0) * u2
-            F_wrong[-2:] = 0.0
-            assert _wnorm(st.grid, F_wrong) / _wnorm(st.grid, u2) > 1e-3
-        # and the correction is documented in the spectrum report
-        out = str(tmp_path / "spec")
-        code = cli.main(["sngs", "spectrum", "--q", "4", "--lambda", "0.01",
-                         "--n", str(N), "--k-max", "3", "--out", out])
-        assert code == 0
-        import json
-        payload = json.load(open(out + ".json"))
-        note = payload["convention_check"]["note"]
-        assert "v/2" in note or "halved" in note or "typo" in note
-        assert payload["convention_check"][
-            "paper_displayed_pair_first_eq_residual"] > 1e-3

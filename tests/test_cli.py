@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sngs import cli, solver
+from sngs import cli, scaling, solver
 
 
 def run(args, cwd=None):
@@ -36,6 +36,9 @@ def test_usage_errors(tmp_path):
     ["solve", "--q", "4", "--lambda", "1", "--seed", "3"],
     ["spectrum", "--q", "4.5", "--lambda", "-1"],
     ["sweep", "--q", "4", "--lambdas", "nan,1"],
+    ["sweep", "--q", "4", "--lambdas", "1,1"],
+    ["sweep", "--q", "4", "--lambdas", "1:1:lin:3"],
+    ["limits", "--q", "4", "--side", "zero", "--lambdas", "1e-1,1e-1"],
     ["solve", "--q", "4", "--lambda", "1", "--n", "5"],
     ["solve", "--q", "4", "--lambda", "1", "--tol", "1e-8"],
     ["check", "--tol", "1e-3"],
@@ -60,6 +63,8 @@ def test_parse_lambdas():
         cli.parse_lambdas("1:2:log")
     with pytest.raises(BadRange):
         cli.parse_lambdas("-1,2")
+    with pytest.raises(BadRange):
+        cli.parse_lambdas("0.1,1,0.1")
 
 
 def test_solve_roundtrip_and_determinism(tmp_path):
@@ -268,6 +273,15 @@ def test_limits_cli_small(tmp_path):
     assert json.load(open(out + ".json"))["summary"]["identity_failures"] == []
 
 
+def test_limits_single_lambda_checks_its_regime_ratio(tmp_path):
+    # toward W only M^(q-2)/lambda is bounded; M/lambda at lambda = 1e-4 is
+    # 4.3e-4, outside the window, and is not checked
+    out = str(tmp_path / "lim")
+    assert run(["limits", "--q", "2.5", "--side", "zero", "--lambdas", "1e-4",
+                "--n", "1024", "--out", out]) == 0
+    assert json.load(open(out + ".json"))["summary"]["ratios_in_window"]
+
+
 def test_limits_rejects_under_resolved_states(tmp_path):
     # at q=5.5 toward lambda = infinity every state and the Kwong reference
     # miss the Pohozaev identity at n=4096 (about 1.5e-5 G against 1e-6 G)
@@ -319,8 +333,20 @@ def test_spectrum_cli_small(tmp_path):
     assert all(s["solves"] >= 6 for s in payload["sectors"])
     assert len(payload["timing"]["eigensolve_s"]) == 3
     assert payload["sectors"][1]["zero_mode_match"] >= 0.999
-    assert "suspected typo" in payload["convention_check"]["note"]
-    assert payload["convention_check"]["paper_displayed_pair_first_eq_residual"] > 1e-3
+
+
+def test_spectrum_certifies_the_normal_form_state(tmp_path):
+    # the payload's parameters are those of the state whose spectrum it
+    # reports: the mu-form member, a = mu != 2
+    out = str(tmp_path / "spec")
+    assert run(["spectrum", "--q", "4.75", "--lambda", "10", "--n", "2048",
+                "--k-max", "3", "--out", out]) == 0
+    payload = json.load(open(out + ".json"))
+    st = solver.solve(scaling.normal_member(4.75, 10.0), 2048)
+    assert payload["normalized_params"] == vars(st.params)
+    assert payload["normalized_params"]["a"] == scaling.small_parameter(
+        4.75, 10.0, scaling.MU_FORM) != 2.0
+    assert payload["grid"]["r_max"] == st.grid.r_max
 
 
 @pytest.mark.parametrize("q,lam,n,verdict", [

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import sngs
-from sngs.errors import ParityMismatch, UnconvergedState, WrongConvention
-from sngs.linearized import (GAP_TOL, convention_map, nondegeneracy_report,
+from sngs.errors import ParityMismatch, UnconvergedState
+from sngs.linearized import (GAP_TOL, nondegeneracy_report,
                              quadratic_form_value, sector_form, sector_spectrum,
                              translation_mode)
-from sngs.solver import _wnorm
 
 
 def odd_field(grid, rng, width_max=4.0):
@@ -34,71 +33,6 @@ def assert_nonnegative_pair_forms(op, fields, rng):
 @pytest.fixture(scope="module")
 def choquard(solved_cache):
     return solved_cache(1.0, 1.0, 0.0, 4.0, n=1536, rmax=30.0)
-
-
-@pytest.fixture(scope="module")
-def choquard_a2(choquard):
-    return convention_map(choquard, "to_a2")
-
-
-def test_convention_roundtrip(solved_cache):
-    st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    there = convention_map(st, "to_a2")
-    back = convention_map(there, "from_a2")
-    assert back.params == st.params
-    assert np.max(np.abs(back.u.values - st.u.values)) <= 1e-12 * st.sup_u()
-
-
-def test_convention_map_choquard_residual(choquard, choquard_a2):
-    # (U/sqrt2, V/2) solves -Du + u = 2vu, -Dv = u^2
-    assert choquard_a2.params.a == 2.0
-    assert choquard_a2.params.nu == 0.0
-    assert choquard_a2.residual_norm <= 1e-10
-    assert np.allclose(choquard_a2.u.values,
-                       choquard.u.values / np.sqrt(2.0), atol=0)
-    assert np.allclose(choquard_a2.v.values, choquard.v.values / 2.0,
-                       atol=1e-12 * choquard.sup_v())
-
-
-def test_paper_displayed_pair_fails(choquard, choquard_a2):
-    # keeping v unscaled does not satisfy the first a=2 equation
-    grid = choquard.grid
-    from sngs import operators
-    A = operators.radial_laplacian(grid)
-    u2 = choquard_a2.u.values
-    F_wrong = A @ u2 + u2 - 2.0 * choquard.v.values * u2
-    F_wrong[-2:] = 0.0
-    rel = _wnorm(grid, F_wrong) / _wnorm(grid, u2)
-    assert rel > 1e-1
-
-
-def test_convention_nu_multiplier(solved_cache):
-    st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    a2 = convention_map(st, "to_a2")
-    assert a2.params.nu == pytest.approx(2.0, rel=1e-14)  # 2^{(q-2)/2} at q=4
-
-
-def test_convention_wrong_direction(choquard, choquard_a2):
-    with pytest.raises(WrongConvention):
-        convention_map(choquard_a2, "to_a2")
-    with pytest.raises(WrongConvention):
-        convention_map(choquard, "from_a2")
-    with pytest.raises(WrongConvention):
-        convention_map(choquard, "upside_down")
-
-
-@pytest.mark.parametrize("a", [1.0, 0.3])
-def test_sector_form_invariant_under_convention_map(solved_cache, a):
-    # the form is written at every a; the a=2 image of the state carries
-    # the same operator, entry by entry and in its spectrum
-    st = solved_cache(1.0, a, 1.0, 4.0)
-    a2 = convention_map(st, "to_a2")
-    for k in (0, 1, 3):
-        op, op2 = sector_form(st, k), sector_form(a2, k)
-        assert abs(op.form - op2.form).max() <= 1e-15 * abs(op.form).max()
-        e1 = np.array(sector_spectrum(op, 4).eigenvalues)
-        e2 = np.array(sector_spectrum(op2, 4).eigenvalues)
-        assert np.max(np.abs(e1 - e2)) <= 1e-12 * max(1.0, np.max(np.abs(e1)))
 
 
 def test_sector_form_centrifugal(choquard):
@@ -193,10 +127,9 @@ def test_pencil_matches_dense_schur_complement(solved_cache):
 def test_translation_eigenvalue_falls_under_refinement():
     # the whole-space potential leaves only the discretization error in the
     # zero mode: about 15x per n -> 2n - 1 at q=4.75, lambda=10
-    from sngs.cli import normalized_state_for_spectrum
     zero = []
     for n in (1024, 2047, 4093):
-        st, _ = normalized_state_for_spectrum(4.75, 10.0, n)
+        st = sngs.solve(sngs.normal_member(4.75, 10.0), n)
         zero.append(min(abs(s) for s in
                         sector_spectrum(sector_form(st, 1), 2).eigenvalues))
     assert zero[1] <= zero[0] / 10.0 and zero[2] <= zero[1] / 10.0, zero
@@ -268,8 +201,7 @@ RUN_SPECTRUM_EIGENVALUES = {
 
 @pytest.mark.parametrize("q,lam", sorted(RUN_SPECTRUM_EIGENVALUES))
 def test_run_spectrum_cases_match_recorded(q, lam):
-    from sngs.cli import normalized_state_for_spectrum
-    st, _ = normalized_state_for_spectrum(q, lam, 4096)
+    st = sngs.solve(sngs.normal_member(q, lam), 4096)
     rep = nondegeneracy_report(st, 3)
     assert rep.verdict == "nondegenerate"
     assert [e.below_split for e in rep.sectors] == [
@@ -286,8 +218,7 @@ def test_run_spectrum_cases_never_refine(q, lam, monkeypatch):
     # ARPACK stops at BACKWARD_TOL; a pair it leaves over that bound would be
     # refined through one more factorization, so the count of factorizations
     # is one per sector plus sector 0's lower-bound shift and nothing else
-    from sngs.cli import normalized_state_for_spectrum
-    st, _ = normalized_state_for_spectrum(q, lam, 4096)
+    st = sngs.solve(sngs.normal_member(q, lam), 4096)
     calls = []
     inertia = sngs.operators._inertia
 

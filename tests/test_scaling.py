@@ -114,7 +114,7 @@ def test_limit_distances_decrease_toward_zero(solved_cache):
 
 def test_mass_ratio_single_state(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    rows, ok = mass_ratio_report([st])
+    rows, ok = mass_ratio_report([st], "zero")
     assert ok and len(rows) == 1
 
 
@@ -122,12 +122,12 @@ def test_mass_ratio_mixed_exponents(solved_cache):
     s1 = solved_cache(1.0, 1.0, 1.0, 4.0)
     s2 = solved_cache(1.0, 1.0, 1.0, 2.5)
     with pytest.raises(MixedExponents):
-        mass_ratio_report([s1, s2])
+        mass_ratio_report([s1, s2], "zero")
 
 
 def test_mass_ratio_window_decreasing_lambda(solved_cache):
     states = [solved_cache(lam, 1.0, 1.0, 4.0, n=1536) for lam in (0.1, 0.01)]
-    rows, ok = mass_ratio_report(states)
+    rows, ok = mass_ratio_report(states, "zero")
     assert ok
     # U regime: M/lam is the bounded ratio
     for _, _, r2 in rows:
