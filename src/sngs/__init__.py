@@ -10,7 +10,7 @@ from .hartree import HartreePotential, hartree_energy, hartree_potential
 from .solver import (GroundState, ModelParams, ScanResult, acceptance_failures,
                      apply_jacobian, auto_rmax, default_guess, ground_state,
                      newton_solve, residual, solve, uniqueness_scan)
-from .diagnostics import DiagnosticsReport, identities, monotonicity_check, norm_report
+from .diagnostics import DiagnosticsReport, identities, monotonicity_check
 from .scaling import (ScalingReport, limit_distance, limit_member,
                       limit_regime, limit_study, mass_ratio_report,
                       normal_form, normal_member, scale_state, small_parameter)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -144,28 +145,24 @@ def _failures_by_lambda(states) -> list:
             if (fails := solver.acceptance_failures(s))]
 
 
-def cmd_solve(args, argv):
+def cmd_solve(args, command_line):
     io.check_clobber([args.out + ".csv", args.out + ".json"], args.force)
     params = _params(args, args.lam)
     try:
         state = solver.solve(params, args.n)
     except (NonConvergence, TrivialCollapse, NegativeStateDetected) as exc:
-        man = io.RunManifest(
-            command_line=" ".join(argv), params={"lam": args.lam, "a": args.a,
-                                                 "nu": args.nu, "q": args.q},
+        best = getattr(exc, "state", None)   # NonConvergence's best iterate
+        record = {} if best is None else {"state": io.state_record(
+            solver.ground_state(best, params, exc.iterations))}
+        io.write_manifest(
+            args.out + ".json", command_line, params=asdict(params),
             grid={"r_max": solver._solve_grid(params, args.n).r_max,
                   "n": args.n},
-            code_version=__version__, created=io._now(), outputs=[],
-            summary={"error": str(exc),
-                     "residual_norm": getattr(exc, "residual_norm", None),
-                     "iterations": getattr(exc, "iterations", None)})
-        man.write(args.out + ".json")
+            summary={"error": str(exc)}, **record)
         print(f"solve: {type(exc).__name__} ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
+    io.save_state(state, args.out, command_line, args.force)
     failures = solver.acceptance_failures(state)
-    io.save_state(state, args.out, " ".join(argv), args.force,
-                  tolerances={"tol": solver.TOL},
-                  summary={"identity_failures": failures})
     d = state.diagnostics
     print(f"solve: converged in {state.iterations} iterations, "
           f"residual {state.residual_norm:.3e}, J = {d.J:.12g}")
@@ -178,7 +175,7 @@ _SWEEP_HEADER = ["lambda", "J", "grad_sq", "l2_sq", "lq", "D", "sup_u", "sup_v",
                  "M", "nehari", "pohozaev", "residual_norm", "iterations"]
 
 
-def cmd_sweep(args, argv):
+def cmd_sweep(args, command_line):
     out_csv = args.out + ".csv"
     io.check_clobber([out_csv, args.out + ".json"], args.force)
     lams = sorted(parse_lambdas(args.lambdas))
@@ -193,15 +190,12 @@ def cmd_sweep(args, argv):
     mono = diagnostics.monotonicity_check([(s.params.lam, s.diagnostics.J)
                                            for s in states])
     failures = _failures_by_lambda(states)
-    man = io.RunManifest(
-        command_line=" ".join(argv),
+    io.write_manifest(
+        args.out + ".json", command_line, [out_csv],
         params={"a": args.a, "nu": args.nu, "q": args.q, "lambdas": lams},
-        grid={"n": args.n, "r_max": "auto-per-lambda"},
-        code_version=__version__, created=io._now(),
-        outputs=[out_csv], summary={"monotone": mono["pass"],
-                                    "violations": mono["violations"],
-                                    "identity_failures": failures})
-    man.write(args.out + ".json")
+        states=[io.state_record(s) for s in states],
+        summary={"monotone": mono["pass"], "violations": mono["violations"],
+                 "identity_failures": failures})
     print(f"sweep: {len(states)} states, c_lambda monotone = {mono['pass']}")
     for f in failures:
         print(f"sweep: under-resolved state {f}", file=sys.stderr)
@@ -212,7 +206,7 @@ _LIMITS_HEADER = ["lambda", "small_parameter", "sup_distance", "h1_distance",
                   "ratio_w", "ratio_u"]
 
 
-def cmd_limits(args, argv):
+def cmd_limits(args, command_line):
     out_csv = args.out + ".csv"
     io.check_clobber([out_csv, args.out + ".json"], args.force)
     lams = parse_lambdas(args.lambdas)
@@ -232,18 +226,16 @@ def cmd_limits(args, argv):
     if (fails := solver.acceptance_failures(ref)):
         failures.insert(0, {"reference": kind, "failures": fails})
     ok = decreasing and close and report.ratios_in_window and not failures
-    man = io.RunManifest(
-        command_line=" ".join(argv),
+    io.write_manifest(
+        args.out + ".json", command_line, [out_csv],
         params={"q": args.q, "side": args.side, "lambdas": lams,
                 "form": form, "limit_kind": kind},
-        grid={"n": args.n, "r_max": "auto-per-lambda"},
-        code_version=__version__, created=io._now(),
-        outputs=[out_csv],
+        reference=io.state_record(ref),
+        states=[io.state_record(s) for s in states],
         summary={"regime": report.regime,
                  "distances_decreasing": decreasing, "final_sup_ok": close,
                  "ratios_in_window": report.ratios_in_window,
                  "identity_failures": failures})
-    man.write(args.out + ".json")
     print(f"limits: limit={kind}, decreasing={decreasing}, "
           f"final sup {final_sup:.3e} (<= 5% of {ref.sup_u():.3e}: {close}), "
           f"ratios in window = {report.ratios_in_window}")
@@ -252,16 +244,13 @@ def cmd_limits(args, argv):
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def cmd_spectrum(args, argv):
+def cmd_spectrum(args, command_line):
     out_json = args.out + ".json"
     io.check_clobber([out_json], args.force)
     state = solver.solve(scaling.normal_member(args.q, args.lam), args.n)
     report = linearized.nondegeneracy_report(state, args.k_max)
-    p = state.params
-    payload = {
-        "lambda": args.lam, "q": args.q,
-        "normalized_params": {"lam": p.lam, "a": p.a, "nu": p.nu, "q": p.q},
-        "grid": {"r_max": state.grid.r_max, "n": args.n},
+    io.write_manifest(out_json, command_line, **{
+        "lambda": args.lam, "q": args.q, "state": io.state_record(state),
         "sectors": [{"k": e.k, "eigenvalues": e.eigenvalues,
                      "kernel_dimension": e.kernel_dimension,
                      "zero_mode_match": e.zero_mode_match,
@@ -273,41 +262,33 @@ def cmd_spectrum(args, argv):
         "split": -linearized.GAP_TOL,
         "verdict": report.verdict,
         "tolerances": {"zero_tol": report.zero_tol,
-                       "gap_tol": linearized.GAP_TOL},
-        "code_version": __version__,
-        "command_line": " ".join(argv),
-    }
-    io.write_json(out_json, payload)
+                       "gap_tol": linearized.GAP_TOL}})
     print(f"spectrum: verdict = {report.verdict} "
           f"(zero_tol {report.zero_tol:.3e}, gap_tol {linearized.GAP_TOL:.3e})")
     return EXIT_OK if report.verdict == "nondegenerate" else EXIT_NUMERICAL
 
 
-def cmd_scan(args, argv):
+def cmd_scan(args, command_line):
     out_json = args.out + ".json"
     io.check_clobber([out_json], args.force)
-    res = solver.uniqueness_scan(_params(args, args.lam), args.starts,
-                                 args.seed, args.n)
-    payload = {
-        "params": {"lam": args.lam, "a": args.a, "nu": args.nu, "q": args.q},
-        "n_starts": args.starts, "rng_seed": args.seed,
-        "converged": res.converged, "failed": res.failed,
-        "distinct": len(res.distinct_states),
-        "sup_norms": [s.sup_u() for s in res.distinct_states],
-        "code_version": __version__, "command_line": " ".join(argv),
-    }
-    io.write_json(out_json, payload)
+    params = _params(args, args.lam)
+    res = solver.uniqueness_scan(params, args.starts, args.seed, args.n)
+    io.write_manifest(out_json, command_line, params=asdict(params),
+                      n_starts=args.starts, rng_seed=args.seed,
+                      converged=res.converged, failed=res.failed,
+                      distinct=len(res.distinct_states),
+                      states=[io.state_record(s) for s in res.distinct_states])
     print(f"scan: {res.converged} converged / {res.failed} failed, "
           f"{len(res.distinct_states)} distinct state(s)")
     return EXIT_OK if len(res.distinct_states) == 1 else EXIT_NUMERICAL
 
 
-def cmd_check(args, argv):
+def cmd_check(args, command_line):
     state, manifest = io.load_state(args.out)
     rep = state.diagnostics
     stored = manifest["summary"]["diagnostics"]
     failures = []
-    for key, val in rep.as_dict().items():
+    for key, val in asdict(rep).items():
         ref = stored.get(key)
         if ref is None or val is None:
             continue
@@ -332,7 +313,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv[1:])
-        return _COMMANDS[args.command](args, argv)
+        return _COMMANDS[args.command](args, " ".join(argv))
     except (UsageError, BadRange, InvalidExponent) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

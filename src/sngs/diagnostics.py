@@ -24,7 +24,6 @@ import scipy.sparse as sp
 
 from . import operators
 from .errors import UnsortedInput
-from .grid import RadialField
 from .solver import GroundState, _power
 
 
@@ -37,52 +36,35 @@ class DiagnosticsReport:
     sup_u: float
     sup_v: float
     M: float
-    J: Optional[float] = None
-    nehari: Optional[float] = None
-    pohozaev: Optional[float] = None
+    J: float
+    nehari: float
+    pohozaev: float
     level_identity_residual: Optional[float] = None
-
-    def as_dict(self):
-        return {k: v for k, v in self.__dict__.items()}
-
-
-def _norms(u: RadialField, q: float, A: sp.csr_matrix):
-    grid = u.grid
-    W = grid.weights_r2dr
-    G = 4.0 * np.pi * operators.grad_sq_pairing(grid, A, u.values)
-    L = 4.0 * np.pi * float(np.dot(W, u.values**2))
-    P = 4.0 * np.pi * float(np.dot(W, _power(np.abs(u.values), q)))
-    return G, L, P
-
-
-def norm_report(state: GroundState, A: sp.csr_matrix) -> DiagnosticsReport:
-    """Norm fields only (no identities); sup norms from node maxima.  A is
-    the state's `operators.radial_laplacian`, built by the caller."""
-    G, L, P = _norms(state.u, state.params.q, A)
-    W = state.grid.weights_r2dr
-    D = 4.0 * np.pi * float(np.dot(W, state.v.values * state.u.values**2))
-    su, sv = state.sup_u(), state.sup_v()
-    return DiagnosticsReport(grad_sq=G, l2_sq=L, lq=P, D=max(D, 0.0),
-                             sup_u=su, sup_v=sv, M=su + sv)
 
 
 def identities(state: GroundState, A: sp.csr_matrix) -> DiagnosticsReport:
-    """Full report with action, Nehari and Pohozaev values; A as in
-    `norm_report`.
+    """Norms, action, Nehari and Pohozaev values of `state`; A is its
+    `operators.radial_laplacian`, built by the caller, and the sup norms
+    are node maxima.
 
     Values are reported raw (nonzero for non-solutions); the ground-level
     residual |J - G/3 - D/6| is filled only for the a=1, nu=1 family.
     """
-    rep = norm_report(state, A)
-    p = state.params
-    G, L, P, D = rep.grad_sq, rep.l2_sq, rep.lq, rep.D
-    rep.J = 0.5 * G + 0.5 * p.lam * L - 0.25 * p.a * D - p.nu / p.q * P
-    rep.nehari = G + p.lam * L - p.a * D - p.nu * P
-    rep.pohozaev = (0.5 * G + 1.5 * p.lam * L - 1.25 * p.a * D
-                    - 3.0 * p.nu / p.q * P)
-    if p.a == 1.0 and p.nu == 1.0:
-        rep.level_identity_residual = abs(rep.J - (G / 3.0 + D / 6.0))
-    return rep
+    p, u = state.params, state.u.values
+    W = state.grid.weights_r2dr
+    G = 4.0 * np.pi * operators.grad_sq_pairing(state.grid, A, u)
+    L = 4.0 * np.pi * float(np.dot(W, u**2))
+    P = 4.0 * np.pi * float(np.dot(W, _power(np.abs(u), p.q)))
+    D = max(4.0 * np.pi * float(np.dot(W, state.v.values * u**2)), 0.0)
+    J = 0.5 * G + 0.5 * p.lam * L - 0.25 * p.a * D - p.nu / p.q * P
+    su, sv = state.sup_u(), state.sup_v()
+    return DiagnosticsReport(
+        grad_sq=G, l2_sq=L, lq=P, D=D, sup_u=su, sup_v=sv, M=su + sv, J=J,
+        nehari=G + p.lam * L - p.a * D - p.nu * P,
+        pohozaev=(0.5 * G + 1.5 * p.lam * L - 1.25 * p.a * D
+                  - 3.0 * p.nu / p.q * P),
+        level_identity_residual=(abs(J - (G / 3.0 + D / 6.0))
+                                 if p.a == 1.0 and p.nu == 1.0 else None))
 
 
 def monotonicity_check(levels):

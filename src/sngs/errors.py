@@ -42,10 +42,9 @@ class InvalidExponent(SngsError):
 class NonConvergence(SngsError):
     """Newton ran out of iterations. Carries the best iterate for post-mortems."""
 
-    def __init__(self, message, state=None, residual_norm=None, iterations=None):
+    def __init__(self, message, state=None, iterations=None):
         super().__init__(message)
         self.state = state
-        self.residual_norm = residual_norm
         self.iterations = iterations
 
 

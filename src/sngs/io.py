@@ -1,13 +1,16 @@
 """Artifact persistence: CSV fields plus JSON run manifests.
 
+Every JSON a subcommand writes goes through `write_manifest`: the header
+(command line, code version, creation time, outputs) followed by the
+command's own keys, among them one `state_record` per state it holds
+(parameters, grid, and a summary of the residual ratio with its rounding
+floor and bound, iterations, diagnostics and acceptance failures).
 A solve produces `<out>.csv` with columns r,u,v at 17 significant digits
-(float64 round-trips exactly) and `<out>.json` with the manifest: parameters,
-grid, code version, timestamps, outputs, tolerances and the summary (the
-residual ratio with its rounding floor, iterations and diagnostics).
-Re-running an identical configuration reproduces the CSV bit for bit.
-`load_state` reads such a pair back and raises IoError, naming the file, on
-artifacts that are not a solve's, and naming the error on the manifest of a
-failed solve.
+(float64 round-trips exactly) and `<out>.json`, whose body is the state's
+record plus the Newton tolerance.  Re-running an identical configuration
+reproduces the CSV bit for bit.  `load_state` reads such a pair back and
+raises IoError, naming the file, on artifacts that are not a solve's, and
+naming the error on the manifest of a failed solve.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,34 +26,8 @@ from . import __version__
 from .errors import (BadRange, InvalidExponent, IoError, NonPositiveRadius,
                      TooFewNodes)
 from .grid import EVEN, RadialField, make_grid, read_field_csv, write_field_csv
-from .solver import GroundState, ModelParams, ground_state
-
-
-@dataclass
-class RunManifest:
-    command_line: str
-    params: dict
-    grid: dict
-    code_version: str
-    created: str
-    outputs: list
-    summary: dict
-    tolerances: dict = field(default_factory=dict)
-
-    def write(self, path):
-        write_json(path, asdict(self))
-
-
-def write_json(path, payload: dict):
-    """The one JSON writer of the package: indented, sorted keys, a final
-    newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _now():
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+from .solver import (TOL, GroundState, ModelParams, acceptance_failures,
+                     ground_state)
 
 
 def check_clobber(paths, force: bool):
@@ -61,41 +38,42 @@ def check_clobber(paths, force: bool):
             raise IoError(f"{p} exists; pass --force to overwrite")
 
 
-def manifest_for(state: GroundState, command_line: str, outputs,
-                 tolerances=None, summary=None) -> RunManifest:
-    d = state.diagnostics
-    summary = {
-        "residual_norm": state.residual_norm,
-        "residual_floor": state.residual_floor,
-        "iterations": state.iterations,
-        "diagnostics": d.as_dict() if d is not None else None,
-        **(summary or {}),
-    }
-    return RunManifest(
-        command_line=command_line,
-        params={"lam": state.params.lam, "a": state.params.a,
-                "nu": state.params.nu, "q": state.params.q},
-        grid={"r_max": state.grid.r_max, "n": state.grid.n},
-        code_version=__version__,
-        created=_now(),
-        outputs=list(outputs),
-        summary=summary,
-        tolerances=dict(tolerances or {}),
-    )
+def state_record(state: GroundState) -> dict:
+    """The one record of a solved state: what `load_state` and `check` read
+    from a solve manifest, from the state's own diagnostics and
+    `solver.acceptance_failures`."""
+    return {"params": asdict(state.params),
+            "grid": {"r_max": state.grid.r_max, "n": state.grid.n},
+            "summary": {"residual_norm": state.residual_norm,
+                        "residual_floor": state.residual_floor,
+                        "residual_bound": state.residual_bound,
+                        "iterations": state.iterations,
+                        "diagnostics": asdict(state.diagnostics),
+                        "identity_failures": acceptance_failures(state)}}
+
+
+def write_manifest(path, command_line: str, outputs=(), **body):
+    """The one JSON writer of the package: the header every artifact shares,
+    then the command's `body`; indented, sorted keys, a final newline."""
+    created = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    with open(path, "w") as fh:
+        json.dump({"command_line": command_line, "code_version": __version__,
+                   "created": created, "outputs": list(outputs), **body},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_state(state: GroundState, out_prefix: str, command_line: str = "",
-               force: bool = False, tolerances=None, summary=None):
-    """Write `<out_prefix>.csv` and its manifest; `summary` adds entries to
-    the manifest's summary."""
+               force: bool = False):
+    """Write `<out_prefix>.csv` and its manifest: the state's record and
+    the Newton tolerance."""
     csv_path = out_prefix + ".csv"
     json_path = out_prefix + ".json"
     check_clobber([csv_path, json_path], force)
     write_field_csv(csv_path, state.grid,
                     {"u": state.u.values, "v": state.v.values})
-    man = manifest_for(state, command_line, [csv_path, json_path],
-                       tolerances, summary)
-    man.write(json_path)
+    write_manifest(json_path, command_line, [csv_path, json_path],
+                   **state_record(state), tolerances={"tol": TOL})
     return csv_path, json_path
 
 

@@ -393,11 +393,11 @@ def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
     stop = max(TOL, residual_floor(grid, A, u, params.lam)) * params.lam
     bands = _step_bands(grid, A)
 
-    def stalled(message, nu_norm, iterations):
+    def stalled(message, iterations):
         return NonConvergence(
             f"{message} for {params.label()}",
             state=RadialField(grid=grid, values=u.copy(), parity=EVEN),
-            residual_norm=nF / (params.lam * nu_norm), iterations=iterations)
+            iterations=iterations)
 
     it = 0
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
@@ -406,8 +406,7 @@ def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
     if not math.isfinite(nF):
         raise NonConvergence(f"warm start for {params.label()}: non-finite residual norm")
     for it in range(1, MAX_ITER + 1):
-        nu_norm = _live_norm(grid, u)
-        if nF <= stop * nu_norm:
+        if nF <= stop * _live_norm(grid, u):
             break
 
         d = _newton_step(u, v, F, params, grid, bands)
@@ -421,16 +420,14 @@ def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
                     break
                 t *= 0.5
         if not accepted:
-            raise stalled(f"line search stalled at |F| = {nF:.3e}", nu_norm, it)
+            raise stalled(f"line search stalled at |F| = {nF:.3e}", it)
         u = u + t * d
         F, v = F_try, v_try
         nF = _wnorm(grid, F)
     else:
-        nu_norm = _live_norm(grid, u)
         # the last update may have converged
-        if not nF <= stop * nu_norm:
-            raise stalled(f"no convergence in {MAX_ITER} iterations",
-                          nu_norm, MAX_ITER)
+        if not nF <= stop * _live_norm(grid, u):
+            raise stalled(f"no convergence in {MAX_ITER} iterations", MAX_ITER)
 
     sup = float(np.max(u))
     if np.min(u[:-2]) < -1e-10 * max(sup, abs(float(np.min(u)))):

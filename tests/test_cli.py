@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sngs
 from sngs import cli, scaling, solver
 
 
@@ -242,6 +243,87 @@ def test_failed_solve_writes_its_manifest(tmp_path, capsys):
     assert f"{out}.json records a failed solve: {man['summary']['error']}" in err
 
 
+def test_failed_solve_records_its_best_iterate(tmp_path, capsys):
+    # q=5.95, lambda=1 on 16381 nodes: Newton runs MAX_ITER iterations
+    # without converging, and the manifest records the last iterate
+    out = str(tmp_path / "run")
+    assert run(["solve", "--q", "5.95", "--lambda", "1", "--n", "16381",
+                "--out", out]) == 2
+    assert "NonConvergence" in capsys.readouterr().err
+    man = json.load(open(out + ".json"))
+    assert f"no convergence in {solver.MAX_ITER} iterations" in \
+        man["summary"]["error"]
+    assert man["outputs"] == []
+    record = man["state"]
+    assert record["grid"] == man["grid"] == {"r_max": 28.0, "n": 16381}
+    assert record["params"] == man["params"]
+    summary = record["summary"]
+    assert summary["iterations"] == solver.MAX_ITER
+    assert summary["residual_norm"] > summary["residual_bound"]
+    assert summary["identity_failures"][0][0] == "residual_norm"
+    assert not os.path.exists(out + ".csv")
+
+
+def _members(*lams, q=4.0, n):
+    return [solver.solve(solver.ModelParams(lam=lam, a=1.0, nu=1.0, q=q), n)
+            for lam in lams]
+
+
+# (argv, the records of its JSON, the states they describe, the names of
+# the acceptance failures of each record)
+ARTIFACTS = {
+    "solve": (["solve", "--q", "4", "--lambda", "0.5", "--n", "512"],
+              lambda man: [man], lambda: _members(0.5, n=512), []),
+    "sweep": (["sweep", "--q", "4", "--lambdas", "0.5,1", "--n", "1024"],
+              lambda man: man["states"], lambda: _members(0.5, 1.0, n=1024),
+              []),
+    "limits": (["limits", "--q", "4", "--side", "zero",
+                "--lambdas", "0.1,0.01", "--n", "1024"],
+               lambda man: [man["reference"], *man["states"]],
+               lambda: [solver.solve(scaling.limit_member(4.0, "zero"), 1024),
+                        *_members(0.1, 0.01, n=1024)], []),
+    "spectrum": (["spectrum", "--q", "4", "--lambda", "0.01", "--n", "1024",
+                  "--k-max", "2"], lambda man: [man["state"]],
+                 lambda: [solver.solve(scaling.normal_member(4.0, 0.01),
+                                       1024)], []),
+    # the spectrum gate is not in place: the state misses Pohozaev at about
+    # 2.5e-5 G, its record says so, and the verdict still passes
+    "spectrum_refused_state": (
+        ["spectrum", "--q", "2.05", "--lambda", "0.1", "--n", "1024",
+         "--k-max", "2"], lambda man: [man["state"]],
+        lambda: [solver.solve(scaling.normal_member(2.05, 0.1), 1024)],
+        ["identity_residuals"]),
+    "scan": (["scan", "--q", "4", "--lambda", "1", "--starts", "4",
+              "--n", "1024", "--seed", "3"], lambda man: man["states"],
+             lambda: solver.uniqueness_scan(
+                 solver.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0), 4, 3,
+                 1024).distinct_states, []),
+}
+
+
+@pytest.mark.parametrize("case", ARTIFACTS)
+def test_every_artifact_records_its_states(tmp_path, case):
+    argv, records_of, expected, failure_names = ARTIFACTS[case]
+    out = str(tmp_path / "x")
+    assert run(argv + ["--out", out]) == 0
+    man = json.load(open(out + ".json"))
+    assert man["command_line"] == " ".join(["sngs", *argv, "--out", out])
+    assert man["code_version"] == sngs.__version__
+    assert man["created"] and isinstance(man["outputs"], list)
+    records, states = records_of(man), expected()
+    assert len(records) == len(states)
+    for record, st in zip(records, states):
+        assert record["params"] == vars(st.params)
+        assert record["grid"] == {"r_max": st.grid.r_max, "n": st.grid.n}
+        summary = record["summary"]
+        failures = solver.acceptance_failures(st)
+        assert summary["identity_failures"] == json.loads(json.dumps(failures))
+        assert [f[0] for f in failures] == failure_names
+        assert summary["residual_bound"] == st.residual_bound
+        assert summary["iterations"] == st.iterations
+        assert summary["diagnostics"] == vars(st.diagnostics)
+
+
 def test_sweep_stderr_prints_plain_floats(tmp_path, capsys):
     # n=1024 under-resolves q=5.25 at lambda = 1 and 10 (identity misses)
     out = str(tmp_path / "sweep")
@@ -336,17 +418,17 @@ def test_spectrum_cli_small(tmp_path):
 
 
 def test_spectrum_certifies_the_normal_form_state(tmp_path):
-    # the payload's parameters are those of the state whose spectrum it
-    # reports: the mu-form member, a = mu != 2
+    # the payload records the state whose spectrum it reports: the mu-form
+    # member, a = mu != 2
     out = str(tmp_path / "spec")
     assert run(["spectrum", "--q", "4.75", "--lambda", "10", "--n", "2048",
                 "--k-max", "3", "--out", out]) == 0
-    payload = json.load(open(out + ".json"))
+    record = json.load(open(out + ".json"))["state"]
     st = solver.solve(scaling.normal_member(4.75, 10.0), 2048)
-    assert payload["normalized_params"] == vars(st.params)
-    assert payload["normalized_params"]["a"] == scaling.small_parameter(
+    assert record["params"] == vars(st.params)
+    assert record["params"]["a"] == scaling.small_parameter(
         4.75, 10.0, scaling.MU_FORM) != 2.0
-    assert payload["grid"]["r_max"] == st.grid.r_max
+    assert record["grid"]["r_max"] == st.grid.r_max
 
 
 @pytest.mark.parametrize("q,lam,n,verdict", [
@@ -365,7 +447,7 @@ def test_spectrum_under_resolved_grid(tmp_path, q, lam, n, verdict):
     payload = json.load(open(out + ".json"))
     assert payload["verdict"] == verdict
     assert code == (0 if verdict == "nondegenerate" else 2)
-    h = payload["grid"]["r_max"] / (n - 1)
+    h = payload["state"]["grid"]["r_max"] / (n - 1)
     assert (50.0 * h * h >= 1.0) == (verdict == "under-resolved")
 
 

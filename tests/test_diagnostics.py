@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sngs
-from sngs.diagnostics import identities, monotonicity_check, norm_report
+from sngs.diagnostics import identities, monotonicity_check
 from sngs.errors import UnsortedInput
 from sngs.hartree import hartree_potential
 from sngs.operators import radial_laplacian
@@ -25,21 +25,21 @@ def fake_state(grid, values, lam=1.0, a=1.0, nu=1.0, q=4.0):
 def test_norms_indicator():
     g = sngs.make_grid(5.0, 4096)
     u = indicator_field(g)
-    rep = norm_report(fake_state(g, u.values), radial_laplacian(g))
+    rep = identities(fake_state(g, u.values), radial_laplacian(g))
     assert rep.l2_sq == pytest.approx(4 * np.pi / 3.0, rel=1e-5)
 
 
 def test_norms_zero():
     g = sngs.make_grid(5.0, 128)
-    rep = norm_report(fake_state(g, np.zeros(g.n)), radial_laplacian(g))
+    rep = identities(fake_state(g, np.zeros(g.n)), radial_laplacian(g))
     assert rep.grad_sq == rep.l2_sq == rep.lq == rep.D == 0.0
     assert rep.M == 0.0
 
 
 def test_norms_gaussian():
     g = sngs.make_grid(24.0, 2048)
-    rep = norm_report(fake_state(g, np.exp(-g.nodes**2 / 2.0)),
-                      radial_laplacian(g))
+    rep = identities(fake_state(g, np.exp(-g.nodes**2 / 2.0)),
+                     radial_laplacian(g))
     assert rep.l2_sq == pytest.approx(np.pi**1.5, rel=1e-6)
     assert rep.sup_u == 1.0
     assert rep.M == rep.sup_u + rep.sup_v
