@@ -5,18 +5,17 @@ uniqueness scans, and sector-decomposed nondegeneracy certificates."""
 __version__ = "0.1.0"
 
 from .grid import (EVEN, ODD, RadialField, RadialGrid, differentiate,
-                   integrate_radial, interpolate, make_grid)
-from .hartree import HartreePotential, hartree_energy, hartree_potential
+                   interpolate, make_grid)
 from .solver import (GroundState, ModelParams, ScanResult, acceptance_failures,
-                     apply_jacobian, auto_rmax, default_guess, ground_state,
-                     newton_solve, residual, solve, uniqueness_scan)
+                     auto_rmax, default_guess, ground_state, newton_solve,
+                     solve, uniqueness_scan)
 from .diagnostics import DiagnosticsReport, identities, monotonicity_check
 from .scaling import (ScalingReport, limit_distance, limit_member,
                       limit_regime, limit_study, mass_ratio_report,
                       normal_form, normal_member, scale_state, small_parameter)
 from .linearized import (NondegeneracyReport, SectorOperator,
-                         nondegeneracy_report, quadratic_form_value,
-                         sector_form, sector_spectrum, translation_mode)
+                         nondegeneracy_report, sector_form, sector_spectrum,
+                         translation_mode)
 from .operators import smallest_eigenpairs
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,8 +3,8 @@
 Subcommands: solve | sweep | limits | spectrum | scan | check.  Exit codes:
 0 when every enabled verdict passes, 2 on numerical failure (partial manifest
 still written where possible), 64 on usage errors.  `solve`, `sweep`,
-`limits` and `check` accept a state by `solver.acceptance_failures`, whose
-entries a refused state's manifest lists under `identity_failures`.
+`limits`, `scan` and `check` accept a state by `solver.acceptance_failures`,
+whose entries a refused state's record lists under `identity_failures`.
 `spectrum` certifies the state `solver.solve` returns for the normal-form
 member `scaling.normal_member`.
 """
@@ -278,9 +278,15 @@ def cmd_scan(args, command_line):
                       converged=res.converged, failed=res.failed,
                       distinct=len(res.distinct_states),
                       states=[io.state_record(s) for s in res.distinct_states])
+    failures = [{"state": i, "failures": fails}
+                for i, s in enumerate(res.distinct_states)
+                if (fails := solver.acceptance_failures(s))]
+    ok = len(res.distinct_states) == 1 and not failures
     print(f"scan: {res.converged} converged / {res.failed} failed, "
           f"{len(res.distinct_states)} distinct state(s)")
-    return EXIT_OK if len(res.distinct_states) == 1 else EXIT_NUMERICAL
+    for f in failures:
+        print(f"scan: under-resolved state {f}", file=sys.stderr)
+    return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def cmd_check(args, command_line):

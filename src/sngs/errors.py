@@ -30,7 +30,9 @@ class TooManyRequested(SngsError):
 
 
 class FactorizationFailure(SngsError):
-    """Shift hit an eigenvalue of the pencil; retry with a perturbed shift."""
+    """A sector eigensolve that cannot be trusted: a singular or pivoted
+    inertia shift, a failed ARPACK run, or a missed count or backward-error
+    check.  Nothing retries."""
 
 
 # -- model / solver ----------------------------------------------------------
@@ -40,7 +42,9 @@ class InvalidExponent(SngsError):
 
 
 class NonConvergence(SngsError):
-    """Newton ran out of iterations. Carries the best iterate for post-mortems."""
+    """No state: a non-finite warm start, residual or Jacobian, a singular band
+    matrix, a stalled line search or MAX_ITER.  Only the last two carry their
+    last iterate (`state`, `iterations`); otherwise both are None."""
 
     def __init__(self, message, state=None, iterations=None):
         super().__init__(message)
@@ -71,10 +75,6 @@ class MixedExponents(SngsError):
 
 
 # -- linearized --------------------------------------------------------------
-
-class ParityMismatch(SngsError):
-    pass
-
 
 class UnconvergedState(SngsError):
     pass

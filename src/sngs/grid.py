@@ -11,7 +11,7 @@ weight vector, which is what makes the discrete variational identities close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,15 +45,11 @@ class RadialGrid:
 class RadialField:
     grid: RadialGrid
     values: np.ndarray
-    parity: str = EVEN
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n,):
             raise ValueError(f"field length {self.values.shape} != grid n {self.grid.n}")
-
-    def copy(self) -> "RadialField":
-        return replace(self, values=self.values.copy())
 
 
 def make_grid(r_max: float, n: int) -> RadialGrid:
@@ -73,23 +69,10 @@ def make_grid(r_max: float, n: int) -> RadialGrid:
                       weights_dr=w, weights_r2dr=w2)
 
 
-def integrate_radial(f: RadialField, measure: str = "r2dr") -> float:
-    """Quadrature of f against dr or r^2 dr over [0, r_max]."""
-    if measure == "dr":
-        return float(np.dot(f.grid.weights_dr, f.values))
-    if measure == "r2dr":
-        return float(np.dot(f.grid.weights_r2dr, f.values))
-    raise ValueError(f"unknown measure {measure!r}")
-
-
 def differentiate(f: RadialField) -> RadialField:
-    """Second-order first derivative: centered inside, one-sided at both ends.
-
-    Parity flips (even profiles have odd derivatives and vice versa).
-    """
-    df = np.gradient(f.values, f.grid.h, edge_order=2)
-    parity = ODD if f.parity == EVEN else EVEN
-    return RadialField(grid=f.grid, values=df, parity=parity)
+    """Second-order first derivative: centered inside, one-sided at both ends."""
+    return RadialField(grid=f.grid,
+                       values=np.gradient(f.values, f.grid.h, edge_order=2))
 
 
 def _lagrange4(x, xs, ys):
@@ -109,7 +92,7 @@ def interpolate(f: RadialField, target: RadialGrid) -> RadialField:
     """Local cubic (4-point Lagrange) resampling; zero beyond the source r_max.
 
     Zero extension matches the vanishing-at-infinity far field of the states
-    this package manipulates; parity carries over.
+    this package manipulates.
     """
     src = f.grid
     x = target.nodes
@@ -120,7 +103,7 @@ def interpolate(f: RadialField, target: RadialGrid) -> RadialField:
     idx = np.clip(np.floor(xi / src.h).astype(int) - 1, 0, src.n - 4)
     stencil = idx[:, None] + np.arange(4)
     out[inside] = _lagrange4(xi, src.nodes[stencil], f.values[stencil])
-    return RadialField(grid=target, values=out, parity=f.parity)
+    return RadialField(grid=target, values=out)
 
 
 # -- field CSV format ---------------------------------------------------------

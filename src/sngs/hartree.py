@@ -18,18 +18,10 @@ on the active nodes (`solver`), and `linearized` builds all k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import EVEN, RadialField, RadialGrid
-
-
-@dataclass
-class HartreePotential:
-    v: RadialField
-    mass: float            # \int_0^rmax u^2 s^2 ds
-    line_integral: float   # I(u) = \int_0^rmax u^2 s ds
+from .grid import RadialGrid
 
 
 def coulomb_apply(grid: RadialGrid, density: np.ndarray) -> np.ndarray:
@@ -67,24 +59,3 @@ def green_bands(k: int, m: int, h: float):
     diag = c * i[1:] ** (2 * k) * (inv_p[:-1] + np.r_[inv_p[1:-1], 0.0])
     return diag / h, -c * (i[1:-1] * i[2:]) ** k * inv_p[1:-1] / h
 
-
-def hartree_potential(u: RadialField) -> HartreePotential:
-    r"""Potential, far-field mass and line integral of a radial field."""
-    grid = u.grid
-    rho = u.values * u.values
-    v = coulomb_apply(grid, rho)
-    r, h = grid.nodes, grid.h
-    f2 = rho * r * r
-    f1 = rho * r
-    mass = float(np.sum(0.5 * h * (f2[1:] + f2[:-1])))
-    line = float(np.sum(0.5 * h * (f1[1:] + f1[:-1]))) + (h * h / 12.0) * rho[0]
-    vf = RadialField(grid=grid, values=v, parity=EVEN)
-    return HartreePotential(v=vf, mass=mass, line_integral=line)
-
-
-def hartree_energy(u: RadialField) -> float:
-    r"""D(u) = \int (I_2 * u^2) u^2 dx = 4 pi \int v u^2 r^2 dr (no 1/4 factor)."""
-    grid = u.grid
-    v = coulomb_apply(grid, u.values * u.values)
-    val = 4.0 * np.pi * float(np.dot(grid.weights_r2dr, v * u.values**2))
-    return max(val, 0.0)

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import (BadRange, InvalidExponent, IoError, NonPositiveRadius,
                      TooFewNodes)
-from .grid import EVEN, RadialField, make_grid, read_field_csv, write_field_csv
+from .grid import RadialField, make_grid, read_field_csv, write_field_csv
 from .solver import (TOL, GroundState, ModelParams, acceptance_failures,
                      ground_state)
 
@@ -110,7 +110,6 @@ def load_state(out_prefix: str) -> tuple[GroundState, dict]:
         raise IoError(f"{csv_path} is not a solve's field CSV: {exc!r}") from exc
     if not np.allclose(grid.nodes, r, rtol=0, atol=1e-12 * grid.r_max):
         raise IoError(f"{csv_path}: nodes are not a uniform grid")
-    state = ground_state(RadialField(grid=grid, values=u, parity=EVEN), params,
-                         iterations)
+    state = ground_state(RadialField(grid=grid, values=u), params, iterations)
     return state, manifest
 

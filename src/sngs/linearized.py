@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import operators
-from .errors import ParityMismatch, UnconvergedState
+from .errors import UnconvergedState
 from .grid import EVEN, ODD, RadialField, differentiate
 from .hartree import coulomb_apply, green_bands
 from .solver import GroundState, linearization
@@ -56,7 +56,6 @@ NUM_EIGS = 6
 @dataclass
 class SectorOperator:
     k: int
-    centrifugal: float
     form: sp.csr_matrix          # symmetric weighted form on active nodes
     mass: np.ndarray             # diagonal r^2-weighted mass of f
     act: np.ndarray              # active node indices on the state's grid
@@ -88,17 +87,8 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
         B = sp.diags(np.sqrt(grid.h * Wa) * b[act])
         diag, off = green_bands(k, len(act), grid.h)
         form = sp.bmat([[form, B], [B, sp.diags([off, diag, off], [-1, 0, 1])]])
-    return SectorOperator(k=k, centrifugal=lam_k, form=form.tocsr(), mass=Wa,
-                          act=act, state=state)
-
-
-def quadratic_form_value(op: SectorOperator, f: RadialField) -> float:
-    """L_k(f, f) by quadrature: the pair form minimized over g."""
-    want = EVEN if op.k == 0 else ODD
-    if f.parity != want:
-        raise ParityMismatch(f"sector {op.k} needs {want} fields")
-    x = f.values[op.act]
-    return float(x @ operators.schur_apply(op.form, op.mass, x))
+    return SectorOperator(k=k, form=form.tocsr(), mass=Wa, act=act,
+                          state=state)
 
 
 def translation_mode(state: GroundState) -> RadialField:
@@ -129,7 +119,6 @@ class NondegeneracyReport:
     sectors: list
     verdict: str
     zero_tol: float
-    k_max: int
 
 
 def _spectrum_lower_bound(op: SectorOperator) -> float:
@@ -209,4 +198,4 @@ def nondegeneracy_report(state: GroundState, k_max: int) -> NondegeneracyReport:
     else:
         verdict = "inconclusive"
     return NondegeneracyReport(sectors=sectors, verdict=verdict,
-                               zero_tol=zero_tol, k_max=k_max)
+                               zero_tol=zero_tol)

@@ -47,9 +47,6 @@ RATIO_WINDOW = (1e-3, 1e3)
 @dataclass
 class ScalingReport:
     regime: str
-    limit_kind: str
-    q: float
-    side: str
     rows: list            # (lam, small_parameter, sup_distance, h1_distance)
     mass_ratios: list     # (lam, M^(q-2)/lam, M/lam)
     ratios_in_window: bool
@@ -122,8 +119,7 @@ def scale_state(state: GroundState, form: str, target: RadialGrid):
     # shrunk by sqrt(lam)
     shrunk = make_grid(target.r_max / math.sqrt(lam), target.n)
     sampled = interpolate(state.u, shrunk)
-    scaled = RadialField(grid=target, values=lam ** -alpha * sampled.values,
-                         parity=state.u.parity)
+    scaled = RadialField(grid=target, values=lam ** -alpha * sampled.values)
     scaled.values[-2:] = 0.0
     return scaled, eff
 
@@ -173,7 +169,7 @@ def limit_study(states: list, side: str, reference) -> ScalingReport:
     if not states:
         raise ValueError("need at least one state")
     q = states[0].params.q
-    form, kind = limit_regime(q, side)
+    form, _ = limit_regime(q, side)
     rows = []
     for s in states:
         scaled, _ = scale_state(s, form, reference.grid)
@@ -181,9 +177,8 @@ def limit_study(states: list, side: str, reference) -> ScalingReport:
         rows.append((s.params.lam, small_parameter(q, s.params.lam, form),
                      sup, h1))
     ratios, ok = mass_ratio_report(states, side)
-    return ScalingReport(regime=regime_name(q, side), limit_kind=kind, q=q,
-                         side=side, rows=rows, mass_ratios=ratios,
-                         ratios_in_window=ok)
+    return ScalingReport(regime=regime_name(q, side), rows=rows,
+                         mass_ratios=ratios, ratios_in_window=ok)
 
 
 def regime_name(q: float, side: str) -> str:

@@ -47,8 +47,8 @@ from scipy.linalg.lapack import dgbsv
 
 from . import operators
 from .errors import (BadRange, InvalidExponent, NegativeStateDetected,
-                     NonConvergence, TrivialCollapse, WrongParams)
-from .grid import EVEN, RadialField, RadialGrid, make_grid
+                     NonConvergence, TrivialCollapse)
+from .grid import RadialField, RadialGrid, make_grid
 from .hartree import coulomb_apply, green_bands
 
 TRIVIAL_SUP = 1e-8
@@ -123,7 +123,7 @@ def default_guess(params: ModelParams, grid: RadialGrid) -> RadialField:
     r = grid.nodes
     vals = np.exp(-math.sqrt(params.lam) * r**2 / 4.0)
     vals[-2:] = 0.0
-    return RadialField(grid=grid, values=vals, parity=EVEN)
+    return RadialField(grid=grid, values=vals)
 
 
 def _power(u: np.ndarray, p: float) -> np.ndarray:
@@ -143,35 +143,12 @@ def _dpower(u: np.ndarray, p: float) -> np.ndarray:
 
 def _residual_values(u: np.ndarray, params: ModelParams, grid: RadialGrid,
                      A: sp.csr_matrix):
+    """(F(u), v(u)), A = -Delta_r; F's last two rows are the pad values."""
     v = coulomb_apply(grid, u * u)
     F = A @ u + params.lam * u - params.a * v * u - params.nu * _power(u, params.q - 1.0)
     F[-2] = u[-2]
     F[-1] = u[-1]
     return F, v
-
-
-def residual(u: RadialField, params: ModelParams) -> RadialField:
-    """F(u) = -Delta_r u + lam u - a v(u) u - nu u^(q-1); boundary rows carry
-    the origin limit (row 0) and the Dirichlet pad values."""
-    A = operators.radial_laplacian(u.grid)
-    F, _ = _residual_values(u.values, params, u.grid, A)
-    return RadialField(grid=u.grid, values=F, parity=EVEN)
-
-
-def apply_jacobian(u: RadialField, delta: RadialField, params: ModelParams) -> RadialField:
-    """Matrix-free J(u) delta, with the nonlocal screening term
-    -a u (I_2 * (2 u delta)) from the same two-sweep as the potential."""
-    if delta.grid != u.grid:
-        raise WrongParams("direction lives on a different grid")
-    grid, uv, d = u.grid, u.values, delta.values
-    A = operators.radial_laplacian(grid)
-    v = coulomb_apply(grid, uv**2)
-    pot = params.lam - params.a * v - params.nu * _dpower(uv, params.q - 1.0)
-    pot[-2:] = 0.0   # keep the Dirichlet pad rows as pure identities
-    screen = params.a * uv * coulomb_apply(grid, 2.0 * uv * d)
-    screen[-2:] = 0.0
-    y = A @ d + pot * d - screen
-    return RadialField(grid=grid, values=y, parity=EVEN)
 
 
 def linearization(u: np.ndarray, v: np.ndarray, params: ModelParams,
@@ -365,7 +342,7 @@ def ground_state(u: RadialField, params: ModelParams,
     F, v = _residual_values(u.values, params, grid, A)
     res = _wnorm(grid, F) / (params.lam * _wnorm(grid, u.values))
     state = GroundState(params=params, u=u,
-                        v=RadialField(grid=grid, values=v, parity=EVEN),
+                        v=RadialField(grid=grid, values=v),
                         residual_norm=res,
                         residual_floor=residual_floor(grid, A, u.values,
                                                       params.lam),
@@ -396,7 +373,7 @@ def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
     def stalled(message, iterations):
         return NonConvergence(
             f"{message} for {params.label()}",
-            state=RadialField(grid=grid, values=u.copy(), parity=EVEN),
+            state=RadialField(grid=grid, values=u.copy()),
             iterations=iterations)
 
     it = 0
@@ -435,7 +412,7 @@ def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
             f"converged to a sign-changing branch (min {np.min(u):.2e})")
 
     del bands   # ground_state's operators need not coexist with the workspace
-    return ground_state(RadialField(grid=grid, values=u, parity=EVEN), params, it)
+    return ground_state(RadialField(grid=grid, values=u), params, it)
 
 
 def acceptance_failures(state: GroundState) -> list:
@@ -506,7 +483,7 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
     for c, kappa in draws:
         vals = c * np.exp(-kappa * grid.nodes**2)
         vals[-2:] = 0.0
-        guess = RadialField(grid=grid, values=vals, parity=EVEN)
+        guess = RadialField(grid=grid, values=vals)
         try:
             state = newton_solve(guess, params)
         except (NonConvergence, TrivialCollapse, NegativeStateDetected):

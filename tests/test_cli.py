@@ -337,10 +337,24 @@ def test_sweep_stderr_prints_plain_floats(tmp_path, capsys):
 def test_scan_cli(tmp_path):
     out = str(tmp_path / "scan")
     assert run(["scan", "--q", "4", "--lambda", "1", "--starts", "4",
-                "--n", "512", "--seed", "3", "--out", out]) == 0
+                "--n", "1024", "--seed", "3", "--out", out]) == 0
     payload = json.load(open(out + ".json"))
     assert payload["distinct"] == 1
     assert payload["converged"] + payload["failed"] == 4
+
+
+def test_scan_refuses_a_state_that_misses_the_identities(tmp_path, capsys):
+    # at n=512 the one distinct state misses Pohozaev (-2.7e-5 against
+    # 1e-6 G = 1.9e-5); scan refuses it as solve does, in the same layout
+    out = str(tmp_path / "scan")
+    assert run(["scan", "--q", "4", "--lambda", "1", "--starts", "4",
+                "--n", "512", "--seed", "3", "--out", out]) == 2
+    payload = json.load(open(out + ".json"))
+    assert payload["distinct"] == 1
+    failures = payload["states"][0]["summary"]["identity_failures"]
+    assert [f[0] for f in failures] == ["identity_residuals"]
+    err = capsys.readouterr().err
+    assert "scan: under-resolved state {'state': 0, 'failures'" in err
 
 
 def test_limits_cli_small(tmp_path):

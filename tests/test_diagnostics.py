@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import sngs
 from sngs.diagnostics import identities, monotonicity_check
 from sngs.errors import UnsortedInput
-from sngs.hartree import hartree_potential
+from oracles import hartree_potential
 from sngs.operators import radial_laplacian
 from sngs.solver import GroundState, ModelParams
 from conftest import smooth_bumps

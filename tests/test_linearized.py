@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import sngs
-from sngs.errors import ParityMismatch, UnconvergedState
-from sngs.linearized import (GAP_TOL, nondegeneracy_report,
-                             quadratic_form_value, sector_form, sector_spectrum,
-                             translation_mode)
+from sngs.errors import UnconvergedState
+from sngs.linearized import (GAP_TOL, nondegeneracy_report, sector_form,
+                             sector_spectrum, translation_mode)
+from sngs.operators import schur_apply
+from oracles import hartree_potential
 
 
 def odd_field(grid, rng, width_max=4.0):
@@ -16,15 +17,15 @@ def odd_field(grid, rng, width_max=4.0):
         a = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
         f += a * r * np.exp(-(r / w) ** 2)
     f[-2:] = 0.0
-    return sngs.RadialField(grid=grid, values=f, parity=sngs.ODD)
+    return sngs.RadialField(grid=grid, values=f)
 
 
 def assert_nonnegative_pair_forms(op, fields, rng):
     """L_1(f, f) >= 0 on each field, and L_1 is the minimum over the
     potential: the pair form at any y = r g is not below it."""
     for f in fields:
-        val = quadratic_form_value(op, f)
         x = f.values[op.act]
+        val = float(x @ schur_apply(op.form, op.mass, x))
         assert val >= -1e-8 * float(np.dot(op.mass * x, x))
         xy = np.concatenate([x, rng.normal(size=op.form.shape[0] - len(x))])
         assert float(xy @ (op.form @ xy)) >= val - 1e-12 * abs(val)
@@ -36,8 +37,12 @@ def choquard(solved_cache):
 
 
 def test_sector_form_centrifugal(choquard):
-    assert sector_form(choquard, 1).centrifugal == 2.0
-    assert sector_form(choquard, 2).centrifugal == 6.0
+    # k(k+1) int f^2 dr: the f blocks of sectors 2 and 1 differ by 4 w_dr
+    op1, op2 = sector_form(choquard, 1), sector_form(choquard, 2)
+    N = len(op1.mass)
+    diff = (op2.form[:N, :N] - op1.form[:N, :N]).toarray()
+    want = np.diag(4.0 * choquard.grid.weights_dr[op1.act])
+    assert np.max(np.abs(diff - want)) <= 1e-14 * abs(op2.form).max()
 
 
 def test_sector_form_kwong_scalar(solved_cache):
@@ -49,7 +54,6 @@ def test_sector_form_kwong_scalar(solved_cache):
 def hand_built_state(residual_norm, residual_floor):
     g = sngs.make_grid(20.0, 256)
     from sngs.solver import GroundState, ModelParams
-    from sngs.hartree import hartree_potential
     u = sngs.RadialField(grid=g, values=np.exp(-g.nodes**2))
     return GroundState(params=ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0),
                        u=u, v=hartree_potential(u).v,
@@ -78,21 +82,6 @@ def test_sector_form_exactly_symmetric(choquard):
     for k in (0, 1, 2):
         op = sector_form(choquard, k)
         assert abs(op.form - op.form.T).max() == 0.0
-
-
-def test_quadratic_form_zero_pair(choquard):
-    op = sector_form(choquard, 1)
-    z = sngs.RadialField(grid=choquard.grid,
-                         values=np.zeros(choquard.grid.n), parity=sngs.ODD)
-    assert quadratic_form_value(op, z) == 0.0
-
-
-def test_quadratic_form_parity_mismatch(choquard):
-    op = sector_form(choquard, 1)
-    f = sngs.RadialField(grid=choquard.grid,
-                         values=np.exp(-choquard.grid.nodes), parity=sngs.EVEN)
-    with pytest.raises(ParityMismatch):
-        quadratic_form_value(op, f)
 
 
 def test_a1_nonnegative_on_random_odd_pairs(choquard):
