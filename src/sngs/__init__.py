@@ -4,15 +4,14 @@ uniqueness scans, and sector-decomposed nondegeneracy certificates."""
 
 __version__ = "0.1.0"
 
-from .grid import (EVEN, ODD, RadialField, RadialGrid, differentiate,
-                   interpolate, make_grid)
+from .grid import EVEN, ODD, RadialField, RadialGrid, differentiate, make_grid
 from .solver import (GroundState, ModelParams, ScanResult, acceptance_failures,
                      auto_rmax, default_guess, ground_state, newton_solve,
                      solve, uniqueness_scan)
 from .diagnostics import DiagnosticsReport, identities, monotonicity_check
 from .scaling import (ScalingReport, limit_distance, limit_member,
                       limit_regime, limit_study, mass_ratio_report,
-                      normal_form, normal_member, scale_state, small_parameter)
+                      normal_form, normal_member, small_parameter)
 from .linearized import (NondegeneracyReport, SectorOperator,
                          nondegeneracy_report, sector_form, sector_spectrum,
                          translation_mode)

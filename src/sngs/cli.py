@@ -5,8 +5,9 @@ Subcommands: solve | sweep | limits | spectrum | scan | check.  Exit codes:
 still written where possible), 64 on usage errors.  `solve`, `sweep`,
 `limits`, `scan` and `check` accept a state by `solver.acceptance_failures`,
 whose entries a refused state's record lists under `identity_failures`.
-`spectrum` certifies the state `solver.solve` returns for the normal-form
-member `scaling.normal_member`.
+`limits` and `spectrum` solve normal-form members at lambda = 1, the former
+those of `scaling.normal_form` in its regime's form, one per lambda, the
+latter that of `scaling.normal_member`; no field is rescaled.
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ def _params(args, lam: float):
     return solver.ModelParams(lam=lam, a=args.a, nu=args.nu, q=args.q)
 
 
-def _failures_by_lambda(states) -> list:
-    """{lambda, failures} for each state `solver.acceptance_failures` refuses."""
-    return [{"lambda": s.params.lam, "failures": fails} for s in states
+def _failures_by_lambda(states, lams) -> list:
+    """{lambda, failures} for each state `solver.acceptance_failures` refuses,
+    `states[i]` the state solved for `lams[i]`."""
+    return [{"lambda": lam, "failures": fails} for s, lam in zip(states, lams)
             if (fails := solver.acceptance_failures(s))]
 
 
@@ -189,7 +191,7 @@ def cmd_sweep(args, command_line):
     write_table_csv(out_csv, _SWEEP_HEADER, rows)
     mono = diagnostics.monotonicity_check([(s.params.lam, s.diagnostics.J)
                                            for s in states])
-    failures = _failures_by_lambda(states)
+    failures = _failures_by_lambda(states, lams)
     io.write_manifest(
         args.out + ".json", command_line, [out_csv],
         params={"a": args.a, "nu": args.nu, "q": args.q, "lambdas": lams},
@@ -213,16 +215,16 @@ def cmd_limits(args, command_line):
     lams = sorted(lams, reverse=(args.side == "zero"))
     form, kind = scaling.limit_regime(args.q, args.side)
     ref = solver.solve(scaling.limit_member(args.q, args.side), args.n)
-    states = [solver.solve(solver.ModelParams(lam=lam, a=1.0, nu=1.0, q=args.q),
-                           args.n) for lam in lams]
-    report = scaling.limit_study(states, args.side, ref)
+    states = [solver.solve(scaling.normal_form(args.q, lam, form)[1], args.n)
+              for lam in lams]
+    report = scaling.limit_study(states, lams, args.side, ref)
     rows = [list(row) + [r1, r2]
             for row, (_, r1, r2) in zip(report.rows, report.mass_ratios)]
     write_table_csv(out_csv, _LIMITS_HEADER, rows)
     decreasing = report.distances_decreasing()
     final_sup = report.rows[-1][2]
     close = final_sup <= 0.05 * ref.sup_u()
-    failures = _failures_by_lambda(states)
+    failures = _failures_by_lambda(states, lams)
     if (fails := solver.acceptance_failures(ref)):
         failures.insert(0, {"reference": kind, "failures": fails})
     ok = decreasing and close and report.ratios_in_window and not failures

@@ -10,14 +10,14 @@ with G = |grad u|_2^2, L = |u|_2^2, P = int |u|^q, D the Hartree energy, all
 4 pi-weighted radial quadratures.  G is evaluated through the discrete
 Dirichlet pairing <A u, u> in the r^2 dr weights, which is a fourth-order
 quadrature of the gradient integral and makes the discrete Nehari pairing
-vanish identically at converged states.  The ground-level identity
-J = 1/3 G + 1/6 D applies to the a=1, nu=1 family only.
+vanish identically at converged states.  At a = nu = 1 the ground-level
+identity J - G/3 - D/6 equals pohozaev/3 term by term, so it carries nothing
+the Pohozaev value does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +39,6 @@ class DiagnosticsReport:
     J: float
     nehari: float
     pohozaev: float
-    level_identity_residual: Optional[float] = None
 
 
 def identities(state: GroundState, A: sp.csr_matrix) -> DiagnosticsReport:
@@ -47,8 +46,7 @@ def identities(state: GroundState, A: sp.csr_matrix) -> DiagnosticsReport:
     `operators.radial_laplacian`, built by the caller, and the sup norms
     are node maxima.
 
-    Values are reported raw (nonzero for non-solutions); the ground-level
-    residual |J - G/3 - D/6| is filled only for the a=1, nu=1 family.
+    Values are reported raw (nonzero for non-solutions).
     """
     p, u = state.params, state.u.values
     W = state.grid.weights_r2dr
@@ -62,9 +60,7 @@ def identities(state: GroundState, A: sp.csr_matrix) -> DiagnosticsReport:
         grad_sq=G, l2_sq=L, lq=P, D=D, sup_u=su, sup_v=sv, M=su + sv, J=J,
         nehari=G + p.lam * L - p.a * D - p.nu * P,
         pohozaev=(0.5 * G + 1.5 * p.lam * L - 1.25 * p.a * D
-                  - 3.0 * p.nu / p.q * P),
-        level_identity_residual=(abs(J - (G / 3.0 + D / 6.0))
-                                 if p.a == 1.0 and p.nu == 1.0 else None))
+                  - 3.0 * p.nu / p.q * P))
 
 
 def monotonicity_check(levels):

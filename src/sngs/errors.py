@@ -60,10 +60,6 @@ class NegativeStateDetected(SngsError):
     """Converged to a sign-changing branch, not a ground state."""
 
 
-class WrongParams(SngsError):
-    pass
-
-
 # -- diagnostics / scaling ---------------------------------------------------
 
 class UnsortedInput(SngsError):

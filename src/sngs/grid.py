@@ -1,4 +1,4 @@
-"""Uniform radial grids, quadrature, differentiation and interpolation.
+"""Uniform radial grids, quadrature, differentiation and the CSV format.
 
 The grid covers [0, r_max] with n equally spaced nodes, nodes[0] = 0.  Two
 quadrature weight vectors are attached: plain composite trapezoid for the dr
@@ -73,37 +73,6 @@ def differentiate(f: RadialField) -> RadialField:
     """Second-order first derivative: centered inside, one-sided at both ends."""
     return RadialField(grid=f.grid,
                        values=np.gradient(f.values, f.grid.h, edge_order=2))
-
-
-def _lagrange4(x, xs, ys):
-    """Cubic Lagrange through four points per query: xs and ys hold each
-    query's stencil along their last axis."""
-    total = np.zeros_like(x)
-    for i in range(4):
-        li = np.ones_like(x)
-        for j in range(4):
-            if j != i:
-                li *= (x - xs[..., j]) / (xs[..., i] - xs[..., j])
-        total += ys[..., i] * li
-    return total
-
-
-def interpolate(f: RadialField, target: RadialGrid) -> RadialField:
-    """Local cubic (4-point Lagrange) resampling; zero beyond the source r_max.
-
-    Zero extension matches the vanishing-at-infinity far field of the states
-    this package manipulates.
-    """
-    src = f.grid
-    x = target.nodes
-    out = np.zeros(target.n)
-    inside = x <= src.r_max + 1e-12 * src.r_max
-    xi = x[inside]
-    # stencil start: two nodes left of the query, clipped to the grid
-    idx = np.clip(np.floor(xi / src.h).astype(int) - 1, 0, src.n - 4)
-    stencil = idx[:, None] + np.arange(4)
-    out[inside] = _lagrange4(xi, src.nodes[stencil], f.values[stencil])
-    return RadialField(grid=target, values=out)
 
 
 # -- field CSV format ---------------------------------------------------------

@@ -9,19 +9,18 @@ families, u~(r) = lam^(-alpha) u(r / sqrt(lam)):
              -Delta w + w = (I_2*w^2) w + nu w^(q-1),  nu = lam^(q-3)
 
 `normal_form` is the one place alpha and the normalized parameters are
-written; the forward map (`scale_state`) and the spectrum's normal-form
-member (`normal_member`) use it.
-Under the map F(u) = lam^(alpha+1) F~(u~), so the residual ratio
-|F| / (lam |u|) of `solver.ground_state` is the same number in both sets of
-variables.
+written.  The map acts on parameters only: `limits` and `spectrum` solve the
+normal-form member itself at lam = 1, on the domain of every lam = 1 state,
+and never move a field.  Under the map F(u) = lam^(alpha+1) F~(u~), so the
+residual ratio |F| / (lam |u|) of `solver.ground_state` is the same number in
+both sets of variables; `mass_ratio_report` reads the physical mass of a
+member back through alpha.
 
 The regime table says which small parameter goes to zero on each end of the
 lambda axis, hence which reference profile (Kwong W or Choquard U) is the
 limit; `limit_member` writes that profile as a family member at lam = 1, so
-`solver.solve` computes it as it does every state.  Scaled potentials are
-recomputed from the scaled field through the Newton-theorem sweep rather than
-rescaled, so the pair stays consistent with the single-coefficient family used
-everywhere else.
+`solver.solve` computes it, on the same grid as the members it is compared
+with, as it does every state.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .errors import GridMismatch, InvalidExponent, MixedExponents, WrongParams
-from .grid import RadialField, RadialGrid, interpolate, make_grid
+from .errors import GridMismatch, InvalidExponent, MixedExponents
+from .grid import RadialField
 from .solver import GroundState, ModelParams
 
 MU_FORM = "mu_form"
@@ -103,31 +102,11 @@ def normal_form(q: float, lam: float, form: str):
     return 1.0, ModelParams(lam=1.0, a=1.0, nu=eps, q=q)
 
 
-def scale_state(state: GroundState, form: str, target: RadialGrid):
-    """Rescale a (lam, 1, 1, q) state onto a normalized family member.
-
-    Returns (scaled_u on the target grid, effective ModelParams).  The scaled
-    field samples u at r/sqrt(lam); radii beyond the source domain use the
-    zero far-field extension.
-    """
-    p = state.params
-    if p.a != 1.0 or p.nu != 1.0:
-        raise WrongParams(f"scale_state needs the (lam,1,1,q) family, got {p.label()}")
-    lam = p.lam
-    alpha, eff = normal_form(p.q, lam, form)
-    # u(r/sqrt(lam)) on the target nodes is u sampled on the target grid
-    # shrunk by sqrt(lam)
-    shrunk = make_grid(target.r_max / math.sqrt(lam), target.n)
-    sampled = interpolate(state.u, shrunk)
-    scaled = RadialField(grid=target, values=lam ** -alpha * sampled.values)
-    scaled.values[-2:] = 0.0
-    return scaled, eff
-
-
 def limit_distance(scaled_u: RadialField, reference: GroundState):
-    """(sup distance, H1 distance) between a scaled state and its limit profile."""
+    """(sup distance, H1 distance) between a normal-form field and its limit
+    profile, both on the reference grid."""
     if scaled_u.grid != reference.grid:
-        raise GridMismatch("interpolate onto the reference grid first")
+        raise GridMismatch("the field and the reference lie on different grids")
     grid = reference.grid
     diff = scaled_u.values - reference.u.values
     sup = float(np.max(np.abs(diff)))
@@ -138,45 +117,50 @@ def limit_distance(scaled_u: RadialField, reference: GroundState):
     return sup, h1
 
 
-def mass_ratio_report(states: list, side: str):
-    """Tabulate (M^(q-2)/lam, M/lam) with M = sup u + sup v per state.
+def mass_ratio_report(states: list, lams: list, side: str):
+    """Tabulate (M^(q-2)/lam, M/lam) per normal-form member of the (q, side)
+    regime, `states[i]` the member of `lams[i]`.
 
-    Both ratios are tabulated; the flag checks that the one of the (q, side)
-    regime's limit (M^(q-2)/lam toward W, M/lam toward U) lies in
-    RATIO_WINDOW.
+    M = sup u + sup v is the physical state's: by the map, u = lam^alpha u~
+    and v = lam^(2 alpha - 1) v~, with alpha from `normal_form`.  Both ratios
+    are tabulated; the flag checks that the one of the regime's limit
+    (M^(q-2)/lam toward W, M/lam toward U) lies in RATIO_WINDOW.
     """
     if not states:
         return [], True
     q = states[0].params.q
-    j = 1 if limit_regime(q, side)[1] == KWONG else 2
+    form, kind = limit_regime(q, side)
+    j = 1 if kind == KWONG else 2
     rows = []
-    for s in states:
+    for s, lam in zip(states, lams):
         if s.params.q != q:
             raise MixedExponents("states mix different exponents q")
-        M = s.sup_u() + s.sup_v()
-        rows.append((s.params.lam, M ** (q - 2.0) / s.params.lam, M / s.params.lam))
+        alpha, _ = normal_form(q, lam, form)
+        M = lam ** alpha * s.sup_u() + lam ** (2.0 * alpha - 1.0) * s.sup_v()
+        rows.append((lam, M ** (q - 2.0) / lam, M / lam))
     lo, hi = RATIO_WINDOW
     return rows, all(lo <= row[j] <= hi for row in rows)
 
 
-def limit_study(states: list, side: str, reference) -> ScalingReport:
-    """Distances of rescaled states to their limit profile plus mass ratios.
+def limit_study(states: list, lams: list, side: str,
+                reference) -> ScalingReport:
+    """Distances of normal-form members to their limit profile plus mass
+    ratios.
 
-    `states` are (lam, 1, 1, q) ground states ordered toward the limit
-    (lam decreasing for side='zero', increasing for side='infinity');
-    `reference` is the matching Kwong/Choquard profile.
+    `states[i]` is the member `normal_form` gives for `lams[i]` in the
+    (q, side) regime, the lams ordered toward the limit (decreasing for
+    side='zero', increasing for side='infinity'); `reference` is the
+    matching Kwong/Choquard profile, solved on the members' grid.
     """
     if not states:
         raise ValueError("need at least one state")
     q = states[0].params.q
     form, _ = limit_regime(q, side)
     rows = []
-    for s in states:
-        scaled, _ = scale_state(s, form, reference.grid)
-        sup, h1 = limit_distance(scaled, reference)
-        rows.append((s.params.lam, small_parameter(q, s.params.lam, form),
-                     sup, h1))
-    ratios, ok = mass_ratio_report(states, side)
+    for s, lam in zip(states, lams):
+        sup, h1 = limit_distance(s.u, reference)
+        rows.append((lam, small_parameter(q, lam, form), sup, h1))
+    ratios, ok = mass_ratio_report(states, lams, side)
     return ScalingReport(regime=regime_name(q, side), rows=rows,
                          mass_ratios=ratios, ratios_in_window=ok)
 

@@ -13,12 +13,14 @@ within WARM_TOL of 1 (WARM_SWEEPS caps the sweeps).  Newton stops at
 the rounding level of F, taken once per solve after the warm start.
 `acceptance_failures` is the one rule that accepts a state: its residual
 ratio within GroundState.residual_bound = 10 max(TOL, floor), the floor
-taken at the state, and its Nehari, Pohozaev and ground-level identities
-within IDENTITY_RTOL; `linearized` asks the residual part alone.
+taken at the state, and its Nehari and Pohozaev identities within
+IDENTITY_RTOL G; `linearized` asks the residual part alone.
 `solve` is the one place that picks a state's domain and start from
 (params, n); the scan's random starts share its domain.  The ground state is
-unique at each lambda, so a lambda sweep solves every lambda afresh, and the
-limit profiles W and U are the family members of `scaling.limit_member`.
+unique at each lambda, so a lambda sweep solves every lambda afresh, the
+limit profiles W and U are the family members of `scaling.limit_member`, and
+`limits` and `spectrum` solve the normal-form members of `scaling.normal_form`
+rather than rescale a field.
 Every GroundState comes from `ground_state`, whose residual_norm is the
 scale-invariant ratio |F(u)| / (lam |u|): by the mu/nu maps of `scaling`,
 F = lam^(alpha+1) F~, so it equals the relative residual of the normal-form
@@ -53,7 +55,7 @@ from .hartree import coulomb_apply, green_bands
 
 TRIVIAL_SUP = 1e-8
 TOL = 1e-10           # Newton's stop: |F| / (lam |u|) in r^2 dr norms
-IDENTITY_RTOL = 1e-6  # |Nehari|, |Pohozaev| <= it G; level identity <= it |J|
+IDENTITY_RTOL = 1e-6  # |Nehari|, |Pohozaev| <= it G
 MAX_ITER = 60         # Newton iterations
 DAMPING = 20          # max step halvings per Newton iteration
 WARM_SWEEPS = 60      # cap on the spectral-renormalization sweeps
@@ -417,9 +419,8 @@ def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
 
 def acceptance_failures(state: GroundState) -> list:
     """What keeps `state` from being accepted, empty when nothing does:
-    ("residual_norm", residual_norm, residual_bound), ("identity_residuals",
-    nehari, pohozaev) beyond IDENTITY_RTOL G, and ("level_identity",
-    residual, None) beyond IDENTITY_RTOL |J|."""
+    ("residual_norm", residual_norm, residual_bound) and ("identity_residuals",
+    nehari, pohozaev) beyond IDENTITY_RTOL G."""
     failures = []
     if not state.residual_norm <= state.residual_bound:
         failures.append(("residual_norm", state.residual_norm,
@@ -428,9 +429,6 @@ def acceptance_failures(state: GroundState) -> list:
     G = rep.grad_sq
     if abs(rep.nehari) > IDENTITY_RTOL * G or abs(rep.pohozaev) > IDENTITY_RTOL * G:
         failures.append(("identity_residuals", rep.nehari, rep.pohozaev))
-    if rep.level_identity_residual is not None and rep.J and \
-            rep.level_identity_residual > IDENTITY_RTOL * abs(rep.J):
-        failures.append(("level_identity", rep.level_identity_residual, None))
     return failures
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from sngs import operators
-from sngs.errors import WrongParams
 from sngs.grid import RadialField
 from sngs.hartree import coulomb_apply
 from sngs.solver import ModelParams, _dpower
@@ -21,7 +20,7 @@ def apply_jacobian(u: RadialField, delta: RadialField, params: ModelParams) -> R
     """Matrix-free J(u) delta, with the nonlocal screening term
     -a u (I_2 * (2 u delta)) from the same two-sweep as the potential."""
     if delta.grid != u.grid:
-        raise WrongParams("direction lives on a different grid")
+        raise ValueError("direction lives on a different grid")
     grid, uv, d = u.grid, u.values, delta.values
     A = operators.radial_laplacian(grid)
     v = coulomb_apply(grid, uv**2)

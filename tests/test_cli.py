@@ -171,7 +171,7 @@ def test_solve_rejects_under_resolved_state(tmp_path):
     assert os.path.exists(out + ".csv")
     man = json.load(open(out + ".json"))
     names = [f[0] for f in man["summary"]["identity_failures"]]
-    assert "level_identity" in names
+    assert names == ["identity_residuals"]
     assert man["summary"]["diagnostics"]["J"] is not None
     assert run(["check", "--out", out]) == 2
 
@@ -281,7 +281,9 @@ ARTIFACTS = {
                 "--lambdas", "0.1,0.01", "--n", "1024"],
                lambda man: [man["reference"], *man["states"]],
                lambda: [solver.solve(scaling.limit_member(4.0, "zero"), 1024),
-                        *_members(0.1, 0.01, n=1024)], []),
+                        *(solver.solve(scaling.normal_form(
+                            4.0, lam, scaling.NU_FORM)[1], 1024)
+                          for lam in (0.1, 0.01))], []),
     "spectrum": (["spectrum", "--q", "4", "--lambda", "0.01", "--n", "1024",
                   "--k-max", "2"], lambda man: [man["state"]],
                  lambda: [solver.solve(scaling.normal_member(4.0, 0.01),
@@ -376,6 +378,18 @@ def test_limits_single_lambda_checks_its_regime_ratio(tmp_path):
     assert run(["limits", "--q", "2.5", "--side", "zero", "--lambdas", "1e-4",
                 "--n", "1024", "--out", out]) == 0
     assert json.load(open(out + ".json"))["summary"]["ratios_in_window"]
+
+
+def test_limits_near_q_two(tmp_path):
+    # toward W at q=2.25 the physical amplitude lam^4 falls below the
+    # collapse test at lambda = 1e-3; the normal-form members keep theirs
+    out = str(tmp_path / "lim")
+    assert run(["limits", "--q", "2.25", "--side", "zero",
+                "--lambdas", "1e-1,1e-2,1e-3", "--n", "1024",
+                "--out", out]) == 0
+    man = json.load(open(out + ".json"))
+    assert [s["params"]["lam"] for s in man["states"]] == [1.0, 1.0, 1.0]
+    assert man["summary"]["identity_failures"] == []
 
 
 def test_limits_rejects_under_resolved_states(tmp_path):

@@ -52,10 +52,24 @@ def test_identities_on_converged_states(solved_cache):
         d = identities(st_, radial_laplacian(st_.grid))
         assert abs(d.nehari) <= 1e-8 * d.grad_sq
         assert abs(d.pohozaev) <= 1e-6 * d.grad_sq
-        if a == 1.0 and nu == 1.0:
-            assert d.level_identity_residual <= 1e-6 * abs(d.J)
-        else:
-            assert d.level_identity_residual is None
+
+
+@pytest.mark.parametrize("lam,q,converged", [
+    (1.0, 4.0, True), (1.0, 2.5, True), (1.0, 4.0, False), (0.1, 2.5, False)],
+    ids=["converged_q4", "converged_q2.5", "hand_built_lam1",
+         "hand_built_lam0.1"])
+def test_level_identity_is_a_third_of_pohozaev(solved_cache, lam, q,
+                                               converged):
+    # at a = nu = 1, J - G/3 - D/6 = pohozaev/3 term by term, on any field:
+    # the ground-level identity bounds nothing Pohozaev does not
+    if converged:
+        d = solved_cache(lam, 1.0, 1.0, q).diagnostics
+    else:
+        g = sngs.make_grid(sngs.auto_rmax(lam), 1024)
+        vals = smooth_bumps(g, np.random.default_rng(7), amp=2.0)
+        d = identities(fake_state(g, vals, lam=lam, q=q), radial_laplacian(g))
+    level = d.J - d.grad_sq / 3.0 - d.D / 6.0
+    assert abs(level - d.pohozaev / 3.0) <= 1e-12 * d.grad_sq
 
 
 def test_identities_raw_for_non_solution():

@@ -100,34 +100,6 @@ def test_derivative_integrates_to_boundary_difference():
     assert total == pytest.approx(vals[-1] - vals[0], abs=5 * g.h**2)
 
 
-def test_interpolate_quadratic_exact():
-    src = sngs.make_grid(10.0, 128)
-    dst = sngs.make_grid(9.0, 77)
-    f = sngs.RadialField(grid=src, values=src.nodes**2)
-    out = sngs.interpolate(f, dst)
-    assert np.allclose(out.values, dst.nodes**2, atol=1e-9)
-
-
-def test_interpolate_zero_extension():
-    src = sngs.make_grid(5.0, 64)
-    dst = sngs.make_grid(10.0, 64)
-    f = sngs.RadialField(grid=src, values=np.exp(-src.nodes))
-    out = sngs.interpolate(f, dst)
-    assert np.all(out.values[dst.nodes > 5.0] == 0.0)
-
-
-def test_interpolate_fourth_order():
-    errs = []
-    for n in (128, 256):
-        src = sngs.make_grid(10.0, n)
-        dst = sngs.make_grid(10.0, 2 * n - 1)
-        f = sngs.RadialField(grid=src, values=np.exp(-src.nodes))
-        out = sngs.interpolate(f, dst)
-        errs.append(np.max(np.abs(out.values - np.exp(-dst.nodes))))
-    assert errs[0] <= 10 * (10.0 / 127) ** 4
-    assert errs[0] / errs[1] >= 12  # ~16x per refinement
-
-
 def test_field_csv_roundtrip(tmp_path):
     g = sngs.make_grid(3.0, 33)
     u = np.exp(-g.nodes) * np.pi

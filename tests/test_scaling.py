@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sngs
-from sngs.errors import GridMismatch, InvalidExponent, MixedExponents, WrongParams
+from sngs.errors import GridMismatch, InvalidExponent, MixedExponents
 from sngs.scaling import (CHOQUARD, KWONG, MU_FORM, NU_FORM, limit_regime,
                           mass_ratio_report, normal_form, small_parameter)
 
@@ -43,43 +43,34 @@ def test_normal_form():
         normal_form(4.0, 0.01, "sideways")
 
 
-def test_scale_state_identity_at_lambda_one(solved_cache):
-    st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    scaled, eff = sngs.scale_state(st, MU_FORM, st.grid)
-    assert eff == sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
-    assert np.max(np.abs(scaled.values - st.u.values)) <= 1e-10 * st.sup_u()
-
-
-def test_scale_state_amplitudes(solved_cache):
-    st = solved_cache(0.01, 1.0, 1.0, 2.5, n=1536)
-    target = sngs.make_grid(28.0, 1536)
-    scaled, eff = sngs.scale_state(st, MU_FORM, target)
-    # amplitude factor 0.01^{-1/(q-2)} = 0.01^{-2} = 1e4
-    assert np.max(scaled.values) == pytest.approx(1e4 * st.sup_u(), rel=1e-6)
-    assert eff.a == pytest.approx(1e-4, rel=1e-12)
-    st4 = solved_cache(0.01, 1.0, 1.0, 4.0, n=1536)
-    scaled4, eff4 = sngs.scale_state(st4, NU_FORM, target)
-    assert np.max(scaled4.values) == pytest.approx(100.0 * st4.sup_u(), rel=1e-6)
-    assert eff4.nu == pytest.approx(0.01, rel=1e-12)
-
-
-def test_scale_state_wrong_family(solved_cache):
-    st = solved_cache(1.0, 0.0, 1.0, 4.0)
-    with pytest.raises(WrongParams):
-        sngs.scale_state(st, MU_FORM, st.grid)
+@pytest.mark.parametrize("lam,q,form", [
+    (1.0, 4.0, MU_FORM), (0.25, 2.5, MU_FORM), (0.1, 2.5, MU_FORM),
+    (0.1, 4.0, NU_FORM), (10.0, 4.0, MU_FORM), (10.0, 2.5, NU_FORM)])
+def test_normal_form_member_is_the_rescaled_state(solved_cache, lam, q, form):
+    # the discrete problems coincide: the member solved at lam = 1 is
+    # lam^(-alpha) u on the same nodes, the physical grid shrunk by sqrt(lam)
+    st = solved_cache(lam, 1.0, 1.0, q)
+    alpha, p = normal_form(q, lam, form)
+    member = solved_cache(1.0, p.a, p.nu, q)
+    assert np.allclose(member.grid.nodes, np.sqrt(lam) * st.grid.nodes,
+                       rtol=1e-14, atol=0.0)
+    scaled = lam ** -alpha * st.u.values
+    assert np.max(np.abs(member.u.values - scaled)) <= 1e-10 * member.sup_u()
 
 
 def test_residual_transfer(solved_cache):
+    # F = lam^(alpha+1) F~: on the member's nodes lam^(-alpha) u meets the
+    # bound the acceptance rule holds the physical state to
     from sngs.solver import _residual_values, _wnorm
+    target = sngs.make_grid(28.0, 1536)
+    A = sngs.operators.radial_laplacian(target)
     for (lam, q, form) in [(0.1, 2.5, MU_FORM), (0.1, 4.0, NU_FORM),
                            (10.0, 4.0, MU_FORM)]:
         st = solved_cache(lam, 1.0, 1.0, q, n=1536)
-        target = sngs.make_grid(28.0, 1536)
-        scaled, eff = sngs.scale_state(st, form, target)
-        F, _ = _residual_values(scaled.values, eff, target,
-                                sngs.operators.radial_laplacian(target))
-        rel = _wnorm(target, F) / _wnorm(target, scaled.values)
-        assert rel <= 1e-5
+        alpha, eff = normal_form(q, lam, form)
+        scaled = lam ** -alpha * st.u.values
+        F, _ = _residual_values(scaled, eff, target, A)
+        assert _wnorm(target, F) / _wnorm(target, scaled) <= st.residual_bound
 
 
 def test_limit_distance_zero_and_symmetry(solved_cache):
@@ -100,13 +91,13 @@ def test_limit_distance_grid_mismatch(solved_cache):
 
 
 def test_limit_distances_decrease_toward_zero(solved_cache):
-    # q=4, lambda -> 0: nu-form onto the Choquard profile
+    # q=4, lambda -> 0: nu-form members onto the Choquard profile
     ref = solved_cache(1.0, 1.0, 0.0, 4.0, n=1536)
     sups, h1s = [], []
     for lam in (0.1, 0.01):
-        st = solved_cache(lam, 1.0, 1.0, 4.0, n=1536)
-        scaled, _ = sngs.scale_state(st, NU_FORM, ref.grid)
-        sup, h1 = sngs.limit_distance(scaled, ref)
+        p = normal_form(4.0, lam, NU_FORM)[1]
+        st = solved_cache(1.0, p.a, p.nu, 4.0, n=1536)
+        sup, h1 = sngs.limit_distance(st.u, ref)
         sups.append(sup)
         h1s.append(h1)
     assert sups[1] < sups[0]
@@ -115,7 +106,7 @@ def test_limit_distances_decrease_toward_zero(solved_cache):
 
 def test_mass_ratio_single_state(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    rows, ok = mass_ratio_report([st], "zero")
+    rows, ok = mass_ratio_report([st], [1.0], "zero")
     assert ok and len(rows) == 1
 
 
@@ -123,13 +114,20 @@ def test_mass_ratio_mixed_exponents(solved_cache):
     s1 = solved_cache(1.0, 1.0, 1.0, 4.0)
     s2 = solved_cache(1.0, 1.0, 1.0, 2.5)
     with pytest.raises(MixedExponents):
-        mass_ratio_report([s1, s2], "zero")
+        mass_ratio_report([s1, s2], [1.0, 1.0], "zero")
 
 
 def test_mass_ratio_window_decreasing_lambda(solved_cache):
-    states = [solved_cache(lam, 1.0, 1.0, 4.0, n=1536) for lam in (0.1, 0.01)]
-    rows, ok = mass_ratio_report(states, "zero")
+    lams = (0.1, 0.01)
+    members = [solved_cache(1.0, 1.0, normal_form(4.0, lam, NU_FORM)[1].nu,
+                            4.0, n=1536) for lam in lams]
+    rows, ok = mass_ratio_report(members, lams, "zero")
     assert ok
-    # U regime: M/lam is the bounded ratio
-    for _, _, r2 in rows:
+    assert [row[0] for row in rows] == list(lams)
+    # U regime: M/lam is the bounded ratio; M is the physical state's
+    for lam, r1, r2 in rows:
+        st = solved_cache(lam, 1.0, 1.0, 4.0, n=1536)
+        M = st.sup_u() + st.sup_v()
         assert 1e-3 <= r2 <= 1e3
+        assert r2 == pytest.approx(M / lam, rel=1e-10)
+        assert r1 == pytest.approx(M ** 2 / lam, rel=1e-10)
