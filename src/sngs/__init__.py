@@ -4,7 +4,7 @@ uniqueness scans, and sector-decomposed nondegeneracy certificates."""
 
 __version__ = "0.1.0"
 
-from .grid import EVEN, ODD, RadialField, RadialGrid, differentiate, make_grid
+from .grid import EVEN, ODD, RadialGrid, differentiate, make_grid
 from .solver import (GroundState, ModelParams, ScanResult, acceptance_failures,
                      auto_rmax, default_guess, ground_state, newton_solve,
                      solve, uniqueness_scan)

@@ -44,14 +44,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_lambdas(spec: str):
-    """'start:stop:log|lin:count' or a comma list of distinct positive values."""
+    """'start:stop:log|lin:count' or a comma list of distinct positive finite
+    values."""
     try:
         if ":" in spec:
             parts = spec.split(":")
             if len(parts) != 4:
                 raise BadRange(f"bad sweep spec {spec!r}")
             start, stop, kind, count = float(parts[0]), float(parts[1]), parts[2], int(parts[3])
-            if count < 1 or start <= 0 or stop <= 0:
+            if count < 1 or not (0 < start < math.inf and 0 < stop < math.inf):
                 raise BadRange(f"bad sweep spec {spec!r}")
             if kind == "log":
                 vals = np.geomspace(start, stop, count).tolist()
@@ -61,7 +62,7 @@ def parse_lambdas(spec: str):
                 raise BadRange(f"unknown spacing {kind!r}")
         else:
             vals = [float(tok) for tok in spec.split(",") if tok]
-            if not vals or any(v <= 0 for v in vals):
+            if not vals or not all(0 < v < math.inf for v in vals):
                 raise BadRange(f"bad lambda list {spec!r}")
     except ValueError as exc:
         raise BadRange(f"bad sweep spec {spec!r}: {exc}") from exc
@@ -154,8 +155,7 @@ def cmd_solve(args, command_line):
         state = solver.solve(params, args.n)
     except (NonConvergence, TrivialCollapse, NegativeStateDetected) as exc:
         best = getattr(exc, "state", None)   # NonConvergence's best iterate
-        record = {} if best is None else {"state": io.state_record(
-            solver.ground_state(best, params, exc.iterations))}
+        record = {} if best is None else {"state": io.state_record(best)}
         io.write_manifest(
             args.out + ".json", command_line, params=asdict(params),
             grid={"r_max": solver._solve_grid(params, args.n).r_max,
@@ -223,7 +223,8 @@ def cmd_limits(args, command_line):
     write_table_csv(out_csv, _LIMITS_HEADER, rows)
     decreasing = report.distances_decreasing()
     final_sup = report.rows[-1][2]
-    close = final_sup <= 0.05 * ref.sup_u()
+    sup_ref = ref.diagnostics.sup_u
+    close = final_sup <= 0.05 * sup_ref
     failures = _failures_by_lambda(states, lams)
     if (fails := solver.acceptance_failures(ref)):
         failures.insert(0, {"reference": kind, "failures": fails})
@@ -239,7 +240,7 @@ def cmd_limits(args, command_line):
                  "ratios_in_window": report.ratios_in_window,
                  "identity_failures": failures})
     print(f"limits: limit={kind}, decreasing={decreasing}, "
-          f"final sup {final_sup:.3e} (<= 5% of {ref.sup_u():.3e}: {close}), "
+          f"final sup {final_sup:.3e} (<= 5% of {sup_ref:.3e}: {close}), "
           f"ratios in window = {report.ratios_in_window}")
     for f in failures:
         print(f"limits: under-resolved state {f}", file=sys.stderr)

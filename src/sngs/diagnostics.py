@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import operators
 from .errors import UnsortedInput
-from .solver import GroundState, _power
+from .grid import RadialGrid
 
 
 @dataclass
@@ -41,21 +41,22 @@ class DiagnosticsReport:
     pohozaev: float
 
 
-def identities(state: GroundState, A: sp.csr_matrix) -> DiagnosticsReport:
-    """Norms, action, Nehari and Pohozaev values of `state`; A is its
-    `operators.radial_laplacian`, built by the caller, and the sup norms
-    are node maxima.
+def identities(grid: RadialGrid, u: np.ndarray, v: np.ndarray, p,
+               A: sp.csr_matrix) -> DiagnosticsReport:
+    """Norms, action, Nehari and Pohozaev values of the field u with
+    potential v on `grid` for the member p (`solver.ModelParams`); A is the
+    grid's `operators.radial_laplacian`, built by the caller, and the sup
+    norms are node maxima.
 
     Values are reported raw (nonzero for non-solutions).
     """
-    p, u = state.params, state.u.values
-    W = state.grid.weights_r2dr
-    G = 4.0 * np.pi * operators.grad_sq_pairing(state.grid, A, u)
+    W = grid.weights_r2dr
+    G = 4.0 * np.pi * operators.grad_sq_pairing(grid, A, u)
     L = 4.0 * np.pi * float(np.dot(W, u**2))
-    P = 4.0 * np.pi * float(np.dot(W, _power(np.abs(u), p.q)))
-    D = max(4.0 * np.pi * float(np.dot(W, state.v.values * u**2)), 0.0)
+    P = 4.0 * np.pi * float(np.dot(W, np.abs(u) ** p.q))
+    D = max(4.0 * np.pi * float(np.dot(W, v * u**2)), 0.0)
     J = 0.5 * G + 0.5 * p.lam * L - 0.25 * p.a * D - p.nu / p.q * P
-    su, sv = state.sup_u(), state.sup_v()
+    su, sv = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
     return DiagnosticsReport(
         grad_sq=G, l2_sq=L, lq=P, D=D, sup_u=su, sup_v=sv, M=su + sv, J=J,
         nehari=G + p.lam * L - p.a * D - p.nu * P,

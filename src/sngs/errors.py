@@ -43,13 +43,13 @@ class InvalidExponent(SngsError):
 
 class NonConvergence(SngsError):
     """No state: a non-finite warm start, residual or Jacobian, a singular band
-    matrix, a stalled line search or MAX_ITER.  Only the last two carry their
-    last iterate (`state`, `iterations`); otherwise both are None."""
+    matrix, a stalled line search or MAX_ITER.  Only the last two carry the
+    `solver.GroundState` of their last iterate, with the iterations it took,
+    as `state`; otherwise it is None."""
 
-    def __init__(self, message, state=None, iterations=None):
+    def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
-        self.iterations = iterations
 
 
 class TrivialCollapse(SngsError):

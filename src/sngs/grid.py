@@ -7,6 +7,7 @@ weights are normalized by the exact ball volume r_max^3/3 (a relative
 adjustment of order h^2/r_max^2, ~3e-8 at n=4096) so that the total measure is
 exact; every quadrature, energy and inner product in the package uses this one
 weight vector, which is what makes the discrete variational identities close.
+A field is a plain float array of length n, read on the nodes of its grid.
 """
 
 from __future__ import annotations
@@ -41,17 +42,6 @@ class RadialGrid:
         return hash(self.key())
 
 
-@dataclass
-class RadialField:
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(f"field length {self.values.shape} != grid n {self.grid.n}")
-
-
 def make_grid(r_max: float, n: int) -> RadialGrid:
     """Uniform grid on [0, r_max] with trapezoid weights for dr and r^2 dr."""
     if not r_max > 0:
@@ -69,10 +59,10 @@ def make_grid(r_max: float, n: int) -> RadialGrid:
                       weights_dr=w, weights_r2dr=w2)
 
 
-def differentiate(f: RadialField) -> RadialField:
-    """Second-order first derivative: centered inside, one-sided at both ends."""
-    return RadialField(grid=f.grid,
-                       values=np.gradient(f.values, f.grid.h, edge_order=2))
+def differentiate(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
+    """Second-order first derivative of the field f on `grid`: centered
+    inside, one-sided at both ends."""
+    return np.gradient(f, grid.h, edge_order=2)
 
 
 # -- field CSV format ---------------------------------------------------------

@@ -5,12 +5,15 @@ Every JSON a subcommand writes goes through `write_manifest`: the header
 command's own keys, among them one `state_record` per state it holds
 (parameters, grid, and a summary of the residual ratio with its rounding
 floor and bound, iterations, diagnostics and acceptance failures).
-A solve produces `<out>.csv` with columns r,u,v at 17 significant digits
-(float64 round-trips exactly) and `<out>.json`, whose body is the state's
-record plus the Newton tolerance.  Re-running an identical configuration
-reproduces the CSV bit for bit.  `load_state` reads such a pair back and
-raises IoError, naming the file, on artifacts that are not a solve's, and
-naming the error on the manifest of a failed solve.
+A solve produces `<out>.csv`, the state's grid nodes and its arrays u, v
+as columns r,u,v at 17 significant digits (float64 round-trips exactly), and
+`<out>.json`, whose body is the state's record plus the Newton tolerance.
+Re-running an identical configuration reproduces the CSV bit for bit.  A
+failed solve writes the JSON alone, its error in the summary and, when the
+NonConvergence carries the GroundState of its last iterate, that state's
+record under `state`.  `load_state` reads a solve's pair back and raises
+IoError, naming the file, on artifacts that are not a solve's, and naming
+the error on the manifest of a failed solve.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import (BadRange, InvalidExponent, IoError, NonPositiveRadius,
                      TooFewNodes)
-from .grid import RadialField, make_grid, read_field_csv, write_field_csv
+from .grid import make_grid, read_field_csv, write_field_csv
 from .solver import (TOL, GroundState, ModelParams, acceptance_failures,
                      ground_state)
 
@@ -70,8 +73,7 @@ def save_state(state: GroundState, out_prefix: str, command_line: str = "",
     csv_path = out_prefix + ".csv"
     json_path = out_prefix + ".json"
     check_clobber([csv_path, json_path], force)
-    write_field_csv(csv_path, state.grid,
-                    {"u": state.u.values, "v": state.v.values})
+    write_field_csv(csv_path, state.grid, {"u": state.u, "v": state.v})
     write_manifest(json_path, command_line, [csv_path, json_path],
                    **state_record(state), tolerances={"tol": TOL})
     return csv_path, json_path
@@ -110,6 +112,6 @@ def load_state(out_prefix: str) -> tuple[GroundState, dict]:
         raise IoError(f"{csv_path} is not a solve's field CSV: {exc!r}") from exc
     if not np.allclose(grid.nodes, r, rtol=0, atol=1e-12 * grid.r_max):
         raise IoError(f"{csv_path}: nodes are not a uniform grid")
-    state = ground_state(RadialField(grid=grid, values=u), params, iterations)
+    state = ground_state(grid, u, params, iterations)
     return state, manifest
 

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 
 from . import operators
 from .errors import UnconvergedState
-from .grid import EVEN, ODD, RadialField, differentiate
+from .grid import EVEN, ODD, differentiate
 from .hartree import coulomb_apply, green_bands
 from .solver import GroundState, linearization
 
@@ -59,7 +59,7 @@ class SectorOperator:
     form: sp.csr_matrix          # symmetric weighted form on active nodes
     mass: np.ndarray             # diagonal r^2-weighted mass of f
     act: np.ndarray              # active node indices on the state's grid
-    state: GroundState = field(repr=False, default=None)
+    shift: float                 # lower bound of the pencil's spectrum
 
 
 def _require_converged(state: GroundState):
@@ -70,7 +70,10 @@ def _require_converged(state: GroundState):
 
 
 def sector_form(state: GroundState, k: int) -> SectorOperator:
-    """Assemble the sector-k quadratic form around a converged state."""
+    """Assemble the sector-k quadratic form around a converged state, with
+    an O(1) lower bound of its pencil: kinetic and centrifugal parts are
+    >= 0, the local diagonal >= its nodal minimum, and, b the coupling,
+    -<bf, G_k(bf)> >= -max(b G_0 b) |f|^2 as 0 < G_k <= G_0."""
     if k < 0:
         raise ValueError("k >= 0")
     _require_converged(state)
@@ -79,7 +82,7 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
     act = operators.active_slice(grid)
     Wa = grid.weights_r2dr[act]
     lam_k = float(k * (k + 1))
-    pot, b = linearization(state.u.values, state.v.values, state.params, grid.h)
+    pot, b = linearization(state.u, state.v, state.params, grid.h)
     form = S + sp.diags(Wa * pot[act] + lam_k * grid.weights_dr[act])
     if state.params.a != 0.0:
         # y = r g; with W = sigma h r^2 and the sweep's weights h r_j,
@@ -87,14 +90,17 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
         B = sp.diags(np.sqrt(grid.h * Wa) * b[act])
         diag, off = green_bands(k, len(act), grid.h)
         form = sp.bmat([[form, B], [B, sp.diags([off, diag, off], [-1, 0, 1])]])
+    shift = (min(0.0, float(np.min(pot[act])))
+             - float(np.max(b * coulomb_apply(grid, b))) - 1.0)
     return SectorOperator(k=k, form=form.tocsr(), mass=Wa, act=act,
-                          state=state)
+                          shift=shift)
 
 
-def translation_mode(state: GroundState) -> RadialField:
-    """d_r u: the sector-1 zero mode of the linearization."""
+def translation_mode(state: GroundState) -> np.ndarray:
+    """d_r u on the state's grid: the sector-1 zero mode of the
+    linearization."""
     _require_converged(state)
-    return differentiate(state.u)
+    return differentiate(state.grid, state.u)
 
 
 @dataclass
@@ -121,17 +127,6 @@ class NondegeneracyReport:
     zero_tol: float
 
 
-def _spectrum_lower_bound(op: SectorOperator) -> float:
-    """O(1) lower bound for the sector pencil: kinetic and centrifugal parts
-    are >= 0, the local diagonal >= its nodal minimum, and
-    -<bf, G_k(bf)> >= -max(b G_0 b) |f|^2 as 0 < G_k <= G_0 (b the coupling
-    of `solver.linearization`)."""
-    st = op.state
-    pot, b = linearization(st.u.values, st.v.values, st.params, st.grid.h)
-    bGb = b * coulomb_apply(st.grid, b)
-    return min(0.0, float(np.min(pot[op.act]))) - float(np.max(bGb)) - 1.0
-
-
 def sector_spectrum(op: SectorOperator, m: int) -> SectorEntry:
     """m algebraically lowest eigenpairs of the sector pencil, sliced by
     inertia at -GAP_TOL."""
@@ -139,7 +134,7 @@ def sector_spectrum(op: SectorOperator, m: int) -> SectorEntry:
         raise ValueError("m >= 1")
     t0 = time.perf_counter()
     eig = operators.smallest_eigenpairs(op.form, op.mass, m,
-                                        shift=_spectrum_lower_bound(op),
+                                        shift=op.shift,
                                         split=-GAP_TOL)
     seconds = time.perf_counter() - t0
     return SectorEntry(
@@ -175,7 +170,7 @@ def nondegeneracy_report(state: GroundState, k_max: int) -> NondegeneracyReport:
                                      if abs(s) <= zero_tol)
     k1 = sectors[1]
     x = k1.eigenvectors[:, int(np.argmin(np.abs(k1.eigenvalues)))]
-    t = translation_mode(ops[1].state).values[ops[1].act]
+    t = translation_mode(state)[ops[1].act]
     M = ops[1].mass
     k1.zero_mode_match = float(
         abs(np.sum(M * x * t)) / math.sqrt(np.sum(M * x * x) * np.sum(M * t * t)))

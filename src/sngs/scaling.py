@@ -32,7 +32,7 @@ import numpy as np
 
 from . import operators
 from .errors import GridMismatch, InvalidExponent, MixedExponents
-from .grid import RadialField
+from .grid import RadialGrid
 from .solver import GroundState, ModelParams
 
 MU_FORM = "mu_form"
@@ -102,13 +102,12 @@ def normal_form(q: float, lam: float, form: str):
     return 1.0, ModelParams(lam=1.0, a=1.0, nu=eps, q=q)
 
 
-def limit_distance(scaled_u: RadialField, reference: GroundState):
-    """(sup distance, H1 distance) between a normal-form field and its limit
-    profile, both on the reference grid."""
-    if scaled_u.grid != reference.grid:
+def limit_distance(grid: RadialGrid, u: np.ndarray, reference: GroundState):
+    """(sup distance, H1 distance) between a normal-form field u on `grid`
+    and its limit profile, both on the reference grid."""
+    if grid != reference.grid:
         raise GridMismatch("the field and the reference lie on different grids")
-    grid = reference.grid
-    diff = scaled_u.values - reference.u.values
+    diff = u - reference.u
     sup = float(np.max(np.abs(diff)))
     A = operators.radial_laplacian(grid)
     gsq = operators.grad_sq_pairing(grid, A, diff)
@@ -136,7 +135,8 @@ def mass_ratio_report(states: list, lams: list, side: str):
         if s.params.q != q:
             raise MixedExponents("states mix different exponents q")
         alpha, _ = normal_form(q, lam, form)
-        M = lam ** alpha * s.sup_u() + lam ** (2.0 * alpha - 1.0) * s.sup_v()
+        d = s.diagnostics
+        M = lam ** alpha * d.sup_u + lam ** (2.0 * alpha - 1.0) * d.sup_v
         rows.append((lam, M ** (q - 2.0) / lam, M / lam))
     lo, hi = RATIO_WINDOW
     return rows, all(lo <= row[j] <= hi for row in rows)
@@ -158,7 +158,7 @@ def limit_study(states: list, lams: list, side: str,
     form, _ = limit_regime(q, side)
     rows = []
     for s, lam in zip(states, lams):
-        sup, h1 = limit_distance(s.u, reference)
+        sup, h1 = limit_distance(s.grid, s.u, reference)
         rows.append((lam, small_parameter(q, lam, form), sup, h1))
     ratios, ok = mass_ratio_report(states, lams, side)
     return ScalingReport(regime=regime_name(q, side), rows=rows,

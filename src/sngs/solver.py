@@ -21,7 +21,9 @@ unique at each lambda, so a lambda sweep solves every lambda afresh, the
 limit profiles W and U are the family members of `scaling.limit_member`, and
 `limits` and `spectrum` solve the normal-form members of `scaling.normal_form`
 rather than rescale a field.
-Every GroundState comes from `ground_state`, whose residual_norm is the
+A GroundState is the float arrays u and v = I_2 * u^2 on its one grid.
+Every one, the last iterate a NonConvergence carries included, comes whole
+from `ground_state`, with its diagnostics and its residual_norm, the
 scale-invariant ratio |F(u)| / (lam |u|): by the mu/nu maps of `scaling`,
 F = lam^(alpha+1) F~, so it equals the relative residual of the normal-form
 member at lam = 1 and means the same at every lambda; residual_floor is the
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -48,9 +49,10 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv
 
 from . import operators
+from .diagnostics import DiagnosticsReport, identities
 from .errors import (BadRange, InvalidExponent, NegativeStateDetected,
                      NonConvergence, TrivialCollapse)
-from .grid import RadialField, RadialGrid, make_grid
+from .grid import RadialGrid, make_grid
 from .hartree import coulomb_apply, green_bands
 
 TRIVIAL_SUP = 1e-8
@@ -79,8 +81,9 @@ class ModelParams:
     def __post_init__(self):
         if not (2.0 < self.q < 6.0) or self.q == 3.0:
             raise InvalidExponent(f"q = {self.q} outside (2,3) u (3,6)")
-        if not (self.a >= 0 and self.nu >= 0):
-            raise BadRange(f"a = {self.a}, nu = {self.nu}: both must be >= 0")
+        if not (0 <= self.a < math.inf and 0 <= self.nu < math.inf):
+            raise BadRange(f"a = {self.a}, nu = {self.nu}: both must be finite "
+                           "and >= 0")
         if self.a == 0 and self.nu == 0:
             raise BadRange("at least one of a, nu must be positive")
         if not (0 < self.lam < math.inf):
@@ -93,25 +96,19 @@ class ModelParams:
 @dataclass
 class GroundState:
     params: ModelParams
-    u: RadialField
-    v: RadialField
+    grid: RadialGrid
+    u: np.ndarray               # the field on grid.nodes
+    v: np.ndarray               # I_2 * u^2 on grid.nodes
     residual_norm: float        # |F(u)| / (lam |u|), r^2 dr norms
     residual_floor: float       # rounding level of residual_norm at u
     iterations: int
-    grid: RadialGrid
-    diagnostics: Optional[object] = field(default=None, repr=False)
+    diagnostics: DiagnosticsReport = field(repr=False)
 
     @property
     def residual_bound(self) -> float:
         """The largest residual_norm at which the state is accepted: ten times
         Newton's stop max(TOL, residual_floor), taken at the state itself."""
         return 10.0 * max(TOL, self.residual_floor)
-
-    def sup_u(self) -> float:
-        return float(np.max(np.abs(self.u.values)))
-
-    def sup_v(self) -> float:
-        return float(np.max(np.abs(self.v.values)))
 
 
 def auto_rmax(lam: float) -> float:
@@ -120,12 +117,11 @@ def auto_rmax(lam: float) -> float:
     return 28.0 / math.sqrt(lam)
 
 
-def default_guess(params: ModelParams, grid: RadialGrid) -> RadialField:
+def default_guess(params: ModelParams, grid: RadialGrid) -> np.ndarray:
     """Gaussian bump at the lambda decay scale; the warm start fixes amplitude."""
-    r = grid.nodes
-    vals = np.exp(-math.sqrt(params.lam) * r**2 / 4.0)
+    vals = np.exp(-math.sqrt(params.lam) * grid.nodes**2 / 4.0)
     vals[-2:] = 0.0
-    return RadialField(grid=grid, values=vals)
+    return vals
 
 
 def _power(u: np.ndarray, p: float) -> np.ndarray:
@@ -334,36 +330,35 @@ def _live_norm(grid: RadialGrid, u: np.ndarray) -> float:
     return nu_norm
 
 
-def ground_state(u: RadialField, params: ModelParams,
+def ground_state(grid: RadialGrid, u: np.ndarray, params: ModelParams,
                  iterations: int) -> GroundState:
-    """The GroundState of the field u: v from the Hartree sweep, the residual
-    ratio |F(u)| / (lam |u|) in the r^2 dr norm with its rounding floor, and
-    the identities, all from one -Delta_r and one Coulomb sweep."""
-    grid = u.grid
+    """The GroundState of the field u on `grid`: v from the Hartree sweep,
+    the residual ratio |F(u)| / (lam |u|) in the r^2 dr norm with its
+    rounding floor, and the diagnostics, all from one -Delta_r and one
+    Coulomb sweep.  A u whose length is not grid.n raises ValueError."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (grid.n,):
+        raise ValueError(f"field length {u.shape} != grid n {grid.n}")
     A = operators.radial_laplacian(grid)
-    F, v = _residual_values(u.values, params, grid, A)
-    res = _wnorm(grid, F) / (params.lam * _wnorm(grid, u.values))
-    state = GroundState(params=params, u=u,
-                        v=RadialField(grid=grid, values=v),
-                        residual_norm=res,
-                        residual_floor=residual_floor(grid, A, u.values,
-                                                      params.lam),
-                        iterations=iterations, grid=grid)
-    from .diagnostics import identities  # deferred: diagnostics uses GroundState
-    state.diagnostics = identities(state, A)
-    return state
+    F, v = _residual_values(u, params, grid, A)
+    return GroundState(
+        params=params, grid=grid, u=u, v=v,
+        residual_norm=_wnorm(grid, F) / (params.lam * _wnorm(grid, u)),
+        residual_floor=residual_floor(grid, A, u, params.lam),
+        iterations=iterations, diagnostics=identities(grid, u, v, params, A))
 
 
-def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
-    """Damped Newton with a deterministic warm start; see module docstring.
+def newton_solve(grid: RadialGrid, guess: np.ndarray,
+                 params: ModelParams) -> GroundState:
+    """Damped Newton from the field `guess` on `grid`, with a deterministic
+    warm start; see module docstring.
 
     Raises TrivialCollapse / NonConvergence / NegativeStateDetected; a
     NonConvergence from a stalled line search or at MAX_ITER carries the
-    last (lowest-residual) iterate as its `state`.
+    GroundState of the last (lowest-residual) iterate as its `state`.
     """
-    grid = guess.grid
     A = operators.radial_laplacian(grid)
-    u = guess.values.astype(float).copy()
+    u = np.array(guess, dtype=float)
     u[-2:] = 0.0
     if np.max(np.abs(u)) < TRIVIAL_SUP:
         raise TrivialCollapse("initial guess is numerically zero")
@@ -373,10 +368,8 @@ def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
     bands = _step_bands(grid, A)
 
     def stalled(message, iterations):
-        return NonConvergence(
-            f"{message} for {params.label()}",
-            state=RadialField(grid=grid, values=u.copy()),
-            iterations=iterations)
+        return NonConvergence(f"{message} for {params.label()}",
+                              state=ground_state(grid, u, params, iterations))
 
     it = 0
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
@@ -414,7 +407,7 @@ def newton_solve(guess: RadialField, params: ModelParams) -> GroundState:
             f"converged to a sign-changing branch (min {np.min(u):.2e})")
 
     del bands   # ground_state's operators need not coexist with the workspace
-    return ground_state(RadialField(grid=grid, values=u), params, it)
+    return ground_state(grid, u, params, it)
 
 
 def acceptance_failures(state: GroundState) -> list:
@@ -443,7 +436,7 @@ def solve(params: ModelParams, n: int) -> GroundState:
     `_solve_grid`: the one rule that picks a solve's domain and start from
     (params, n)."""
     grid = _solve_grid(params, n)
-    return newton_solve(default_guess(params, grid), params)
+    return newton_solve(grid, default_guess(params, grid), params)
 
 
 # -- multistart uniqueness scan ---------------------------------------------------
@@ -479,17 +472,16 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
     failed = 0
     converged = 0
     for c, kappa in draws:
-        vals = c * np.exp(-kappa * grid.nodes**2)
-        vals[-2:] = 0.0
-        guess = RadialField(grid=grid, values=vals)
+        guess = c * np.exp(-kappa * grid.nodes**2)
+        guess[-2:] = 0.0
         try:
-            state = newton_solve(guess, params)
+            state = newton_solve(grid, guess, params)
         except (NonConvergence, TrivialCollapse, NegativeStateDetected):
             failed += 1
             continue
         converged += 1
         for known in distinct:
-            if _sup_distance_rel(state.u.values, known.u.values) <= DEDUP_TOL:
+            if _sup_distance_rel(state.u, known.u) <= DEDUP_TOL:
                 break
         else:
             distinct.append(state)

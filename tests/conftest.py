@@ -40,7 +40,8 @@ def solved_cache():
         if key not in cache:
             params = sngs.ModelParams(lam=lam, a=a, nu=nu, q=q)
             grid = sngs.make_grid(rmax, n)
-            cache[key] = sngs.newton_solve(sngs.default_guess(params, grid), params)
+            cache[key] = sngs.newton_solve(grid, sngs.default_guess(params, grid),
+                                           params)
         return cache[key]
 
     return get

@@ -47,12 +47,12 @@ def test_criterion_1_hartree_indicator_oracle():
         for n in (N, 2 * N - 1):          # both place nodes at r = 1 and 2
             g = sngs.make_grid(5.0, n)
             u = indicator_field(g)
-            v = hartree_potential(u).v.values
+            v = hartree_potential(g, u).v
             errs.append(np.max(np.abs(v - indicator_v_exact(g.nodes))))
         assert errs[0] <= 5e-6
         assert errs[0] / errs[1] >= 3.5
         g = sngs.make_grid(5.0, N)
-        D = hartree_energy(indicator_field(g))
+        D = hartree_energy(g, indicator_field(g))
         assert D == pytest.approx(8 * np.pi / 15.0, rel=1e-5)
 
 
@@ -61,11 +61,11 @@ def test_criterion_2_two_formula_agreement():
         rng = np.random.default_rng(2024)
         g = sngs.make_grid(40.0, N)
         for _ in range(10):
-            u = sngs.RadialField(grid=g, values=smooth_bumps(g, rng))
-            hp = hartree_potential(u)
-            vk = kform_oracle(u)
+            u = smooth_bumps(g, rng)
+            hp = hartree_potential(g, u)
+            vk = kform_oracle(g, u)
             line = max(abs(hp.line_integral), 1e-300)
-            assert np.max(np.abs(hp.v.values[:-1] - vk[:-1])) <= 1e-8 * line
+            assert np.max(np.abs(hp.v[:-1] - vk[:-1])) <= 1e-8 * line
 
 
 def test_criterion_3_reference_ratios():
@@ -74,7 +74,7 @@ def test_criterion_3_reference_ratios():
 
         def profile(a, nu, q):
             p = sngs.ModelParams(lam=1.0, a=a, nu=nu, q=q)
-            return sngs.newton_solve(sngs.default_guess(p, g), p).diagnostics
+            return sngs.newton_solve(g, sngs.default_guess(p, g), p).diagnostics
         for q in (2.5, 4.0, 5.0):
             d = profile(0.0, 1.0, q)
             expect = 3.0 * (q - 2.0) / (6.0 - q)
@@ -114,13 +114,12 @@ def test_criterion_6_jacobian_fd_check(acc):
         for st in (acc(1.0, q=4.0), acc(0.1, q=2.5), acc(10.0, q=4.0)):
             A = sngs.operators.radial_laplacian(st.grid)
             for _ in range(10):
-                d = smooth_bumps(st.grid, rng, amp=st.sup_u(),
+                d = smooth_bumps(st.grid, rng, amp=st.diagnostics.sup_u,
                                  max_center=st.grid.r_max / 4.0)
-                dfield = sngs.RadialField(grid=st.grid, values=d)
-                jd = apply_jacobian(st.u, dfield, st.params).values
-                up, _ = _residual_values(st.u.values + eps * d, st.params,
+                jd = apply_jacobian(st.grid, st.u, d, st.params)
+                up, _ = _residual_values(st.u + eps * d, st.params,
                                          st.grid, A)
-                dn, _ = _residual_values(st.u.values - eps * d, st.params,
+                dn, _ = _residual_values(st.u - eps * d, st.params,
                                          st.grid, A)
                 fd = (up - dn) / (2 * eps)
                 assert _wnorm(st.grid, jd - fd) <= 1e-6 * _wnorm(st.grid, jd)
@@ -153,12 +152,12 @@ def test_criterion_7_scaling_limits(regime_states):
             sups, h1s = [], []
             for st in regime_states[(q, side)]:
                 assert st.grid == ref_grid
-                sup, h1 = sngs.limit_distance(st.u, ref)
+                sup, h1 = sngs.limit_distance(st.grid, st.u, ref)
                 sups.append(sup)
                 h1s.append(h1)
             assert all(b < a for a, b in zip(sups, sups[1:])), (q, side, sups)
             assert all(b < a for a, b in zip(h1s, h1s[1:])), (q, side, h1s)
-            assert sups[-1] <= 0.05 * ref.sup_u(), (q, side, sups[-1])
+            assert sups[-1] <= 0.05 * ref.diagnostics.sup_u, (q, side, sups[-1])
 
 
 def test_criterion_8_mass_ratio_windows(regime_states):

@@ -43,8 +43,18 @@ def test_usage_errors(tmp_path):
     ["solve", "--q", "4", "--lambda", "1", "--n", "5"],
     ["solve", "--q", "4", "--lambda", "1", "--tol", "1e-8"],
     ["check", "--tol", "1e-3"],
+    ["solve", "--q", "4", "--lambda", "1", "--a", "inf"],
+    ["solve", "--q", "4", "--lambda", "1", "--nu", "inf"],
+    ["scan", "--q", "4", "--lambda", "1", "--nu", "nan"],
+    ["sweep", "--q", "4", "--lambdas", "1,inf"],
+    ["sweep", "--q", "4", "--lambdas", "1e-3:inf:log:3"],
+    ["limits", "--q", "4", "--side", "zero", "--lambdas", "inf"],
 ])
-def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
+def test_bad_input_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # caught before any solve: no Newton solve runs
+    def no_solve(*args):
+        raise AssertionError("a usage error reached a solve")
+    monkeypatch.setattr(solver, "newton_solve", no_solve)
     out = str(tmp_path / "x")
     assert run(argv + ["--out", out]) == 64
     assert "usage error" in capsys.readouterr().err
@@ -66,6 +76,10 @@ def test_parse_lambdas():
         cli.parse_lambdas("-1,2")
     with pytest.raises(BadRange):
         cli.parse_lambdas("0.1,1,0.1")
+    for spec in ("inf", "1,nan", "1e-3:inf:log:3", "nan:1:lin:2",
+                 "1:inf:lin:2"):
+        with pytest.raises(BadRange):
+            cli.parse_lambdas(spec)
 
 
 def test_solve_roundtrip_and_determinism(tmp_path):

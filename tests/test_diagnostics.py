@@ -8,38 +8,35 @@ from sngs.diagnostics import identities, monotonicity_check
 from sngs.errors import UnsortedInput
 from oracles import hartree_potential
 from sngs.operators import radial_laplacian
-from sngs.solver import GroundState, ModelParams
+from sngs.solver import ModelParams
 from conftest import smooth_bumps
 from test_hartree import indicator_field
 
 
-def fake_state(grid, values, lam=1.0, a=1.0, nu=1.0, q=4.0):
-    """Wrap an arbitrary field as a state so the report functions apply."""
-    u = sngs.RadialField(grid=grid, values=values)
-    v = hartree_potential(u).v
-    return GroundState(params=ModelParams(lam=lam, a=a, nu=nu, q=q), u=u, v=v,
-                       residual_norm=1.0, residual_floor=0.0, iterations=0,
-                       grid=grid)
+def field_identities(grid, values, lam=1.0, a=1.0, nu=1.0, q=4.0):
+    """The identities of an arbitrary field and its Hartree potential."""
+    return identities(grid, values, hartree_potential(grid, values).v,
+                      ModelParams(lam=lam, a=a, nu=nu, q=q),
+                      radial_laplacian(grid))
 
 
 def test_norms_indicator():
     g = sngs.make_grid(5.0, 4096)
     u = indicator_field(g)
-    rep = identities(fake_state(g, u.values), radial_laplacian(g))
+    rep = field_identities(g, u)
     assert rep.l2_sq == pytest.approx(4 * np.pi / 3.0, rel=1e-5)
 
 
 def test_norms_zero():
     g = sngs.make_grid(5.0, 128)
-    rep = identities(fake_state(g, np.zeros(g.n)), radial_laplacian(g))
+    rep = field_identities(g, np.zeros(g.n))
     assert rep.grad_sq == rep.l2_sq == rep.lq == rep.D == 0.0
     assert rep.M == 0.0
 
 
 def test_norms_gaussian():
     g = sngs.make_grid(24.0, 2048)
-    rep = identities(fake_state(g, np.exp(-g.nodes**2 / 2.0)),
-                     radial_laplacian(g))
+    rep = field_identities(g, np.exp(-g.nodes**2 / 2.0))
     assert rep.l2_sq == pytest.approx(np.pi**1.5, rel=1e-6)
     assert rep.sup_u == 1.0
     assert rep.M == rep.sup_u + rep.sup_v
@@ -49,7 +46,8 @@ def test_identities_on_converged_states(solved_cache):
     for (lam, a, nu, q) in [(1.0, 0.0, 1.0, 4.0), (1.0, 1.0, 1.0, 4.0),
                             (1.0, 1.0, 1.0, 2.5)]:
         st_ = solved_cache(lam, a, nu, q)
-        d = identities(st_, radial_laplacian(st_.grid))
+        d = identities(st_.grid, st_.u, st_.v, st_.params,
+                       radial_laplacian(st_.grid))
         assert abs(d.nehari) <= 1e-8 * d.grad_sq
         assert abs(d.pohozaev) <= 1e-6 * d.grad_sq
 
@@ -67,14 +65,14 @@ def test_level_identity_is_a_third_of_pohozaev(solved_cache, lam, q,
     else:
         g = sngs.make_grid(sngs.auto_rmax(lam), 1024)
         vals = smooth_bumps(g, np.random.default_rng(7), amp=2.0)
-        d = identities(fake_state(g, vals, lam=lam, q=q), radial_laplacian(g))
+        d = field_identities(g, vals, lam=lam, q=q)
     level = d.J - d.grad_sq / 3.0 - d.D / 6.0
     assert abs(level - d.pohozaev / 3.0) <= 1e-12 * d.grad_sq
 
 
 def test_identities_raw_for_non_solution():
     g = sngs.make_grid(20.0, 1024)
-    d = identities(fake_state(g, 2.0 * np.exp(-g.nodes**2)), radial_laplacian(g))
+    d = field_identities(g, 2.0 * np.exp(-g.nodes**2))
     assert abs(d.nehari) > 1e-3 * d.grad_sq
     assert abs(d.pohozaev) > 1e-3 * d.grad_sq
 
@@ -118,7 +116,7 @@ def test_monotonicity_check_examples():
 def test_action_finite_and_D_nonnegative(seed):
     rng = np.random.default_rng(seed)
     g = sngs.make_grid(12.0, 160)
-    d = identities(fake_state(g, smooth_bumps(g, rng)), radial_laplacian(g))
+    d = field_identities(g, smooth_bumps(g, rng))
     assert np.isfinite(d.J)
     assert d.D >= 0.0
     assert d.grad_sq >= 0.0

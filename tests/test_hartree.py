@@ -16,20 +16,19 @@ def indicator_field(grid, radius=1.0):
     j = int(round(radius / grid.h))
     assert abs(grid.nodes[j] - radius) < 1e-12, "jump must land on a node"
     vals[j] = np.sqrt(0.5)
-    return sngs.RadialField(grid=grid, values=vals)
+    return vals
 
 
 def indicator_v_exact(r):
     return np.where(r <= 1.0, 0.5 - r**2 / 6.0, 1.0 / (3.0 * np.maximum(r, 1e-300)))
 
 
-def kform_oracle(u):
+def kform_oracle(grid, u):
     """Independent evaluation v(r) = I(u) - int_0^r K(r,s) u(s)^2 ds with
     K(r,s) = s^2 (1/s - 1/r), split trapezoid row by row, plus the same
     Euler-Maclaurin endpoint term the production sweep carries."""
-    grid = u.grid
     r, h, n = grid.nodes, grid.h, grid.n
-    rho = u.values**2
+    rho = u**2
     line = np.trapezoid(rho * r, dx=h) + (h * h / 12.0) * rho[0]
     v = np.empty(n)
     v[0] = line
@@ -43,23 +42,23 @@ def kform_oracle(u):
 
 def test_zero_field():
     g = sngs.make_grid(10.0, 64)
-    hp = hartree_potential(sngs.RadialField(grid=g, values=np.zeros(g.n)))
-    assert np.all(hp.v.values == 0.0)
+    hp = hartree_potential(g, np.zeros(g.n))
+    assert np.all(hp.v == 0.0)
     assert hp.mass == 0.0 and hp.line_integral == 0.0
-    assert hartree_energy(sngs.RadialField(grid=g, values=np.zeros(g.n))) == 0.0
+    assert hartree_energy(g, np.zeros(g.n)) == 0.0
 
 
 def test_indicator_closed_form():
     g = sngs.make_grid(5.0, 4096)
     u = indicator_field(g)
-    hp = hartree_potential(u)
-    err = np.max(np.abs(hp.v.values - indicator_v_exact(g.nodes)))
+    hp = hartree_potential(g, u)
+    err = np.max(np.abs(hp.v - indicator_v_exact(g.nodes)))
     assert err <= 5e-6
-    assert hp.v.values[0] == pytest.approx(0.5, abs=5e-6)
+    assert hp.v[0] == pytest.approx(0.5, abs=5e-6)
     j1 = int(round(1.0 / g.h))
     j2 = int(round(2.0 / g.h))
-    assert hp.v.values[j1] == pytest.approx(1.0 / 3.0, abs=5e-6)
-    assert hp.v.values[j2] == pytest.approx(1.0 / 6.0, abs=5e-6)
+    assert hp.v[j1] == pytest.approx(1.0 / 3.0, abs=5e-6)
+    assert hp.v[j2] == pytest.approx(1.0 / 6.0, abs=5e-6)
     assert hp.mass == pytest.approx(1.0 / 3.0, rel=1e-5)
 
 
@@ -68,41 +67,41 @@ def test_indicator_refinement():
     for n in (4096, 8191):  # both put nodes at r = 1, 2
         g = sngs.make_grid(5.0, n)
         u = indicator_field(g)
-        v = hartree_potential(u).v.values
+        v = hartree_potential(g, u).v
         errs.append(np.max(np.abs(v - indicator_v_exact(g.nodes))))
     assert errs[0] / errs[1] >= 3.5
 
 
 def test_gaussian_values():
     g = sngs.make_grid(20.0, 2048)
-    u = sngs.RadialField(grid=g, values=np.exp(-g.nodes**2 / 2.0))
-    hp = hartree_potential(u)
-    assert hp.v.values[0] == pytest.approx(0.5, abs=1e-8)     # int e^{-s^2} s ds
+    u = np.exp(-g.nodes**2 / 2.0)
+    hp = hartree_potential(g, u)
+    assert hp.v[0] == pytest.approx(0.5, abs=1e-8)     # int e^{-s^2} s ds
     assert hp.mass == pytest.approx(np.sqrt(np.pi) / 4.0, rel=1e-8)
 
 
 def test_hartree_energy_indicator():
     g = sngs.make_grid(5.0, 4096)
     u = indicator_field(g)
-    assert hartree_energy(u) == pytest.approx(8 * np.pi / 15.0, rel=1e-5)
+    assert hartree_energy(g, u) == pytest.approx(8 * np.pi / 15.0, rel=1e-5)
 
 
 def test_hartree_energy_quartic_scaling():
     g = sngs.make_grid(15.0, 512)
-    u = sngs.RadialField(grid=g, values=np.exp(-g.nodes))
-    d1 = hartree_energy(u)
-    u3 = sngs.RadialField(grid=g, values=3.0 * u.values)
-    assert hartree_energy(u3) == pytest.approx(81.0 * d1, rel=1e-13)
+    u = np.exp(-g.nodes)
+    d1 = hartree_energy(g, u)
+    u3 = 3.0 * u
+    assert hartree_energy(g, u3) == pytest.approx(81.0 * d1, rel=1e-13)
 
 
 def test_two_formula_agreement_random_profiles():
     rng = np.random.default_rng(42)
     g = sngs.make_grid(20.0, 512)
     for _ in range(10):
-        u = sngs.RadialField(grid=g, values=smooth_bumps(g, rng))
-        v = hartree_potential(u).v.values
-        vk = kform_oracle(u)
-        line = max(abs(hartree_potential(u).line_integral), 1e-300)
+        u = smooth_bumps(g, rng)
+        v = hartree_potential(g, u).v
+        vk = kform_oracle(g, u)
+        line = max(abs(hartree_potential(g, u).line_integral), 1e-300)
         assert np.max(np.abs(v[:-1] - vk[:-1])) <= 1e-8 * line
 
 
@@ -110,10 +109,10 @@ def test_discrete_poisson_residual():
     errs = []
     for n in (512, 1024):
         g = sngs.make_grid(16.0, n)
-        u = sngs.RadialField(grid=g, values=np.exp(-g.nodes**2 / 2.0))
-        v = hartree_potential(u).v.values
+        u = np.exp(-g.nodes**2 / 2.0)
+        v = hartree_potential(g, u).v
         A = operators.radial_laplacian(g)
-        res = (A @ v - u.values**2)[1:-2]
+        res = (A @ v - u**2)[1:-2]
         errs.append(np.max(np.abs(res)))
     assert errs[0] <= 1.0 * (16.0 / 511) ** 2
     assert errs[0] / errs[1] >= 3.5
@@ -165,17 +164,17 @@ def test_potential_monotone_nonincreasing():
     g = sngs.make_grid(12.0, 400)
     for _ in range(5):
         vals = np.abs(smooth_bumps(g, rng))
-        v = hartree_potential(sngs.RadialField(grid=g, values=vals)).v.values
+        v = hartree_potential(g, vals).v
         dv = np.diff(v)
         assert np.all(dv <= 1e-12 * max(v[0], 1.0))
 
 
 def test_coulomb_tail_consistency():
     g = sngs.make_grid(18.0, 700)
-    u = sngs.RadialField(grid=g, values=np.exp(-g.nodes))
-    hp = hartree_potential(u)
-    assert hp.v.values[-1] * g.r_max == pytest.approx(hp.mass, rel=1e-10)
-    assert hp.v.values[0] == pytest.approx(hp.line_integral, rel=1e-12)
+    u = np.exp(-g.nodes)
+    hp = hartree_potential(g, u)
+    assert hp.v[-1] * g.r_max == pytest.approx(hp.mass, rel=1e-10)
+    assert hp.v[0] == pytest.approx(hp.line_integral, rel=1e-12)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -184,11 +183,11 @@ def test_hartree_energy_nonnegative(seed):
     rng = np.random.default_rng(seed)
     g = sngs.make_grid(10.0, 128)
     vals = smooth_bumps(g, rng)
-    assert hartree_energy(sngs.RadialField(grid=g, values=vals)) >= 0.0
+    assert hartree_energy(g, vals) >= 0.0
 
 
 def test_potential_nonnegative_and_even():
     g = sngs.make_grid(10.0, 256)
-    u = sngs.RadialField(grid=g, values=np.exp(-g.nodes))
-    hp = hartree_potential(u)
-    assert np.all(hp.v.values >= 0.0)
+    u = np.exp(-g.nodes)
+    hp = hartree_potential(g, u)
+    assert np.all(hp.v >= 0.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from sngs.errors import UnconvergedState
 from sngs.linearized import (GAP_TOL, nondegeneracy_report, sector_form,
                              sector_spectrum, translation_mode)
 from sngs.operators import schur_apply
-from oracles import hartree_potential
 
 
 def odd_field(grid, rng, width_max=4.0):
@@ -17,14 +18,14 @@ def odd_field(grid, rng, width_max=4.0):
         a = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
         f += a * r * np.exp(-(r / w) ** 2)
     f[-2:] = 0.0
-    return sngs.RadialField(grid=grid, values=f)
+    return f
 
 
 def assert_nonnegative_pair_forms(op, fields, rng):
     """L_1(f, f) >= 0 on each field, and L_1 is the minimum over the
     potential: the pair form at any y = r g is not below it."""
     for f in fields:
-        x = f.values[op.act]
+        x = f[op.act]
         val = float(x @ schur_apply(op.form, op.mass, x))
         assert val >= -1e-8 * float(np.dot(op.mass * x, x))
         xy = np.concatenate([x, rng.normal(size=op.form.shape[0] - len(x))])
@@ -53,12 +54,10 @@ def test_sector_form_kwong_scalar(solved_cache):
 
 def hand_built_state(residual_norm, residual_floor):
     g = sngs.make_grid(20.0, 256)
-    from sngs.solver import GroundState, ModelParams
-    u = sngs.RadialField(grid=g, values=np.exp(-g.nodes**2))
-    return GroundState(params=ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0),
-                       u=u, v=hartree_potential(u).v,
-                       residual_norm=residual_norm,
-                       residual_floor=residual_floor, iterations=0, grid=g)
+    st = sngs.ground_state(g, np.exp(-g.nodes**2),
+                           sngs.ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0), 0)
+    return replace(st, residual_norm=residual_norm,
+                   residual_floor=residual_floor)
 
 
 def test_sector_form_unconverged():
@@ -74,7 +73,7 @@ def test_sector_form_accepts_residual_within_its_bound():
     # 1e-8: a state solved to its rounding floor on a fine grid is accepted
     st = hand_built_state(2e-8, 2.6e-8)
     assert sector_form(st, 1).k == 1
-    assert translation_mode(st).values.shape == st.u.values.shape
+    assert translation_mode(st).shape == st.u.shape
     assert st.residual_bound == pytest.approx(2.6e-7)
 
 
@@ -93,9 +92,9 @@ def test_a1_nonnegative_on_random_odd_pairs(choquard):
 
 def test_translation_mode_signs(choquard, solved_cache):
     f = translation_mode(choquard)
-    assert np.all(f.values[1:-2] <= 1e-12 * choquard.sup_u())
+    assert np.all(f[1:-2] <= 1e-12 * choquard.diagnostics.sup_u)
     kw = solved_cache(1.0, 0.0, 1.0, 4.0, n=1536, rmax=30.0)
-    interior = translation_mode(kw).values[2:-12]
+    interior = translation_mode(kw)[2:-12]
     assert np.all(interior < 0.0)
 
 

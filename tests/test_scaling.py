@@ -54,8 +54,8 @@ def test_normal_form_member_is_the_rescaled_state(solved_cache, lam, q, form):
     member = solved_cache(1.0, p.a, p.nu, q)
     assert np.allclose(member.grid.nodes, np.sqrt(lam) * st.grid.nodes,
                        rtol=1e-14, atol=0.0)
-    scaled = lam ** -alpha * st.u.values
-    assert np.max(np.abs(member.u.values - scaled)) <= 1e-10 * member.sup_u()
+    scaled = lam ** -alpha * st.u
+    assert np.max(np.abs(member.u - scaled)) <= 1e-10 * member.diagnostics.sup_u
 
 
 def test_residual_transfer(solved_cache):
@@ -68,18 +68,17 @@ def test_residual_transfer(solved_cache):
                            (10.0, 4.0, MU_FORM)]:
         st = solved_cache(lam, 1.0, 1.0, q, n=1536)
         alpha, eff = normal_form(q, lam, form)
-        scaled = lam ** -alpha * st.u.values
+        scaled = lam ** -alpha * st.u
         F, _ = _residual_values(scaled, eff, target, A)
         assert _wnorm(target, F) / _wnorm(target, scaled) <= st.residual_bound
 
 
 def test_limit_distance_zero_and_symmetry(solved_cache):
     ref = solved_cache(1.0, 1.0, 0.0, 4.0)
-    same = sngs.RadialField(grid=ref.grid, values=ref.u.values.copy())
-    assert sngs.limit_distance(same, ref) == (0.0, 0.0)
-    other = sngs.RadialField(grid=ref.grid,
-                             values=ref.u.values + 0.01 * np.exp(-ref.grid.nodes))
-    sup, h1 = sngs.limit_distance(other, ref)
+    same = ref.u.copy()
+    assert sngs.limit_distance(ref.grid, same, ref) == (0.0, 0.0)
+    other = ref.u + 0.01 * np.exp(-ref.grid.nodes)
+    sup, h1 = sngs.limit_distance(ref.grid, other, ref)
     assert sup > 0 and h1 > 0
 
 
@@ -87,7 +86,7 @@ def test_limit_distance_grid_mismatch(solved_cache):
     ref = solved_cache(1.0, 1.0, 0.0, 4.0)
     g2 = sngs.make_grid(14.0, 256)
     with pytest.raises(GridMismatch):
-        sngs.limit_distance(sngs.RadialField(grid=g2, values=np.zeros(256)), ref)
+        sngs.limit_distance(g2, np.zeros(256), ref)
 
 
 def test_limit_distances_decrease_toward_zero(solved_cache):
@@ -97,7 +96,7 @@ def test_limit_distances_decrease_toward_zero(solved_cache):
     for lam in (0.1, 0.01):
         p = normal_form(4.0, lam, NU_FORM)[1]
         st = solved_cache(1.0, p.a, p.nu, 4.0, n=1536)
-        sup, h1 = sngs.limit_distance(st.u, ref)
+        sup, h1 = sngs.limit_distance(st.grid, st.u, ref)
         sups.append(sup)
         h1s.append(h1)
     assert sups[1] < sups[0]
@@ -127,7 +126,7 @@ def test_mass_ratio_window_decreasing_lambda(solved_cache):
     # U regime: M/lam is the bounded ratio; M is the physical state's
     for lam, r1, r2 in rows:
         st = solved_cache(lam, 1.0, 1.0, 4.0, n=1536)
-        M = st.sup_u() + st.sup_v()
+        M = st.diagnostics.sup_u + st.diagnostics.sup_v
         assert 1e-3 <= r2 <= 1e3
         assert r2 == pytest.approx(M / lam, rel=1e-10)
         assert r1 == pytest.approx(M ** 2 / lam, rel=1e-10)

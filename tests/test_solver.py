@@ -35,18 +35,18 @@ def test_residual_zero_field():
 def test_converged_state_residual(solved_cache):
     st = solved_cache(1.0, 0.0, 1.0, 4.0)
     assert st.residual_norm <= 1e-10
-    F, _ = _residual_values(st.u.values, st.params, st.grid,
+    F, _ = _residual_values(st.u, st.params, st.grid,
                             sngs.operators.radial_laplacian(st.grid))
-    assert _wnorm(st.grid, F) <= 1e-10 * _wnorm(st.grid, st.u.values)
+    assert _wnorm(st.grid, F) <= 1e-10 * _wnorm(st.grid, st.u)
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.1, 10.0])
 def test_residual_norm_is_lambda_relative(solved_cache, lam):
     # |F| / (lam |u|) is the normal-form relative residual at every lambda
     st = solved_cache(lam, 1.0, 1.0, 4.0)
-    F, _ = _residual_values(st.u.values, st.params, st.grid,
+    F, _ = _residual_values(st.u, st.params, st.grid,
                             sngs.operators.radial_laplacian(st.grid))
-    by_hand = _wnorm(st.grid, F) / (lam * _wnorm(st.grid, st.u.values))
+    by_hand = _wnorm(st.grid, F) / (lam * _wnorm(st.grid, st.u))
     assert st.residual_norm == by_hand
     assert st.residual_norm <= sngs.solver.TOL
 
@@ -54,17 +54,17 @@ def test_residual_norm_is_lambda_relative(solved_cache, lam):
 def test_kwong_state_fails_choquard_equation(solved_cache):
     st = solved_cache(1.0, 0.0, 1.0, 4.0)
     choq = sngs.ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0)
-    F, _ = _residual_values(st.u.values, choq, st.grid,
+    F, _ = _residual_values(st.u, choq, st.grid,
                             sngs.operators.radial_laplacian(st.grid))
-    rel = _wnorm(st.grid, F) / _wnorm(st.grid, st.u.values)
+    rel = _wnorm(st.grid, F) / _wnorm(st.grid, st.u)
     assert rel > 1e-3
 
 
 def test_jacobian_zero_direction(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    zero = sngs.RadialField(grid=st.grid, values=np.zeros(st.grid.n))
-    out = apply_jacobian(st.u, zero, st.params)
-    assert np.all(out.values == 0.0)
+    zero = np.zeros(st.grid.n)
+    out = apply_jacobian(st.grid, st.u, zero, st.params)
+    assert np.all(out == 0.0)
 
 
 def test_jacobian_matches_finite_differences(solved_cache):
@@ -73,11 +73,10 @@ def test_jacobian_matches_finite_differences(solved_cache):
     eps = 1e-5
     A = sngs.operators.radial_laplacian(st.grid)
     for _ in range(5):
-        d = smooth_bumps(st.grid, rng, amp=st.sup_u())
-        dfield = sngs.RadialField(grid=st.grid, values=d)
-        jd = apply_jacobian(st.u, dfield, st.params).values
-        up, _ = _residual_values(st.u.values + eps * d, st.params, st.grid, A)
-        dn, _ = _residual_values(st.u.values - eps * d, st.params, st.grid, A)
+        d = smooth_bumps(st.grid, rng, amp=st.diagnostics.sup_u)
+        jd = apply_jacobian(st.grid, st.u, d, st.params)
+        up, _ = _residual_values(st.u + eps * d, st.params, st.grid, A)
+        dn, _ = _residual_values(st.u - eps * d, st.params, st.grid, A)
         fd = (up - dn) / (2 * eps)
         err = _wnorm(st.grid, jd - fd) / _wnorm(st.grid, jd)
         assert err <= 1e-6
@@ -94,12 +93,10 @@ def test_banded_step_solves_jacobian(solved_cache, a, nu, q):
     g = st.grid
     A = sngs.operators.radial_laplacian(g)
     for _ in range(3):
-        u = st.u.values + 0.1 * smooth_bumps(g, rng, amp=st.sup_u())
+        u = st.u + 0.1 * smooth_bumps(g, rng, amp=st.diagnostics.sup_u)
         F, v = _residual_values(u, st.params, g, A)
         d = _newton_step(u, v, F, st.params, g, _step_bands(g, A))
-        jd = apply_jacobian(sngs.RadialField(grid=g, values=u),
-                                 sngs.RadialField(grid=g, values=d),
-                                 st.params).values
+        jd = apply_jacobian(g, u, d, st.params)
         assert np.linalg.norm(jd + F) <= 1e-9 * np.linalg.norm(F)
 
 
@@ -112,7 +109,7 @@ def test_newton_step_reuses_its_workspace(solved_cache):
     A = sngs.operators.radial_laplacian(g)
     shared = _step_bands(g, A)
     for _ in range(2):
-        u = st.u.values + 0.1 * smooth_bumps(g, rng, amp=st.sup_u())
+        u = st.u + 0.1 * smooth_bumps(g, rng, amp=st.diagnostics.sup_u)
         F, v = _residual_values(u, st.params, g, A)
         d = _newton_step(u, v, F, st.params, g, shared)
         fresh = _newton_step(u, v, F, st.params, g, _step_bands(g, A))
@@ -124,7 +121,7 @@ def test_newton_step_rejects_nan(solved_cache, where):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
     g = st.grid
     A = sngs.operators.radial_laplacian(g)
-    u = st.u.values.copy()
+    u = st.u.copy()
     F, v = _residual_values(u, st.params, g, A)
     (u if where == "u" else F)[g.n // 3] = np.nan
     with pytest.raises(NonConvergence):
@@ -155,9 +152,8 @@ def test_warm_start_stops_on_settled_ratio():
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     g = sngs.make_grid(sngs.auto_rmax(1.0), 1536)
     A = sngs.operators.radial_laplacian(g)
-    u = _warm_start(sngs.default_guess(p, g).values, p, g, A)
-    field = sngs.RadialField(grid=g, values=u)
-    N = hartree_potential(field).v.values * u + u**3
+    u = _warm_start(sngs.default_guess(p, g), p, g, A)
+    N = hartree_potential(g, u).v * u + u**3
     W = g.weights_r2dr
     ratio = float(np.dot(W * u, A @ u + u)) / float(np.dot(W * u, N))
     assert abs(ratio - 1.0) <= WARM_TOL
@@ -182,6 +178,12 @@ def test_acceptance_failures(solved_cache, spoil, names):
         assert state.residual_bound == 10 * sngs.solver.TOL
 
 
+def test_ground_state_rejects_a_field_off_its_grid(solved_cache):
+    st = solved_cache(1.0, 1.0, 1.0, 4.0)
+    with pytest.raises(ValueError, match="field length"):
+        sngs.ground_state(st.grid, st.u[:-1], st.params, 0)
+
+
 def test_residual_floor_scales_with_the_grid(solved_cache):
     # eps |(|A| |u|)| / (lam |u|): independent of lambda, ~4x per n -> 2n-1
     floors = [solved_cache(lam, 1.0, 1.0, 4.0).residual_floor
@@ -197,12 +199,14 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     g = sngs.make_grid(sngs.auto_rmax(1.0), 768)
     with pytest.raises(NonConvergence) as info:
-        sngs.newton_solve(sngs.default_guess(p, g), p)
+        sngs.newton_solve(g, sngs.default_guess(p, g), p)
     state = info.value.state
-    assert state.grid == g
-    assert np.all(np.isfinite(state.values))
-    assert np.max(np.abs(state.values)) > 0.0
-    assert info.value.iterations == 1
+    assert isinstance(state, sngs.GroundState)
+    assert state.grid == g and state.params == p
+    assert np.all(np.isfinite(state.u))
+    assert np.max(np.abs(state.u)) > 0.0
+    assert state.iterations == 1
+    assert state.residual_norm > state.residual_bound
 
 
 @pytest.mark.filterwarnings("error")
@@ -216,7 +220,7 @@ def test_line_search_rejects_non_finite_trials(monkeypatch):
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     g = sngs.make_grid(sngs.auto_rmax(1.0), 256)
     with pytest.raises(NonConvergence, match="line search stalled"):
-        sngs.newton_solve(sngs.default_guess(p, g), p)
+        sngs.newton_solve(g, sngs.default_guess(p, g), p)
 
 
 def test_jacobian_symmetry(solved_cache):
@@ -224,20 +228,20 @@ def test_jacobian_symmetry(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
     W = st.grid.weights_r2dr
     for _ in range(5):
-        d1 = sngs.RadialField(grid=st.grid, values=smooth_bumps(st.grid, rng))
-        d2 = sngs.RadialField(grid=st.grid, values=smooth_bumps(st.grid, rng))
-        j1 = apply_jacobian(st.u, d1, st.params).values
-        j2 = apply_jacobian(st.u, d2, st.params).values
-        left = float(np.dot(W, j1 * d2.values))
-        right = float(np.dot(W, d1.values * j2))
+        d1 = smooth_bumps(st.grid, rng)
+        d2 = smooth_bumps(st.grid, rng)
+        j1 = apply_jacobian(st.grid, st.u, d1, st.params)
+        j2 = apply_jacobian(st.grid, st.u, d2, st.params)
+        left = float(np.dot(W, j1 * d2))
+        right = float(np.dot(W, d1 * j2))
         assert abs(left - right) <= 1e-10 * max(abs(left), abs(right))
 
 
 def test_newton_kwong_ratio_from_spec_guess():
     g = sngs.make_grid(28.0, 1536)
     p = sngs.ModelParams(lam=1.0, a=0.0, nu=1.0, q=4.0)
-    guess = sngs.RadialField(grid=g, values=1.0 / np.cosh(g.nodes / 2.0) ** 2)
-    st = sngs.newton_solve(guess, p)
+    guess = 1.0 / np.cosh(g.nodes / 2.0) ** 2
+    st = sngs.newton_solve(g, guess, p)
     d = st.diagnostics
     assert d.grad_sq / d.l2_sq == pytest.approx(3.0, rel=1e-4)
 
@@ -246,25 +250,25 @@ def test_newton_trivial_guess_collapses():
     g = sngs.make_grid(20.0, 256)
     p = sngs.ModelParams(lam=1.0, a=0.0, nu=1.0, q=4.0)
     with pytest.raises(TrivialCollapse):
-        sngs.newton_solve(sngs.RadialField(grid=g, values=np.zeros(g.n)), p)
+        sngs.newton_solve(g, np.zeros(g.n), p)
 
 
 def test_newton_choquard_ratio():
     g = sngs.make_grid(28.0, 1536)
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0)
-    guess = sngs.RadialField(grid=g, values=np.exp(-g.nodes**2 / 4.0))
-    st = sngs.newton_solve(guess, p)
+    guess = np.exp(-g.nodes**2 / 4.0)
+    st = sngs.newton_solve(g, guess, p)
     d = st.diagnostics
     assert d.grad_sq / d.l2_sq == pytest.approx(1.0 / 3.0, rel=1e-4)
 
 
 def test_state_positive_and_monotone(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
-    bulk = st.u.values[:-2]
+    bulk = st.u[:-2]
     assert np.all(bulk >= 0.0)
     assert np.all(bulk[:200] > 0.0)
-    drops = np.diff(st.u.values)
-    assert np.all(drops <= 1e-12 * st.sup_u())
+    drops = np.diff(st.u)
+    assert np.all(drops <= 1e-12 * st.diagnostics.sup_u)
 
 
 def test_grid_refinement_second_order_or_better(solved_cache):
@@ -299,7 +303,7 @@ def test_scaling_closure(solved_cache):
     st = solved_cache(0.25, 1.0, 1.0, 2.5, n=1536)
     target = sngs.make_grid(28.0, 1536)
     alpha, eff = sngs.normal_form(2.5, 0.25, "mu_form")
-    scaled = 0.25 ** -alpha * st.u.values
+    scaled = 0.25 ** -alpha * st.u
     F, _ = _residual_values(scaled, eff, target,
                             sngs.operators.radial_laplacian(target))
     rel = _wnorm(target, F) / _wnorm(target, scaled)
@@ -314,7 +318,7 @@ def test_uniqueness_scan_determinism():
     assert r1.failed == r2.failed
     assert len(r1.distinct_states) == len(r2.distinct_states)
     for s1, s2 in zip(r1.distinct_states, r2.distinct_states):
-        assert np.array_equal(s1.u.values, s2.u.values)
+        assert np.array_equal(s1.u, s2.u)
 
 
 def test_uniqueness_scan_needs_two_starts():
@@ -328,11 +332,11 @@ def test_negative_branch_detected():
     # ratio and Newton converges onto the negative branch
     g = sngs.make_grid(28.0, 768)
     p = sngs.ModelParams(lam=1.0, a=0.0, nu=1.0, q=4.0)
-    W = sngs.newton_solve(sngs.default_guess(p, g), p)
-    guess = sngs.RadialField(grid=g, values=-W.u.values)
+    W = sngs.newton_solve(g, sngs.default_guess(p, g), p)
+    guess = -W.u
     from sngs.errors import NegativeStateDetected
     with pytest.raises(NegativeStateDetected):
-        sngs.newton_solve(guess, p)
+        sngs.newton_solve(g, guess, p)
 
 
 def test_continuation_reaches_large_lambda_at_q525():
@@ -344,9 +348,9 @@ def test_continuation_reaches_large_lambda_at_q525():
 def test_sup_norm_grows_toward_large_lambda(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0, n=768)
     states = solve_along(np.geomspace(1.0, 1000.0, 5)[1:], 1.0, 1.0, 4.0, 768)
-    sups = [s.sup_u() + s.sup_v() for s in states]
+    sups = [s.diagnostics.sup_u + s.diagnostics.sup_v for s in states]
     assert all(b > a for a, b in zip(sups, sups[1:]))
-    assert sups[-1] > 10 * (st.sup_u() + st.sup_v())
+    assert sups[-1] > 10 * (st.diagnostics.sup_u + st.diagnostics.sup_v)
 
 
 def test_reference_profile_choquard_pohozaev():
@@ -359,6 +363,6 @@ def test_even_field_flat_at_origin(solved_cache):
     for st in (solved_cache(1.0, 1.0, 1.0, 4.0), solved_cache(1.0, 1.0, 0.0, 4.0)):
         h = st.grid.h
         for f in (st.u, st.v):
-            one_sided = abs(f.values[1] - f.values[0]) / h
-            curv = abs(f.values[2] - 2 * f.values[1] + f.values[0]) / h**2
+            one_sided = abs(f[1] - f[0]) / h
+            curv = abs(f[2] - 2 * f[1] + f[0]) / h**2
             assert one_sided <= 2.0 * curv * h + 1e-12
