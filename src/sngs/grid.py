@@ -68,9 +68,18 @@ def differentiate(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
 # -- field CSV format ---------------------------------------------------------
 
 def write_table_csv(path, header, rows) -> None:
-    """CSV with a header line and CRLF rows at 17 significant digits."""
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", newline="\r\n",
-               header=",".join(header), comments="")
+    """CSV with a header line and CRLF rows at 17 significant digits.
+
+    `rows` is a 2-D table of numbers, each written as `%.17g` of its float.
+    The row template is built once and the whole body formatted by one `%`,
+    byte for byte what `np.savetxt(fmt="%.17g", delimiter=",",
+    newline="\\r\\n")` writes row by row."""
+    table = np.asarray(rows, dtype=float)
+    n_rows, n_cols = table.shape
+    row = ",".join(["%.17g"] * n_cols) + "\r\n"
+    body = (row * n_rows) % tuple(table.ravel().tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + body)
 
 
 def write_field_csv(path, grid: RadialGrid, columns: dict) -> None:

@@ -4,6 +4,8 @@ r"""Reference implementations the tests compare the package against.
 against; `hartree_potential` and `hartree_energy` evaluate the Newtonian
 potential, its far-field mass and line integral, and the Hartree energy of a
 field from the one Coulomb sweep, `hartree.coulomb_apply`.
+`savetxt_table_csv` is the row-by-row writer `grid.write_table_csv` must
+match byte for byte.
 """
 
 from dataclasses import dataclass
@@ -52,3 +54,9 @@ def hartree_energy(grid, u: np.ndarray) -> float:
     v = coulomb_apply(grid, u * u)
     val = 4.0 * np.pi * float(np.dot(grid.weights_r2dr, v * u**2))
     return max(val, 0.0)
+
+
+def savetxt_table_csv(path, header, rows) -> None:
+    """CSV with a header line and CRLF rows at 17 significant digits."""
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+               header=",".join(header), comments="")

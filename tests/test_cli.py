@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import warnings
@@ -49,6 +50,10 @@ def test_usage_errors(tmp_path):
     ["sweep", "--q", "4", "--lambdas", "1,inf"],
     ["sweep", "--q", "4", "--lambdas", "1e-3:inf:log:3"],
     ["limits", "--q", "4", "--side", "zero", "--lambdas", "inf"],
+    ["limits", "--q", "5.95", "--side", "zero", "--lambdas", "1e300"],
+    ["limits", "--q", "4", "--side", "zero", "--lambdas", "10"],
+    ["limits", "--q", "4", "--side", "zero", "--lambdas", "1"],
+    ["limits", "--q", "4", "--side", "infinity", "--lambdas", "0.5"],
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     # caught before any solve: no Newton solve runs
@@ -59,6 +64,20 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     assert run(argv + ["--out", out]) == 64
     assert "usage error" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+def test_import_heap_is_frozen_once(tmp_path):
+    # `import sngs.cli` froze the import heap, and `main` freezes nothing
+    # more.  The first solve frees a few frozen objects that numpy and scipy
+    # replace on first use, so the count is read after one.
+    assert gc.get_freeze_count() > 0
+    solve = ["solve", "--q", "4", "--lambda", "0.5", "--n", "512", "--out"]
+    assert run(solve + [str(tmp_path / "warm")]) == 0
+    frozen = gc.get_freeze_count()
+    out = str(tmp_path / "x")
+    assert run(solve + [out]) == 0
+    assert run(["check", "--out", out]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_parse_lambdas():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import savetxt_table_csv
 
 import sngs
 from sngs.errors import NonPositiveRadius, TooFewNodes
@@ -127,3 +128,23 @@ def test_field_csv_exact_bytes(tmp_path):
     assert lines[-1] == b""
     assert len(lines) == g.n + 2
 
+
+@pytest.mark.parametrize("n_rows", [1, 40])
+def test_table_csv_matches_savetxt(tmp_path, n_rows):
+    # a sweep-like table: 12 float columns and an integer iteration count,
+    # with signed zeros, the smallest subnormal, the float extremes, nan, inf
+    from sngs.cli import _SWEEP_HEADER
+    from sngs.grid import write_table_csv
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal((n_rows, 12)) * 10.0 ** rng.integers(
+        -300, 300, (n_rows, 12))
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf,
+                -np.inf, 1.0 / 3.0, 7.0, -2.5e-300]
+    floats.flat[:len(specials)] = specials
+    rows = [list(row) + [int(k)] for row, k in zip(floats.tolist(),
+                                                   rng.integers(0, 61, n_rows))]
+    write_table_csv(tmp_path / "new.csv", _SWEEP_HEADER, rows)
+    savetxt_table_csv(tmp_path / "old.csv", _SWEEP_HEADER, rows)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\r\n") == n_rows + 1
