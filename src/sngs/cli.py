@@ -236,10 +236,14 @@ def cmd_limits(args, command_line):
     final_sup = report.rows[-1][2]
     sup_ref = ref.diagnostics.sup_u
     close = final_sup <= 0.05 * sup_ref
+    # a member equal to the profile to the last bit (its small parameter
+    # underflows or vanishes against 1) compares nothing
+    vacuous = [row[0] for row in report.rows if row[2] == 0.0]
     failures = _failures_by_lambda(states, lams)
     if (fails := solver.acceptance_failures(ref)):
         failures.insert(0, {"reference": kind, "failures": fails})
-    ok = decreasing and close and report.ratios_in_window and not failures
+    ok = (decreasing and close and report.ratios_in_window and not vacuous
+          and not failures)
     io.write_manifest(
         args.out + ".json", command_line, [out_csv],
         params={"q": args.q, "side": args.side, "lambdas": lams,
@@ -249,10 +253,14 @@ def cmd_limits(args, command_line):
         summary={"regime": report.regime,
                  "distances_decreasing": decreasing, "final_sup_ok": close,
                  "ratios_in_window": report.ratios_in_window,
+                 "zero_distance_lambdas": vacuous,
                  "identity_failures": failures})
     print(f"limits: limit={kind}, decreasing={decreasing}, "
           f"final sup {final_sup:.3e} (<= 5% of {sup_ref:.3e}: {close}), "
           f"ratios in window = {report.ratios_in_window}")
+    for lam in vacuous:
+        print(f"limits: the member at lambda {lam:g} equals the {kind} "
+              f"profile to rounding (sup distance 0)", file=sys.stderr)
     for f in failures:
         print(f"limits: under-resolved state {f}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_NUMERICAL

@@ -23,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import operators
-from .errors import UnsortedInput
 from .grid import RadialGrid
 
 
@@ -65,15 +64,13 @@ def identities(grid: RadialGrid, u: np.ndarray, v: np.ndarray, p,
 
 
 def monotonicity_check(levels):
-    """Non-decreasing check for (lambda, J) pairs; lambdas must be increasing.
+    """Non-decreasing check for (lambda, J) pairs in increasing lambda (the
+    order `sweep` sorts them in).
 
     Returns {"pass": bool, "violations": [(i, j), ...]} with index pairs of
     adjacent violations beyond 1e-8 max|J|.
     """
-    lams = [float(l) for l, _ in levels]
     js = [float(j) for _, j in levels]
-    if any(l2 <= l1 for l1, l2 in zip(lams, lams[1:])):
-        raise UnsortedInput("lambdas must be strictly increasing")
     if not levels:
         return {"pass": True, "violations": []}
     slack = 1e-8 * max(abs(j) for j in js)

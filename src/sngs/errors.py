@@ -19,10 +19,6 @@ class TooFewNodes(SngsError):
     pass
 
 
-class GridMismatch(SngsError):
-    pass
-
-
 # -- eigen / linear algebra --------------------------------------------------
 
 class TooManyRequested(SngsError):
@@ -58,16 +54,6 @@ class TrivialCollapse(SngsError):
 
 class NegativeStateDetected(SngsError):
     """Converged to a sign-changing branch, not a ground state."""
-
-
-# -- diagnostics / scaling ---------------------------------------------------
-
-class UnsortedInput(SngsError):
-    pass
-
-
-class MixedExponents(SngsError):
-    pass
 
 
 # -- linearized --------------------------------------------------------------

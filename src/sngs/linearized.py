@@ -49,9 +49,6 @@ from .solver import GroundState, linearization
 # clear Morse directions, the zero mode sits above it.
 GAP_TOL = 1e-3
 
-# eigenpairs computed per sector
-NUM_EIGS = 6
-
 
 @dataclass
 class SectorOperator:
@@ -127,15 +124,12 @@ class NondegeneracyReport:
     zero_tol: float
 
 
-def sector_spectrum(op: SectorOperator, m: int) -> SectorEntry:
-    """m algebraically lowest eigenpairs of the sector pencil, sliced by
-    inertia at -GAP_TOL."""
-    if m < 1:
-        raise ValueError("m >= 1")
+def sector_spectrum(op: SectorOperator, above: int) -> SectorEntry:
+    """Every eigenpair of the sector pencil below the inertia split -GAP_TOL,
+    and the `above` lowest above it."""
     t0 = time.perf_counter()
-    eig = operators.smallest_eigenpairs(op.form, op.mass, m,
-                                        shift=op.shift,
-                                        split=-GAP_TOL)
+    eig = operators.smallest_eigenpairs(op.form, op.mass, above,
+                                        shift=op.shift, split=-GAP_TOL)
     seconds = time.perf_counter() - t0
     return SectorEntry(
         k=op.k, eigenvalues=eig.values.tolist(), eigenvectors=eig.vectors,
@@ -146,6 +140,11 @@ def sector_spectrum(op: SectorOperator, m: int) -> SectorEntry:
 
 def nondegeneracy_report(state: GroundState, k_max: int) -> NondegeneracyReport:
     """Sector-by-sector spectral certificate for nondegeneracy.
+
+    Each sector computes only the pairs the verdict reads: all of those below
+    the split -GAP_TOL (sector 0's Morse directions), and above it the radial
+    gap in sector 0, the zero mode and sigma_2 in sector 1, and the lowest
+    eigenvalue in every sector 2..k_max.
 
     nondegenerate: the radial sector has no eigenvalue within GAP_TOL of
     zero, sector 1 carries exactly one zero mode (|sigma| <= zero_tol =
@@ -158,11 +157,10 @@ def nondegeneracy_report(state: GroundState, k_max: int) -> NondegeneracyReport:
     if k_max < 2:
         raise ValueError("k_max >= 2")
     ops = [sector_form(state, k) for k in range(k_max + 1)]
-    sectors = [sector_spectrum(op, NUM_EIGS) for op in ops]
+    sectors = [sector_spectrum(op, 2 if op.k == 1 else 1) for op in ops]
 
     h = state.grid.h
-    vals1 = sorted(sectors[1].eigenvalues, key=abs)
-    sigma2 = abs(vals1[1]) if len(vals1) > 1 else 1.0
+    sigma2 = sorted(abs(s) for s in sectors[1].eigenvalues)[1]
     zero_tol = 50.0 * h * h * sigma2
 
     for entry in sectors:

@@ -21,17 +21,18 @@ the weight of their row.  Both are assembled on every call, without a cache
 The eigensolver is inertia-sliced shift-invert Lanczos, and every
 factorization it uses is one symmetric no-pivot LDL^T (`_inertia`), which also
 counts the pencil eigenvalues below its shift (Sylvester's law of inertia).
-The count at a split point says how many eigenvalues lie below it; those
-just above the split come from a shift-invert call at the split itself, those
-below it from a call at a lower bound of the spectrum, whose count of zero
-certifies the bound, and the count at the split checks that none went
-missing.  ARPACK runs on the standard-form matrix D A D, D = M^(-1/2), so each
-Lanczos step is one solve through the LDL^T and no mass product, and it stops
-at the relative accuracy BACKWARD_TOL = 1e-12 that the certificate asks for.
-Every returned eigenpair is then held to a normwise backward error of 1e-12,
-computed once and returned with the pairs; a pair over it is refined by one
-inverse iteration through `_inertia` just above its eigenvalue.  A mass
-shorter than the form eliminates its trailing block (`schur_apply`, Haynsworth).
+The count at a split point says how many eigenvalues lie below it; all of
+those come from a shift-invert call at a lower bound of the spectrum, whose
+count of zero certifies the bound, and as many as the caller asks for just
+above the split from a call at the split itself; the count at the split
+checks that none went missing.  ARPACK runs on the standard-form matrix
+D A D, D = M^(-1/2), so each Lanczos step is one solve through the LDL^T and
+no mass product, and it stops at the relative accuracy BACKWARD_TOL = 1e-12
+that the certificate asks for.  Every returned eigenpair is then held to a
+normwise backward error of 1e-12, computed once and returned with the pairs;
+a pair over it is refined by one inverse iteration through `_inertia` just
+above its eigenvalue.  A mass shorter than the form eliminates its trailing
+block (`schur_apply`, Haynsworth).
 """
 
 from __future__ import annotations
@@ -165,54 +166,57 @@ BACKWARD_TOL = 1e-12
 
 class Eigenpairs(NamedTuple):
     """Pencil eigenpairs in ascending order, with their certificate."""
-    values: np.ndarray           # (m,)
+    values: np.ndarray           # (m,), m = below the split + above it
     vectors: np.ndarray          # (dim, m), mass-orthonormal columns
     backward_errors: np.ndarray  # (m,), each at most BACKWARD_TOL
     solves: int                  # shift-invert applications, refinements included
     factorizations: int          # `_inertia` calls
 
 
-def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
+def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, above: int,
                         shift: float, split: float) -> Eigenpairs:
-    """m algebraically smallest eigenpairs of form x = sigma * mass * x.
+    """Every eigenpair of form x = sigma * mass * x below `split`, and the
+    `above` lowest above it.
 
-    Inertia-sliced shift-invert Lanczos (ARPACK; Ericsson & Ruhe 1980).  An
-    inertia count puts below = min(count_below(split), m) eigenvalues below
-    `split`; they come from one shift-invert call at `shift` (which="LM"),
-    whose own count must be zero, so `shift` is certified to lie below the
-    spectrum, and the m - below above `split` from one call at `split`
-    itself (which="LA": the largest 1/(sigma - split) are the eigenvalues
-    just above it).  Each call solves with the factorization that made its
-    count.  A returned set with other than `below` values under `split`
-    raises FactorizationFailure, so no eigenvalue goes missing silently; so
-    does an ARPACK failure.  With split = shift below the spectrum, below = 0
-    and the one call is at the split.
+    Inertia-sliced shift-invert Lanczos (ARPACK; Ericsson & Ruhe 1980).  The
+    inertia count at `split` says how many eigenvalues lie below it; all of
+    them come from one shift-invert call at `shift` (which="LM"), whose own
+    count must be zero, so `shift` is certified to lie below the spectrum,
+    and the `above` pairs from one call at `split` itself (which="LA": the
+    largest 1/(sigma - split) are the eigenvalues just above it).  Each call
+    solves with the factorization that made its count.  A returned set with
+    other than the counted number under `split` raises FactorizationFailure,
+    so no eigenvalue goes missing silently; so does an ARPACK failure.  More
+    pairs in all than ARPACK can give, dim - 2, raises TooManyRequested.
+    With split = shift below the spectrum nothing lies below the split and
+    the one call is at the split.
 
     Lanczos runs in standard form on D A D, D = M^(-1/2): its shift-invert
     operator y -> s * LDL^T.solve((s * y, 0))[:N], s = sqrt(mass) of length
-    N, costs one solve per step, and x = y / s recovers mass-orthonormal
-    eigenvectors.  ARPACK stops at relative accuracy BACKWARD_TOL, and
-    `_verified` holds each pair to a backward error of BACKWARD_TOL (see
-    `backward_errors`); those errors come back with the pairs.
+    N, costs one solve per step through one preallocated right-hand side, and
+    x = y / s recovers mass-orthonormal eigenvectors.  ARPACK stops at
+    relative accuracy BACKWARD_TOL, and `_verified` holds each pair to a
+    backward error of BACKWARD_TOL (see `backward_errors`); those errors come
+    back with the pairs.
     """
     form = sp.csr_matrix(form)
     mass = np.asarray(mass, dtype=float)
     dim = len(mass)
-    if m > dim - 2:
-        raise TooManyRequested(
-            f"requested {m} eigenpairs of a {dim}-dim pencil (at most {dim - 2})")
-    if m <= 0:
-        raise ValueError("m must be >= 1")
+    if above <= 0:
+        raise ValueError("above must be >= 1")
     if np.any(mass <= 0):
         raise ValueError("mass must be positive on active nodes")
     split_lu, below = _inertia(form, mass, split)
-    below = min(below, m)
+    if below + above > dim - 2:
+        raise TooManyRequested(
+            f"{below} eigenpairs below the split and {above} above it from a "
+            f"{dim}-dim pencil (at most {dim - 2})")
     solves = 0
     s = np.sqrt(mass)
-    pad = np.zeros(form.shape[0] - dim)
+    rhs = np.zeros(form.shape[0])   # (s * y, 0): the pad stays zero
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
     vals, vecs = [], []
-    for k, sigma, which in ((below, shift, "LM"), (m - below, split, "LA")):
+    for k, sigma, which in ((below, shift, "LM"), (above, split, "LA")):
         if not k:
             continue
         lu, under = (split_lu, 0) if which == "LA" else _inertia(form, mass, shift)
@@ -224,7 +228,8 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, m: int,
         def apply(y, lu=lu):
             nonlocal solves
             solves += 1
-            return s * lu.solve(np.r_[s * y, pad])[:dim]
+            np.multiply(s, y, out=rhs[:dim])
+            return s * lu.solve(rhs)[:dim]
         # shift-invert mode without a mass reads only the shape of eigsh's
         # first argument, so the operator stands in for D A D there
         inv = spla.LinearOperator((dim, dim), matvec=apply, dtype=float)

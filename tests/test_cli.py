@@ -423,6 +423,25 @@ def test_limits_near_q_two(tmp_path):
     man = json.load(open(out + ".json"))
     assert [s["params"]["lam"] for s in man["states"]] == [1.0, 1.0, 1.0]
     assert man["summary"]["identity_failures"] == []
+    assert man["summary"]["zero_distance_lambdas"] == []
+
+
+@pytest.mark.parametrize("q,side,lambdas,zero", [
+    ("5.95", "zero", "1e-300", [1e-300]),      # nu = lambda^2.95 underflows
+    ("5.95", "zero", "1e-1,1e-300", [1e-300]),
+    ("2.5", "infinity", "1e200", [1e200]),     # nu = 1e-100 against 1
+])
+def test_limits_refuses_a_member_equal_to_its_profile(tmp_path, capsys, q,
+                                                      side, lambdas, zero):
+    # a member whose small parameter vanishes to rounding is the limit
+    # profile bit for bit; its distance 0 shows no approach to the limit
+    out = str(tmp_path / "lim")
+    assert run(["limits", "--q", q, "--side", side, "--lambdas", lambdas,
+                "--n", "512", "--out", out]) == 2
+    assert json.load(open(out + ".json"))["summary"][
+        "zero_distance_lambdas"] == zero
+    err = capsys.readouterr().err
+    assert f"member at lambda {zero[0]:g} equals" in err
 
 
 def test_limits_rejects_under_resolved_states(tmp_path):
@@ -473,7 +492,8 @@ def test_spectrum_cli_small(tmp_path):
     assert [s["below_split"] for s in payload["sectors"]] == [1, 0, 0]
     assert all(s["backward_error"] <= 1e-12 for s in payload["sectors"])
     assert [s["factorizations"] for s in payload["sectors"]] == [2, 1, 1]
-    assert all(s["solves"] >= 6 for s in payload["sectors"])
+    assert [len(s["eigenvalues"]) for s in payload["sectors"]] == [2, 2, 1]
+    assert all(s["solves"] >= len(s["eigenvalues"]) for s in payload["sectors"])
     assert len(payload["timing"]["eigensolve_s"]) == 3
     assert payload["sectors"][1]["zero_mode_match"] >= 0.999
 

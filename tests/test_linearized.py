@@ -107,8 +107,8 @@ def test_pencil_matches_dense_schur_complement(solved_cache):
         N = len(op.mass)
         A = op.form.toarray()
         schur = A[:N, :N] - A[:N, N:] @ np.linalg.solve(A[N:, N:], A[N:, :N])
-        exact = sla.eigh(schur, np.diag(op.mass), eigvals_only=True)[:6]
-        got = sector_spectrum(op, 6).eigenvalues
+        got = sector_spectrum(op, 6).eigenvalues   # six above the split
+        exact = sla.eigh(schur, np.diag(op.mass), eigvals_only=True)[:len(got)]
         assert np.max(np.abs(got - exact)) <= 1e-10
 
 
@@ -159,10 +159,10 @@ def test_nondegeneracy_kwong_radial_kernel_free(solved_cache):
     assert rep.sectors[1].kernel_dimension == 1
 
 
-# sector eigenvalues (k = 0..3, six each) of the two `spectrum` runs listed
-# under "Experiment runs" in the README, at n=4096, recorded with the pencil
-# that eliminates the potential through the sweep's Green's kernel; a dense
-# eigh of each Schur complement agreed within 4.1e-11
+# the lowest six eigenvalues of sectors k = 0..3 in the two `spectrum` runs
+# listed under "Experiment runs" in the README, at n=4096, recorded with the
+# pencil that eliminates the potential through the sweep's Green's kernel; a
+# dense eigh of each Schur complement agreed within 4.1e-11
 RUN_SPECTRUM_EIGENVALUES = {
     (4.0, 1e-2): [
         [-2.8047572638077263, 0.4054845449779494, 0.7321944681643586,
@@ -190,14 +190,19 @@ RUN_SPECTRUM_EIGENVALUES = {
 @pytest.mark.parametrize("q,lam", sorted(RUN_SPECTRUM_EIGENVALUES))
 def test_run_spectrum_cases_match_recorded(q, lam):
     st = sngs.solve(sngs.normal_member(q, lam), 4096)
+    recorded = np.array(RUN_SPECTRUM_EIGENVALUES[(q, lam)])
     rep = nondegeneracy_report(st, 3)
     assert rep.verdict == "nondegenerate"
-    assert [e.below_split for e in rep.sectors] == [
-        sngs.operators.count_below(op.form, op.mass, -GAP_TOL)
-        for op in (sector_form(st, k) for k in range(4))]
-    got = np.array([e.eigenvalues for e in rep.sectors])
-    assert np.max(np.abs(got - RUN_SPECTRUM_EIGENVALUES[(q, lam)])) <= 1e-10
-    assert [e.below_split for e in rep.sectors] == [1, 0, 0, 0]
+    ops = [sector_form(st, k) for k in range(4)]
+    below = [sngs.operators.count_below(op.form, op.mass, -GAP_TOL) for op in ops]
+    assert [e.below_split for e in rep.sectors] == below == [1, 0, 0, 0]
+    # all 24 recorded values, through six-pair solves of the same sectors
+    six = [sector_spectrum(op, 6 - b).eigenvalues for op, b in zip(ops, below)]
+    assert np.max(np.abs(np.array(six) - recorded)) <= 1e-10
+    # the report holds the pairs its verdict reads: the leading ones
+    assert [len(e.eigenvalues) for e in rep.sectors] == [2, 2, 1, 1]
+    for e, row in zip(rep.sectors, recorded):
+        assert np.max(np.abs(e.eigenvalues - row[:len(e.eigenvalues)])) <= 1e-10
     assert max(e.backward_error for e in rep.sectors) <= 1e-12
 
 

@@ -59,7 +59,7 @@ def test_inertia_split_matches_dense():
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
     assert exact[0] < -40.0 and 0.0 < exact[1] < 0.003   # deep, then the cluster
     # a bound below the spectrum; the deep eigenvalue is the nearest to it
-    eig = operators.smallest_eigenpairs(A, mass, 6, shift=-800.0, split=-1e-3)
+    eig = operators.smallest_eigenpairs(A, mass, 5, shift=-800.0, split=-1e-3)
     assert np.max(np.abs(eig.values - exact[:6])) <= 1e-10
     assert operators.count_below(A, mass, -1e-3) == 1
 
@@ -70,7 +70,7 @@ def test_inertia_split_detects_missed_eigenvalue():
     # count sees; the inertia count at the shift refuses it by name
     A, mass = two_block_pencil()
     with pytest.raises(FactorizationFailure, match="shift -0.01 "):
-        operators.smallest_eigenpairs(A, mass, 6, shift=-0.01, split=-1e-3)
+        operators.smallest_eigenpairs(A, mass, 5, shift=-0.01, split=-1e-3)
 
 
 def test_dirichlet_smallest_tends_to_one():
@@ -99,6 +99,12 @@ def test_too_many_requested():
         with pytest.raises(TooManyRequested):
             operators.smallest_eigenpairs(A, np.ones(10), m, shift=-1.0,
                                           split=-1.0)
+    # the pairs below the split count against that bound too
+    shifted = (dirichlet_1d(10, np.pi / 11) - sp.diags(np.full(10, 10.0))).tocsr()
+    assert operators.count_below(shifted, np.ones(10), -1e-3) == 3
+    with pytest.raises(TooManyRequested):
+        operators.smallest_eigenpairs(shifted, np.ones(10), 6, shift=-11.0,
+                                      split=-1e-3)
 
 
 def test_small_pencil_goes_through_arpack():
@@ -124,7 +130,7 @@ def test_small_mass_rows_match_dense_oracle():
     A = (sp.diags(r) @ T @ sp.diags(r)).tocsr()
     exact, V = sla.eigh(A.toarray(), np.diag(mass))
     assert mass.min() < 1.01e-9 and exact[0] < -1e-3
-    eig = operators.smallest_eigenpairs(A, mass, 6, shift=-100.0, split=-1e-3)
+    eig = operators.smallest_eigenpairs(A, mass, 5, shift=-100.0, split=-1e-3)
     assert np.max(np.abs(eig.values - exact[:6])) <= 1e-10
     for x, v in zip(eig.vectors.T, V.T):   # entrywise, smallest-mass rows too
         x = x * np.sign(np.dot(mass * x, v))
@@ -138,13 +144,30 @@ def test_small_mass_rows_match_dense_oracle():
 def test_eigensolve_counts():
     # one factorization at the split and one at the shift, no refinement
     A, mass = two_block_pencil()
-    eig = operators.smallest_eigenpairs(A, mass, 6, shift=-800.0, split=-1e-3)
+    eig = operators.smallest_eigenpairs(A, mass, 5, shift=-800.0, split=-1e-3)
     assert eig.factorizations == 2
     assert eig.solves >= 6
     # with nothing below the split there is one call and one factorization
     eig = operators.smallest_eigenpairs(dirichlet_1d(50, 0.02), np.ones(50), 3,
                                         shift=-1.0, split=-1.0)
     assert eig.factorizations == 1
+
+
+@pytest.mark.parametrize("c,below,above", [(10.0, 3, 2), (55.0, 7, 1)])
+def test_every_pair_below_the_split_and_those_asked_above(c, below, above):
+    # the count at the split, not the request, fixes how many pairs come from
+    # below it: none is dropped, however many there are
+    import scipy.linalg as sla
+    m = 80
+    mass = 1.0 + 0.3 * np.sin(np.arange(m))
+    A = (dirichlet_1d(m, np.pi / (m + 1)) - sp.diags(c * mass)).tocsr()
+    exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
+    assert np.count_nonzero(exact < -1e-3) == below
+    eig = operators.smallest_eigenpairs(A, mass, above, shift=-c - 1.0,
+                                        split=-1e-3)
+    assert len(eig.values) == below + above
+    assert np.max(np.abs(eig.values - exact[:below + above])) <= 1e-10
+    assert eig.factorizations == 2
 
 
 def test_eigenvectors_mass_orthonormal():

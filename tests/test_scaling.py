@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sngs
-from sngs.errors import GridMismatch, InvalidExponent, MixedExponents
+from sngs.errors import InvalidExponent
 from sngs.scaling import (CHOQUARD, KWONG, MU_FORM, NU_FORM, limit_regime,
                           mass_ratio_report, normal_form, small_parameter)
 
@@ -76,17 +76,10 @@ def test_residual_transfer(solved_cache):
 def test_limit_distance_zero_and_symmetry(solved_cache):
     ref = solved_cache(1.0, 1.0, 0.0, 4.0)
     same = ref.u.copy()
-    assert sngs.limit_distance(ref.grid, same, ref) == (0.0, 0.0)
+    assert sngs.limit_distance(same, ref) == (0.0, 0.0)
     other = ref.u + 0.01 * np.exp(-ref.grid.nodes)
-    sup, h1 = sngs.limit_distance(ref.grid, other, ref)
+    sup, h1 = sngs.limit_distance(other, ref)
     assert sup > 0 and h1 > 0
-
-
-def test_limit_distance_grid_mismatch(solved_cache):
-    ref = solved_cache(1.0, 1.0, 0.0, 4.0)
-    g2 = sngs.make_grid(14.0, 256)
-    with pytest.raises(GridMismatch):
-        sngs.limit_distance(g2, np.zeros(256), ref)
 
 
 def test_limit_distances_decrease_toward_zero(solved_cache):
@@ -96,7 +89,7 @@ def test_limit_distances_decrease_toward_zero(solved_cache):
     for lam in (0.1, 0.01):
         p = normal_form(4.0, lam, NU_FORM)[1]
         st = solved_cache(1.0, p.a, p.nu, 4.0, n=1536)
-        sup, h1 = sngs.limit_distance(st.grid, st.u, ref)
+        sup, h1 = sngs.limit_distance(st.u, ref)
         sups.append(sup)
         h1s.append(h1)
     assert sups[1] < sups[0]
@@ -107,13 +100,6 @@ def test_mass_ratio_single_state(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
     rows, ok = mass_ratio_report([st], [1.0], "zero")
     assert ok and len(rows) == 1
-
-
-def test_mass_ratio_mixed_exponents(solved_cache):
-    s1 = solved_cache(1.0, 1.0, 1.0, 4.0)
-    s2 = solved_cache(1.0, 1.0, 1.0, 2.5)
-    with pytest.raises(MixedExponents):
-        mass_ratio_report([s1, s2], [1.0, 1.0], "zero")
 
 
 def test_mass_ratio_window_decreasing_lambda(solved_cache):
