@@ -19,6 +19,11 @@ class TooFewNodes(SngsError):
     pass
 
 
+class RadiusTooLarge(SngsError):
+    """The ball volume r_max^3 / 3 that normalizes the r^2 dr weights is not
+    a finite float."""
+
+
 # -- eigen / linear algebra --------------------------------------------------
 
 class TooManyRequested(SngsError):

@@ -12,11 +12,12 @@ A field is a plain float array of length n, read on the nodes of its grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveRadius, TooFewNodes
+from .errors import NonPositiveRadius, RadiusTooLarge, TooFewNodes
 
 EVEN = "even"   # f'(0) = 0
 ODD = "odd"     # f(0) = 0
@@ -43,18 +44,29 @@ class RadialGrid:
 
 
 def make_grid(r_max: float, n: int) -> RadialGrid:
-    """Uniform grid on [0, r_max] with trapezoid weights for dr and r^2 dr."""
+    """Uniform grid on [0, r_max] with trapezoid weights for dr and r^2 dr.
+
+    Raises NonPositiveRadius, TooFewNodes, and RadiusTooLarge when the ball
+    volume r_max^3 / 3 is not a finite float."""
     if not r_max > 0:
         raise NonPositiveRadius(f"r_max = {r_max}")
     if n < 16:
         raise TooFewNodes(f"n = {n} < 16")
+    try:
+        with np.errstate(over="ignore"):   # a numpy r_max overflows to inf
+            volume = r_max**3 / 3.0
+    except OverflowError:                  # a float r_max raises
+        volume = math.inf
+    if not math.isfinite(volume):
+        raise RadiusTooLarge(f"r_max = {r_max:g}: the ball volume r_max^3/3 "
+                             "is not a finite float")
     h = r_max / (n - 1)
     nodes = h * np.arange(n)
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     w2 = w * nodes**2
     # normalize so the ball measure is exact (trapezoid alone carries +h^2 r_max/6)
-    w2 *= (r_max**3 / 3.0) / w2.sum()
+    w2 *= volume / w2.sum()
     return RadialGrid(r_max=r_max, n=n, nodes=nodes, h=h,
                       weights_dr=w, weights_r2dr=w2)
 

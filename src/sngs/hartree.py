@@ -24,27 +24,36 @@ import numpy as np
 from .grid import RadialGrid
 
 
+def _trapezoid_sweep(f: np.ndarray, h: float, out: np.ndarray) -> None:
+    """out[i] = cumulative trapezoid integral of f from node 0 to node i."""
+    out[0] = 0.0
+    np.add(f[1:], f[:-1], out=out[1:])
+    out[1:] *= 0.5 * h
+    np.cumsum(out[1:], out=out[1:])
+
+
 def coulomb_apply(grid: RadialGrid, density: np.ndarray) -> np.ndarray:
-    """I_2 * rho for a radial density given by nodal values (two sweeps)."""
+    """I_2 * rho for a radial density given by nodal values (two sweeps),
+    in three n-vectors: the integrand, the line integral and v."""
     r, h, n = grid.nodes, grid.h, grid.n
-    f2 = density * r * r
-    f1 = density * r
-    cum2 = np.empty(n)
-    cum2[0] = 0.0
-    np.cumsum(0.5 * h * (f2[1:] + f2[:-1]), out=cum2[1:])
-    cum1 = np.empty(n)
-    cum1[0] = 0.0
-    np.cumsum(0.5 * h * (f1[1:] + f1[:-1]), out=cum1[1:])
-    tail = cum1[-1] - cum1
+    f = density * r
+    tail = np.empty(n)
+    _trapezoid_sweep(f, h, tail)
+    np.subtract(tail[-1], tail, out=tail)
+    f *= r
     v = np.empty(n)
+    _trapezoid_sweep(f, h, v)
+    mass = v[-1]
+    v[1:] /= r[1:]
+    v[1:] += tail[1:]
     v[0] = tail[0]
-    v[1:] = cum2[1:] / r[1:] + tail[1:]
     # Euler-Maclaurin endpoint terms: the interior error of the sweep is
     # +(h^2/12) rho(r); at the origin only the line integral remains and its
     # trapezoid error flips sign
-    v -= (h * h / 12.0) * density
+    np.multiply(h * h / 12.0, density, out=f)
+    v -= f
     v[0] += (h * h / 6.0) * density[0]
-    v[-1] = cum2[-1] / r[-1]   # exact Coulomb value m / r_max
+    v[-1] = mass / r[-1]   # exact Coulomb value m / r_max
     return v
 
 

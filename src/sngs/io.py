@@ -25,7 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__
+from . import __version__, operators
 from .errors import (BadRange, InvalidExponent, IoError, NonPositiveRadius,
                      TooFewNodes)
 from .grid import make_grid, read_field_csv, write_field_csv
@@ -112,6 +112,7 @@ def load_state(out_prefix: str) -> tuple[GroundState, dict]:
         raise IoError(f"{csv_path} is not a solve's field CSV: {exc!r}") from exc
     if not np.allclose(grid.nodes, r, rtol=0, atol=1e-12 * grid.r_max):
         raise IoError(f"{csv_path}: nodes are not a uniform grid")
-    state = ground_state(grid, u, params, iterations)
+    state = ground_state(grid, u, params, iterations,
+                         operators.radial_laplacian(grid))
     return state, manifest
 

@@ -13,10 +13,13 @@ Weighted by the r^2 dr quadrature the interior entries become
 c_k * r_i * r_{i+k} / h, so the weighted operator is exactly symmetric; this
 is what makes the matrix-free Jacobian self-adjoint in the r^2-weighted inner
 product and the sector forms symmetric to round-off.  Those weighted bands
-(`_weighted_bands`) are the one source of the stencil: `dirichlet_form`
-restricts them to the active nodes, and `radial_laplacian` divides them by
-the weight of their row.  Both are assembled on every call, without a cache
-(under 1 ms at n=4096).
+(`_weighted_bands`) are the one source of the stencil, and `origin_row` the
+one source of row 0: `dirichlet_form` restricts the bands to the active
+nodes, `radial_laplacian` divides them by the weight of their row, and a
+Newton solve (`solver.newton_solve`) reads its warm-start Cholesky and its
+step's fixed entries from them directly, beside the one CSR -Delta_r its
+residual needs.  All are assembled on every call, without a cache (under
+1 ms at n=4096).
 
 The eigensolver is inertia-sliced shift-invert Lanczos, and every
 factorization it uses is one symmetric no-pivot LDL^T (`_inertia`), which also
@@ -70,20 +73,27 @@ def _weighted_bands(grid: RadialGrid, parity: str):
     return diag, up1, up2
 
 
+def origin_row(grid: RadialGrid):
+    """(a00, a01, a02), row 0 of -Delta_r on nodes 0, 1, 2: the origin limit
+    -Delta u(0) = -3 u''(0), u'' from the even 5-point stencil."""
+    c = 3.0 / (12.0 * grid.h * grid.h)
+    return 30.0 * c, -32.0 * c, 2.0 * c
+
+
 def radial_laplacian(grid: RadialGrid) -> sp.csr_matrix:
     """-Delta_r as an (n, n) sparse operator with the row layout above: the
-    weighted bands of even parity divided by the r^2 dr weight of their row."""
-    n, h = grid.n, grid.h
+    weighted bands of even parity divided by the r^2 dr weight of their row,
+    under `origin_row`."""
+    n = grid.n
     w = grid.weights_r2dr[1:n - 2]
     diag, up1, up2 = _weighted_bands(grid, EVEN)
-    # origin limit: -Delta u(0) = -3 u''(0), u'' from the even 5-point stencil
-    c = 3.0 / (12.0 * h * h)
+    a00, a01, a02 = origin_row(grid)
     return sp.diags(
         [np.r_[0.0, up2[:-2] / w[2:], 0.0, 0.0],   # (2, 0) carries r_0 = 0
          np.r_[0.0, up1[:-1] / w[1:], 0.0, 0.0],   # so does (1, 0)
-         np.r_[30.0 * c, diag / w, 1.0, 1.0],
-         np.r_[-32.0 * c, up1 / w, 0.0],
-         np.r_[2.0 * c, up2 / w]],
+         np.r_[a00, diag / w, 1.0, 1.0],
+         np.r_[a01, up1 / w, 0.0],
+         np.r_[a02, up2 / w]],
         [-2, -1, 0, 1, 2], shape=(n, n), format="csr")
 
 

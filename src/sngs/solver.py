@@ -6,11 +6,15 @@ Jacobian is self-adjoint in the r^2-weighted inner product.  newton_solve runs
 a deterministic spectral-renormalization warm start (amplitude-stabilized
 Picard iteration; plain damped Newton from generic bumps measurably stalls on
 a near-singular Jacobian ridge between the trivial and ground branches),
-then damped Newton.  The warm start factors the symmetric weighted form
-S + lam W once by banded Cholesky and stops as soon as its Rayleigh ratio is
-within WARM_TOL of 1 (WARM_SWEEPS caps the sweeps).  Newton stops at
-|F| <= max(TOL, floor) lam |u| in the r^2 dr norm, where `residual_floor` is
-the rounding level of F, taken once per solve after the warm start.
+then damped Newton.  Each solve assembles the stencil once: the weighted
+bands of operators._weighted_bands feed the warm start's banded Cholesky of
+S + lam W and the Newton step's fixed entries, operators.origin_row the
+origin row of both, and the one CSR -Delta_r (operators.radial_laplacian)
+serves the residual, the floor and the final `ground_state`.  The warm start
+stops as soon as its Rayleigh ratio is within WARM_TOL of 1 (WARM_SWEEPS
+caps the sweeps).  Newton stops at |F| <= max(TOL, floor) lam |u| in the
+r^2 dr norm, where `residual_floor` is the rounding level of F, taken once
+per solve after the warm start.
 `acceptance_failures` is the one rule that accepts a state: its residual
 ratio within GroundState.residual_bound = 10 max(TOL, floor), the floor
 taken at the state, and its Nehari and Pohozaev identities within
@@ -35,7 +39,8 @@ and T_k = hartree.green_bands; `linearized` builds it for every k.  Its
 sector-0 Schur complement is W J, so each Newton step J d = -F solves that
 pair form exactly, in standard form on the active nodes, by one banded LU
 (`_newton_step`); the entries no iterate changes are built once per solve
-(`_step_bands`), beside the one dgbsv workspace every step solves in.
+from the weighted bands as five compact vectors (`_step_bands`), beside the
+one dgbsv workspace every step solves in.
 """
 
 from __future__ import annotations
@@ -46,13 +51,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dpbtrs
 
 from . import operators
 from .diagnostics import DiagnosticsReport, identities
 from .errors import (BadRange, InvalidExponent, NegativeStateDetected,
                      NonConvergence, TrivialCollapse)
-from .grid import RadialGrid, make_grid
+from .grid import EVEN, RadialGrid, make_grid
 from .hartree import coulomb_apply, green_bands
 
 TRIVIAL_SUP = 1e-8
@@ -168,34 +173,44 @@ class _StepBands:
     """The sector-0 pair form of one solve in dgbsv storage.  The workspace
     `ab` has 13 rows (Fortran order); its rows 4..12 hold the matrix, entry
     (i, j) of the interleaved system at row 4 + i - j of ab[4:], and its rows
-    0..3 are the LU fill-in space, which dgbsv need not find set."""
-    fixed: np.ndarray   # D S D and T_0: the step-independent entries of ab[4:]
+    0..3 are the LU fill-in space, which dgbsv need not find set.  The
+    entries no iterate changes are kept compact, as five vectors: D S D's
+    main band and its bands at interleaved offsets 2 and 4 (the first and
+    second bands of S), and T_0's two bands; each step zeroes ab[4:] and
+    writes them in (`write`)."""
+    dsd: tuple          # D S D: main, first and second upper bands
+    green: tuple        # T_0: main and upper band (hartree.green_bands)
     scale: np.ndarray   # W^(1/2) on the active nodes, D = 1 / scale
-    origin: np.ndarray  # row 0 of -Delta_r on nodes 0, 1, 2
-    ab: np.ndarray      # workspace: fixed plus u-dependent entries
+    origin: tuple       # row 0 of -Delta_r on nodes 0, 1, 2
+    ab: np.ndarray      # workspace: the fixed plus the u-dependent entries
     rhs: np.ndarray     # workspace: the right-hand side
 
+    def write(self, band: np.ndarray) -> None:
+        """Zero `band`, the matrix rows ab[4:], and write the fixed entries
+        in: f_i at slot 2i, y_i at slot 2i + 1 (i counts the active nodes
+        from 0)."""
+        band.fill(0.0)
+        main, off1, off2 = self.dsd
+        band[4, ::2] = main
+        band[2, 2::2] = band[6, :-2:2] = off1
+        band[0, 4::2] = band[8, :-4:2] = off2
+        t_diag, t_off = self.green
+        band[4, 1::2] = t_diag
+        band[2, 3::2] = band[6, 1:-2:2] = t_off
 
-def _step_bands(grid: RadialGrid, A: sp.csr_matrix) -> _StepBands:
-    """The entries of the Newton pair form that no iterate changes, S from
-    operators.dirichlet_form and T_0 from hartree.green_bands, and the
-    workspace every step solves in."""
+
+def _step_bands(grid: RadialGrid, bands) -> _StepBands:
+    """The entries of the Newton pair form that no iterate changes, D S D
+    from the weighted bands (diag, up1, up2) of operators._weighted_bands
+    and T_0 from hartree.green_bands, and the workspace every step solves
+    in."""
     m = grid.n - 3
-    S = operators.dirichlet_form(grid)
+    diag, up1, up2 = bands
     scale = np.sqrt(grid.weights_r2dr[1:m + 1])
-    diag, off = green_bands(0, m, grid.h)
-    fixed = np.zeros((9, 2 * m))
-    # f_i at slot 2i, y_i at slot 2i + 1 (i counts the active nodes from 0)
-    for k in (1, 2):
-        band = S.diagonal(k) / (scale[:-k] * scale[k:])
-        fixed[4 - 2 * k, 2 * k::2] = band
-        fixed[4 + 2 * k, :-2 * k:2] = band
-    fixed[4, ::2] = S.diagonal() / scale ** 2
-    fixed[4, 1::2] = diag
-    fixed[2, 3::2] = off
-    fixed[6, 1:-2:2] = off
-    return _StepBands(fixed=fixed, scale=scale,
-                      origin=A[0, :3].toarray().ravel(),
+    dsd = (diag / scale ** 2, up1[:-1] / (scale[:-1] * scale[1:]),
+           up2[:-2] / (scale[:-2] * scale[2:]))
+    return _StepBands(dsd=dsd, green=green_bands(0, m, grid.h), scale=scale,
+                      origin=operators.origin_row(grid),
                       ab=np.empty((13, 2 * m), order="F"),
                       rhs=np.empty(2 * m))
 
@@ -209,11 +224,11 @@ def _newton_step(u, v, F, params, grid, bands: _StepBands):
     (`linearization`).  In standard form, d = D x with D = W^(-1/2), it is
     [[D S D + pot, sqrt(h) b], [sqrt(h) b, T_0]] (x, y) = (-W^(1/2) F, 0);
     interleaving x_1, y_1, x_2, ... gives bandwidth 4 on each side.  The
-    u-dependent entries go on top of `bands.fixed` in the workspace, which
-    dgbsv overwrites.  d_0 then follows from row 0 of -Delta_r, the origin
-    limit, with the screening potential w_0 the trapezoid line integral of
-    2 u d r (its Euler-Maclaurin term is in pot_0).  A non-finite or singular
-    system raises NonConvergence.
+    fixed entries (`_StepBands.write`) and the u-dependent ones go into the
+    zeroed workspace, which dgbsv overwrites.  d_0 then follows from row 0
+    of -Delta_r, the origin limit, with the screening potential w_0 the
+    trapezoid line integral of 2 u d r (its Euler-Maclaurin term is in
+    pot_0).  A non-finite or singular system raises NonConvergence.
     """
     h, act = grid.h, slice(1, grid.n - 2)
     pot, b = linearization(u, v, params, h)
@@ -221,7 +236,7 @@ def _newton_step(u, v, F, params, grid, bands: _StepBands):
         raise NonConvergence(f"Newton step for {params.label()}: "
                              "non-finite Jacobian or residual")
     band, rhs = bands.ab[4:], bands.rhs
-    np.copyto(band, bands.fixed)
+    bands.write(band)
     band[4, ::2] += pot[act]
     band[3, 1::2] = band[5, ::2] = math.sqrt(h) * b[act]
     rhs[::2] = -bands.scale * F[act]
@@ -243,36 +258,48 @@ def _wnorm(grid: RadialGrid, x: np.ndarray) -> float:
     return math.sqrt(float(np.dot(grid.weights_r2dr, x * x)))
 
 
-def _shifted_solve(grid: RadialGrid, A: sp.csr_matrix, lam: float):
-    """Solver of (A + lam) w = N, lam masked on the Dirichlet pad, for fields N
-    that vanish on the pad.
+def _shifted_bands(grid: RadialGrid, bands, lam: float) -> np.ndarray:
+    """S + lam W on the active nodes in LAPACK's upper banded storage (3 rows),
+    from the weighted bands (diag, up1, up2) of operators._weighted_bands."""
+    n = grid.n
+    diag, up1, up2 = bands
+    ab = np.zeros((3, n - 3))
+    ab[0, 2:] = up2[:-2]
+    ab[1, 1:] = up1[:-1]
+    ab[2] = diag + lam * grid.weights_r2dr[1:n - 2]
+    return ab
+
+
+def _shifted_solve(grid: RadialGrid, bands, lam: float):
+    """Solver of (A + lam) w = N, A = -Delta_r, lam masked on the Dirichlet
+    pad, for fields N that vanish on the pad.
 
     On the active nodes 1..n-3 the system is W^-1 (S + lam W) with S the
-    symmetric weighted form (operators.dirichlet_form), so S + lam W is
-    factored once by banded Cholesky: rows 1 and 2 couple into node 0 only
-    through r_0 = 0, and w vanishes on the pad.  w_0 then follows from row 0
-    of A, the origin limit.
+    symmetric weighted form, so S + lam W (`_shifted_bands`) is factored
+    once by banded Cholesky: rows 1 and 2 couple into node 0 only through
+    r_0 = 0, and w vanishes on the pad.  Each solve is one LAPACK dpbtrs in
+    place; a nonzero info raises NonConvergence.  w_0 then follows from
+    operators.origin_row, the origin limit.
     """
     n = grid.n
     W = grid.weights_r2dr
-    S = operators.dirichlet_form(grid)
-    ab = np.zeros((3, n - 3))
-    ab[0, 2:] = S.diagonal(2)
-    ab[1, 1:] = S.diagonal(1)
-    ab[2] = S.diagonal() + lam * W[1:n - 2]
-    chol = (sla.cholesky_banded(ab, check_finite=False), False)
-    a00, a01, a02 = A[0, :3].toarray().ravel()
+    chol = sla.cholesky_banded(_shifted_bands(grid, bands, lam),
+                               check_finite=False)
+    a00, a01, a02 = operators.origin_row(grid)
 
     def solve(N):
         w = np.zeros(n)
-        w[1:n - 2] = sla.cho_solve_banded(chol, (W * N)[1:n - 2],
-                                          check_finite=False)
+        act = w[1:n - 2]
+        np.multiply(W[1:n - 2], N[1:n - 2], out=act)
+        _, info = dpbtrs(chol, act, overwrite_b=True)
+        if info != 0:
+            raise NonConvergence(f"warm-start solve: dpbtrs info {info}")
         w[0] = (N[0] - a01 * w[1] - a02 * w[2]) / (a00 + lam)
         return w
     return solve
 
 
-def _warm_start(u, params, grid, A):
+def _warm_start(u, params, grid, A, bands):
     """Amplitude-stabilized Picard iteration (spectral renormalization).
 
     u <- S^gamma (A + lam)^(-1) N(u) with S the Rayleigh ratio of the linear
@@ -283,7 +310,7 @@ def _warm_start(u, params, grid, A):
     reported as a warning.
     """
     W = grid.weights_r2dr
-    solve = _shifted_solve(grid, A, params.lam)
+    solve = _shifted_solve(grid, bands, params.lam)
     gamma = 1.5 if params.a > 0 else (params.q - 1.0) / (params.q - 2.0)
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         for sweep in range(1, WARM_SWEEPS + 1):
@@ -331,15 +358,15 @@ def _live_norm(grid: RadialGrid, u: np.ndarray) -> float:
 
 
 def ground_state(grid: RadialGrid, u: np.ndarray, params: ModelParams,
-                 iterations: int) -> GroundState:
+                 iterations: int, A: sp.csr_matrix) -> GroundState:
     """The GroundState of the field u on `grid`: v from the Hartree sweep,
     the residual ratio |F(u)| / (lam |u|) in the r^2 dr norm with its
-    rounding floor, and the diagnostics, all from one -Delta_r and one
-    Coulomb sweep.  A u whose length is not grid.n raises ValueError."""
+    rounding floor, and the diagnostics, all from the grid's -Delta_r A
+    (operators.radial_laplacian, built by the caller) and one Coulomb sweep.
+    A u whose length is not grid.n raises ValueError."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n,):
         raise ValueError(f"field length {u.shape} != grid n {grid.n}")
-    A = operators.radial_laplacian(grid)
     F, v = _residual_values(u, params, grid, A)
     return GroundState(
         params=params, grid=grid, u=u, v=v,
@@ -362,14 +389,16 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
     u[-2:] = 0.0
     if np.max(np.abs(u)) < TRIVIAL_SUP:
         raise TrivialCollapse("initial guess is numerically zero")
-    u = _warm_start(u, params, grid, A)
+    weighted = operators._weighted_bands(grid, EVEN)
+    u = _warm_start(u, params, grid, A, weighted)
     _live_norm(grid, u)   # a collapsed warm start is typed before |u| divides
     stop = max(TOL, residual_floor(grid, A, u, params.lam)) * params.lam
-    bands = _step_bands(grid, A)
+    bands = _step_bands(grid, weighted)
+    del weighted
 
     def stalled(message, iterations):
-        return NonConvergence(f"{message} for {params.label()}",
-                              state=ground_state(grid, u, params, iterations))
+        state = ground_state(grid, u, params, iterations, A)
+        return NonConvergence(f"{message} for {params.label()}", state=state)
 
     it = 0
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
@@ -407,7 +436,7 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
             f"converged to a sign-changing branch (min {np.min(u):.2e})")
 
     del bands   # ground_state's operators need not coexist with the workspace
-    return ground_state(grid, u, params, it)
+    return ground_state(grid, u, params, it, A)
 
 
 def acceptance_failures(state: GroundState) -> list:

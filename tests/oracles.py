@@ -6,15 +6,22 @@ potential, its far-field mass and line integral, and the Hartree energy of a
 field from the one Coulomb sweep, `hartree.coulomb_apply`.
 `savetxt_table_csv` is the row-by-row writer `grid.write_table_csv` must
 match byte for byte.
+`shifted_bands`, `step_template` and `newton_step` assemble the warm start's
+S + lam W and the Newton step from the CSR `operators.dirichlet_form` and
+`operators.radial_laplacian`, reading their diagonals and origin row back
+out; the solver, which assembles both from the weighted bands, must match
+them bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 
 from sngs import operators
-from sngs.hartree import coulomb_apply
-from sngs.solver import ModelParams, _dpower
+from sngs.hartree import coulomb_apply, green_bands
+from sngs.solver import ModelParams, _dpower, linearization
 
 
 def apply_jacobian(grid, uv: np.ndarray, d: np.ndarray,
@@ -60,3 +67,61 @@ def savetxt_table_csv(path, header, rows) -> None:
     """CSV with a header line and CRLF rows at 17 significant digits."""
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", newline="\r\n",
                header=",".join(header), comments="")
+
+
+def shifted_bands(grid, lam: float) -> np.ndarray:
+    """S + lam W on the active nodes in upper banded storage, S the CSR
+    Dirichlet form."""
+    n = grid.n
+    S = operators.dirichlet_form(grid)
+    ab = np.zeros((3, n - 3))
+    ab[0, 2:] = S.diagonal(2)
+    ab[1, 1:] = S.diagonal(1)
+    ab[2] = S.diagonal() + lam * grid.weights_r2dr[1:n - 2]
+    return ab
+
+
+def step_template(grid) -> np.ndarray:
+    """The (9, 2m) band rows of the Newton pair form's fixed entries, D S D
+    and T_0, in interleaved dgbsv storage, S the CSR Dirichlet form."""
+    m = grid.n - 3
+    S = operators.dirichlet_form(grid)
+    scale = np.sqrt(grid.weights_r2dr[1:m + 1])
+    diag, off = green_bands(0, m, grid.h)
+    fixed = np.zeros((9, 2 * m))
+    for k in (1, 2):
+        band = S.diagonal(k) / (scale[:-k] * scale[k:])
+        fixed[4 - 2 * k, 2 * k::2] = band
+        fixed[4 + 2 * k, :-2 * k:2] = band
+    fixed[4, ::2] = S.diagonal() / scale ** 2
+    fixed[4, 1::2] = diag
+    fixed[2, 3::2] = off
+    fixed[6, 1:-2:2] = off
+    return fixed
+
+
+def newton_step(u, v, F, params: ModelParams, grid) -> np.ndarray:
+    """The Newton step d of J(u) d = -F: `step_template` plus the
+    u-dependent entries solved by dgbsv, and d_0 from row 0 of the CSR
+    -Delta_r."""
+    h, act, m = grid.h, slice(1, grid.n - 2), grid.n - 3
+    scale = np.sqrt(grid.weights_r2dr[1:m + 1])
+    pot, b = linearization(u, v, params, h)
+    ab = np.empty((13, 2 * m), order="F")
+    band = ab[4:]
+    np.copyto(band, step_template(grid))
+    band[4, ::2] += pot[act]
+    band[3, 1::2] = band[5, ::2] = math.sqrt(h) * b[act]
+    rhs = np.empty(2 * m)
+    rhs[::2] = -scale * F[act]
+    rhs[1::2] = 0.0
+    _, _, x, info = dgbsv(4, 4, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise ValueError(f"singular band matrix (info {info})")
+    d = np.zeros(grid.n)
+    d[act] = x[::2] / scale
+    A = operators.radial_laplacian(grid)
+    a00, a01, a02 = A[0, :3].toarray().ravel()
+    screen = b[0] * np.dot(h * grid.nodes[act] * b[act], d[act])
+    d[0] = (screen - F[0] - a01 * d[1] - a02 * d[2]) / (a00 + pot[0])
+    return d

@@ -532,6 +532,21 @@ def test_spectrum_under_resolved_grid(tmp_path, q, lam, n, verdict):
     assert (50.0 * h * h >= 1.0) == (verdict == "under-resolved")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["solve", "--q", "4", "--lambda", "1e-204", "--n", "64"],
+    ["scan", "--q", "4", "--lambda", "1e-300", "--n", "64"],
+    ["sweep", "--q", "4", "--lambdas", "1e-300,1e300", "--n", "64"],
+])
+def test_tiny_lambda_domain_is_typed(tmp_path, capsys, command):
+    """At lambda below ~1e-203 the domain 28 / sqrt(lambda) has no finite
+    ball volume: make_grid's RadiusTooLarge names r_max, exit 2."""
+    assert run(command + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: r_max = " in err
+    assert "Traceback" not in err
+
+
 def test_origin_spike_collapse_exits_2(tmp_path, capsys):
     """At q=5.95, lambda=100 the iterate collapses onto node 0, whose r^2 dr
     weight is zero; that is a typed collapse, not a division by zero."""

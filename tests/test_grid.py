@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from oracles import savetxt_table_csv
 
 import sngs
-from sngs.errors import NonPositiveRadius, TooFewNodes
+from sngs.errors import NonPositiveRadius, RadiusTooLarge, TooFewNodes
 
 
 def test_make_grid_rejects_bad_inputs():
@@ -15,6 +15,21 @@ def test_make_grid_rejects_bad_inputs():
         sngs.make_grid(0.0, 64)
     with pytest.raises(NonPositiveRadius):
         sngs.make_grid(-1.0, 64)
+
+
+@pytest.mark.parametrize("r_max", [28.0 / np.sqrt(1e-204), np.float64(1e103),
+                                   np.inf])
+def test_make_grid_rejects_an_unrepresentable_ball(r_max):
+    # r_max^3 / 3 normalizes the r^2 dr weights; past ~5.6e102 it is no float
+    with pytest.raises(RadiusTooLarge, match="r_max = "):
+        sngs.make_grid(r_max, 64)
+
+
+def test_make_grid_just_inside_the_float_range():
+    # lambda = 1e-200: r_max = 2.8e101, its ball volume still a finite float
+    g = sngs.make_grid(28.0 / np.sqrt(1e-200), 64)
+    assert np.all(np.isfinite(g.weights_r2dr))
+    assert g.weights_r2dr.sum() == pytest.approx(g.r_max**3 / 3.0, rel=1e-12)
 
 
 def test_make_grid_spacing():

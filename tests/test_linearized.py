@@ -55,7 +55,8 @@ def test_sector_form_kwong_scalar(solved_cache):
 def hand_built_state(residual_norm, residual_floor):
     g = sngs.make_grid(20.0, 256)
     st = sngs.ground_state(g, np.exp(-g.nodes**2),
-                           sngs.ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0), 0)
+                           sngs.ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0), 0,
+                           sngs.operators.radial_laplacian(g))
     return replace(st, residual_norm=residual_norm,
                    residual_floor=residual_floor)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,19 @@ from scipy.sparse.linalg import splu
 
 from sngs.errors import InvalidExponent, NonConvergence, TrivialCollapse
 from sngs.solver import (WARM_TOL, _newton_step, _residual_values,
-                         _shifted_solve, _step_bands, _warm_start, _wnorm)
+                         _shifted_bands, _shifted_solve, _step_bands,
+                         _warm_start, _wnorm)
 from conftest import smooth_bumps
+import oracles
 from oracles import apply_jacobian, hartree_potential
+
+
+def weighted_bands(grid):
+    return sngs.operators._weighted_bands(grid, sngs.EVEN)
+
+
+def step_bands(grid):
+    return _step_bands(grid, weighted_bands(grid))
 
 
 def kwong_ratio(q):
@@ -95,7 +106,7 @@ def test_banded_step_solves_jacobian(solved_cache, a, nu, q):
     for _ in range(3):
         u = st.u + 0.1 * smooth_bumps(g, rng, amp=st.diagnostics.sup_u)
         F, v = _residual_values(u, st.params, g, A)
-        d = _newton_step(u, v, F, st.params, g, _step_bands(g, A))
+        d = _newton_step(u, v, F, st.params, g, step_bands(g))
         jd = apply_jacobian(g, u, d, st.params)
         assert np.linalg.norm(jd + F) <= 1e-9 * np.linalg.norm(F)
 
@@ -107,12 +118,12 @@ def test_newton_step_reuses_its_workspace(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
     g = st.grid
     A = sngs.operators.radial_laplacian(g)
-    shared = _step_bands(g, A)
+    shared = step_bands(g)
     for _ in range(2):
         u = st.u + 0.1 * smooth_bumps(g, rng, amp=st.diagnostics.sup_u)
         F, v = _residual_values(u, st.params, g, A)
         d = _newton_step(u, v, F, st.params, g, shared)
-        fresh = _newton_step(u, v, F, st.params, g, _step_bands(g, A))
+        fresh = _newton_step(u, v, F, st.params, g, step_bands(g))
         assert np.array_equal(d, fresh)
 
 
@@ -125,7 +136,43 @@ def test_newton_step_rejects_nan(solved_cache, where):
     F, v = _residual_values(u, st.params, g, A)
     (u if where == "u" else F)[g.n // 3] = np.nan
     with pytest.raises(NonConvergence):
-        _newton_step(u, v, F, st.params, g, _step_bands(g, A))
+        _newton_step(u, v, F, st.params, g, step_bands(g))
+
+
+@pytest.mark.parametrize("n", [16, 1024, 4097])
+def test_banded_assembly_matches_the_csr_oracle(n):
+    """S + lam W of the warm start, the fixed entries of the Newton step and
+    one whole step, assembled from the weighted bands, equal bit for bit
+    those read back out of the CSR forms."""
+    p = sngs.ModelParams(lam=0.37, a=1.0, nu=1.0, q=2.5)
+    g = sngs.make_grid(sngs.auto_rmax(p.lam), n)
+    bands = weighted_bands(g)
+    assert np.array_equal(_shifted_bands(g, bands, p.lam),
+                          oracles.shifted_bands(g, p.lam))
+    step = _step_bands(g, bands)
+    template = np.full((9, 2 * (n - 3)), np.nan)
+    step.write(template)
+    assert np.array_equal(template, oracles.step_template(g))
+    u = sngs.default_guess(p, g)
+    F, v = _residual_values(u, p, g, sngs.operators.radial_laplacian(g))
+    assert np.array_equal(_newton_step(u, v, F, p, g, step),
+                          oracles.newton_step(u, v, F, p, g))
+
+
+def test_solve_peak_allocation():
+    """A solve at n = 4096 allocates at most 64 n-vectors at its peak: one
+    dgbsv workspace of 26, the compact fixed entries and one CSR -Delta_r,
+    with no band template beside them."""
+    p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
+    n = 4096
+    sngs.solve(p, 64)   # first-call allocations are not the solve's
+    tracemalloc.start()
+    try:
+        sngs.solve(p, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) <= 64
 
 
 @pytest.mark.parametrize("n", [300, 4096])
@@ -141,7 +188,7 @@ def test_shifted_solve_matches_sparse_lu(n):
     rng = np.random.default_rng(n)
     N = smooth_bumps(g, rng, max_center=g.r_max / 6.0)
     N[0] = 1.3   # the origin row enters through row 0 of A alone
-    w = _shifted_solve(g, A, lam)(N)
+    w = _shifted_solve(g, weighted_bands(g), lam)(N)
     ref = oracle.solve(N)
     assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -152,12 +199,12 @@ def test_warm_start_stops_on_settled_ratio():
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     g = sngs.make_grid(sngs.auto_rmax(1.0), 1536)
     A = sngs.operators.radial_laplacian(g)
-    u = _warm_start(sngs.default_guess(p, g), p, g, A)
+    u = _warm_start(sngs.default_guess(p, g), p, g, A, weighted_bands(g))
     N = hartree_potential(g, u).v * u + u**3
     W = g.weights_r2dr
     ratio = float(np.dot(W * u, A @ u + u)) / float(np.dot(W * u, N))
     assert abs(ratio - 1.0) <= WARM_TOL
-    again = _warm_start(u, p, g, A)
+    again = _warm_start(u, p, g, A, weighted_bands(g))
     assert np.array_equal(again, u)
 
 
@@ -181,7 +228,8 @@ def test_acceptance_failures(solved_cache, spoil, names):
 def test_ground_state_rejects_a_field_off_its_grid(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
     with pytest.raises(ValueError, match="field length"):
-        sngs.ground_state(st.grid, st.u[:-1], st.params, 0)
+        sngs.ground_state(st.grid, st.u[:-1], st.params, 0,
+                          sngs.operators.radial_laplacian(st.grid))
 
 
 def test_residual_floor_scales_with_the_grid(solved_cache):
