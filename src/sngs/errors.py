@@ -19,9 +19,9 @@ class TooFewNodes(SngsError):
     pass
 
 
-class RadiusTooLarge(SngsError):
+class RadiusOutOfRange(SngsError):
     """The ball volume r_max^3 / 3 that normalizes the r^2 dr weights is not
-    a finite float."""
+    a normal float: r_max is so large it overflows, or so small it underflows."""
 
 
 # -- eigen / linear algebra --------------------------------------------------

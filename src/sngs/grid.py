@@ -1,12 +1,12 @@
 """Uniform radial grids, quadrature, differentiation and the CSV format.
 
-The grid covers [0, r_max] with n equally spaced nodes, nodes[0] = 0.  Two
-quadrature weight vectors are attached: plain composite trapezoid for the dr
-measure, and trapezoid applied to f*r^2 for the r^2 dr measure.  The r^2 dr
-weights are normalized by the exact ball volume r_max^3/3 (a relative
+The grid covers [0, r_max] with n equally spaced nodes, nodes[0] = 0.  One
+quadrature weight vector is attached, for the r^2 dr measure: trapezoid
+applied to f*r^2, normalized by the exact ball volume r_max^3/3 (a relative
 adjustment of order h^2/r_max^2, ~3e-8 at n=4096) so that the total measure is
-exact; every quadrature, energy and inner product in the package uses this one
-weight vector, which is what makes the discrete variational identities close.
+exact.  Every quadrature, energy and inner product in the package uses this
+one weight vector, a 1/r^2 potential such as the centrifugal term included,
+which is what makes the discrete variational identities close.
 A field is a plain float array of length n, read on the nodes of its grid.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveRadius, RadiusTooLarge, TooFewNodes
+from .errors import NonPositiveRadius, RadiusOutOfRange, TooFewNodes
 
 EVEN = "even"   # f'(0) = 0
 ODD = "odd"     # f(0) = 0
@@ -29,7 +29,6 @@ class RadialGrid:
     n: int
     nodes: np.ndarray
     h: float
-    weights_dr: np.ndarray
     weights_r2dr: np.ndarray
 
     def key(self):
@@ -44,10 +43,10 @@ class RadialGrid:
 
 
 def make_grid(r_max: float, n: int) -> RadialGrid:
-    """Uniform grid on [0, r_max] with trapezoid weights for dr and r^2 dr.
+    """Uniform grid on [0, r_max] with trapezoid weights for r^2 dr.
 
-    Raises NonPositiveRadius, TooFewNodes, and RadiusTooLarge when the ball
-    volume r_max^3 / 3 is not a finite float."""
+    Raises NonPositiveRadius, TooFewNodes, and RadiusOutOfRange when the ball
+    volume r_max^3 / 3 is not a normal finite float."""
     if not r_max > 0:
         raise NonPositiveRadius(f"r_max = {r_max}")
     if n < 16:
@@ -57,9 +56,9 @@ def make_grid(r_max: float, n: int) -> RadialGrid:
             volume = r_max**3 / 3.0
     except OverflowError:                  # a float r_max raises
         volume = math.inf
-    if not math.isfinite(volume):
-        raise RadiusTooLarge(f"r_max = {r_max:g}: the ball volume r_max^3/3 "
-                             "is not a finite float")
+    if not np.finfo(float).tiny <= volume < math.inf:
+        raise RadiusOutOfRange(f"r_max = {r_max:g}: the ball volume r_max^3/3 "
+                               "is not a normal finite float")
     h = r_max / (n - 1)
     nodes = h * np.arange(n)
     w = np.full(n, h)
@@ -67,8 +66,7 @@ def make_grid(r_max: float, n: int) -> RadialGrid:
     w2 = w * nodes**2
     # normalize so the ball measure is exact (trapezoid alone carries +h^2 r_max/6)
     w2 *= volume / w2.sum()
-    return RadialGrid(r_max=r_max, n=n, nodes=nodes, h=h,
-                      weights_dr=w, weights_r2dr=w2)
+    return RadialGrid(r_max=r_max, n=n, nodes=nodes, h=h, weights_r2dr=w2)
 
 
 def differentiate(grid: RadialGrid, f: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 In the harmonic sector k the perturbation f of u feels the quadratic form
 (general lam, a and power weight nu)
 
-  L_k(f, f) = int f_r^2 r^2 dr + k(k+1) int f^2 dr + lam int f^2 r^2 dr
+  L_k(f, f) = int [f_r^2 + k(k+1) f^2 / r^2 + lam f^2] r^2 dr
               - a int v f^2 r^2 dr - nu (q-1) int u^(q-2) f^2 r^2 dr
               - 2a int u f G_k(u f) r^2 dr,
 
@@ -22,6 +22,8 @@ The nondegeneracy verdict has fixed tolerances: GAP_TOL for the radial gap
 and 50 h^2 sigma_2 for the translation zero mode.  A state enters only if
 its residual ratio meets its GroundState.residual_bound.
 
+Every integral is the grid's one r^2 dr quadrature W; the centrifugal term is
+the local potential k(k+1)/r^2 on W beside pot (r > 0 on the active nodes).
 The form is one symmetric matrix in (f, y = r g), mass on f alone; `operators`
 eliminates its y block, G_k's tridiagonal inverse `hartree.green_bands` (no
 boundary condition on g).  k=0 uses even parity at the origin, k>=1 odd; f
@@ -78,9 +80,8 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
     S = operators.dirichlet_form(grid, EVEN if k == 0 else ODD)
     act = operators.active_slice(grid)
     Wa = grid.weights_r2dr[act]
-    lam_k = float(k * (k + 1))
     pot, b = linearization(state.u, state.v, state.params, grid.h)
-    form = S + sp.diags(Wa * pot[act] + lam_k * grid.weights_dr[act])
+    form = S + sp.diags(Wa * (pot[act] + k * (k + 1) / grid.nodes[act] ** 2))
     if state.params.a != 0.0:
         # y = r g; with W = sigma h r^2 and the sweep's weights h r_j,
         # B T_k^-1 B is W b G_k(b .) less its Euler-Maclaurin term

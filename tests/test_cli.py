@@ -196,6 +196,24 @@ def test_check_detects_tampering(tmp_path):
     assert run(["check", "--out", out]) == 2
 
 
+def test_check_compares_the_identity_residuals_on_the_scale_of_G(solved, capsys):
+    # nehari is a cancellation residual near 0: a stored value 1e-4 of
+    # itself off the re-derived one, as BLAS rounding in another thread count
+    # leaves it, is still far below 1e-12 G and agrees
+    man = json.load(open(solved + ".json"))
+    diag = man["summary"]["diagnostics"]
+    nehari, G = diag["nehari"], diag["grad_sq"]
+    assert 0.0 < 1e-4 * abs(nehari) < 1e-12 * G
+    diag["nehari"] = nehari * (1.0 + 1e-4)
+    json.dump(man, open(solved + ".json", "w"))
+    assert run(["check", "--out", solved]) == 0
+    # but a stored nehari 1e-5 G off is a mismatch
+    diag["nehari"] = nehari + 1e-5 * G
+    json.dump(man, open(solved + ".json", "w"))
+    assert run(["check", "--out", solved]) == 2
+    assert "mismatch ('nehari'" in capsys.readouterr().err
+
+
 def test_solve_rejects_under_resolved_state(tmp_path):
     # n=4096 under-resolves q=5.95, lambda=1: Newton converges, the identities
     # miss the bound `check` applies, so `solve` exits 2 with its artifacts
@@ -537,10 +555,13 @@ def test_spectrum_under_resolved_grid(tmp_path, q, lam, n, verdict):
     ["solve", "--q", "4", "--lambda", "1e-204", "--n", "64"],
     ["scan", "--q", "4", "--lambda", "1e-300", "--n", "64"],
     ["sweep", "--q", "4", "--lambdas", "1e-300,1e300", "--n", "64"],
+    ["solve", "--q", "4", "--lambda", "1e300", "--n", "64"],
 ])
 def test_tiny_lambda_domain_is_typed(tmp_path, capsys, command):
     """At lambda below ~1e-203 the domain 28 / sqrt(lambda) has no finite
-    ball volume: make_grid's RadiusTooLarge names r_max, exit 2."""
+    ball volume, and above ~5e207 no normal one (at 1e300 it underflows to
+    0): make_grid's RadiusOutOfRange names r_max, exit 2, with no numpy
+    division warning on the way."""
     assert run(command + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "numerical failure: r_max = " in err

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import savetxt_table_csv
+from scipy.integrate import trapezoid
 
 import sngs
-from sngs.errors import NonPositiveRadius, RadiusTooLarge, TooFewNodes
+from sngs.errors import NonPositiveRadius, RadiusOutOfRange, TooFewNodes
 
 
 def test_make_grid_rejects_bad_inputs():
@@ -18,16 +17,22 @@ def test_make_grid_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize("r_max", [28.0 / np.sqrt(1e-204), np.float64(1e103),
-                                   np.inf])
+                                   np.inf, 2.8e-149, 3e-108, 4e-103])
 def test_make_grid_rejects_an_unrepresentable_ball(r_max):
-    # r_max^3 / 3 normalizes the r^2 dr weights; past ~5.6e102 it is no float
-    with pytest.raises(RadiusTooLarge, match="r_max = "):
+    # r_max^3 / 3 normalizes the r^2 dr weights; past ~5.6e102 it is no float,
+    # below ~4.1e-103 no normal float: lambda = 1e300 gives r_max = 2.8e-149,
+    # whose volume is 0, and at 3e-108 the weights sum to 0 under a subnormal
+    with pytest.raises(RadiusOutOfRange, match="r_max = "):
         sngs.make_grid(r_max, 64)
 
 
 def test_make_grid_just_inside_the_float_range():
     # lambda = 1e-200: r_max = 2.8e101, its ball volume still a finite float
     g = sngs.make_grid(28.0 / np.sqrt(1e-200), 64)
+    assert np.all(np.isfinite(g.weights_r2dr))
+    assert g.weights_r2dr.sum() == pytest.approx(g.r_max**3 / 3.0, rel=1e-12)
+    # lambda = 1e206: r_max = 2.8e-102, its ball volume a normal float
+    g = sngs.make_grid(28.0 / np.sqrt(1e206), 64)
     assert np.all(np.isfinite(g.weights_r2dr))
     assert g.weights_r2dr.sum() == pytest.approx(g.r_max**3 / 3.0, rel=1e-12)
 
@@ -44,7 +49,6 @@ def test_make_grid_spacing():
 def test_weight_sums():
     for (rmax, n) in [(10.0, 21), (40.0, 4096), (5.0, 333)]:
         g = sngs.make_grid(rmax, n)
-        assert np.sum(g.weights_dr) == pytest.approx(rmax, rel=1e-14)
         assert np.sum(g.weights_r2dr) == pytest.approx(rmax**3 / 3.0, rel=1e-12)
 
 
@@ -53,23 +57,10 @@ def test_integrate_const_r2dr_exact():
     assert np.dot(g.weights_r2dr, np.ones(g.n)) == pytest.approx(1.0 / 3.0, rel=1e-13)
 
 
-def test_integrate_linear_dr_exact():
-    g = sngs.make_grid(2.0, 128)
-    assert np.dot(g.weights_dr, g.nodes) == pytest.approx(2.0, abs=1e-10)
-
-
 def test_integrate_exponential_r2dr():
     # \int_0^inf e^{-r} r^2 dr = Gamma(3) = 2
     g = sngs.make_grid(40.0, 4096)
     assert np.dot(g.weights_r2dr, np.exp(-g.nodes)) == pytest.approx(2.0, abs=1e-6)
-
-
-@given(a=st.floats(-3, 3), b=st.floats(-3, 3))
-@settings(max_examples=25, deadline=None)
-def test_quadrature_exact_for_linear_dr(a, b):
-    g = sngs.make_grid(7.0, 97)
-    exact = a * 7.0 + b * 7.0**2 / 2.0
-    assert np.dot(g.weights_dr, a + b * g.nodes) == pytest.approx(exact, abs=1e-11)
 
 
 def test_refinement_second_order():
@@ -111,7 +102,7 @@ def test_derivative_integrates_to_boundary_difference():
     g = sngs.make_grid(6.0, 512)
     vals = np.exp(-g.nodes) * (1 + g.nodes)
     df = sngs.differentiate(g, vals)
-    total = np.dot(g.weights_dr, df)
+    total = trapezoid(df, dx=g.h)   # scipy's: numpy 1.x has no np.trapezoid
     assert total == pytest.approx(vals[-1] - vals[0], abs=5 * g.h**2)
 
 

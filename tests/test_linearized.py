@@ -38,11 +38,12 @@ def choquard(solved_cache):
 
 
 def test_sector_form_centrifugal(choquard):
-    # k(k+1) int f^2 dr: the f blocks of sectors 2 and 1 differ by 4 w_dr
+    # k(k+1) int f^2 / r^2 r^2 dr: the f blocks of sectors 2 and 1 differ by
+    # 4 W / r^2, on the one r^2 dr weight vector W
     op1, op2 = sector_form(choquard, 1), sector_form(choquard, 2)
     N = len(op1.mass)
     diff = (op2.form[:N, :N] - op1.form[:N, :N]).toarray()
-    want = np.diag(4.0 * choquard.grid.weights_dr[op1.act])
+    want = np.diag(4.0 * op1.mass / choquard.grid.nodes[op1.act] ** 2)
     assert np.max(np.abs(diff - want)) <= 1e-14 * abs(op2.form).max()
 
 
@@ -124,6 +125,23 @@ def test_translation_eigenvalue_falls_under_refinement():
     assert zero[1] <= zero[0] / 10.0 and zero[2] <= zero[1] / 10.0, zero
 
 
+@pytest.mark.parametrize("q,lam", [(4.0, 1e-2), (2.25, 1e-2), (4.75, 10.0)])
+def test_zero_mode_sits_at_round_off_or_falls_under_refinement(q, lam):
+    # with the centrifugal term on W / r^2 the sector-1 "zero" carries no
+    # O(h^2) term: at q = 4 and 2.25 it is round-off on every rung, at
+    # q = 4.75 an O(h^4) error that falls about 16x per n -> 2n - 1
+    zero, sigma2 = [], []
+    for n in (4096, 8191, 16381):
+        st = sngs.solve(sngs.normal_member(q, lam), n)
+        low = sorted(abs(s) for s in
+                     sector_spectrum(sector_form(st, 1), 2).eigenvalues)
+        zero.append(low[0])
+        sigma2.append(low[1])
+    at_round_off = all(z <= 1e-10 * s2 for z, s2 in zip(zero, sigma2))
+    falling = zero[1] <= zero[0] / 10.0 and zero[2] <= zero[1] / 10.0
+    assert at_round_off or falling, (zero, sigma2)
+
+
 def test_sector_spectrum_choquard(choquard):
     op1 = sector_form(choquard, 1)
     rep1 = sector_spectrum(op1, 2)
@@ -162,28 +180,30 @@ def test_nondegeneracy_kwong_radial_kernel_free(solved_cache):
 
 # the lowest six eigenvalues of sectors k = 0..3 in the two `spectrum` runs
 # listed under "Experiment runs" in the README, at n=4096, recorded with the
-# pencil that eliminates the potential through the sweep's Green's kernel; a
-# dense eigh of each Schur complement agreed within 4.1e-11
+# pencil that eliminates the potential through the sweep's Green's kernel and
+# the centrifugal term on W / r^2 (sector 0 has none; sectors 1-3 moved by at
+# most 1.2e-8 from the trapezoid dr weights it replaced); a dense eigh of each
+# Schur complement agreed within 5.6e-11
 RUN_SPECTRUM_EIGENVALUES = {
     (4.0, 1e-2): [
         [-2.8047572638077263, 0.4054845449779494, 0.7321944681643586,
          0.8443191539014439, 0.929830326892794, 1.0451106565492079],
-        [1.1515976871103242e-08, 0.6681886067528003, 0.8153738927348796,
-         0.8971634672771587, 0.9966396376648926, 1.1290124185529427],
-        [0.6239759642132343, 0.7997594196331491, 0.8815581225827517,
-         0.967566712117883, 1.084969302778332, 1.2326107923150904],
-        [0.8078326414075249, 0.8817824244238105, 0.9557548842785283,
-         1.0584777212228513, 1.1904102840012145, 1.3505566897151031],
+        [1.5249328275818153e-11, 0.6681886041252787, 0.8153738915820423,
+         0.8971634663023768, 0.9966396363875595, 1.1290124169858973],
+        [0.6239759543449138, 0.7997594162328585, 0.8815581203637209,
+         0.9675667094106708, 1.0849692995421891, 1.2326107886284068],
+        [0.8078326362876322, 0.8817824212059817, 0.9557548805103991,
+         1.058477716679766, 1.1904102787829498, 1.3505566838817054],
     ],
     (2.5, 1e2): [
         [-2.7005196484294753, 0.40815817037479685, 0.7424900969664004,
          0.8534277613688287, 0.9380969843276525, 1.0530830443883523],
-        [1.1520399308779725e-08, 0.6755892320638913, 0.8248630664701003,
-         0.9053701545582973, 1.0044549078331146, 1.1365088257086884],
-        [0.6226485090588613, 0.8090900298135043, 0.8896956118633129,
-         0.9750996585114075, 1.0921429747839462, 1.2394628885909227],
-        [0.8180202311922482, 0.8903142285509721, 0.9634380597355603,
-         1.0656628654645157, 1.1971832447876354, 1.3569956257641238],
+        [1.5117671220768458e-11, 0.6755892293165018, 0.824863065323223,
+         0.9053701535833658, 1.0044549065505815, 1.1365088241357577],
+        [0.622648498711433, 0.809090026439798, 0.8896956096822146,
+         0.9750996558221997, 1.0921429715603386, 1.239462884911424],
+        [0.8180202258244087, 0.8903142252943934, 0.9634380559045946,
+         1.0656628608693854, 1.1971832395302064, 1.3569956199015996],
     ],
 }
 
