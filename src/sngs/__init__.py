@@ -9,9 +9,8 @@ from .solver import (GroundState, ModelParams, ScanResult, acceptance_failures,
                      auto_rmax, default_guess, ground_state, newton_solve,
                      solve, uniqueness_scan)
 from .diagnostics import DiagnosticsReport, identities, monotonicity_check
-from .scaling import (ScalingReport, limit_distance, limit_member,
-                      limit_regime, limit_study, mass_ratio_report,
-                      normal_form, normal_member, small_parameter)
+from .scaling import (LimitStudy, limit_distance, limit_member, limit_regime,
+                      limit_study, normal_form, small_parameter)
 from .linearized import (NondegeneracyReport, SectorOperator,
                          nondegeneracy_report, sector_form, sector_spectrum,
                          translation_mode)

@@ -5,11 +5,12 @@ Subcommands: solve | sweep | limits | spectrum | scan | check.  Exit codes:
 still written where possible), 64 on usage errors.  `solve`, `sweep`,
 `limits`, `scan` and `check` accept a state by `solver.acceptance_failures`,
 whose entries a refused state's record lists under `identity_failures`.
-`limits` and `spectrum` solve normal-form members at lambda = 1, the former
-those of `scaling.normal_form` in its regime's form, one per lambda, the
-latter that of `scaling.normal_member`; no field is rescaled.  `limits`
-takes only lambdas on its side of 1 (below 1 for `--side zero`, above for
-`--side infinity`); any other is a usage error, raised before any solve.
+`limits` and `spectrum` solve the normal-form members of
+`scaling.normal_form` at lambda = 1, the former one per lambda; no field is
+rescaled.  `limits` takes only lambdas on its side of 1 (below 1 for
+`--side zero`, above for `--side infinity`); any other is a usage error,
+raised before any solve.  Its verdict is `scaling.limit_study`'s, with the
+acceptance failures of its states and reference.
 
 Importing this module ends with `gc.freeze()`, so no collection, the one at
 interpreter exit included, walks the ~41.5k objects numpy, scipy and sngs
@@ -225,52 +226,40 @@ def cmd_limits(args, command_line):
         raise BadRange(f"--side {args.side} needs every lambda "
                        f"{'< 1' if toward_zero else '> 1'}, got {args.lambdas!r}")
     lams = sorted(lams, reverse=toward_zero)
-    form, kind = scaling.limit_regime(args.q, args.side)
+    form, kind, _ = scaling.limit_regime(args.q, args.side)
     ref = solver.solve(scaling.limit_member(args.q, args.side), args.n)
-    states = [solver.solve(scaling.normal_form(args.q, lam, form)[1], args.n)
+    states = [solver.solve(scaling.normal_form(args.q, lam)[1], args.n)
               for lam in lams]
-    report = scaling.limit_study(states, lams, args.side, ref)
-    rows = [list(row) + [r1, r2]
-            for row, (_, r1, r2) in zip(report.rows, report.mass_ratios)]
-    write_table_csv(out_csv, _LIMITS_HEADER, rows)
-    decreasing = report.distances_decreasing()
-    final_sup = report.rows[-1][2]
-    sup_ref = ref.diagnostics.sup_u
-    close = final_sup <= 0.05 * sup_ref
-    # a member equal to the profile to the last bit (its small parameter
-    # underflows or vanishes against 1) compares nothing
-    vacuous = [row[0] for row in report.rows if row[2] == 0.0]
+    study = scaling.limit_study(states, lams, args.side, ref)
+    write_table_csv(out_csv, _LIMITS_HEADER, study.rows)
     failures = _failures_by_lambda(states, lams)
     if (fails := solver.acceptance_failures(ref)):
         failures.insert(0, {"reference": kind, "failures": fails})
-    ok = (decreasing and close and report.ratios_in_window and not vacuous
-          and not failures)
+    summary = asdict(study)
+    del summary["rows"]
     io.write_manifest(
         args.out + ".json", command_line, [out_csv],
         params={"q": args.q, "side": args.side, "lambdas": lams,
                 "form": form, "limit_kind": kind},
         reference=io.state_record(ref),
         states=[io.state_record(s) for s in states],
-        summary={"regime": report.regime,
-                 "distances_decreasing": decreasing, "final_sup_ok": close,
-                 "ratios_in_window": report.ratios_in_window,
-                 "zero_distance_lambdas": vacuous,
-                 "identity_failures": failures})
-    print(f"limits: limit={kind}, decreasing={decreasing}, "
-          f"final sup {final_sup:.3e} (<= 5% of {sup_ref:.3e}: {close}), "
-          f"ratios in window = {report.ratios_in_window}")
-    for lam in vacuous:
+        summary={**summary, "identity_failures": failures})
+    print(f"limits: limit={kind}, decreasing={study.distances_decreasing}, "
+          f"final sup {study.rows[-1][2]:.3e} (<= 5% of "
+          f"{ref.diagnostics.sup_u:.3e}: {study.final_sup_ok}), "
+          f"ratios in window = {study.ratios_in_window}")
+    for lam in study.zero_distance_lambdas:
         print(f"limits: the member at lambda {lam:g} equals the {kind} "
               f"profile to rounding (sup distance 0)", file=sys.stderr)
     for f in failures:
         print(f"limits: under-resolved state {f}", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return EXIT_OK if study.passed and not failures else EXIT_NUMERICAL
 
 
 def cmd_spectrum(args, command_line):
     out_json = args.out + ".json"
     io.check_clobber([out_json], args.force)
-    state = solver.solve(scaling.normal_member(args.q, args.lam), args.n)
+    state = solver.solve(scaling.normal_form(args.q, args.lam)[1], args.n)
     report = linearized.nondegeneracy_report(state, args.k_max)
     io.write_manifest(out_json, command_line, **{
         "lambda": args.lam, "q": args.q, "state": io.state_record(state),

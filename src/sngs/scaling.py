@@ -1,7 +1,7 @@
 """Scaling maps onto the normalized families and limit-profile comparisons.
 
-A state of the (lam, 1, 1, q) family maps onto exactly one of two normalized
-families, u~(r) = lam^(-alpha) u(r / sqrt(lam)):
+A state of the (lam, 1, 1, q) family maps onto a normalized family member,
+u~(r) = lam^(-alpha) u(r / sqrt(lam)), in one of two forms:
 
     mu_form: alpha = 1/(q-2), solving
              -Delta w + w = mu (I_2*w^2) w + w^(q-1),  mu = lam^(-2(q-3)/(q-2))
@@ -9,18 +9,20 @@ families, u~(r) = lam^(-alpha) u(r / sqrt(lam)):
              -Delta w + w = (I_2*w^2) w + nu w^(q-1),  nu = lam^(q-3)
 
 `normal_form` is the one place alpha and the normalized parameters are
-written.  The map acts on parameters only: `limits` and `spectrum` solve the
-normal-form member itself at lam = 1, on the domain of every lam = 1 state,
-and never move a field.  Under the map F(u) = lam^(alpha+1) F~(u~), so the
-residual ratio |F| / (lam |u|) of `solver.ground_state` is the same number in
-both sets of variables; `mass_ratio_report` reads the physical mass of a
-member back through alpha.
+written.  lam < 1 takes the zero side's form and lam >= 1 the infinity
+side's: the form whose small parameter is at most 1 (at lam = 1 both forms
+give (1, 1, 1, q) and lam^alpha = 1).  The map acts on parameters only:
+`limits` and `spectrum` solve the normal-form member itself at lam = 1, on
+the domain of every lam = 1 state, and never move a field.  Under the map
+F(u) = lam^(alpha+1) F~(u~), so the residual ratio |F| / (lam |u|) of
+`solver.ground_state` is the same number in both sets of variables;
+`limit_study` reads the physical mass of a member back through alpha.
 
 The regime table says which small parameter goes to zero on each end of the
 lambda axis, hence which reference profile (Kwong W or Choquard U) is the
 limit; `limit_member` writes that profile as a family member at lam = 1, so
 `solver.solve` computes it, on the same grid as the members it is compared
-with, as it does every state.
+with, as it does every state.  `limit_study` is the whole `limits` verdict.
 """
 
 from __future__ import annotations
@@ -41,31 +43,38 @@ CHOQUARD = "choquard"
 
 RATIO_WINDOW = (1e-3, 1e3)
 
+# (q < 3, lambda-end) -> (scaling form, limit profile, regime name)
+_REGIMES = {
+    (True, "zero"): (MU_FORM, KWONG, "q_low_lambda_zero"),
+    (False, "zero"): (NU_FORM, CHOQUARD, "q_high_lambda_zero"),
+    (True, "infinity"): (NU_FORM, CHOQUARD, "q_low_lambda_inf"),
+    (False, "infinity"): (MU_FORM, KWONG, "q_high_lambda_inf"),
+}
+
 
 @dataclass
-class ScalingReport:
+class LimitStudy:
     regime: str
-    rows: list            # (lam, small_parameter, sup_distance, h1_distance)
-    mass_ratios: list     # (lam, M^(q-2)/lam, M/lam)
+    rows: list    # (lam, small parameter, sup, H1, M^(q-2)/lam, M/lam)
+    distances_decreasing: bool
+    final_sup_ok: bool
     ratios_in_window: bool
+    zero_distance_lambdas: list
 
-    def distances_decreasing(self) -> bool:
-        sups = [r[2] for r in self.rows]
-        h1s = [r[3] for r in self.rows]
-        return (all(b < a for a, b in zip(sups, sups[1:]))
-                and all(b < a for a, b in zip(h1s, h1s[1:])))
+    @property
+    def passed(self) -> bool:
+        return (self.distances_decreasing and self.final_sup_ok
+                and self.ratios_in_window and not self.zero_distance_lambdas)
 
 
 def limit_regime(q: float, side: str):
-    """(scaling form, limit profile) for each (q, lambda-end) regime."""
+    """(scaling form, limit profile, regime name) of the (q, lambda-end)
+    regime."""
     if not (2.0 < q < 6.0) or q == 3.0:
         raise InvalidExponent(f"q = {q}")
     if side not in ("zero", "infinity"):
         raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
-    low_q = q < 3.0
-    if side == "zero":
-        return (MU_FORM, KWONG) if low_q else (NU_FORM, CHOQUARD)
-    return (NU_FORM, CHOQUARD) if low_q else (MU_FORM, KWONG)
+    return _REGIMES[(q < 3.0, side)]
 
 
 def limit_member(q: float, side: str) -> ModelParams:
@@ -77,28 +86,22 @@ def limit_member(q: float, side: str) -> ModelParams:
     return ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0)
 
 
-def normal_member(q: float, lam: float) -> ModelParams:
-    """The normal-form member the (lam, 1, 1, q) state rescales onto: lam < 1
-    is the zero side, whose regime picks the mu- or nu-form."""
-    form, _ = limit_regime(q, "zero" if lam < 1.0 else "infinity")
-    return normal_form(q, lam, form)[1]
-
-
-def small_parameter(q: float, lam: float, form: str) -> float:
+def normal_form(q: float, lam: float):
+    """(alpha, normalized ModelParams) of the (lam, 1, 1, q) state:
+    u~(r) = lam^(-alpha) u(r / sqrt(lam)) solves (1, mu, 1, q) or
+    (1, 1, nu, q), in the form of lam's side of 1."""
+    form = limit_regime(q, "zero" if lam < 1.0 else "infinity")[0]
     if form == MU_FORM:
-        return lam ** (-2.0 * (q - 3.0) / (q - 2.0))
-    if form == NU_FORM:
-        return lam ** (q - 3.0)
-    raise ValueError(form)
+        mu = lam ** (-2.0 * (q - 3.0) / (q - 2.0))
+        return 1.0 / (q - 2.0), ModelParams(lam=1.0, a=mu, nu=1.0, q=q)
+    return 1.0, ModelParams(lam=1.0, a=1.0, nu=lam ** (q - 3.0), q=q)
 
 
-def normal_form(q: float, lam: float, form: str):
-    """(alpha, normalized ModelParams) of the (lam, 1, 1, q) state in `form`:
-    u~(r) = lam^(-alpha) u(r / sqrt(lam)) solves (1, mu, 1, q) or (1, 1, nu, q)."""
-    eps = small_parameter(q, lam, form)
-    if form == MU_FORM:
-        return 1.0 / (q - 2.0), ModelParams(lam=1.0, a=eps, nu=1.0, q=q)
-    return 1.0, ModelParams(lam=1.0, a=1.0, nu=eps, q=q)
+def small_parameter(q: float, lam: float) -> float:
+    """mu or nu, whichever `normal_form(q, lam)` scales: at most 1, and the
+    other of its a, nu is 1."""
+    p = normal_form(q, lam)[1]
+    return min(p.a, p.nu)
 
 
 def limit_distance(u: np.ndarray, reference: GroundState):
@@ -114,55 +117,39 @@ def limit_distance(u: np.ndarray, reference: GroundState):
     return sup, h1
 
 
-def mass_ratio_report(states: list, lams: list, side: str):
-    """Tabulate (M^(q-2)/lam, M/lam) per normal-form member of the (q, side)
-    regime, `states[i]` the member of `lams[i]`.
+def limit_study(states: list, lams: list, side: str,
+                reference: GroundState) -> LimitStudy:
+    """The `limits` verdict on normal-form members and their limit profile.
+
+    `states[i]` is the member `normal_form` gives for `lams[i]`, the lams on
+    `side` of 1 and ordered toward the limit (decreasing for side='zero',
+    increasing for side='infinity'); `reference` is the matching
+    Kwong/Choquard profile, solved on the members' grid.
 
     M = sup u + sup v is the physical state's: by the map, u = lam^alpha u~
-    and v = lam^(2 alpha - 1) v~, with alpha from `normal_form`.  Both ratios
-    are tabulated; the flag checks that the one of the regime's limit
-    (M^(q-2)/lam toward W, M/lam toward U) lies in RATIO_WINDOW.
+    and v = lam^(2 alpha - 1) v~.  Both mass ratios are tabulated; the one of
+    the regime's limit (M^(q-2)/lam toward W, M/lam toward U) must lie in
+    RATIO_WINDOW.  The sup and H1 distances must fall strictly, the last sup
+    within 5% of sup(reference), and no member may equal the profile to the
+    last bit: its small parameter underflowed or vanished against 1, so it
+    compares nothing.
     """
-    if not states:
-        return [], True
     q = states[0].params.q
-    form, kind = limit_regime(q, side)
-    j = 1 if kind == KWONG else 2
+    _, kind, regime = limit_regime(q, side)
     rows = []
     for s, lam in zip(states, lams):
-        alpha, _ = normal_form(q, lam, form)
+        alpha = normal_form(q, lam)[0]
         d = s.diagnostics
         M = lam ** alpha * d.sup_u + lam ** (2.0 * alpha - 1.0) * d.sup_v
-        rows.append((lam, M ** (q - 2.0) / lam, M / lam))
+        rows.append((lam, small_parameter(q, lam),
+                     *limit_distance(s.u, reference),
+                     M ** (q - 2.0) / lam, M / lam))
+    j = 4 if kind == KWONG else 5
     lo, hi = RATIO_WINDOW
-    return rows, all(lo <= row[j] <= hi for row in rows)
-
-
-def limit_study(states: list, lams: list, side: str,
-                reference) -> ScalingReport:
-    """Distances of normal-form members to their limit profile plus mass
-    ratios.
-
-    `states[i]` is the member `normal_form` gives for `lams[i]` in the
-    (q, side) regime, the lams ordered toward the limit (decreasing for
-    side='zero', increasing for side='infinity'); `reference` is the
-    matching Kwong/Choquard profile, solved on the members' grid.
-    """
-    if not states:
-        raise ValueError("need at least one state")
-    q = states[0].params.q
-    form, _ = limit_regime(q, side)
-    rows = []
-    for s, lam in zip(states, lams):
-        sup, h1 = limit_distance(s.u, reference)
-        rows.append((lam, small_parameter(q, lam, form), sup, h1))
-    ratios, ok = mass_ratio_report(states, lams, side)
-    return ScalingReport(regime=regime_name(q, side), rows=rows,
-                         mass_ratios=ratios, ratios_in_window=ok)
-
-
-def regime_name(q: float, side: str) -> str:
-    low_q = q < 3.0
-    if side == "zero":
-        return "q_low_lambda_zero" if low_q else "q_high_lambda_zero"
-    return "q_low_lambda_inf" if low_q else "q_high_lambda_inf"
+    return LimitStudy(
+        regime=regime, rows=rows,
+        distances_decreasing=all(b[2] < a[2] and b[3] < a[3]
+                                 for a, b in zip(rows, rows[1:])),
+        final_sup_ok=rows[-1][2] <= 0.05 * reference.diagnostics.sup_u,
+        ratios_in_window=all(lo <= row[j] <= hi for row in rows),
+        zero_distance_lambdas=[row[0] for row in rows if row[2] == 0.0])

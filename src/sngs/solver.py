@@ -23,8 +23,8 @@ IDENTITY_RTOL G; `linearized` asks the residual part alone.
 (params, n); the scan's random starts share its domain.  The ground state is
 unique at each lambda, so a lambda sweep solves every lambda afresh, the
 limit profiles W and U are the family members of `scaling.limit_member`, and
-`limits` and `spectrum` solve the normal-form members of `scaling.normal_form`
-rather than rescale a field.
+`limits` and `spectrum` solve the member `scaling.normal_form(q, lam)` gives,
+in the form of lam's side of 1, rather than rescale a field.
 A GroundState is the float arrays u and v = I_2 * u^2 on its one grid.
 Every one, the last iterate a NonConvergence carries included, comes whole
 from `ground_state`, with its diagnostics and its residual_norm, the

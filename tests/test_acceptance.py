@@ -137,21 +137,26 @@ def regime_states(acc):
     them."""
     out = {}
     for q, side, lams in REGIMES:
-        form, _ = sngs.limit_regime(q, side)
-        members = [sngs.normal_form(q, lam, form)[1] for lam in lams]
+        members = [sngs.normal_form(q, lam)[1] for lam in lams]
         out[(q, side)] = [acc(1.0, a=p.a, nu=p.nu, q=q) for p in members]
     return out
 
 
-def test_criterion_7_scaling_limits(regime_states):
+@pytest.fixture(scope="module")
+def regime_references():
+    """Each regime's limit profile, as `limits` solves it."""
+    return {(q, side): sngs.solve(sngs.limit_member(q, side), N)
+            for q, side, _ in REGIMES}
+
+
+def test_criterion_7_scaling_limits(regime_states, regime_references):
     with criterion(7, "scaling limits approach W/U"):
-        ref_grid = sngs.make_grid(sngs.auto_rmax(1.0), N)
         for q, side, lams in REGIMES:
-            ref = sngs.solve(sngs.limit_member(q, side), N)
-            assert ref.grid == ref_grid
+            ref = regime_references[(q, side)]
+            assert (ref.grid.r_max, ref.grid.n) == (sngs.auto_rmax(1.0), N)
             sups, h1s = [], []
             for st in regime_states[(q, side)]:
-                assert st.grid == ref_grid
+                assert (st.grid.r_max, st.grid.n) == (ref.grid.r_max, N)
                 sup, h1 = sngs.limit_distance(st.u, ref)
                 sups.append(sup)
                 h1s.append(h1)
@@ -160,12 +165,13 @@ def test_criterion_7_scaling_limits(regime_states):
             assert sups[-1] <= 0.05 * ref.diagnostics.sup_u, (q, side, sups[-1])
 
 
-def test_criterion_8_mass_ratio_windows(regime_states):
+def test_criterion_8_mass_ratio_windows(regime_states, regime_references):
     with criterion(8, "mass ratios inside [1e-3, 1e3]"):
         for q, side, lams in REGIMES:
-            rows, ok = sngs.mass_ratio_report(regime_states[(q, side)], lams,
-                                              side)
-            assert ok, (q, side, rows)
+            study = sngs.limit_study(regime_states[(q, side)], lams, side,
+                                     regime_references[(q, side)])
+            assert [row[0] for row in study.rows] == list(lams)
+            assert study.ratios_in_window, (q, side, study.rows)
 
 
 def test_criterion_9_uniqueness_scans():
@@ -182,8 +188,8 @@ def test_criterion_9_uniqueness_scans():
 def spectrum_states(solved_cache):
     """The Choquard profile and the normal-form states `spectrum` certifies."""
     return {"choquard": solved_cache(1.0, 1.0, 0.0, 4.0, n=N),
-            "lam1e-2_q4": sngs.solve(sngs.normal_member(4.0, 1e-2), N),
-            "lam1e2_q2.5": sngs.solve(sngs.normal_member(2.5, 1e2), N)}
+            "lam1e-2_q4": sngs.solve(sngs.normal_form(4.0, 1e-2)[1], N),
+            "lam1e2_q2.5": sngs.solve(sngs.normal_form(2.5, 1e2)[1], N)}
 
 
 def test_criterion_10_nondegeneracy(spectrum_states, solved_cache):

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+from pathlib import Path
 import warnings
 
 import numpy as np
@@ -12,6 +13,11 @@ from sngs import cli, scaling, solver
 
 def run(args, cwd=None):
     return cli.main(["sngs"] + args)
+
+
+def manifest(out):
+    """The JSON a run with `--out out` wrote."""
+    return json.loads(Path(out + ".json").read_text())
 
 
 def test_usage_errors(tmp_path):
@@ -107,10 +113,10 @@ def test_solve_roundtrip_and_determinism(tmp_path):
     args = ["solve", "--q", "4", "--lambda", "0.5", "--n", "512"]
     assert run(args + ["--out", out1]) == 0
     assert run(args + ["--out", out2]) == 0
-    b1 = open(out1 + ".csv", "rb").read()
-    b2 = open(out2 + ".csv", "rb").read()
+    b1 = Path(out1 + ".csv").read_bytes()
+    b2 = Path(out2 + ".csv").read_bytes()
     assert b1 == b2   # bit-identical CSV
-    man = json.load(open(out1 + ".json"))
+    man = manifest(out1)
     assert man["params"]["q"] == 4.0
     assert man["summary"]["diagnostics"]["J"] is not None
     assert man["summary"]["identity_failures"] == []
@@ -143,7 +149,7 @@ def test_check_accepts_large_lambda_solve(tmp_path):
     out = str(tmp_path / "run")
     assert run(["solve", "--q", "4.75", "--lambda", repr(10.0 ** 1.25),
                 "--out", out]) == 0
-    assert json.load(open(out + ".json"))["summary"]["residual_norm"] <= 1e-10
+    assert manifest(out)["summary"]["residual_norm"] <= 1e-10
     assert run(["check", "--out", out]) == 0
 
 
@@ -170,9 +176,9 @@ def test_check_rejects_sweep_output(tmp_path, capsys):
     lambda man: man["params"].update(q=7.0),
 ], ids=["no_diagnostics", "q_out_of_range"])
 def test_check_rejects_foreign_manifest(solved, capsys, spoil):
-    man = json.load(open(solved + ".json"))
+    man = manifest(solved)
     spoil(man)
-    json.dump(man, open(solved + ".json", "w"))
+    Path(solved + ".json").write_text(json.dumps(man))
     assert run(["check", "--out", solved]) == 2
     assert f"{solved}.json is not a solve manifest" in capsys.readouterr().err
 
@@ -190,9 +196,9 @@ def test_check_detects_tampering(tmp_path):
     out = str(tmp_path / "run")
     assert run(["solve", "--q", "4", "--lambda", "1", "--n", "1536",
                 "--out", out]) == 0
-    man = json.load(open(out + ".json"))
+    man = manifest(out)
     man["summary"]["diagnostics"]["J"] *= 1.01
-    json.dump(man, open(out + ".json", "w"))
+    Path(out + ".json").write_text(json.dumps(man))
     assert run(["check", "--out", out]) == 2
 
 
@@ -200,16 +206,16 @@ def test_check_compares_the_identity_residuals_on_the_scale_of_G(solved, capsys)
     # nehari is a cancellation residual near 0: a stored value 1e-4 of
     # itself off the re-derived one, as BLAS rounding in another thread count
     # leaves it, is still far below 1e-12 G and agrees
-    man = json.load(open(solved + ".json"))
+    man = manifest(solved)
     diag = man["summary"]["diagnostics"]
     nehari, G = diag["nehari"], diag["grad_sq"]
     assert 0.0 < 1e-4 * abs(nehari) < 1e-12 * G
     diag["nehari"] = nehari * (1.0 + 1e-4)
-    json.dump(man, open(solved + ".json", "w"))
+    Path(solved + ".json").write_text(json.dumps(man))
     assert run(["check", "--out", solved]) == 0
     # but a stored nehari 1e-5 G off is a mismatch
     diag["nehari"] = nehari + 1e-5 * G
-    json.dump(man, open(solved + ".json", "w"))
+    Path(solved + ".json").write_text(json.dumps(man))
     assert run(["check", "--out", solved]) == 2
     assert "mismatch ('nehari'" in capsys.readouterr().err
 
@@ -220,7 +226,7 @@ def test_solve_rejects_under_resolved_state(tmp_path):
     out = str(tmp_path / "run")
     assert run(["solve", "--q", "5.95", "--lambda", "1", "--out", out]) == 2
     assert os.path.exists(out + ".csv")
-    man = json.load(open(out + ".json"))
+    man = manifest(out)
     names = [f[0] for f in man["summary"]["identity_failures"]]
     assert names == ["identity_residuals"]
     assert man["summary"]["diagnostics"]["J"] is not None
@@ -233,7 +239,7 @@ def test_solve_and_check_accept_rounding_floor(tmp_path):
     out = str(tmp_path / "fine")
     assert run(["solve", "--q", "5.25", "--lambda", "1", "--n", "32761",
                 "--out", out]) == 0
-    summary = json.load(open(out + ".json"))["summary"]
+    summary = manifest(out)["summary"]
     assert summary["residual_floor"] > 1e-10
     assert summary["residual_norm"] <= summary["residual_floor"]
     assert run(["check", "--out", out]) == 0
@@ -252,7 +258,7 @@ def test_sweep_monotone(tmp_path):
     out = str(tmp_path / "sweep")
     assert run(["sweep", "--q", "4", "--lambdas", "0.5,1,2", "--n", "1024",
                 "--out", out]) == 0
-    rows = open(out + ".csv").read().strip().splitlines()
+    rows = Path(out + ".csv").read_text().strip().splitlines()
     assert rows[0].startswith("lambda,")
     assert len(rows) == 4
     js = [float(line.split(",")[1]) for line in rows[1:]]
@@ -265,7 +271,7 @@ def test_sweep_rows_are_direct_solves(tmp_path):
     assert run(["sweep", "--q", "4", "--lambdas", "0.5,1,2", "--n", "1024",
                 "--out", out]) == 0
     header, *rows = [line.split(",") for line in
-                     open(out + ".csv").read().strip().splitlines()]
+                     Path(out + ".csv").read_text().strip().splitlines()]
     col = {name: header.index(name)
            for name in ("lambda", "J", "residual_norm", "iterations")}
     for row in rows:
@@ -284,7 +290,7 @@ def test_failed_solve_writes_its_manifest(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["solve", "--q", "2.05", "--lambda", "0.01", "--out", out]) == 2
     assert "TrivialCollapse" in capsys.readouterr().err
-    man = json.load(open(out + ".json"))
+    man = manifest(out)
     assert "collapsed" in man["summary"]["error"]
     assert man["outputs"] == []
     assert man["grid"] == {"r_max": solver.auto_rmax(0.01), "n": 4096}
@@ -301,7 +307,7 @@ def test_failed_solve_records_its_best_iterate(tmp_path, capsys):
     assert run(["solve", "--q", "5.95", "--lambda", "1", "--n", "16381",
                 "--out", out]) == 2
     assert "NonConvergence" in capsys.readouterr().err
-    man = json.load(open(out + ".json"))
+    man = manifest(out)
     assert f"no convergence in {solver.MAX_ITER} iterations" in \
         man["summary"]["error"]
     assert man["outputs"] == []
@@ -332,19 +338,18 @@ ARTIFACTS = {
                 "--lambdas", "0.1,0.01", "--n", "1024"],
                lambda man: [man["reference"], *man["states"]],
                lambda: [solver.solve(scaling.limit_member(4.0, "zero"), 1024),
-                        *(solver.solve(scaling.normal_form(
-                            4.0, lam, scaling.NU_FORM)[1], 1024)
+                        *(solver.solve(scaling.normal_form(4.0, lam)[1], 1024)
                           for lam in (0.1, 0.01))], []),
     "spectrum": (["spectrum", "--q", "4", "--lambda", "0.01", "--n", "1024",
                   "--k-max", "2"], lambda man: [man["state"]],
-                 lambda: [solver.solve(scaling.normal_member(4.0, 0.01),
+                 lambda: [solver.solve(scaling.normal_form(4.0, 0.01)[1],
                                        1024)], []),
     # the spectrum gate is not in place: the state misses Pohozaev at about
     # 2.5e-5 G, its record says so, and the verdict still passes
     "spectrum_refused_state": (
         ["spectrum", "--q", "2.05", "--lambda", "0.1", "--n", "1024",
          "--k-max", "2"], lambda man: [man["state"]],
-        lambda: [solver.solve(scaling.normal_member(2.05, 0.1), 1024)],
+        lambda: [solver.solve(scaling.normal_form(2.05, 0.1)[1], 1024)],
         ["identity_residuals"]),
     "scan": (["scan", "--q", "4", "--lambda", "1", "--starts", "4",
               "--n", "1024", "--seed", "3"], lambda man: man["states"],
@@ -359,7 +364,7 @@ def test_every_artifact_records_its_states(tmp_path, case):
     argv, records_of, expected, failure_names = ARTIFACTS[case]
     out = str(tmp_path / "x")
     assert run(argv + ["--out", out]) == 0
-    man = json.load(open(out + ".json"))
+    man = manifest(out)
     assert man["command_line"] == " ".join(["sngs", *argv, "--out", out])
     assert man["code_version"] == sngs.__version__
     assert man["created"] and isinstance(man["outputs"], list)
@@ -391,7 +396,7 @@ def test_scan_cli(tmp_path):
     out = str(tmp_path / "scan")
     assert run(["scan", "--q", "4", "--lambda", "1", "--starts", "4",
                 "--n", "1024", "--seed", "3", "--out", out]) == 0
-    payload = json.load(open(out + ".json"))
+    payload = manifest(out)
     assert payload["distinct"] == 1
     assert payload["converged"] + payload["failed"] == 4
 
@@ -402,7 +407,7 @@ def test_scan_refuses_a_state_that_misses_the_identities(tmp_path, capsys):
     out = str(tmp_path / "scan")
     assert run(["scan", "--q", "4", "--lambda", "1", "--starts", "4",
                 "--n", "512", "--seed", "3", "--out", out]) == 2
-    payload = json.load(open(out + ".json"))
+    payload = manifest(out)
     assert payload["distinct"] == 1
     failures = payload["states"][0]["summary"]["identity_failures"]
     assert [f[0] for f in failures] == ["identity_residuals"]
@@ -415,11 +420,11 @@ def test_limits_cli_small(tmp_path):
     code = run(["limits", "--q", "4", "--side", "zero",
                 "--lambdas", "0.1,0.01", "--n", "1024", "--out", out])
     assert code == 0
-    rows = open(out + ".csv").read().strip().splitlines()
+    rows = Path(out + ".csv").read_text().strip().splitlines()
     assert rows[0].split(",")[0] == "lambda"
     sups = [float(line.split(",")[2]) for line in rows[1:]]
     assert sups[1] < sups[0]
-    assert json.load(open(out + ".json"))["summary"]["identity_failures"] == []
+    assert manifest(out)["summary"]["identity_failures"] == []
 
 
 def test_limits_single_lambda_checks_its_regime_ratio(tmp_path):
@@ -428,7 +433,7 @@ def test_limits_single_lambda_checks_its_regime_ratio(tmp_path):
     out = str(tmp_path / "lim")
     assert run(["limits", "--q", "2.5", "--side", "zero", "--lambdas", "1e-4",
                 "--n", "1024", "--out", out]) == 0
-    assert json.load(open(out + ".json"))["summary"]["ratios_in_window"]
+    assert manifest(out)["summary"]["ratios_in_window"]
 
 
 def test_limits_near_q_two(tmp_path):
@@ -438,7 +443,7 @@ def test_limits_near_q_two(tmp_path):
     assert run(["limits", "--q", "2.25", "--side", "zero",
                 "--lambdas", "1e-1,1e-2,1e-3", "--n", "1024",
                 "--out", out]) == 0
-    man = json.load(open(out + ".json"))
+    man = manifest(out)
     assert [s["params"]["lam"] for s in man["states"]] == [1.0, 1.0, 1.0]
     assert man["summary"]["identity_failures"] == []
     assert man["summary"]["zero_distance_lambdas"] == []
@@ -456,8 +461,7 @@ def test_limits_refuses_a_member_equal_to_its_profile(tmp_path, capsys, q,
     out = str(tmp_path / "lim")
     assert run(["limits", "--q", q, "--side", side, "--lambdas", lambdas,
                 "--n", "512", "--out", out]) == 2
-    assert json.load(open(out + ".json"))["summary"][
-        "zero_distance_lambdas"] == zero
+    assert manifest(out)["summary"]["zero_distance_lambdas"] == zero
     err = capsys.readouterr().err
     assert f"member at lambda {zero[0]:g} equals" in err
 
@@ -468,7 +472,7 @@ def test_limits_rejects_under_resolved_states(tmp_path):
     out = str(tmp_path / "lim")
     assert run(["limits", "--q", "5.5", "--side", "infinity",
                 "--lambdas", "1e1,1e2,1e3", "--out", out]) == 2
-    failures = json.load(open(out + ".json"))["summary"]["identity_failures"]
+    failures = manifest(out)["summary"]["identity_failures"]
     assert failures[0]["reference"] == "kwong"
     assert [f["lambda"] for f in failures[1:]] == [10.0, 100.0, 1000.0]
 
@@ -504,7 +508,7 @@ def test_spectrum_cli_small(tmp_path):
     code = run(["spectrum", "--q", "4", "--lambda", "0.01", "--n", "2048",
                 "--k-max", "2", "--out", out])
     assert code == 0
-    payload = json.load(open(out + ".json"))
+    payload = manifest(out)
     assert payload["verdict"] == "nondegenerate"
     assert payload["split"] == -payload["tolerances"]["gap_tol"]
     assert [s["below_split"] for s in payload["sectors"]] == [1, 0, 0]
@@ -522,11 +526,10 @@ def test_spectrum_certifies_the_normal_form_state(tmp_path):
     out = str(tmp_path / "spec")
     assert run(["spectrum", "--q", "4.75", "--lambda", "10", "--n", "2048",
                 "--k-max", "3", "--out", out]) == 0
-    record = json.load(open(out + ".json"))["state"]
-    st = solver.solve(scaling.normal_member(4.75, 10.0), 2048)
+    record = manifest(out)["state"]
+    st = solver.solve(scaling.normal_form(4.75, 10.0)[1], 2048)
     assert record["params"] == vars(st.params)
-    assert record["params"]["a"] == scaling.small_parameter(
-        4.75, 10.0, scaling.MU_FORM) != 2.0
+    assert record["params"]["a"] == scaling.small_parameter(4.75, 10.0) != 2.0
     assert record["grid"]["r_max"] == st.grid.r_max
 
 
@@ -543,7 +546,7 @@ def test_spectrum_under_resolved_grid(tmp_path, q, lam, n, verdict):
     out = str(tmp_path / "spec")
     code = run(["spectrum", "--q", q, "--lambda", lam, "--n", str(n),
                 "--k-max", "3", "--out", out])
-    payload = json.load(open(out + ".json"))
+    payload = manifest(out)
     assert payload["verdict"] == verdict
     assert code == (0 if verdict == "nondegenerate" else 2)
     h = payload["state"]["grid"]["r_max"] / (n - 1)

@@ -125,7 +125,7 @@ def test_field_csv_exact_bytes(tmp_path):
     path = tmp_path / "field.csv"
     from sngs.grid import write_field_csv
     write_field_csv(path, g, {"u": u, "w": 2.0 * g.nodes})
-    lines = open(path, "rb").read().split(b"\r\n")
+    lines = path.read_bytes().split(b"\r\n")
     assert lines[0] == b"r,u,w"
     assert lines[1] == b"0,0.33333333333333331,0"
     assert lines[2] == b"0.13333333333333333,-0,0.26666666666666666"

@@ -119,7 +119,7 @@ def test_translation_eigenvalue_falls_under_refinement():
     # zero mode: about 15x per n -> 2n - 1 at q=4.75, lambda=10
     zero = []
     for n in (1024, 2047, 4093):
-        st = sngs.solve(sngs.normal_member(4.75, 10.0), n)
+        st = sngs.solve(sngs.normal_form(4.75, 10.0)[1], n)
         zero.append(min(abs(s) for s in
                         sector_spectrum(sector_form(st, 1), 2).eigenvalues))
     assert zero[1] <= zero[0] / 10.0 and zero[2] <= zero[1] / 10.0, zero
@@ -132,7 +132,7 @@ def test_zero_mode_sits_at_round_off_or_falls_under_refinement(q, lam):
     # q = 4.75 an O(h^4) error that falls about 16x per n -> 2n - 1
     zero, sigma2 = [], []
     for n in (4096, 8191, 16381):
-        st = sngs.solve(sngs.normal_member(q, lam), n)
+        st = sngs.solve(sngs.normal_form(q, lam)[1], n)
         low = sorted(abs(s) for s in
                      sector_spectrum(sector_form(st, 1), 2).eigenvalues)
         zero.append(low[0])
@@ -210,7 +210,7 @@ RUN_SPECTRUM_EIGENVALUES = {
 
 @pytest.mark.parametrize("q,lam", sorted(RUN_SPECTRUM_EIGENVALUES))
 def test_run_spectrum_cases_match_recorded(q, lam):
-    st = sngs.solve(sngs.normal_member(q, lam), 4096)
+    st = sngs.solve(sngs.normal_form(q, lam)[1], 4096)
     recorded = np.array(RUN_SPECTRUM_EIGENVALUES[(q, lam)])
     rep = nondegeneracy_report(st, 3)
     assert rep.verdict == "nondegenerate"
@@ -232,7 +232,7 @@ def test_run_spectrum_cases_never_refine(q, lam, monkeypatch):
     # ARPACK stops at BACKWARD_TOL; a pair it leaves over that bound would be
     # refined through one more factorization, so the count of factorizations
     # is one per sector plus sector 0's lower-bound shift and nothing else
-    st = sngs.solve(sngs.normal_member(q, lam), 4096)
+    st = sngs.solve(sngs.normal_form(q, lam)[1], 4096)
     calls = []
     inertia = sngs.operators._inertia
 
