@@ -27,7 +27,9 @@ the local potential k(k+1)/r^2 on W beside pot (r > 0 on the active nodes).
 The form is one symmetric matrix in (f, y = r g), mass on f alone; `operators`
 eliminates its y block, G_k's tridiagonal inverse `hartree.green_bands` (no
 boundary condition on g).  k=0 uses even parity at the origin, k>=1 odd; f
-vanishes on the two-node Dirichlet pad at r_max.
+vanishes on the two-node Dirichlet pad at r_max.  `nondegeneracy_report`
+assembles, solves and releases one sector at a time, so one sector form and
+one LDL^T factorization of it are alive at once.
 """
 
 from __future__ import annotations
@@ -157,8 +159,9 @@ def nondegeneracy_report(state: GroundState, k_max: int) -> NondegeneracyReport:
     """
     if k_max < 2:
         raise ValueError("k_max >= 2")
-    ops = [sector_form(state, k) for k in range(k_max + 1)]
-    sectors = [sector_spectrum(op, 2 if op.k == 1 else 1) for op in ops]
+    # each form dies with its solve, so one sector is alive at a time
+    sectors = [sector_spectrum(sector_form(state, k), 2 if k == 1 else 1)
+               for k in range(k_max + 1)]
 
     h = state.grid.h
     sigma2 = sorted(abs(s) for s in sectors[1].eigenvalues)[1]
@@ -169,8 +172,9 @@ def nondegeneracy_report(state: GroundState, k_max: int) -> NondegeneracyReport:
                                      if abs(s) <= zero_tol)
     k1 = sectors[1]
     x = k1.eigenvectors[:, int(np.argmin(np.abs(k1.eigenvalues)))]
-    t = translation_mode(state)[ops[1].act]
-    M = ops[1].mass
+    act = operators.active_slice(state.grid)
+    t = translation_mode(state)[act]
+    M = state.grid.weights_r2dr[act]   # sector 1's mass
     k1.zero_mode_match = float(
         abs(np.sum(M * x * t)) / math.sqrt(np.sum(M * x * x) * np.sum(M * t * t)))
 

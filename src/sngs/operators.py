@@ -28,14 +28,17 @@ The count at a split point says how many eigenvalues lie below it; all of
 those come from a shift-invert call at a lower bound of the spectrum, whose
 count of zero certifies the bound, and as many as the caller asks for just
 above the split from a call at the split itself; the count at the split
-checks that none went missing.  ARPACK runs on the standard-form matrix
-D A D, D = M^(-1/2), so each Lanczos step is one solve through the LDL^T and
-no mass product, and it stops at the relative accuracy BACKWARD_TOL = 1e-12
-that the certificate asks for.  Every returned eigenpair is then held to a
-normwise backward error of 1e-12, computed once and returned with the pairs;
-a pair over it is refined by one inverse iteration through `_inertia` just
-above its eigenvalue.  A mass shorter than the form eliminates its trailing
-block (`schur_apply`, Haynsworth).
+checks that none went missing.  The call at the split runs first, on the
+factorization that counted, which is released before the lower bound is
+factored, so at most one LDL^T is alive at a time.  ARPACK runs on the
+standard-form matrix D A D, D = M^(-1/2), so each Lanczos step is one solve
+through the LDL^T and no mass product, and it stops at the relative accuracy
+BACKWARD_TOL = 1e-12 that the certificate asks for.  Every returned eigenpair
+is then held to a normwise backward error of 1e-12, computed once and
+returned with the pairs; a pair over it is refined, after both calls, by one
+inverse iteration through `_inertia` just above its eigenvalue.  A mass
+shorter than the form eliminates its trailing block (`schur_apply`,
+Haynsworth).
 """
 
 from __future__ import annotations
@@ -194,12 +197,13 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, above: int,
     count must be zero, so `shift` is certified to lie below the spectrum,
     and the `above` pairs from one call at `split` itself (which="LA": the
     largest 1/(sigma - split) are the eigenvalues just above it).  Each call
-    solves with the factorization that made its count.  A returned set with
-    other than the counted number under `split` raises FactorizationFailure,
-    so no eigenvalue goes missing silently; so does an ARPACK failure.  More
-    pairs in all than ARPACK can give, dim - 2, raises TooManyRequested.
-    With split = shift below the spectrum nothing lies below the split and
-    the one call is at the split.
+    solves with the factorization that made its count: the split's first,
+    released before the shift is factored, so one LDL^T is alive at a time.
+    A returned set with other than the counted number under `split` raises
+    FactorizationFailure, so no eigenvalue goes missing silently; so does an
+    ARPACK failure.  More pairs in all than ARPACK can give, dim - 2, raises
+    TooManyRequested.  With split = shift below the spectrum nothing lies
+    below the split and the one call is at the split.
 
     Lanczos runs in standard form on D A D, D = M^(-1/2): its shift-invert
     operator y -> s * LDL^T.solve((s * y, 0))[:N], s = sqrt(mass) of length
@@ -221,49 +225,58 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, above: int,
         raise TooManyRequested(
             f"{below} eigenpairs below the split and {above} above it from a "
             f"{dim}-dim pencil (at most {dim - 2})")
-    solves = 0
     s = np.sqrt(mass)
-    rhs = np.zeros(form.shape[0])   # (s * y, 0): the pad stays zero
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
-    vals, vecs = [], []
-    for k, sigma, which in ((below, shift, "LM"), (above, split, "LA")):
-        if not k:
-            continue
-        lu, under = (split_lu, 0) if which == "LA" else _inertia(form, mass, shift)
+    # the split's LDL^T dies before the lower bound is factored
+    vals, vecs, solves = _shift_invert(split_lu, s, above, split, "LA")
+    del split_lu
+    if below:
+        lu, under = _inertia(form, mass, shift)
         if under:
             raise FactorizationFailure(
                 f"shift {shift} is not below the spectrum: "
                 f"{under} eigenvalues lie under it")
-
-        def apply(y, lu=lu):
-            nonlocal solves
-            solves += 1
-            np.multiply(s, y, out=rhs[:dim])
-            return s * lu.solve(rhs)[:dim]
-        # shift-invert mode without a mass reads only the shape of eigsh's
-        # first argument, so the operator stands in for D A D there
-        inv = spla.LinearOperator((dim, dim), matvec=apply, dtype=float)
-        try:
-            w, y = spla.eigsh(inv, k=k, sigma=sigma, which=which, v0=v0,
-                              OPinv=inv, tol=BACKWARD_TOL)
-        except RuntimeError as exc:
-            raise FactorizationFailure(
-                f"ARPACK failed at shift {sigma}: {exc}") from exc
-        vals.append(w)
-        vecs.append(y)
-    vals = np.concatenate(vals)
+        w, y, more = _shift_invert(lu, s, below, shift, "LM")
+        del lu
+        vals, vecs, solves = np.r_[w, vals], np.hstack([y, vecs]), more + solves
     found = int(np.count_nonzero(vals < split))
     if found != below:
         raise FactorizationFailure(
             f"{found} eigenvalues below {split} returned, inertia counts {below}")
     order = np.argsort(vals)
     vals = vals[order]
-    X = np.concatenate(vecs, axis=1)[:, order]
+    X = vecs[:, order]
     X /= s[:, None]
     errors, refined = _verified(form, mass, vals, X)
     # one factorization at the split, one at the shift if it was called
     return Eigenpairs(vals, X, errors, solves + refined,
                       1 + (below > 0) + refined)
+
+
+def _shift_invert(lu, s, k, sigma, which):
+    """ARPACK's k pairs at `sigma` of the standard-form pencil, solving
+    through `lu`, its LDL^T at sigma; returns them and the solves spent.
+    The operator and its right-hand side die with the call, so nothing
+    holds `lu` after it."""
+    dim = len(s)
+    rhs = np.zeros(lu.shape[0])   # (s * y, 0): the pad stays zero
+    solves = 0
+
+    def apply(y):
+        nonlocal solves
+        solves += 1
+        np.multiply(s, y, out=rhs[:dim])
+        return s * lu.solve(rhs)[:dim]
+    # shift-invert mode without a mass reads only the shape of eigsh's first
+    # argument, so the operator stands in for D A D there
+    inv = spla.LinearOperator((dim, dim), matvec=apply, dtype=float)
+    try:
+        w, y = spla.eigsh(inv, k=k, sigma=sigma, which=which,
+                          v0=np.full(dim, 1.0 / np.sqrt(dim)), OPinv=inv,
+                          tol=BACKWARD_TOL)
+    except RuntimeError as exc:
+        raise FactorizationFailure(
+            f"ARPACK failed at shift {sigma}: {exc}") from exc
+    return w, y, solves
 
 
 def backward_errors(form, mass, sigmas, vectors) -> np.ndarray:
@@ -293,6 +306,7 @@ def _verified(form, mass, sigmas, X):
         X[:, j] = y / np.sqrt(np.dot(mass * y, y))
         sigmas[j] = np.dot(X[:, j], schur_apply(form, mass, X[:, j]))
         errors[j] = backward_errors(form, mass, sigmas[j:j + 1], X[:, j:j + 1])[0]
+        del lu
         if not errors[j] <= BACKWARD_TOL:
             raise FactorizationFailure(
                 f"eigenpair {sigmas[j]:.6e} has backward error {errors[j]:.2e} "

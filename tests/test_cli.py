@@ -517,6 +517,8 @@ def test_spectrum_cli_small(tmp_path):
     assert [len(s["eigenvalues"]) for s in payload["sectors"]] == [2, 2, 1]
     assert all(s["solves"] >= len(s["eigenvalues"]) for s in payload["sectors"])
     assert len(payload["timing"]["eigensolve_s"]) == 3
+    assert payload["timing"]["solve_s"] > 0.0
+    assert sorted(payload["timing"]) == ["eigensolve_s", "solve_s"]
     assert payload["sectors"][1]["zero_mode_match"] >= 0.999
 
 

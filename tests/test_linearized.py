@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -244,3 +245,45 @@ def test_run_spectrum_cases_never_refine(q, lam, monkeypatch):
     assert len(calls) == 5
     assert [e.factorizations for e in rep.sectors] == [2, 1, 1, 1]
     assert all(e.solves > 0 for e in rep.sectors)
+
+
+class _Factor:
+    """Forwards to a SuperLU object, which takes no weak reference."""
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def _alive(refs):
+    return sum(ref() is not None for ref in refs)
+
+
+def test_report_keeps_one_sector_and_one_factorization_alive(monkeypatch):
+    # every factorization finds the earlier ones released, and every sector
+    # form finds the earlier sectors' forms released
+    st = sngs.solve(sngs.normal_form(4.0, 1e-2)[1], 1024)
+    factors, forms, factor_crowd, form_crowd = [], [], [], []
+    inertia, assemble = sngs.operators._inertia, sngs.linearized.sector_form
+
+    def factored(form, mass, tau):
+        factor_crowd.append(_alive(factors))
+        lu, count = inertia(form, mass, tau)
+        factor = _Factor(lu)
+        factors.append(weakref.ref(factor))
+        return factor, count
+
+    def formed(state, k):
+        form_crowd.append(_alive(forms))
+        op = assemble(state, k)
+        forms.append(weakref.ref(op))
+        return op
+    monkeypatch.setattr(sngs.operators, "_inertia", factored)
+    monkeypatch.setattr(sngs.linearized, "sector_form", formed)
+    rep = nondegeneracy_report(st, 3)
+    assert rep.verdict == "nondegenerate"
+    assert [e.factorizations for e in rep.sectors] == [2, 1, 1, 1]
+    assert factor_crowd == [0] * 5
+    assert form_crowd == [0] * 4
+    assert _alive(factors) == _alive(forms) == 0
