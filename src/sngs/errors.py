@@ -20,7 +20,7 @@ class TooFewNodes(SngsError):
 
 
 class RadiusOutOfRange(SngsError):
-    """The ball volume r_max^3 / 3 that normalizes the r^2 dr weights is not
+    """The r^2 dr measure r_max^3 / 3, the size of every weight sum, is not
     a normal float: r_max is so large it overflows, or so small it underflows."""
 
 

@@ -2,9 +2,9 @@
 
 The grid covers [0, r_max] with n equally spaced nodes, nodes[0] = 0.  One
 quadrature weight vector is attached, for the r^2 dr measure: trapezoid
-applied to f*r^2, normalized by the exact ball volume r_max^3/3 (a relative
-adjustment of order h^2/r_max^2, ~3e-8 at n=4096) so that the total measure is
-exact.  Every quadrature, energy and inner product in the package uses this
+applied to f*r^2, h r_i^2 with the end weights halved, fourth order for a
+field decaying at r_max (Euler-Maclaurin's h^2 term (f r^2)' is 0 at both
+ends).  Every quadrature, energy and inner product in the package uses this
 one weight vector, a 1/r^2 potential such as the centrifugal term included,
 which is what makes the discrete variational identities close.
 A field is a plain float array of length n, read on the nodes of its grid.
@@ -40,27 +40,24 @@ class RadialGrid:
 def make_grid(r_max: float, n: int) -> RadialGrid:
     """Uniform grid on [0, r_max] with trapezoid weights for r^2 dr.
 
-    Raises NonPositiveRadius, TooFewNodes, and RadiusOutOfRange when the ball
-    volume r_max^3 / 3 is not a normal finite float."""
+    Raises NonPositiveRadius, TooFewNodes, and RadiusOutOfRange when the
+    r^2 dr measure r_max^3 / 3 is not a normal finite float."""
     if not r_max > 0:
         raise NonPositiveRadius(f"r_max = {r_max}")
     if n < 16:
         raise TooFewNodes(f"n = {n} < 16")
     try:
         with np.errstate(over="ignore"):   # a numpy r_max overflows to inf
-            volume = r_max**3 / 3.0
+            measure = r_max**3 / 3.0
     except OverflowError:                  # a float r_max raises
-        volume = math.inf
-    if not np.finfo(float).tiny <= volume < math.inf:
-        raise RadiusOutOfRange(f"r_max = {r_max:g}: the ball volume r_max^3/3 "
-                               "is not a normal finite float")
+        measure = math.inf
+    if not np.finfo(float).tiny <= measure < math.inf:
+        raise RadiusOutOfRange(f"r_max = {r_max:g}: the r^2 dr measure "
+                               "r_max^3/3 is not a normal finite float")
     h = r_max / (n - 1)
     nodes = h * np.arange(n)
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    w2 = w * nodes**2
-    # normalize so the ball measure is exact (trapezoid alone carries +h^2 r_max/6)
-    w2 *= volume / w2.sum()
+    w2 = h * nodes**2
+    w2[-1] *= 0.5                          # halved end weight; w2[0] is 0
     return RadialGrid(r_max=r_max, n=n, nodes=nodes, h=h, weights_r2dr=w2)
 
 

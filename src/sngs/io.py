@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, operators
 from .errors import (BadRange, InvalidExponent, IoError, NonPositiveRadius,
-                     TooFewNodes)
+                     RadiusOutOfRange, TooFewNodes)
 from .grid import make_grid, read_field_csv, write_field_csv
 from .solver import (TOL, GroundState, ModelParams, acceptance_failures,
                      ground_state)
@@ -108,7 +108,7 @@ def load_state(out_prefix: str) -> tuple[GroundState, dict]:
         u = cols["u"]
         grid = make_grid(float(r[-1]), len(r))
     except (KeyError, IndexError, ValueError, NonPositiveRadius,
-            TooFewNodes) as exc:
+            RadiusOutOfRange, TooFewNodes) as exc:
         raise IoError(f"{csv_path} is not a solve's field CSV: {exc!r}") from exc
     if not np.allclose(grid.nodes, r, rtol=0, atol=1e-12 * grid.r_max):
         raise IoError(f"{csv_path}: nodes are not a uniform grid")

@@ -85,9 +85,9 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
     pot, b = linearization(state.u, state.v, state.params, grid.h)
     form = S + sp.diags(Wa * (pot[act] + k * (k + 1) / grid.nodes[act] ** 2))
     if state.params.a != 0.0:
-        # y = r g; with W = sigma h r^2 and the sweep's weights h r_j,
+        # y = r g; with W = h r^2 and the sweep's weights h r_j,
         # B T_k^-1 B is W b G_k(b .) less its Euler-Maclaurin term
-        B = sp.diags(np.sqrt(grid.h * Wa) * b[act])
+        B = sp.diags(grid.h * grid.nodes[act] * b[act])
         diag, off = green_bands(k, len(act), grid.h)
         form = sp.bmat([[form, B], [B, sp.diags([off, diag, off], [-1, 0, 1])]])
     shift = (min(0.0, float(np.min(pot[act])))

@@ -57,22 +57,18 @@ def _weighted_bands(grid: RadialGrid, parity: str):
     """Main band and the two upper bands of W * (-Delta_r) on rows 1 .. n-3.
 
     The one definition of the stencil.  Entry (i, i+k) is the single
-    expression c_k * r_i * r_{i+k} * scale / h with c = (30, -16, 1) / 12 and
-    scale the ball-measure normalization of the r^2 dr weights, so the
+    expression c_k * r_i * r_{i+k} / h with c = (30, -16, 1) / 12, so the
     weighted operator is symmetric in floating point.  The main band carries
     the parity fold of row 1 through the origin (r_{-1} = -h); the last
     entries of the upper bands couple row n-3 into the Dirichlet pad.
     """
     n, h, r = grid.n, grid.h, grid.nodes
     ra = r[1:n - 2]
-    # interior trapezoid weight is h for every row 1 .. n-3; carry the
-    # ball-measure normalization so the bands match <A u, u>_{weights_r2dr}
-    scale = grid.weights_r2dr[2] / (h * r[2] ** 2)
-    diag = (30.0 / 12.0) * ra * ra * (scale / h)
-    fold = r[1] * (-h) * (scale / (12.0 * h))
+    diag = (30.0 / 12.0) * ra * ra / h
+    fold = r[1] * (-h) / (12.0 * h)
     diag[0] += fold if parity == EVEN else -fold
-    up1 = -(16.0 / 12.0) * ra * r[2:n - 1] * (scale / h)
-    up2 = (1.0 / 12.0) * ra * r[3:] * (scale / h)
+    up1 = -(16.0 / 12.0) * ra * r[2:n - 1] / h
+    up2 = (1.0 / 12.0) * ra * r[3:] / h
     return diag, up1, up2
 
 

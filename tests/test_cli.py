@@ -192,6 +192,18 @@ def test_check_rejects_header_only_csv(solved, capsys):
     assert f"{solved}.csv is not a solve's field CSV" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factor", [1e110, -1.0])
+def test_check_rejects_a_csv_whose_radius_is_out_of_range(solved, capsys, factor):
+    # r_max = 2.8e111 has no finite r^2 dr measure, r_max < 0 no domain:
+    # both are a CSV that is not a solve's, not a numerical failure
+    from sngs.grid import read_field_csv, write_table_csv
+    r, cols = read_field_csv(solved + ".csv")
+    write_table_csv(solved + ".csv", ["r", "u", "v"],
+                    np.column_stack([r * factor, cols["u"], cols["v"]]))
+    assert run(["check", "--out", solved]) == 2
+    assert f"{solved}.csv is not a solve's field CSV" in capsys.readouterr().err
+
+
 def test_check_detects_tampering(tmp_path):
     out = str(tmp_path / "run")
     assert run(["solve", "--q", "4", "--lambda", "1", "--n", "1536",
@@ -564,9 +576,9 @@ def test_spectrum_under_resolved_grid(tmp_path, q, lam, n, verdict):
 ])
 def test_tiny_lambda_domain_is_typed(tmp_path, capsys, command):
     """At lambda below ~1e-203 the domain 28 / sqrt(lambda) has no finite
-    ball volume, and above ~5e207 no normal one (at 1e300 it underflows to
-    0): make_grid's RadiusOutOfRange names r_max, exit 2, with no numpy
-    division warning on the way."""
+    r^2 dr measure r_max^3/3, and above ~5e207 no normal one (at 1e300 it
+    underflows to 0): make_grid's RadiusOutOfRange names r_max, exit 2, with
+    no numpy division warning on the way."""
     assert run(command + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "numerical failure: r_max = " in err

@@ -19,22 +19,21 @@ def test_make_grid_rejects_bad_inputs():
 @pytest.mark.parametrize("r_max", [28.0 / np.sqrt(1e-204), np.float64(1e103),
                                    np.inf, 2.8e-149, 3e-108, 4e-103])
 def test_make_grid_rejects_an_unrepresentable_ball(r_max):
-    # r_max^3 / 3 normalizes the r^2 dr weights; past ~5.6e102 it is no float,
-    # below ~4.1e-103 no normal float: lambda = 1e300 gives r_max = 2.8e-149,
-    # whose volume is 0, and at 3e-108 the weights sum to 0 under a subnormal
+    # r_max^3 / 3 is the size of every r^2 dr weight sum; past ~5.6e102 it is
+    # no float, below ~4.1e-103 no normal float: lambda = 1e300 gives
+    # r_max = 2.8e-149, whose measure is 0, and at 3e-108 the weights sum to
+    # 0 under a subnormal
     with pytest.raises(RadiusOutOfRange, match="r_max = "):
         sngs.make_grid(r_max, 64)
 
 
 def test_make_grid_just_inside_the_float_range():
-    # lambda = 1e-200: r_max = 2.8e101, its ball volume still a finite float
+    # lambda = 1e-200: r_max = 2.8e101, its r^2 dr measure still a finite float
     g = sngs.make_grid(28.0 / np.sqrt(1e-200), 64)
     assert np.all(np.isfinite(g.weights_r2dr))
-    assert g.weights_r2dr.sum() == pytest.approx(g.r_max**3 / 3.0, rel=1e-12)
-    # lambda = 1e206: r_max = 2.8e-102, its ball volume a normal float
+    # lambda = 1e206: r_max = 2.8e-102, its r^2 dr measure a normal float
     g = sngs.make_grid(28.0 / np.sqrt(1e206), 64)
     assert np.all(np.isfinite(g.weights_r2dr))
-    assert g.weights_r2dr.sum() == pytest.approx(g.r_max**3 / 3.0, rel=1e-12)
 
 
 def test_make_grid_spacing():
@@ -46,21 +45,32 @@ def test_make_grid_spacing():
     assert abs(g2.h - 0.0097680) < 1e-6
 
 
-def test_weight_sums():
+def test_weights_are_plain_trapezoid():
     for (rmax, n) in [(10.0, 21), (40.0, 4096), (5.0, 333)]:
         g = sngs.make_grid(rmax, n)
-        assert np.sum(g.weights_r2dr) == pytest.approx(rmax**3 / 3.0, rel=1e-12)
+        w = g.h * g.nodes**2
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        assert np.array_equal(g.weights_r2dr, w)
 
 
-def test_integrate_const_r2dr_exact():
-    g = sngs.make_grid(1.0, 256)
-    assert np.dot(g.weights_r2dr, np.ones(g.n)) == pytest.approx(1.0 / 3.0, rel=1e-13)
+def test_integrate_gaussian_r2dr_exact():
+    # e^{-r^2} r^2 is even in r and decays: trapezoid is exact to rounding
+    g = sngs.make_grid(40.0, 257)
+    val = np.dot(g.weights_r2dr, np.exp(-g.nodes**2))
+    assert val == pytest.approx(np.sqrt(np.pi) / 4.0, abs=1e-14)
 
 
 def test_integrate_exponential_r2dr():
     # \int_0^inf e^{-r} r^2 dr = Gamma(3) = 2
     g = sngs.make_grid(40.0, 4096)
     assert np.dot(g.weights_r2dr, np.exp(-g.nodes)) == pytest.approx(2.0, abs=1e-6)
+    # e^{-r} r^2 decays at r_max = 40: no h^2 term, the error falls 16x per
+    # halving of h (exact up to 2 e^{-40} (1 + 40 + 800), below rounding)
+    errs = [np.dot(g.weights_r2dr, np.exp(-g.nodes)) - 2.0
+            for g in (sngs.make_grid(40.0, n) for n in (257, 513, 1025))]
+    assert abs(errs[0]) / abs(errs[1]) >= 15.0
+    assert abs(errs[1]) / abs(errs[2]) >= 15.0
 
 
 def test_refinement_second_order():

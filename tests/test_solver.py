@@ -331,6 +331,14 @@ def test_grid_refinement_second_order_or_better(solved_cache):
     assert abs(l2[0] - l2[1]) <= 1.0 * h**2 * l2[1]
 
 
+def test_action_converges_at_fourth_order():
+    # J of the normal-form member at (4, 1) under n -> 2n - 1: successive
+    # differences fall ~16x (a second-order quadrature would give ~4x)
+    params = sngs.scaling.normal_form(4.0, 1.0)[1]
+    js = [sngs.solve(params, n).diagnostics.J for n in (1024, 2047, 4093)]
+    assert abs(js[0] - js[1]) / abs(js[1] - js[2]) >= 12.0
+
+
 def solve_along(lams, a, nu, q, n):
     """The states at each of `lams`, each solved directly (`sngs.solve`)."""
     return [sngs.solve(sngs.ModelParams(lam=lam, a=a, nu=nu, q=q), n)
