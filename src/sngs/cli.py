@@ -134,7 +134,8 @@ def build_parser():
     sp = sub.add_parser("spectrum", help="sector spectra and nondegeneracy verdict")
     common(sp)
     sp.add_argument("--lambda", dest="lam", type=_positive, required=True)
-    sp.add_argument("--k-max", dest="k_max", type=_int_from(2), default=3)
+    sp.add_argument("--k-max", type=_int_from(2), default=3,
+                    help="accepted and ignored: sector 1 certifies every k >= 2")
 
     sp = sub.add_parser("scan", help="multi-start uniqueness scan")
     common(sp, "--a", "--nu", "--seed")
@@ -263,7 +264,7 @@ def cmd_spectrum(args, command_line):
     t0 = time.perf_counter()
     state = solver.solve(scaling.normal_form(args.q, args.lam)[1], args.n)
     solve_s = time.perf_counter() - t0
-    report = linearized.nondegeneracy_report(state, args.k_max)
+    report = linearized.nondegeneracy_report(state)
     io.write_manifest(out_json, command_line, **{
         "lambda": args.lam, "q": args.q, "state": io.state_record(state),
         "sectors": [{"k": e.k, "eigenvalues": e.eigenvalues,
@@ -273,6 +274,7 @@ def cmd_spectrum(args, command_line):
                      "backward_error": e.backward_error,
                      "solves": e.solves, "factorizations": e.factorizations}
                     for e in report.sectors],
+        "higher_sectors": report.higher_sectors,
         "timing": {"solve_s": solve_s,
                    "eigensolve_s": [e.seconds for e in report.sectors]},
         "split": -linearized.GAP_TOL,

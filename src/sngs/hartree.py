@@ -12,7 +12,7 @@ while keeping the discrete kernel exactly symmetric in the r^2 dr weights,
 which the Jacobian self-adjointness and D >= 0 rely on.  `green_bands`, the
 tridiagonal inverse of the sector-k kernel, is the potential block of every
 pair form of the linearized operator: the Newton step solves the k = 0 form
-on the active nodes (`solver`), and `linearized` builds all k.
+on the active nodes (`solver`), and `linearized` builds k = 0, 1 and 2.
 """
 
 from __future__ import annotations
@@ -61,7 +61,16 @@ def green_bands(k: int, m: int, h: float):
     """(diag, off) of the tridiagonal inverse of the sector-k kernel
     r_<^(k+1) r_>^(-k) / (2k+1) = h a_min b_max on r_i = i h, i = 1..m,
     a_i = i^(k+1), b_i = i^(-k) / (2k+1) (Vandebril, Van Barel & Mastronardi
-    2008); the Wronskians a_(i+1) b_i - a_i b_(i+1) are binomial sums."""
+    2008); the Wronskians a_(i+1) b_i - a_i b_(i+1) are binomial sums.
+
+    The bands are ordered, T_k >= T_(k-1) for every k >= 1, and `linearized`
+    certifies every sector k >= 2 with that.  T_k is the exact inverse of the
+    sampled kernel G_k(r_i, r_j), G_k = r_<^(k+1) r_>^(-k) / (2k+1) being the
+    Green's function of H_k = -d^2/dr^2 + k(k+1)/r^2 on (0, inf).
+    H_k >= H_(k-1) gives H_(k-1)^-1 - H_k^-1 >= 0, whose continuous kernel is
+    G_(k-1) - G_k, so every sampled Gram matrix of it is positive
+    semidefinite; inverting G_(k-1)(r_i, r_j) >= G_k(r_i, r_j) > 0 reverses
+    the order."""
     c = 2 * k + 1
     i = np.arange(m + 1.0)
     inv_p = 1.0 / sum(math.comb(c, j) * i ** j for j in range(c))

@@ -28,8 +28,9 @@ The form is one symmetric matrix in (f, y = r g), mass on f alone; `operators`
 eliminates its y block, G_k's tridiagonal inverse `hartree.green_bands` (no
 boundary condition on g).  k=0 uses even parity at the origin, k>=1 odd; f
 vanishes on the two-node Dirichlet pad at r_max.  `nondegeneracy_report`
-assembles, solves and releases one sector at a time, so one sector form and
-one LDL^T factorization of it are alive at once.
+assembles, solves and releases sectors 0 and 1 one at a time, so one sector
+form and one LDL^T factorization of it are alive at once; every sector
+k >= 2 follows from sector 1 by the ordering L_k > L_1.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import operators
 from .errors import UnconvergedState
@@ -122,9 +124,10 @@ class SectorEntry:
 
 @dataclass
 class NondegeneracyReport:
-    sectors: list
+    sectors: list                # sectors 0 and 1
     verdict: str
     zero_tol: float
+    higher_sectors: dict         # the k >= 2 certificate: bound, r_act, ordering_gap
 
 
 def sector_spectrum(op: SectorOperator, above: int) -> SectorEntry:
@@ -141,27 +144,33 @@ def sector_spectrum(op: SectorOperator, above: int) -> SectorEntry:
         solves=eig.solves, factorizations=eig.factorizations, seconds=seconds)
 
 
-def nondegeneracy_report(state: GroundState, k_max: int) -> NondegeneracyReport:
-    """Sector-by-sector spectral certificate for nondegeneracy.
+def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
+    """Spectral certificate for nondegeneracy: sectors 0 and 1 solved, every
+    sector k >= 2 bounded from sector 1.
 
-    Each sector computes only the pairs the verdict reads: all of those below
-    the split -GAP_TOL (sector 0's Morse directions), and above it the radial
-    gap in sector 0, the zero mode and sigma_2 in sector 1, and the lowest
-    eigenvalue in every sector 2..k_max.
+    Each solved sector computes only the pairs the verdict reads: all of
+    those below the split -GAP_TOL (sector 0's Morse directions), and above it
+    the radial gap in sector 0, and the zero mode and sigma_2 in sector 1.
+
+    Sectors k >= 1 share S (odd parity), pot and B, so their Schur complements
+    differ by L_k - L_1 = W (k(k+1) - 2) / r^2 + B (T_1^-1 - T_k^-1) B, and
+    T_k >= T_1 (`hartree.green_bands`) makes the second term >= 0.  Weyl's
+    bound on the pencil with mass W then gives, for every k >= 2 at once,
+    sigma_min(L_k) >= sigma_min(L_1) + (k(k+1) - 2) / r_act^2, r_act the last
+    active node.  `higher_sectors` records that bound at k = 2, r_act, and
+    ordering_gap = lambda_min(T_2 - T_1), the ordering checked in floating
+    point.
 
     nondegenerate: the radial sector has no eigenvalue within GAP_TOL of
     zero, sector 1 carries exactly one zero mode (|sigma| <= zero_tol =
     50 h^2 sigma_2, sigma_2 its next eigenvalue by magnitude) matching the
-    translation pair, and every sector 2..k_max is strictly positive (the
-    sector ordering extends the verdict beyond k_max).  under-resolved:
-    zero_tol >= sigma_2, a grid so coarse (50 h^2 >= 1) that the zero test
-    cannot tell any sector-1 eigenvalue from zero.
+    translation pair, and the k >= 2 bound and ordering_gap are > 0.
+    under-resolved: zero_tol >= sigma_2, a grid so coarse (50 h^2 >= 1) that
+    the zero test cannot tell any sector-1 eigenvalue from zero.
     """
-    if k_max < 2:
-        raise ValueError("k_max >= 2")
     # each form dies with its solve, so one sector is alive at a time
     sectors = [sector_spectrum(sector_form(state, k), 2 if k == 1 else 1)
-               for k in range(k_max + 1)]
+               for k in (0, 1)]
 
     h = state.grid.h
     sigma2 = sorted(abs(s) for s in sectors[1].eigenvalues)[1]
@@ -178,22 +187,24 @@ def nondegeneracy_report(state: GroundState, k_max: int) -> NondegeneracyReport:
     k1.zero_mode_match = float(
         abs(np.sum(M * x * t)) / math.sqrt(np.sum(M * x * x) * np.sum(M * t * t)))
 
+    r_act = float(state.grid.nodes[act[-1]])
+    (d1, o1), (d2, o2) = (green_bands(k, len(act), h) for k in (1, 2))
+    higher = {"bound": min(k1.eigenvalues) + 4.0 / r_act ** 2, "r_act": r_act,
+              "ordering_gap": float(eigvalsh_tridiagonal(
+                  d2 - d1, o2 - o1, select="i", select_range=(0, 0))[0])}
+
     k0_min_abs = min(abs(s) for s in sectors[0].eigenvalues)
-    high_positive = all(min(sectors[k].eigenvalues) > 0.0
-                        for k in range(2, k_max + 1))
     ok = (k0_min_abs > GAP_TOL
           and k1.kernel_dimension == 1
           and k1.zero_mode_match >= 0.999
-          and high_positive)
+          and higher["bound"] > 0.0 and higher["ordering_gap"] > 0.0)
     if zero_tol >= sigma2:   # 50 h^2 >= 1: every sector-1 eigenvalue counts as zero
         verdict = "under-resolved"
     elif ok:
         verdict = "nondegenerate"
-    elif (k0_min_abs <= zero_tol or k1.kernel_dimension > 1
-          or any(min(sectors[k].eigenvalues) < -zero_tol
-                 for k in range(2, k_max + 1))):
+    elif k0_min_abs <= zero_tol or k1.kernel_dimension > 1:
         verdict = "degenerate"
     else:
         verdict = "inconclusive"
     return NondegeneracyReport(sectors=sectors, verdict=verdict,
-                               zero_tol=zero_tol)
+                               zero_tol=zero_tol, higher_sectors=higher)

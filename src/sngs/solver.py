@@ -35,7 +35,7 @@ rounding level of that ratio at the state.  The linearized operator is
 written once (`linearization`): a local diagonal pot and a coupling b, whose
 sector-k pair form in (f, y = r g), g the potential perturbation, is
 [[S + W pot, B], [B, T_k]] with B = sqrt(h W) b, S = operators.dirichlet_form
-and T_k = hartree.green_bands; `linearized` builds it for every k.  Its
+and T_k = hartree.green_bands; `linearized` builds it for k = 0 and 1.  Its
 sector-0 Schur complement is W J, so each Newton step J d = -F solves that
 pair form exactly, in standard form on the active nodes, by one banded LU
 (`_newton_step`); the entries no iterate changes are built once per solve

@@ -195,15 +195,15 @@ def spectrum_states(solved_cache):
 def test_criterion_10_nondegeneracy(spectrum_states, solved_cache):
     with criterion(10, "sector nondegeneracy certificates"):
         for name, st in spectrum_states.items():
-            rep = nondegeneracy_report(st, 3)
+            rep = nondegeneracy_report(st)
             assert rep.verdict == "nondegenerate", (name, rep)
             k1 = rep.sectors[1]
             assert k1.kernel_dimension == 1
             assert min(abs(s) for s in k1.eigenvalues) <= rep.zero_tol
             assert k1.zero_mode_match >= 0.999
             assert min(abs(s) for s in rep.sectors[0].eigenvalues) >= GAP_TOL
-            for k in (2, 3):
-                assert min(rep.sectors[k].eigenvalues) > 0.0
+            assert rep.higher_sectors["bound"] > 0.0
+            assert rep.higher_sectors["ordering_gap"] > 0.0
 
         # k=0 gap stable within 5% under n -> 2n (Choquard certificate)
         gaps = []

@@ -523,15 +523,32 @@ def test_spectrum_cli_small(tmp_path):
     payload = manifest(out)
     assert payload["verdict"] == "nondegenerate"
     assert payload["split"] == -payload["tolerances"]["gap_tol"]
-    assert [s["below_split"] for s in payload["sectors"]] == [1, 0, 0]
+    assert [s["below_split"] for s in payload["sectors"]] == [1, 0]
     assert all(s["backward_error"] <= 1e-12 for s in payload["sectors"])
-    assert [s["factorizations"] for s in payload["sectors"]] == [2, 1, 1]
-    assert [len(s["eigenvalues"]) for s in payload["sectors"]] == [2, 2, 1]
+    assert [s["factorizations"] for s in payload["sectors"]] == [2, 1]
+    assert [len(s["eigenvalues"]) for s in payload["sectors"]] == [2, 2]
     assert all(s["solves"] >= len(s["eigenvalues"]) for s in payload["sectors"])
-    assert len(payload["timing"]["eigensolve_s"]) == 3
+    assert len(payload["timing"]["eigensolve_s"]) == 2
+    higher = payload["higher_sectors"]
+    assert sorted(higher) == ["bound", "ordering_gap", "r_act"]
+    assert higher["bound"] > 0.0 and higher["ordering_gap"] > 0.0
     assert payload["timing"]["solve_s"] > 0.0
     assert sorted(payload["timing"]) == ["eigensolve_s", "solve_s"]
     assert payload["sectors"][1]["zero_mode_match"] >= 0.999
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectrum_ignores_a_large_k_max(tmp_path, capsys):
+    """--k-max is accepted and ignored: sector 1 certifies every k >= 2, so
+    no sector-k Green's bands are built past k = 2, where they once
+    overflowed (k >= 51 at n = 1024) and the LDL^T found a singular factor."""
+    out = str(tmp_path / "spec")
+    assert run(["spectrum", "--q", "4", "--lambda", "1e-2", "--n", "1024",
+                "--k-max", "120", "--out", out]) == 0
+    payload = manifest(out)
+    assert payload["verdict"] == "nondegenerate"
+    assert [s["k"] for s in payload["sectors"]] == [0, 1]
+    assert "Warning" not in capsys.readouterr().err
 
 
 def test_spectrum_certifies_the_normal_form_state(tmp_path):

@@ -159,6 +159,23 @@ def test_inverse_bands_reproduce_sweep():
         assert np.max(np.abs(np.linalg.inv(T) - kernel)) <= 1e-12 * kernel.max()
 
 
+def test_green_bands_ordering():
+    """T_k - T_(k-1) is positive definite: the ordering L_k > L_1 that
+    certifies every sector k >= 2 from sector 1, on the m = n - 3 active
+    nodes of an r_max = 28 grid (the normal-form domain)."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    from sngs.hartree import green_bands
+
+    def gap(k, m):
+        h = sngs.make_grid(28.0, m + 3).h
+        (d0, o0), (d1, o1) = green_bands(k - 1, m, h), green_bands(k, m, h)
+        return eigvalsh_tridiagonal(d1 - d0, o1 - o0, select="i",
+                                    select_range=(0, 0))[0]
+    for m in (13, 1021):
+        assert all(gap(k, m) > 0.0 for k in range(2, 41)), m
+    assert gap(2, 4093) > 0.0
+
+
 def test_potential_monotone_nonincreasing():
     rng = np.random.default_rng(5)
     g = sngs.make_grid(12.0, 400)

@@ -163,18 +163,18 @@ def test_sector_ordering(choquard):
 
 def test_nondegeneracy_report_choquard(solved_cache):
     st = solved_cache(1.0, 1.0, 0.0, 4.0, n=2048, rmax=60.0)
-    rep = nondegeneracy_report(st, 3)
+    rep = nondegeneracy_report(st)
     assert rep.verdict == "nondegenerate"
     assert rep.sectors[1].kernel_dimension == 1
     assert rep.sectors[1].zero_mode_match >= 0.999
     assert rep.sectors[0].kernel_dimension == 0
-    for k in (2, 3):
-        assert min(rep.sectors[k].eigenvalues) > 0.0
+    assert rep.higher_sectors["bound"] > 0.0
+    assert rep.higher_sectors["ordering_gap"] > 0.0
 
 
 def test_nondegeneracy_kwong_radial_kernel_free(solved_cache):
     st = solved_cache(1.0, 0.0, 1.0, 4.0, n=1536, rmax=30.0)
-    rep = nondegeneracy_report(st, 2)
+    rep = nondegeneracy_report(st)
     assert min(abs(s) for s in rep.sectors[0].eigenvalues) > GAP_TOL
     assert rep.sectors[1].kernel_dimension == 1
 
@@ -213,19 +213,28 @@ RUN_SPECTRUM_EIGENVALUES = {
 def test_run_spectrum_cases_match_recorded(q, lam):
     st = sngs.solve(sngs.normal_form(q, lam)[1], 4096)
     recorded = np.array(RUN_SPECTRUM_EIGENVALUES[(q, lam)])
-    rep = nondegeneracy_report(st, 3)
+    rep = nondegeneracy_report(st)
     assert rep.verdict == "nondegenerate"
     ops = [sector_form(st, k) for k in range(4)]
     below = [sngs.operators.count_below(op.form, op.mass, -GAP_TOL) for op in ops]
-    assert [e.below_split for e in rep.sectors] == below == [1, 0, 0, 0]
+    assert [e.below_split for e in rep.sectors] == below[:2]
+    assert below == [1, 0, 0, 0]
     # all 24 recorded values, through six-pair solves of the same sectors
     six = [sector_spectrum(op, 6 - b).eigenvalues for op, b in zip(ops, below)]
     assert np.max(np.abs(np.array(six) - recorded)) <= 1e-10
     # the report holds the pairs its verdict reads: the leading ones
-    assert [len(e.eigenvalues) for e in rep.sectors] == [2, 2, 1, 1]
+    assert [len(e.eigenvalues) for e in rep.sectors] == [2, 2]
     for e, row in zip(rep.sectors, recorded):
         assert np.max(np.abs(e.eigenvalues - row[:len(e.eigenvalues)])) <= 1e-10
     assert max(e.backward_error for e in rep.sectors) <= 1e-12
+    # sector 1 bounds the solved minima of sectors 2 and 3 from below
+    higher = rep.higher_sectors
+    assert higher["r_act"] == st.grid.nodes[-3]
+    assert higher["ordering_gap"] > 0.0
+    sigma_min = min(rep.sectors[1].eigenvalues)
+    assert higher["bound"] == sigma_min + 4.0 / higher["r_act"] ** 2 > 0.0
+    for k in (2, 3):
+        assert sigma_min + (k * (k + 1) - 2) / higher["r_act"] ** 2 <= min(six[k])
 
 
 @pytest.mark.parametrize("q,lam", sorted(RUN_SPECTRUM_EIGENVALUES))
@@ -241,9 +250,9 @@ def test_run_spectrum_cases_never_refine(q, lam, monkeypatch):
         calls.append(tau)
         return inertia(form, mass, tau)
     monkeypatch.setattr(sngs.operators, "_inertia", counted)
-    rep = nondegeneracy_report(st, 3)
-    assert len(calls) == 5
-    assert [e.factorizations for e in rep.sectors] == [2, 1, 1, 1]
+    rep = nondegeneracy_report(st)
+    assert len(calls) == 3
+    assert [e.factorizations for e in rep.sectors] == [2, 1]
     assert all(e.solves > 0 for e in rep.sectors)
 
 
@@ -281,9 +290,9 @@ def test_report_keeps_one_sector_and_one_factorization_alive(monkeypatch):
         return op
     monkeypatch.setattr(sngs.operators, "_inertia", factored)
     monkeypatch.setattr(sngs.linearized, "sector_form", formed)
-    rep = nondegeneracy_report(st, 3)
+    rep = nondegeneracy_report(st)
     assert rep.verdict == "nondegenerate"
-    assert [e.factorizations for e in rep.sectors] == [2, 1, 1, 1]
-    assert factor_crowd == [0] * 5
-    assert form_crowd == [0] * 4
+    assert [e.factorizations for e in rep.sectors] == [2, 1]
+    assert factor_crowd == [0] * 3
+    assert form_crowd == [0] * 2
     assert _alive(factors) == _alive(forms) == 0
