@@ -313,11 +313,9 @@ def cmd_check(args, command_line):
     stored = manifest["summary"]["diagnostics"]
     failures = []
     for key, val in asdict(rep).items():
-        ref = stored.get(key)
-        if ref is None or val is None:
-            continue
+        ref = stored[key]   # `io.load_state` holds every key to a number
         floor = rep.grad_sq if key in ("nehari", "pohozaev") else 1e-300
-        if abs(val - ref) > CHECK_RTOL * max(abs(ref), abs(val), floor):
+        if not abs(val - ref) <= CHECK_RTOL * max(abs(ref), abs(val), floor):
             failures.append((key, ref, val))
     failures += solver.acceptance_failures(state)
     if failures:

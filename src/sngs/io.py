@@ -12,8 +12,9 @@ Re-running an identical configuration reproduces the CSV bit for bit.  A
 failed solve writes the JSON alone, its error in the summary and, when the
 NonConvergence carries the GroundState of its last iterate, that state's
 record under `state`.  `load_state` reads a solve's pair back and raises
-IoError, naming the file, on artifacts that are not a solve's, and naming
-the error on the manifest of a failed solve.
+IoError, naming the file, on artifacts that are not a solve's (a manifest's
+diagnostics table must hold every DiagnosticsReport key as a number), and
+naming the error on the manifest of a failed solve.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from __future__ import annotations
 import datetime
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__, operators
+from .diagnostics import DiagnosticsReport
 from .errors import (BadRange, InvalidExponent, IoError, NonPositiveRadius,
                      RadiusOutOfRange, TooFewNodes)
 from .grid import make_grid, read_field_csv, write_field_csv
@@ -96,8 +98,10 @@ def load_state(out_prefix: str) -> tuple[GroundState, dict]:
                           f"{summary['error']}")
         params = ModelParams(lam=pd["lam"], a=pd["a"], nu=pd["nu"], q=pd["q"])
         iterations = int(summary["iterations"])
-        if not isinstance(summary["diagnostics"], dict):
-            raise TypeError("summary.diagnostics is not a table")
+        for key in (f.name for f in fields(DiagnosticsReport)):
+            value = summary["diagnostics"][key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"summary.diagnostics.{key} is not a number")
     except (AttributeError, KeyError, TypeError, ValueError, BadRange,
             InvalidExponent) as exc:
         raise IoError(f"{json_path} is not a solve manifest: {exc!r}") from exc

@@ -30,7 +30,9 @@ boundary condition on g).  k=0 uses even parity at the origin, k>=1 odd; f
 vanishes on the two-node Dirichlet pad at r_max.  `nondegeneracy_report`
 assembles, solves and releases sectors 0 and 1 one at a time, so one sector
 form and one LDL^T factorization of it are alive at once; every sector
-k >= 2 follows from sector 1 by the ordering L_k > L_1.
+k >= 2 follows from sector 1 by the ordering L_k > L_1.  Below the split
+-GAP_TOL a sector's eigenvalues are counted, not computed: the inertia of
+its one LDL^T there is its Morse index, and no verdict reads their values.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from . import operators
 from .errors import UnconvergedState
 from .grid import EVEN, ODD, differentiate
-from .hartree import coulomb_apply, green_bands
+from .hartree import green_bands
 from .solver import GroundState, linearization
 
 # Radial-sector gap below which the verdict is not nondegenerate; also the
@@ -62,7 +64,6 @@ class SectorOperator:
     form: sp.csr_matrix          # symmetric weighted form on active nodes
     mass: np.ndarray             # diagonal r^2-weighted mass of f
     act: np.ndarray              # active node indices on the state's grid
-    shift: float                 # lower bound of the pencil's spectrum
 
 
 def _require_converged(state: GroundState):
@@ -73,10 +74,7 @@ def _require_converged(state: GroundState):
 
 
 def sector_form(state: GroundState, k: int) -> SectorOperator:
-    """Assemble the sector-k quadratic form around a converged state, with
-    an O(1) lower bound of its pencil: kinetic and centrifugal parts are
-    >= 0, the local diagonal >= its nodal minimum, and, b the coupling,
-    -<bf, G_k(bf)> >= -max(b G_0 b) |f|^2 as 0 < G_k <= G_0."""
+    """Assemble the sector-k quadratic form around a converged state."""
     if k < 0:
         raise ValueError("k >= 0")
     _require_converged(state)
@@ -92,10 +90,7 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
         B = sp.diags(grid.h * grid.nodes[act] * b[act])
         diag, off = green_bands(k, len(act), grid.h)
         form = sp.bmat([[form, B], [B, sp.diags([off, diag, off], [-1, 0, 1])]])
-    shift = (min(0.0, float(np.min(pot[act])))
-             - float(np.max(b * coulomb_apply(grid, b))) - 1.0)
-    return SectorOperator(k=k, form=form.tocsr(), mass=Wa, act=act,
-                          shift=shift)
+    return SectorOperator(k=k, form=form.tocsr(), mass=Wa, act=act)
 
 
 def translation_mode(state: GroundState) -> np.ndarray:
@@ -107,12 +102,13 @@ def translation_mode(state: GroundState) -> np.ndarray:
 
 @dataclass
 class SectorEntry:
-    """One sector's lowest eigenpairs and what the eigensolve spent on them;
+    """One sector's lowest eigenpairs above the split -GAP_TOL, the count of
+    eigenvalues below it, and what the eigensolve spent on them;
     `nondegeneracy_report` fills in the kernel dimension and, in sector 1,
     the match with the translation mode."""
     k: int
     eigenvalues: list
-    below_split: int             # inertia count, confirmed by the eigensolve
+    below_split: int             # inertia count: the sector's Morse index
     backward_error: float        # largest over the returned pairs
     solves: int                  # shift-invert applications
     factorizations: int          # inertia LDL^T factorizations
@@ -127,19 +123,20 @@ class NondegeneracyReport:
     sectors: list                # sectors 0 and 1
     verdict: str
     zero_tol: float
-    higher_sectors: dict         # the k >= 2 certificate: bound, r_act, ordering_gap
+    higher_sectors: dict         # the k >= 2 certificate: bound (None unless
+                                 # sector 1 has nothing below the split),
+                                 # r_act, ordering_gap
 
 
 def sector_spectrum(op: SectorOperator, above: int) -> SectorEntry:
-    """Every eigenpair of the sector pencil below the inertia split -GAP_TOL,
-    and the `above` lowest above it."""
+    """The `above` lowest eigenpairs of the sector pencil above the inertia
+    split -GAP_TOL, and the number of its eigenvalues below the split."""
     t0 = time.perf_counter()
-    eig = operators.smallest_eigenpairs(op.form, op.mass, above,
-                                        shift=op.shift, split=-GAP_TOL)
+    eig = operators.smallest_eigenpairs(op.form, op.mass, above, split=-GAP_TOL)
     seconds = time.perf_counter() - t0
     return SectorEntry(
         k=op.k, eigenvalues=eig.values.tolist(), eigenvectors=eig.vectors,
-        below_split=int(np.count_nonzero(eig.values < -GAP_TOL)),
+        below_split=eig.below,
         backward_error=float(np.max(eig.backward_errors)),
         solves=eig.solves, factorizations=eig.factorizations, seconds=seconds)
 
@@ -148,9 +145,10 @@ def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
     """Spectral certificate for nondegeneracy: sectors 0 and 1 solved, every
     sector k >= 2 bounded from sector 1.
 
-    Each solved sector computes only the pairs the verdict reads: all of
-    those below the split -GAP_TOL (sector 0's Morse directions), and above it
-    the radial gap in sector 0, and the zero mode and sigma_2 in sector 1.
+    Each solved sector counts its eigenvalues below the split -GAP_TOL
+    (`below_split`, sector 0's Morse index) and computes above it only the
+    pairs the verdict reads: the radial gap in sector 0, and the zero mode
+    and sigma_2 in sector 1.
 
     Sectors k >= 1 share S (odd parity), pot and B, so their Schur complements
     differ by L_k - L_1 = W (k(k+1) - 2) / r^2 + B (T_1^-1 - T_k^-1) B, and
@@ -159,12 +157,14 @@ def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
     sigma_min(L_k) >= sigma_min(L_1) + (k(k+1) - 2) / r_act^2, r_act the last
     active node.  `higher_sectors` records that bound at k = 2, r_act, and
     ordering_gap = lambda_min(T_2 - T_1), the ordering checked in floating
-    point.
+    point.  sigma_min(L_1) is sector 1's lowest returned eigenvalue only when
+    nothing lies below the split there; otherwise the bound is None.
 
     nondegenerate: the radial sector has no eigenvalue within GAP_TOL of
     zero, sector 1 carries exactly one zero mode (|sigma| <= zero_tol =
     50 h^2 sigma_2, sigma_2 its next eigenvalue by magnitude) matching the
-    translation pair, and the k >= 2 bound and ordering_gap are > 0.
+    translation pair and nothing below the split, and the k >= 2 bound and
+    ordering_gap are > 0.
     under-resolved: zero_tol >= sigma_2, a grid so coarse (50 h^2 >= 1) that
     the zero test cannot tell any sector-1 eigenvalue from zero.
     """
@@ -189,7 +189,8 @@ def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
 
     r_act = float(state.grid.nodes[act[-1]])
     (d1, o1), (d2, o2) = (green_bands(k, len(act), h) for k in (1, 2))
-    higher = {"bound": min(k1.eigenvalues) + 4.0 / r_act ** 2, "r_act": r_act,
+    bound = min(k1.eigenvalues) + 4.0 / r_act ** 2 if k1.below_split == 0 else None
+    higher = {"bound": bound, "r_act": r_act,
               "ordering_gap": float(eigvalsh_tridiagonal(
                   d2 - d1, o2 - o1, select="i", select_range=(0, 0))[0])}
 
@@ -197,7 +198,8 @@ def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
     ok = (k0_min_abs > GAP_TOL
           and k1.kernel_dimension == 1
           and k1.zero_mode_match >= 0.999
-          and higher["bound"] > 0.0 and higher["ordering_gap"] > 0.0)
+          and k1.below_split == 0 and bound > 0.0
+          and higher["ordering_gap"] > 0.0)
     if zero_tol >= sigma2:   # 50 h^2 >= 1: every sector-1 eigenvalue counts as zero
         verdict = "under-resolved"
     elif ok:

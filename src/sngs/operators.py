@@ -21,21 +21,17 @@ step's fixed entries from them directly, beside the one CSR -Delta_r its
 residual needs.  All are assembled on every call, without a cache (under
 1 ms at n=4096).
 
-The eigensolver is inertia-sliced shift-invert Lanczos, and every
-factorization it uses is one symmetric no-pivot LDL^T (`_inertia`), which also
-counts the pencil eigenvalues below its shift (Sylvester's law of inertia).
-The count at a split point says how many eigenvalues lie below it; all of
-those come from a shift-invert call at a lower bound of the spectrum, whose
-count of zero certifies the bound, and as many as the caller asks for just
-above the split from a call at the split itself; the count at the split
-checks that none went missing.  The call at the split runs first, on the
-factorization that counted, which is released before the lower bound is
-factored, so at most one LDL^T is alive at a time.  ARPACK runs on the
+The eigensolver is inertia-sliced shift-invert Lanczos, and its one
+factorization is a symmetric no-pivot LDL^T (`_inertia`) at a split point,
+whose negative pivots count the eigenvalues below the split (Sylvester's law
+of inertia).  Below the split that count is all the eigensolve reports; above
+it one shift-invert call through the same LDL^T takes as many pairs as the
+caller asks for, none of which may fall below the split.  ARPACK runs on the
 standard-form matrix D A D, D = M^(-1/2), so each Lanczos step is one solve
 through the LDL^T and no mass product, and it stops at the relative accuracy
 BACKWARD_TOL = 1e-12 that the certificate asks for.  Every returned eigenpair
 is then held to a normwise backward error of 1e-12, computed once and
-returned with the pairs; a pair over it is refined, after both calls, by one
+returned with the pairs; a pair over it is refined, after the call, by one
 inverse iteration through `_inertia` just above its eigenvalue.  A mass
 shorter than the form eliminates its trailing block (`schur_apply`,
 Haynsworth).
@@ -174,32 +170,29 @@ BACKWARD_TOL = 1e-12
 
 
 class Eigenpairs(NamedTuple):
-    """Pencil eigenpairs in ascending order, with their certificate."""
-    values: np.ndarray           # (m,), m = below the split + above it
-    vectors: np.ndarray          # (dim, m), mass-orthonormal columns
-    backward_errors: np.ndarray  # (m,), each at most BACKWARD_TOL
+    """The lowest pencil eigenpairs above a split, in ascending order, with
+    their certificate and the count of eigenvalues below the split."""
+    values: np.ndarray           # (above,)
+    vectors: np.ndarray          # (dim, above), mass-orthonormal columns
+    backward_errors: np.ndarray  # (above,), each at most BACKWARD_TOL
+    below: int                   # eigenvalues below the split: the inertia count
     solves: int                  # shift-invert applications, refinements included
     factorizations: int          # `_inertia` calls
 
 
 def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, above: int,
-                        shift: float, split: float) -> Eigenpairs:
-    """Every eigenpair of form x = sigma * mass * x below `split`, and the
-    `above` lowest above it.
+                        split: float) -> Eigenpairs:
+    """The `above` lowest eigenpairs of form x = sigma * mass * x above
+    `split`, and the number of eigenvalues below it.
 
     Inertia-sliced shift-invert Lanczos (ARPACK; Ericsson & Ruhe 1980).  The
-    inertia count at `split` says how many eigenvalues lie below it; all of
-    them come from one shift-invert call at `shift` (which="LM"), whose own
-    count must be zero, so `shift` is certified to lie below the spectrum,
-    and the `above` pairs from one call at `split` itself (which="LA": the
-    largest 1/(sigma - split) are the eigenvalues just above it).  Each call
-    solves with the factorization that made its count: the split's first,
-    released before the shift is factored, so one LDL^T is alive at a time.
-    A returned set with other than the counted number under `split` raises
-    FactorizationFailure, so no eigenvalue goes missing silently; so does an
-    ARPACK failure.  More pairs in all than ARPACK can give, dim - 2, raises
-    TooManyRequested.  With split = shift below the spectrum nothing lies
-    below the split and the one call is at the split.
+    LDL^T at `split` counts the eigenvalues below it (`below`), and one
+    shift-invert call through it (which="LA": the largest 1/(sigma - split)
+    are the eigenvalues just above it) gives the `above` pairs.  A returned
+    value below `split` raises FactorizationFailure, so a pair the count
+    places under the split is never passed off as one above it; so does an
+    ARPACK failure.  More pairs below and above than ARPACK can give,
+    dim - 2, raises TooManyRequested.
 
     Lanczos runs in standard form on D A D, D = M^(-1/2): its shift-invert
     operator y -> s * LDL^T.solve((s * y, 0))[:N], s = sqrt(mass) of length
@@ -216,43 +209,32 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, above: int,
         raise ValueError("above must be >= 1")
     if np.any(mass <= 0):
         raise ValueError("mass must be positive on active nodes")
-    split_lu, below = _inertia(form, mass, split)
+    lu, below = _inertia(form, mass, split)
     if below + above > dim - 2:
         raise TooManyRequested(
             f"{below} eigenpairs below the split and {above} above it from a "
             f"{dim}-dim pencil (at most {dim - 2})")
     s = np.sqrt(mass)
-    # the split's LDL^T dies before the lower bound is factored
-    vals, vecs, solves = _shift_invert(split_lu, s, above, split, "LA")
-    del split_lu
-    if below:
-        lu, under = _inertia(form, mass, shift)
-        if under:
-            raise FactorizationFailure(
-                f"shift {shift} is not below the spectrum: "
-                f"{under} eigenvalues lie under it")
-        w, y, more = _shift_invert(lu, s, below, shift, "LM")
-        del lu
-        vals, vecs, solves = np.r_[w, vals], np.hstack([y, vecs]), more + solves
-    found = int(np.count_nonzero(vals < split))
-    if found != below:
+    vals, vecs, solves = _shift_invert(lu, s, above, split)
+    del lu   # released before any refinement factors again
+    found = int(np.count_nonzero(~(vals > split)))
+    if found:
         raise FactorizationFailure(
-            f"{found} eigenvalues below {split} returned, inertia counts {below}")
+            f"{found} of the eigenvalues returned above {split} lie at or "
+            f"below it")
     order = np.argsort(vals)
     vals = vals[order]
     X = vecs[:, order]
     X /= s[:, None]
     errors, refined = _verified(form, mass, vals, X)
-    # one factorization at the split, one at the shift if it was called
-    return Eigenpairs(vals, X, errors, solves + refined,
-                      1 + (below > 0) + refined)
+    return Eigenpairs(vals, X, errors, below, solves + refined, 1 + refined)
 
 
-def _shift_invert(lu, s, k, sigma, which):
-    """ARPACK's k pairs at `sigma` of the standard-form pencil, solving
-    through `lu`, its LDL^T at sigma; returns them and the solves spent.
-    The operator and its right-hand side die with the call, so nothing
-    holds `lu` after it."""
+def _shift_invert(lu, s, k, sigma):
+    """ARPACK's k pairs just above `sigma` of the standard-form pencil,
+    solving through `lu`, its LDL^T at sigma; returns them and the solves
+    spent.  The operator and its right-hand side die with the call, so
+    nothing holds `lu` after it."""
     dim = len(s)
     rhs = np.zeros(lu.shape[0])   # (s * y, 0): the pad stays zero
     solves = 0
@@ -266,7 +248,7 @@ def _shift_invert(lu, s, k, sigma, which):
     # argument, so the operator stands in for D A D there
     inv = spla.LinearOperator((dim, dim), matvec=apply, dtype=float)
     try:
-        w, y = spla.eigsh(inv, k=k, sigma=sigma, which=which,
+        w, y = spla.eigsh(inv, k=k, sigma=sigma, which="LA",
                           v0=np.full(dim, 1.0 / np.sqrt(dim)), OPinv=inv,
                           tol=BACKWARD_TOL)
     except RuntimeError as exc:

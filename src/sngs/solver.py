@@ -449,7 +449,8 @@ def acceptance_failures(state: GroundState) -> list:
                          state.residual_bound))
     rep = state.diagnostics
     G = rep.grad_sq
-    if abs(rep.nehari) > IDENTITY_RTOL * G or abs(rep.pohozaev) > IDENTITY_RTOL * G:
+    if not (abs(rep.nehari) <= IDENTITY_RTOL * G
+            and abs(rep.pohozaev) <= IDENTITY_RTOL * G):   # NaN included
         failures.append(("identity_residuals", rep.nehari, rep.pohozaev))
     return failures
 

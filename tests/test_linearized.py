@@ -110,9 +110,11 @@ def test_pencil_matches_dense_schur_complement(solved_cache):
         N = len(op.mass)
         A = op.form.toarray()
         schur = A[:N, :N] - A[:N, N:] @ np.linalg.solve(A[N:, N:], A[N:, :N])
-        got = sector_spectrum(op, 6).eigenvalues   # six above the split
-        exact = sla.eigh(schur, np.diag(op.mass), eigvals_only=True)[:len(got)]
-        assert np.max(np.abs(got - exact)) <= 1e-10
+        entry = sector_spectrum(op, 6)   # six above the split
+        exact = sla.eigh(schur, np.diag(op.mass), eigvals_only=True)
+        assert entry.below_split == np.count_nonzero(exact < -GAP_TOL)
+        assert np.max(np.abs(entry.eigenvalues
+                             - exact[exact > -GAP_TOL][:6])) <= 1e-10
 
 
 def test_translation_eigenvalue_falls_under_refinement():
@@ -219,13 +221,17 @@ def test_run_spectrum_cases_match_recorded(q, lam):
     below = [sngs.operators.count_below(op.form, op.mass, -GAP_TOL) for op in ops]
     assert [e.below_split for e in rep.sectors] == below[:2]
     assert below == [1, 0, 0, 0]
-    # all 24 recorded values, through six-pair solves of the same sectors
+    # the 23 recorded values above the split, through solves of the same
+    # sectors for every pair above it in the six lowest
     six = [sector_spectrum(op, 6 - b).eigenvalues for op, b in zip(ops, below)]
-    assert np.max(np.abs(np.array(six) - recorded)) <= 1e-10
-    # the report holds the pairs its verdict reads: the leading ones
-    assert [len(e.eigenvalues) for e in rep.sectors] == [2, 2]
+    for got, row, b in zip(six, recorded, below):
+        assert np.max(np.abs(got - row[b:])) <= 1e-10
+    # the report holds the pairs its verdict reads: the leading ones above
+    # the split
+    assert [len(e.eigenvalues) for e in rep.sectors] == [1, 2]
     for e, row in zip(rep.sectors, recorded):
-        assert np.max(np.abs(e.eigenvalues - row[:len(e.eigenvalues)])) <= 1e-10
+        got = row[e.below_split:e.below_split + len(e.eigenvalues)]
+        assert np.max(np.abs(e.eigenvalues - got)) <= 1e-10
     assert max(e.backward_error for e in rep.sectors) <= 1e-12
     # sector 1 bounds the solved minima of sectors 2 and 3 from below
     higher = rep.higher_sectors
@@ -241,7 +247,7 @@ def test_run_spectrum_cases_match_recorded(q, lam):
 def test_run_spectrum_cases_never_refine(q, lam, monkeypatch):
     # ARPACK stops at BACKWARD_TOL; a pair it leaves over that bound would be
     # refined through one more factorization, so the count of factorizations
-    # is one per sector plus sector 0's lower-bound shift and nothing else
+    # is one per sector, at its split, and nothing else
     st = sngs.solve(sngs.normal_form(q, lam)[1], 4096)
     calls = []
     inertia = sngs.operators._inertia
@@ -251,8 +257,8 @@ def test_run_spectrum_cases_never_refine(q, lam, monkeypatch):
         return inertia(form, mass, tau)
     monkeypatch.setattr(sngs.operators, "_inertia", counted)
     rep = nondegeneracy_report(st)
-    assert len(calls) == 3
-    assert [e.factorizations for e in rep.sectors] == [2, 1]
+    assert calls == [-GAP_TOL] * 2
+    assert [e.factorizations for e in rep.sectors] == [1, 1]
     assert all(e.solves > 0 for e in rep.sectors)
 
 
@@ -292,7 +298,26 @@ def test_report_keeps_one_sector_and_one_factorization_alive(monkeypatch):
     monkeypatch.setattr(sngs.linearized, "sector_form", formed)
     rep = nondegeneracy_report(st)
     assert rep.verdict == "nondegenerate"
-    assert [e.factorizations for e in rep.sectors] == [2, 1]
-    assert factor_crowd == [0] * 3
+    assert [e.factorizations for e in rep.sectors] == [1, 1]
+    assert factor_crowd == [0] * 2
     assert form_crowd == [0] * 2
     assert _alive(factors) == _alive(forms) == 0
+
+
+def test_sector_one_below_the_split_voids_the_higher_sector_bound(monkeypatch):
+    # with an eigenvalue below the split in sector 1 its lowest returned one
+    # is not sigma_min(L_1), so no k >= 2 bound follows and no verdict of
+    # nondegenerate
+    st = sngs.solve(sngs.normal_form(4.0, 1e-2)[1], 1024)
+    spectrum = sngs.linearized.sector_spectrum
+
+    def counted_one_more(op, above):
+        entry = spectrum(op, above)
+        if op.k == 1:
+            entry.below_split = 1
+        return entry
+    monkeypatch.setattr(sngs.linearized, "sector_spectrum", counted_one_more)
+    rep = nondegeneracy_report(st)
+    assert rep.sectors[1].kernel_dimension == 1
+    assert rep.higher_sectors["bound"] is None
+    assert rep.verdict == "inconclusive"

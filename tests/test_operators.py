@@ -19,7 +19,7 @@ def test_dirichlet_spectrum_matches_discrete_formula():
     h = np.pi / (m + 1)
     A = dirichlet_1d(m, h)
     mass = np.ones(m)
-    eig = operators.smallest_eigenpairs(A, mass, 3, shift=-1.0, split=-1.0)
+    eig = operators.smallest_eigenpairs(A, mass, 3, split=-1.0)
     for k, sigma in enumerate(eig.values, start=1):
         expect = 4.0 / h**2 * np.sin(k * h / 2.0) ** 2
         assert sigma == pytest.approx(expect, rel=1e-10)
@@ -58,19 +58,10 @@ def test_inertia_split_matches_dense():
     assert A.shape[0] >= 64
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
     assert exact[0] < -40.0 and 0.0 < exact[1] < 0.003   # deep, then the cluster
-    # a bound below the spectrum; the deep eigenvalue is the nearest to it
-    eig = operators.smallest_eigenpairs(A, mass, 5, shift=-800.0, split=-1e-3)
-    assert np.max(np.abs(eig.values - exact[:6])) <= 1e-10
-    assert operators.count_below(A, mass, -1e-3) == 1
-
-
-def test_inertia_split_detects_missed_eigenvalue():
-    # a shift between the deep eigenvalue and the split is nearest to the
-    # cluster, so a shift-invert call there would miss the eigenvalue the
-    # count sees; the inertia count at the shift refuses it by name
-    A, mass = two_block_pencil()
-    with pytest.raises(FactorizationFailure, match="shift -0.01 "):
-        operators.smallest_eigenpairs(A, mass, 5, shift=-0.01, split=-1e-3)
+    # the deep eigenvalue is counted, the cluster above the split returned
+    eig = operators.smallest_eigenpairs(A, mass, 5, split=-1e-3)
+    assert eig.below == operators.count_below(A, mass, -1e-3) == 1
+    assert np.max(np.abs(eig.values - exact[1:6])) <= 1e-10
 
 
 def test_dirichlet_smallest_tends_to_one():
@@ -78,7 +69,7 @@ def test_dirichlet_smallest_tends_to_one():
     for m in (100, 400, 1600):
         h = np.pi / (m + 1)
         A = dirichlet_1d(m, h)
-        vals.append(operators.smallest_eigenpairs(A, np.ones(m), 1, shift=-1.0,
+        vals.append(operators.smallest_eigenpairs(A, np.ones(m), 1,
                                                     split=-1.0).values[0])
     assert abs(vals[-1] - 1.0) < 1e-5
     assert abs(vals[0] - 1.0) > abs(vals[-1] - 1.0)
@@ -88,7 +79,7 @@ def test_identity_pencil():
     m = 120
     mass = np.linspace(0.5, 2.0, m)
     A = sp.diags(mass).tocsr()
-    eig = operators.smallest_eigenpairs(A, mass, 4, shift=-1.0, split=-1.0)
+    eig = operators.smallest_eigenpairs(A, mass, 4, split=-1.0)
     for sigma in eig.values:
         assert sigma == pytest.approx(1.0, rel=1e-12)
 
@@ -97,14 +88,12 @@ def test_too_many_requested():
     A = dirichlet_1d(10, 0.1)
     for m in (9, 11):   # ARPACK takes at most dim - 2
         with pytest.raises(TooManyRequested):
-            operators.smallest_eigenpairs(A, np.ones(10), m, shift=-1.0,
-                                          split=-1.0)
+            operators.smallest_eigenpairs(A, np.ones(10), m, split=-1.0)
     # the pairs below the split count against that bound too
     shifted = (dirichlet_1d(10, np.pi / 11) - sp.diags(np.full(10, 10.0))).tocsr()
     assert operators.count_below(shifted, np.ones(10), -1e-3) == 3
     with pytest.raises(TooManyRequested):
-        operators.smallest_eigenpairs(shifted, np.ones(10), 6, shift=-11.0,
-                                      split=-1e-3)
+        operators.smallest_eigenpairs(shifted, np.ones(10), 6, split=-1e-3)
 
 
 def test_small_pencil_goes_through_arpack():
@@ -113,7 +102,7 @@ def test_small_pencil_goes_through_arpack():
     A = dirichlet_1d(m, np.pi / (m + 1))
     mass = 1.0 + 0.3 * np.sin(np.arange(m))
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
-    eig = operators.smallest_eigenpairs(A, mass, m - 2, shift=-1.0, split=-1.0)
+    eig = operators.smallest_eigenpairs(A, mass, m - 2, split=-1.0)
     assert np.max(np.abs(eig.values - exact[:m - 2])) <= 1e-10
 
 
@@ -130,9 +119,11 @@ def test_small_mass_rows_match_dense_oracle():
     A = (sp.diags(r) @ T @ sp.diags(r)).tocsr()
     exact, V = sla.eigh(A.toarray(), np.diag(mass))
     assert mass.min() < 1.01e-9 and exact[0] < -1e-3
-    eig = operators.smallest_eigenpairs(A, mass, 5, shift=-100.0, split=-1e-3)
-    assert np.max(np.abs(eig.values - exact[:6])) <= 1e-10
-    for x, v in zip(eig.vectors.T, V.T):   # entrywise, smallest-mass rows too
+    eig = operators.smallest_eigenpairs(A, mass, 5, split=-1e-3)
+    below = np.count_nonzero(exact < -1e-3)
+    assert eig.below == below
+    assert np.max(np.abs(eig.values - exact[below:below + 5])) <= 1e-10
+    for x, v in zip(eig.vectors.T, V[:, below:].T):   # entrywise, smallest-mass rows too
         x = x * np.sign(np.dot(mass * x, v))
         assert np.max(np.abs(x - v)) <= 1e-10 * np.max(np.abs(v))
     assert np.all(eig.backward_errors <= operators.BACKWARD_TOL)
@@ -142,32 +133,45 @@ def test_small_mass_rows_match_dense_oracle():
 
 
 def test_eigensolve_counts():
-    # one factorization at the split and one at the shift, no refinement
+    # one factorization at the split and one call through it, no refinement,
+    # with an eigenvalue below the split or none
     A, mass = two_block_pencil()
-    eig = operators.smallest_eigenpairs(A, mass, 5, shift=-800.0, split=-1e-3)
-    assert eig.factorizations == 2
-    assert eig.solves >= 6
-    # with nothing below the split there is one call and one factorization
+    eig = operators.smallest_eigenpairs(A, mass, 5, split=-1e-3)
+    assert (eig.below, eig.factorizations) == (1, 1)
+    assert eig.solves >= 5
     eig = operators.smallest_eigenpairs(dirichlet_1d(50, 0.02), np.ones(50), 3,
-                                        shift=-1.0, split=-1.0)
-    assert eig.factorizations == 1
+                                        split=-1.0)
+    assert (eig.below, eig.factorizations) == (0, 1)
 
 
 @pytest.mark.parametrize("c,below,above", [(10.0, 3, 2), (55.0, 7, 1)])
 def test_every_pair_below_the_split_and_those_asked_above(c, below, above):
-    # the count at the split, not the request, fixes how many pairs come from
-    # below it: none is dropped, however many there are
+    # the pairs below the split are counted, however many there are, and
+    # only those asked for above it are returned: the lowest above it
     import scipy.linalg as sla
     m = 80
     mass = 1.0 + 0.3 * np.sin(np.arange(m))
     A = (dirichlet_1d(m, np.pi / (m + 1)) - sp.diags(c * mass)).tocsr()
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
     assert np.count_nonzero(exact < -1e-3) == below
-    eig = operators.smallest_eigenpairs(A, mass, above, shift=-c - 1.0,
-                                        split=-1e-3)
-    assert len(eig.values) == below + above
-    assert np.max(np.abs(eig.values - exact[:below + above])) <= 1e-10
-    assert eig.factorizations == 2
+    eig = operators.smallest_eigenpairs(A, mass, above, split=-1e-3)
+    assert eig.below == below
+    assert len(eig.values) == above and np.all(eig.values > -1e-3)
+    assert np.max(np.abs(eig.values - exact[below:below + above])) <= 1e-10
+    assert eig.factorizations == 1
+
+
+def test_value_returned_below_the_split_is_refused(monkeypatch):
+    # a pair the count places under the split never passes as one above it
+    shift_invert = operators._shift_invert
+
+    def lowered(lu, s, k, sigma):
+        w, y, solves = shift_invert(lu, s, k, sigma)
+        return w - 2.0, y, solves
+    monkeypatch.setattr(operators, "_shift_invert", lowered)
+    with pytest.raises(FactorizationFailure, match="at or below"):
+        operators.smallest_eigenpairs(dirichlet_1d(50, np.pi / 51),
+                                      np.ones(50), 2, split=-1e-3)
 
 
 def test_eigenvectors_mass_orthonormal():
@@ -175,7 +179,7 @@ def test_eigenvectors_mass_orthonormal():
     h = 1.0 / (m + 1)
     A = dirichlet_1d(m, h)
     mass = 1.0 + 0.3 * np.sin(np.arange(m))
-    V = operators.smallest_eigenpairs(A, mass, 4, shift=-1.0, split=-1.0).vectors
+    V = operators.smallest_eigenpairs(A, mass, 4, split=-1.0).vectors
     G = V.T @ (mass[:, None] * V)
     assert np.max(np.abs(G - np.eye(4))) < 1e-8
 
@@ -185,7 +189,7 @@ def test_eigen_residuals():
     h = np.pi / (m + 1)
     A = dirichlet_1d(m, h)
     mass = np.ones(m)
-    eig = operators.smallest_eigenpairs(A, mass, 3, shift=-1.0, split=-1.0)
+    eig = operators.smallest_eigenpairs(A, mass, 3, split=-1.0)
     for sigma, x in zip(eig.values, eig.vectors.T):
         ax = A @ x
         assert np.linalg.norm(ax - sigma * mass * x) <= 1e-8 * np.linalg.norm(ax)
@@ -196,8 +200,7 @@ def test_verified_refines_once_then_raises():
     h = np.pi / (m + 1)
     A = dirichlet_1d(m, h)
     mass = np.ones(m)
-    (s1, s2), X, _, _, _ = operators.smallest_eigenpairs(A, mass, 2, shift=-1.0,
-                                                         split=-1.0)
+    (s1, s2), X, _, _, _, _ = operators.smallest_eigenpairs(A, mass, 2, split=-1.0)
     noisy = X[:, :1] + 1e-6 * np.random.default_rng(5).normal(size=(m, 1))
     noisy /= np.sqrt(np.dot(mass, noisy[:, 0] ** 2))
     sigma = np.array([s1])

@@ -225,6 +225,18 @@ def test_acceptance_failures(solved_cache, spoil, names):
         assert state.residual_bound == 10 * sngs.solver.TOL
 
 
+def test_acceptance_refuses_non_finite_identities():
+    # node 0 carries no r^2 dr weight, so the residual ratio never sees a
+    # blown-up origin value; the identities turn NaN and must refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = sngs.solve(sngs.normal_form(2.5, 1e-100)[1], 17)
+    assert st.residual_norm <= st.residual_bound
+    rep = st.diagnostics
+    assert np.isnan(rep.nehari) and np.isnan(rep.pohozaev)
+    failures = sngs.acceptance_failures(st)
+    assert [f[0] for f in failures] == ["identity_residuals"]
+
+
 def test_ground_state_rejects_a_field_off_its_grid(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
     with pytest.raises(ValueError, match="field length"):
