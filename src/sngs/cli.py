@@ -272,7 +272,8 @@ def cmd_spectrum(args, command_line):
                      "zero_mode_match": e.zero_mode_match,
                      "below_split": e.below_split,
                      "backward_error": e.backward_error,
-                     "solves": e.solves, "factorizations": e.factorizations}
+                     "solves": e.solves, "factorizations": e.factorizations,
+                     "fill": e.fill}
                     for e in report.sectors],
         "higher_sectors": report.higher_sectors,
         "timing": {"solve_s": solve_s,

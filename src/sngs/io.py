@@ -4,7 +4,8 @@ Every JSON a subcommand writes goes through `write_manifest`: the header
 (command line, code version, creation time, outputs) followed by the
 command's own keys, among them one `state_record` per state it holds
 (parameters, grid, and a summary of the residual ratio with its rounding
-floor and bound, iterations, diagnostics and acceptance failures).
+floor and bound, iterations, diagnostics and acceptance failures), in
+strict JSON: a non-finite float is written as null.
 A solve produces `<out>.csv`, the state's grid nodes and its arrays u, v
 as columns r,u,v at 17 significant digits (float64 round-trips exactly), and
 `<out>.json`, whose body is the state's record plus the Newton tolerance.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 from dataclasses import asdict, fields
 
@@ -57,14 +59,27 @@ def state_record(state: GroundState) -> dict:
                         "identity_failures": acceptance_failures(state)}}
 
 
+def _finite(obj):
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(val) for val in obj]
+    return obj
+
+
 def write_manifest(path, command_line: str, outputs=(), **body):
     """The one JSON writer of the package: the header every artifact shares,
-    then the command's `body`; indented, sorted keys, a final newline."""
+    then the command's `body`; indented, sorted keys, a final newline.  Strict
+    JSON: a non-finite float is written as null, never as NaN or Infinity."""
     created = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(path, "w") as fh:
-        json.dump({"command_line": command_line, "code_version": __version__,
-                   "created": created, "outputs": list(outputs), **body},
-                  fh, indent=2, sort_keys=True)
+        json.dump(_finite({"command_line": command_line,
+                           "code_version": __version__, "created": created,
+                           "outputs": list(outputs), **body}),
+                  fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

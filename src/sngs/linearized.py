@@ -112,6 +112,7 @@ class SectorEntry:
     backward_error: float        # largest over the returned pairs
     solves: int                  # shift-invert applications
     factorizations: int          # inertia LDL^T factorizations
+    fill: int                    # nnz(L) + nnz(U) of the LDL^T at the split
     seconds: float               # eigensolve wall time
     eigenvectors: np.ndarray = field(repr=False)
     kernel_dimension: Optional[int] = None
@@ -138,7 +139,8 @@ def sector_spectrum(op: SectorOperator, above: int) -> SectorEntry:
         k=op.k, eigenvalues=eig.values.tolist(), eigenvectors=eig.vectors,
         below_split=eig.below,
         backward_error=float(np.max(eig.backward_errors)),
-        solves=eig.solves, factorizations=eig.factorizations, seconds=seconds)
+        solves=eig.solves, factorizations=eig.factorizations, fill=eig.fill,
+        seconds=seconds)
 
 
 def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:

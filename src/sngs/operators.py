@@ -24,11 +24,14 @@ residual needs.  All are assembled on every call, without a cache (under
 The eigensolver is inertia-sliced shift-invert Lanczos, and its one
 factorization is a symmetric no-pivot LDL^T (`_inertia`) at a split point,
 whose negative pivots count the eigenvalues below the split (Sylvester's law
-of inertia).  Below the split that count is all the eigensolve reports; above
-it one shift-invert call through the same LDL^T takes as many pairs as the
-caller asks for, none of which may fall below the split.  ARPACK runs on the
-standard-form matrix D A D, D = M^(-1/2), so each Lanczos step is one solve
-through the LDL^T and no mass product, and it stops at the relative accuracy
+of inertia).  Below the split that count is all the eigensolve reports;
+above it one shift-invert call through the same LDL^T takes as many pairs as
+the caller asks for, none of which may fall below the split.  SuperLU factors
+in one-column panels: the pair form's factors hold about 4 nonzeros per row,
+so a wide panel finds no dense block to work on, while part of SuperLU's
+workspace grows with the panel width.  ARPACK runs on the standard-form
+matrix D A D, D = M^(-1/2), so each Lanczos step is one solve through the
+LDL^T and no mass product, and it stops at the relative accuracy
 BACKWARD_TOL = 1e-12 that the certificate asks for.  Every returned eigenpair
 is then held to a normwise backward error of 1e-12, computed once and
 returned with the pairs; a pair over it is refined, after the call, by one
@@ -128,6 +131,10 @@ def count_below(form: sp.spmatrix, mass: np.ndarray, tau: float) -> int:
     return _inertia(form, mass, tau)[1]
 
 
+# SuperLU's panel width in columns (its default is 20); see `_inertia`
+PANEL_SIZE = 1
+
+
 def _inertia(form, mass, tau):
     """SuperLU's symmetric no-pivot factorization of form - tau*mass and the
     number of its negative pivots.
@@ -137,18 +144,24 @@ def _inertia(form, mass, tau):
     pivots are the diagonal of U, because the factorization permutes rows and
     columns alike (U = D L^T).  Raises FactorizationFailure when tau hits an
     eigenvalue or SuperLU leaves the diagonal, where the count would be void.
+    Also returns the fill, nnz(L) + nnz(U).
+
+    The panels are PANEL_SIZE = 1 column wide: part of SuperLU's workspace
+    scales with the panel width, and the factors of a pair form hold only
+    about 4 nonzeros per row, so wider panels buy no dense work, only memory.
     """
     M = sp.dia_matrix((mass[None], [0]), shape=form.shape)   # zero past the mass
     shifted = sp.csc_matrix(form - tau * M)
     try:
         lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
+                       panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise FactorizationFailure(f"inertia at {tau}: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise FactorizationFailure(
             f"inertia at {tau}: SuperLU pivoted off the diagonal")
-    return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    U = lu.U
+    return lu, int(np.count_nonzero(U.diagonal() < 0.0)), U.nnz + lu.L.nnz
 
 
 def schur_apply(form, mass, X):
@@ -178,6 +191,7 @@ class Eigenpairs(NamedTuple):
     below: int                   # eigenvalues below the split: the inertia count
     solves: int                  # shift-invert applications, refinements included
     factorizations: int          # `_inertia` calls
+    fill: int                    # nnz(L) + nnz(U) of the LDL^T at the split
 
 
 def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, above: int,
@@ -209,7 +223,7 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, above: int,
         raise ValueError("above must be >= 1")
     if np.any(mass <= 0):
         raise ValueError("mass must be positive on active nodes")
-    lu, below = _inertia(form, mass, split)
+    lu, below, fill = _inertia(form, mass, split)
     if below + above > dim - 2:
         raise TooManyRequested(
             f"{below} eigenpairs below the split and {above} above it from a "
@@ -227,7 +241,7 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, above: int,
     X = vecs[:, order]
     X /= s[:, None]
     errors, refined = _verified(form, mass, vals, X)
-    return Eigenpairs(vals, X, errors, below, solves + refined, 1 + refined)
+    return Eigenpairs(vals, X, errors, below, solves + refined, 1 + refined, fill)
 
 
 def _shift_invert(lu, s, k, sigma):
@@ -279,7 +293,7 @@ def _verified(form, mass, sigmas, X):
     errors = backward_errors(form, mass, sigmas, X)
     over = np.flatnonzero(~(errors <= BACKWARD_TOL))   # NaN included
     for j in over:
-        lu, _ = _inertia(form, mass, sigmas[j] + 1e-12)
+        lu = _inertia(form, mass, sigmas[j] + 1e-12)[0]
         y = lu.solve(np.pad(mass * X[:, j], (0, form.shape[0] - len(mass))))[:len(mass)]
         X[:, j] = y / np.sqrt(np.dot(mass * y, y))
         sigmas[j] = np.dot(X[:, j], schur_apply(form, mass, X[:, j]))

@@ -224,6 +224,30 @@ def test_check_detects_tampering(tmp_path):
     assert run(["check", "--out", out]) == 2
 
 
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON token {constant}")
+
+
+def test_manifest_writes_non_finite_floats_as_null(solved, capsys):
+    # strict JSON readers reject NaN and Infinity, so write_manifest never
+    # emits them, at any depth; check then refuses the null as no number
+    man = manifest(solved)
+    command_line, outputs = man.pop("command_line"), man.pop("outputs")
+    del man["code_version"], man["created"]
+    man["summary"]["diagnostics"].update(J=float("nan"), D=float("inf"))
+    man["summary"]["identity_failures"] = [["nehari", float("-inf"), (1.0, np.nan)]]
+    sngs.io.write_manifest(solved + ".json", command_line, outputs, **man)
+    stored = json.loads(Path(solved + ".json").read_text(), parse_constant=_refuse)
+    assert stored["summary"]["diagnostics"]["J"] is None
+    assert stored["summary"]["diagnostics"]["D"] is None
+    assert stored["summary"]["identity_failures"] == [["nehari", None, [1.0, None]]]
+    assert stored["summary"]["diagnostics"]["grad_sq"] == man["summary"]["diagnostics"]["grad_sq"]
+    assert run(["check", "--out", solved]) == 2
+    err = capsys.readouterr().err
+    assert f"io error: {solved}.json is not a solve manifest" in err
+    assert "Traceback" not in err
+
+
 def test_check_compares_the_identity_residuals_on_the_scale_of_G(solved, capsys):
     # nehari is a cancellation residual near 0: a stored value 1e-4 of
     # itself off the re-derived one, as BLAS rounding in another thread count
@@ -538,6 +562,8 @@ def test_spectrum_cli_small(tmp_path):
     assert [s["factorizations"] for s in payload["sectors"]] == [1, 1]
     assert [len(s["eigenvalues"]) for s in payload["sectors"]] == [1, 2]
     assert all(s["solves"] >= len(s["eigenvalues"]) for s in payload["sectors"])
+    # the pair form has dimension 2 (n - 3); its LDL^T holds about 8 per row
+    assert all(0 < s["fill"] <= 10 * 2 * (2048 - 3) for s in payload["sectors"])
     assert len(payload["timing"]["eigensolve_s"]) == 2
     higher = payload["higher_sectors"]
     assert sorted(higher) == ["bound", "ordering_gap", "r_act"]

@@ -284,10 +284,10 @@ def test_report_keeps_one_sector_and_one_factorization_alive(monkeypatch):
 
     def factored(form, mass, tau):
         factor_crowd.append(_alive(factors))
-        lu, count = inertia(form, mass, tau)
+        lu, *counts = inertia(form, mass, tau)
         factor = _Factor(lu)
         factors.append(weakref.ref(factor))
-        return factor, count
+        return factor, *counts
 
     def formed(state, k):
         form_crowd.append(_alive(forms))

@@ -200,7 +200,7 @@ def test_verified_refines_once_then_raises():
     h = np.pi / (m + 1)
     A = dirichlet_1d(m, h)
     mass = np.ones(m)
-    (s1, s2), X, _, _, _, _ = operators.smallest_eigenpairs(A, mass, 2, split=-1.0)
+    (s1, s2), X, *_ = operators.smallest_eigenpairs(A, mass, 2, split=-1.0)
     noisy = X[:, :1] + 1e-6 * np.random.default_rng(5).normal(size=(m, 1))
     noisy /= np.sqrt(np.dot(mass, noisy[:, 0] ** 2))
     sigma = np.array([s1])
