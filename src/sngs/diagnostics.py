@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import operators
 from .grid import RadialGrid
@@ -41,7 +40,7 @@ class DiagnosticsReport:
 
 
 def identities(grid: RadialGrid, u: np.ndarray, v: np.ndarray, p,
-               A: sp.csr_matrix) -> DiagnosticsReport:
+               A: operators.RadialLaplacian) -> DiagnosticsReport:
     """Norms, action, Nehari and Pohozaev values of the field u with
     potential v on `grid` for the member p (`solver.ModelParams`); A is the
     grid's `operators.radial_laplacian`, built by the caller, and the sup

@@ -50,7 +50,7 @@ from . import operators
 from .errors import UnconvergedState
 from .grid import EVEN, ODD, differentiate
 from .hartree import green_bands
-from .solver import GroundState, linearization
+from .solver import GroundState, linearization, residual_failures
 
 # Radial-sector gap below which the verdict is not nondegenerate; also the
 # inertia split of every sector eigensolve: eigenvalues below -GAP_TOL are
@@ -67,10 +67,10 @@ class SectorOperator:
 
 
 def _require_converged(state: GroundState):
-    """The residual part of `solver.acceptance_failures`, raised."""
-    if not state.residual_norm <= state.residual_bound:
-        raise UnconvergedState(f"residual {state.residual_norm:.2e} > "
-                               f"bound {state.residual_bound:.2e}")
+    """The first of `solver.residual_failures`, raised."""
+    if (failures := residual_failures(state)):
+        name, value, bound = failures[0]
+        raise UnconvergedState(f"{name} {value:.2e} > bound {bound:.2e}")
 
 
 def sector_form(state: GroundState, k: int) -> SectorOperator:

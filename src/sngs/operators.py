@@ -15,11 +15,11 @@ is what makes the matrix-free Jacobian self-adjoint in the r^2-weighted inner
 product and the sector forms symmetric to round-off.  Those weighted bands
 (`_weighted_bands`) are the one source of the stencil, and `origin_row` the
 one source of row 0: `dirichlet_form` restricts the bands to the active
-nodes, `radial_laplacian` divides them by the weight of their row, and a
-Newton solve (`solver.newton_solve`) reads its warm-start Cholesky and its
-step's fixed entries from them directly, beside the one CSR -Delta_r its
-residual needs.  All are assembled on every call, without a cache (under
-1 ms at n=4096).
+nodes, and `radial_laplacian` holds them with row 0 and the weights as
+-Delta_r itself, never as a matrix, from which a Newton solve
+(`solver.newton_solve`) takes its residual, its warm-start Cholesky and its
+step's fixed entries.  All are assembled on every call, without a cache
+(under 1 ms at n=4096).
 
 The eigensolver is inertia-sliced shift-invert Lanczos, and its one
 factorization is a symmetric no-pivot LDL^T (`_inertia`) at a split point,
@@ -78,21 +78,47 @@ def origin_row(grid: RadialGrid):
     return 30.0 * c, -32.0 * c, 2.0 * c
 
 
-def radial_laplacian(grid: RadialGrid) -> sp.csr_matrix:
-    """-Delta_r as an (n, n) sparse operator with the row layout above: the
-    weighted bands of even parity divided by the r^2 dr weight of their row,
-    under `origin_row`."""
-    n = grid.n
-    w = grid.weights_r2dr[1:n - 2]
-    diag, up1, up2 = _weighted_bands(grid, EVEN)
-    a00, a01, a02 = origin_row(grid)
-    return sp.diags(
-        [np.r_[0.0, up2[:-2] / w[2:], 0.0, 0.0],   # (2, 0) carries r_0 = 0
-         np.r_[0.0, up1[:-1] / w[1:], 0.0, 0.0],   # so does (1, 0)
-         np.r_[a00, diag / w, 1.0, 1.0],
-         np.r_[a01, up1 / w, 0.0],
-         np.r_[a02, up2 / w]],
-        [-2, -1, 0, 1, 2], shape=(n, n), format="csr")
+class RadialLaplacian(NamedTuple):
+    """-Delta_r held as its stencil, never as a matrix: the even-parity
+    weighted bands, `origin_row` and the r^2 dr weights W.  `A @ x` divides
+    each band by the weight of its row and adds the products row by row in
+    column order from 0, skipping the entries that vanish (the couplings
+    into node 0, the pad rows' off-diagonals): the float operations of a CSR
+    matvec of the same matrix, whose values it gives to the last bit,
+    floating-point errors unreported as there.  `abs(A)` holds |entries|."""
+    diag: np.ndarray
+    up1: np.ndarray
+    up2: np.ndarray
+    origin: tuple
+    weights: np.ndarray
+
+    def __abs__(self):
+        return RadialLaplacian(np.abs(self.diag), np.abs(self.up1),
+                               np.abs(self.up2),
+                               tuple(abs(a) for a in self.origin), self.weights)
+
+    def __matmul__(self, x):
+        m = len(self.weights) - 3   # active rows 1 .. m
+        w, y, term = self.weights[1:m + 1], np.zeros(m + 3), np.empty(m)
+        rows = y[1:m + 1]
+        with np.errstate(all="ignore"):
+            # the band at offset k of the rows 1 + lo .. m, in column order
+            for k, band in ((-2, self.up2[:-2]), (-1, self.up1[:-1]),
+                            (0, self.diag), (1, self.up1), (2, self.up2)):
+                lo = max(0, -k)
+                t = np.divide(band, w[lo:], out=term[lo:])
+                np.multiply(t, x[lo + 1 + k:m + 1 + k], out=t)
+                np.add(rows[lo:], t, out=rows[lo:])
+            a00, a01, a02 = self.origin
+            y[0] = 0.0 + a00 * x[0] + a01 * x[1] + a02 * x[2]
+            y[-2:] += x[-2:]
+        return y
+
+
+def radial_laplacian(grid: RadialGrid) -> RadialLaplacian:
+    """-Delta_r on `grid`, applied row by row (`RadialLaplacian`)."""
+    return RadialLaplacian(*_weighted_bands(grid, EVEN), origin_row(grid),
+                           grid.weights_r2dr)
 
 
 def active_slice(grid: RadialGrid) -> np.ndarray:
@@ -113,7 +139,7 @@ def dirichlet_form(grid: RadialGrid, parity: str = EVEN) -> sp.csr_matrix:
     return sp.diags([off2, off1, diag, off1, off2], [-2, -1, 0, 1, 2], format="csr")
 
 
-def grad_sq_pairing(grid: RadialGrid, A: sp.csr_matrix, values: np.ndarray) -> float:
+def grad_sq_pairing(grid: RadialGrid, A: RadialLaplacian, values: np.ndarray) -> float:
     """<A u, u> in the r^2 dr weights: the discrete Dirichlet energy /(4 pi).
 
     Fourth-order quadrature of the radial integral of u'(r)^2 r^2 for decaying

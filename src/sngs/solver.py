@@ -6,18 +6,18 @@ Jacobian is self-adjoint in the r^2-weighted inner product.  newton_solve runs
 a deterministic spectral-renormalization warm start (amplitude-stabilized
 Picard iteration; plain damped Newton from generic bumps measurably stalls on
 a near-singular Jacobian ridge between the trivial and ground branches),
-then damped Newton.  Each solve assembles the stencil once: the weighted
-bands of operators._weighted_bands feed the warm start's banded Cholesky of
-S + lam W and the Newton step's fixed entries, operators.origin_row the
-origin row of both, and the one CSR -Delta_r (operators.radial_laplacian)
-serves the residual, the floor and the final `ground_state`.  The warm start
-stops as soon as its Rayleigh ratio is within WARM_TOL of 1 (WARM_SWEEPS
-caps the sweeps).  Newton stops at |F| <= max(TOL, floor) lam |u| in the
+then damped Newton.  Each solve assembles the stencil once, as
+operators.radial_laplacian: its weighted bands and origin row serve the
+residual, the floor and the final `ground_state` through A @ u, and feed the
+warm start's banded Cholesky of S + lam W and every Newton step's fixed
+entries.  The warm start stops as soon as its Rayleigh ratio is within
+WARM_TOL of 1 (WARM_SWEEPS caps the sweeps).  Newton stops at |F| <= max(TOL, floor) lam |u| in the
 r^2 dr norm, where `residual_floor` is the rounding level of F, taken once
 per solve after the warm start.
 `acceptance_failures` is the one rule that accepts a state: its residual
 ratio within GroundState.residual_bound = 10 max(TOL, floor), the floor
-taken at the state, and its Nehari and Pohozaev identities within
+taken at the state, |F(u)_0|, weightless in that ratio, within
+residual_bound lam max|u|, and its Nehari and Pohozaev identities within
 IDENTITY_RTOL G; `linearized` asks the residual part alone.
 `solve` is the one place that picks a state's domain and start from
 (params, n); the scan's random starts share its domain.  The ground state is
@@ -38,9 +38,9 @@ sector-k pair form in (f, y = r g), g the potential perturbation, is
 and T_k = hartree.green_bands; `linearized` builds it for k = 0 and 1.  Its
 sector-0 Schur complement is W J, so each Newton step J d = -F solves that
 pair form exactly, in standard form on the active nodes, by one banded LU
-(`_newton_step`); the entries no iterate changes are built once per solve
-from the weighted bands as five compact vectors (`_step_bands`), beside the
-one dgbsv workspace every step solves in.
+(`_newton_step`) in the one dgbsv workspace of the solve; each step writes
+the entries no iterate changes into it afresh from -Delta_r's weighted
+bands and hartree.green_bands, so nothing but the workspace outlives a step.
 """
 
 from __future__ import annotations
@@ -50,14 +50,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv, dpbtrs
 
 from . import operators
 from .diagnostics import DiagnosticsReport, identities
 from .errors import (BadRange, InvalidExponent, NegativeStateDetected,
                      NonConvergence, TrivialCollapse)
-from .grid import EVEN, RadialGrid, make_grid
+from .grid import RadialGrid, make_grid
 from .hartree import coulomb_apply, green_bands
 
 TRIVIAL_SUP = 1e-8
@@ -106,6 +105,7 @@ class GroundState:
     v: np.ndarray               # I_2 * u^2 on grid.nodes
     residual_norm: float        # |F(u)| / (lam |u|), r^2 dr norms
     residual_floor: float       # rounding level of residual_norm at u
+    origin_residual: float      # |F(u)_0|, which has no r^2 dr weight
     iterations: int
     diagnostics: DiagnosticsReport = field(repr=False)
 
@@ -145,7 +145,7 @@ def _dpower(u: np.ndarray, p: float) -> np.ndarray:
 
 
 def _residual_values(u: np.ndarray, params: ModelParams, grid: RadialGrid,
-                     A: sp.csr_matrix):
+                     A: operators.RadialLaplacian):
     """(F(u), v(u)), A = -Delta_r; F's last two rows are the pad values."""
     v = coulomb_apply(grid, u * u)
     F = A @ u + params.lam * u - params.a * v * u - params.nu * _power(u, params.q - 1.0)
@@ -168,54 +168,7 @@ def linearization(u: np.ndarray, v: np.ndarray, params: ModelParams,
     return pot, math.sqrt(2.0 * params.a) * u
 
 
-@dataclass
-class _StepBands:
-    """The sector-0 pair form of one solve in dgbsv storage.  The workspace
-    `ab` has 13 rows (Fortran order); its rows 4..12 hold the matrix, entry
-    (i, j) of the interleaved system at row 4 + i - j of ab[4:], and its rows
-    0..3 are the LU fill-in space, which dgbsv need not find set.  The
-    entries no iterate changes are kept compact, as five vectors: D S D's
-    main band and its bands at interleaved offsets 2 and 4 (the first and
-    second bands of S), and T_0's two bands; each step zeroes ab[4:] and
-    writes them in (`write`)."""
-    dsd: tuple          # D S D: main, first and second upper bands
-    green: tuple        # T_0: main and upper band (hartree.green_bands)
-    scale: np.ndarray   # W^(1/2) on the active nodes, D = 1 / scale
-    origin: tuple       # row 0 of -Delta_r on nodes 0, 1, 2
-    ab: np.ndarray      # workspace: the fixed plus the u-dependent entries
-    rhs: np.ndarray     # workspace: the right-hand side
-
-    def write(self, band: np.ndarray) -> None:
-        """Zero `band`, the matrix rows ab[4:], and write the fixed entries
-        in: f_i at slot 2i, y_i at slot 2i + 1 (i counts the active nodes
-        from 0)."""
-        band.fill(0.0)
-        main, off1, off2 = self.dsd
-        band[4, ::2] = main
-        band[2, 2::2] = band[6, :-2:2] = off1
-        band[0, 4::2] = band[8, :-4:2] = off2
-        t_diag, t_off = self.green
-        band[4, 1::2] = t_diag
-        band[2, 3::2] = band[6, 1:-2:2] = t_off
-
-
-def _step_bands(grid: RadialGrid, bands) -> _StepBands:
-    """The entries of the Newton pair form that no iterate changes, D S D
-    from the weighted bands (diag, up1, up2) of operators._weighted_bands
-    and T_0 from hartree.green_bands, and the workspace every step solves
-    in."""
-    m = grid.n - 3
-    diag, up1, up2 = bands
-    scale = np.sqrt(grid.weights_r2dr[1:m + 1])
-    dsd = (diag / scale ** 2, up1[:-1] / (scale[:-1] * scale[1:]),
-           up2[:-2] / (scale[:-2] * scale[2:]))
-    return _StepBands(dsd=dsd, green=green_bands(0, m, grid.h), scale=scale,
-                      origin=operators.origin_row(grid),
-                      ab=np.empty((13, 2 * m), order="F"),
-                      rhs=np.empty(2 * m))
-
-
-def _newton_step(u, v, F, params, grid, bands: _StepBands):
+def _newton_step(u, v, F, params, grid, A, work):
     """Exact solution d of J(u) d = -F through one banded LU, for u vanishing
     on the Dirichlet pad, as every iterate does (d vanishes there too).
 
@@ -223,54 +176,69 @@ def _newton_step(u, v, F, params, grid, bands: _StepBands):
     pair form [[S + W pot, B], [B, T_0]] in (d, y = r w), B = sqrt(h W) b
     (`linearization`).  In standard form, d = D x with D = W^(-1/2), it is
     [[D S D + pot, sqrt(h) b], [sqrt(h) b, T_0]] (x, y) = (-W^(1/2) F, 0);
-    interleaving x_1, y_1, x_2, ... gives bandwidth 4 on each side.  The
-    fixed entries (`_StepBands.write`) and the u-dependent ones go into the
-    zeroed workspace, which dgbsv overwrites.  d_0 then follows from row 0
-    of -Delta_r, the origin limit, with the screening potential w_0 the
-    trapezoid line integral of 2 u d r (its Euler-Maclaurin term is in
-    pot_0).  A non-finite or singular system raises NonConvergence.
+    interleaving x_1, y_1, x_2, ... gives bandwidth 4 on each side.  All of
+    it, D S D from A's weighted bands and T_0 from hartree.green_bands
+    included, is written afresh into `work` (`_step_workspace`), which
+    dgbsv overwrites.  d_0 then follows from A's origin row, the origin
+    limit, with the screening potential w_0 the trapezoid line integral of
+    2 u d r (its Euler-Maclaurin term is in pot_0).  A non-finite or
+    singular system raises NonConvergence.
     """
-    h, act = grid.h, slice(1, grid.n - 2)
+    h, m, act = grid.h, grid.n - 3, slice(1, grid.n - 2)
+    ab, rhs = work
+    band = ab[4:]   # entry (i, j) at row 4 + i - j; f_i at slot 2i, y_i 2i+1
+    band.fill(0.0)
+    band[4, 1::2], band[2, 3::2] = green_bands(0, m, h)
+    band[6, 1:-2:2] = band[2, 3::2]
+    scale = np.sqrt(A.weights[act])   # W^(1/2), D = 1 / scale
+    # D S D, (i, i+k) of S over scale_i scale_(i+k), formed in rhs till set
+    for k, s_band in ((0, A.diag), (1, A.up1[:-1]), (2, A.up2[:-2])):
+        dsd = rhs[k:m]
+        np.multiply(scale[:m - k], scale[k:], out=dsd)
+        np.divide(s_band, dsd, out=dsd)
+        band[4 - 2 * k, 2 * k::2] = band[4 + 2 * k, :2 * (m - k):2] = dsd
     pot, b = linearization(u, v, params, h)
     if not (np.isfinite(pot).all() and np.isfinite(F).all()):
         raise NonConvergence(f"Newton step for {params.label()}: "
                              "non-finite Jacobian or residual")
-    band, rhs = bands.ab[4:], bands.rhs
-    bands.write(band)
     band[4, ::2] += pot[act]
     band[3, 1::2] = band[5, ::2] = math.sqrt(h) * b[act]
-    rhs[::2] = -bands.scale * F[act]
+    rhs[::2] = -scale * F[act]
     rhs[1::2] = 0.0
-    _, _, x, info = dgbsv(4, 4, bands.ab, rhs, overwrite_ab=True,
-                          overwrite_b=True)
+    x, info = dgbsv(4, 4, ab, rhs, overwrite_ab=True, overwrite_b=True)[2:]
     if info != 0:
         raise NonConvergence(
             f"Newton step for {params.label()}: singular band matrix (info {info})")
     d = np.zeros(grid.n)
-    d[act] = x[::2] / bands.scale
-    a00, a01, a02 = bands.origin
+    d[act] = x[::2] / scale
+    a00, a01, a02 = A.origin
     screen = b[0] * np.dot(h * grid.nodes[act] * b[act], d[act])
     d[0] = (screen - F[0] - a01 * d[1] - a02 * d[2]) / (a00 + pot[0])
     return d
+
+
+def _step_workspace(grid: RadialGrid):
+    """dgbsv's 13-row band matrix (Fortran order; rows 0..3 are fill-in
+    space it need not find set) and right-hand side, shared by every step."""
+    return np.empty((13, 2 * grid.n - 6), order="F"), np.empty(2 * grid.n - 6)
 
 
 def _wnorm(grid: RadialGrid, x: np.ndarray) -> float:
     return math.sqrt(float(np.dot(grid.weights_r2dr, x * x)))
 
 
-def _shifted_bands(grid: RadialGrid, bands, lam: float) -> np.ndarray:
+def _shifted_bands(A: operators.RadialLaplacian, lam: float) -> np.ndarray:
     """S + lam W on the active nodes in LAPACK's upper banded storage (3 rows),
-    from the weighted bands (diag, up1, up2) of operators._weighted_bands."""
-    n = grid.n
-    diag, up1, up2 = bands
+    from A's weighted bands."""
+    n = len(A.weights)
     ab = np.zeros((3, n - 3))
-    ab[0, 2:] = up2[:-2]
-    ab[1, 1:] = up1[:-1]
-    ab[2] = diag + lam * grid.weights_r2dr[1:n - 2]
+    ab[0, 2:] = A.up2[:-2]
+    ab[1, 1:] = A.up1[:-1]
+    ab[2] = A.diag + lam * A.weights[1:n - 2]
     return ab
 
 
-def _shifted_solve(grid: RadialGrid, bands, lam: float):
+def _shifted_solve(grid: RadialGrid, A: operators.RadialLaplacian, lam: float):
     """Solver of (A + lam) w = N, A = -Delta_r, lam masked on the Dirichlet
     pad, for fields N that vanish on the pad.
 
@@ -283,9 +251,8 @@ def _shifted_solve(grid: RadialGrid, bands, lam: float):
     """
     n = grid.n
     W = grid.weights_r2dr
-    chol = sla.cholesky_banded(_shifted_bands(grid, bands, lam),
-                               check_finite=False)
-    a00, a01, a02 = operators.origin_row(grid)
+    chol = sla.cholesky_banded(_shifted_bands(A, lam), check_finite=False)
+    a00, a01, a02 = A.origin
 
     def solve(N):
         w = np.zeros(n)
@@ -299,7 +266,7 @@ def _shifted_solve(grid: RadialGrid, bands, lam: float):
     return solve
 
 
-def _warm_start(u, params, grid, A, bands):
+def _warm_start(u, params, grid, A):
     """Amplitude-stabilized Picard iteration (spectral renormalization).
 
     u <- S^gamma (A + lam)^(-1) N(u) with S the Rayleigh ratio of the linear
@@ -310,7 +277,7 @@ def _warm_start(u, params, grid, A, bands):
     reported as a warning.
     """
     W = grid.weights_r2dr
-    solve = _shifted_solve(grid, bands, params.lam)
+    solve = _shifted_solve(grid, A, params.lam)
     gamma = 1.5 if params.a > 0 else (params.q - 1.0) / (params.q - 2.0)
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         for sweep in range(1, WARM_SWEEPS + 1):
@@ -335,8 +302,8 @@ def _warm_start(u, params, grid, A, bands):
     return u
 
 
-def residual_floor(grid: RadialGrid, A: sp.csr_matrix, u: np.ndarray,
-                   lam: float) -> float:
+def residual_floor(grid: RadialGrid, A: operators.RadialLaplacian,
+                   u: np.ndarray, lam: float) -> float:
     """Rounding level of the residual ratio |F| / (lam |u|) at the field u:
     eps |(|A| |u|)| / (lam |u|) in r^2 dr norms, A = -Delta_r.  It grows like
     1/h^2 and does not depend on lam (A scales like lam with the grid)."""
@@ -358,7 +325,7 @@ def _live_norm(grid: RadialGrid, u: np.ndarray) -> float:
 
 
 def ground_state(grid: RadialGrid, u: np.ndarray, params: ModelParams,
-                 iterations: int, A: sp.csr_matrix) -> GroundState:
+                 iterations: int, A: operators.RadialLaplacian) -> GroundState:
     """The GroundState of the field u on `grid`: v from the Hartree sweep,
     the residual ratio |F(u)| / (lam |u|) in the r^2 dr norm with its
     rounding floor, and the diagnostics, all from the grid's -Delta_r A
@@ -372,6 +339,7 @@ def ground_state(grid: RadialGrid, u: np.ndarray, params: ModelParams,
         params=params, grid=grid, u=u, v=v,
         residual_norm=_wnorm(grid, F) / (params.lam * _wnorm(grid, u)),
         residual_floor=residual_floor(grid, A, u, params.lam),
+        origin_residual=abs(float(F[0])),
         iterations=iterations, diagnostics=identities(grid, u, v, params, A))
 
 
@@ -389,12 +357,10 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
     u[-2:] = 0.0
     if np.max(np.abs(u)) < TRIVIAL_SUP:
         raise TrivialCollapse("initial guess is numerically zero")
-    weighted = operators._weighted_bands(grid, EVEN)
-    u = _warm_start(u, params, grid, A, weighted)
+    u = _warm_start(u, params, grid, A)
     _live_norm(grid, u)   # a collapsed warm start is typed before |u| divides
     stop = max(TOL, residual_floor(grid, A, u, params.lam)) * params.lam
-    bands = _step_bands(grid, weighted)
-    del weighted
+    work = _step_workspace(grid)
 
     def stalled(message, iterations):
         state = ground_state(grid, u, params, iterations, A)
@@ -410,7 +376,8 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
         if nF <= stop * _live_norm(grid, u):
             break
 
-        d = _newton_step(u, v, F, params, grid, bands)
+        d = _newton_step(u, v, F, params, grid, A, work)
+        del F, v   # the line search replaces them
 
         t, accepted = 1.0, False
         with np.errstate(over="ignore", invalid="ignore"):   # NaN norms fail
@@ -435,18 +402,26 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
         raise NegativeStateDetected(
             f"converged to a sign-changing branch (min {np.min(u):.2e})")
 
-    del bands   # ground_state's operators need not coexist with the workspace
+    del work   # ground_state's operators need not coexist with the workspace
     return ground_state(grid, u, params, it, A)
 
 
+def residual_failures(state: GroundState) -> list:
+    """The residual part of `acceptance_failures`: (name, value, bound) for
+    residual_norm over residual_bound, and for origin_residual, unweighted
+    in the ratio, over residual_bound lam max|u|."""
+    bound = state.residual_bound
+    origin_bound = bound * state.params.lam * state.diagnostics.sup_u
+    return [f for f in (("residual_norm", state.residual_norm, bound),
+                        ("origin_residual", state.origin_residual, origin_bound))
+            if not f[1] <= f[2]]   # NaN included
+
+
 def acceptance_failures(state: GroundState) -> list:
-    """What keeps `state` from being accepted, empty when nothing does:
-    ("residual_norm", residual_norm, residual_bound) and ("identity_residuals",
-    nehari, pohozaev) beyond IDENTITY_RTOL G."""
-    failures = []
-    if not state.residual_norm <= state.residual_bound:
-        failures.append(("residual_norm", state.residual_norm,
-                         state.residual_bound))
+    """What keeps `state` from being accepted, empty when nothing does: its
+    `residual_failures`, and ("identity_residuals", nehari, pohozaev) beyond
+    IDENTITY_RTOL G."""
+    failures = residual_failures(state)
     rep = state.diagnostics
     G = rep.grad_sq
     if not (abs(rep.nehari) <= IDENTITY_RTOL * G

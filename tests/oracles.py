@@ -6,29 +6,51 @@ potential, its far-field mass and line integral, and the Hartree energy of a
 field from the one Coulomb sweep, `hartree.coulomb_apply`.
 `savetxt_table_csv` is the row-by-row writer `grid.write_table_csv` must
 match byte for byte.
-`shifted_bands`, `step_template` and `newton_step` assemble the warm start's
-S + lam W and the Newton step from the CSR `operators.dirichlet_form` and
-`operators.radial_laplacian`, reading their diagonals and origin row back
-out; the solver, which assembles both from the weighted bands, must match
-them bit for bit.
+`radial_laplacian_csr` is -Delta_r as a CSR matrix with the row layout of
+`operators`, the reference `operators.radial_laplacian` must apply to the
+last bit.
+`shifted_bands`, `step_template`, `step_matrix` and `newton_step` assemble
+the warm start's S + lam W and the Newton step from the CSR
+`operators.dirichlet_form` and `radial_laplacian_csr`, reading their
+diagonals and origin row back out; the solver, which assembles both from the
+weighted bands, must match them bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv
 
 from sngs import operators
+from sngs.grid import EVEN
 from sngs.hartree import coulomb_apply, green_bands
 from sngs.solver import ModelParams, _dpower, linearization
+
+
+def radial_laplacian_csr(grid) -> sp.csr_matrix:
+    """-Delta_r as an (n, n) CSR matrix: the weighted bands of even parity
+    divided by the r^2 dr weight of their row, under `operators.origin_row`,
+    and the two Dirichlet identity rows."""
+    n = grid.n
+    w = grid.weights_r2dr[1:n - 2]
+    diag, up1, up2 = operators._weighted_bands(grid, EVEN)
+    a00, a01, a02 = operators.origin_row(grid)
+    return sp.diags(
+        [np.r_[0.0, up2[:-2] / w[2:], 0.0, 0.0],   # (2, 0) carries r_0 = 0
+         np.r_[0.0, up1[:-1] / w[1:], 0.0, 0.0],   # so does (1, 0)
+         np.r_[a00, diag / w, 1.0, 1.0],
+         np.r_[a01, up1 / w, 0.0],
+         np.r_[a02, up2 / w]],
+        [-2, -1, 0, 1, 2], shape=(n, n), format="csr")
 
 
 def apply_jacobian(grid, uv: np.ndarray, d: np.ndarray,
                    params: ModelParams) -> np.ndarray:
     """Matrix-free J(u) delta on `grid`, with the nonlocal screening term
     -a u (I_2 * (2 u delta)) from the same two-sweep as the potential."""
-    A = operators.radial_laplacian(grid)
+    A = radial_laplacian_csr(grid)
     v = coulomb_apply(grid, uv**2)
     pot = params.lam - params.a * v - params.nu * _dpower(uv, params.q - 1.0)
     pot[-2:] = 0.0   # keep the Dirichlet pad rows as pure identities
@@ -100,18 +122,25 @@ def step_template(grid) -> np.ndarray:
     return fixed
 
 
+def step_matrix(u, v, params: ModelParams, grid) -> np.ndarray:
+    """The (9, 2m) band rows the Newton step hands to dgbsv at (u, v):
+    `step_template` plus the u-dependent entries of `linearization`."""
+    h, act = grid.h, slice(1, grid.n - 2)
+    pot, b = linearization(u, v, params, h)
+    band = step_template(grid)
+    band[4, ::2] += pot[act]
+    band[3, 1::2] = band[5, ::2] = math.sqrt(h) * b[act]
+    return band
+
+
 def newton_step(u, v, F, params: ModelParams, grid) -> np.ndarray:
-    """The Newton step d of J(u) d = -F: `step_template` plus the
-    u-dependent entries solved by dgbsv, and d_0 from row 0 of the CSR
-    -Delta_r."""
+    """The Newton step d of J(u) d = -F: `step_matrix` solved by dgbsv, and
+    d_0 from row 0 of the CSR -Delta_r."""
     h, act, m = grid.h, slice(1, grid.n - 2), grid.n - 3
     scale = np.sqrt(grid.weights_r2dr[1:m + 1])
     pot, b = linearization(u, v, params, h)
     ab = np.empty((13, 2 * m), order="F")
-    band = ab[4:]
-    np.copyto(band, step_template(grid))
-    band[4, ::2] += pot[act]
-    band[3, 1::2] = band[5, ::2] = math.sqrt(h) * b[act]
+    ab[4:] = step_matrix(u, v, params, grid)
     rhs = np.empty(2 * m)
     rhs[::2] = -scale * F[act]
     rhs[1::2] = 0.0
@@ -120,7 +149,7 @@ def newton_step(u, v, F, params: ModelParams, grid) -> np.ndarray:
         raise ValueError(f"singular band matrix (info {info})")
     d = np.zeros(grid.n)
     d[act] = x[::2] / scale
-    A = operators.radial_laplacian(grid)
+    A = radial_laplacian_csr(grid)
     a00, a01, a02 = A[0, :3].toarray().ravel()
     screen = b[0] * np.dot(h * grid.nodes[act] * b[act], d[act])
     d[0] = (screen - F[0] - a01 * d[1] - a02 * d[2]) / (a00 + pot[0])

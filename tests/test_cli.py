@@ -267,14 +267,15 @@ def test_check_compares_the_identity_residuals_on_the_scale_of_G(solved, capsys)
 
 
 def test_solve_rejects_under_resolved_state(tmp_path):
-    # n=4096 under-resolves q=5.95, lambda=1: Newton converges, the identities
-    # miss the bound `check` applies, so `solve` exits 2 with its artifacts
+    # n=4096 under-resolves q=5.95, lambda=1: Newton converges in the r^2 dr
+    # norm, but the origin row of F and the identities miss the bounds
+    # `check` applies, so `solve` exits 2 with its artifacts
     out = str(tmp_path / "run")
     assert run(["solve", "--q", "5.95", "--lambda", "1", "--out", out]) == 2
     assert os.path.exists(out + ".csv")
     man = manifest(out)
     names = [f[0] for f in man["summary"]["identity_failures"]]
-    assert names == ["identity_residuals"]
+    assert names == ["origin_residual", "identity_residuals"]
     assert man["summary"]["diagnostics"]["J"] is not None
     assert run(["check", "--out", out]) == 2
 
@@ -521,6 +522,24 @@ def test_limits_rejects_under_resolved_states(tmp_path):
     failures = manifest(out)["summary"]["identity_failures"]
     assert failures[0]["reference"] == "kwong"
     assert [f["lambda"] for f in failures[1:]] == [10.0, 100.0, 1000.0]
+
+
+def test_spectrum_refuses_a_state_off_at_the_origin(tmp_path, capsys,
+                                                   monkeypatch):
+    # at lambda = 1e-100 and n=17 Newton stops at u(0) = 9.0e89, a value the
+    # r^2 dr residual ratio never sees; its origin row refuses the state
+    # before any sector form is assembled
+    def assembled(*args):
+        raise AssertionError("a sector form was assembled")
+    monkeypatch.setattr(sngs.linearized.operators, "dirichlet_form", assembled)
+    out = str(tmp_path / "spec")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["spectrum", "--q", "2.5", "--lambda", "1e-100", "--n", "17",
+                    "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: origin_residual" in err
+    assert "Traceback" not in err
 
 
 def test_spectrum_rejects_rmax(tmp_path):

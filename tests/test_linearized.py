@@ -54,13 +54,15 @@ def test_sector_form_kwong_scalar(solved_cache):
     assert op.form.shape[0] == len(op.act) == len(op.mass)
 
 
-def hand_built_state(residual_norm, residual_floor):
+def hand_built_state(residual_norm, residual_floor, origin_residual=0.0):
+    """A Gaussian posing as a state, with its residuals set by hand."""
     g = sngs.make_grid(20.0, 256)
     st = sngs.ground_state(g, np.exp(-g.nodes**2),
                            sngs.ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0), 0,
                            sngs.operators.radial_laplacian(g))
     return replace(st, residual_norm=residual_norm,
-                   residual_floor=residual_floor)
+                   residual_floor=residual_floor,
+                   origin_residual=origin_residual)
 
 
 def test_sector_form_unconverged():
@@ -69,6 +71,15 @@ def test_sector_form_unconverged():
         sector_form(bogus, 0)
     with pytest.raises(UnconvergedState):
         translation_mode(bogus)
+
+
+def test_sector_form_refuses_an_origin_residual_over_its_bound():
+    # |F(u)_0| is held to residual_bound lam max|u| = 1e-9 here; node 0 has
+    # no r^2 dr weight, so residual_norm cannot see it
+    bound = 10 * sngs.solver.TOL * 1.0 * 1.0
+    assert sector_form(hand_built_state(1e-12, 0.0, bound), 0).k == 0
+    with pytest.raises(UnconvergedState, match="origin_residual"):
+        sector_form(hand_built_state(1e-12, 0.0, 1.01 * bound), 0)
 
 
 def test_sector_form_accepts_residual_within_its_bound():

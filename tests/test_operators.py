@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import sngs
 from sngs import operators
 from sngs.errors import FactorizationFailure, TooManyRequested
+import oracles
 
 
 def dirichlet_1d(m, h):
@@ -258,7 +259,7 @@ def test_laplacian_and_dirichlet_form_share_the_stencil():
     # diag(W) A on the active nodes is the sector form of even parity; the
     # couplings into the origin vanish and the pad rows are identities
     g = sngs.make_grid(15.0, 300)
-    A = operators.radial_laplacian(g)
+    A = oracles.radial_laplacian_csr(g)
     act = operators.active_slice(g)
     WA = (sp.diags(g.weights_r2dr) @ A).tocsr()[act][:, act]
     S = operators.dirichlet_form(g, sngs.EVEN)
@@ -266,3 +267,42 @@ def test_laplacian_and_dirichlet_form_share_the_stencil():
     assert A[1, 0] == 0.0 and A[2, 0] == 0.0
     pad = A[-2:].toarray()
     assert np.array_equal(pad, np.eye(g.n)[-2:])
+    assert tuple(A[0, :3].toarray().ravel()) == operators.origin_row(g)
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and np.array_equal(x.view(np.int64),
+                                                 y.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 4096])
+def test_band_operator_applies_the_csr_oracle_bit_for_bit(n):
+    """A @ u and abs(A) @ x from the weighted bands are the CSR matvec of
+    the same -Delta_r to the last bit, on fields whose origin value and
+    Dirichlet pad are nonzero."""
+    rng = np.random.default_rng(n)
+    g = sngs.make_grid(rng.uniform(5.0, 60.0), n)
+    A = operators.radial_laplacian(g)
+    C = oracles.radial_laplacian_csr(g)
+    for _ in range(4):
+        u = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        assert u[0] != 0.0 and np.all(u[-2:] != 0.0)
+        assert same_bits(A @ u, C @ u)
+        x = np.abs(u)
+        assert same_bits(abs(A) @ x, abs(C) @ x)
+
+
+def test_band_operator_keeps_the_csr_signs_and_non_finite_values():
+    # a row sums from +0 and skips the entries the CSR matrix does not
+    # store, so -0.0 inputs give +0.0 and an inf reaches only its own
+    # stencil, never a row whose coupling to it vanishes
+    g = sngs.make_grid(10.0, 32)
+    A = operators.radial_laplacian(g)
+    C = oracles.radial_laplacian_csr(g)
+    x = np.full(g.n, -0.0)
+    assert same_bits(A @ x, C @ x) and same_bits(A @ x, np.zeros(g.n))
+    x[0] = np.inf
+    assert same_bits(A @ x, C @ x)
+    assert np.isfinite((A @ x)[1:]).all()
+    x[0], x[-1] = 0.0, np.nan
+    assert same_bits(abs(A) @ x, abs(C) @ x)

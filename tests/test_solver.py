@@ -10,19 +10,11 @@ from scipy.sparse.linalg import splu
 
 from sngs.errors import InvalidExponent, NonConvergence, TrivialCollapse
 from sngs.solver import (WARM_TOL, _newton_step, _residual_values,
-                         _shifted_bands, _shifted_solve, _step_bands,
+                         _shifted_bands, _shifted_solve, _step_workspace,
                          _warm_start, _wnorm)
 from conftest import smooth_bumps
 import oracles
 from oracles import apply_jacobian, hartree_potential
-
-
-def weighted_bands(grid):
-    return sngs.operators._weighted_bands(grid, sngs.EVEN)
-
-
-def step_bands(grid):
-    return _step_bands(grid, weighted_bands(grid))
 
 
 def kwong_ratio(q):
@@ -106,7 +98,7 @@ def test_banded_step_solves_jacobian(solved_cache, a, nu, q):
     for _ in range(3):
         u = st.u + 0.1 * smooth_bumps(g, rng, amp=st.diagnostics.sup_u)
         F, v = _residual_values(u, st.params, g, A)
-        d = _newton_step(u, v, F, st.params, g, step_bands(g))
+        d = _newton_step(u, v, F, st.params, g, A, _step_workspace(g))
         jd = apply_jacobian(g, u, d, st.params)
         assert np.linalg.norm(jd + F) <= 1e-9 * np.linalg.norm(F)
 
@@ -118,12 +110,12 @@ def test_newton_step_reuses_its_workspace(solved_cache):
     st = solved_cache(1.0, 1.0, 1.0, 4.0)
     g = st.grid
     A = sngs.operators.radial_laplacian(g)
-    shared = step_bands(g)
+    shared = _step_workspace(g)
     for _ in range(2):
         u = st.u + 0.1 * smooth_bumps(g, rng, amp=st.diagnostics.sup_u)
         F, v = _residual_values(u, st.params, g, A)
-        d = _newton_step(u, v, F, st.params, g, shared)
-        fresh = _newton_step(u, v, F, st.params, g, step_bands(g))
+        d = _newton_step(u, v, F, st.params, g, A, shared)
+        fresh = _newton_step(u, v, F, st.params, g, A, _step_workspace(g))
         assert np.array_equal(d, fresh)
 
 
@@ -136,43 +128,54 @@ def test_newton_step_rejects_nan(solved_cache, where):
     F, v = _residual_values(u, st.params, g, A)
     (u if where == "u" else F)[g.n // 3] = np.nan
     with pytest.raises(NonConvergence):
-        _newton_step(u, v, F, st.params, g, step_bands(g))
+        _newton_step(u, v, F, st.params, g, A, _step_workspace(g))
 
 
 @pytest.mark.parametrize("n", [16, 1024, 4097])
-def test_banded_assembly_matches_the_csr_oracle(n):
-    """S + lam W of the warm start, the fixed entries of the Newton step and
-    one whole step, assembled from the weighted bands, equal bit for bit
-    those read back out of the CSR forms."""
+def test_banded_assembly_matches_the_csr_oracle(n, monkeypatch):
+    """S + lam W of the warm start, the band matrix dgbsv receives in a
+    Newton step (its fixed entries and the u-dependent ones) and the whole
+    step, assembled from the weighted bands of `radial_laplacian`, equal bit
+    for bit those read back out of the CSR forms."""
+    from sngs import solver
     p = sngs.ModelParams(lam=0.37, a=1.0, nu=1.0, q=2.5)
     g = sngs.make_grid(sngs.auto_rmax(p.lam), n)
-    bands = weighted_bands(g)
-    assert np.array_equal(_shifted_bands(g, bands, p.lam),
+    A = sngs.operators.radial_laplacian(g)
+    assert np.array_equal(_shifted_bands(A, p.lam),
                           oracles.shifted_bands(g, p.lam))
-    step = _step_bands(g, bands)
-    template = np.full((9, 2 * (n - 3)), np.nan)
-    step.write(template)
-    assert np.array_equal(template, oracles.step_template(g))
+    real_dgbsv, seen = solver.dgbsv, []
+
+    def dgbsv(kl, ku, ab, b, **kw):
+        seen.append(ab[4:].copy())   # the matrix as the step wrote it
+        return real_dgbsv(kl, ku, ab, b, **kw)
+    monkeypatch.setattr(solver, "dgbsv", dgbsv)
     u = sngs.default_guess(p, g)
-    F, v = _residual_values(u, p, g, sngs.operators.radial_laplacian(g))
-    assert np.array_equal(_newton_step(u, v, F, p, g, step),
-                          oracles.newton_step(u, v, F, p, g))
+    F, v = _residual_values(u, p, g, A)
+    work = _step_workspace(g)
+    work[0].fill(np.nan)   # each step sets every matrix entry itself
+    d = _newton_step(u, v, F, p, g, A, work)
+    assert np.array_equal(seen[0], oracles.step_matrix(u, v, p, g))
+    assert np.array_equal(d, oracles.newton_step(u, v, F, p, g))
 
 
 def test_solve_peak_allocation():
-    """A solve at n = 4096 allocates at most 64 n-vectors at its peak: one
-    dgbsv workspace of 26, the compact fixed entries and one CSR -Delta_r,
-    with no band template beside them."""
+    """A Newton solve at n = 16384 allocates at most 42 n-vectors at its
+    peak: the dgbsv workspace of 28, the three weighted bands of -Delta_r,
+    the iterate, its residual and potential, and the transients of one step;
+    no CSR -Delta_r and no fixed step entries are held beside them (52 when
+    they were)."""
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
-    n = 4096
+    n = 16384
+    g = sngs.make_grid(sngs.auto_rmax(p.lam), n)
+    guess = sngs.default_guess(p, g)
     sngs.solve(p, 64)   # first-call allocations are not the solve's
     tracemalloc.start()
     try:
-        sngs.solve(p, n)
+        sngs.newton_solve(g, guess, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n) <= 64
+    assert peak / (8 * n) <= 42
 
 
 @pytest.mark.parametrize("n", [300, 4096])
@@ -184,11 +187,11 @@ def test_shifted_solve_matches_sparse_lu(n):
     A = sngs.operators.radial_laplacian(g)
     mask = np.ones(n)
     mask[-2:] = 0.0
-    oracle = splu((A + lam * diags(mask)).tocsc())
+    oracle = splu((oracles.radial_laplacian_csr(g) + lam * diags(mask)).tocsc())
     rng = np.random.default_rng(n)
     N = smooth_bumps(g, rng, max_center=g.r_max / 6.0)
     N[0] = 1.3   # the origin row enters through row 0 of A alone
-    w = _shifted_solve(g, weighted_bands(g), lam)(N)
+    w = _shifted_solve(g, A, lam)(N)
     ref = oracle.solve(N)
     assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -199,12 +202,12 @@ def test_warm_start_stops_on_settled_ratio():
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     g = sngs.make_grid(sngs.auto_rmax(1.0), 1536)
     A = sngs.operators.radial_laplacian(g)
-    u = _warm_start(sngs.default_guess(p, g), p, g, A, weighted_bands(g))
+    u = _warm_start(sngs.default_guess(p, g), p, g, A)
     N = hartree_potential(g, u).v * u + u**3
     W = g.weights_r2dr
     ratio = float(np.dot(W * u, A @ u + u)) / float(np.dot(W * u, N))
     assert abs(ratio - 1.0) <= WARM_TOL
-    again = _warm_start(u, p, g, A, weighted_bands(g))
+    again = _warm_start(u, p, g, A)
     assert np.array_equal(again, u)
 
 
@@ -227,14 +230,22 @@ def test_acceptance_failures(solved_cache, spoil, names):
 
 def test_acceptance_refuses_non_finite_identities():
     # node 0 carries no r^2 dr weight, so the residual ratio never sees a
-    # blown-up origin value; the identities turn NaN and must refuse it
+    # blown-up origin value; the origin row of F and the identities, which
+    # turn NaN, must refuse it
     with np.errstate(over="ignore", invalid="ignore"):
         st = sngs.solve(sngs.normal_form(2.5, 1e-100)[1], 17)
     assert st.residual_norm <= st.residual_bound
     rep = st.diagnostics
     assert np.isnan(rep.nehari) and np.isnan(rep.pohozaev)
     failures = sngs.acceptance_failures(st)
-    assert [f[0] for f in failures] == ["identity_residuals"]
+    assert [f[0] for f in failures] == ["origin_residual", "identity_residuals"]
+    _, origin, bound = failures[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, _ = _residual_values(st.u, st.params, st.grid,
+                                oracles.radial_laplacian_csr(st.grid))
+    assert origin == st.origin_residual == abs(F[0])
+    assert bound == st.residual_bound * st.params.lam * np.max(np.abs(st.u))
+    assert origin > 1e50 * bound
 
 
 def test_ground_state_rejects_a_field_off_its_grid(solved_cache):
