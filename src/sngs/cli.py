@@ -13,8 +13,9 @@ raised before any solve.  Its verdict is `scaling.limit_study`'s, with the
 acceptance failures of its states and reference.
 
 Importing this module ends with `gc.freeze()`, so no collection, the one at
-interpreter exit included, walks the ~41.5k objects numpy, scipy and sngs
-leave at import again: about 60 ms of each process.
+interpreter exit included, walks the ~22k objects numpy and sngs leave at
+import again: about 17 ms of each process.  No subcommand imports a `scipy`
+module: sngs takes its compiled routines from `kernels`.
 """
 
 from __future__ import annotations

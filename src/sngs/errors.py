@@ -32,8 +32,9 @@ class TooManyRequested(SngsError):
 
 class FactorizationFailure(SngsError):
     """A sector eigensolve that cannot be trusted: a singular or pivoted
-    inertia shift, a failed ARPACK run, or a missed count or backward-error
-    check.  Nothing retries."""
+    inertia shift, a failed tridiagonal solve, a Lanczos run that reaches
+    its step cap, or a missed count or backward-error check.  Nothing
+    retries."""
 
 
 # -- model / solver ----------------------------------------------------------

@@ -24,9 +24,12 @@ its residual ratio meets its GroundState.residual_bound.
 
 Every integral is the grid's one r^2 dr quadrature W; the centrifugal term is
 the local potential k(k+1)/r^2 on W beside pot (r > 0 on the active nodes).
-The form is one symmetric matrix in (f, y = r g), mass on f alone; `operators`
-eliminates its y block, G_k's tridiagonal inverse `hartree.green_bands` (no
-boundary condition on g).  k=0 uses even parity at the origin, k>=1 odd; f
+The form is one symmetric matrix in (f, y = r g), mass on f alone, held as
+its bands (`operators.SymmetricBands`): S's three, the coupling B at offset
+N = len(f) and T_k's two; `operators` eliminates its y block, G_k's
+tridiagonal inverse `hartree.green_bands` (no boundary condition on g).  The
+ordering of T_k over T_1 is checked by LAPACK's bisection (dstebz) for the
+lowest eigenvalue of T_2 - T_1.  k=0 uses even parity at the origin, k>=1 odd; f
 vanishes on the two-node Dirichlet pad at r_max.  `nondegeneracy_report`
 assembles, solves and releases sectors 0 and 1 one at a time, so one sector
 form and one LDL^T factorization of it are alive at once; every sector
@@ -43,13 +46,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import operators
-from .errors import UnconvergedState
+from .errors import FactorizationFailure, UnconvergedState
 from .grid import EVEN, ODD, differentiate
 from .hartree import green_bands
+from .kernels import dstebz
 from .solver import GroundState, linearization, residual_failures
 
 # Radial-sector gap below which the verdict is not nondegenerate; also the
@@ -61,7 +63,7 @@ GAP_TOL = 1e-3
 @dataclass
 class SectorOperator:
     k: int
-    form: sp.csr_matrix          # symmetric weighted form on active nodes
+    form: operators.SymmetricBands   # symmetric weighted form on active nodes
     mass: np.ndarray             # diagonal r^2-weighted mass of f
     act: np.ndarray              # active node indices on the state's grid
 
@@ -81,16 +83,32 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
     grid = state.grid
     S = operators.dirichlet_form(grid, EVEN if k == 0 else ODD)
     act = operators.active_slice(grid)
+    N = len(act)
     Wa = grid.weights_r2dr[act]
     pot, b = linearization(state.u, state.v, state.params, grid.h)
-    form = S + sp.diags(Wa * (pot[act] + k * (k + 1) / grid.nodes[act] ** 2))
-    if state.params.a != 0.0:
+    lead = S.diag + Wa * (pot[act] + k * (k + 1) / grid.nodes[act] ** 2)
+    if state.params.a == 0.0:
+        form = operators.SymmetricBands(lead, S.upper)
+    else:
         # y = r g; with W = h r^2 and the sweep's weights h r_j,
-        # B T_k^-1 B is W b G_k(b .) less its Euler-Maclaurin term
-        B = sp.diags(grid.h * grid.nodes[act] * b[act])
-        diag, off = green_bands(k, len(act), grid.h)
-        form = sp.bmat([[form, B], [B, sp.diags([off, diag, off], [-1, 0, 1])]])
-    return SectorOperator(k=k, form=form.tocsr(), mass=Wa, act=act)
+        # B T_k^-1 B is W b G_k(b .) less its Euler-Maclaurin term; B is
+        # the band at offset N, and T_k's bands follow S's past node N
+        diag, off = green_bands(k, N, grid.h)
+        form = operators.SymmetricBands(
+            np.concatenate([lead, diag]),
+            {1: np.concatenate([S.upper[1], [0.0], off]),
+             2: np.concatenate([S.upper[2], np.zeros(N)]),
+             N: grid.h * grid.nodes[act] * b[act]})
+    return SectorOperator(k=k, form=form, mass=Wa, act=act)
+
+
+def _lowest_eigenvalue(d: np.ndarray, e: np.ndarray) -> float:
+    """The lowest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, by LAPACK's bisection (dstebz)."""
+    m, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info != 0 or m != 1:
+        raise FactorizationFailure(f"tridiagonal bisection: dstebz info {info}")
+    return float(w[0])
 
 
 def translation_mode(state: GroundState) -> np.ndarray:
@@ -193,8 +211,7 @@ def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
     (d1, o1), (d2, o2) = (green_bands(k, len(act), h) for k in (1, 2))
     bound = min(k1.eigenvalues) + 4.0 / r_act ** 2 if k1.below_split == 0 else None
     higher = {"bound": bound, "r_act": r_act,
-              "ordering_gap": float(eigvalsh_tridiagonal(
-                  d2 - d1, o2 - o1, select="i", select_range=(0, 0))[0])}
+              "ordering_gap": _lowest_eigenvalue(d2 - d1, o2 - o1)}
 
     k0_min_abs = min(abs(s) for s in sectors[0].eigenvalues)
     ok = (k0_min_abs > GAP_TOL

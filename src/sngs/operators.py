@@ -1,4 +1,4 @@
-"""Discrete radial Laplacian, symmetric quadratic forms, and eigen/linear solves.
+"""Discrete radial Laplacian, symmetric banded forms, and eigen/linear solves.
 
 The operator is the 5-point fourth-order discretization of
 -Delta_r = -d^2/dr^2 - (2/r) d/dr with
@@ -19,38 +19,42 @@ nodes, and `radial_laplacian` holds them with row 0 and the weights as
 -Delta_r itself, never as a matrix, from which a Newton solve
 (`solver.newton_solve`) takes its residual, its warm-start Cholesky and its
 step's fixed entries.  All are assembled on every call, without a cache
-(under 1 ms at n=4096).
+(under 1 ms at n=4096).  A symmetric form, a sector pair form included, is
+held as its bands too (`SymmetricBands`); no sparse-matrix class is used.
 
 The eigensolver is inertia-sliced shift-invert Lanczos, and its one
-factorization is a symmetric no-pivot LDL^T (`_inertia`) at a split point,
-whose negative pivots count the eigenvalues below the split (Sylvester's law
-of inertia).  Below the split that count is all the eigensolve reports;
-above it one shift-invert call through the same LDL^T takes as many pairs as
-the caller asks for, none of which may fall below the split.  SuperLU factors
-in one-column panels: the pair form's factors hold about 4 nonzeros per row,
-so a wide panel finds no dense block to work on, while part of SuperLU's
-workspace grows with the panel width.  ARPACK runs on the standard-form
-matrix D A D, D = M^(-1/2), so each Lanczos step is one solve through the
-LDL^T and no mass product, and it stops at the relative accuracy
-BACKWARD_TOL = 1e-12 that the certificate asks for.  Every returned eigenpair
-is then held to a normwise backward error of 1e-12, computed once and
-returned with the pairs; a pair over it is refined, after the call, by one
-inverse iteration through `_inertia` just above its eigenvalue.  A mass
+factorization is a symmetric no-pivot LDL^T (`_inertia`, SuperLU's gstrf on
+a CSC array built from the bands) at a split point, whose negative pivots
+count the eigenvalues below the split (Sylvester's law of inertia).  Below
+the split that count is all the eigensolve reports; above it one Lanczos run
+through the same LDL^T (`_shift_invert`) takes as many pairs as the caller
+asks for, none of which may fall below the split.  SuperLU factors in
+one-column panels: the pair form's factors hold about 4 nonzeros per row, so
+a wide panel finds no dense block to work on, while part of SuperLU's
+workspace grows with the panel width.  Lanczos runs on the standard-form
+matrix D A D, D = M^(-1/2), so each step is one solve through the LDL^T and
+no mass product; it keeps its basis orthogonal in full and stops once every
+asked-for Ritz pair meets the relative accuracy BACKWARD_TOL = 1e-12 that the
+certificate asks for, or fails at KRYLOV_CAP steps.  Every returned
+eigenpair is then held to a normwise backward error of 1e-12, computed once
+and returned with the pairs; a pair over it is refined, after the call, by
+one inverse iteration through `_inertia` just above its eigenvalue.  A mass
 shorter than the form eliminates its trailing block (`schur_apply`,
-Haynsworth).
+Haynsworth).  The compiled routines, SuperLU's and LAPACK's, come from
+`kernels`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure, TooManyRequested
 from .grid import EVEN, RadialGrid
+from .kernels import dptsv, gstrf
+
 
 def _weighted_bands(grid: RadialGrid, parity: str):
     """Main band and the two upper bands of W * (-Delta_r) on rows 1 .. n-3.
@@ -127,7 +131,28 @@ def active_slice(grid: RadialGrid) -> np.ndarray:
     return np.arange(1, grid.n - 2)
 
 
-def dirichlet_form(grid: RadialGrid, parity: str = EVEN) -> sp.csr_matrix:
+class SymmetricBands(NamedTuple):
+    """A symmetric matrix held as its bands: the main diagonal and, for each
+    offset k > 0, the band of entries (j, j + k), which is also that of the
+    entries (j + k, j).  `form @ X` applies it to a vector or to each column
+    of an array."""
+    diag: np.ndarray
+    upper: dict                  # offset k -> entries (j, j + k), j < dim - k
+
+    @property
+    def shape(self):
+        return (len(self.diag),) * 2
+
+    def __matmul__(self, X):
+        col = (slice(None),) + (None,) * (np.ndim(X) - 1)
+        Y = self.diag[col] * X
+        for k, band in self.upper.items():
+            Y[:-k] += band[col] * X[k:]
+            Y[k:] += band[col] * X[:-k]
+        return Y
+
+
+def dirichlet_form(grid: RadialGrid, parity: str = EVEN) -> SymmetricBands:
     """Exactly symmetric weighted form S = W * (-Delta_r) on the active nodes.
 
     The weighted bands restricted to the active set: couplings into node 0
@@ -135,8 +160,7 @@ def dirichlet_form(grid: RadialGrid, parity: str = EVEN) -> sp.csr_matrix:
     Dirichlet pad are dropped.
     """
     diag, up1, up2 = _weighted_bands(grid, parity)
-    off1, off2 = up1[:-1], up2[:-2]
-    return sp.diags([off2, off1, diag, off1, off2], [-2, -1, 0, 1, 2], format="csr")
+    return SymmetricBands(diag, {1: up1[:-1], 2: up2[:-2]})
 
 
 def grad_sq_pairing(grid: RadialGrid, A: RadialLaplacian, values: np.ndarray) -> float:
@@ -152,13 +176,48 @@ def grad_sq_pairing(grid: RadialGrid, A: RadialLaplacian, values: np.ndarray) ->
 # -- the one factorization and the eigensolve ----------------------------------
 
 
-def count_below(form: sp.spmatrix, mass: np.ndarray, tau: float) -> int:
+def count_below(form: SymmetricBands, mass: np.ndarray, tau: float) -> int:
     """Number of eigenvalues of form x = sigma * mass * x below tau."""
     return _inertia(form, mass, tau)[1]
 
 
 # SuperLU's panel width in columns (its default is 20); see `_inertia`
 PANEL_SIZE = 1
+
+
+def _shifted_csc(form: SymmetricBands, mass: np.ndarray, tau: float):
+    """(data, indices, indptr) of form - tau * M in compressed sparse
+    columns, M = diag(mass) and zero past len(mass): rows ascending in each
+    column and exact zeros dropped, the arrays of scipy's canonical CSC
+    matrix of the same difference."""
+    dim = len(form.diag)
+    diag = form.diag.copy()
+    diag[:len(mass)] -= tau * mass
+    offsets = sorted(form.upper)
+    # slot s of column j holds entry (j + k, j); a slot off the matrix is 0
+    slots = ([(-k, form.upper[k]) for k in reversed(offsets)] + [(0, diag)]
+             + [(k, form.upper[k]) for k in offsets])
+    vals = np.zeros((dim, len(slots)))
+    rows = np.empty((dim, len(slots)), dtype=np.intc)
+    cols = np.arange(dim, dtype=np.intc)
+    for s, (k, band) in enumerate(slots):
+        np.add(cols, k, out=rows[:, s])
+        vals[max(0, -k):dim - max(0, k), s] = band
+    keep = vals != 0.0
+    indptr = np.zeros(dim + 1, dtype=np.intc)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return vals[keep], rows[keep], indptr
+
+
+def _factor_summary(csc, shape):
+    """(nnz, negative diagonal entries) of a factor SuperLU hands over as
+    CSC arrays, which are longer than its nnz; kept in place of the factor,
+    so the arrays die with the call."""
+    data, indices, indptr = csc
+    nnz = int(indptr[-1])
+    cols = np.repeat(np.arange(shape[1]), np.diff(indptr))
+    on_diag = indices[:nnz] == cols
+    return nnz, int(np.count_nonzero(data[:nnz][on_diag] < 0.0))
 
 
 def _inertia(form, mass, tau):
@@ -175,37 +234,49 @@ def _inertia(form, mass, tau):
     The panels are PANEL_SIZE = 1 column wide: part of SuperLU's workspace
     scales with the panel width, and the factors of a pair form hold only
     about 4 nonzeros per row, so wider panels buy no dense work, only memory.
+    The options are those scipy's splu passes for permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0 and SymmetricMode; L and U are read once for their
+    counts (`_factor_summary`) and not kept.
     """
-    M = sp.dia_matrix((mass[None], [0]), shape=form.shape)   # zero past the mass
-    shifted = sp.csc_matrix(form - tau * M)
+    data, indices, indptr = _shifted_csc(form, mass, tau)
     try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
+        lu = gstrf(len(form.diag), len(data), data, indices, indptr,
+                   csc_construct_func=_factor_summary, ilu=False,
+                   options=dict(DiagPivotThresh=0.0, ColPerm="MMD_AT_PLUS_A",
+                                PanelSize=PANEL_SIZE, Relax=None,
+                                SymmetricMode=True))
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise FactorizationFailure(f"inertia at {tau}: {exc}") from exc
+    del data, indices, indptr   # factored: freed before L and U are read
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise FactorizationFailure(
             f"inertia at {tau}: SuperLU pivoted off the diagonal")
-    U = lu.U
-    return lu, int(np.count_nonzero(U.diagonal() < 0.0)), U.nnz + lu.L.nnz
+    (u_nnz, negative), (l_nnz, _) = lu.U, lu.L
+    return lu, negative, u_nnz + l_nnz
 
 
 def schur_apply(form, mass, X):
     """form @ X with the trailing block of form = [[A, B], [B^T, T]] past
     len(mass) eliminated: A X - B T^-1 B^T X, T tridiagonal and positive
-    definite and solved through its bands (form is CSR)."""
+    definite and solved through its bands by LAPACK's dptsv."""
     N = len(mass)
-    if N == form.shape[0]:
+    if N == len(form.diag):
         return form @ X
-    T = form[N:, N:]
-    Y = sla.solveh_banded([np.r_[0.0, T.diagonal(1)], T.diagonal()],
-                          form[N:, :N] @ X, check_finite=False)
-    return form[:N, :N] @ X - form[:N, N:] @ Y
+    Z = np.zeros(form.shape[:1] + np.shape(X)[1:])
+    Z[:N] = X
+    AX = form @ Z                # (A X, B^T X)
+    _, _, Y, info = dptsv(form.diag[N:], form.upper[1][N:], AX[N:])
+    if info != 0:
+        raise FactorizationFailure(f"Schur block solve: dptsv info {info}")
+    Z[:N], Z[N:] = 0.0, Y
+    return AX[:N] - (form @ Z)[:N]
 
 
 # the normwise backward error every returned eigenpair meets, and the
-# relative accuracy at which ARPACK stops
+# relative accuracy of the Ritz pairs at which Lanczos stops
 BACKWARD_TOL = 1e-12
+# Lanczos steps, one solve each, after which an eigensolve fails
+KRYLOV_CAP = 100
 
 
 class Eigenpairs(NamedTuple):
@@ -220,29 +291,28 @@ class Eigenpairs(NamedTuple):
     fill: int                    # nnz(L) + nnz(U) of the LDL^T at the split
 
 
-def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, above: int,
+def smallest_eigenpairs(form: SymmetricBands, mass: np.ndarray, above: int,
                         split: float) -> Eigenpairs:
     """The `above` lowest eigenpairs of form x = sigma * mass * x above
     `split`, and the number of eigenvalues below it.
 
-    Inertia-sliced shift-invert Lanczos (ARPACK; Ericsson & Ruhe 1980).  The
-    LDL^T at `split` counts the eigenvalues below it (`below`), and one
-    shift-invert call through it (which="LA": the largest 1/(sigma - split)
-    are the eigenvalues just above it) gives the `above` pairs.  A returned
-    value below `split` raises FactorizationFailure, so a pair the count
-    places under the split is never passed off as one above it; so does an
-    ARPACK failure.  More pairs below and above than ARPACK can give,
-    dim - 2, raises TooManyRequested.
+    Inertia-sliced shift-invert Lanczos (Ericsson & Ruhe 1980).  The LDL^T
+    at `split` counts the eigenvalues below it (`below`), and one Lanczos
+    run through it (`_shift_invert`: the largest 1/(sigma - split) are the
+    eigenvalues just above it) gives the `above` pairs.  A returned value
+    below `split` raises FactorizationFailure, so a pair the count places
+    under the split is never passed off as one above it; so does a Lanczos
+    run that reaches KRYLOV_CAP.  More pairs below and above than dim - 2
+    raises TooManyRequested.
 
     Lanczos runs in standard form on D A D, D = M^(-1/2): its shift-invert
     operator y -> s * LDL^T.solve((s * y, 0))[:N], s = sqrt(mass) of length
     N, costs one solve per step through one preallocated right-hand side, and
-    x = y / s recovers mass-orthonormal eigenvectors.  ARPACK stops at
+    x = y / s recovers mass-orthonormal eigenvectors.  Lanczos stops at
     relative accuracy BACKWARD_TOL, and `_verified` holds each pair to a
     backward error of BACKWARD_TOL (see `backward_errors`); those errors come
     back with the pairs.
     """
-    form = sp.csr_matrix(form)
     mass = np.asarray(mass, dtype=float)
     dim = len(mass)
     if above <= 0:
@@ -271,30 +341,65 @@ def smallest_eigenpairs(form: sp.spmatrix, mass: np.ndarray, above: int,
 
 
 def _shift_invert(lu, s, k, sigma):
-    """ARPACK's k pairs just above `sigma` of the standard-form pencil,
-    solving through `lu`, its LDL^T at sigma; returns them and the solves
-    spent.  The operator and its right-hand side die with the call, so
-    nothing holds `lu` after it."""
-    dim = len(s)
-    rhs = np.zeros(lu.shape[0])   # (s * y, 0): the pad stays zero
-    solves = 0
+    """The k pairs just above `sigma` of the standard-form pencil, by
+    Lanczos on its shift-invert operator through `lu`, its LDL^T at sigma;
+    returns them and the solves spent.
 
-    def apply(y):
-        nonlocal solves
-        solves += 1
-        np.multiply(s, y, out=rhs[:dim])
-        return s * lu.solve(rhs)[:dim]
-    # shift-invert mode without a mass reads only the shape of eigsh's first
-    # argument, so the operator stands in for D A D there
-    inv = spla.LinearOperator((dim, dim), matvec=apply, dtype=float)
-    try:
-        w, y = spla.eigsh(inv, k=k, sigma=sigma, which="LA",
-                          v0=np.full(dim, 1.0 / np.sqrt(dim)), OPinv=inv,
-                          tol=BACKWARD_TOL)
-    except RuntimeError as exc:
-        raise FactorizationFailure(
-            f"ARPACK failed at shift {sigma}: {exc}") from exc
-    return w, y, solves
+    The run starts from the vector 1/sqrt(dim) and orthogonalizes each new
+    vector against the whole basis twice (classical Gram-Schmidt).  It stops
+    once the k largest Ritz values theta of the tridiagonal projection each
+    have the residual estimate |beta theta's last component| <=
+    BACKWARD_TOL theta, and returns sigma + 1/theta with their Ritz vectors.
+    A basis that spans an invariant subspace (beta at rounding level) goes
+    on from a seeded random vector orthogonal to it.  KRYLOV_CAP steps
+    without convergence raise FactorizationFailure.  The basis rows are
+    allocated once and each is touched only when reached; nothing holds
+    `lu` after the call.
+    """
+    dim = len(s)
+    steps = min(KRYLOV_CAP, dim)
+    V = np.empty((steps + 1, dim))
+    V[0] = 1.0 / math.sqrt(dim)
+    rhs = np.zeros(lu.shape[0])   # (s * y, 0): the pad stays zero
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    for j in range(steps):
+        np.multiply(s, V[j], out=rhs[:dim])
+        w = s * lu.solve(rhs)[:dim]
+        basis = V[:j + 1]
+        for _ in range(2):
+            c = basis @ w
+            w -= c @ basis
+            alpha[j] += c[j]
+        b = float(np.linalg.norm(w))
+        T = np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+        theta, S = np.linalg.eigh(T)
+        top = slice(max(j + 1 - k, 0), j + 1)
+        if j + 1 >= k and np.all(b * np.abs(S[-1, top])
+                                 <= BACKWARD_TOL * np.abs(theta[top])):
+            return sigma + 1.0 / theta[top], (S[:, top].T @ basis).T, j + 1
+        if b <= np.finfo(float).eps * np.max(np.abs(theta)):
+            w = np.random.default_rng(j).standard_normal(dim)
+            for _ in range(2):
+                w -= (basis @ w) @ basis
+            b = 0.0
+            V[j + 1] = w / np.linalg.norm(w)
+        else:
+            V[j + 1] = w / b
+        beta[j] = b
+    raise FactorizationFailure(
+        f"Lanczos at shift {sigma}: {k} pairs not converged in {steps} steps")
+
+
+def _lead_norm1(form, N):
+    """||A||_1 of the leading N x N block A of a symmetric banded form: its
+    largest absolute row sum."""
+    rows = np.abs(form.diag[:N])
+    for k, band in form.upper.items():
+        if k < N:
+            lead = np.abs(band[:N - k])
+            rows[:N - k] += lead
+            rows[k:] += lead
+    return float(rows.max())
 
 
 def backward_errors(form, mass, sigmas, vectors) -> np.ndarray:
@@ -304,8 +409,7 @@ def backward_errors(form, mass, sigmas, vectors) -> np.ndarray:
     sigmas = np.asarray(sigmas, dtype=float)
     res = np.linalg.norm(schur_apply(form, mass, vectors)
                          - mass[:, None] * vectors * sigmas, axis=0)
-    lead = form[:len(mass), :len(mass)]
-    scale = float(abs(lead).sum(axis=0).max()) + np.abs(sigmas) * float(np.max(mass))
+    scale = _lead_norm1(form, len(mass)) + np.abs(sigmas) * float(np.max(mass))
     return res / (scale * np.linalg.norm(vectors, axis=0))
 
 

@@ -41,6 +41,8 @@ pair form exactly, in standard form on the active nodes, by one banded LU
 (`_newton_step`) in the one dgbsv workspace of the solve; each step writes
 the entries no iterate changes into it afresh from -Delta_r's weighted
 bands and hartree.green_bands, so nothing but the workspace outlives a step.
+The solve's three LAPACK routines, dgbsv for the step and dpbtrf and dpbtrs
+for the warm start, come from `kernels`: no solve imports a scipy module.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dgbsv, dpbtrs
 
 from . import operators
 from .diagnostics import DiagnosticsReport, identities
@@ -58,6 +58,7 @@ from .errors import (BadRange, InvalidExponent, NegativeStateDetected,
                      NonConvergence, TrivialCollapse)
 from .grid import RadialGrid, make_grid
 from .hartree import coulomb_apply, green_bands
+from .kernels import dgbsv, dpbtrf, dpbtrs
 
 TRIVIAL_SUP = 1e-8
 TOL = 1e-10           # Newton's stop: |F| / (lam |u|) in r^2 dr norms
@@ -244,14 +245,17 @@ def _shifted_solve(grid: RadialGrid, A: operators.RadialLaplacian, lam: float):
 
     On the active nodes 1..n-3 the system is W^-1 (S + lam W) with S the
     symmetric weighted form, so S + lam W (`_shifted_bands`) is factored
-    once by banded Cholesky: rows 1 and 2 couple into node 0 only through
-    r_0 = 0, and w vanishes on the pad.  Each solve is one LAPACK dpbtrs in
-    place; a nonzero info raises NonConvergence.  w_0 then follows from
-    operators.origin_row, the origin limit.
+    once by banded Cholesky (LAPACK dpbtrf): rows 1 and 2 couple into node 0
+    only through r_0 = 0, and w vanishes on the pad.  Each solve is one
+    LAPACK dpbtrs in place.  A nonzero info from either raises
+    NonConvergence.  w_0 then follows from operators.origin_row, the origin
+    limit.
     """
     n = grid.n
     W = grid.weights_r2dr
-    chol = sla.cholesky_banded(_shifted_bands(A, lam), check_finite=False)
+    chol, info = dpbtrf(_shifted_bands(A, lam))
+    if info != 0:
+        raise NonConvergence(f"warm-start factorization: dpbtrf info {info}")
     a00, a01, a02 = A.origin
 
     def solve(N):

@@ -10,10 +10,18 @@ match byte for byte.
 `operators`, the reference `operators.radial_laplacian` must apply to the
 last bit.
 `shifted_bands`, `step_template`, `step_matrix` and `newton_step` assemble
-the warm start's S + lam W and the Newton step from the CSR
-`operators.dirichlet_form` and `radial_laplacian_csr`, reading their
+the warm start's S + lam W and the Newton step from `operators.dirichlet_form`
+as a CSR matrix and `radial_laplacian_csr`, reading their
 diagonals and origin row back out; the solver, which assembles both from the
 weighted bands, must match them bit for bit.
+`csr_of` and `bands_of` turn a `operators.SymmetricBands` into a CSR matrix
+and back.  `sector_form_csr` assembles a sector pair form with
+`scipy.sparse` as the package did before it held the form as its bands,
+`shifted_csc` and `splu_inertia` are the CSC matrix and the `splu`
+factorization `operators._inertia` must reproduce, and `arpack_eigenpairs`
+is the ARPACK shift-invert eigensolve (`eigsh`) the Lanczos of
+`operators._shift_invert` replaced, the reference its eigenvalues are held
+to.
 """
 
 import math
@@ -21,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbsv
 
 from sngs import operators
-from sngs.grid import EVEN
+from sngs.grid import EVEN, ODD
 from sngs.hartree import coulomb_apply, green_bands
 from sngs.solver import ModelParams, _dpower, linearization
 
@@ -95,7 +104,7 @@ def shifted_bands(grid, lam: float) -> np.ndarray:
     """S + lam W on the active nodes in upper banded storage, S the CSR
     Dirichlet form."""
     n = grid.n
-    S = operators.dirichlet_form(grid)
+    S = csr_of(operators.dirichlet_form(grid))
     ab = np.zeros((3, n - 3))
     ab[0, 2:] = S.diagonal(2)
     ab[1, 1:] = S.diagonal(1)
@@ -107,7 +116,7 @@ def step_template(grid) -> np.ndarray:
     """The (9, 2m) band rows of the Newton pair form's fixed entries, D S D
     and T_0, in interleaved dgbsv storage, S the CSR Dirichlet form."""
     m = grid.n - 3
-    S = operators.dirichlet_form(grid)
+    S = csr_of(operators.dirichlet_form(grid))
     scale = np.sqrt(grid.weights_r2dr[1:m + 1])
     diag, off = green_bands(0, m, grid.h)
     fixed = np.zeros((9, 2 * m))
@@ -154,3 +163,81 @@ def newton_step(u, v, F, params: ModelParams, grid) -> np.ndarray:
     screen = b[0] * np.dot(h * grid.nodes[act] * b[act], d[act])
     d[0] = (screen - F[0] - a01 * d[1] - a02 * d[2]) / (a00 + pot[0])
     return d
+
+
+def csr_of(form: operators.SymmetricBands) -> sp.csr_matrix:
+    """The symmetric banded form as a CSR matrix."""
+    offsets = sorted(form.upper)
+    return sp.diags([form.upper[k] for k in reversed(offsets)] + [form.diag]
+                    + [form.upper[k] for k in offsets],
+                    [-k for k in reversed(offsets)] + [0] + offsets,
+                    shape=form.shape, format="csr")
+
+
+def bands_of(A) -> operators.SymmetricBands:
+    """A symmetric sparse matrix as its bands: the diagonal and every upper
+    band that holds a nonzero."""
+    coo = sp.coo_matrix(A)
+    offsets = sorted(set((coo.col - coo.row)[coo.col > coo.row].tolist()))
+    return operators.SymmetricBands(A.diagonal().astype(float),
+                                    {k: A.diagonal(k).astype(float)
+                                     for k in offsets})
+
+
+def sector_form_csr(state, k) -> sp.csr_matrix:
+    """The sector-k pair form [[S + W (pot + k(k+1)/r^2), B], [B, T_k]] (its
+    leading block alone at a = 0) assembled with scipy.sparse."""
+    grid = state.grid
+    diag, up1, up2 = operators._weighted_bands(grid, EVEN if k == 0 else ODD)
+    off1, off2 = up1[:-1], up2[:-2]
+    S = sp.diags([off2, off1, diag, off1, off2], [-2, -1, 0, 1, 2], format="csr")
+    act = operators.active_slice(grid)
+    Wa = grid.weights_r2dr[act]
+    pot, b = linearization(state.u, state.v, state.params, grid.h)
+    form = S + sp.diags(Wa * (pot[act] + k * (k + 1) / grid.nodes[act] ** 2))
+    if state.params.a != 0.0:
+        B = sp.diags(grid.h * grid.nodes[act] * b[act])
+        tdiag, toff = green_bands(k, len(act), grid.h)
+        form = sp.bmat([[form, B],
+                        [B, sp.diags([toff, tdiag, toff], [-1, 0, 1])]])
+    return form.tocsr()
+
+
+def shifted_csc(form, mass, tau) -> sp.csc_matrix:
+    """form - tau * M in CSC, M = diag(mass) zero past len(mass), by scipy's
+    sparse arithmetic."""
+    M = sp.dia_matrix((mass[None], [0]), shape=form.shape)
+    return sp.csc_matrix(form - tau * M)
+
+
+def splu_inertia(form, mass, tau):
+    """(splu object, negative pivots, nnz(L) + nnz(U)) of form - tau * M
+    factored by scipy's splu with the options of `operators._inertia`."""
+    lu = spla.splu(shifted_csc(form, mass, tau), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, panel_size=operators.PANEL_SIZE,
+                   options=dict(SymmetricMode=True))
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0)), lu.U.nnz + lu.L.nnz
+
+
+def arpack_eigenpairs(form, mass, above, split):
+    """(values ascending, mass-orthonormal vectors, solves) of the `above`
+    lowest pencil eigenpairs above `split`, by ARPACK's shift-invert Lanczos
+    (eigsh, which="LA", tol 1e-12, start vector 1/sqrt(dim)) in standard form
+    through the splu LDL^T at the split."""
+    lu = splu_inertia(form, mass, split)[0]
+    s = np.sqrt(mass)
+    dim = len(s)
+    rhs = np.zeros(lu.shape[0])
+    solves = 0
+
+    def apply(y):
+        nonlocal solves
+        solves += 1
+        np.multiply(s, y, out=rhs[:dim])
+        return s * lu.solve(rhs)[:dim]
+    inv = spla.LinearOperator((dim, dim), matvec=apply, dtype=float)
+    w, y = spla.eigsh(inv, k=above, sigma=split, which="LA",
+                      v0=np.full(dim, 1.0 / np.sqrt(dim)), OPinv=inv,
+                      tol=operators.BACKWARD_TOL)
+    order = np.argsort(w)
+    return w[order], y[:, order] / s[:, None], solves

@@ -2,6 +2,8 @@ import gc
 import json
 import os
 from pathlib import Path
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -74,8 +76,8 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
 
 def test_import_heap_is_frozen_once(tmp_path):
     # `import sngs.cli` froze the import heap, and `main` freezes nothing
-    # more.  The first solve frees a few frozen objects that numpy and scipy
-    # replace on first use, so the count is read after one.
+    # more.  The first solve frees a few frozen objects that numpy replaces
+    # on first use, so the count is read after one.
     assert gc.get_freeze_count() > 0
     solve = ["solve", "--q", "4", "--lambda", "0.5", "--n", "512", "--out"]
     assert run(solve + [str(tmp_path / "warm")]) == 0
@@ -84,6 +86,26 @@ def test_import_heap_is_frozen_once(tmp_path):
     assert run(solve + [out]) == 0
     assert run(["check", "--out", out]) == 0
     assert gc.get_freeze_count() == frozen
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    # solve, check and spectrum in one fresh interpreter leave no scipy
+    # module in sys.modules: the compiled routines come from sngs.kernels
+    code = (
+        "import sys, sngs.cli\n"
+        "for argv in (['solve', '--q', '4', '--lambda', '0.1', '--n', '1024',\n"
+        "              '--out', 'g'], ['check', '--out', 'g'],\n"
+        "             ['spectrum', '--q', '4', '--lambda', '0.01', '--n', '1024',\n"
+        "              '--out', 'gs']):\n"
+        "    assert sngs.cli.main(['sngs', *argv]) == 0, argv\n"
+        "mods = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not mods, mods\n")
+    src = str(Path(sngs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert manifest(str(tmp_path / "gs"))["verdict"] == "nondegenerate"
 
 
 def test_parse_lambdas():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 import sngs
 from sngs.errors import UnconvergedState
 from sngs.linearized import (GAP_TOL, nondegeneracy_report, sector_form,
@@ -43,9 +44,10 @@ def test_sector_form_centrifugal(choquard):
     # 4 W / r^2, on the one r^2 dr weight vector W
     op1, op2 = sector_form(choquard, 1), sector_form(choquard, 2)
     N = len(op1.mass)
-    diff = (op2.form[:N, :N] - op1.form[:N, :N]).toarray()
+    lead1, lead2 = (oracles.csr_of(op.form)[:N, :N] for op in (op1, op2))
+    diff = (lead2 - lead1).toarray()
     want = np.diag(4.0 * op1.mass / choquard.grid.nodes[op1.act] ** 2)
-    assert np.max(np.abs(diff - want)) <= 1e-14 * abs(op2.form).max()
+    assert np.max(np.abs(diff - want)) <= 1e-14 * np.max(np.abs(op2.form.diag))
 
 
 def test_sector_form_kwong_scalar(solved_cache):
@@ -92,9 +94,13 @@ def test_sector_form_accepts_residual_within_its_bound():
 
 
 def test_sector_form_exactly_symmetric(choquard):
+    # the bands hold the pair form scipy.sparse assembles, an exactly
+    # symmetric matrix, entry for entry
     for k in (0, 1, 2):
-        op = sector_form(choquard, k)
-        assert abs(op.form - op.form.T).max() == 0.0
+        ref = oracles.sector_form_csr(choquard, k)
+        assert abs(ref - ref.T).max() == 0.0
+        got = oracles.csr_of(sector_form(choquard, k).form)
+        assert got.shape == ref.shape and (got != ref).nnz == 0
 
 
 def test_a1_nonnegative_on_random_odd_pairs(choquard):
@@ -119,7 +125,7 @@ def test_pencil_matches_dense_schur_complement(solved_cache):
     for k in range(4):
         op = sector_form(st, k)
         N = len(op.mass)
-        A = op.form.toarray()
+        A = oracles.csr_of(op.form).toarray()
         schur = A[:N, :N] - A[:N, N:] @ np.linalg.solve(A[N:, N:], A[N:, :N])
         entry = sector_spectrum(op, 6)   # six above the split
         exact = sla.eigh(schur, np.diag(op.mass), eigvals_only=True)
@@ -256,7 +262,7 @@ def test_run_spectrum_cases_match_recorded(q, lam):
 
 @pytest.mark.parametrize("q,lam", sorted(RUN_SPECTRUM_EIGENVALUES))
 def test_run_spectrum_cases_never_refine(q, lam, monkeypatch):
-    # ARPACK stops at BACKWARD_TOL; a pair it leaves over that bound would be
+    # Lanczos stops at BACKWARD_TOL; a pair it leaves over that bound would be
     # refined through one more factorization, so the count of factorizations
     # is one per sector, at its split, and nothing else
     st = sngs.solve(sngs.normal_form(q, lam)[1], 4096)
@@ -332,3 +338,26 @@ def test_sector_one_below_the_split_voids_the_higher_sector_bound(monkeypatch):
     assert rep.sectors[1].kernel_dimension == 1
     assert rep.higher_sectors["bound"] is None
     assert rep.verdict == "inconclusive"
+
+
+# the CI spectrum cases, and two states whose zero mode is an O(h^4) error
+# rather than round-off (ROADMAP item 7's table) at n=8191
+LANCZOS_CASES = [(4.0, 1e-2, 1024), (4.75, 10.0, 2048), (2.5, 1e2, 4096),
+                 (4.75, 10.0, 8191), (5.5, 1e2, 8191)]
+
+
+@pytest.mark.parametrize("q,lam,n", LANCZOS_CASES)
+def test_lanczos_agrees_with_arpack(q, lam, n):
+    # the pairs each sector's report reads, against ARPACK's shift-invert
+    # eigsh through splu's LDL^T of the scipy.sparse pair form
+    st = sngs.solve(sngs.normal_form(q, lam)[1], n)
+    for k, above in ((0, 1), (1, 2)):
+        op = sector_form(st, k)
+        eig = sngs.operators.smallest_eigenpairs(op.form, op.mass, above,
+                                                 split=-GAP_TOL)
+        ref, _, _ = oracles.arpack_eigenpairs(oracles.sector_form_csr(st, k),
+                                              op.mass, above, -GAP_TOL)
+        assert np.all(np.abs(eig.values - ref)
+                      <= 1e-10 * np.maximum(1.0, np.abs(ref))), (eig.values, ref)
+        assert np.all(eig.backward_errors <= sngs.operators.BACKWARD_TOL)
+        assert eig.factorizations == 1

@@ -6,10 +6,12 @@ import sngs
 from sngs import operators
 from sngs.errors import FactorizationFailure, TooManyRequested
 import oracles
+from oracles import bands_of
 
 
 def dirichlet_1d(m, h):
-    """Second-difference operator with Dirichlet ends on m interior nodes."""
+    """Second-difference operator with Dirichlet ends on m interior nodes, as
+    a CSR matrix (`bands_of` gives the form the package takes)."""
     main = np.full(m, 2.0 / h**2)
     off = np.full(m - 1, -1.0 / h**2)
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
@@ -20,7 +22,7 @@ def test_dirichlet_spectrum_matches_discrete_formula():
     h = np.pi / (m + 1)
     A = dirichlet_1d(m, h)
     mass = np.ones(m)
-    eig = operators.smallest_eigenpairs(A, mass, 3, split=-1.0)
+    eig = operators.smallest_eigenpairs(bands_of(A), mass, 3, split=-1.0)
     for k, sigma in enumerate(eig.values, start=1):
         expect = 4.0 / h**2 * np.sin(k * h / 2.0) ** 2
         assert sigma == pytest.approx(expect, rel=1e-10)
@@ -32,6 +34,7 @@ def test_count_below_dirichlet():
     A = dirichlet_1d(m, h)
     mass = np.ones(m)
     exact = 4.0 / h**2 * np.sin(np.arange(1, m + 1) * h / 2.0) ** 2
+    A = bands_of(A)
     assert operators.count_below(A, mass, exact[0] - 0.5) == 0
     for k in (1, 2, 7, 50, 199):
         tau = 0.5 * (exact[k - 1] + exact[k])
@@ -60,6 +63,7 @@ def test_inertia_split_matches_dense():
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
     assert exact[0] < -40.0 and 0.0 < exact[1] < 0.003   # deep, then the cluster
     # the deep eigenvalue is counted, the cluster above the split returned
+    A = bands_of(A)
     eig = operators.smallest_eigenpairs(A, mass, 5, split=-1e-3)
     assert eig.below == operators.count_below(A, mass, -1e-3) == 1
     assert np.max(np.abs(eig.values - exact[1:6])) <= 1e-10
@@ -70,7 +74,7 @@ def test_dirichlet_smallest_tends_to_one():
     for m in (100, 400, 1600):
         h = np.pi / (m + 1)
         A = dirichlet_1d(m, h)
-        vals.append(operators.smallest_eigenpairs(A, np.ones(m), 1,
+        vals.append(operators.smallest_eigenpairs(bands_of(A), np.ones(m), 1,
                                                     split=-1.0).values[0])
     assert abs(vals[-1] - 1.0) < 1e-5
     assert abs(vals[0] - 1.0) > abs(vals[-1] - 1.0)
@@ -79,31 +83,32 @@ def test_dirichlet_smallest_tends_to_one():
 def test_identity_pencil():
     m = 120
     mass = np.linspace(0.5, 2.0, m)
-    A = sp.diags(mass).tocsr()
+    A = bands_of(sp.diags(mass))
     eig = operators.smallest_eigenpairs(A, mass, 4, split=-1.0)
     for sigma in eig.values:
         assert sigma == pytest.approx(1.0, rel=1e-12)
 
 
 def test_too_many_requested():
-    A = dirichlet_1d(10, 0.1)
-    for m in (9, 11):   # ARPACK takes at most dim - 2
+    A = bands_of(dirichlet_1d(10, 0.1))
+    for m in (9, 11):   # at most dim - 2
         with pytest.raises(TooManyRequested):
             operators.smallest_eigenpairs(A, np.ones(10), m, split=-1.0)
     # the pairs below the split count against that bound too
-    shifted = (dirichlet_1d(10, np.pi / 11) - sp.diags(np.full(10, 10.0))).tocsr()
+    shifted = bands_of(dirichlet_1d(10, np.pi / 11) - sp.diags(np.full(10, 10.0)))
     assert operators.count_below(shifted, np.ones(10), -1e-3) == 3
     with pytest.raises(TooManyRequested):
         operators.smallest_eigenpairs(shifted, np.ones(10), 6, split=-1e-3)
 
 
 def test_small_pencil_goes_through_arpack():
+    # all but two pairs of a 30-dim pencil: Lanczos spans the whole space
     import scipy.linalg as sla
     m = 30
     A = dirichlet_1d(m, np.pi / (m + 1))
     mass = 1.0 + 0.3 * np.sin(np.arange(m))
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
-    eig = operators.smallest_eigenpairs(A, mass, m - 2, split=-1.0)
+    eig = operators.smallest_eigenpairs(bands_of(A), mass, m - 2, split=-1.0)
     assert np.max(np.abs(eig.values - exact[:m - 2])) <= 1e-10
 
 
@@ -119,6 +124,7 @@ def test_small_mass_rows_match_dense_oracle():
     T = dirichlet_1d(m, 1.0 / (m + 1)) + sp.diags(well)
     A = (sp.diags(r) @ T @ sp.diags(r)).tocsr()
     exact, V = sla.eigh(A.toarray(), np.diag(mass))
+    A = bands_of(A)
     assert mass.min() < 1.01e-9 and exact[0] < -1e-3
     eig = operators.smallest_eigenpairs(A, mass, 5, split=-1e-3)
     below = np.count_nonzero(exact < -1e-3)
@@ -137,11 +143,11 @@ def test_eigensolve_counts():
     # one factorization at the split and one call through it, no refinement,
     # with an eigenvalue below the split or none
     A, mass = two_block_pencil()
-    eig = operators.smallest_eigenpairs(A, mass, 5, split=-1e-3)
+    eig = operators.smallest_eigenpairs(bands_of(A), mass, 5, split=-1e-3)
     assert (eig.below, eig.factorizations) == (1, 1)
     assert eig.solves >= 5
-    eig = operators.smallest_eigenpairs(dirichlet_1d(50, 0.02), np.ones(50), 3,
-                                        split=-1.0)
+    eig = operators.smallest_eigenpairs(bands_of(dirichlet_1d(50, 0.02)),
+                                        np.ones(50), 3, split=-1.0)
     assert (eig.below, eig.factorizations) == (0, 1)
 
 
@@ -155,7 +161,7 @@ def test_every_pair_below_the_split_and_those_asked_above(c, below, above):
     A = (dirichlet_1d(m, np.pi / (m + 1)) - sp.diags(c * mass)).tocsr()
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
     assert np.count_nonzero(exact < -1e-3) == below
-    eig = operators.smallest_eigenpairs(A, mass, above, split=-1e-3)
+    eig = operators.smallest_eigenpairs(bands_of(A), mass, above, split=-1e-3)
     assert eig.below == below
     assert len(eig.values) == above and np.all(eig.values > -1e-3)
     assert np.max(np.abs(eig.values - exact[below:below + above])) <= 1e-10
@@ -171,14 +177,26 @@ def test_value_returned_below_the_split_is_refused(monkeypatch):
         return w - 2.0, y, solves
     monkeypatch.setattr(operators, "_shift_invert", lowered)
     with pytest.raises(FactorizationFailure, match="at or below"):
-        operators.smallest_eigenpairs(dirichlet_1d(50, np.pi / 51),
+        operators.smallest_eigenpairs(bands_of(dirichlet_1d(50, np.pi / 51)),
                                       np.ones(50), 2, split=-1e-3)
+
+
+def test_lanczos_fails_at_the_krylov_cap(monkeypatch):
+    # a run that has not converged when it reaches KRYLOV_CAP steps is
+    # refused, never returned
+    m = 200
+    A = bands_of(dirichlet_1d(m, np.pi / (m + 1)))
+    eig = operators.smallest_eigenpairs(A, np.ones(m), 2, split=-1.0)
+    assert eig.solves > 3
+    monkeypatch.setattr(operators, "KRYLOV_CAP", 3)
+    with pytest.raises(FactorizationFailure, match="not converged in 3 steps"):
+        operators.smallest_eigenpairs(A, np.ones(m), 2, split=-1.0)
 
 
 def test_eigenvectors_mass_orthonormal():
     m = 300
     h = 1.0 / (m + 1)
-    A = dirichlet_1d(m, h)
+    A = bands_of(dirichlet_1d(m, h))
     mass = 1.0 + 0.3 * np.sin(np.arange(m))
     V = operators.smallest_eigenpairs(A, mass, 4, split=-1.0).vectors
     G = V.T @ (mass[:, None] * V)
@@ -190,7 +208,7 @@ def test_eigen_residuals():
     h = np.pi / (m + 1)
     A = dirichlet_1d(m, h)
     mass = np.ones(m)
-    eig = operators.smallest_eigenpairs(A, mass, 3, split=-1.0)
+    eig = operators.smallest_eigenpairs(bands_of(A), mass, 3, split=-1.0)
     for sigma, x in zip(eig.values, eig.vectors.T):
         ax = A @ x
         assert np.linalg.norm(ax - sigma * mass * x) <= 1e-8 * np.linalg.norm(ax)
@@ -199,7 +217,7 @@ def test_eigen_residuals():
 def test_verified_refines_once_then_raises():
     m = 200
     h = np.pi / (m + 1)
-    A = dirichlet_1d(m, h)
+    A = bands_of(dirichlet_1d(m, h))
     mass = np.ones(m)
     (s1, s2), X, *_ = operators.smallest_eigenpairs(A, mass, 2, split=-1.0)
     noisy = X[:, :1] + 1e-6 * np.random.default_rng(5).normal(size=(m, 1))
@@ -249,10 +267,17 @@ def test_weighted_operator_symmetry():
 
 
 def test_dirichlet_form_exactly_symmetric():
+    # one band holds (i, i+k) and (i+k, i) alike: the weighted bands
+    # restricted to the active nodes
     g = sngs.make_grid(15.0, 300)
     for parity in (sngs.EVEN, sngs.ODD):
         S = operators.dirichlet_form(g, parity)
-        assert abs(S - S.T).max() == 0.0
+        diag, up1, up2 = operators._weighted_bands(g, parity)
+        assert np.array_equal(S.diag, diag) and sorted(S.upper) == [1, 2]
+        assert np.array_equal(S.upper[1], up1[:-1])
+        assert np.array_equal(S.upper[2], up2[:-2])
+        C = oracles.csr_of(S)
+        assert abs(C - C.T).max() == 0.0
 
 
 def test_laplacian_and_dirichlet_form_share_the_stencil():
@@ -262,7 +287,7 @@ def test_laplacian_and_dirichlet_form_share_the_stencil():
     A = oracles.radial_laplacian_csr(g)
     act = operators.active_slice(g)
     WA = (sp.diags(g.weights_r2dr) @ A).tocsr()[act][:, act]
-    S = operators.dirichlet_form(g, sngs.EVEN)
+    S = oracles.csr_of(operators.dirichlet_form(g, sngs.EVEN))
     assert abs(WA - S).max() <= 2e-15 * abs(S).max()
     assert A[1, 0] == 0.0 and A[2, 0] == 0.0
     pad = A[-2:].toarray()
