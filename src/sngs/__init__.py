@@ -14,6 +14,5 @@ from .scaling import (LimitStudy, limit_distance, limit_member, limit_regime,
 from .linearized import (NondegeneracyReport, SectorOperator,
                          nondegeneracy_report, sector_form, sector_spectrum,
                          translation_mode)
-from .operators import smallest_eigenpairs
 
 __all__ = [name for name in dir() if not name.startswith("_")]

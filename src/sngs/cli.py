@@ -268,23 +268,15 @@ def cmd_spectrum(args, command_line):
     report = linearized.nondegeneracy_report(state)
     io.write_manifest(out_json, command_line, **{
         "lambda": args.lam, "q": args.q, "state": io.state_record(state),
-        "sectors": [{"k": e.k, "eigenvalues": e.eigenvalues,
-                     "kernel_dimension": e.kernel_dimension,
-                     "zero_mode_match": e.zero_mode_match,
-                     "below_split": e.below_split,
-                     "backward_error": e.backward_error,
-                     "solves": e.solves, "factorizations": e.factorizations,
-                     "fill": e.fill}
-                    for e in report.sectors],
+        "sectors": [e.record() for e in report.sectors],
         "higher_sectors": report.higher_sectors,
         "timing": {"solve_s": solve_s,
-                   "eigensolve_s": [e.seconds for e in report.sectors]},
-        "split": -linearized.GAP_TOL,
+                   "sector_s": [e.seconds for e in report.sectors]},
+        "shift": linearized.GAP_TOL,
         "verdict": report.verdict,
-        "tolerances": {"zero_tol": report.zero_tol,
-                       "gap_tol": linearized.GAP_TOL}})
+        "tolerances": {"gap_tol": linearized.GAP_TOL}})
     print(f"spectrum: verdict = {report.verdict} "
-          f"(zero_tol {report.zero_tol:.3e}, gap_tol {linearized.GAP_TOL:.3e})")
+          f"(gap_tol {linearized.GAP_TOL:.3e})")
     return EXIT_OK if report.verdict == "nondegenerate" else EXIT_NUMERICAL
 
 

@@ -24,17 +24,11 @@ class RadiusOutOfRange(SngsError):
     a normal float: r_max is so large it overflows, or so small it underflows."""
 
 
-# -- eigen / linear algebra --------------------------------------------------
-
-class TooManyRequested(SngsError):
-    pass
-
+# -- inertia / linear algebra -----------------------------------------------
 
 class FactorizationFailure(SngsError):
-    """A sector eigensolve that cannot be trusted: a singular or pivoted
-    inertia shift, a failed tridiagonal solve, a Lanczos run that reaches
-    its step cap, or a missed count or backward-error check.  Nothing
-    retries."""
+    """A sector count that cannot be trusted: a singular or pivoted inertia
+    shift, or a failed tridiagonal solve or bisection.  Nothing retries."""
 
 
 # -- model / solver ----------------------------------------------------------

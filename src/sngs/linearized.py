@@ -1,4 +1,4 @@
-"""Spherical-harmonics sector forms of the linearized operator and spectra.
+"""Spherical-harmonics sector forms of the linearized operator, certified by counting.
 
 In the harmonic sector k the perturbation f of u feels the quadratic form
 (general lam, a and power weight nu)
@@ -18,9 +18,10 @@ unchanged by the map onto the paper's symmetric a=2 pair (s u, t v), with
 t = a/2 and s = sqrt(t), so a state is certified in the convention it was
 solved in.  For the pure power case (a=0) there is no potential and the form
 is the scalar linearization around the Kwong profile.
-The nondegeneracy verdict has fixed tolerances: GAP_TOL for the radial gap
-and 50 h^2 sigma_2 for the translation zero mode.  A state enters only if
-its residual ratio meets its GroundState.residual_bound.
+The nondegeneracy verdict has one fixed tolerance, GAP_TOL: the radial gap,
+and the band (-GAP_TOL, GAP_TOL) in which the translation eigenvalue must lie.
+A state enters only if its residual ratio meets its
+GroundState.residual_bound.
 
 Every integral is the grid's one r^2 dr quadrature W; the centrifugal term is
 the local potential k(k+1)/r^2 on W beside pot (r > 0 on the active nodes).
@@ -31,18 +32,21 @@ tridiagonal inverse `hartree.green_bands` (no boundary condition on g).  The
 ordering of T_k over T_1 is checked by LAPACK's bisection (dstebz) for the
 lowest eigenvalue of T_2 - T_1.  k=0 uses even parity at the origin, k>=1 odd; f
 vanishes on the two-node Dirichlet pad at r_max.  `nondegeneracy_report`
-assembles, solves and releases sectors 0 and 1 one at a time, so one sector
+assembles, counts and releases sectors 0 and 1 one at a time, so one sector
 form and one LDL^T factorization of it are alive at once; every sector
-k >= 2 follows from sector 1 by the ordering L_k > L_1.  Below the split
--GAP_TOL a sector's eigenvalues are counted, not computed: the inertia of
-its one LDL^T there is its Morse index, and no verdict reads their values.
+k >= 2 follows from sector 1 by the ordering L_k > L_1.  No eigenvalue is
+computed: one LDL^T per sector at +GAP_TOL counts the eigenvalues below it,
+and the state names the vectors the counted ones are checked with, u in
+sector 0 (its Rayleigh quotient, a witness below -GAP_TOL) and u' in sector 1
+(one inverse-iteration step from it through that LDL^T, enclosed by Temple's
+bound).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,9 +58,9 @@ from .hartree import green_bands
 from .kernels import dstebz
 from .solver import GroundState, linearization, residual_failures
 
-# Radial-sector gap below which the verdict is not nondegenerate; also the
-# inertia split of every sector eigensolve: eigenvalues below -GAP_TOL are
-# clear Morse directions, the zero mode sits above it.
+# The radial gap and the zero test's tolerance, and the shift of every sector
+# LDL^T: a certified state has one sector-0 eigenvalue below -GAP_TOL, none
+# in (-GAP_TOL, GAP_TOL), and one sector-1 eigenvalue inside it.
 GAP_TOL = 1e-3
 
 
@@ -120,112 +124,147 @@ def translation_mode(state: GroundState) -> np.ndarray:
 
 @dataclass
 class SectorEntry:
-    """One sector's lowest eigenpairs above the split -GAP_TOL, the count of
-    eigenvalues below it, and what the eigensolve spent on them;
-    `nondegeneracy_report` fills in the kernel dimension and, in sector 1,
-    the match with the translation mode."""
+    """One sector's certificate by counting: the eigenvalues below +GAP_TOL
+    counted by one LDL^T there, and what the state's vector adds to that
+    count.  Sector 0 records the Rayleigh quotient of u (`witness`) and, only
+    when that is not below -GAP_TOL, the count below -GAP_TOL from a second
+    LDL^T (`below_split`).  A sector k >= 1 records the inverse-iteration
+    step from u' (`inverse_step`): `enclosure` [lo, rho] of its lowest
+    eigenvalue, rho the step's Rayleigh quotient and lo Temple's lower end
+    (None unless the count isolates that eigenvalue below +GAP_TOL and
+    rho < GAP_TOL), `residual` eta, and with lo the Davis-Kahan bound on the
+    step's angle to its eigenvector (`davis_kahan`, radians) and the
+    certified `zero_mode_match` of that eigenvector with u'."""
     k: int
-    eigenvalues: list
-    below_split: int             # inertia count: the sector's Morse index
-    backward_error: float        # largest over the returned pairs
-    solves: int                  # shift-invert applications
+    count_below: int             # eigenvalues below +GAP_TOL: the inertia count
     factorizations: int          # inertia LDL^T factorizations
-    fill: int                    # nnz(L) + nnz(U) of the LDL^T at the split
-    seconds: float               # eigensolve wall time
-    eigenvectors: np.ndarray = field(repr=False)
-    kernel_dimension: Optional[int] = None
+    fill: int                    # nnz(L) + nnz(U) of the LDL^T at +GAP_TOL
+    seconds: float               # wall time of the sector's certificate
+    witness: Optional[float] = None
+    below_split: Optional[int] = None
+    enclosure: Optional[list] = None
+    residual: Optional[float] = None
+    davis_kahan: Optional[float] = None
     zero_mode_match: Optional[float] = None
+
+    def record(self) -> dict:
+        """The certificate as the spectrum JSON records it: the count, its
+        cost and the fields of this sector's kind; the wall time is kept
+        apart."""
+        own = (("witness", "below_split") if self.k == 0 else
+               ("enclosure", "residual", "davis_kahan", "zero_mode_match"))
+        return {"k": self.k, "count_below": self.count_below,
+                "factorizations": self.factorizations, "fill": self.fill,
+                **{key: getattr(self, key) for key in own}}
 
 
 @dataclass
 class NondegeneracyReport:
     sectors: list                # sectors 0 and 1
     verdict: str
-    zero_tol: float
     higher_sectors: dict         # the k >= 2 certificate: bound (None unless
-                                 # sector 1 has nothing below the split),
-                                 # r_act, ordering_gap
+                                 # sector 1's enclosure holds), r_act,
+                                 # ordering_gap
 
 
-def sector_spectrum(op: SectorOperator, above: int) -> SectorEntry:
-    """The `above` lowest eigenpairs of the sector pencil above the inertia
-    split -GAP_TOL, and the number of its eigenvalues below the split."""
+def _angle(M, x, y) -> float:
+    """The angle between the lines of x and y in the inner product of M."""
+    cos = abs(np.dot(M * x, y)) / math.sqrt(np.dot(M * x, x) * np.dot(M * y, y))
+    return math.acos(min(1.0, cos))
+
+
+def sector_spectrum(op: SectorOperator, probe: np.ndarray) -> SectorEntry:
+    """Certify one sector by counting, with `probe` the state's vector on
+    the active nodes: u in sector 0, u' in a sector k >= 1.
+
+    One LDL^T at +GAP_TOL counts the eigenvalues below it.  Sector 0 adds
+    the witness R(u) = u.L u / u.M u: below -GAP_TOL it places an eigenvalue
+    there, so a count of 1 is the Morse index with no eigenvalue within
+    GAP_TOL of zero; otherwise the sector is factored again at -GAP_TOL.  A
+    sector k >= 1 takes one inverse-iteration step y from u' through its
+    LDL^T, with Rayleigh quotient rho and residual eta (in the M^-1 norm).
+    When the count is 1 and rho < GAP_TOL, the one eigenvalue sigma_1 below
+    GAP_TOL is the sector's lowest and sigma_2 >= GAP_TOL, so Temple's
+    inequality gives sigma_1 in [rho - eta^2 / (GAP_TOL - rho), rho] and
+    Davis-Kahan sin(y, x_1) <= eta / (GAP_TOL - rho) for its eigenvector x_1.
+    The match of x_1 with u' is then at least cos(angle(y, u') + that
+    angle), the angles of lines in the M inner product."""
     t0 = time.perf_counter()
-    eig = operators.smallest_eigenpairs(op.form, op.mass, above, split=-GAP_TOL)
-    seconds = time.perf_counter() - t0
-    return SectorEntry(
-        k=op.k, eigenvalues=eig.values.tolist(), eigenvectors=eig.vectors,
-        below_split=eig.below,
-        backward_error=float(np.max(eig.backward_errors)),
-        solves=eig.solves, factorizations=eig.factorizations, fill=eig.fill,
-        seconds=seconds)
+    if op.k == 0:
+        count, fill, _ = operators.inverse_step(op.form, op.mass, GAP_TOL)
+        witness = operators.rayleigh(op.form, op.mass, probe)[0]
+        entry = SectorEntry(op.k, count, 1, fill, 0.0, witness=witness)
+        if not witness < -GAP_TOL:   # NaN included
+            entry.below_split = operators.count_below(op.form, op.mass,
+                                                      -GAP_TOL)
+            entry.factorizations = 2
+    else:
+        count, fill, y = operators.inverse_step(op.form, op.mass, GAP_TOL,
+                                                probe)
+        rho, eta = operators.rayleigh(op.form, op.mass, y)
+        entry = SectorEntry(op.k, count, 1, fill, 0.0, enclosure=[None, rho],
+                            residual=eta)
+        if count == 1 and rho < GAP_TOL:
+            gap = GAP_TOL - rho
+            entry.enclosure[0] = rho - eta * eta / gap
+            entry.davis_kahan = math.asin(min(1.0, eta / gap))
+            entry.zero_mode_match = math.cos(min(
+                math.pi / 2, _angle(op.mass, y, probe) + entry.davis_kahan))
+    entry.seconds = time.perf_counter() - t0
+    return entry
 
 
 def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
-    """Spectral certificate for nondegeneracy: sectors 0 and 1 solved, every
-    sector k >= 2 bounded from sector 1.
-
-    Each solved sector counts its eigenvalues below the split -GAP_TOL
-    (`below_split`, sector 0's Morse index) and computes above it only the
-    pairs the verdict reads: the radial gap in sector 0, and the zero mode
-    and sigma_2 in sector 1.
+    """Spectral certificate for nondegeneracy by counting: sectors 0 and 1
+    certified (`sector_spectrum`), every sector k >= 2 bounded from sector 1.
 
     Sectors k >= 1 share S (odd parity), pot and B, so their Schur complements
     differ by L_k - L_1 = W (k(k+1) - 2) / r^2 + B (T_1^-1 - T_k^-1) B, and
     T_k >= T_1 (`hartree.green_bands`) makes the second term >= 0.  Weyl's
     bound on the pencil with mass W then gives, for every k >= 2 at once,
     sigma_min(L_k) >= sigma_min(L_1) + (k(k+1) - 2) / r_act^2, r_act the last
-    active node.  `higher_sectors` records that bound at k = 2, r_act, and
-    ordering_gap = lambda_min(T_2 - T_1), the ordering checked in floating
-    point.  sigma_min(L_1) is sector 1's lowest returned eigenvalue only when
-    nothing lies below the split there; otherwise the bound is None.
+    active node.  `higher_sectors` records that bound at k = 2 with Temple's
+    lower end for sigma_min(L_1) (None when sector 1 has no enclosure),
+    r_act, and ordering_gap = lambda_min(T_2 - T_1), the ordering checked in
+    floating point.
 
-    nondegenerate: the radial sector has no eigenvalue within GAP_TOL of
-    zero, sector 1 carries exactly one zero mode (|sigma| <= zero_tol =
-    50 h^2 sigma_2, sigma_2 its next eigenvalue by magnitude) matching the
-    translation pair and nothing below the split, and the k >= 2 bound and
-    ordering_gap are > 0.
-    under-resolved: zero_tol >= sigma_2, a grid so coarse (50 h^2 >= 1) that
-    the zero test cannot tell any sector-1 eigenvalue from zero.
+    nondegenerate: sector 0 counts one eigenvalue below +GAP_TOL and it lies
+    below -GAP_TOL (by the witness, or by a count of 1 there), so the Morse
+    index is 1 and no radial eigenvalue lies within GAP_TOL of zero; sector
+    1 counts one eigenvalue below +GAP_TOL, Temple's lower end is above
+    -GAP_TOL, so it is the one eigenvalue in (-GAP_TOL, GAP_TOL), and its
+    eigenvector matches the translation mode u' to >= 0.999; the k >= 2 bound
+    and ordering_gap are > 0.
+    degenerate: either sector counts two or more eigenvalues below +GAP_TOL.
+    under-resolved: 50 h^2 >= 1, a grid so coarse (fewer than about 200
+    nodes on r_max = 28) that no zero test is asked of it.
     """
-    # each form dies with its solve, so one sector is alive at a time
-    sectors = [sector_spectrum(sector_form(state, k), 2 if k == 1 else 1)
-               for k in (0, 1)]
+    act = operators.active_slice(state.grid)
+    probes = (state.u[act], translation_mode(state)[act])
+    # each form dies with its certificate, so one sector is alive at a time
+    s0, s1 = sectors = [sector_spectrum(sector_form(state, k), probes[k])
+                        for k in (0, 1)]
 
     h = state.grid.h
-    sigma2 = sorted(abs(s) for s in sectors[1].eigenvalues)[1]
-    zero_tol = 50.0 * h * h * sigma2
-
-    for entry in sectors:
-        entry.kernel_dimension = sum(1 for s in entry.eigenvalues
-                                     if abs(s) <= zero_tol)
-    k1 = sectors[1]
-    x = k1.eigenvectors[:, int(np.argmin(np.abs(k1.eigenvalues)))]
-    act = operators.active_slice(state.grid)
-    t = translation_mode(state)[act]
-    M = state.grid.weights_r2dr[act]   # sector 1's mass
-    k1.zero_mode_match = float(
-        abs(np.sum(M * x * t)) / math.sqrt(np.sum(M * x * x) * np.sum(M * t * t)))
-
     r_act = float(state.grid.nodes[act[-1]])
     (d1, o1), (d2, o2) = (green_bands(k, len(act), h) for k in (1, 2))
-    bound = min(k1.eigenvalues) + 4.0 / r_act ** 2 if k1.below_split == 0 else None
-    higher = {"bound": bound, "r_act": r_act,
+    lo = s1.enclosure[0]
+    higher = {"bound": None if lo is None else lo + 4.0 / r_act ** 2,
+              "r_act": r_act,
               "ordering_gap": _lowest_eigenvalue(d2 - d1, o2 - o1)}
 
-    k0_min_abs = min(abs(s) for s in sectors[0].eigenvalues)
-    ok = (k0_min_abs > GAP_TOL
-          and k1.kernel_dimension == 1
-          and k1.zero_mode_match >= 0.999
-          and k1.below_split == 0 and bound > 0.0
-          and higher["ordering_gap"] > 0.0)
-    if zero_tol >= sigma2:   # 50 h^2 >= 1: every sector-1 eigenvalue counts as zero
+    radial_gap = s0.count_below == 1 and (s0.witness < -GAP_TOL
+                                          or s0.below_split == 1)
+    ok = (radial_gap and s1.count_below == 1 and lo is not None
+          and lo > -GAP_TOL and s1.zero_mode_match >= 0.999
+          and higher["bound"] > 0.0 and higher["ordering_gap"] > 0.0)
+    if 50.0 * h * h >= 1.0:
         verdict = "under-resolved"
     elif ok:
         verdict = "nondegenerate"
-    elif k0_min_abs <= zero_tol or k1.kernel_dimension > 1:
+    elif max(s0.count_below, s1.count_below) >= 2:
         verdict = "degenerate"
     else:
         verdict = "inconclusive"
     return NondegeneracyReport(sectors=sectors, verdict=verdict,
-                               zero_tol=zero_tol, higher_sectors=higher)
+                               higher_sectors=higher)

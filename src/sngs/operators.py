@@ -1,4 +1,4 @@
-"""Discrete radial Laplacian, symmetric banded forms, and eigen/linear solves.
+"""Discrete radial Laplacian, symmetric banded forms, their inertia and solves.
 
 The operator is the 5-point fourth-order discretization of
 -Delta_r = -d^2/dr^2 - (2/r) d/dr with
@@ -22,26 +22,19 @@ step's fixed entries.  All are assembled on every call, without a cache
 (under 1 ms at n=4096).  A symmetric form, a sector pair form included, is
 held as its bands too (`SymmetricBands`); no sparse-matrix class is used.
 
-The eigensolver is inertia-sliced shift-invert Lanczos, and its one
-factorization is a symmetric no-pivot LDL^T (`_inertia`, SuperLU's gstrf on
-a CSC array built from the bands) at a split point, whose negative pivots
-count the eigenvalues below the split (Sylvester's law of inertia).  Below
-the split that count is all the eigensolve reports; above it one Lanczos run
-through the same LDL^T (`_shift_invert`) takes as many pairs as the caller
-asks for, none of which may fall below the split.  SuperLU factors in
-one-column panels: the pair form's factors hold about 4 nonzeros per row, so
-a wide panel finds no dense block to work on, while part of SuperLU's
-workspace grows with the panel width.  Lanczos runs on the standard-form
-matrix D A D, D = M^(-1/2), so each step is one solve through the LDL^T and
-no mass product; it keeps its basis orthogonal in full and stops once every
-asked-for Ritz pair meets the relative accuracy BACKWARD_TOL = 1e-12 that the
-certificate asks for, or fails at KRYLOV_CAP steps.  Every returned
-eigenpair is then held to a normwise backward error of 1e-12, computed once
-and returned with the pairs; a pair over it is refined, after the call, by
-one inverse iteration through `_inertia` just above its eigenvalue.  A mass
-shorter than the form eliminates its trailing block (`schur_apply`,
-Haynsworth).  The compiled routines, SuperLU's and LAPACK's, come from
-`kernels`.
+No eigenpair is computed.  A sector pencil is certified by counting: its
+one factorization is a symmetric no-pivot LDL^T (`_inertia`, SuperLU's
+gstrf on a CSC array built from the bands) at a shift, whose negative pivots
+count the eigenvalues below the shift (Sylvester's law of inertia).  One
+solve through the same LDL^T is one inverse-iteration step from a given
+vector (`inverse_step`), and `rayleigh` gives the Rayleigh quotient and
+residual of a vector, from which Temple's bound and the Davis-Kahan bound
+enclose an eigenvalue the count isolates and its eigenvector.  SuperLU
+factors in one-column panels: the pair form's factors hold about 4 nonzeros
+per row, so a wide panel finds no dense block to work on, while part of
+SuperLU's workspace grows with the panel width.  A mass shorter than the
+form eliminates its trailing block (`schur_apply`, Haynsworth).  The
+compiled routines, SuperLU's and LAPACK's, come from `kernels`.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FactorizationFailure, TooManyRequested
+from .errors import FactorizationFailure
 from .grid import EVEN, RadialGrid
 from .kernels import dptsv, gstrf
 
@@ -173,7 +166,7 @@ def grad_sq_pairing(grid: RadialGrid, A: RadialLaplacian, values: np.ndarray) ->
     return max(val, 0.0)
 
 
-# -- the one factorization and the eigensolve ----------------------------------
+# -- the one factorization and what it counts ---------------------------------
 
 
 def count_below(form: SymmetricBands, mass: np.ndarray, tau: float) -> int:
@@ -272,165 +265,29 @@ def schur_apply(form, mass, X):
     return AX[:N] - (form @ Z)[:N]
 
 
-# the normwise backward error every returned eigenpair meets, and the
-# relative accuracy of the Ritz pairs at which Lanczos stops
-BACKWARD_TOL = 1e-12
-# Lanczos steps, one solve each, after which an eigensolve fails
-KRYLOV_CAP = 100
+def inverse_step(form, mass, tau, x=None):
+    """(below, fill, y): the number of pencil eigenvalues below tau and the
+    fill of the LDL^T that counts them (`_inertia`), and one inverse-iteration
+    step y = (L - tau M)^-1 M x from x through that LDL^T, L the form with
+    its trailing block eliminated (`schur_apply`).  The solve runs through
+    the whole form, the right-hand side zero past len(mass).  Without x, y is
+    None.  Nothing holds the LDL^T after the call."""
+    lu, below, fill = _inertia(form, mass, tau)
+    if x is None:
+        return below, fill, None
+    rhs = np.zeros(lu.shape[0])
+    np.multiply(mass, x, out=rhs[:len(mass)])
+    return below, fill, lu.solve(rhs)[:len(mass)]
 
 
-class Eigenpairs(NamedTuple):
-    """The lowest pencil eigenpairs above a split, in ascending order, with
-    their certificate and the count of eigenvalues below the split."""
-    values: np.ndarray           # (above,)
-    vectors: np.ndarray          # (dim, above), mass-orthonormal columns
-    backward_errors: np.ndarray  # (above,), each at most BACKWARD_TOL
-    below: int                   # eigenvalues below the split: the inertia count
-    solves: int                  # shift-invert applications, refinements included
-    factorizations: int          # `_inertia` calls
-    fill: int                    # nnz(L) + nnz(U) of the LDL^T at the split
-
-
-def smallest_eigenpairs(form: SymmetricBands, mass: np.ndarray, above: int,
-                        split: float) -> Eigenpairs:
-    """The `above` lowest eigenpairs of form x = sigma * mass * x above
-    `split`, and the number of eigenvalues below it.
-
-    Inertia-sliced shift-invert Lanczos (Ericsson & Ruhe 1980).  The LDL^T
-    at `split` counts the eigenvalues below it (`below`), and one Lanczos
-    run through it (`_shift_invert`: the largest 1/(sigma - split) are the
-    eigenvalues just above it) gives the `above` pairs.  A returned value
-    below `split` raises FactorizationFailure, so a pair the count places
-    under the split is never passed off as one above it; so does a Lanczos
-    run that reaches KRYLOV_CAP.  More pairs below and above than dim - 2
-    raises TooManyRequested.
-
-    Lanczos runs in standard form on D A D, D = M^(-1/2): its shift-invert
-    operator y -> s * LDL^T.solve((s * y, 0))[:N], s = sqrt(mass) of length
-    N, costs one solve per step through one preallocated right-hand side, and
-    x = y / s recovers mass-orthonormal eigenvectors.  Lanczos stops at
-    relative accuracy BACKWARD_TOL, and `_verified` holds each pair to a
-    backward error of BACKWARD_TOL (see `backward_errors`); those errors come
-    back with the pairs.
-    """
-    mass = np.asarray(mass, dtype=float)
-    dim = len(mass)
-    if above <= 0:
-        raise ValueError("above must be >= 1")
-    if np.any(mass <= 0):
-        raise ValueError("mass must be positive on active nodes")
-    lu, below, fill = _inertia(form, mass, split)
-    if below + above > dim - 2:
-        raise TooManyRequested(
-            f"{below} eigenpairs below the split and {above} above it from a "
-            f"{dim}-dim pencil (at most {dim - 2})")
-    s = np.sqrt(mass)
-    vals, vecs, solves = _shift_invert(lu, s, above, split)
-    del lu   # released before any refinement factors again
-    found = int(np.count_nonzero(~(vals > split)))
-    if found:
-        raise FactorizationFailure(
-            f"{found} of the eigenvalues returned above {split} lie at or "
-            f"below it")
-    order = np.argsort(vals)
-    vals = vals[order]
-    X = vecs[:, order]
-    X /= s[:, None]
-    errors, refined = _verified(form, mass, vals, X)
-    return Eigenpairs(vals, X, errors, below, solves + refined, 1 + refined, fill)
-
-
-def _shift_invert(lu, s, k, sigma):
-    """The k pairs just above `sigma` of the standard-form pencil, by
-    Lanczos on its shift-invert operator through `lu`, its LDL^T at sigma;
-    returns them and the solves spent.
-
-    The run starts from the vector 1/sqrt(dim) and orthogonalizes each new
-    vector against the whole basis twice (classical Gram-Schmidt).  It stops
-    once the k largest Ritz values theta of the tridiagonal projection each
-    have the residual estimate |beta theta's last component| <=
-    BACKWARD_TOL theta, and returns sigma + 1/theta with their Ritz vectors.
-    A basis that spans an invariant subspace (beta at rounding level) goes
-    on from a seeded random vector orthogonal to it.  KRYLOV_CAP steps
-    without convergence raise FactorizationFailure.  The basis rows are
-    allocated once and each is touched only when reached; nothing holds
-    `lu` after the call.
-    """
-    dim = len(s)
-    steps = min(KRYLOV_CAP, dim)
-    V = np.empty((steps + 1, dim))
-    V[0] = 1.0 / math.sqrt(dim)
-    rhs = np.zeros(lu.shape[0])   # (s * y, 0): the pad stays zero
-    alpha, beta = np.zeros(steps), np.zeros(steps)
-    for j in range(steps):
-        np.multiply(s, V[j], out=rhs[:dim])
-        w = s * lu.solve(rhs)[:dim]
-        basis = V[:j + 1]
-        for _ in range(2):
-            c = basis @ w
-            w -= c @ basis
-            alpha[j] += c[j]
-        b = float(np.linalg.norm(w))
-        T = np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
-        theta, S = np.linalg.eigh(T)
-        top = slice(max(j + 1 - k, 0), j + 1)
-        if j + 1 >= k and np.all(b * np.abs(S[-1, top])
-                                 <= BACKWARD_TOL * np.abs(theta[top])):
-            return sigma + 1.0 / theta[top], (S[:, top].T @ basis).T, j + 1
-        if b <= np.finfo(float).eps * np.max(np.abs(theta)):
-            w = np.random.default_rng(j).standard_normal(dim)
-            for _ in range(2):
-                w -= (basis @ w) @ basis
-            b = 0.0
-            V[j + 1] = w / np.linalg.norm(w)
-        else:
-            V[j + 1] = w / b
-        beta[j] = b
-    raise FactorizationFailure(
-        f"Lanczos at shift {sigma}: {k} pairs not converged in {steps} steps")
-
-
-def _lead_norm1(form, N):
-    """||A||_1 of the leading N x N block A of a symmetric banded form: its
-    largest absolute row sum."""
-    rows = np.abs(form.diag[:N])
-    for k, band in form.upper.items():
-        if k < N:
-            lead = np.abs(band[:N - k])
-            rows[:N - k] += lead
-            rows[k:] += lead
-    return float(rows.max())
-
-
-def backward_errors(form, mass, sigmas, vectors) -> np.ndarray:
-    """Normwise backward errors ||A x - s M x|| / ((||A||_1 + |s| max M) ||x||)
-    of the eigenpairs (sigmas[j], vectors[:, j]) of the pencil (A, M),
-    M = diag(mass), A = `schur_apply` and ||A||_1 that of the leading block."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    res = np.linalg.norm(schur_apply(form, mass, vectors)
-                         - mass[:, None] * vectors * sigmas, axis=0)
-    scale = _lead_norm1(form, len(mass)) + np.abs(sigmas) * float(np.max(mass))
-    return res / (scale * np.linalg.norm(vectors, axis=0))
-
-
-def _verified(form, mass, sigmas, X):
-    """Hold each mass-normalized pair (sigmas[j], X[:, j]) to BACKWARD_TOL.
-
-    A pair over the bound gets one inverse-iteration refinement through
-    `_inertia` just above its eigenvalue, in place in `sigmas` and `X`, and
-    one still over it raises FactorizationFailure.  Returns the backward
-    errors of the pairs as they leave and the number refined."""
-    errors = backward_errors(form, mass, sigmas, X)
-    over = np.flatnonzero(~(errors <= BACKWARD_TOL))   # NaN included
-    for j in over:
-        lu = _inertia(form, mass, sigmas[j] + 1e-12)[0]
-        y = lu.solve(np.pad(mass * X[:, j], (0, form.shape[0] - len(mass))))[:len(mass)]
-        X[:, j] = y / np.sqrt(np.dot(mass * y, y))
-        sigmas[j] = np.dot(X[:, j], schur_apply(form, mass, X[:, j]))
-        errors[j] = backward_errors(form, mass, sigmas[j:j + 1], X[:, j:j + 1])[0]
-        del lu
-        if not errors[j] <= BACKWARD_TOL:
-            raise FactorizationFailure(
-                f"eigenpair {sigmas[j]:.6e} has backward error {errors[j]:.2e} "
-                f"> {BACKWARD_TOL:.0e} after refinement")
-    return errors, len(over)
+def rayleigh(form, mass, x):
+    """(rho, eta) of x in the pencil (L, M), L = `schur_apply`: the Rayleigh
+    quotient rho = x.L x / x.M x and the residual
+    eta = ||L x - rho M x||_(M^-1) / ||x||_M, that of M^(1/2) x for the
+    standard-form matrix M^(-1/2) L M^(-1/2), which Temple's and the
+    Davis-Kahan bounds read."""
+    Lx = schur_apply(form, mass, x)
+    xMx = float(np.dot(mass * x, x))
+    rho = float(np.dot(x, Lx)) / xMx
+    Lx -= rho * mass * x
+    return rho, math.sqrt(float(np.dot(Lx / mass, Lx)) / xMx)

@@ -40,7 +40,7 @@ sector-0 Schur complement is W J, so each Newton step J d = -F solves that
 pair form exactly, in standard form on the active nodes, by one banded LU
 (`_newton_step`) in the one dgbsv workspace of the solve; each step writes
 the entries no iterate changes into it afresh from -Delta_r's weighted
-bands and hartree.green_bands, so nothing but the workspace outlives a step.
+bands and T_0's closed form, so nothing but the workspace outlives a step.
 The solve's three LAPACK routines, dgbsv for the step and dpbtrf and dpbtrs
 for the warm start, come from `kernels`: no solve imports a scipy module.
 """
@@ -57,7 +57,7 @@ from .diagnostics import DiagnosticsReport, identities
 from .errors import (BadRange, InvalidExponent, NegativeStateDetected,
                      NonConvergence, TrivialCollapse)
 from .grid import RadialGrid, make_grid
-from .hartree import coulomb_apply, green_bands
+from .hartree import coulomb_apply
 from .kernels import dgbsv, dpbtrf, dpbtrs
 
 TRIVIAL_SUP = 1e-8
@@ -178,9 +178,10 @@ def _newton_step(u, v, F, params, grid, A, work):
     (`linearization`).  In standard form, d = D x with D = W^(-1/2), it is
     [[D S D + pot, sqrt(h) b], [sqrt(h) b, T_0]] (x, y) = (-W^(1/2) F, 0);
     interleaving x_1, y_1, x_2, ... gives bandwidth 4 on each side.  All of
-    it, D S D from A's weighted bands and T_0 from hartree.green_bands
-    included, is written afresh into `work` (`_step_workspace`), which
-    dgbsv overwrites.  d_0 then follows from A's origin row, the origin
+    it, D S D from A's weighted bands and T_0 included, is written afresh
+    into `work` (`_step_workspace`), which dgbsv overwrites; T_0's bands are
+    those of hartree.green_bands(0, m, h), set in closed form (2/h on the
+    diagonal, 1/h its last entry, -1/h off it) with no temporaries.  d_0 then follows from A's origin row, the origin
     limit, with the screening potential w_0 the trapezoid line integral of
     2 u d r (its Euler-Maclaurin term is in pot_0).  A non-finite or
     singular system raises NonConvergence.
@@ -189,8 +190,9 @@ def _newton_step(u, v, F, params, grid, A, work):
     ab, rhs = work
     band = ab[4:]   # entry (i, j) at row 4 + i - j; f_i at slot 2i, y_i 2i+1
     band.fill(0.0)
-    band[4, 1::2], band[2, 3::2] = green_bands(0, m, h)
-    band[6, 1:-2:2] = band[2, 3::2]
+    band[4, 1::2] = 2.0 / h
+    band[4, -1] = 1.0 / h
+    band[2, 3::2] = band[6, 1:-2:2] = -1.0 / h
     scale = np.sqrt(A.weights[act])   # W^(1/2), D = 1 / scale
     # D S D, (i, i+k) of S over scale_i scale_(i+k), formed in rhs till set
     for k, s_band in ((0, A.diag), (1, A.up1[:-1]), (2, A.up2[:-2])):

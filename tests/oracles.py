@@ -18,10 +18,12 @@ weighted bands, must match them bit for bit.
 and back.  `sector_form_csr` assembles a sector pair form with
 `scipy.sparse` as the package did before it held the form as its bands,
 `shifted_csc` and `splu_inertia` are the CSC matrix and the `splu`
-factorization `operators._inertia` must reproduce, and `arpack_eigenpairs`
-is the ARPACK shift-invert eigensolve (`eigsh`) the Lanczos of
-`operators._shift_invert` replaced, the reference its eigenvalues are held
-to.
+factorization `operators._inertia` must reproduce.  `arpack_eigenpairs` is
+ARPACK's shift-invert eigensolve (`eigsh`), which certified the sectors by
+computing eigenpairs before they were certified by counting, and
+`dense_sector_pencil` the dense eigh of a sector's Schur complement
+(`dense_schur`): the references the counts, Temple's enclosures and the
+Davis-Kahan angles are held to.
 """
 
 import math
@@ -238,6 +240,23 @@ def arpack_eigenpairs(form, mass, above, split):
     inv = spla.LinearOperator((dim, dim), matvec=apply, dtype=float)
     w, y = spla.eigsh(inv, k=above, sigma=split, which="LA",
                       v0=np.full(dim, 1.0 / np.sqrt(dim)), OPinv=inv,
-                      tol=operators.BACKWARD_TOL)
+                      tol=1e-12)
     order = np.argsort(w)
     return w[order], y[:, order] / s[:, None], solves
+
+
+def dense_schur(op) -> np.ndarray:
+    """L_k of the sector operator `op` as a dense matrix: the leading block
+    of its pair form less B T_k^-1 B, or that block alone at a = 0."""
+    A = csr_of(op.form).toarray()
+    N = len(op.mass)
+    if len(A) == N:
+        return A
+    return A[:N, :N] - A[:N, N:] @ np.linalg.solve(A[N:, N:], A[N:, :N])
+
+
+def dense_sector_pencil(op):
+    """(eigenvalues ascending, mass-orthonormal eigenvectors) of the sector
+    pencil (L_k, M) of `op` by scipy's dense eigh."""
+    import scipy.linalg as sla
+    return sla.eigh(dense_schur(op), np.diag(op.mass))

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import sngs
-from sngs.linearized import (GAP_TOL, nondegeneracy_report, sector_form,
-                             sector_spectrum)
+from sngs.linearized import GAP_TOL, nondegeneracy_report, sector_form
+from sngs.operators import count_below
 from sngs.solver import _residual_values, _wnorm
 from conftest import smooth_bumps
-from oracles import apply_jacobian, hartree_energy, hartree_potential
+from oracles import (apply_jacobian, arpack_eigenpairs, hartree_energy,
+                     hartree_potential, sector_form_csr)
 from test_hartree import indicator_field, indicator_v_exact, kform_oracle
 from test_linearized import assert_nonnegative_pair_forms, odd_field
 
@@ -197,21 +198,23 @@ def test_criterion_10_nondegeneracy(spectrum_states, solved_cache):
         for name, st in spectrum_states.items():
             rep = nondegeneracy_report(st)
             assert rep.verdict == "nondegenerate", (name, rep)
-            k1 = rep.sectors[1]
-            assert k1.kernel_dimension == 1
-            assert min(abs(s) for s in k1.eigenvalues) <= rep.zero_tol
-            assert k1.zero_mode_match >= 0.999
-            assert min(abs(s) for s in rep.sectors[0].eigenvalues) >= GAP_TOL
+            s0, s1 = rep.sectors
+            assert s1.count_below == 1
+            assert -GAP_TOL < s1.enclosure[0] <= s1.enclosure[1] < GAP_TOL
+            assert s1.zero_mode_match >= 0.999
+            assert s0.count_below == 1 and s0.witness < -GAP_TOL
             assert rep.higher_sectors["bound"] > 0.0
             assert rep.higher_sectors["ordering_gap"] > 0.0
 
-        # k=0 gap stable within 5% under n -> 2n (Choquard certificate)
-        gaps = []
+        # k=0 gap stable within 5% under n -> 2n (Choquard certificate): the
+        # counts place the gap, ARPACK's at n = N, inside +-5% on both grids
+        choq = solved_cache(1.0, 1.0, 0.0, 4.0, n=N)
+        (gap,), _, _ = arpack_eigenpairs(sector_form_csr(choq, 0),
+                                         sector_form(choq, 0).mass, 1, -GAP_TOL)
         for n in (N, 2 * N):
-            choq = solved_cache(1.0, 1.0, 0.0, 4.0, n=n)
-            rep0 = sector_spectrum(sector_form(choq, 0), 1)
-            gaps.append(min(abs(s) for s in rep0.eigenvalues))
-        assert abs(gaps[1] - gaps[0]) <= 0.05 * gaps[0], gaps
+            op = sector_form(solved_cache(1.0, 1.0, 0.0, 4.0, n=n), 0)
+            assert [count_below(op.form, op.mass, f * gap)
+                    for f in (0.95, 1.05)] == [1, 2], (n, gap)
 
         # Corollary-3.8 nonnegativity on 100 random odd test fields, each
         # with the potential that minimizes the pair form

@@ -597,20 +597,29 @@ def test_spectrum_cli_small(tmp_path):
     assert code == 0
     payload = manifest(out)
     assert payload["verdict"] == "nondegenerate"
-    assert payload["split"] == -payload["tolerances"]["gap_tol"]
-    assert [s["below_split"] for s in payload["sectors"]] == [1, 0]
-    assert all(s["backward_error"] <= 1e-12 for s in payload["sectors"])
+    assert payload["shift"] == payload["tolerances"]["gap_tol"]
+    assert sorted(payload["tolerances"]) == ["gap_tol"]
+    s0, s1 = payload["sectors"]
+    assert sorted(s0) == ["below_split", "count_below", "factorizations",
+                          "fill", "k", "witness"]
+    assert sorted(s1) == ["count_below", "davis_kahan", "enclosure",
+                          "factorizations", "fill", "k", "residual",
+                          "zero_mode_match"]
+    assert [s["count_below"] for s in payload["sectors"]] == [1, 1]
     assert [s["factorizations"] for s in payload["sectors"]] == [1, 1]
-    assert [len(s["eigenvalues"]) for s in payload["sectors"]] == [1, 2]
-    assert all(s["solves"] >= len(s["eigenvalues"]) for s in payload["sectors"])
+    assert s0["witness"] < -payload["shift"] and s0["below_split"] is None
+    lo, rho = s1["enclosure"]
+    assert -payload["shift"] < lo <= rho < payload["shift"]
+    assert 0.0 <= s1["davis_kahan"] < 1e-3 and s1["residual"] >= 0.0
     # the pair form has dimension 2 (n - 3); its LDL^T holds about 8 per row
     assert all(0 < s["fill"] <= 10 * 2 * (2048 - 3) for s in payload["sectors"])
-    assert len(payload["timing"]["eigensolve_s"]) == 2
+    assert len(payload["timing"]["sector_s"]) == 2
     higher = payload["higher_sectors"]
     assert sorted(higher) == ["bound", "ordering_gap", "r_act"]
     assert higher["bound"] > 0.0 and higher["ordering_gap"] > 0.0
+    assert higher["bound"] == lo + 4.0 / higher["r_act"] ** 2
     assert payload["timing"]["solve_s"] > 0.0
-    assert sorted(payload["timing"]) == ["eigensolve_s", "solve_s"]
+    assert sorted(payload["timing"]) == ["sector_s", "solve_s"]
     assert payload["sectors"][1]["zero_mode_match"] >= 0.999
 
 
@@ -648,9 +657,9 @@ def test_spectrum_certifies_the_normal_form_state(tmp_path):
     ("4", "0.01", 256, "nondegenerate"),
 ])
 def test_spectrum_under_resolved_grid(tmp_path, q, lam, n, verdict):
-    """Where 50 h^2 >= 1 the zero tolerance 50 h^2 sigma_2 swallows every
-    sector-1 eigenvalue: the verdict says the grid is too coarse (exit 2)
-    instead of asserting a kernel."""
+    """Where 50 h^2 >= 1 the grid is too coarse for a zero test (once the
+    zero tolerance 50 h^2 sigma_2 swallowed every sector-1 eigenvalue
+    there): the verdict says so (exit 2) instead of asserting a kernel."""
     out = str(tmp_path / "spec")
     code = run(["spectrum", "--q", q, "--lambda", lam, "--n", str(n),
                 "--k-max", "3", "--out", out])

@@ -1,3 +1,4 @@
+import math
 import weakref
 from dataclasses import replace
 
@@ -119,74 +120,167 @@ def test_translation_mode_signs(choquard, solved_cache):
 
 
 def test_pencil_matches_dense_schur_complement(solved_cache):
-    # the augmented (f, y) pencil against a dense eigh of L_k itself
-    import scipy.linalg as sla
+    # the augmented (f, y) pencil against a dense eigh of L_k itself: the
+    # counts on both sides of the band, and the witness R(u) of sector 0
     st = solved_cache(1.0, 1.0, 1.0, 4.0, n=201, rmax=28.0)
+    act = sngs.operators.active_slice(st.grid)
     for k in range(4):
         op = sector_form(st, k)
-        N = len(op.mass)
-        A = oracles.csr_of(op.form).toarray()
-        schur = A[:N, :N] - A[:N, N:] @ np.linalg.solve(A[N:, N:], A[N:, :N])
-        entry = sector_spectrum(op, 6)   # six above the split
-        exact = sla.eigh(schur, np.diag(op.mass), eigvals_only=True)
-        assert entry.below_split == np.count_nonzero(exact < -GAP_TOL)
-        assert np.max(np.abs(entry.eigenvalues
-                             - exact[exact > -GAP_TOL][:6])) <= 1e-10
+        exact, _ = oracles.dense_sector_pencil(op)
+        for tau in (-GAP_TOL, GAP_TOL):
+            assert sngs.operators.count_below(op.form, op.mass, tau) \
+                == np.count_nonzero(exact < tau)
+    op = sector_form(st, 0)
+    x = st.u[act]
+    entry = sector_spectrum(op, x)
+    L = oracles.dense_schur(op)
+    assert entry.witness == pytest.approx(x @ L @ x / np.dot(op.mass * x, x),
+                                          rel=1e-10)
+
+
+# normal-form members at n <= 257 whose certificates are held to the dense
+# pencil: the two README spectrum cases, a concentrated state whose zero
+# mode is a discretization error, and one near q = 2
+DENSE_CASES = [(4.0, 1e-2, 257), (2.5, 1e2, 257), (4.75, 10.0, 257),
+               (2.25, 1e-2, 201)]
+
+
+@pytest.mark.parametrize("q,lam,n", DENSE_CASES)
+def test_certificate_matches_the_dense_pencil(q, lam, n):
+    st = sngs.solve(sngs.normal_form(q, lam)[1], n)
+    act = sngs.operators.active_slice(st.grid)
+    t = translation_mode(st)[act]
+    for k, probe in ((0, st.u[act]), (1, t)):
+        op = sector_form(st, k)
+        exact, V = oracles.dense_sector_pencil(op)
+        entry = sector_spectrum(op, probe)
+        # the counts at +-GAP_TOL are the dense pencil's
+        assert entry.count_below == np.count_nonzero(exact < GAP_TOL)
+        assert sngs.operators.count_below(op.form, op.mass, -GAP_TOL) \
+            == np.count_nonzero(exact < -GAP_TOL)
+        if k == 0:
+            continue
+        # Temple's enclosure holds the dense sigma_1, and the Davis-Kahan
+        # angle is at least the step's true angle to its eigenvector
+        lo, rho = entry.enclosure
+        assert lo - 1e-11 <= exact[0] <= rho + 1e-11, (lo, exact[0], rho)
+        y = sngs.operators.inverse_step(op.form, op.mass, GAP_TOL, t)[2]
+        true = sngs.linearized._angle(op.mass, y, V[:, 0])
+        assert true <= entry.davis_kahan
+        # so the certified match is at most the eigenvector's own match
+        own = math.cos(sngs.linearized._angle(op.mass, V[:, 0], t))
+        assert entry.zero_mode_match <= own + 1e-12
+
+
+def test_witness_fallback_factors_sector_zero_again(monkeypatch):
+    # a witness not below -GAP_TOL proves nothing: sector 0 is then factored
+    # a second time at -GAP_TOL, the only second factorization, and its count
+    # there certifies the radial gap instead
+    st = sngs.solve(sngs.normal_form(4.0, 1e-2)[1], 257)
+    calls = []
+    inertia, rayleigh = sngs.operators._inertia, sngs.operators.rayleigh
+
+    def counted(form, mass, tau):
+        calls.append(tau)
+        return inertia(form, mass, tau)
+
+    def no_witness(form, mass, x):
+        rho, eta = rayleigh(form, mass, x)
+        return (-GAP_TOL if len(calls) == 1 else rho), eta
+    monkeypatch.setattr(sngs.operators, "_inertia", counted)
+    monkeypatch.setattr(sngs.operators, "rayleigh", no_witness)
+    rep = nondegeneracy_report(st)
+    s0 = rep.sectors[0]
+    assert calls == [GAP_TOL, -GAP_TOL, GAP_TOL]
+    assert (s0.witness, s0.factorizations) == (-GAP_TOL, 2)
+    exact, _ = oracles.dense_sector_pencil(sector_form(st, 0))
+    assert s0.below_split == np.count_nonzero(exact < -GAP_TOL) == 1
+    assert rep.verdict == "nondegenerate"
+    # a count of 0 there leaves the one counted eigenvalue in the band
+    calls.clear()
+
+    def none_below_split(form, mass, tau):
+        lu, below, fill = counted(form, mass, tau)
+        return lu, (0 if tau < 0 else below), fill
+    monkeypatch.setattr(sngs.operators, "_inertia", none_below_split)
+    rep = nondegeneracy_report(st)
+    assert rep.sectors[0].below_split == 0
+    assert rep.verdict == "inconclusive"
+
+
+def _zero_enclosure(q, lam, n):
+    """An enclosure [lo, hi] of sector 1's lowest eigenvalue: Temple's when
+    the count isolates it below +GAP_TOL, [GAP_TOL, rho] when the count is 0
+    (every eigenvalue lies above the shift)."""
+    st = sngs.solve(sngs.normal_form(q, lam)[1], n)
+    act = sngs.operators.active_slice(st.grid)
+    entry = sector_spectrum(sector_form(st, 1), translation_mode(st)[act])
+    if entry.count_below == 0:
+        return [GAP_TOL, entry.enclosure[1]]
+    assert entry.count_below == 1 and entry.enclosure[0] is not None
+    return entry.enclosure
 
 
 def test_translation_eigenvalue_falls_under_refinement():
     # the whole-space potential leaves only the discretization error in the
-    # zero mode: about 15x per n -> 2n - 1 at q=4.75, lambda=10
-    zero = []
-    for n in (1024, 2047, 4093):
-        st = sngs.solve(sngs.normal_form(4.75, 10.0)[1], n)
-        zero.append(min(abs(s) for s in
-                        sector_spectrum(sector_form(st, 1), 2).eigenvalues))
-    assert zero[1] <= zero[0] / 10.0 and zero[2] <= zero[1] / 10.0, zero
+    # zero mode: about 15x per n -> 2n - 1 at q=4.75, lambda=10, decided on
+    # the enclosures (each rung's upper end below a tenth of the last lower)
+    rungs = [_zero_enclosure(4.75, 10.0, n) for n in (1024, 2047, 4093)]
+    for (lo, _), (_, hi) in zip(rungs, rungs[1:]):
+        assert 0.0 < hi <= lo / 10.0, rungs
 
 
 @pytest.mark.parametrize("q,lam", [(4.0, 1e-2), (2.25, 1e-2), (4.75, 10.0)])
 def test_zero_mode_sits_at_round_off_or_falls_under_refinement(q, lam):
     # with the centrifugal term on W / r^2 the sector-1 "zero" carries no
-    # O(h^2) term: at q = 4 and 2.25 it is round-off on every rung, at
-    # q = 4.75 an O(h^4) error that falls about 16x per n -> 2n - 1
-    zero, sigma2 = [], []
-    for n in (4096, 8191, 16381):
-        st = sngs.solve(sngs.normal_form(q, lam)[1], n)
-        low = sorted(abs(s) for s in
-                     sector_spectrum(sector_form(st, 1), 2).eigenvalues)
-        zero.append(low[0])
-        sigma2.append(low[1])
-    at_round_off = all(z <= 1e-10 * s2 for z, s2 in zip(zero, sigma2))
-    falling = zero[1] <= zero[0] / 10.0 and zero[2] <= zero[1] / 10.0
-    assert at_round_off or falling, (zero, sigma2)
+    # O(h^2) term: at q = 4 and 2.25 its enclosure lies at round-off on every
+    # rung (within 1e-10 of 0; sigma_2 is about 0.67 there), at q = 4.75 it
+    # is an O(h^4) error that falls about 16x per n -> 2n - 1, by enclosures
+    rungs = [_zero_enclosure(q, lam, n) for n in (4096, 8191, 16381)]
+    at_round_off = all(max(abs(lo), abs(hi)) <= 1e-10 for lo, hi in rungs)
+    falling = all(0.0 < hi <= lo / 10.0
+                  for (lo, _), (_, hi) in zip(rungs, rungs[1:]))
+    assert at_round_off or falling, rungs
 
 
 def test_sector_spectrum_choquard(choquard):
-    op1 = sector_form(choquard, 1)
-    rep1 = sector_spectrum(op1, 2)
-    assert abs(rep1.eigenvalues[0]) <= 5e-4   # zero mode
-    assert rep1.eigenvalues[1] > 0.0
-    op2 = sector_form(choquard, 2)
-    rep2 = sector_spectrum(op2, 2)
-    assert min(rep2.eigenvalues) > 0.0
+    act = sngs.operators.active_slice(choquard.grid)
+    t = translation_mode(choquard)[act]
+    rep1 = sector_spectrum(sector_form(choquard, 1), t)
+    assert rep1.count_below == 1
+    lo, rho = rep1.enclosure
+    assert -5e-4 <= lo <= rho <= 5e-4   # zero mode
+    rep2 = sector_spectrum(sector_form(choquard, 2), t)
+    assert rep2.count_below == 0 and rep2.enclosure[1] > 0.0
 
 
 def test_sector_ordering(choquard):
-    mins = []
-    for k in (1, 2, 3):
-        rep = sector_spectrum(sector_form(choquard, k), 3)
-        mins.append(min(rep.eigenvalues))
-    assert mins[0] <= mins[1] <= mins[2]
+    # L_1 <= L_2 <= L_3: at every shift the counts do not rise with k, and
+    # sector 1's Temple lower end plus the Weyl shift stays below the upper
+    # ends of sectors 2 and 3
+    ops = [sector_form(choquard, k) for k in (1, 2, 3)]
+    for tau in (GAP_TOL, 0.05, 0.1, 0.2, 0.4):
+        counts = [sngs.operators.count_below(op.form, op.mass, tau)
+                  for op in ops]
+        assert counts[0] >= counts[1] >= counts[2], (tau, counts)
+    act = sngs.operators.active_slice(choquard.grid)
+    t = translation_mode(choquard)[act]
+    lo = sector_spectrum(ops[0], t).enclosure[0]
+    r_act = choquard.grid.nodes[act[-1]]
+    for k, op in ((2, ops[1]), (3, ops[2])):
+        assert lo + (k * (k + 1) - 2) / r_act ** 2 \
+            <= sector_spectrum(op, t).enclosure[1]
 
 
 def test_nondegeneracy_report_choquard(solved_cache):
     st = solved_cache(1.0, 1.0, 0.0, 4.0, n=2048, rmax=60.0)
     rep = nondegeneracy_report(st)
     assert rep.verdict == "nondegenerate"
-    assert rep.sectors[1].kernel_dimension == 1
-    assert rep.sectors[1].zero_mode_match >= 0.999
-    assert rep.sectors[0].kernel_dimension == 0
+    s0, s1 = rep.sectors
+    assert s1.count_below == 1
+    assert -GAP_TOL < s1.enclosure[0] <= s1.enclosure[1] < GAP_TOL
+    assert s1.zero_mode_match >= 0.999
+    assert s0.count_below == 1 and s0.witness < -GAP_TOL
     assert rep.higher_sectors["bound"] > 0.0
     assert rep.higher_sectors["ordering_gap"] > 0.0
 
@@ -194,8 +288,10 @@ def test_nondegeneracy_report_choquard(solved_cache):
 def test_nondegeneracy_kwong_radial_kernel_free(solved_cache):
     st = solved_cache(1.0, 0.0, 1.0, 4.0, n=1536, rmax=30.0)
     rep = nondegeneracy_report(st)
-    assert min(abs(s) for s in rep.sectors[0].eigenvalues) > GAP_TOL
-    assert rep.sectors[1].kernel_dimension == 1
+    s0, s1 = rep.sectors
+    assert s0.count_below == 1 and s0.witness < -GAP_TOL
+    assert s1.count_below == 1
+    assert -GAP_TOL < s1.enclosure[0] <= s1.enclosure[1] < GAP_TOL
 
 
 # the lowest six eigenvalues of sectors k = 0..3 in the two `spectrum` runs
@@ -234,37 +330,33 @@ def test_run_spectrum_cases_match_recorded(q, lam):
     recorded = np.array(RUN_SPECTRUM_EIGENVALUES[(q, lam)])
     rep = nondegeneracy_report(st)
     assert rep.verdict == "nondegenerate"
+    # the counts place the recorded values: one each between two of them,
+    # and at the shifts +-GAP_TOL
     ops = [sector_form(st, k) for k in range(4)]
-    below = [sngs.operators.count_below(op.form, op.mass, -GAP_TOL) for op in ops]
-    assert [e.below_split for e in rep.sectors] == below[:2]
-    assert below == [1, 0, 0, 0]
-    # the 23 recorded values above the split, through solves of the same
-    # sectors for every pair above it in the six lowest
-    six = [sector_spectrum(op, 6 - b).eigenvalues for op, b in zip(ops, below)]
-    for got, row, b in zip(six, recorded, below):
-        assert np.max(np.abs(got - row[b:])) <= 1e-10
-    # the report holds the pairs its verdict reads: the leading ones above
-    # the split
-    assert [len(e.eigenvalues) for e in rep.sectors] == [1, 2]
-    for e, row in zip(rep.sectors, recorded):
-        got = row[e.below_split:e.below_split + len(e.eigenvalues)]
-        assert np.max(np.abs(e.eigenvalues - got)) <= 1e-10
-    assert max(e.backward_error for e in rep.sectors) <= 1e-12
-    # sector 1 bounds the solved minima of sectors 2 and 3 from below
+    for op, row in zip(ops, recorded):
+        taus = [-GAP_TOL, GAP_TOL, *(0.5 * (row[1:] + row[:-1]))]
+        assert [sngs.operators.count_below(op.form, op.mass, tau)
+                for tau in taus] \
+            == [np.count_nonzero(row < tau) for tau in taus]
+    s0, s1 = rep.sectors
+    assert [e.count_below for e in rep.sectors] == [1, 1]
+    assert s0.witness < -GAP_TOL
+    # Temple's enclosure holds the recorded sigma_1
+    lo, rho = s1.enclosure
+    assert lo - 1e-11 <= recorded[1][0] <= rho + 1e-11
+    # sector 1 bounds the recorded minima of sectors 2 and 3 from below
     higher = rep.higher_sectors
     assert higher["r_act"] == st.grid.nodes[-3]
     assert higher["ordering_gap"] > 0.0
-    sigma_min = min(rep.sectors[1].eigenvalues)
-    assert higher["bound"] == sigma_min + 4.0 / higher["r_act"] ** 2 > 0.0
+    assert higher["bound"] == lo + 4.0 / higher["r_act"] ** 2 > 0.0
     for k in (2, 3):
-        assert sigma_min + (k * (k + 1) - 2) / higher["r_act"] ** 2 <= min(six[k])
+        assert lo + (k * (k + 1) - 2) / higher["r_act"] ** 2 <= recorded[k][0]
 
 
 @pytest.mark.parametrize("q,lam", sorted(RUN_SPECTRUM_EIGENVALUES))
 def test_run_spectrum_cases_never_refine(q, lam, monkeypatch):
-    # Lanczos stops at BACKWARD_TOL; a pair it leaves over that bound would be
-    # refined through one more factorization, so the count of factorizations
-    # is one per sector, at its split, and nothing else
+    # one factorization per sector, at +GAP_TOL, and nothing else: sector
+    # 0's witness holds, so it is not factored again at -GAP_TOL
     st = sngs.solve(sngs.normal_form(q, lam)[1], 4096)
     calls = []
     inertia = sngs.operators._inertia
@@ -274,9 +366,9 @@ def test_run_spectrum_cases_never_refine(q, lam, monkeypatch):
         return inertia(form, mass, tau)
     monkeypatch.setattr(sngs.operators, "_inertia", counted)
     rep = nondegeneracy_report(st)
-    assert calls == [-GAP_TOL] * 2
+    assert calls == [GAP_TOL] * 2
     assert [e.factorizations for e in rep.sectors] == [1, 1]
-    assert all(e.solves > 0 for e in rep.sectors)
+    assert rep.sectors[0].below_split is None
 
 
 class _Factor:
@@ -322,42 +414,46 @@ def test_report_keeps_one_sector_and_one_factorization_alive(monkeypatch):
 
 
 def test_sector_one_below_the_split_voids_the_higher_sector_bound(monkeypatch):
-    # with an eigenvalue below the split in sector 1 its lowest returned one
-    # is not sigma_min(L_1), so no k >= 2 bound follows and no verdict of
-    # nondegenerate
+    # with a second sector-1 eigenvalue counted below the shift, the step's
+    # Rayleigh quotient need not bound sigma_1 from Temple's side: no
+    # enclosure, no k >= 2 bound, and the verdict is degenerate
     st = sngs.solve(sngs.normal_form(4.0, 1e-2)[1], 1024)
-    spectrum = sngs.linearized.sector_spectrum
+    inertia = sngs.operators._inertia
+    calls = []
 
-    def counted_one_more(op, above):
-        entry = spectrum(op, above)
-        if op.k == 1:
-            entry.below_split = 1
-        return entry
-    monkeypatch.setattr(sngs.linearized, "sector_spectrum", counted_one_more)
+    def counted_one_more(form, mass, tau):
+        calls.append(tau)
+        lu, below, fill = inertia(form, mass, tau)
+        return lu, below + (len(calls) == 2), fill
+    monkeypatch.setattr(sngs.operators, "_inertia", counted_one_more)
     rep = nondegeneracy_report(st)
-    assert rep.sectors[1].kernel_dimension == 1
+    s1 = rep.sectors[1]
+    assert s1.count_below == 2
+    assert s1.enclosure[0] is None and s1.enclosure[1] < GAP_TOL
+    assert s1.davis_kahan is None and s1.zero_mode_match is None
     assert rep.higher_sectors["bound"] is None
-    assert rep.verdict == "inconclusive"
+    assert rep.verdict == "degenerate"
 
 
 # the CI spectrum cases, and two states whose zero mode is an O(h^4) error
 # rather than round-off (ROADMAP item 7's table) at n=8191
-LANCZOS_CASES = [(4.0, 1e-2, 1024), (4.75, 10.0, 2048), (2.5, 1e2, 4096),
-                 (4.75, 10.0, 8191), (5.5, 1e2, 8191)]
+ARPACK_CASES = [(4.0, 1e-2, 1024), (4.75, 10.0, 2048), (2.5, 1e2, 4096),
+                (4.75, 10.0, 8191), (5.5, 1e2, 8191)]
 
 
-@pytest.mark.parametrize("q,lam,n", LANCZOS_CASES)
-def test_lanczos_agrees_with_arpack(q, lam, n):
-    # the pairs each sector's report reads, against ARPACK's shift-invert
-    # eigsh through splu's LDL^T of the scipy.sparse pair form
+@pytest.mark.parametrize("q,lam,n", ARPACK_CASES)
+def test_temple_encloses_the_arpack_eigenvalue(q, lam, n):
+    # each sector's certificate against ARPACK's shift-invert eigsh through
+    # splu's LDL^T of the scipy.sparse pair form, above -GAP_TOL
     st = sngs.solve(sngs.normal_form(q, lam)[1], n)
-    for k, above in ((0, 1), (1, 2)):
-        op = sector_form(st, k)
-        eig = sngs.operators.smallest_eigenpairs(op.form, op.mass, above,
-                                                 split=-GAP_TOL)
-        ref, _, _ = oracles.arpack_eigenpairs(oracles.sector_form_csr(st, k),
-                                              op.mass, above, -GAP_TOL)
-        assert np.all(np.abs(eig.values - ref)
-                      <= 1e-10 * np.maximum(1.0, np.abs(ref))), (eig.values, ref)
-        assert np.all(eig.backward_errors <= sngs.operators.BACKWARD_TOL)
-        assert eig.factorizations == 1
+    rep = nondegeneracy_report(st)
+    s0, s1 = rep.sectors
+    gap, _, _ = oracles.arpack_eigenpairs(oracles.sector_form_csr(st, 0),
+                                          sector_form(st, 0).mass, 1, -GAP_TOL)
+    assert s0.count_below == 1 and gap[0] > GAP_TOL
+    (sigma1, sigma2), _, _ = oracles.arpack_eigenpairs(
+        oracles.sector_form_csr(st, 1), sector_form(st, 1).mass, 2, -GAP_TOL)
+    assert s1.count_below == 1 and sigma2 > GAP_TOL
+    lo, rho = s1.enclosure
+    assert lo - 1e-11 <= sigma1 <= rho + 1e-11, (lo, sigma1, rho)
+    assert [e.factorizations for e in rep.sectors] == [1, 1]

@@ -4,7 +4,6 @@ import scipy.sparse as sp
 
 import sngs
 from sngs import operators
-from sngs.errors import FactorizationFailure, TooManyRequested
 import oracles
 from oracles import bands_of
 
@@ -18,14 +17,18 @@ def dirichlet_1d(m, h):
 
 
 def test_dirichlet_spectrum_matches_discrete_formula():
+    # sin(k x_j) are the eigenvectors: their Rayleigh quotients are the
+    # discrete eigenvalues 4/h^2 sin^2(k h / 2), at a rounding-level residual
     m = 200
     h = np.pi / (m + 1)
-    A = dirichlet_1d(m, h)
+    A = bands_of(dirichlet_1d(m, h))
     mass = np.ones(m)
-    eig = operators.smallest_eigenpairs(bands_of(A), mass, 3, split=-1.0)
-    for k, sigma in enumerate(eig.values, start=1):
+    x = np.arange(1, m + 1) * h
+    for k in (1, 2, 3):
         expect = 4.0 / h**2 * np.sin(k * h / 2.0) ** 2
-        assert sigma == pytest.approx(expect, rel=1e-10)
+        rho, eta = operators.rayleigh(A, mass, np.sin(k * x))
+        assert rho == pytest.approx(expect, rel=1e-12)
+        assert eta <= 1e-12 * 4.0 / h**2
 
 
 def test_count_below_dirichlet():
@@ -62,60 +65,57 @@ def test_inertia_split_matches_dense():
     assert A.shape[0] >= 64
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
     assert exact[0] < -40.0 and 0.0 < exact[1] < 0.003   # deep, then the cluster
-    # the deep eigenvalue is counted, the cluster above the split returned
+    # the deep eigenvalue is counted on both sides of the band +-1e-3, and
+    # the cluster above it one by one
     A = bands_of(A)
-    eig = operators.smallest_eigenpairs(A, mass, 5, split=-1e-3)
-    assert eig.below == operators.count_below(A, mass, -1e-3) == 1
-    assert np.max(np.abs(eig.values - exact[1:6])) <= 1e-10
+    assert operators.count_below(A, mass, -1e-3) == 1
+    assert operators.count_below(A, mass, 1e-3) == 1
+    for j in range(1, 6):
+        tau = 0.5 * (exact[j] + exact[j + 1])
+        assert operators.count_below(A, mass, tau) == j + 1
 
 
 def test_dirichlet_smallest_tends_to_one():
-    vals = []
+    # inverse steps from a parabola at a shift the count places between the
+    # two lowest eigenvalues: Temple's enclosure holds 4/h^2 sin^2(h/2) and
+    # closes on it, and that tends to 1
+    rhos = []
     for m in (100, 400, 1600):
         h = np.pi / (m + 1)
-        A = dirichlet_1d(m, h)
-        vals.append(operators.smallest_eigenpairs(bands_of(A), np.ones(m), 1,
-                                                    split=-1.0).values[0])
-    assert abs(vals[-1] - 1.0) < 1e-5
-    assert abs(vals[0] - 1.0) > abs(vals[-1] - 1.0)
+        A = bands_of(dirichlet_1d(m, h))
+        mass, tau = np.ones(m), 2.5
+        x = np.arange(1, m + 1) * h
+        y = x * (np.pi - x)
+        for _ in range(6):
+            below, _, y = operators.inverse_step(A, mass, tau, y)
+            assert below == 1
+            y /= np.linalg.norm(y)
+        rho, eta = operators.rayleigh(A, mass, y)
+        exact = 4.0 / h**2 * np.sin(h / 2.0) ** 2
+        assert rho - eta**2 / (tau - rho) <= exact <= rho + 1e-14
+        assert rho - exact <= 1e-9
+        rhos.append(rho)
+    assert abs(rhos[-1] - 1.0) < 1e-5
+    assert abs(rhos[0] - 1.0) > abs(rhos[-1] - 1.0)
 
 
 def test_identity_pencil():
     m = 120
     mass = np.linspace(0.5, 2.0, m)
     A = bands_of(sp.diags(mass))
-    eig = operators.smallest_eigenpairs(A, mass, 4, split=-1.0)
-    for sigma in eig.values:
-        assert sigma == pytest.approx(1.0, rel=1e-12)
-
-
-def test_too_many_requested():
-    A = bands_of(dirichlet_1d(10, 0.1))
-    for m in (9, 11):   # at most dim - 2
-        with pytest.raises(TooManyRequested):
-            operators.smallest_eigenpairs(A, np.ones(10), m, split=-1.0)
-    # the pairs below the split count against that bound too
-    shifted = bands_of(dirichlet_1d(10, np.pi / 11) - sp.diags(np.full(10, 10.0)))
-    assert operators.count_below(shifted, np.ones(10), -1e-3) == 3
-    with pytest.raises(TooManyRequested):
-        operators.smallest_eigenpairs(shifted, np.ones(10), 6, split=-1e-3)
-
-
-def test_small_pencil_goes_through_arpack():
-    # all but two pairs of a 30-dim pencil: Lanczos spans the whole space
-    import scipy.linalg as sla
-    m = 30
-    A = dirichlet_1d(m, np.pi / (m + 1))
-    mass = 1.0 + 0.3 * np.sin(np.arange(m))
-    exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
-    eig = operators.smallest_eigenpairs(bands_of(A), mass, m - 2, split=-1.0)
-    assert np.max(np.abs(eig.values - exact[:m - 2])) <= 1e-10
+    rng = np.random.default_rng(4)
+    for _ in range(4):
+        rho, eta = operators.rayleigh(A, mass, rng.normal(size=m))
+        assert rho == pytest.approx(1.0, rel=1e-14) and eta <= 1e-14
+    assert operators.count_below(A, mass, 1.0 - 1e-9) == 0
+    assert operators.count_below(A, mass, 1.0 + 1e-9) == m
 
 
 def test_small_mass_rows_match_dense_oracle():
     # the weighted forms scale like r_i r_j and their mass like r_i^2, which
-    # spans 1e-9 .. 1 here; the D = M^(-1/2) scaling of the Lanczos operator
-    # must lose nothing on the rows where the mass is smallest
+    # spans 1e-9 .. 1 here; the count, the inverse step and the M^-1 norm
+    # of the residual must lose nothing on the rows where the mass is
+    # smallest
     import scipy.linalg as sla
     m = 200
     r = np.geomspace(10 ** -4.5, 1.0, m)
@@ -126,118 +126,74 @@ def test_small_mass_rows_match_dense_oracle():
     exact, V = sla.eigh(A.toarray(), np.diag(mass))
     A = bands_of(A)
     assert mass.min() < 1.01e-9 and exact[0] < -1e-3
-    eig = operators.smallest_eigenpairs(A, mass, 5, split=-1e-3)
     below = np.count_nonzero(exact < -1e-3)
-    assert eig.below == below
-    assert np.max(np.abs(eig.values - exact[below:below + 5])) <= 1e-10
-    for x, v in zip(eig.vectors.T, V[:, below:].T):   # entrywise, smallest-mass rows too
-        x = x * np.sign(np.dot(mass * x, v))
-        assert np.max(np.abs(x - v)) <= 1e-10 * np.max(np.abs(v))
-    assert np.all(eig.backward_errors <= operators.BACKWARD_TOL)
-    np.testing.assert_array_equal(
-        eig.backward_errors,
-        operators.backward_errors(A, mass, eig.values, eig.vectors))
+    for j in range(below, below + 5):   # entrywise, smallest-mass rows too
+        count, _, y = operators.inverse_step(A, mass, -1e-3, V[:, j])
+        assert count == below
+        want = V[:, j] / (exact[j] + 1e-3)
+        assert np.max(np.abs(y - want)) <= 1e-10 * np.max(np.abs(want))
+        rho, eta = operators.rayleigh(A, mass, y)
+        assert abs(rho - exact[j]) <= 1e-10 * max(1.0, abs(exact[j]))
+        assert eta <= 1e-9 * max(1.0, abs(exact[j]))
+    x = V[:, below] + 1e-3 * V[:, below + 1]
+    rho, eta = operators.rayleigh(A, mass, x)
+    res = A @ x - rho * mass * x
+    assert eta == pytest.approx(np.sqrt(np.dot(res / mass, res)
+                                        / np.dot(mass * x, x)), rel=1e-12)
 
 
-def test_eigensolve_counts():
-    # one factorization at the split and one call through it, no refinement,
-    # with an eigenvalue below the split or none
+def test_eigensolve_counts(monkeypatch):
+    # one factorization per count, the inverse step through the same one
     A, mass = two_block_pencil()
-    eig = operators.smallest_eigenpairs(bands_of(A), mass, 5, split=-1e-3)
-    assert (eig.below, eig.factorizations) == (1, 1)
-    assert eig.solves >= 5
-    eig = operators.smallest_eigenpairs(bands_of(dirichlet_1d(50, 0.02)),
-                                        np.ones(50), 3, split=-1.0)
-    assert (eig.below, eig.factorizations) == (0, 1)
+    calls = []
+    inertia = operators._inertia
+
+    def counted(form, mass, tau):
+        calls.append(tau)
+        return inertia(form, mass, tau)
+    monkeypatch.setattr(operators, "_inertia", counted)
+    A = bands_of(A)
+    below, fill, y = operators.inverse_step(A, mass, 1e-3, np.ones(len(mass)))
+    assert (below, calls) == (1, [1e-3]) and fill > 0 and y.shape == mass.shape
+    assert operators.inverse_step(A, mass, -1e-3)[::2] == (1, None)
+    assert calls == [1e-3, -1e-3]
 
 
 @pytest.mark.parametrize("c,below,above", [(10.0, 3, 2), (55.0, 7, 1)])
 def test_every_pair_below_the_split_and_those_asked_above(c, below, above):
-    # the pairs below the split are counted, however many there are, and
-    # only those asked for above it are returned: the lowest above it
+    # the pairs below the split are counted, however many there are, and so
+    # is each of those above it, one count per shift between two of them
     import scipy.linalg as sla
     m = 80
     mass = 1.0 + 0.3 * np.sin(np.arange(m))
     A = (dirichlet_1d(m, np.pi / (m + 1)) - sp.diags(c * mass)).tocsr()
     exact = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
     assert np.count_nonzero(exact < -1e-3) == below
-    eig = operators.smallest_eigenpairs(bands_of(A), mass, above, split=-1e-3)
-    assert eig.below == below
-    assert len(eig.values) == above and np.all(eig.values > -1e-3)
-    assert np.max(np.abs(eig.values - exact[below:below + above])) <= 1e-10
-    assert eig.factorizations == 1
-
-
-def test_value_returned_below_the_split_is_refused(monkeypatch):
-    # a pair the count places under the split never passes as one above it
-    shift_invert = operators._shift_invert
-
-    def lowered(lu, s, k, sigma):
-        w, y, solves = shift_invert(lu, s, k, sigma)
-        return w - 2.0, y, solves
-    monkeypatch.setattr(operators, "_shift_invert", lowered)
-    with pytest.raises(FactorizationFailure, match="at or below"):
-        operators.smallest_eigenpairs(bands_of(dirichlet_1d(50, np.pi / 51)),
-                                      np.ones(50), 2, split=-1e-3)
-
-
-def test_lanczos_fails_at_the_krylov_cap(monkeypatch):
-    # a run that has not converged when it reaches KRYLOV_CAP steps is
-    # refused, never returned
-    m = 200
-    A = bands_of(dirichlet_1d(m, np.pi / (m + 1)))
-    eig = operators.smallest_eigenpairs(A, np.ones(m), 2, split=-1.0)
-    assert eig.solves > 3
-    monkeypatch.setattr(operators, "KRYLOV_CAP", 3)
-    with pytest.raises(FactorizationFailure, match="not converged in 3 steps"):
-        operators.smallest_eigenpairs(A, np.ones(m), 2, split=-1.0)
-
-
-def test_eigenvectors_mass_orthonormal():
-    m = 300
-    h = 1.0 / (m + 1)
-    A = bands_of(dirichlet_1d(m, h))
-    mass = 1.0 + 0.3 * np.sin(np.arange(m))
-    V = operators.smallest_eigenpairs(A, mass, 4, split=-1.0).vectors
-    G = V.T @ (mass[:, None] * V)
-    assert np.max(np.abs(G - np.eye(4))) < 1e-8
+    A = bands_of(A)
+    assert operators.count_below(A, mass, -1e-3) == below
+    for j in range(below + 1, below + above + 1):
+        tau = 0.5 * (exact[j - 1] + exact[j])
+        assert operators.count_below(A, mass, tau) == j
 
 
 def test_eigen_residuals():
-    m = 500
-    h = np.pi / (m + 1)
-    A = dirichlet_1d(m, h)
-    mass = np.ones(m)
-    eig = operators.smallest_eigenpairs(bands_of(A), mass, 3, split=-1.0)
-    for sigma, x in zip(eig.values, eig.vectors.T):
-        ax = A @ x
-        assert np.linalg.norm(ax - sigma * mass * x) <= 1e-8 * np.linalg.norm(ax)
-
-
-def test_verified_refines_once_then_raises():
-    m = 200
-    h = np.pi / (m + 1)
-    A = bands_of(dirichlet_1d(m, h))
-    mass = np.ones(m)
-    (s1, s2), X, *_ = operators.smallest_eigenpairs(A, mass, 2, split=-1.0)
-    noisy = X[:, :1] + 1e-6 * np.random.default_rng(5).normal(size=(m, 1))
-    noisy /= np.sqrt(np.dot(mass, noisy[:, 0] ** 2))
-    sigma = np.array([s1])
-    assert operators.backward_errors(A, mass, sigma, noisy)[0] \
-        > operators.BACKWARD_TOL
-    errors, refined = operators._verified(A, mass, sigma, noisy)
-    assert refined == 1
-    assert errors[0] == operators.backward_errors(A, mass, sigma, noisy)[0] \
-        <= operators.BACKWARD_TOL
-    assert sigma[0] == pytest.approx(s1, rel=1e-12)
-    # midway between two eigenvalues one inverse-iteration step leaves the
-    # pair far from any eigenpair, so it is refused rather than returned
-    with pytest.raises(FactorizationFailure):
-        operators._verified(A, mass, np.array([0.5 * (s1 + s2)]),
-                            np.ones((m, 1)) / np.sqrt(m))
-    # a NaN backward error is over the bound too
-    with pytest.raises(FactorizationFailure):
-        operators._verified(A, mass, np.array([s1]), np.full((m, 1), np.nan))
+    # the Rayleigh quotient and M^-1-norm residual of a pair form's Schur
+    # complement, against the dense complement
+    m, rng = 40, np.random.default_rng(9)
+    lead = dirichlet_1d(m, 0.1) - sp.diags(rng.uniform(0.0, 50.0, size=m))
+    T = dirichlet_1d(m, 0.1)
+    B = sp.diags(rng.uniform(0.5, 2.0, size=m))
+    form = bands_of(sp.bmat([[lead, B], [B, T]], format="csr"))
+    mass = rng.uniform(0.1, 2.0, size=m)
+    L = lead.toarray() - B.toarray() @ np.linalg.solve(T.toarray(), B.toarray())
+    for _ in range(3):
+        x = rng.normal(size=m)
+        rho, eta = operators.rayleigh(form, mass, x)
+        want = x @ L @ x / np.dot(mass * x, x)
+        res = L @ x - want * mass * x
+        assert rho == pytest.approx(want, rel=1e-12)
+        assert eta == pytest.approx(np.sqrt(np.dot(res / mass, res)
+                                            / np.dot(mass * x, x)), rel=1e-10)
 
 
 def test_radial_laplacian_fourth_order():

@@ -131,6 +131,32 @@ def test_newton_step_rejects_nan(solved_cache, where):
         _newton_step(u, v, F, st.params, g, A, _step_workspace(g))
 
 
+@pytest.mark.parametrize("n", [16, 4096, 65536])
+def test_newton_step_writes_t0_as_green_bands(n, monkeypatch):
+    """The step writes T_0 in closed form (2/h, 1/h last, -1/h off the
+    diagonal): the bands of hartree.green_bands(0, m, h), bit for bit, on
+    m = n - 3 active nodes."""
+    from sngs import solver
+    from sngs.hartree import green_bands
+    p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
+    g = sngs.make_grid(sngs.auto_rmax(p.lam), n)
+    A = sngs.operators.radial_laplacian(g)
+    real_dgbsv, seen = solver.dgbsv, []
+
+    def dgbsv(kl, ku, ab, b, **kw):
+        seen.append(ab[4:].copy())
+        return real_dgbsv(kl, ku, ab, b, **kw)
+    monkeypatch.setattr(solver, "dgbsv", dgbsv)
+    u = sngs.default_guess(p, g)
+    F, v = _residual_values(u, p, g, A)
+    _newton_step(u, v, F, p, g, A, _step_workspace(g))
+    band = seen[0]
+    diag, off = green_bands(0, n - 3, g.h)
+    for got, want in ((band[4, 1::2], diag), (band[2, 3::2], off),
+                      (band[6, 1:-2:2], off)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("n", [16, 1024, 4097])
 def test_banded_assembly_matches_the_csr_oracle(n, monkeypatch):
     """S + lam W of the warm start, the band matrix dgbsv receives in a
