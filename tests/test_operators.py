@@ -176,6 +176,41 @@ def test_every_pair_below_the_split_and_those_asked_above(c, below, above):
         assert operators.count_below(A, mass, tau) == j
 
 
+def test_value_returned_below_the_split_is_refused():
+    # the inverse step's Rayleigh quotient passes as Temple's enclosure of
+    # the lowest eigenvalue only when the count at +GAP_TOL isolates that
+    # one eigenvalue below it and the quotient is below it too
+    import scipy.linalg as sla
+    from sngs.linearized import GAP_TOL, SectorOperator, sector_spectrum
+    m = 60
+    mass = 1.0 + 0.3 * np.sin(np.arange(m))
+    rng = np.random.default_rng(3)
+
+    def sector(c):
+        A = (dirichlet_1d(m, np.pi / (m + 1)) - sp.diags(c * mass)).tocsr()
+        sigma, V = sla.eigh(A.toarray(), np.diag(mass))
+        return SectorOperator(1, bands_of(A), mass, np.arange(m)), sigma, V
+
+    # two eigenvalues below +GAP_TOL: the quotient below it is no enclosure
+    op, sigma, V = sector(5.0)
+    assert np.count_nonzero(sigma < GAP_TOL) == 2
+    entry = sector_spectrum(op, V[:, 0] + V[:, 1] + 0.1 * rng.normal(size=m))
+    assert entry.count_below == 2 and entry.enclosure[1] < GAP_TOL
+    assert entry.enclosure[0] is None
+    assert entry.davis_kahan is None and entry.zero_mode_match is None
+    # one below +GAP_TOL, but the step lands on an eigenvector above it
+    op, sigma, V = sector(2.5)
+    assert np.count_nonzero(sigma < GAP_TOL) == 1
+    entry = sector_spectrum(op, V[:, 1])
+    assert entry.count_below == 1 and entry.enclosure[1] > GAP_TOL
+    assert entry.enclosure[0] is None and entry.davis_kahan is None
+    # the same sector from near its lowest eigenvector is enclosed
+    entry = sector_spectrum(op, V[:, 0] + 1e-2 * rng.normal(size=m))
+    lo, rho = entry.enclosure
+    assert lo - 1e-11 <= sigma[0] <= rho + 1e-11, (lo, sigma[0], rho)
+    assert entry.zero_mode_match is not None
+
+
 def test_eigen_residuals():
     # the Rayleigh quotient and M^-1-norm residual of a pair form's Schur
     # complement, against the dense complement
