@@ -28,7 +28,7 @@ class RadiusOutOfRange(SngsError):
 
 class FactorizationFailure(SngsError):
     """A sector count that cannot be trusted: a singular or pivoted inertia
-    shift, or a failed tridiagonal solve or bisection.  Nothing retries."""
+    shift, or a failed tridiagonal solve.  Nothing retries."""
 
 
 # -- model / solver ----------------------------------------------------------

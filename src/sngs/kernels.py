@@ -1,15 +1,14 @@
 """The compiled routines sngs takes from scipy, loaded by file path.
 
-sngs calls five LAPACK routines (dgbsv, dpbtrf, dpbtrs, dptsv, dstebz) and
-SuperLU's gstrf, and nothing else of scipy.  Importing them through
-`scipy.linalg` or `scipy.sparse.linalg` runs those packages' __init__ and
-scipy's array-API layer: most of a short job's wall time and about 29 MB of
-its memory.  Each of the two extension modules that hold them,
-scipy/linalg/_flapack and scipy/sparse/linalg/_dsolve/_superlu, is loaded
-here from its file instead, under a name in this module's namespace, so no
-`scipy` module is imported.  The file layout is scipy's private one: when a
-file is not found or does not load, the module comes from scipy's own import
-of it, the same compiled code.
+sngs calls four LAPACK routines (dgbsv, dpbtrf, dpbtrs, dptsv) and SuperLU's
+gstrf, and nothing else of scipy.  Importing them through `scipy.linalg` or
+`scipy.sparse.linalg` runs those packages' __init__ and scipy's array-API
+layer: most of a short job's wall time and about 29 MB of its memory.  Each
+of the two extension modules that hold them, scipy/linalg/_flapack and
+scipy/sparse/linalg/_dsolve/_superlu, is loaded here from its file instead,
+under a name in this module's namespace, so no `scipy` module is imported.
+The file layout is scipy's private one: when a file is not found or does not
+load, the module comes from scipy's own import of it, the same compiled code.
 """
 
 from __future__ import annotations
@@ -45,5 +44,4 @@ dgbsv = _flapack.dgbsv     # banded LU solve: the Newton step
 dpbtrf = _flapack.dpbtrf   # banded Cholesky: the warm start's S + lam W
 dpbtrs = _flapack.dpbtrs   # its solves
 dptsv = _flapack.dptsv     # tridiagonal SPD solve: a pair form's T block
-dstebz = _flapack.dstebz   # tridiagonal eigenvalues by bisection
 gstrf = _superlu.gstrf     # SuperLU's factorization of a CSC matrix

@@ -16,8 +16,8 @@ Jacobian; its local diagonal and its coupling sqrt(2a) u come from
 `solver.linearization`, which the Newton step solves with too.  Both are
 unchanged by the map onto the paper's symmetric a=2 pair (s u, t v), with
 t = a/2 and s = sqrt(t), so a state is certified in the convention it was
-solved in.  For the pure power case (a=0) there is no potential and the form
-is the scalar linearization around the Kwong profile.
+solved in.  At a=0 the form is the scalar linearization around the Kwong
+profile beside T_k (B = 0), which adds no negative pivot to a count.
 The nondegeneracy verdict has one fixed tolerance, GAP_TOL: the radial gap,
 and the band (-GAP_TOL, GAP_TOL) in which the translation eigenvalue must lie.
 A state enters only if its residual ratio meets its
@@ -29,17 +29,16 @@ The form is one symmetric matrix in (f, y = r g), mass on f alone, held as
 its bands (`operators.SymmetricBands`): S's three, the coupling B at offset
 N = len(f) and T_k's two; `operators` eliminates its y block, G_k's
 tridiagonal inverse `hartree.green_bands` (no boundary condition on g).  The
-ordering of T_k over T_1 is checked by LAPACK's bisection (dstebz) for the
-lowest eigenvalue of T_2 - T_1.  k=0 uses even parity at the origin, k>=1 odd; f
-vanishes on the two-node Dirichlet pad at r_max.  `nondegeneracy_report`
-assembles, counts and releases sectors 0 and 1 one at a time, so one sector
-form and one LDL^T factorization of it are alive at once; every sector
-k >= 2 follows from sector 1 by the ordering L_k > L_1.  No eigenvalue is
-computed: one LDL^T per sector at +GAP_TOL counts the eigenvalues below it,
-and the state names the vectors the counted ones are checked with, u in
-sector 0 (its Rayleigh quotient, a witness below -GAP_TOL) and u' in sector 1
-(one inverse-iteration step from it through that LDL^T, enclosed by Temple's
-bound).
+ordering of T_k over T_1 is checked by Gershgorin's bound (`ordering_gap`).
+k=0 uses even parity at the origin, k>=1 odd; f vanishes on the two-node
+Dirichlet pad at r_max.  `nondegeneracy_report` assembles, counts and
+releases sectors 0 and 1 one at a time, so one sector form and one LDL^T
+factorization of it are alive at once; every sector k >= 2 follows from
+sector 1 by the ordering L_k > L_1.  No eigenvalue is computed: one LDL^T per
+sector at +GAP_TOL counts the eigenvalues below it, and the state names the
+vectors the counted ones are checked with, u in sector 0 (its Rayleigh
+quotient, a witness below -GAP_TOL) and u' in sector 1 (one inverse-iteration
+step from it through that LDL^T, enclosed by Temple's bound).
 """
 
 from __future__ import annotations
@@ -52,10 +51,9 @@ from typing import Optional
 import numpy as np
 
 from . import operators
-from .errors import FactorizationFailure, UnconvergedState
+from .errors import UnconvergedState
 from .grid import EVEN, ODD, differentiate
 from .hartree import green_bands
-from .kernels import dstebz
 from .solver import GroundState, linearization, residual_failures
 
 # The radial gap and the zero test's tolerance, and the shift of every sector
@@ -69,7 +67,6 @@ class SectorOperator:
     k: int
     form: operators.SymmetricBands   # symmetric weighted form on active nodes
     mass: np.ndarray             # diagonal r^2-weighted mass of f
-    act: np.ndarray              # active node indices on the state's grid
 
 
 def _require_converged(state: GroundState):
@@ -91,28 +88,25 @@ def sector_form(state: GroundState, k: int) -> SectorOperator:
     Wa = grid.weights_r2dr[act]
     pot, b = linearization(state.u, state.v, state.params, grid.h)
     lead = S.diag + Wa * (pot[act] + k * (k + 1) / grid.nodes[act] ** 2)
-    if state.params.a == 0.0:
-        form = operators.SymmetricBands(lead, S.upper)
-    else:
-        # y = r g; with W = h r^2 and the sweep's weights h r_j,
-        # B T_k^-1 B is W b G_k(b .) less its Euler-Maclaurin term; B is
-        # the band at offset N, and T_k's bands follow S's past node N
-        diag, off = green_bands(k, N, grid.h)
-        form = operators.SymmetricBands(
-            np.concatenate([lead, diag]),
-            {1: np.concatenate([S.upper[1], [0.0], off]),
-             2: np.concatenate([S.upper[2], np.zeros(N)]),
-             N: grid.h * grid.nodes[act] * b[act]})
-    return SectorOperator(k=k, form=form, mass=Wa, act=act)
+    # y = r g; with W = h r^2 and the sweep's weights h r_j, B T_k^-1 B is
+    # W b G_k(b .) less its Euler-Maclaurin term; B is the band at offset N,
+    # and T_k's bands follow S's past node N
+    diag, off = green_bands(k, N, grid.h)
+    form = operators.SymmetricBands(
+        np.concatenate([lead, diag]),
+        {1: np.concatenate([S.upper[1], [0.0], off]),
+         2: np.concatenate([S.upper[2], np.zeros(N)]),
+         N: grid.h * grid.nodes[act] * b[act]})
+    return SectorOperator(k=k, form=form, mass=Wa)
 
 
-def _lowest_eigenvalue(d: np.ndarray, e: np.ndarray) -> float:
-    """The lowest eigenvalue of the symmetric tridiagonal matrix with
-    diagonal d and off-diagonal e, by LAPACK's bisection (dstebz)."""
-    m, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
-    if info != 0 or m != 1:
-        raise FactorizationFailure(f"tridiagonal bisection: dstebz info {info}")
-    return float(w[0])
+def ordering_gap(m: int, h: float) -> float:
+    """Gershgorin's lower bound min_i (d_i - |e_(i-1)| - |e_i|) on the
+    eigenvalues of T_2 - T_1 (diagonal d, off-diagonal e) on m nodes of
+    spacing h: T_2 >= T_1 when it is > 0."""
+    (d1, e1), (d2, e2) = (green_bands(k, m, h) for k in (1, 2))
+    e = np.abs(e2 - e1)
+    return float(np.min(d2 - d1 - np.r_[0.0, e] - np.r_[e, 0.0]))
 
 
 def translation_mode(state: GroundState) -> np.ndarray:
@@ -225,8 +219,8 @@ def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
     sigma_min(L_k) >= sigma_min(L_1) + (k(k+1) - 2) / r_act^2, r_act the last
     active node.  `higher_sectors` records that bound at k = 2 with Temple's
     lower end for sigma_min(L_1) (None when sector 1 has no enclosure),
-    r_act, and ordering_gap = lambda_min(T_2 - T_1), the ordering checked in
-    floating point.
+    r_act, and `ordering_gap`, Gershgorin's lower bound on the eigenvalues of
+    T_2 - T_1, the ordering checked in floating point.
 
     nondegenerate: sector 0 counts one eigenvalue below +GAP_TOL and it lies
     below -GAP_TOL (by the witness, or by a count of 1 there), so the Morse
@@ -247,11 +241,9 @@ def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
 
     h = state.grid.h
     r_act = float(state.grid.nodes[act[-1]])
-    (d1, o1), (d2, o2) = (green_bands(k, len(act), h) for k in (1, 2))
     lo = s1.enclosure[0]
     higher = {"bound": None if lo is None else lo + 4.0 / r_act ** 2,
-              "r_act": r_act,
-              "ordering_gap": _lowest_eigenvalue(d2 - d1, o2 - o1)}
+              "r_act": r_act, "ordering_gap": ordering_gap(len(act), h)}
 
     radial_gap = s0.count_below == 1 and (s0.witness < -GAP_TOL
                                           or s0.below_split == 1)

@@ -127,22 +127,16 @@ def active_slice(grid: RadialGrid) -> np.ndarray:
 class SymmetricBands(NamedTuple):
     """A symmetric matrix held as its bands: the main diagonal and, for each
     offset k > 0, the band of entries (j, j + k), which is also that of the
-    entries (j + k, j).  `form @ X` applies it to a vector or to each column
-    of an array."""
+    entries (j + k, j).  `form @ x` applies it to a vector."""
     diag: np.ndarray
     upper: dict                  # offset k -> entries (j, j + k), j < dim - k
 
-    @property
-    def shape(self):
-        return (len(self.diag),) * 2
-
-    def __matmul__(self, X):
-        col = (slice(None),) + (None,) * (np.ndim(X) - 1)
-        Y = self.diag[col] * X
+    def __matmul__(self, x):
+        y = self.diag * x
         for k, band in self.upper.items():
-            Y[:-k] += band[col] * X[k:]
-            Y[k:] += band[col] * X[:-k]
-        return Y
+            y[:-k] += band * x[k:]
+            y[k:] += band * x[:-k]
+        return y
 
 
 def dirichlet_form(grid: RadialGrid, parity: str = EVEN) -> SymmetricBands:
@@ -248,21 +242,21 @@ def _inertia(form, mass, tau):
     return lu, negative, u_nnz + l_nnz
 
 
-def schur_apply(form, mass, X):
-    """form @ X with the trailing block of form = [[A, B], [B^T, T]] past
-    len(mass) eliminated: A X - B T^-1 B^T X, T tridiagonal and positive
+def schur_apply(form, mass, x):
+    """form @ x with the trailing block of form = [[A, B], [B^T, T]] past
+    len(mass) eliminated: A x - B T^-1 B^T x, T tridiagonal and positive
     definite and solved through its bands by LAPACK's dptsv."""
     N = len(mass)
     if N == len(form.diag):
-        return form @ X
-    Z = np.zeros(form.shape[:1] + np.shape(X)[1:])
-    Z[:N] = X
-    AX = form @ Z                # (A X, B^T X)
-    _, _, Y, info = dptsv(form.diag[N:], form.upper[1][N:], AX[N:])
+        return form @ x
+    z = np.zeros(len(form.diag))
+    z[:N] = x
+    ax = form @ z                # (A x, B^T x)
+    _, _, y, info = dptsv(form.diag[N:], form.upper[1][N:], ax[N:])
     if info != 0:
         raise FactorizationFailure(f"Schur block solve: dptsv info {info}")
-    Z[:N], Z[N:] = 0.0, Y
-    return AX[:N] - (form @ Z)[:N]
+    z[:N], z[N:] = 0.0, y
+    return ax[:N] - (form @ z)[:N]
 
 
 def inverse_step(form, mass, tau, x=None):

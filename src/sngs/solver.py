@@ -13,7 +13,8 @@ warm start's banded Cholesky of S + lam W and every Newton step's fixed
 entries.  The warm start stops as soon as its Rayleigh ratio is within
 WARM_TOL of 1 (WARM_SWEEPS caps the sweeps).  Newton stops at |F| <= max(TOL, floor) lam |u| in the
 r^2 dr norm, where `residual_floor` is the rounding level of F, taken once
-per solve after the warm start.
+per solve after the warm start; then ORIGIN_STEPS scalar Newton steps on u_0
+close row 0 of F, which that norm does not weigh.
 `acceptance_failures` is the one rule that accepts a state: its residual
 ratio within GroundState.residual_bound = 10 max(TOL, floor), the floor
 taken at the state, |F(u)_0|, weightless in that ratio, within
@@ -67,6 +68,7 @@ MAX_ITER = 60         # Newton iterations
 DAMPING = 20          # max step halvings per Newton iteration
 WARM_SWEEPS = 60      # cap on the spectral-renormalization sweeps
 WARM_TOL = 1e-4       # the warm start stops at |Rayleigh ratio - 1| <= WARM_TOL
+ORIGIN_STEPS = 4      # scalar Newton steps on row 0 after the active loop
 DEDUP_TOL = 1e-6      # relative sup distance under which two scan states agree
 
 
@@ -409,6 +411,17 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
             f"converged to a sign-changing branch (min {np.min(u):.2e})")
 
     del work   # ground_state's operators need not coexist with the workspace
+    # no active row of F and no r^2 dr norm reads u_0 (the couplings into
+    # node 0 and both sweep integrands carry r_0 = 0), so the stop never saw
+    # F(u)_0: scalar Newton steps on u_0 alone close it, the rest of F kept
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(ORIGIN_STEPS):
+            F, v = _residual_values(u, params, grid, A)
+            pot0 = linearization(u[:1], v[:1], params, grid.h)[0][0]
+            step = F[0] / (A.origin[0] + pot0)
+            if not np.isfinite(step):   # u_0 stays as it is
+                break
+            u[0] -= step
     return ground_state(grid, u, params, it, A)
 
 

@@ -173,7 +173,7 @@ def csr_of(form: operators.SymmetricBands) -> sp.csr_matrix:
     return sp.diags([form.upper[k] for k in reversed(offsets)] + [form.diag]
                     + [form.upper[k] for k in offsets],
                     [-k for k in reversed(offsets)] + [0] + offsets,
-                    shape=form.shape, format="csr")
+                    shape=(len(form.diag),) * 2, format="csr")
 
 
 def bands_of(A) -> operators.SymmetricBands:
@@ -187,8 +187,8 @@ def bands_of(A) -> operators.SymmetricBands:
 
 
 def sector_form_csr(state, k) -> sp.csr_matrix:
-    """The sector-k pair form [[S + W (pot + k(k+1)/r^2), B], [B, T_k]] (its
-    leading block alone at a = 0) assembled with scipy.sparse."""
+    """The sector-k pair form [[S + W (pot + k(k+1)/r^2), B], [B, T_k]]
+    assembled with scipy.sparse."""
     grid = state.grid
     diag, up1, up2 = operators._weighted_bands(grid, EVEN if k == 0 else ODD)
     off1, off2 = up1[:-1], up2[:-2]
@@ -196,13 +196,11 @@ def sector_form_csr(state, k) -> sp.csr_matrix:
     act = operators.active_slice(grid)
     Wa = grid.weights_r2dr[act]
     pot, b = linearization(state.u, state.v, state.params, grid.h)
-    form = S + sp.diags(Wa * (pot[act] + k * (k + 1) / grid.nodes[act] ** 2))
-    if state.params.a != 0.0:
-        B = sp.diags(grid.h * grid.nodes[act] * b[act])
-        tdiag, toff = green_bands(k, len(act), grid.h)
-        form = sp.bmat([[form, B],
-                        [B, sp.diags([toff, tdiag, toff], [-1, 0, 1])]])
-    return form.tocsr()
+    lead = S + sp.diags(Wa * (pot[act] + k * (k + 1) / grid.nodes[act] ** 2))
+    B = sp.diags(grid.h * grid.nodes[act] * b[act])
+    tdiag, toff = green_bands(k, len(act), grid.h)
+    return sp.bmat([[lead, B],
+                    [B, sp.diags([toff, tdiag, toff], [-1, 0, 1])]]).tocsr()
 
 
 def shifted_csc(form, mass, tau) -> sp.csc_matrix:
@@ -247,11 +245,9 @@ def arpack_eigenpairs(form, mass, above, split):
 
 def dense_schur(op) -> np.ndarray:
     """L_k of the sector operator `op` as a dense matrix: the leading block
-    of its pair form less B T_k^-1 B, or that block alone at a = 0."""
+    of its pair form less B T_k^-1 B."""
     A = csr_of(op.form).toarray()
     N = len(op.mass)
-    if len(A) == N:
-        return A
     return A[:N, :N] - A[:N, N:] @ np.linalg.solve(A[N:, N:], A[N:, :N])
 
 

@@ -548,7 +548,7 @@ def test_limits_rejects_under_resolved_states(tmp_path):
 
 def test_spectrum_refuses_a_state_off_at_the_origin(tmp_path, capsys,
                                                    monkeypatch):
-    # at lambda = 1e-100 and n=17 Newton stops at u(0) = 9.0e89, a value the
+    # at lambda = 1e-100 and n=17 the solve ends at u(0) = 1.1e88, a value the
     # r^2 dr residual ratio never sees; its origin row refuses the state
     # before any sector form is assembled
     def assembled(*args):

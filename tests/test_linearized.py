@@ -8,9 +8,11 @@ import pytest
 import oracles
 import sngs
 from sngs.errors import UnconvergedState
-from sngs.linearized import (GAP_TOL, nondegeneracy_report, sector_form,
-                             sector_spectrum, translation_mode)
-from sngs.operators import schur_apply
+from sngs.hartree import green_bands
+from sngs.linearized import (GAP_TOL, SectorOperator, nondegeneracy_report,
+                             ordering_gap, sector_form, sector_spectrum,
+                             translation_mode)
+from sngs.operators import SymmetricBands, active_slice, schur_apply
 
 
 def odd_field(grid, rng, width_max=4.0):
@@ -28,10 +30,10 @@ def assert_nonnegative_pair_forms(op, fields, rng):
     """L_1(f, f) >= 0 on each field, and L_1 is the minimum over the
     potential: the pair form at any y = r g is not below it."""
     for f in fields:
-        x = f[op.act]
+        x = f[1:-2]              # the active nodes 1 .. n-3
         val = float(x @ schur_apply(op.form, op.mass, x))
         assert val >= -1e-8 * float(np.dot(op.mass * x, x))
-        xy = np.concatenate([x, rng.normal(size=op.form.shape[0] - len(x))])
+        xy = np.concatenate([x, rng.normal(size=len(op.form.diag) - len(x))])
         assert float(xy @ (op.form @ xy)) >= val - 1e-12 * abs(val)
 
 
@@ -47,14 +49,57 @@ def test_sector_form_centrifugal(choquard):
     N = len(op1.mass)
     lead1, lead2 = (oracles.csr_of(op.form)[:N, :N] for op in (op1, op2))
     diff = (lead2 - lead1).toarray()
-    want = np.diag(4.0 * op1.mass / choquard.grid.nodes[op1.act] ** 2)
+    r = choquard.grid.nodes[active_slice(choquard.grid)]
+    want = np.diag(4.0 * op1.mass / r ** 2)
     assert np.max(np.abs(diff - want)) <= 1e-14 * np.max(np.abs(op2.form.diag))
 
 
-def test_sector_form_kwong_scalar(solved_cache):
+def test_kwong_pair_form_certifies_as_its_scalar_pencil(solved_cache):
+    # at a = 0 the coupling band is zero, so the pair form splits into the
+    # scalar linearization and T_k, which adds no negative pivot: the counts
+    # and the witness are those of the scalar pencil, and so is Temple's
+    # enclosure up to the rounding of the two LDL^T solves
     st = solved_cache(1.0, 0.0, 1.0, 4.0, n=1536, rmax=30.0)
-    op = sector_form(st, 0)
-    assert op.form.shape[0] == len(op.act) == len(op.mass)
+    act = active_slice(st.grid)
+    probes = (st.u[act], translation_mode(st)[act])
+    for k in (0, 1):
+        op = sector_form(st, k)
+        N = len(op.mass)
+        assert len(op.form.diag) == 2 * N and not op.form.upper[N].any()
+        scalar = SectorOperator(k, SymmetricBands(
+            op.form.diag[:N], {1: op.form.upper[1][:N - 1],
+                               2: op.form.upper[2][:N - 2]}), op.mass)
+        pair, alone = (sector_spectrum(o, probes[k]) for o in (op, scalar))
+        for tau in (-GAP_TOL, GAP_TOL):
+            assert sngs.operators.count_below(op.form, op.mass, tau) \
+                == sngs.operators.count_below(scalar.form, op.mass, tau)
+        assert pair.count_below == alone.count_below == 1
+        if k == 0:
+            assert pair.witness == alone.witness < -GAP_TOL
+        else:
+            assert pair.enclosure == pytest.approx(alone.enclosure,
+                                                   rel=1e-9, abs=1e-12)
+            assert pair.zero_mode_match == pytest.approx(
+                alone.zero_mode_match, abs=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.05, 28.0 / 4095])
+def test_ordering_gap_bounds_the_dense_lowest_eigenvalue(h):
+    # Gershgorin's bound is at most lambda_min(T_2 - T_1), and above 0
+    for m in (13, 14, 57, 128, 257, 400):
+        (d1, e1), (d2, e2) = (green_bands(k, m, h) for k in (1, 2))
+        e = e2 - e1
+        lowest = np.linalg.eigvalsh(np.diag(d2 - d1) + np.diag(e, 1)
+                                    + np.diag(e, -1))[0]
+        assert 0.0 < ordering_gap(m, h) <= lowest
+
+
+@pytest.mark.parametrize("m", [13, 100, 1000, 4093, 8188, 65533, 2 ** 17,
+                               2 ** 20 - 3, 2 ** 20])
+def test_ordering_gap_is_positive_on_every_grid(m):
+    # T_2 - T_1 is strictly diagonally dominant by about 4 / (3 m^2 h)
+    h = 28.0 / (m + 2)
+    assert ordering_gap(m, h) * m * m * h >= 1.0
 
 
 def hand_built_state(residual_norm, residual_floor, origin_residual=0.0):

@@ -189,7 +189,7 @@ def test_value_returned_below_the_split_is_refused():
     def sector(c):
         A = (dirichlet_1d(m, np.pi / (m + 1)) - sp.diags(c * mass)).tocsr()
         sigma, V = sla.eigh(A.toarray(), np.diag(mass))
-        return SectorOperator(1, bands_of(A), mass, np.arange(m)), sigma, V
+        return SectorOperator(1, bands_of(A), mass), sigma, V
 
     # two eigenvalues below +GAP_TOL: the quotient below it is no enclosure
     op, sigma, V = sector(5.0)

@@ -254,6 +254,26 @@ def test_acceptance_failures(solved_cache, spoil, names):
         assert state.residual_bound == 10 * sngs.solver.TOL
 
 
+def test_origin_row_is_closed_after_the_active_loop(monkeypatch):
+    # no active row and no r^2 dr norm reads u(0), so Newton's stop leaves
+    # F(u)_0 wherever the active rows converge; at the (5.5, 1e2) normal-form
+    # member on 12281 nodes that was 1.87x its bound.  The scalar steps on
+    # row 0 bring it under the bound and move u(0) alone, by an ulp or two:
+    # every other node, J and the residual ratio keep their bits
+    params = sngs.normal_form(5.5, 1e2)[1]
+    st = sngs.solve(params, 12281)
+    assert sngs.acceptance_failures(st) == []
+    bound = st.residual_bound * st.params.lam * st.diagnostics.sup_u
+    assert st.origin_residual <= 0.2 * bound
+    monkeypatch.setattr(sngs.solver, "ORIGIN_STEPS", 0)
+    unclosed = sngs.solve(params, 12281)
+    assert unclosed.origin_residual > bound
+    assert np.array_equal(st.u[1:], unclosed.u[1:])
+    assert st.u[0] == pytest.approx(unclosed.u[0], rel=1e-14, abs=0.0)
+    assert st.diagnostics.J == unclosed.diagnostics.J
+    assert st.residual_norm == unclosed.residual_norm
+
+
 def test_acceptance_refuses_non_finite_identities():
     # node 0 carries no r^2 dr weight, so the residual ratio never sees a
     # blown-up origin value; the origin row of F and the identities, which
