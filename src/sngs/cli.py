@@ -5,12 +5,11 @@ Subcommands: solve | sweep | limits | spectrum | scan | check.  Exit codes:
 still written where possible), 64 on usage errors.  `solve`, `sweep`,
 `limits`, `scan` and `check` accept a state by `solver.acceptance_failures`,
 whose entries a refused state's record lists under `identity_failures`.
-`limits` and `spectrum` solve the normal-form members of
-`scaling.normal_form` at lambda = 1, the former one per lambda; no field is
-rescaled.  `limits` takes only lambdas on its side of 1 (below 1 for
-`--side zero`, above for `--side infinity`); any other is a usage error,
-raised before any solve.  Its verdict is `scaling.limit_study`'s, with the
-acceptance failures of its states and reference.
+Every state comes from `solver.solve`, to which `limits` and `spectrum` hand
+the members of `scaling.normal_form`.  `limits` takes only lambdas on its
+side of 1 (below 1 for `--side zero`, above for `--side infinity`), else it
+raises a usage error before any solve; its verdict is `scaling.limit_study`'s
+with the acceptance failures of its states and reference.
 
 Importing this module ends with `gc.freeze()`, so no collection, the one at
 interpreter exit included, walks the ~22k objects numpy and sngs leave at
@@ -170,9 +169,7 @@ def cmd_solve(args, command_line):
         record = {} if best is None else {"state": io.state_record(best)}
         io.write_manifest(
             args.out + ".json", command_line, params=asdict(params),
-            grid={"r_max": solver._solve_grid(params, args.n).r_max,
-                  "n": args.n},
-            summary={"error": str(exc)}, **record)
+            grid={"n": args.n}, summary={"error": str(exc)}, **record)
         print(f"solve: {type(exc).__name__} ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
     io.save_state(state, args.out, command_line, args.force)

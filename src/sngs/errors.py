@@ -56,6 +56,10 @@ class NegativeStateDetected(SngsError):
     """Converged to a sign-changing branch, not a ground state."""
 
 
+class StateOutOfRange(SngsError):
+    """A state beyond the floats: its scale s, its member or s u~ itself."""
+
+
 # -- linearized --------------------------------------------------------------
 
 class UnconvergedState(SngsError):

@@ -1,22 +1,10 @@
-"""Scaling maps onto the normalized families and limit-profile comparisons.
+"""Limit regimes, the limit profiles and the `limits` verdict.
 
-A state of the (lam, 1, 1, q) family maps onto a normalized family member,
-u~(r) = lam^(-alpha) u(r / sqrt(lam)), in one of two forms:
-
-    mu_form: alpha = 1/(q-2), solving
-             -Delta w + w = mu (I_2*w^2) w + w^(q-1),  mu = lam^(-2(q-3)/(q-2))
-    nu_form: alpha = 1, solving
-             -Delta w + w = (I_2*w^2) w + nu w^(q-1),  nu = lam^(q-3)
-
-`normal_form` is the one place alpha and the normalized parameters are
-written.  lam < 1 takes the zero side's form and lam >= 1 the infinity
-side's: the form whose small parameter is at most 1 (at lam = 1 both forms
-give (1, 1, 1, q) and lam^alpha = 1).  The map acts on parameters only:
-`limits` and `spectrum` solve the normal-form member itself at lam = 1, on
-the domain of every lam = 1 state, and never move a field.  Under the map
-F(u) = lam^(alpha+1) F~(u~), so the residual ratio |F| / (lam |u|) of
-`solver.ground_state` is the same number in both sets of variables;
-`limit_study` reads the physical mass of a member back through alpha.
+A state of the (lam, 1, 1, q) family is u(r) = s u~(sqrt(lam) r), u~ the
+state of its member (1, mu, 1, q) or (1, 1, nu, q), in the form of lam's side
+of 1: `normal_form`, the a = nu = 1 call of `solver.normal_member`.  `limits`
+and `spectrum` solve the member itself; `limit_study` reads the physical
+mass back through s and v's scale t.
 
 The regime table says which small parameter goes to zero on each end of the
 lambda axis, hence which reference profile (Kwong W or Choquard U) is the
@@ -34,7 +22,7 @@ import numpy as np
 
 from . import operators
 from .errors import InvalidExponent
-from .solver import GroundState, ModelParams
+from .solver import GroundState, ModelParams, normal_member
 
 MU_FORM = "mu_form"
 NU_FORM = "nu_form"
@@ -87,21 +75,8 @@ def limit_member(q: float, side: str) -> ModelParams:
 
 
 def normal_form(q: float, lam: float):
-    """(alpha, normalized ModelParams) of the (lam, 1, 1, q) state:
-    u~(r) = lam^(-alpha) u(r / sqrt(lam)) solves (1, mu, 1, q) or
-    (1, 1, nu, q), in the form of lam's side of 1."""
-    form = limit_regime(q, "zero" if lam < 1.0 else "infinity")[0]
-    if form == MU_FORM:
-        mu = lam ** (-2.0 * (q - 3.0) / (q - 2.0))
-        return 1.0 / (q - 2.0), ModelParams(lam=1.0, a=mu, nu=1.0, q=q)
-    return 1.0, ModelParams(lam=1.0, a=1.0, nu=lam ** (q - 3.0), q=q)
-
-
-def small_parameter(q: float, lam: float) -> float:
-    """mu or nu, whichever `normal_form(q, lam)` scales: at most 1, and the
-    other of its a, nu is 1."""
-    p = normal_form(q, lam)[1]
-    return min(p.a, p.nu)
+    """(s, member, t) of the (lam, 1, 1, q) state (`solver.normal_member`)."""
+    return normal_member(ModelParams(lam=lam, a=1.0, nu=1.0, q=q))
 
 
 def limit_distance(u: np.ndarray, reference: GroundState):
@@ -126,23 +101,23 @@ def limit_study(states: list, lams: list, side: str,
     increasing for side='infinity'); `reference` is the matching
     Kwong/Choquard profile, solved on the members' grid.
 
-    M = sup u + sup v is the physical state's: by the map, u = lam^alpha u~
-    and v = lam^(2 alpha - 1) v~.  Both mass ratios are tabulated; the one of
-    the regime's limit (M^(q-2)/lam toward W, M/lam toward U) must lie in
-    RATIO_WINDOW.  The sup and H1 distances must fall strictly, the last sup
-    within 5% of sup(reference), and no member may equal the profile to the
-    last bit: its small parameter underflowed or vanished against 1, so it
-    compares nothing.
+    M = sup u + sup v is the physical state's, u = s u~ and v = t v~ by the
+    map.  Both mass ratios are tabulated; the one of the regime's limit
+    (M^(q-2)/lam toward W, M/lam toward U) must lie in RATIO_WINDOW.  The sup
+    and H1 distances must fall strictly, the last sup within 5% of
+    sup(reference), and no member may equal the profile to the last bit: its
+    small parameter underflowed or vanished against 1, so it compares
+    nothing.
     """
     q = states[0].params.q
     _, kind, regime = limit_regime(q, side)
     rows = []
-    for s, lam in zip(states, lams):
-        alpha = normal_form(q, lam)[0]
-        d = s.diagnostics
-        M = lam ** alpha * d.sup_u + lam ** (2.0 * alpha - 1.0) * d.sup_v
-        rows.append((lam, small_parameter(q, lam),
-                     *limit_distance(s.u, reference),
+    for st, lam in zip(states, lams):
+        s, member, t = normal_form(q, lam)
+        d = st.diagnostics
+        M = s * d.sup_u + t * d.sup_v
+        rows.append((lam, min(member.a, member.nu),
+                     *limit_distance(st.u, reference),
                      M ** (q - 2.0) / lam, M / lam))
     j = 4 if kind == KWONG else 5
     lo, hi = RATIO_WINDOW

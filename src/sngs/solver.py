@@ -20,28 +20,21 @@ ratio within GroundState.residual_bound = 10 max(TOL, floor), the floor
 taken at the state, |F(u)_0|, weightless in that ratio, within
 residual_bound lam max|u|, and its Nehari and Pohozaev identities within
 IDENTITY_RTOL G; `linearized` asks the residual part alone.
-`solve` is the one place that picks a state's domain and start from
-(params, n); the scan's random starts share its domain.  The ground state is
-unique at each lambda, so a lambda sweep solves every lambda afresh, the
-limit profiles W and U are the family members of `scaling.limit_member`, and
-`limits` and `spectrum` solve the member `scaling.normal_form(q, lam)` gives,
-in the form of lam's side of 1, rather than rescale a field.
-A GroundState is the float arrays u and v = I_2 * u^2 on its one grid.
-Every one, the last iterate a NonConvergence carries included, comes whole
-from `ground_state`, with its diagnostics and its residual_norm, the
-scale-invariant ratio |F(u)| / (lam |u|): by the mu/nu maps of `scaling`,
-F = lam^(alpha+1) F~, so it equals the relative residual of the normal-form
-member at lam = 1 and means the same at every lambda; residual_floor is the
-rounding level of that ratio at the state.  The linearized operator is
-written once (`linearization`): a local diagonal pot and a coupling b, whose
-sector-k pair form in (f, y = r g), g the potential perturbation, is
-[[S + W pot, B], [B, T_k]] with B = sqrt(h W) b, S = operators.dirichlet_form
-and T_k = hartree.green_bands; `linearized` builds it for k = 0 and 1.  Its
-sector-0 Schur complement is W J, so each Newton step J d = -F solves that
-pair form exactly, in standard form on the active nodes, by one banded LU
-(`_newton_step`) in the one dgbsv workspace of the solve; each step writes
-the entries no iterate changes into it afresh from -Delta_r's weighted
-bands and T_0's closed form, so nothing but the workspace outlives a step.
+Every Newton solve runs at lam = 1 on make_grid(R_MAX, n): `solve` and the
+scan solve the member of `normal_member`, the one place of the mu/nu maps,
+and map the state out.  A GroundState, u and v = I_2 * u^2 on one grid, comes
+from `ground_state` with its diagnostics and residual_norm |F(u)| / (lam |u|),
+equal to the member's by F = s lam F~, and its rounding level residual_floor.
+The linearized operator is written once (`linearization`): a local diagonal
+pot and a coupling b, whose sector-k pair form in (f, y = r g), g the
+potential perturbation, is [[S + W pot, B], [B, T_k]] with B = sqrt(h W) b,
+S = operators.dirichlet_form and T_k = hartree.green_bands; `linearized`
+builds it for k = 0 and 1.  Its sector-0 Schur complement is W J, so each
+Newton step J d = -F solves that pair form exactly, in standard form on the
+active nodes, by one banded LU (`_newton_step`) in the one dgbsv workspace
+of the solve; each step writes the entries no iterate changes into it
+afresh from -Delta_r's weighted bands and T_0's closed form, so nothing but
+the workspace outlives a step.
 The solve's three LAPACK routines, dgbsv for the step and dpbtrf and dpbtrs
 for the warm start, come from `kernels`: no solve imports a scipy module.
 """
@@ -56,7 +49,7 @@ import numpy as np
 from . import operators
 from .diagnostics import DiagnosticsReport, identities
 from .errors import (BadRange, InvalidExponent, NegativeStateDetected,
-                     NonConvergence, TrivialCollapse)
+                     NonConvergence, StateOutOfRange, TrivialCollapse)
 from .grid import RadialGrid, make_grid
 from .hartree import coulomb_apply
 from .kernels import dgbsv, dpbtrf, dpbtrs
@@ -70,6 +63,7 @@ WARM_SWEEPS = 60      # cap on the spectral-renormalization sweeps
 WARM_TOL = 1e-4       # the warm start stops at |Rayleigh ratio - 1| <= WARM_TOL
 ORIGIN_STEPS = 4      # scalar Newton steps on row 0 after the active loop
 DEDUP_TOL = 1e-6      # relative sup distance under which two scan states agree
+R_MAX = 28.0          # every member's domain; e^(-R_MAX) < 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,17 +113,29 @@ class GroundState:
         return 10.0 * max(TOL, self.residual_floor)
 
 
-def auto_rmax(lam: float) -> float:
-    """Domain size with e^(-sqrt(lam) r_max) < 1e-12 and the decay length
-    resolved: 28 / sqrt(lam)."""
-    return 28.0 / math.sqrt(lam)
-
-
-def default_guess(params: ModelParams, grid: RadialGrid) -> np.ndarray:
-    """Gaussian bump at the lambda decay scale; the warm start fixes amplitude."""
-    vals = np.exp(-math.sqrt(params.lam) * grid.nodes**2 / 4.0)
-    vals[-2:] = 0.0
-    return vals
+def normal_member(params: ModelParams):
+    """(s, member, t) of `params` by the paper's mu/nu maps, for any a, nu:
+    u(r) = s u~(sqrt(lam) r), v(r) = t v~(sqrt(lam) r), u~ and v~ the state
+    of member = (1, a t / lam, nu s^(q-2) / lam, q), t = s^2 / lam: the
+    mu-form (nu~ = 1, s = (lam/nu)^(1/(q-2))) when its a~, judged in logs, is
+    at most 1, else the nu-form (a~ = 1, s = lam / sqrt(a)).  StateOutOfRange
+    when s or the member is not positive finite."""
+    lam, a, nu, q = params.lam, params.a, params.nu, params.q
+    try:
+        if a == 0 or (nu > 0 and math.log(nu) - (q - 2) / 2 * math.log(a)
+                      + (q - 3) * math.log(lam) >= 0):
+            s = (lam / nu) ** (1.0 / (q - 2.0))
+            t = lam ** (2.0 / (q - 2.0) - 1.0) * nu ** (-2.0 / (q - 2.0))
+            tilde = (a and a * nu ** (-2.0 / (q - 2.0))
+                     * lam ** (-2.0 * (q - 3.0) / (q - 2.0)), 1.0)
+        else:
+            s, t = lam / math.sqrt(a), lam / a
+            tilde = (1.0, nu and nu * a ** (1.0 - q / 2.0) * lam ** (q - 3.0))
+    except OverflowError:   # s, t or the member beyond the floats
+        s = math.inf
+    if not (0.0 < s < math.inf and math.isfinite(sum(tilde))):
+        raise StateOutOfRange(f"{params.label()}: no normal form (s = {s:g})")
+    return s, ModelParams(lam=1.0, a=tilde[0], nu=tilde[1], q=q), t
 
 
 def _power(u: np.ndarray, p: float) -> np.ndarray:
@@ -229,7 +235,11 @@ def _step_workspace(grid: RadialGrid):
 
 
 def _wnorm(grid: RadialGrid, x: np.ndarray) -> float:
-    return math.sqrt(float(np.dot(grid.weights_r2dr, x * x)))
+    """The r^2 dr norm, summed over x / 2^k, 2^k near sup |x[1:]| (exact)."""
+    scale = 2.0 ** (math.frexp(float(np.max(np.abs(x[1:]))))[1] - 1)
+    y = x / scale
+    y *= y
+    return scale * math.sqrt(float(np.dot(grid.weights_r2dr, y)))
 
 
 def _shifted_bands(A: operators.RadialLaplacian, lam: float) -> np.ndarray:
@@ -336,9 +346,9 @@ def ground_state(grid: RadialGrid, u: np.ndarray, params: ModelParams,
                  iterations: int, A: operators.RadialLaplacian) -> GroundState:
     """The GroundState of the field u on `grid`: v from the Hartree sweep,
     the residual ratio |F(u)| / (lam |u|) in the r^2 dr norm with its
-    rounding floor, and the diagnostics, all from the grid's -Delta_r A
-    (operators.radial_laplacian, built by the caller) and one Coulomb sweep.
-    A u whose length is not grid.n raises ValueError."""
+    rounding floor, and the diagnostics, raw (non-finite ones are refused),
+    all from the grid's -Delta_r A (operators.radial_laplacian, built by the
+    caller) and one Coulomb sweep.  ValueError for a u not of length n."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n,):
         raise ValueError(f"field length {u.shape} != grid n {grid.n}")
@@ -363,15 +373,14 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
     A = operators.radial_laplacian(grid)
     u = np.array(guess, dtype=float)
     u[-2:] = 0.0
-    if np.max(np.abs(u)) < TRIVIAL_SUP:
-        raise TrivialCollapse("initial guess is numerically zero")
     u = _warm_start(u, params, grid, A)
     _live_norm(grid, u)   # a collapsed warm start is typed before |u| divides
     stop = max(TOL, residual_floor(grid, A, u, params.lam)) * params.lam
     work = _step_workspace(grid)
 
     def stalled(message, iterations):
-        state = ground_state(grid, u, params, iterations, A)
+        with np.errstate(over="ignore", invalid="ignore"):   # NaN is refused
+            state = ground_state(grid, u, params, iterations, A)
         return NonConvergence(f"{message} for {params.label()}", state=state)
 
     it = 0
@@ -422,7 +431,7 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
             if not np.isfinite(step):   # u_0 stays as it is
                 break
             u[0] -= step
-    return ground_state(grid, u, params, it, A)
+        return ground_state(grid, u, params, it, A)   # non-finite: refused
 
 
 def residual_failures(state: GroundState) -> list:
@@ -449,18 +458,41 @@ def acceptance_failures(state: GroundState) -> list:
     return failures
 
 
-def _solve_grid(params: ModelParams, n: int) -> RadialGrid:
-    """The n-node grid on the auto_rmax(lam) domain: the one rule for the
-    grid of `solve` and of `uniqueness_scan`."""
-    return make_grid(auto_rmax(params.lam), n)
+def _physical(state: GroundState, s: float, params: ModelParams):
+    """s u~ of the member `state`, re-derived by `ground_state` on its nodes
+    over sqrt(lam) as `check` does: the state of `params`.  StateOutOfRange
+    on overflow, a G below the normal floats or a refused member passing."""
+    if state is None or state.params == params:
+        return state
+    grid = make_grid(state.grid.r_max / math.sqrt(params.lam), state.grid.n)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            phys = ground_state(grid, s * state.u, params, state.iterations,
+                                operators.radial_laplacian(grid))
+        if (acceptance_failures(state) and not acceptance_failures(phys)
+                or not phys.diagnostics.grad_sq >= np.finfo(float).tiny):
+            raise FloatingPointError("s u~ does not read as its member")
+        return phys
+    except (FloatingPointError, ZeroDivisionError) as exc:   # |s u~| = 0
+        raise StateOutOfRange(f"{params.label()}: s u~ at s = {s:g} leaves "
+                              f"the floats ({exc})") from exc
 
 
 def solve(params: ModelParams, n: int) -> GroundState:
-    """The ground state of `params` on n nodes, solved from default_guess on
-    `_solve_grid`: the one rule that picks a solve's domain and start from
-    (params, n)."""
-    grid = _solve_grid(params, n)
-    return newton_solve(grid, default_guess(params, grid), params)
+    """The ground state of `params` on n nodes, the one rule for a solve's
+    member, domain and start: `normal_member`'s, solved from exp(-r^2/4) on
+    make_grid(R_MAX, n), and mapped out, as is a NonConvergence's state."""
+    s, member, _ = normal_member(params)
+    grid = make_grid(R_MAX, n)
+    try:
+        state = newton_solve(grid, np.exp(-grid.nodes**2 / 4.0), member)
+    except NonConvergence as exc:
+        try:
+            exc.state = _physical(exc.state, s, params)
+        except StateOutOfRange:   # an iterate beyond the floats: no state
+            exc.state = None
+        raise
+    return _physical(state, s, params)
 
 
 # -- multistart uniqueness scan ---------------------------------------------------
@@ -489,7 +521,8 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
     """
     if n_starts < 2:
         raise ValueError("n_starts >= 2")
-    grid = _solve_grid(params, n)
+    s, member, _ = normal_member(params)
+    grid = make_grid(R_MAX, n)
     rng = np.random.default_rng(rng_seed)
     draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n_starts, 2))
     distinct: list[GroundState] = []
@@ -499,7 +532,7 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
         guess = c * np.exp(-kappa * grid.nodes**2)
         guess[-2:] = 0.0
         try:
-            state = newton_solve(grid, guess, params)
+            state = newton_solve(grid, guess, member)
         except (NonConvergence, TrivialCollapse, NegativeStateDetected):
             failed += 1
             continue
@@ -509,4 +542,5 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
                 break
         else:
             distinct.append(state)
-    return ScanResult(distinct_states=distinct, failed=failed, converged=converged)
+    return ScanResult([_physical(d, s, params) for d in distinct],
+                      failed=failed, converged=converged)

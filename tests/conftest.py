@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sngs
+from oracles import physical_solve
 
 
 @pytest.fixture(scope="session")
@@ -31,17 +32,15 @@ def smooth_bumps(grid, rng, n_bumps=3, amp=1.0, max_center=None):
 
 @pytest.fixture(scope="session")
 def solved_cache():
-    """Session cache of converged states keyed by (lam, a, nu, q, r_max, n)."""
+    """Session cache of converged states keyed by (lam, a, nu, q, n, r_max),
+    each solved on its physical domain (`oracles.physical_solve`)."""
     cache = {}
 
     def get(lam, a, nu, q, n=1536, rmax=None):
-        rmax = rmax if rmax is not None else sngs.auto_rmax(lam)
-        key = (lam, a, nu, q, rmax, n)
+        key = (lam, a, nu, q, n, rmax)
         if key not in cache:
             params = sngs.ModelParams(lam=lam, a=a, nu=nu, q=q)
-            grid = sngs.make_grid(rmax, n)
-            cache[key] = sngs.newton_solve(grid, sngs.default_guess(params, grid),
-                                           params)
+            cache[key] = physical_solve(params, n, rmax)
         return cache[key]
 
     return get

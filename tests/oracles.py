@@ -14,6 +14,10 @@ the warm start's S + lam W and the Newton step from `operators.dirichlet_form`
 as a CSR matrix and `radial_laplacian_csr`, reading their
 diagonals and origin row back out; the solver, which assembles both from the
 weighted bands, must match them bit for bit.
+`physical_solve` is a state solved on its own physical domain, 28 / sqrt(lam),
+from a Gaussian at its decay scale (`gaussian_guess`), as `solver.solve` did
+before it solved every state as its normal-form member at lam = 1 and mapped
+it out; `solve` is held to it.
 `csr_of` and `bands_of` turn a `operators.SymmetricBands` into a CSR matrix
 and back.  `sector_form_csr` assembles a sector pair form with
 `scipy.sparse` as the package did before it held the form as its bands,
@@ -35,9 +39,10 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbsv
 
 from sngs import operators
-from sngs.grid import EVEN, ODD
+from sngs.grid import EVEN, ODD, make_grid
 from sngs.hartree import coulomb_apply, green_bands
-from sngs.solver import ModelParams, _dpower, linearization
+from sngs.solver import (R_MAX, ModelParams, _dpower, linearization,
+                         newton_solve)
 
 
 def radial_laplacian_csr(grid) -> sp.csr_matrix:
@@ -94,6 +99,21 @@ def hartree_energy(grid, u: np.ndarray) -> float:
     v = coulomb_apply(grid, u * u)
     val = 4.0 * np.pi * float(np.dot(grid.weights_r2dr, v * u**2))
     return max(val, 0.0)
+
+
+def gaussian_guess(grid, lam=1.0) -> np.ndarray:
+    """exp(-sqrt(lam) r^2 / 4), the bump at the lam decay scale, zero on the
+    Dirichlet pad."""
+    vals = np.exp(-math.sqrt(lam) * grid.nodes**2 / 4.0)
+    vals[-2:] = 0.0
+    return vals
+
+
+def physical_solve(params: ModelParams, n: int, r_max=None):
+    """`newton_solve` of `params` on make_grid(R_MAX / sqrt(lam), n), or on
+    [0, r_max] when it is given, from `gaussian_guess`."""
+    grid = make_grid(r_max or R_MAX / math.sqrt(params.lam), n)
+    return newton_solve(grid, gaussian_guess(grid, params.lam), params)
 
 
 def savetxt_table_csv(path, header, rows) -> None:

@@ -16,8 +16,8 @@ from sngs.linearized import GAP_TOL, nondegeneracy_report, sector_form
 from sngs.operators import count_below
 from sngs.solver import _residual_values, _wnorm
 from conftest import smooth_bumps
-from oracles import (apply_jacobian, arpack_eigenpairs, hartree_energy,
-                     hartree_potential, sector_form_csr)
+from oracles import (apply_jacobian, arpack_eigenpairs, gaussian_guess,
+                     hartree_energy, hartree_potential, sector_form_csr)
 from test_hartree import indicator_field, indicator_v_exact, kform_oracle
 from test_linearized import assert_nonnegative_pair_forms, odd_field
 
@@ -75,7 +75,7 @@ def test_criterion_3_reference_ratios():
 
         def profile(a, nu, q):
             p = sngs.ModelParams(lam=1.0, a=a, nu=nu, q=q)
-            return sngs.newton_solve(g, sngs.default_guess(p, g), p).diagnostics
+            return sngs.newton_solve(g, gaussian_guess(g), p).diagnostics
         for q in (2.5, 4.0, 5.0):
             d = profile(0.0, 1.0, q)
             expect = 3.0 * (q - 2.0) / (6.0 - q)
@@ -154,7 +154,7 @@ def test_criterion_7_scaling_limits(regime_states, regime_references):
     with criterion(7, "scaling limits approach W/U"):
         for q, side, lams in REGIMES:
             ref = regime_references[(q, side)]
-            assert (ref.grid.r_max, ref.grid.n) == (sngs.auto_rmax(1.0), N)
+            assert (ref.grid.r_max, ref.grid.n) == (sngs.solver.R_MAX, N)
             sups, h1s = [], []
             for st in regime_states[(q, side)]:
                 assert (st.grid.r_max, st.grid.n) == (ref.grid.r_max, N)

@@ -353,16 +353,17 @@ def test_sweep_rows_are_direct_solves(tmp_path):
 
 
 def test_failed_solve_writes_its_manifest(tmp_path, capsys):
-    # q=2.05, lambda=0.01 collapses (TrivialCollapse): exit 2, and the
-    # manifest still records the error and the domain of `solve`'s grid;
-    # `check` names that error
+    # q=2.5, lambda=0.01 on 16 nodes: the warm start blows up, a
+    # NonConvergence with no state; exit 2, and the manifest still records
+    # the error and the node count of `solve`'s grid; `check` names that error
     out = str(tmp_path / "run")
-    assert run(["solve", "--q", "2.05", "--lambda", "0.01", "--out", out]) == 2
-    assert "TrivialCollapse" in capsys.readouterr().err
+    assert run(["solve", "--q", "2.5", "--lambda", "0.01", "--n", "16",
+                "--out", out]) == 2
+    assert "NonConvergence" in capsys.readouterr().err
     man = manifest(out)
-    assert "collapsed" in man["summary"]["error"]
+    assert "warm start" in man["summary"]["error"]
     assert man["outputs"] == []
-    assert man["grid"] == {"r_max": solver.auto_rmax(0.01), "n": 4096}
+    assert man["grid"] == {"n": 16} and "state" not in man
     assert not os.path.exists(out + ".csv")
     assert run(["check", "--out", out]) == 2
     err = capsys.readouterr().err
@@ -381,7 +382,8 @@ def test_failed_solve_records_its_best_iterate(tmp_path, capsys):
         man["summary"]["error"]
     assert man["outputs"] == []
     record = man["state"]
-    assert record["grid"] == man["grid"] == {"r_max": 28.0, "n": 16381}
+    assert record["grid"] == {"r_max": 28.0, "n": 16381}
+    assert man["grid"] == {"n": 16381}
     assert record["params"] == man["params"]
     summary = record["summary"]
     assert summary["iterations"] == solver.MAX_ITER
@@ -646,7 +648,8 @@ def test_spectrum_certifies_the_normal_form_state(tmp_path):
     record = manifest(out)["state"]
     st = solver.solve(scaling.normal_form(4.75, 10.0)[1], 2048)
     assert record["params"] == vars(st.params)
-    assert record["params"]["a"] == scaling.small_parameter(4.75, 10.0) != 2.0
+    mu = 10.0 ** (-2.0 * (4.75 - 3.0) / (4.75 - 2.0))   # lam^(-2(q-3)/(q-2))
+    assert record["params"]["a"] == pytest.approx(mu, rel=1e-15) != 2.0
     assert record["grid"]["r_max"] == st.grid.r_max
 
 
@@ -688,20 +691,32 @@ def test_tiny_lambda_domain_is_typed(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_tiny_lambda_state_is_mapped_out(tmp_path):
+    # at lambda = 1e-100, q = 4 the state is s = 1e-100 times the nu-form
+    # member on r_max = 2.8e51: the physical amplitude no longer reads as a
+    # collapse, and `check` re-derives the state from its artifacts
+    out = str(tmp_path / "tiny")
+    assert run(["solve", "--q", "4", "--lambda", "1e-100", "--n", "1024",
+                "--out", out]) == 0
+    assert manifest(out)["grid"]["r_max"] == 28.0 / 1e-50
+    assert run(["check", "--out", out]) == 0
+
+
 def test_origin_spike_collapse_exits_2(tmp_path, capsys):
-    """At q=5.95, lambda=100 the iterate collapses onto node 0, whose r^2 dr
-    weight is zero; that is a typed collapse, not a division by zero."""
+    """At q=5.95, lambda=100 the state spikes at node 0, whose r^2 dr weight
+    is zero (solved on its physical domain it collapsed onto that node): its
+    origin row refuses it, exit 2, not a division by zero."""
     out = str(tmp_path / "spike")
     assert run(["solve", "--q", "5.95", "--lambda", "100", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "collapsed" in err
+    assert "under-resolved state ('origin_residual'" in err
     assert "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", [
     ["spectrum", "--q", "2.5", "--lambda", "0.01", "--n", "16", "--k-max", "3"],
-    ["solve", "--q", "2.25", "--lambda", "0.01", "--n", "16"],
+    ["solve", "--q", "2.5", "--lambda", "0.01", "--n", "16"],
     ["solve", "--q", "4.75", "--lambda", "3", "--n", "33"],
 ])
 def test_diverging_warm_start_is_typed(tmp_path, capsys, command):

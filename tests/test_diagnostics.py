@@ -62,7 +62,7 @@ def test_level_identity_is_a_third_of_pohozaev(solved_cache, lam, q,
     if converged:
         d = solved_cache(lam, 1.0, 1.0, q).diagnostics
     else:
-        g = sngs.make_grid(sngs.auto_rmax(lam), 1024)
+        g = sngs.make_grid(sngs.solver.R_MAX / np.sqrt(lam), 1024)
         vals = smooth_bumps(g, np.random.default_rng(7), amp=2.0)
         d = field_identities(g, vals, lam=lam, q=q)
     level = d.J - d.grad_sq / 3.0 - d.D / 6.0

@@ -1,0 +1,56 @@
+"""The domain property: every point (q, lambda, n) of the paper's range,
+q in (2,3) u (3,6) and lambda over 600 decades, ends in exit code 0 or 2,
+with no warning and strict JSON, and every solve that exits 0 passes
+`check`."""
+
+import json
+import os
+import warnings
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sngs import cli
+
+
+def _refuse(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+def strict_json(path):
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_refuse)
+
+
+def open_interval(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(q=st.one_of(open_interval(2.0, 3.0), open_interval(3.0, 6.0)),
+       log_lam=st.floats(-300.0, 300.0), n=st.integers(16, 1024))
+@example(q=2.5, log_lam=100.0, n=1024)   # s u~ overflows the r^2 dr norms
+@example(q=2.05, log_lam=-100.0, n=64)   # s = lam^20 underflows to 0
+@example(q=2.0001, log_lam=300.0, n=16)  # within 1e-4 of each end of q's
+@example(q=2.9999, log_lam=-300.0, n=17)
+@example(q=3.0001, log_lam=-1.0, n=1024)
+@example(q=5.9999, log_lam=100.0, n=257)
+def test_every_point_ends_in_a_state_or_exit_2(tmp_path_factory, q, log_lam,
+                                              n):
+    out = str(tmp_path_factory.mktemp("point") / "x")
+    point = ["--q", repr(q), "--lambda", repr(10.0 ** log_lam),
+             "--n", str(n)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solved = cli.main(["sngs", "solve", *point, "--out", out])
+        checked = (cli.main(["sngs", "check", "--out", out])
+                   if os.path.exists(out + ".csv") else None)
+        spectrum = cli.main(["sngs", "spectrum", *point, "--out", out + "s"])
+    assert [str(w.message) for w in caught] == []
+    assert solved in (0, 2) and spectrum in (0, 2)
+    assert checked in (None, 0, 2)
+    if solved == 0:
+        assert checked == 0
+    for path in (out + ".json", out + "s.json"):
+        if os.path.exists(path):
+            strict_json(path)

@@ -4,7 +4,13 @@ import pytest
 import sngs
 from sngs.errors import InvalidExponent
 from sngs.scaling import (CHOQUARD, KWONG, MU_FORM, NU_FORM, limit_regime,
-                          limit_study, normal_form, small_parameter)
+                          limit_study, normal_form)
+
+
+def small_parameter(q, lam):
+    """mu or nu, whichever the normal form of (lam, 1, 1, q) scales."""
+    p = normal_form(q, lam)[1]
+    return min(p.a, p.nu)
 
 
 def test_limit_regime_table():
@@ -34,12 +40,13 @@ def test_small_parameter_values():
 
 
 def test_normal_form():
-    alpha, p = normal_form(2.5, 0.01)
-    assert alpha == 2.0
+    # mu-form: s = lam^(1/(q-2)), t = s^2 / lam; nu-form: s = t = lam
+    s, p, t = normal_form(2.5, 0.01)
+    assert s == 0.01 ** 2.0 and t == 0.01 ** 3.0
     assert p == sngs.ModelParams(lam=1.0, a=small_parameter(2.5, 0.01),
                                  nu=1.0, q=2.5)
-    alpha, p = normal_form(4.0, 0.01)
-    assert alpha == 1.0
+    s, p, t = normal_form(4.0, 0.01)
+    assert s == t == 0.01
     assert p == sngs.ModelParams(lam=1.0, a=1.0,
                                  nu=small_parameter(4.0, 0.01), q=4.0)
 
@@ -50,46 +57,61 @@ def test_normal_form_takes_the_form_whose_small_parameter_is_at_most_one(
         q, lam):
     # lam's side of 1 picks the form: the other form's parameter is 1 / that
     # of this one, above 1
-    _, p = normal_form(q, lam)
+    p = normal_form(q, lam)[1]
     eps = small_parameter(q, lam)
     assert eps < 1.0
     assert sorted((p.a, p.nu)) == [eps, 1.0]
 
 
+@pytest.mark.parametrize("q", [2.05, 2.5, 2.95, 3.05, 4.0, 5.95])
+def test_normal_form_is_the_paper_map_bit_for_bit(q):
+    # at a = nu = 1 the general map writes the mu-form (alpha = 1/(q-2)) and
+    # nu-form (alpha = 1) closed forms: s = lam^alpha, t = lam^(2 alpha - 1)
+    for k in range(-80, 81):
+        lam = 10.0 ** (k / 8.0)
+        mu = (lam < 1.0) == (q < 3.0) or lam == 1.0
+        alpha = 1.0 / (q - 2.0) if mu else 1.0
+        member = (sngs.ModelParams(1.0, lam ** (-2.0 * (q - 3.0) / (q - 2.0)),
+                                   1.0, q) if mu else
+                  sngs.ModelParams(1.0, 1.0, lam ** (q - 3.0), q))
+        assert normal_form(q, lam) == (lam ** alpha, member,
+                                       lam ** (2.0 * alpha - 1.0))
+
+
 @pytest.mark.parametrize("q", [2.5, 4.0, 5.5])
 def test_normal_form_at_lambda_one_is_the_state_itself(q):
-    alpha, p = normal_form(q, 1.0)
+    s, p, t = normal_form(q, 1.0)
     assert p == sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=q)
-    assert 1.0 ** alpha == 1.0 and small_parameter(q, 1.0) == 1.0
+    assert s == t == 1.0 and small_parameter(q, 1.0) == 1.0
 
 
 @pytest.mark.parametrize("lam,q,form", [
     (1.0, 4.0, MU_FORM), (0.25, 2.5, MU_FORM), (0.1, 2.5, MU_FORM),
     (0.1, 4.0, NU_FORM), (10.0, 4.0, MU_FORM), (10.0, 2.5, NU_FORM)])
 def test_normal_form_member_is_the_rescaled_state(solved_cache, lam, q, form):
-    # the discrete problems coincide: the member solved at lam = 1 is
-    # lam^(-alpha) u on the same nodes, the physical grid shrunk by sqrt(lam);
-    # lam's side of 1 picks `form`
+    # the discrete problems coincide: the member solved at lam = 1 is u / s
+    # for the state solved on its physical domain, the member's grid shrunk
+    # by sqrt(lam); lam's side of 1 picks `form`
     st = solved_cache(lam, 1.0, 1.0, q)
-    alpha, p = normal_form(q, lam)
-    assert alpha == {MU_FORM: 1.0 / (q - 2.0), NU_FORM: 1.0}[form]
+    s, p, _ = normal_form(q, lam)
+    assert s == lam ** {MU_FORM: 1.0 / (q - 2.0), NU_FORM: 1.0}[form]
     member = solved_cache(1.0, p.a, p.nu, q)
     assert np.allclose(member.grid.nodes, np.sqrt(lam) * st.grid.nodes,
                        rtol=1e-14, atol=0.0)
-    scaled = lam ** -alpha * st.u
+    scaled = st.u / s
     assert np.max(np.abs(member.u - scaled)) <= 1e-10 * member.diagnostics.sup_u
 
 
 def test_residual_transfer(solved_cache):
-    # F = lam^(alpha+1) F~: on the member's nodes lam^(-alpha) u meets the
-    # bound the acceptance rule holds the physical state to
+    # F = s lam F~: on the member's nodes u / s meets the bound the
+    # acceptance rule holds the physical state to
     from sngs.solver import _residual_values, _wnorm
     target = sngs.make_grid(28.0, 1536)
     A = sngs.operators.radial_laplacian(target)
     for (lam, q) in [(0.1, 2.5), (0.1, 4.0), (10.0, 4.0)]:
         st = solved_cache(lam, 1.0, 1.0, q, n=1536)
-        alpha, eff = normal_form(q, lam)
-        scaled = lam ** -alpha * st.u
+        s, eff, _ = normal_form(q, lam)
+        scaled = st.u / s
         F, _ = _residual_values(scaled, eff, target, A)
         assert _wnorm(target, F) / _wnorm(target, scaled) <= st.residual_bound
 

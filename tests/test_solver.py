@@ -8,7 +8,8 @@ import sngs
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
-from sngs.errors import InvalidExponent, NonConvergence, TrivialCollapse
+from sngs.errors import (InvalidExponent, NonConvergence, StateOutOfRange,
+                         TrivialCollapse)
 from sngs.solver import (WARM_TOL, _newton_step, _residual_values,
                          _shifted_bands, _shifted_solve, _step_workspace,
                          _warm_start, _wnorm)
@@ -139,7 +140,7 @@ def test_newton_step_writes_t0_as_green_bands(n, monkeypatch):
     from sngs import solver
     from sngs.hartree import green_bands
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
-    g = sngs.make_grid(sngs.auto_rmax(p.lam), n)
+    g = sngs.make_grid(sngs.solver.R_MAX, n)
     A = sngs.operators.radial_laplacian(g)
     real_dgbsv, seen = solver.dgbsv, []
 
@@ -147,7 +148,7 @@ def test_newton_step_writes_t0_as_green_bands(n, monkeypatch):
         seen.append(ab[4:].copy())
         return real_dgbsv(kl, ku, ab, b, **kw)
     monkeypatch.setattr(solver, "dgbsv", dgbsv)
-    u = sngs.default_guess(p, g)
+    u = oracles.gaussian_guess(g)
     F, v = _residual_values(u, p, g, A)
     _newton_step(u, v, F, p, g, A, _step_workspace(g))
     band = seen[0]
@@ -165,7 +166,7 @@ def test_banded_assembly_matches_the_csr_oracle(n, monkeypatch):
     for bit those read back out of the CSR forms."""
     from sngs import solver
     p = sngs.ModelParams(lam=0.37, a=1.0, nu=1.0, q=2.5)
-    g = sngs.make_grid(sngs.auto_rmax(p.lam), n)
+    g = sngs.make_grid(sngs.solver.R_MAX, n)
     A = sngs.operators.radial_laplacian(g)
     assert np.array_equal(_shifted_bands(A, p.lam),
                           oracles.shifted_bands(g, p.lam))
@@ -175,7 +176,7 @@ def test_banded_assembly_matches_the_csr_oracle(n, monkeypatch):
         seen.append(ab[4:].copy())   # the matrix as the step wrote it
         return real_dgbsv(kl, ku, ab, b, **kw)
     monkeypatch.setattr(solver, "dgbsv", dgbsv)
-    u = sngs.default_guess(p, g)
+    u = oracles.gaussian_guess(g)
     F, v = _residual_values(u, p, g, A)
     work = _step_workspace(g)
     work[0].fill(np.nan)   # each step sets every matrix entry itself
@@ -192,8 +193,8 @@ def test_solve_peak_allocation():
     they were)."""
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     n = 16384
-    g = sngs.make_grid(sngs.auto_rmax(p.lam), n)
-    guess = sngs.default_guess(p, g)
+    g = sngs.make_grid(sngs.solver.R_MAX, n)
+    guess = oracles.gaussian_guess(g)
     sngs.solve(p, 64)   # first-call allocations are not the solve's
     tracemalloc.start()
     try:
@@ -209,7 +210,7 @@ def test_shifted_solve_matches_sparse_lu(n):
     """The banded Cholesky solve of the warm start is the system
     (A + lam diag(1, ..., 1, 0, 0)) w = N for N vanishing on the pad."""
     lam = 0.37
-    g = sngs.make_grid(sngs.auto_rmax(lam), n)
+    g = sngs.make_grid(sngs.solver.R_MAX / np.sqrt(lam), n)
     A = sngs.operators.radial_laplacian(g)
     mask = np.ones(n)
     mask[-2:] = 0.0
@@ -226,9 +227,9 @@ def test_warm_start_stops_on_settled_ratio():
     # a warm-started u already meets WARM_TOL, so a second warm start
     # returns it without a sweep
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
-    g = sngs.make_grid(sngs.auto_rmax(1.0), 1536)
+    g = sngs.make_grid(sngs.solver.R_MAX, 1536)
     A = sngs.operators.radial_laplacian(g)
-    u = _warm_start(sngs.default_guess(p, g), p, g, A)
+    u = _warm_start(oracles.gaussian_guess(g), p, g, A)
     N = hartree_potential(g, u).v * u + u**3
     W = g.weights_r2dr
     ratio = float(np.dot(W * u, A @ u + u)) / float(np.dot(W * u, N))
@@ -311,12 +312,77 @@ def test_residual_floor_scales_with_the_grid(solved_cache):
     assert 3.9 <= ratio <= 4.1
 
 
+# (lam, a, nu, q, the member parameter the map sets to 1)
+PHYSICAL_POINTS = [
+    (0.1, 1.0, 1.0, 2.5, "nu"), (10.0, 1.0, 1.0, 2.5, "a"),
+    (0.1, 1.0, 1.0, 4.0, "a"), (10.0, 1.0, 1.0, 4.0, "nu"),
+    (0.3, 2.0, 0.5, 4.5, "a"), (5.0, 0.3, 3.0, 2.75, "nu"),
+    (0.05, 0.0, 1.0, 3.5, "nu"), (20.0, 1.0, 0.0, 4.0, "a"),
+]
+
+
+@pytest.mark.parametrize("lam,a,nu,q,fixed", PHYSICAL_POINTS)
+def test_solve_matches_the_physical_domain_oracle(lam, a, nu, q, fixed):
+    # `solve` runs the normal-form member at lam = 1 and maps it out; the
+    # state solved on its own domain 28 / sqrt(lam) from its own Gaussian
+    # is the same state: J, u and the acceptance verdict agree
+    params = sngs.ModelParams(lam=lam, a=a, nu=nu, q=q)
+    s, member, _ = sngs.normal_member(params)
+    assert getattr(member, fixed) == 1.0 and min(member.a, member.nu) <= 1.0
+    st = sngs.solve(params, 1024)
+    ref = oracles.physical_solve(params, 1024)
+    assert st.params == params and st.grid.r_max == ref.grid.r_max
+    J, J_ref = st.diagnostics.J, ref.diagnostics.J
+    assert abs(J - J_ref) <= 1e-11 * abs(J_ref)
+    assert np.max(np.abs(st.u - ref.u)) <= 1e-9 * ref.diagnostics.sup_u
+    assert ([f[0] for f in sngs.acceptance_failures(st)]
+            == [f[0] for f in sngs.acceptance_failures(ref)])
+
+
+@pytest.mark.parametrize("params", [
+    sngs.ModelParams(lam=1.0, a=0.3, nu=1.0, q=2.5),
+    sngs.ModelParams(lam=1.0, a=1.0, nu=0.3, q=4.0),
+    sngs.ModelParams(lam=1.0, a=0.0, nu=1.0, q=2.5),
+    sngs.ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0),
+    sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=5.5),
+])
+def test_a_member_maps_onto_itself(params):
+    assert sngs.normal_member(params) == (1.0, params, 1.0)
+
+
+@pytest.mark.parametrize("lam,a,nu,q", [
+    (1e-100, 1.0, 1.0, 2.05),    # s = lam^20 underflows to 0
+    (1e-300, 1e300, 1.0, 4.0),   # the nu-form's s = lam / sqrt(a) = 0
+    (1e300, 1.0, 1e-300, 5.5),   # the mu-form's a~ overflows
+])
+def test_normal_member_types_its_range(lam, a, nu, q):
+    with pytest.raises(StateOutOfRange, match="s = |overflows"):
+        sngs.normal_member(sngs.ModelParams(lam=lam, a=a, nu=nu, q=q))
+
+
+def test_nonconvergence_carries_the_mapped_state(monkeypatch):
+    # the last iterate of the member is mapped out like a converged state
+    monkeypatch.setattr(sngs.solver, "MAX_ITER", 1)
+    params = sngs.ModelParams(lam=0.1, a=1.0, nu=1.0, q=4.0)
+    with pytest.raises(NonConvergence) as info:
+        sngs.solve(params, 768)
+    state = info.value.state
+    assert state.params == params and state.iterations == 1
+    assert state.grid.r_max == 28.0 / np.sqrt(0.1)
+    s, member, _ = sngs.normal_member(params)
+    grid = sngs.make_grid(sngs.solver.R_MAX, 768)
+    with pytest.raises(NonConvergence) as raw:
+        sngs.newton_solve(grid, oracles.gaussian_guess(grid), member)
+    assert raw.value.state.params == member
+    assert np.array_equal(state.u, s * raw.value.state.u)
+
+
 def test_nonconvergence_carries_best_iterate(monkeypatch):
     monkeypatch.setattr(sngs.solver, "MAX_ITER", 1)
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
-    g = sngs.make_grid(sngs.auto_rmax(1.0), 768)
+    g = sngs.make_grid(sngs.solver.R_MAX, 768)
     with pytest.raises(NonConvergence) as info:
-        sngs.newton_solve(g, sngs.default_guess(p, g), p)
+        sngs.newton_solve(g, oracles.gaussian_guess(g), p)
     state = info.value.state
     assert isinstance(state, sngs.GroundState)
     assert (state.grid.r_max, state.grid.n) == (g.r_max, g.n)
@@ -336,9 +402,9 @@ def test_line_search_rejects_non_finite_trials(monkeypatch):
     monkeypatch.setattr(solver, "_newton_step",
                         lambda *args: 1e100 * step(*args))
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
-    g = sngs.make_grid(sngs.auto_rmax(1.0), 256)
+    g = sngs.make_grid(sngs.solver.R_MAX, 256)
     with pytest.raises(NonConvergence, match="line search stalled"):
-        sngs.newton_solve(g, sngs.default_guess(p, g), p)
+        sngs.newton_solve(g, oracles.gaussian_guess(g), p)
 
 
 def test_jacobian_symmetry(solved_cache):
@@ -428,8 +494,8 @@ def test_scaling_closure(solved_cache):
     # member's grid r / sqrt(lam) falls on the nodes of u
     st = solved_cache(0.25, 1.0, 1.0, 2.5, n=1536)
     target = sngs.make_grid(28.0, 1536)
-    alpha, eff = sngs.normal_form(2.5, 0.25)
-    scaled = 0.25 ** -alpha * st.u
+    s, eff, _ = sngs.normal_form(2.5, 0.25)
+    scaled = st.u / s
     F, _ = _residual_values(scaled, eff, target,
                             sngs.operators.radial_laplacian(target))
     rel = _wnorm(target, F) / _wnorm(target, scaled)
@@ -448,6 +514,17 @@ def test_uniqueness_scan_determinism():
         assert np.array_equal(s1.u, s2.u)
 
 
+def test_uniqueness_scan_maps_its_states_out():
+    # the starts are drawn on the member's grid; the distinct states are
+    # the physical ones, those of `solve`
+    p = sngs.ModelParams(lam=100.0, a=1.0, nu=1.0, q=4.0)
+    res = sngs.uniqueness_scan(p, 3, rng_seed=7, n=512)
+    (state,) = res.distinct_states
+    assert state.params == p and state.grid.r_max == 2.8
+    direct = sngs.solve(p, 512)
+    assert np.max(np.abs(state.u - direct.u)) <= 1e-9 * direct.diagnostics.sup_u
+
+
 def test_uniqueness_scan_needs_two_starts():
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     with pytest.raises(ValueError):
@@ -459,7 +536,7 @@ def test_negative_branch_detected():
     # ratio and Newton converges onto the negative branch
     g = sngs.make_grid(28.0, 768)
     p = sngs.ModelParams(lam=1.0, a=0.0, nu=1.0, q=4.0)
-    W = sngs.newton_solve(g, sngs.default_guess(p, g), p)
+    W = sngs.newton_solve(g, oracles.gaussian_guess(g), p)
     guess = -W.u
     from sngs.errors import NegativeStateDetected
     with pytest.raises(NegativeStateDetected):
