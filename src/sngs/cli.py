@@ -3,8 +3,9 @@
 Subcommands: solve | sweep | limits | spectrum | scan | check.  Exit codes:
 0 when every enabled verdict passes, 2 on numerical failure (partial manifest
 still written where possible), 64 on usage errors.  `solve`, `sweep`,
-`limits`, `scan` and `check` accept a state by `solver.acceptance_failures`,
-whose entries a refused state's record lists under `identity_failures`.
+`limits`, `spectrum`, `scan` and `check` accept a state by
+`solver.acceptance_failures`, whose entries a refused state's record lists
+under `identity_failures`; `spectrum` certifies no refused state.
 Every state comes from `solver.solve`, to which `limits` and `spectrum` hand
 the members of `scaling.normal_form`.  `limits` takes only lambdas on its
 side of 1 (below 1 for `--side zero`, above for `--side infinity`), else it
@@ -274,6 +275,8 @@ def cmd_spectrum(args, command_line):
         "tolerances": {"gap_tol": linearized.GAP_TOL}})
     print(f"spectrum: verdict = {report.verdict} "
           f"(gap_tol {linearized.GAP_TOL:.3e})")
+    for f in solver.acceptance_failures(state):
+        print(f"spectrum: under-resolved state {f}", file=sys.stderr)
     return EXIT_OK if report.verdict == "nondegenerate" else EXIT_NUMERICAL
 
 

@@ -60,12 +60,6 @@ class StateOutOfRange(SngsError):
     """A state beyond the floats: its scale s, its member or s u~ itself."""
 
 
-# -- linearized --------------------------------------------------------------
-
-class UnconvergedState(SngsError):
-    pass
-
-
 # -- cli ----------------------------------------------------------------------
 
 class UsageError(SngsError):

@@ -20,8 +20,8 @@ solved in.  At a=0 the form is the scalar linearization around the Kwong
 profile beside T_k (B = 0), which adds no negative pivot to a count.
 The nondegeneracy verdict has one fixed tolerance, GAP_TOL: the radial gap,
 and the band (-GAP_TOL, GAP_TOL) in which the translation eigenvalue must lie.
-A state enters only if its residual ratio meets its
-GroundState.residual_bound.
+The forms are plain linear algebra on any state; `nondegeneracy_report`
+certifies only a state that `solver.acceptance_failures` accepts.
 
 Every integral is the grid's one r^2 dr quadrature W; the centrifugal term is
 the local potential k(k+1)/r^2 on W beside pot (r > 0 on the active nodes).
@@ -51,10 +51,9 @@ from typing import Optional
 import numpy as np
 
 from . import operators
-from .errors import UnconvergedState
 from .grid import EVEN, ODD, differentiate
 from .hartree import green_bands
-from .solver import GroundState, linearization, residual_failures
+from .solver import GroundState, acceptance_failures, linearization
 
 # The radial gap and the zero test's tolerance, and the shift of every sector
 # LDL^T: a certified state has one sector-0 eigenvalue below -GAP_TOL, none
@@ -69,18 +68,10 @@ class SectorOperator:
     mass: np.ndarray             # diagonal r^2-weighted mass of f
 
 
-def _require_converged(state: GroundState):
-    """The first of `solver.residual_failures`, raised."""
-    if (failures := residual_failures(state)):
-        name, value, bound = failures[0]
-        raise UnconvergedState(f"{name} {value:.2e} > bound {bound:.2e}")
-
-
 def sector_form(state: GroundState, k: int) -> SectorOperator:
-    """Assemble the sector-k quadratic form around a converged state."""
+    """Assemble the sector-k quadratic form around the state."""
     if k < 0:
         raise ValueError("k >= 0")
-    _require_converged(state)
     grid = state.grid
     S = operators.dirichlet_form(grid, EVEN if k == 0 else ODD)
     act = operators.active_slice(grid)
@@ -112,7 +103,6 @@ def ordering_gap(m: int, h: float) -> float:
 def translation_mode(state: GroundState) -> np.ndarray:
     """d_r u on the state's grid: the sector-1 zero mode of the
     linearization."""
-    _require_converged(state)
     return differentiate(state.grid, state.u)
 
 
@@ -154,11 +144,12 @@ class SectorEntry:
 
 @dataclass
 class NondegeneracyReport:
-    sectors: list                # sectors 0 and 1
+    sectors: list                # sectors 0 and 1, none when under-resolved
     verdict: str
-    higher_sectors: dict         # the k >= 2 certificate: bound (None unless
-                                 # sector 1's enclosure holds), r_act,
-                                 # ordering_gap
+    higher_sectors: Optional[dict]   # the k >= 2 certificate: bound (None
+                                     # unless sector 1's enclosure holds),
+                                     # r_act, ordering_gap; None when
+                                     # under-resolved
 
 
 def _angle(M, x, y) -> float:
@@ -230,16 +221,20 @@ def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
     eigenvector matches the translation mode u' to >= 0.999; the k >= 2 bound
     and ordering_gap are > 0.
     degenerate: either sector counts two or more eigenvalues below +GAP_TOL.
-    under-resolved: 50 h^2 >= 1, a grid so coarse (fewer than about 200
-    nodes on r_max = 28) that no zero test is asked of it.
+    under-resolved, before any form is assembled: `solver.acceptance_failures`
+    refuses the state, or 50 h^2 >= 1, a grid so coarse (n - 1 below about
+    7 r_max, 200 nodes on r_max = 28) that no zero test is asked of it.
     """
+    h = state.grid.h
+    if acceptance_failures(state) or 50.0 * h * h >= 1.0:
+        return NondegeneracyReport(sectors=[], verdict="under-resolved",
+                                   higher_sectors=None)
     act = operators.active_slice(state.grid)
     probes = (state.u[act], translation_mode(state)[act])
     # each form dies with its certificate, so one sector is alive at a time
     s0, s1 = sectors = [sector_spectrum(sector_form(state, k), probes[k])
                         for k in (0, 1)]
 
-    h = state.grid.h
     r_act = float(state.grid.nodes[act[-1]])
     lo = s1.enclosure[0]
     higher = {"bound": None if lo is None else lo + 4.0 / r_act ** 2,
@@ -250,9 +245,7 @@ def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
     ok = (radial_gap and s1.count_below == 1 and lo is not None
           and lo > -GAP_TOL and s1.zero_mode_match >= 0.999
           and higher["bound"] > 0.0 and higher["ordering_gap"] > 0.0)
-    if 50.0 * h * h >= 1.0:
-        verdict = "under-resolved"
-    elif ok:
+    if ok:
         verdict = "nondegenerate"
     elif max(s0.count_below, s1.count_below) >= 2:
         verdict = "degenerate"

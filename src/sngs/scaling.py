@@ -67,11 +67,11 @@ def limit_regime(q: float, side: str):
 
 def limit_member(q: float, side: str) -> ModelParams:
     """The limit profile of the (q, side) regime as a family member: Kwong W
-    is (1, 0, 1, q) and Choquard U is (1, 1, 0, q), q inert at nu = 0 and
-    taken as 4."""
+    is (1, 0, 1, q) and Choquard U is (1, 1, 0, q); q, inert in U, sets the
+    domain it shares with its members (`solver.member_rmax`)."""
     if limit_regime(q, side)[1] == KWONG:
         return ModelParams(lam=1.0, a=0.0, nu=1.0, q=q)
-    return ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0)
+    return ModelParams(lam=1.0, a=1.0, nu=0.0, q=q)
 
 
 def normal_form(q: float, lam: float):

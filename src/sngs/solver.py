@@ -19,10 +19,11 @@ close row 0 of F, which that norm does not weigh.
 ratio within GroundState.residual_bound = 10 max(TOL, floor), the floor
 taken at the state, |F(u)_0|, weightless in that ratio, within
 residual_bound lam max|u|, and its Nehari and Pohozaev identities within
-IDENTITY_RTOL G; `linearized` asks the residual part alone.
-Every Newton solve runs at lam = 1 on make_grid(R_MAX, n): `solve` and the
-scan solve the member of `normal_member`, the one place of the mu/nu maps,
-and map the state out.  A GroundState, u and v = I_2 * u^2 on one grid, comes
+IDENTITY_RTOL G; `linearized` certifies no state this rule refuses.
+Every Newton solve runs at lam = 1 on make_grid(member_rmax(q), n), one
+domain per q: `solve` and the scan solve the member of `normal_member`, the
+one place of the mu/nu maps, and map the state out.  A GroundState, u and
+v = I_2 * u^2 on one grid, comes
 from `ground_state` with its diagnostics and residual_norm |F(u)| / (lam |u|),
 equal to the member's by F = s lam F~, and its rounding level residual_floor.
 The linearized operator is written once (`linearization`): a local diagonal
@@ -63,7 +64,7 @@ WARM_SWEEPS = 60      # cap on the spectral-renormalization sweeps
 WARM_TOL = 1e-4       # the warm start stops at |Rayleigh ratio - 1| <= WARM_TOL
 ORIGIN_STEPS = 4      # scalar Newton steps on row 0 after the active loop
 DEDUP_TOL = 1e-6      # relative sup distance under which two scan states agree
-R_MAX = 28.0          # every member's domain; e^(-R_MAX) < 1e-12
+R_MAX = 28.0          # member domain past W's sech offset (`member_rmax`)
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,14 @@ def normal_member(params: ModelParams):
     if not (0.0 < s < math.inf and math.isfinite(sum(tilde))):
         raise StateOutOfRange(f"{params.label()}: no normal form (s = {s:g})")
     return s, ModelParams(lam=1.0, a=tilde[0], nu=tilde[1], q=q), t
+
+
+def member_rmax(q: float) -> float:
+    """The domain of every member at exponent q: R_MAX decay lengths
+    (e^(-R_MAX) < 1e-12) past the sech offset 2 ln 2 / (q - 2) of the Kwong
+    profile W at q < 3, whose one-dimensional form
+    sech^(2/(q-2))((q-2) r / 2) decays as 2^(2/(q-2)) e^(-r); R_MAX above 3."""
+    return R_MAX + (2.0 * math.log(2.0) / (q - 2.0) if q < 3.0 else 0.0)
 
 
 def _power(u: np.ndarray, p: float) -> np.ndarray:
@@ -434,22 +443,17 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
         return ground_state(grid, u, params, it, A)   # non-finite: refused
 
 
-def residual_failures(state: GroundState) -> list:
-    """The residual part of `acceptance_failures`: (name, value, bound) for
-    residual_norm over residual_bound, and for origin_residual, unweighted
-    in the ratio, over residual_bound lam max|u|."""
+def acceptance_failures(state: GroundState) -> list:
+    """What keeps `state` from being accepted, empty when nothing does:
+    (name, value, bound) for residual_norm over residual_bound, and for
+    origin_residual, unweighted in the ratio, over residual_bound lam max|u|;
+    ("identity_residuals", nehari, pohozaev) beyond IDENTITY_RTOL G."""
     bound = state.residual_bound
     origin_bound = bound * state.params.lam * state.diagnostics.sup_u
-    return [f for f in (("residual_norm", state.residual_norm, bound),
-                        ("origin_residual", state.origin_residual, origin_bound))
-            if not f[1] <= f[2]]   # NaN included
-
-
-def acceptance_failures(state: GroundState) -> list:
-    """What keeps `state` from being accepted, empty when nothing does: its
-    `residual_failures`, and ("identity_residuals", nehari, pohozaev) beyond
-    IDENTITY_RTOL G."""
-    failures = residual_failures(state)
+    failures = [f for f in (("residual_norm", state.residual_norm, bound),
+                            ("origin_residual", state.origin_residual,
+                             origin_bound))
+                if not f[1] <= f[2]]   # NaN included
     rep = state.diagnostics
     G = rep.grad_sq
     if not (abs(rep.nehari) <= IDENTITY_RTOL * G
@@ -481,9 +485,10 @@ def _physical(state: GroundState, s: float, params: ModelParams):
 def solve(params: ModelParams, n: int) -> GroundState:
     """The ground state of `params` on n nodes, the one rule for a solve's
     member, domain and start: `normal_member`'s, solved from exp(-r^2/4) on
-    make_grid(R_MAX, n), and mapped out, as is a NonConvergence's state."""
+    make_grid(member_rmax(q), n), and mapped out, as is a NonConvergence's
+    state."""
     s, member, _ = normal_member(params)
-    grid = make_grid(R_MAX, n)
+    grid = make_grid(member_rmax(params.q), n)
     try:
         state = newton_solve(grid, np.exp(-grid.nodes**2 / 4.0), member)
     except NonConvergence as exc:
@@ -522,7 +527,7 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
     if n_starts < 2:
         raise ValueError("n_starts >= 2")
     s, member, _ = normal_member(params)
-    grid = make_grid(R_MAX, n)
+    grid = make_grid(member_rmax(params.q), n)
     rng = np.random.default_rng(rng_seed)
     draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n_starts, 2))
     distinct: list[GroundState] = []

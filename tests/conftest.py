@@ -44,3 +44,18 @@ def solved_cache():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def origin_blown_state():
+    """The accepted Kwong member (1, 0, 1, 2.5) on 1024 nodes with u(0)
+    raised to 1.1e88, through `solver.ground_state`: node 0 has no r^2 dr
+    weight, so the residual ratio does not see it, while its origin row
+    and its identities, which turn NaN, do."""
+    st = sngs.solve(sngs.ModelParams(lam=1.0, a=0.0, nu=1.0, q=2.5), 1024)
+    assert sngs.acceptance_failures(st) == []
+    u = st.u.copy()
+    u[0] = 1.1e88
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sngs.ground_state(st.grid, u, st.params, st.iterations,
+                                 sngs.operators.radial_laplacian(st.grid))

@@ -133,14 +133,12 @@ REGIMES = [(2.5, "zero", (0.1, 0.01, 0.001)),
 
 
 @pytest.fixture(scope="module")
-def regime_states(acc):
+def regime_states():
     """The normal-form members of each regime's lambdas, as `limits` solves
     them."""
-    out = {}
-    for q, side, lams in REGIMES:
-        members = [sngs.normal_form(q, lam)[1] for lam in lams]
-        out[(q, side)] = [acc(1.0, a=p.a, nu=p.nu, q=q) for p in members]
-    return out
+    return {(q, side): [sngs.solve(sngs.normal_form(q, lam)[1], N)
+                        for lam in lams]
+            for q, side, lams in REGIMES}
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +152,8 @@ def test_criterion_7_scaling_limits(regime_states, regime_references):
     with criterion(7, "scaling limits approach W/U"):
         for q, side, lams in REGIMES:
             ref = regime_references[(q, side)]
-            assert (ref.grid.r_max, ref.grid.n) == (sngs.solver.R_MAX, N)
+            assert (ref.grid.r_max, ref.grid.n) == \
+                (sngs.solver.member_rmax(q), N)
             sups, h1s = [], []
             for st in regime_states[(q, side)]:
                 assert (st.grid.r_max, st.grid.n) == (ref.grid.r_max, N)

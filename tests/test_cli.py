@@ -415,12 +415,12 @@ ARTIFACTS = {
                   "--k-max", "2"], lambda man: [man["state"]],
                  lambda: [solver.solve(scaling.normal_form(4.0, 0.01)[1],
                                        1024)], []),
-    # the spectrum gate is not in place: the state misses Pohozaev at about
-    # 2.5e-5 G, its record says so, and the verdict still passes
+    # the state misses Pohozaev at about 2.4e-6 G on 2048 nodes: its record
+    # says so, and `spectrum` certifies nothing (exit 2)
     "spectrum_refused_state": (
-        ["spectrum", "--q", "2.05", "--lambda", "0.1", "--n", "1024",
+        ["spectrum", "--q", "4.75", "--lambda", "10", "--n", "2048",
          "--k-max", "2"], lambda man: [man["state"]],
-        lambda: [solver.solve(scaling.normal_form(2.05, 0.1)[1], 1024)],
+        lambda: [solver.solve(scaling.normal_form(4.75, 10.0)[1], 2048)],
         ["identity_residuals"]),
     "scan": (["scan", "--q", "4", "--lambda", "1", "--starts", "4",
               "--n", "1024", "--seed", "3"], lambda man: man["states"],
@@ -434,7 +434,7 @@ ARTIFACTS = {
 def test_every_artifact_records_its_states(tmp_path, case):
     argv, records_of, expected, failure_names = ARTIFACTS[case]
     out = str(tmp_path / "x")
-    assert run(argv + ["--out", out]) == 0
+    assert run(argv + ["--out", out]) == (2 if failure_names else 0)
     man = manifest(out)
     assert man["command_line"] == " ".join(["sngs", *argv, "--out", out])
     assert man["code_version"] == sngs.__version__
@@ -549,21 +549,27 @@ def test_limits_rejects_under_resolved_states(tmp_path):
 
 
 def test_spectrum_refuses_a_state_off_at_the_origin(tmp_path, capsys,
-                                                   monkeypatch):
-    # at lambda = 1e-100 and n=17 the solve ends at u(0) = 1.1e88, a value the
-    # r^2 dr residual ratio never sees; its origin row refuses the state
-    # before any sector form is assembled
+                                                   monkeypatch,
+                                                   origin_blown_state):
+    # u(0) = 1.1e88 is a value the r^2 dr residual ratio never sees; its
+    # origin row refuses the state before any sector form is assembled, and
+    # the JSON records the state with no sector
     def assembled(*args):
         raise AssertionError("a sector form was assembled")
     monkeypatch.setattr(sngs.linearized.operators, "dirichlet_form", assembled)
+    monkeypatch.setattr(solver, "solve", lambda params, n: origin_blown_state)
     out = str(tmp_path / "spec")
     with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["spectrum", "--q", "2.5", "--lambda", "1e-100", "--n", "17",
+        code = run(["spectrum", "--q", "2.5", "--lambda", "1", "--n", "1024",
                     "--out", out])
     assert code == 2
     err = capsys.readouterr().err
-    assert "numerical failure: origin_residual" in err
+    assert "spectrum: under-resolved state ('origin_residual'" in err
     assert "Traceback" not in err
+    man = manifest(out)
+    assert man["verdict"] == "under-resolved" and man["sectors"] == []
+    names = [f[0] for f in man["state"]["summary"]["identity_failures"]]
+    assert names == ["origin_residual", "identity_residuals"]
 
 
 def test_spectrum_rejects_rmax(tmp_path):
@@ -639,38 +645,54 @@ def test_spectrum_ignores_a_large_k_max(tmp_path, capsys):
     assert "Warning" not in capsys.readouterr().err
 
 
+def _spectrum_verdict_is_the_acceptance_rule(man, n, code):
+    """under-resolved, exit 2 and no sector certified, exactly when the
+    recorded state is refused or its grid has 50 h^2 >= 1; else certified."""
+    h = man["state"]["grid"]["r_max"] / (n - 1)
+    refused = bool(man["state"]["summary"]["identity_failures"])
+    assert (man["verdict"] == "under-resolved") == (refused
+                                                    or 50.0 * h * h >= 1.0)
+    assert code == (0 if man["verdict"] == "nondegenerate" else 2)
+    if man["verdict"] == "under-resolved":
+        assert man["sectors"] == [] and man["higher_sectors"] is None
+
+
 def test_spectrum_certifies_the_normal_form_state(tmp_path):
     # the payload records the state whose spectrum it reports: the mu-form
-    # member, a = mu != 2
-    out = str(tmp_path / "spec")
-    assert run(["spectrum", "--q", "4.75", "--lambda", "10", "--n", "2048",
-                "--k-max", "3", "--out", out]) == 0
-    record = manifest(out)["state"]
-    st = solver.solve(scaling.normal_form(4.75, 10.0)[1], 2048)
-    assert record["params"] == vars(st.params)
+    # member, a = mu != 2, refused on 2048 nodes and certified on 4096
     mu = 10.0 ** (-2.0 * (4.75 - 3.0) / (4.75 - 2.0))   # lam^(-2(q-3)/(q-2))
-    assert record["params"]["a"] == pytest.approx(mu, rel=1e-15) != 2.0
-    assert record["grid"]["r_max"] == st.grid.r_max
+    for n, verdict in ((2048, "under-resolved"), (4096, "nondegenerate")):
+        out = str(tmp_path / f"spec{n}")
+        code = run(["spectrum", "--q", "4.75", "--lambda", "10",
+                    "--n", str(n), "--k-max", "3", "--out", out])
+        man = manifest(out)
+        record = man["state"]
+        st = solver.solve(scaling.normal_form(4.75, 10.0)[1], n)
+        assert record["params"] == vars(st.params)
+        assert record["params"]["a"] == pytest.approx(mu, rel=1e-15) != 2.0
+        assert record["grid"]["r_max"] == st.grid.r_max
+        assert man["verdict"] == verdict
+        _spectrum_verdict_is_the_acceptance_rule(man, n, code)
 
 
 @pytest.mark.parametrize("q,lam,n,verdict", [
     ("2.75", "100", 33, "under-resolved"),
     ("4", "0.01", 64, "under-resolved"),
     ("4", "0.01", 128, "under-resolved"),
-    ("4", "0.01", 256, "nondegenerate"),
+    ("4", "0.01", 256, "under-resolved"),
+    ("4", "0.01", 1024, "nondegenerate"),
 ])
 def test_spectrum_under_resolved_grid(tmp_path, q, lam, n, verdict):
     """Where 50 h^2 >= 1 the grid is too coarse for a zero test (once the
     zero tolerance 50 h^2 sigma_2 swallowed every sector-1 eigenvalue
-    there): the verdict says so (exit 2) instead of asserting a kernel."""
+    there), and on 256 nodes the state misses Pohozaev (2.7e-6 G): the
+    verdict says so (exit 2) instead of asserting a kernel."""
     out = str(tmp_path / "spec")
     code = run(["spectrum", "--q", q, "--lambda", lam, "--n", str(n),
                 "--k-max", "3", "--out", out])
-    payload = manifest(out)
-    assert payload["verdict"] == verdict
-    assert code == (0 if verdict == "nondegenerate" else 2)
-    h = payload["state"]["grid"]["r_max"] / (n - 1)
-    assert (50.0 * h * h >= 1.0) == (verdict == "under-resolved")
+    man = manifest(out)
+    assert man["verdict"] == verdict
+    _spectrum_verdict_is_the_acceptance_rule(man, n, code)
 
 
 @pytest.mark.filterwarnings("error")
@@ -718,12 +740,13 @@ def test_origin_spike_collapse_exits_2(tmp_path, capsys):
     ["spectrum", "--q", "2.5", "--lambda", "0.01", "--n", "16", "--k-max", "3"],
     ["solve", "--q", "2.5", "--lambda", "0.01", "--n", "16"],
     ["solve", "--q", "4.75", "--lambda", "3", "--n", "33"],
+    ["spectrum", "--q", "2.5", "--lambda", "1e-100", "--n", "17"],
 ])
 def test_diverging_warm_start_is_typed(tmp_path, capsys, command):
-    """On 16 nodes the warm start blows up, and on 33 nodes at q=4.75 it
-    leaves an iterate whose residual norm overflows; either is a
-    NonConvergence naming the warm start, exit 2, with no numpy overflow
-    warning on the way."""
+    """On 16 nodes the warm start blows up, as it does on 17 at
+    lambda = 1e-100, and on 33 nodes at q=4.75 it leaves an iterate whose
+    residual norm overflows; each is a NonConvergence naming the warm
+    start, exit 2, with no numpy overflow warning on the way."""
     assert run(command + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "warm start" in err and "non-finite" in err

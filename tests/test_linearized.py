@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 import sngs
-from sngs.errors import UnconvergedState
 from sngs.hartree import green_bands
 from sngs.linearized import (GAP_TOL, SectorOperator, nondegeneracy_report,
                              ordering_gap, sector_form, sector_spectrum,
@@ -102,41 +101,45 @@ def test_ordering_gap_is_positive_on_every_grid(m):
     assert ordering_gap(m, h) * m * m * h >= 1.0
 
 
-def hand_built_state(residual_norm, residual_floor, origin_residual=0.0):
+def hand_built_state(residual_norm, residual_floor):
     """A Gaussian posing as a state, with its residuals set by hand."""
     g = sngs.make_grid(20.0, 256)
     st = sngs.ground_state(g, np.exp(-g.nodes**2),
                            sngs.ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0), 0,
                            sngs.operators.radial_laplacian(g))
     return replace(st, residual_norm=residual_norm,
-                   residual_floor=residual_floor,
-                   origin_residual=origin_residual)
+                   residual_floor=residual_floor, origin_residual=0.0)
 
 
-def test_sector_form_unconverged():
-    bogus = hand_built_state(0.5, 0.0)
-    with pytest.raises(UnconvergedState):
-        sector_form(bogus, 0)
-    with pytest.raises(UnconvergedState):
-        translation_mode(bogus)
+@pytest.mark.parametrize("name", ["residual_norm", "origin_residual"])
+def test_report_refuses_a_state_before_assembling_a_form(choquard, monkeypatch,
+                                                         name):
+    # a state `acceptance_failures` refuses is under-resolved, with no
+    # sector form assembled; |F(u)_0| is held to residual_bound lam max|u|,
+    # since node 0 has no r^2 dr weight and residual_norm cannot see it
+    bound = choquard.residual_bound
+    if name == "origin_residual":
+        bound *= choquard.params.lam * choquard.diagnostics.sup_u
+    assert sngs.acceptance_failures(choquard) == []
+    bogus = replace(choquard, **{name: 1.01 * bound})
+    assert [f[0] for f in sngs.acceptance_failures(bogus)] == [name]
 
-
-def test_sector_form_refuses_an_origin_residual_over_its_bound():
-    # |F(u)_0| is held to residual_bound lam max|u| = 1e-9 here; node 0 has
-    # no r^2 dr weight, so residual_norm cannot see it
-    bound = 10 * sngs.solver.TOL * 1.0 * 1.0
-    assert sector_form(hand_built_state(1e-12, 0.0, bound), 0).k == 0
-    with pytest.raises(UnconvergedState, match="origin_residual"):
-        sector_form(hand_built_state(1e-12, 0.0, 1.01 * bound), 0)
+    def assembled(*args):
+        raise AssertionError("a sector form was assembled")
+    monkeypatch.setattr(sngs.linearized.operators, "dirichlet_form", assembled)
+    rep = nondegeneracy_report(bogus)
+    assert rep.verdict == "under-resolved"
+    assert rep.sectors == [] and rep.higher_sectors is None
 
 
 def test_sector_form_accepts_residual_within_its_bound():
     # the bound is the state's own 10 max(TOL, floor) = 2.6e-7, not a fixed
     # 1e-8: a state solved to its rounding floor on a fine grid is accepted
     st = hand_built_state(2e-8, 2.6e-8)
+    assert st.residual_bound == pytest.approx(2.6e-7)
+    assert "residual_norm" not in [f[0] for f in sngs.acceptance_failures(st)]
     assert sector_form(st, 1).k == 1
     assert translation_mode(st).shape == st.u.shape
-    assert st.residual_bound == pytest.approx(2.6e-7)
 
 
 def test_sector_form_exactly_symmetric(choquard):
@@ -217,10 +220,19 @@ def test_certificate_matches_the_dense_pencil(q, lam, n):
         assert entry.zero_mode_match <= own + 1e-12
 
 
+def _certified_sectors(st):
+    """Sectors 0 and 1 of `st` certified as the report certifies them, on
+    any state, refused or not."""
+    act = active_slice(st.grid)
+    probes = (st.u[act], translation_mode(st)[act])
+    return [sector_spectrum(sector_form(st, k), probes[k]) for k in (0, 1)]
+
+
 def test_witness_fallback_factors_sector_zero_again(monkeypatch):
     # a witness not below -GAP_TOL proves nothing: sector 0 is then factored
     # a second time at -GAP_TOL, the only second factorization, and its count
-    # there certifies the radial gap instead
+    # there certifies the radial gap instead (the state on 257 nodes is
+    # refused, so the certificate is taken on its forms directly)
     st = sngs.solve(sngs.normal_form(4.0, 1e-2)[1], 257)
     calls = []
     inertia, rayleigh = sngs.operators._inertia, sngs.operators.rayleigh
@@ -234,13 +246,12 @@ def test_witness_fallback_factors_sector_zero_again(monkeypatch):
         return (-GAP_TOL if len(calls) == 1 else rho), eta
     monkeypatch.setattr(sngs.operators, "_inertia", counted)
     monkeypatch.setattr(sngs.operators, "rayleigh", no_witness)
-    rep = nondegeneracy_report(st)
-    s0 = rep.sectors[0]
+    s0, s1 = _certified_sectors(st)
     assert calls == [GAP_TOL, -GAP_TOL, GAP_TOL]
     assert (s0.witness, s0.factorizations) == (-GAP_TOL, 2)
     exact, _ = oracles.dense_sector_pencil(sector_form(st, 0))
     assert s0.below_split == np.count_nonzero(exact < -GAP_TOL) == 1
-    assert rep.verdict == "nondegenerate"
+    assert s0.count_below == s1.count_below == 1   # the verdict's counts
     # a count of 0 there leaves the one counted eigenvalue in the band
     calls.clear()
 
@@ -248,9 +259,20 @@ def test_witness_fallback_factors_sector_zero_again(monkeypatch):
         lu, below, fill = counted(form, mass, tau)
         return lu, (0 if tau < 0 else below), fill
     monkeypatch.setattr(sngs.operators, "_inertia", none_below_split)
-    rep = nondegeneracy_report(st)
-    assert rep.sectors[0].below_split == 0
-    assert rep.verdict == "inconclusive"
+    s0 = _certified_sectors(st)[0]
+    assert s0.count_below == 1 and s0.below_split == 0   # no radial gap
+
+
+@pytest.mark.parametrize("k", range(-8, 0))
+def test_q_near_two_is_accepted_and_certified(k):
+    # at q = 2.05, lambda < 1 the Kwong-side member's tail carries the sech
+    # offset 2 ln 2 / (q - 2) = 40 ln 2 decay lengths: on its domain
+    # 28 + 40 ln 2 every state is accepted and certified
+    st = sngs.solve(sngs.normal_form(2.05, 10.0 ** (k / 4.0))[1], 4096)
+    assert st.grid.r_max == pytest.approx(28.0 + 40.0 * math.log(2.0),
+                                          rel=1e-15)
+    assert sngs.acceptance_failures(st) == []
+    assert nondegeneracy_report(st).verdict == "nondegenerate"
 
 
 def _zero_enclosure(q, lam, n):
@@ -344,7 +366,11 @@ def test_nondegeneracy_kwong_radial_kernel_free(solved_cache):
 # pencil that eliminates the potential through the sweep's Green's kernel and
 # the centrifugal term on W / r^2 (sector 0 has none; sectors 1-3 moved by at
 # most 1.2e-8 from the trapezoid dr weights it replaced); a dense eigh of each
-# Schur complement agreed within 5.6e-11
+# Schur complement agreed within 5.6e-11.  The (2.5, 1e2) row is on that
+# member's domain member_rmax(2.5) = 28 + 4 ln 2, recorded with ARPACK's
+# shift-invert eigsh at -3.5 (`oracles.arpack_eigenpairs`), which reproduces
+# the (4, 1e-2) row within 2.3e-12; above the lowest of each sector the
+# values are largely box modes, which move with the domain
 RUN_SPECTRUM_EIGENVALUES = {
     (4.0, 1e-2): [
         [-2.8047572638077263, 0.4054845449779494, 0.7321944681643586,
@@ -357,14 +383,14 @@ RUN_SPECTRUM_EIGENVALUES = {
          1.058477716679766, 1.1904102787829498, 1.3505566838817054],
     ],
     (2.5, 1e2): [
-        [-2.7005196484294753, 0.40815817037479685, 0.7424900969664004,
-         0.8534277613688287, 0.9380969843276525, 1.0530830443883523],
-        [1.5117671220768458e-11, 0.6755892293165018, 0.824863065323223,
-         0.9053701535833658, 1.0044549065505815, 1.1365088241357577],
-        [0.622648498711433, 0.809090026439798, 0.8896956096822146,
-         0.9750996558221997, 1.0921429715603386, 1.239462884911424],
-        [0.8180202258244087, 0.8903142252943934, 0.9634380559045946,
-         1.0656628608693854, 1.1971832395302064, 1.3569956199015996],
+        [-2.70051964845054, 0.4081581703644681, 0.7424860997063725,
+         0.8516745388162841, 0.9221488634262238, 1.0133943604264886],
+        [2.0873969219792343e-11, 0.6755891700407828, 0.8245365065808414,
+         0.8969005758000934, 0.97556216389565, 1.0816990913791251],
+        [0.6226484978318378, 0.8090266535751196, 0.8852264377787522,
+         0.9540050764949672, 1.0480957374468947, 1.1678243127175802],
+        [0.8179929737940528, 0.8874317791146114, 0.9473909969234988,
+         1.0300444026682039, 1.1372794439124068, 1.26809337986806],
     ],
 }
 
@@ -489,10 +515,10 @@ ARPACK_CASES = [(4.0, 1e-2, 1024), (4.75, 10.0, 2048), (2.5, 1e2, 4096),
 @pytest.mark.parametrize("q,lam,n", ARPACK_CASES)
 def test_temple_encloses_the_arpack_eigenvalue(q, lam, n):
     # each sector's certificate against ARPACK's shift-invert eigsh through
-    # splu's LDL^T of the scipy.sparse pair form, above -GAP_TOL
+    # splu's LDL^T of the scipy.sparse pair form, above -GAP_TOL (taken on
+    # the forms directly: the state at (4.75, 10) on 2048 nodes is refused)
     st = sngs.solve(sngs.normal_form(q, lam)[1], n)
-    rep = nondegeneracy_report(st)
-    s0, s1 = rep.sectors
+    s0, s1 = sectors = _certified_sectors(st)
     gap, _, _ = oracles.arpack_eigenpairs(oracles.sector_form_csr(st, 0),
                                           sector_form(st, 0).mass, 1, -GAP_TOL)
     assert s0.count_below == 1 and gap[0] > GAP_TOL
@@ -501,4 +527,4 @@ def test_temple_encloses_the_arpack_eigenvalue(q, lam, n):
     assert s1.count_below == 1 and sigma2 > GAP_TOL
     lo, rho = s1.enclosure
     assert lo - 1e-11 <= sigma1 <= rho + 1e-11, (lo, sigma1, rho)
-    assert [e.factorizations for e in rep.sectors] == [1, 1]
+    assert [e.factorizations for e in sectors] == [1, 1]

@@ -1,7 +1,7 @@
 """The domain property: every point (q, lambda, n) of the paper's range,
 q in (2,3) u (3,6) and lambda over 600 decades, ends in exit code 0 or 2,
-with no warning and strict JSON, and every solve that exits 0 passes
-`check`."""
+with no warning and strict JSON, every solve that exits 0 passes `check`,
+and every spectrum that exits 0 certifies an accepted state."""
 
 import json
 import os
@@ -35,6 +35,10 @@ def open_interval(lo, hi):
 @example(q=2.9999, log_lam=-300.0, n=17)
 @example(q=3.0001, log_lam=-1.0, n=1024)
 @example(q=5.9999, log_lam=100.0, n=257)
+@example(q=2.0 + 1e-9, log_lam=-1.0, n=1024)   # the member domain grows as
+@example(q=2.0001, log_lam=-1.0, n=1024)       # 2 ln 2 / (q - 2) toward
+@example(q=2.001, log_lam=-1.0, n=1024)        # q = 2: these end in exit 2
+@example(q=2.01, log_lam=-1.0, n=1024)
 def test_every_point_ends_in_a_state_or_exit_2(tmp_path_factory, q, log_lam,
                                               n):
     out = str(tmp_path_factory.mktemp("point") / "x")
@@ -54,3 +58,7 @@ def test_every_point_ends_in_a_state_or_exit_2(tmp_path_factory, q, log_lam,
     for path in (out + ".json", out + "s.json"):
         if os.path.exists(path):
             strict_json(path)
+    if spectrum == 0:
+        state = strict_json(out + "s.json")["state"]
+        assert state["summary"]["identity_failures"] == []
+

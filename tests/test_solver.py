@@ -275,12 +275,11 @@ def test_origin_row_is_closed_after_the_active_loop(monkeypatch):
     assert st.residual_norm == unclosed.residual_norm
 
 
-def test_acceptance_refuses_non_finite_identities():
+def test_acceptance_refuses_non_finite_identities(origin_blown_state):
     # node 0 carries no r^2 dr weight, so the residual ratio never sees a
     # blown-up origin value; the origin row of F and the identities, which
     # turn NaN, must refuse it
-    with np.errstate(over="ignore", invalid="ignore"):
-        st = sngs.solve(sngs.normal_form(2.5, 1e-100)[1], 17)
+    st = origin_blown_state
     assert st.residual_norm <= st.residual_bound
     rep = st.diagnostics
     assert np.isnan(rep.nehari) and np.isnan(rep.pohozaev)
@@ -324,13 +323,14 @@ PHYSICAL_POINTS = [
 @pytest.mark.parametrize("lam,a,nu,q,fixed", PHYSICAL_POINTS)
 def test_solve_matches_the_physical_domain_oracle(lam, a, nu, q, fixed):
     # `solve` runs the normal-form member at lam = 1 and maps it out; the
-    # state solved on its own domain 28 / sqrt(lam) from its own Gaussian
-    # is the same state: J, u and the acceptance verdict agree
+    # state solved on its own domain member_rmax(q) / sqrt(lam) from its own
+    # Gaussian is the same state: J, u and the acceptance verdict agree
     params = sngs.ModelParams(lam=lam, a=a, nu=nu, q=q)
     s, member, _ = sngs.normal_member(params)
     assert getattr(member, fixed) == 1.0 and min(member.a, member.nu) <= 1.0
     st = sngs.solve(params, 1024)
-    ref = oracles.physical_solve(params, 1024)
+    ref = oracles.physical_solve(
+        params, 1024, sngs.solver.member_rmax(q) / np.sqrt(lam))
     assert st.params == params and st.grid.r_max == ref.grid.r_max
     J, J_ref = st.diagnostics.J, ref.diagnostics.J
     assert abs(J - J_ref) <= 1e-11 * abs(J_ref)
