@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: solve | sweep | limits | spectrum | scan | check.  Exit codes:
-0 when every enabled verdict passes, 2 on numerical failure (partial manifest
-still written where possible), 64 on usage errors.  `solve`, `sweep`,
-`limits`, `spectrum`, `scan` and `check` accept a state by
-`solver.acceptance_failures`, whose entries a refused state's record lists
-under `identity_failures`; `spectrum` certifies no refused state.
+0 when every enabled verdict passes, 2 on numerical failure, 64 on usage
+errors.  `solve`, `sweep`, `limits`, `spectrum`, `scan` and `check` accept a
+state by `solver.acceptance_failures`, whose entries a refused state's record
+lists under `identity_failures`; `spectrum` certifies no refused state.  A
+state Newton did not converge to is a refused state like any other.  A
+producing subcommand (all but `check`) that ends in a typed numerical error
+with no state still writes `<out>.json`: its flags as `params`, `grid.n` and
+the error as `summary.error`.
 Every state comes from `solver.solve`, to which `limits` and `spectrum` hand
 the members of `scaling.normal_form`.  `limits` takes only lambdas on its
 side of 1 (below 1 for `--side zero`, above for `--side infinity`), else it
@@ -30,8 +33,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, diagnostics, io, linearized, scaling, solver
-from .errors import (BadRange, InvalidExponent, IoError, NegativeStateDetected,
-                     NonConvergence, SngsError, TrivialCollapse, UsageError)
+from .errors import BadRange, InvalidExponent, IoError, SngsError, UsageError
 from .grid import write_table_csv
 
 EXIT_OK = 0
@@ -162,22 +164,12 @@ def _failures_by_lambda(states, lams) -> list:
 
 def cmd_solve(args, command_line):
     io.check_clobber([args.out + ".csv", args.out + ".json"], args.force)
-    params = _params(args, args.lam)
-    try:
-        state = solver.solve(params, args.n)
-    except (NonConvergence, TrivialCollapse, NegativeStateDetected) as exc:
-        best = getattr(exc, "state", None)   # NonConvergence's best iterate
-        record = {} if best is None else {"state": io.state_record(best)}
-        io.write_manifest(
-            args.out + ".json", command_line, params=asdict(params),
-            grid={"n": args.n}, summary={"error": str(exc)}, **record)
-        print(f"solve: {type(exc).__name__} ({exc})", file=sys.stderr)
-        return EXIT_NUMERICAL
+    state = solver.solve(_params(args, args.lam), args.n)
     io.save_state(state, args.out, command_line, args.force)
     failures = solver.acceptance_failures(state)
-    d = state.diagnostics
-    print(f"solve: converged in {state.iterations} iterations, "
-          f"residual {state.residual_norm:.3e}, J = {d.J:.12g}")
+    ended = "stopped after" if failures else "converged in"
+    print(f"solve: {ended} {state.iterations} iterations, "
+          f"residual {state.residual_norm:.3e}, J = {state.diagnostics.J:.12g}")
     for f in failures:
         print(f"solve: under-resolved state {f}", file=sys.stderr)
     return EXIT_NUMERICAL if failures else EXIT_OK
@@ -326,18 +318,25 @@ _COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep, "limits": cmd_limits,
 
 def main(argv=None) -> int:
     argv = list(sys.argv if argv is None else argv)
-    parser = build_parser()
+    command_line = " ".join(argv)
     try:
-        args = parser.parse_args(argv[1:])
-        return _COMMANDS[args.command](args, " ".join(argv))
+        args = build_parser().parse_args(argv[1:])
+        return _COMMANDS[args.command](args, command_line)
     except (UsageError, BadRange, InvalidExponent) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IoError,) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SngsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except SngsError as exc:   # raised after parsing, so `args` is bound
+        print(f"numerical failure: {exc} ({type(exc).__name__})",
+              file=sys.stderr)
+        if args.command != "check":
+            flags = {key: val for key, val in vars(args).items()
+                     if key not in ("command", "n", "out", "force")}
+            io.write_manifest(args.out + ".json", command_line,
+                              params=flags, grid={"n": args.n},
+                              summary={"error": str(exc)})
         return EXIT_NUMERICAL
 
 

@@ -38,22 +38,14 @@ class InvalidExponent(SngsError):
 
 
 class NonConvergence(SngsError):
-    """No state: a non-finite warm start, residual or Jacobian, a singular band
-    matrix, a stalled line search or MAX_ITER.  Only the last two carry the
-    `solver.GroundState` of their last iterate, with the iterations it took,
-    as `state`; otherwise it is None."""
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
+    """No state: a non-finite warm start, residual or Jacobian, or a singular
+    band matrix.  Newton returns the state of its last iterate at MAX_ITER
+    or a line search with no descent, for `solver.acceptance_failures` to
+    judge, so no NonConvergence carries a state."""
 
 
 class TrivialCollapse(SngsError):
     """Iterates decayed to the trivial solution u == 0."""
-
-
-class NegativeStateDetected(SngsError):
-    """Converged to a sign-changing branch, not a ground state."""
 
 
 class StateOutOfRange(SngsError):

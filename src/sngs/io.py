@@ -9,13 +9,13 @@ strict JSON: a non-finite float is written as null.
 A solve produces `<out>.csv`, the state's grid nodes and its arrays u, v
 as columns r,u,v at 17 significant digits (float64 round-trips exactly), and
 `<out>.json`, whose body is the state's record plus the Newton tolerance.
-Re-running an identical configuration reproduces the CSV bit for bit.  A
-failed solve writes the JSON alone, its error in the summary and, when the
-NonConvergence carries the GroundState of its last iterate, that state's
-record under `state`.  `load_state` reads a solve's pair back and raises
-IoError, naming the file, on artifacts that are not a solve's (a manifest's
-diagnostics table must hold every DiagnosticsReport key as a number), and
-naming the error on the manifest of a failed solve.
+Re-running an identical configuration reproduces the CSV bit for bit, and
+a state Newton did not converge to is written like any other.  A failed run,
+one whose typed error left no state, writes `<out>.json` alone: its flags,
+node count and error (`cli.main`).  `load_state` reads a solve's pair back
+and raises IoError, naming the file, on artifacts that are not a solve's (a
+manifest's diagnostics table must hold every DiagnosticsReport key as a
+number), and naming the error on the manifest of a failed run.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def load_state(out_prefix: str) -> tuple[GroundState, dict]:
             manifest = json.load(fh)
         pd, summary = manifest["params"], manifest["summary"]
         if summary.get("error"):
-            raise IoError(f"{json_path} records a failed solve: "
+            raise IoError(f"{json_path} records a failed run: "
                           f"{summary['error']}")
         params = ModelParams(lam=pd["lam"], a=pd["a"], nu=pd["nu"], q=pd["q"])
         iterations = int(summary["iterations"])

@@ -18,8 +18,10 @@ close row 0 of F, which that norm does not weigh.
 `acceptance_failures` is the one rule that accepts a state: its residual
 ratio within GroundState.residual_bound = 10 max(TOL, floor), the floor
 taken at the state, |F(u)_0|, weightless in that ratio, within
-residual_bound lam max|u|, and its Nehari and Pohozaev identities within
-IDENTITY_RTOL G; `linearized` certifies no state this rule refuses.
+residual_bound lam max|u|, its sign positive to 1e-10 max|u|, and its
+Nehari and Pohozaev identities within IDENTITY_RTOL G; `linearized`
+certifies no state this rule refuses.  Newton returns every state it
+reaches, converged or not, for this rule to judge.
 Every Newton solve runs at lam = 1 on make_grid(member_rmax(q), n), one
 domain per q: `solve` and the scan solve the member of `normal_member`, the
 one place of the mu/nu maps, and map the state out.  A GroundState, u and
@@ -49,8 +51,8 @@ import numpy as np
 
 from . import operators
 from .diagnostics import DiagnosticsReport, identities
-from .errors import (BadRange, InvalidExponent, NegativeStateDetected,
-                     NonConvergence, StateOutOfRange, TrivialCollapse)
+from .errors import (BadRange, InvalidExponent, NonConvergence,
+                     StateOutOfRange, TrivialCollapse)
 from .grid import RadialGrid, make_grid
 from .hartree import coulomb_apply
 from .kernels import dgbsv, dpbtrf, dpbtrs
@@ -375,9 +377,12 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
     """Damped Newton from the field `guess` on `grid`, with a deterministic
     warm start; see module docstring.
 
-    Raises TrivialCollapse / NonConvergence / NegativeStateDetected; a
-    NonConvergence from a stalled line search or at MAX_ITER carries the
-    GroundState of the last (lowest-residual) iterate as its `state`.
+    Returns the GroundState of the last (lowest-residual) iterate wherever
+    Newton stops: converged, at a line search with no descent or at
+    MAX_ITER, with the iterations it ran; `acceptance_failures` judges it,
+    its sign included.  Raises TrivialCollapse on a collapsed iterate and
+    NonConvergence, with no state, on a non-finite warm start, residual or
+    step, or a singular band matrix.
     """
     A = operators.radial_laplacian(grid)
     u = np.array(guess, dtype=float)
@@ -386,12 +391,6 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
     _live_norm(grid, u)   # a collapsed warm start is typed before |u| divides
     stop = max(TOL, residual_floor(grid, A, u, params.lam)) * params.lam
     work = _step_workspace(grid)
-
-    def stalled(message, iterations):
-        with np.errstate(over="ignore", invalid="ignore"):   # NaN is refused
-            state = ground_state(grid, u, params, iterations, A)
-        return NonConvergence(f"{message} for {params.label()}", state=state)
-
     it = 0
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         F, v = _residual_values(u, params, grid, A)
@@ -413,20 +412,12 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
                     accepted = True
                     break
                 t *= 0.5
-        if not accepted:
-            raise stalled(f"line search stalled at |F| = {nF:.3e}", it)
+        if not accepted:   # no descent: u is the last iterate
+            break
         u = u + t * d
         F, v = F_try, v_try
         nF = _wnorm(grid, F)
-    else:
-        # the last update may have converged
-        if not nF <= stop * _live_norm(grid, u):
-            raise stalled(f"no convergence in {MAX_ITER} iterations", MAX_ITER)
-
-    sup = float(np.max(u))
-    if np.min(u[:-2]) < -1e-10 * max(sup, abs(float(np.min(u)))):
-        raise NegativeStateDetected(
-            f"converged to a sign-changing branch (min {np.min(u):.2e})")
+    _live_norm(grid, u)   # an update at MAX_ITER may have collapsed
 
     del work   # ground_state's operators need not coexist with the workspace
     # no active row of F and no r^2 dr norm reads u_0 (the couplings into
@@ -445,14 +436,16 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
 
 def acceptance_failures(state: GroundState) -> list:
     """What keeps `state` from being accepted, empty when nothing does:
-    (name, value, bound) for residual_norm over residual_bound, and for
-    origin_residual, unweighted in the ratio, over residual_bound lam max|u|;
+    (name, value, bound) for residual_norm over residual_bound, for
+    origin_residual, unweighted in the ratio, over residual_bound lam max|u|,
+    and for "sign", -min u over 1e-10 max|u| (a ground state is positive);
     ("identity_residuals", nehari, pohozaev) beyond IDENTITY_RTOL G."""
     bound = state.residual_bound
-    origin_bound = bound * state.params.lam * state.diagnostics.sup_u
+    sup = state.diagnostics.sup_u
     failures = [f for f in (("residual_norm", state.residual_norm, bound),
                             ("origin_residual", state.origin_residual,
-                             origin_bound))
+                             bound * state.params.lam * sup),
+                            ("sign", -float(np.min(state.u)), 1e-10 * sup))
                 if not f[1] <= f[2]]   # NaN included
     rep = state.diagnostics
     G = rep.grad_sq
@@ -483,21 +476,14 @@ def _physical(state: GroundState, s: float, params: ModelParams):
 
 
 def solve(params: ModelParams, n: int) -> GroundState:
-    """The ground state of `params` on n nodes, the one rule for a solve's
-    member, domain and start: `normal_member`'s, solved from exp(-r^2/4) on
-    make_grid(member_rmax(q), n), and mapped out, as is a NonConvergence's
-    state."""
+    """The state of `params` on n nodes, the one rule for a solve's member,
+    domain and start: `normal_member`'s, solved from exp(-r^2/4) on
+    make_grid(member_rmax(q), n), and mapped out, whether Newton converged
+    or not (`acceptance_failures` judges it)."""
     s, member, _ = normal_member(params)
     grid = make_grid(member_rmax(params.q), n)
-    try:
-        state = newton_solve(grid, np.exp(-grid.nodes**2 / 4.0), member)
-    except NonConvergence as exc:
-        try:
-            exc.state = _physical(exc.state, s, params)
-        except StateOutOfRange:   # an iterate beyond the floats: no state
-            exc.state = None
-        raise
-    return _physical(state, s, params)
+    return _physical(newton_solve(grid, np.exp(-grid.nodes**2 / 4.0), member),
+                     s, params)
 
 
 # -- multistart uniqueness scan ---------------------------------------------------
@@ -521,8 +507,11 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
     c exp(-kappa r^2) with (c, kappa) log-uniform over [1e-2, 1e2]^2, on the
     n-node grid of `solve`.
 
-    Converged positive states are deduplicated by relative sup distance;
-    everything else (non-convergence, collapse, sign change) counts as failed.
+    Every state a start returns, converged or not, is deduplicated by
+    relative sup distance and counted in `converged`; `acceptance_failures`
+    judges each distinct state, so an unconverged or sign-changing one is a
+    refused state.  A start that ends in a typed error (collapse, a
+    non-finite warm start or step) counts as failed.
     """
     if n_starts < 2:
         raise ValueError("n_starts >= 2")
@@ -538,7 +527,7 @@ def uniqueness_scan(params: ModelParams, n_starts: int, rng_seed: int,
         guess[-2:] = 0.0
         try:
             state = newton_solve(grid, guess, member)
-        except (NonConvergence, TrivialCollapse, NegativeStateDetected):
+        except (NonConvergence, TrivialCollapse):
             failed += 1
             continue
         converged += 1

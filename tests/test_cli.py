@@ -367,29 +367,60 @@ def test_failed_solve_writes_its_manifest(tmp_path, capsys):
     assert not os.path.exists(out + ".csv")
     assert run(["check", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert f"{out}.json records a failed solve: {man['summary']['error']}" in err
+    assert f"{out}.json records a failed run: {man['summary']['error']}" in err
 
 
 def test_failed_solve_records_its_best_iterate(tmp_path, capsys):
     # q=5.95, lambda=1 on 16381 nodes: Newton runs MAX_ITER iterations
-    # without converging, and the manifest records the last iterate
+    # without converging, and `solve` writes the last iterate as its state,
+    # refused; `check` re-derives it and refuses it too
     out = str(tmp_path / "run")
     assert run(["solve", "--q", "5.95", "--lambda", "1", "--n", "16381",
                 "--out", out]) == 2
-    assert "NonConvergence" in capsys.readouterr().err
+    std = capsys.readouterr()
+    assert f"stopped after {solver.MAX_ITER} iterations" in std.out
+    assert "converged" not in std.out
+    assert "under-resolved state ('residual_norm'" in std.err
     man = manifest(out)
-    assert f"no convergence in {solver.MAX_ITER} iterations" in \
-        man["summary"]["error"]
-    assert man["outputs"] == []
-    record = man["state"]
-    assert record["grid"] == {"r_max": 28.0, "n": 16381}
-    assert man["grid"] == {"n": 16381}
-    assert record["params"] == man["params"]
-    summary = record["summary"]
+    assert "error" not in man["summary"] and "state" not in man
+    assert man["outputs"] == [out + ".csv", out + ".json"]
+    assert man["grid"] == {"r_max": 28.0, "n": 16381}
+    summary = man["summary"]
     assert summary["iterations"] == solver.MAX_ITER
     assert summary["residual_norm"] > summary["residual_bound"]
     assert summary["identity_failures"][0][0] == "residual_norm"
-    assert not os.path.exists(out + ".csv")
+    assert os.path.exists(out + ".csv")
+    assert run(["check", "--out", out]) == 2
+    assert "check: mismatch ('residual_norm'" in capsys.readouterr().err
+
+
+def test_check_refuses_a_sign_flipped_field(tmp_path, capsys):
+    # F(-u) = -F(u) at integer q and every identity reads |u|, so -u of a
+    # q=4 state matches its manifest; the acceptance rule refuses its sign
+    from sngs.grid import make_grid, read_field_csv, write_field_csv
+    out = str(tmp_path / "run")
+    assert run(["solve", "--q", "4", "--lambda", "0.1", "--n", "1024",
+                "--out", out]) == 0
+    r, cols = read_field_csv(out + ".csv")
+    write_field_csv(out + ".csv", make_grid(float(r[-1]), len(r)),
+                    {"u": -cols["u"], "v": cols["v"]})
+    capsys.readouterr()
+    assert run(["check", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("check: mismatch ('sign', ")
+
+
+def test_sweep_keeps_the_row_of_an_unconverged_lambda(tmp_path, capsys):
+    # at q=5.95 the second lambda's line search finds no descent: its last
+    # iterate is a refused state with a row of its own, and the run exits 2
+    out = str(tmp_path / "sweep")
+    assert run(["sweep", "--q", "5.95", "--lambdas", "1,5.623413251903491",
+                "--n", "4096", "--out", out]) == 2
+    man = manifest(out)
+    assert len(man["states"]) == 2
+    assert len(Path(out + ".csv").read_text().strip().splitlines()) == 3
+    refused = man["summary"]["identity_failures"]
+    assert [f["lambda"] for f in refused] == [1.0, 5.623413251903491]
+    assert refused[1]["failures"][0][0] == "residual_norm"
 
 
 def _members(*lams, q=4.0, n):
@@ -746,8 +777,15 @@ def test_diverging_warm_start_is_typed(tmp_path, capsys, command):
     """On 16 nodes the warm start blows up, as it does on 17 at
     lambda = 1e-100, and on 33 nodes at q=4.75 it leaves an iterate whose
     residual norm overflows; each is a NonConvergence naming the warm
-    start, exit 2, with no numpy overflow warning on the way."""
-    assert run(command + ["--out", str(tmp_path / "x")]) == 2
+    start, exit 2, with no numpy overflow warning on the way, and the run,
+    `spectrum` as well as `solve`, still writes its flags, node count and
+    error."""
+    out = str(tmp_path / "x")
+    assert run(command + ["--out", out]) == 2
     err = capsys.readouterr().err
     assert "warm start" in err and "non-finite" in err
     assert "Warning" not in err
+    man = manifest(out)
+    assert "warm start" in man["summary"]["error"] and man["outputs"] == []
+    assert man["params"]["lam"] == float(command[command.index("--lambda") + 1])
+    assert man["grid"] == {"n": int(command[command.index("--n") + 1])}

@@ -1,7 +1,8 @@
 """The domain property: every point (q, lambda, n) of the paper's range,
 q in (2,3) u (3,6) and lambda over 600 decades, ends in exit code 0 or 2,
 with no warning and strict JSON, every solve that exits 0 passes `check`,
-and every spectrum that exits 0 certifies an accepted state."""
+every spectrum that exits 0 certifies an accepted state, and every run that
+exits 2 leaves a JSON that records why: an error, or a refused state."""
 
 import json
 import os
@@ -20,6 +21,15 @@ def _refuse(constant):
 def strict_json(path):
     with open(path) as fh:
         return json.load(fh, parse_constant=_refuse)
+
+
+def records_a_refusal(path):
+    """The JSON at `path` holds an error or a state the rule refuses."""
+    man = strict_json(path)
+    if man.get("summary", {}).get("error"):
+        return True
+    record = man.get("state", man)   # spectrum's state, or a solve's body
+    return bool(record["summary"]["identity_failures"])
 
 
 def open_interval(lo, hi):
@@ -55,9 +65,10 @@ def test_every_point_ends_in_a_state_or_exit_2(tmp_path_factory, q, log_lam,
     assert checked in (None, 0, 2)
     if solved == 0:
         assert checked == 0
-    for path in (out + ".json", out + "s.json"):
-        if os.path.exists(path):
-            strict_json(path)
+    for code, path in ((solved, out + ".json"), (spectrum, out + "s.json")):
+        strict_json(path)
+        if code == 2:
+            assert records_a_refusal(path), path
     if spectrum == 0:
         state = strict_json(out + "s.json")["state"]
         assert state["summary"]["identity_failures"] == []
