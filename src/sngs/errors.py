@@ -38,10 +38,11 @@ class InvalidExponent(SngsError):
 
 
 class NonConvergence(SngsError):
-    """No state: a non-finite warm start, residual or Jacobian, or a singular
-    band matrix.  Newton returns the state of its last iterate at MAX_ITER
-    or a line search with no descent, for `solver.acceptance_failures` to
-    judge, so no NonConvergence carries a state."""
+    """No state: a non-finite warm start, residual or Jacobian on the active
+    nodes, which never read u(0), or a singular band matrix.  Newton returns
+    the state of its last iterate at MAX_ITER or a line search with no
+    descent, for `solver.acceptance_failures` to judge, u(0) included, so no
+    NonConvergence carries a state."""
 
 
 class TrivialCollapse(SngsError):

@@ -13,8 +13,12 @@ warm start's banded Cholesky of S + lam W and every Newton step's fixed
 entries.  The warm start stops as soon as its Rayleigh ratio is within
 WARM_TOL of 1 (WARM_SWEEPS caps the sweeps).  Newton stops at |F| <= max(TOL, floor) lam |u| in the
 r^2 dr norm, where `residual_floor` is the rounding level of F, taken once
-per solve after the warm start; then ORIGIN_STEPS scalar Newton steps on u_0
-close row 0 of F, which that norm does not weigh.
+per solve after the warm start.  No active row of F, no active value of v
+and no r^2 dr norm reads u_0 (every coupling into node 0 and both sweep
+integrands carry r_0 = 0), so the warm start and every Newton step solve
+the active nodes 1..n-3 alone and leave u_0 as it is; then ORIGIN_STEPS
+scalar Newton steps on u_0, the one place that solves row 0, set it from
+the active field Newton returns.
 `acceptance_failures` is the one rule that accepts a state: its residual
 ratio within GroundState.residual_bound = 10 max(TOL, floor), the floor
 taken at the state, |F(u)_0|, weightless in that ratio, within
@@ -106,7 +110,7 @@ class GroundState:
     residual_norm: float        # |F(u)| / (lam |u|), r^2 dr norms
     residual_floor: float       # rounding level of residual_norm at u
     origin_residual: float      # |F(u)_0|, which has no r^2 dr weight
-    iterations: int
+    iterations: int             # Newton steps taken
     diagnostics: DiagnosticsReport = field(repr=False)
 
     @property
@@ -158,10 +162,7 @@ def _power(u: np.ndarray, p: float) -> np.ndarray:
 
 def _dpower(u: np.ndarray, p: float) -> np.ndarray:
     """d/du of _power(u, p) = p u^(p-1)."""
-    if abs(p - round(p)) < 1e-14 and round(p) >= 1:
-        k = int(round(p))
-        return float(k) * u ** (k - 1)
-    return p * np.maximum(u, 0.0) ** (p - 1.0)
+    return p * _power(u, p - 1.0)
 
 
 def _residual_values(u: np.ndarray, params: ModelParams, grid: RadialGrid,
@@ -200,10 +201,9 @@ def _newton_step(u, v, F, params, grid, A, work):
     it, D S D from A's weighted bands and T_0 included, is written afresh
     into `work` (`_step_workspace`), which dgbsv overwrites; T_0's bands are
     those of hartree.green_bands(0, m, h), set in closed form (2/h on the
-    diagonal, 1/h its last entry, -1/h off it) with no temporaries.  d_0 then follows from A's origin row, the origin
-    limit, with the screening potential w_0 the trapezoid line integral of
-    2 u d r (its Euler-Maclaurin term is in pot_0).  A non-finite or
-    singular system raises NonConvergence.
+    diagonal, 1/h its last entry, -1/h off it) with no temporaries.  No
+    active row reads d_0, which stays 0.  A non-finite or singular system
+    raises NonConvergence.
     """
     h, m, act = grid.h, grid.n - 3, slice(1, grid.n - 2)
     ab, rhs = work
@@ -233,9 +233,6 @@ def _newton_step(u, v, F, params, grid, A, work):
             f"Newton step for {params.label()}: singular band matrix (info {info})")
     d = np.zeros(grid.n)
     d[act] = x[::2] / scale
-    a00, a01, a02 = A.origin
-    screen = b[0] * np.dot(h * grid.nodes[act] * b[act], d[act])
-    d[0] = (screen - F[0] - a01 * d[1] - a02 * d[2]) / (a00 + pot[0])
     return d
 
 
@@ -246,9 +243,12 @@ def _step_workspace(grid: RadialGrid):
 
 
 def _wnorm(grid: RadialGrid, x: np.ndarray) -> float:
-    """The r^2 dr norm, summed over x / 2^k, 2^k near sup |x[1:]| (exact)."""
+    """The r^2 dr norm, summed over x / 2^k, 2^k near sup |x[1:]| (exact).
+    Node 0, of weight 0, is never read: however large x_0 is, y_0 = 0."""
     scale = 2.0 ** (math.frexp(float(np.max(np.abs(x[1:]))))[1] - 1)
-    y = x / scale
+    with np.errstate(over="ignore"):   # only x_0 can overflow; it is zeroed
+        y = x / scale
+    y[0] = 0.0
     y *= y
     return scale * math.sqrt(float(np.dot(grid.weights_r2dr, y)))
 
@@ -273,15 +273,13 @@ def _shifted_solve(grid: RadialGrid, A: operators.RadialLaplacian, lam: float):
     once by banded Cholesky (LAPACK dpbtrf): rows 1 and 2 couple into node 0
     only through r_0 = 0, and w vanishes on the pad.  Each solve is one
     LAPACK dpbtrs in place.  A nonzero info from either raises
-    NonConvergence.  w_0 then follows from operators.origin_row, the origin
-    limit.
+    NonConvergence.  w_0, which no active row reads, stays 0.
     """
     n = grid.n
     W = grid.weights_r2dr
     chol, info = dpbtrf(_shifted_bands(A, lam))
     if info != 0:
         raise NonConvergence(f"warm-start factorization: dpbtrf info {info}")
-    a00, a01, a02 = A.origin
 
     def solve(N):
         w = np.zeros(n)
@@ -290,7 +288,6 @@ def _shifted_solve(grid: RadialGrid, A: operators.RadialLaplacian, lam: float):
         _, info = dpbtrs(chol, act, overwrite_b=True)
         if info != 0:
             raise NonConvergence(f"warm-start solve: dpbtrs info {info}")
-        w[0] = (N[0] - a01 * w[1] - a02 * w[2]) / (a00 + lam)
         return w
     return solve
 
@@ -379,10 +376,11 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
 
     Returns the GroundState of the last (lowest-residual) iterate wherever
     Newton stops: converged, at a line search with no descent or at
-    MAX_ITER, with the iterations it ran; `acceptance_failures` judges it,
-    its sign included.  Raises TrivialCollapse on a collapsed iterate and
-    NonConvergence, with no state, on a non-finite warm start, residual or
-    step, or a singular band matrix.
+    MAX_ITER, with the Newton steps it took (0 when the warm start meets
+    the stop); `acceptance_failures` judges it, its sign included.  Raises
+    TrivialCollapse on a collapsed iterate and NonConvergence, with no
+    state, on a non-finite warm start, residual or step, or a singular band
+    matrix.
     """
     A = operators.radial_laplacian(grid)
     u = np.array(guess, dtype=float)
@@ -391,16 +389,13 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
     _live_norm(grid, u)   # a collapsed warm start is typed before |u| divides
     stop = max(TOL, residual_floor(grid, A, u, params.lam)) * params.lam
     work = _step_workspace(grid)
-    it = 0
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         F, v = _residual_values(u, params, grid, A)
         nF = _wnorm(grid, F)
     if not math.isfinite(nF):
         raise NonConvergence(f"warm start for {params.label()}: non-finite residual norm")
-    for it in range(1, MAX_ITER + 1):
-        if nF <= stop * _live_norm(grid, u):
-            break
-
+    steps = 0
+    while steps < MAX_ITER and nF > stop * _live_norm(grid, u):
         d = _newton_step(u, v, F, params, grid, A, work)
         del F, v   # the line search replaces them
 
@@ -415,14 +410,14 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
         if not accepted:   # no descent: u is the last iterate
             break
         u = u + t * d
+        steps += 1
         F, v = F_try, v_try
         nF = _wnorm(grid, F)
     _live_norm(grid, u)   # an update at MAX_ITER may have collapsed
 
     del work   # ground_state's operators need not coexist with the workspace
-    # no active row of F and no r^2 dr norm reads u_0 (the couplings into
-    # node 0 and both sweep integrands carry r_0 = 0), so the stop never saw
-    # F(u)_0: scalar Newton steps on u_0 alone close it, the rest of F kept
+    # nothing above moved u_0 and the stop never saw F(u)_0 (module
+    # docstring): scalar Newton steps on u_0 alone set it, the rest of F kept
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(ORIGIN_STEPS):
             F, v = _residual_values(u, params, grid, A)
@@ -431,7 +426,7 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
             if not np.isfinite(step):   # u_0 stays as it is
                 break
             u[0] -= step
-        return ground_state(grid, u, params, it, A)   # non-finite: refused
+        return ground_state(grid, u, params, steps, A)   # non-finite: refused
 
 
 def acceptance_failures(state: GroundState) -> list:

@@ -165,11 +165,10 @@ def step_matrix(u, v, params: ModelParams, grid) -> np.ndarray:
 
 
 def newton_step(u, v, F, params: ModelParams, grid) -> np.ndarray:
-    """The Newton step d of J(u) d = -F: `step_matrix` solved by dgbsv, and
-    d_0 from row 0 of the CSR -Delta_r."""
-    h, act, m = grid.h, slice(1, grid.n - 2), grid.n - 3
+    """The Newton step d of J(u) d = -F on the active rows: `step_matrix`
+    solved by dgbsv, with d_0, which no active row reads, left at 0."""
+    act, m = slice(1, grid.n - 2), grid.n - 3
     scale = np.sqrt(grid.weights_r2dr[1:m + 1])
-    pot, b = linearization(u, v, params, h)
     ab = np.empty((13, 2 * m), order="F")
     ab[4:] = step_matrix(u, v, params, grid)
     rhs = np.empty(2 * m)
@@ -180,10 +179,6 @@ def newton_step(u, v, F, params: ModelParams, grid) -> np.ndarray:
         raise ValueError(f"singular band matrix (info {info})")
     d = np.zeros(grid.n)
     d[act] = x[::2] / scale
-    A = radial_laplacian_csr(grid)
-    a00, a01, a02 = A[0, :3].toarray().ravel()
-    screen = b[0] * np.dot(h * grid.nodes[act] * b[act], d[act])
-    d[0] = (screen - F[0] - a01 * d[1] - a02 * d[2]) / (a00 + pot[0])
     return d
 
 

@@ -353,17 +353,17 @@ def test_sweep_rows_are_direct_solves(tmp_path):
 
 
 def test_failed_solve_writes_its_manifest(tmp_path, capsys):
-    # q=2.5, lambda=0.01 on 16 nodes: the warm start blows up, a
-    # NonConvergence with no state; exit 2, and the manifest still records
+    # q=5.9999, lambda=1e100 on 17 nodes: the iterate collapses, a
+    # TrivialCollapse with no state; exit 2, and the manifest still records
     # the error and the node count of `solve`'s grid; `check` names that error
     out = str(tmp_path / "run")
-    assert run(["solve", "--q", "2.5", "--lambda", "0.01", "--n", "16",
+    assert run(["solve", "--q", "5.9999", "--lambda", "1e100", "--n", "17",
                 "--out", out]) == 2
-    assert "NonConvergence" in capsys.readouterr().err
+    assert "TrivialCollapse" in capsys.readouterr().err
     man = manifest(out)
-    assert "warm start" in man["summary"]["error"]
+    assert "iterate collapsed" in man["summary"]["error"]
     assert man["outputs"] == []
-    assert man["grid"] == {"n": 16} and "state" not in man
+    assert man["grid"] == {"n": 17} and "state" not in man
     assert not os.path.exists(out + ".csv")
     assert run(["check", "--out", out]) == 2
     err = capsys.readouterr().err
@@ -392,6 +392,21 @@ def test_failed_solve_records_its_best_iterate(tmp_path, capsys):
     assert os.path.exists(out + ".csv")
     assert run(["check", "--out", out]) == 2
     assert "check: mismatch ('residual_norm'" in capsys.readouterr().err
+
+
+def test_kwong_member_with_an_unclosed_origin_is_a_refused_state(tmp_path,
+                                                                 capsys):
+    # the Kwong member at q=5.75 on 1024 nodes: its origin row does not
+    # close, and u(0), which no active row reads, cannot end the solve;
+    # `solve` writes the refused state with its CSV and exits 2, and
+    # `check` re-derives and refuses it
+    out = str(tmp_path / "kwong")
+    assert run(["solve", "--q", "5.75", "--lambda", "1", "--a", "0",
+                "--n", "1024", "--out", out]) == 2
+    assert "under-resolved state ('origin_residual'" in capsys.readouterr().err
+    assert os.path.exists(out + ".csv")
+    assert "error" not in manifest(out)["summary"]
+    assert run(["check", "--out", out]) == 2
 
 
 def test_check_refuses_a_sign_flipped_field(tmp_path, capsys):
@@ -774,18 +789,23 @@ def test_origin_spike_collapse_exits_2(tmp_path, capsys):
     ["spectrum", "--q", "2.5", "--lambda", "1e-100", "--n", "17"],
 ])
 def test_diverging_warm_start_is_typed(tmp_path, capsys, command):
-    """On 16 nodes the warm start blows up, as it does on 17 at
-    lambda = 1e-100, and on 33 nodes at q=4.75 it leaves an iterate whose
-    residual norm overflows; each is a NonConvergence naming the warm
-    start, exit 2, with no numpy overflow warning on the way, and the run,
-    `spectrum` as well as `solve`, still writes its flags, node count and
-    error."""
+    """On 16 nodes, on 17 at lambda = 1e-100 and on 33 at q=4.75 the grid
+    is too coarse for the origin steps to close row 0: the warm start and
+    Newton solve the active nodes alone, never reading u(0), so the run
+    ends in a state refused first for `origin_residual`, exit 2, with no
+    numpy warning on the way, recorded with its node count by `spectrum`
+    as well as `solve`."""
     out = str(tmp_path / "x")
     assert run(command + ["--out", out]) == 2
     err = capsys.readouterr().err
-    assert "warm start" in err and "non-finite" in err
-    assert "Warning" not in err
+    assert "under-resolved state ('origin_residual'" in err
+    assert "Warning" not in err and "Traceback" not in err
     man = manifest(out)
-    assert "warm start" in man["summary"]["error"] and man["outputs"] == []
-    assert man["params"]["lam"] == float(command[command.index("--lambda") + 1])
-    assert man["grid"] == {"n": int(command[command.index("--n") + 1])}
+    # spectrum records its member's state beside the flags, solve its own
+    record, lam = ((man["state"], man["lambda"]) if "state" in man
+                   else (man, man["params"]["lam"]))
+    assert "error" not in record["summary"]
+    failures = [f[0] for f in record["summary"]["identity_failures"]]
+    assert failures[0] == "origin_residual"
+    assert lam == float(command[command.index("--lambda") + 1])
+    assert record["grid"]["n"] == int(command[command.index("--n") + 1])

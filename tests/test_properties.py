@@ -45,6 +45,8 @@ def open_interval(lo, hi):
 @example(q=2.9999, log_lam=-300.0, n=17)
 @example(q=3.0001, log_lam=-1.0, n=1024)
 @example(q=5.9999, log_lam=100.0, n=257)
+@example(q=2.0001, log_lam=100.0, n=257)   # exp(-r^2/4) on h = 54: a spike
+@example(q=2.0001, log_lam=200.0, n=257)   # at node 0 over a denormal field
 @example(q=2.0 + 1e-9, log_lam=-1.0, n=1024)   # the member domain grows as
 @example(q=2.0001, log_lam=-1.0, n=1024)       # 2 ln 2 / (q - 2) toward
 @example(q=2.001, log_lam=-1.0, n=1024)        # q = 2: these end in exit 2

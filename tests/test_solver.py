@@ -90,18 +90,23 @@ def test_jacobian_matches_finite_differences(solved_cache):
                                     (1.0, 1.0, 2.5),    # mixed
                                     (0.0, 1.0, 4.0)])   # Kwong
 def test_banded_step_solves_jacobian(solved_cache, a, nu, q):
-    """The banded Newton step is exact against the matrix-free Jacobian at
-    perturbed (non-converged) states."""
+    """The banded Newton step is exact against the matrix-free Jacobian on
+    the active rows 1..n-3 at perturbed (non-converged) states; it leaves
+    d_0 at 0, which no active row of J reads."""
     rng = np.random.default_rng(17)
     st = solved_cache(1.0, a, nu, q)
     g = st.grid
+    act = slice(1, g.n - 2)
     A = sngs.operators.radial_laplacian(g)
     for _ in range(3):
         u = st.u + 0.1 * smooth_bumps(g, rng, amp=st.diagnostics.sup_u)
         F, v = _residual_values(u, st.params, g, A)
         d = _newton_step(u, v, F, st.params, g, A, _step_workspace(g))
+        assert d[0] == 0.0
         jd = apply_jacobian(g, u, d, st.params)
-        assert np.linalg.norm(jd + F) <= 1e-9 * np.linalg.norm(F)
+        assert np.linalg.norm(jd[act] + F[act]) <= 1e-9 * np.linalg.norm(F[act])
+        d[0] = 1e3
+        assert np.array_equal(apply_jacobian(g, u, d, st.params)[act], jd[act])
 
 
 def test_newton_step_reuses_its_workspace(solved_cache):
@@ -163,7 +168,8 @@ def test_banded_assembly_matches_the_csr_oracle(n, monkeypatch):
     """S + lam W of the warm start, the band matrix dgbsv receives in a
     Newton step (its fixed entries and the u-dependent ones) and the whole
     step, assembled from the weighted bands of `radial_laplacian`, equal bit
-    for bit those read back out of the CSR forms."""
+    for bit those read back out of the CSR forms (the oracle's step, like
+    the step, leaves d_0 at 0)."""
     from sngs import solver
     p = sngs.ModelParams(lam=0.37, a=1.0, nu=1.0, q=2.5)
     g = sngs.make_grid(sngs.solver.R_MAX, n)
@@ -208,7 +214,8 @@ def test_solve_peak_allocation():
 @pytest.mark.parametrize("n", [300, 4096])
 def test_shifted_solve_matches_sparse_lu(n):
     """The banded Cholesky solve of the warm start is the system
-    (A + lam diag(1, ..., 1, 0, 0)) w = N for N vanishing on the pad."""
+    (A + lam diag(1, ..., 1, 0, 0)) w = N for N vanishing on the pad, on the
+    active nodes; w_0, which no active row reads, stays 0."""
     lam = 0.37
     g = sngs.make_grid(sngs.solver.R_MAX / np.sqrt(lam), n)
     A = sngs.operators.radial_laplacian(g)
@@ -220,7 +227,8 @@ def test_shifted_solve_matches_sparse_lu(n):
     N[0] = 1.3   # the origin row enters through row 0 of A alone
     w = _shifted_solve(g, A, lam)(N)
     ref = oracle.solve(N)
-    assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(w[1:] - ref[1:])) <= 1e-12 * np.max(np.abs(ref))
+    assert w[0] == 0.0
 
 
 def test_warm_start_stops_on_settled_ratio():
@@ -256,10 +264,10 @@ def test_acceptance_failures(solved_cache, spoil, names):
 
 
 def test_origin_row_is_closed_after_the_active_loop(monkeypatch):
-    # no active row and no r^2 dr norm reads u(0), so Newton's stop leaves
-    # F(u)_0 wherever the active rows converge; at the (5.5, 1e2) normal-form
-    # member on 12281 nodes that was 1.87x its bound.  The scalar steps on
-    # row 0 bring it under the bound and move u(0) alone, by an ulp or two:
+    # no active row and no r^2 dr norm reads u(0), so the warm start and the
+    # Newton steps leave it where it was (0) and solve the active nodes
+    # alone; at the (5.5, 1e2) normal-form member on 12281 nodes the scalar
+    # steps on row 0 set u(0) and bring F(u)_0 under a fifth of its bound:
     # every other node, J and the residual ratio keep their bits
     params = sngs.normal_form(5.5, 1e2)[1]
     st = sngs.solve(params, 12281)
@@ -270,9 +278,26 @@ def test_origin_row_is_closed_after_the_active_loop(monkeypatch):
     unclosed = sngs.solve(params, 12281)
     assert unclosed.origin_residual > bound
     assert np.array_equal(st.u[1:], unclosed.u[1:])
-    assert st.u[0] == pytest.approx(unclosed.u[0], rel=1e-14, abs=0.0)
+    assert unclosed.u[0] == 0.0 < st.u[0]
     assert st.diagnostics.J == unclosed.diagnostics.J
     assert st.residual_norm == unclosed.residual_norm
+
+
+def test_a_spike_at_the_origin_leaves_the_solve_unmoved():
+    # no active row reads u(0), and the origin steps set it from the active
+    # field, so a guess spiked to 1e3 at node 0 gives the unspiked state
+    # bit for bit
+    p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
+    g = sngs.make_grid(sngs.solver.R_MAX, 1024)
+    guess = oracles.gaussian_guess(g)
+    st = sngs.newton_solve(g, guess, p)
+    guess[0] = 1e3
+    spiked = sngs.newton_solve(g, guess, p)
+    assert np.array_equal(spiked.u, st.u)
+    assert spiked.diagnostics.J == st.diagnostics.J
+    assert spiked.residual_norm == st.residual_norm
+    assert spiked.iterations == st.iterations
+    assert sngs.acceptance_failures(spiked) == []
 
 
 def test_acceptance_refuses_non_finite_identities(origin_blown_state):
@@ -396,7 +421,7 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
 def test_line_search_rejects_non_finite_trials(monkeypatch):
     # a step so long that every trial residual overflows: each trial fails
     # the descent test quietly, and Newton returns the iterate it started
-    # the step from, a refused state
+    # the step from, a refused state, with no step taken
     from sngs import solver
     step = solver._newton_step
     monkeypatch.setattr(solver, "_newton_step",
@@ -404,7 +429,7 @@ def test_line_search_rejects_non_finite_trials(monkeypatch):
     p = sngs.ModelParams(lam=1.0, a=1.0, nu=1.0, q=4.0)
     g = sngs.make_grid(sngs.solver.R_MAX, 256)
     state = sngs.newton_solve(g, oracles.gaussian_guess(g), p)
-    assert state.iterations == 1 and np.all(np.isfinite(state.u))
+    assert state.iterations == 0 and np.all(np.isfinite(state.u))
     assert sngs.acceptance_failures(state)[0][0] == "residual_norm"
 
 
