@@ -18,7 +18,8 @@ with the acceptance failures of its states and reference.
 Importing this module ends with `gc.freeze()`, so no collection, the one at
 interpreter exit included, walks the ~22k objects numpy and sngs leave at
 import again: about 17 ms of each process.  No subcommand imports a `scipy`
-module: sngs takes its compiled routines from `kernels`.
+module: sngs takes its compiled routines from `kernels`, and only
+`spectrum` maps a scipy library, SuperLU's.
 """
 
 from __future__ import annotations

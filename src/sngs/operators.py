@@ -34,7 +34,9 @@ factors in one-column panels: the pair form's factors hold about 4 nonzeros
 per row, so a wide panel finds no dense block to work on, while part of
 SuperLU's workspace grows with the panel width.  A mass shorter than the
 form eliminates its trailing block (`schur_apply`, Haynsworth).  The
-compiled routines, SuperLU's and LAPACK's, come from `kernels`.
+compiled routines come from `kernels`: LAPACK's dptsv from the OpenBLAS
+numpy bundles, and SuperLU's gstrf from scipy's _superlu, which is loaded on
+the first factorization.
 """
 
 from __future__ import annotations

@@ -43,7 +43,8 @@ of the solve; each step writes the entries no iterate changes into it
 afresh from -Delta_r's weighted bands and T_0's closed form, so nothing but
 the workspace outlives a step.
 The solve's three LAPACK routines, dgbsv for the step and dpbtrf and dpbtrs
-for the warm start, come from `kernels`: no solve imports a scipy module.
+for the warm start, come from `kernels`, out of the OpenBLAS numpy bundles:
+no solve imports a scipy module or maps a scipy library.
 """
 
 from __future__ import annotations

@@ -1,10 +1,19 @@
 """The compiled routines of `sngs.kernels` against the scipy calls they
-replace: the path-loaded LAPACK routines and SuperLU's gstrf, the loader's
-fallback, and the CSC array `operators._inertia` builds from a form's bands."""
+replace: the LAPACK routines from numpy's OpenBLAS and their _flapack
+fallback, SuperLU's gstrf loaded on first use, the loader's fallback to
+scipy's imports, the libraries a fresh process maps, and the CSC array
+`operators._inertia` builds from a form's bands."""
 
+import ctypes
 import importlib
 import importlib.machinery
 import importlib.util
+import json
+import os
+from pathlib import Path
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -24,6 +33,15 @@ def same_bits(x, y):
             and x.tobytes() == y.tobytes())
 
 
+def same_values(x, y):
+    """Equal bits for floats, equal values for integers of any width (the
+    pivots of an ILP64 LAPACK are int64, f2py's int32)."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype.kind == y.dtype.kind == "i":
+        return x.shape == y.shape and np.array_equal(x, y)
+    return same_bits(x, y)
+
+
 def spd_bands(rng, n, width):
     """Upper banded storage (width + 1 rows) of a seeded diagonally dominant
     symmetric positive definite matrix."""
@@ -34,9 +52,14 @@ def spd_bands(rng, n, width):
     return ab
 
 
-def test_extensions_are_loaded_from_their_files():
-    # under sngs's own names, not through a scipy package
-    assert kernels._flapack.__name__ == "sngs.kernels._flapack"
+def test_extensions_are_loaded_from_their_files(monkeypatch):
+    # under sngs's own names, not through a scipy package; _superlu only
+    # once gstrf is called
+    monkeypatch.setattr(kernels, "_superlu", None)
+    assert kernels._extension("linalg", "_flapack").__name__ == \
+        "sngs.kernels._flapack"
+    with pytest.raises(TypeError):
+        kernels.gstrf()
     assert kernels._superlu.__name__ == "sngs.kernels._superlu"
 
 
@@ -58,12 +81,16 @@ def lapack_cases(flapack):
     return out, (ab, rhs, spd, d, e, B)
 
 
-def test_lapack_routines_equal_the_scipy_calls_they_replace():
-    got, (ab, rhs, spd, d, e, B) = lapack_cases(kernels)
+def assert_equal_to_scipy(routines):
+    """The four routines of `routines` give the values of scipy's calls on
+    `lapack_cases`, floats bit for bit, and leave their inputs as they were."""
+    got, (ab, rhs, spd, d, e, B) = lapack_cases(routines)
+    inputs = [a.copy() for a in (ab, rhs, spd, d, e, B)]
     # the Newton step and the warm start's solves called these very wrappers
     lu, piv, x, info = lapack.dgbsv(4, 4, ab.copy(order="F"), rhs.copy())
     assert info == got["dgbsv"][3] == 0
-    assert all(same_bits(a, b) for a, b in zip(got["dgbsv"][:3], (lu, piv, x)))
+    assert all(same_values(a, b)
+               for a, b in zip(got["dgbsv"][:3], (lu, piv, x)))
     chol = sla.cholesky_banded(spd, check_finite=False)
     assert got["dpbtrf"][1] == 0 and same_bits(got["dpbtrf"][0], chol)
     x, info = lapack.dpbtrs(chol, rhs)
@@ -71,6 +98,60 @@ def test_lapack_routines_equal_the_scipy_calls_they_replace():
     # T's solve in `schur_apply` was solveh_banded's two-row case
     x = sla.solveh_banded([np.r_[0.0, e], d], B, check_finite=False)
     assert got["dptsv"][3] == 0 and same_bits(got["dptsv"][2], x)
+    d_out, e_out = lapack.dptsv(d, e, B)[:2]
+    assert same_bits(got["dptsv"][0], d_out)
+    assert same_bits(got["dptsv"][1], e_out)
+    assert all(same_bits(a, b)
+               for a, b in zip(inputs, (ab, rhs, spd, d, e, B)))
+
+
+def test_lapack_routines_equal_the_scipy_calls_they_replace():
+    if not isinstance(kernels._routines, kernels._ILP64Lapack):
+        pytest.skip("numpy bundles no ILP64 OpenBLAS here")
+    assert_equal_to_scipy(kernels._routines)
+
+
+@pytest.mark.parametrize("failure", ["no library", "no symbol"])
+def test_flapack_fallback_gives_the_same_bits(monkeypatch, failure):
+    found = None if failure == "no library" else types.SimpleNamespace()
+    monkeypatch.setattr(kernels, "_openblas", lambda: found)
+    fallback = kernels._lapack()
+    assert fallback.__name__ == "sngs.kernels._flapack"
+    assert_equal_to_scipy(fallback)
+    ours, _ = lapack_cases(kernels)
+    theirs, _ = lapack_cases(fallback)
+    for name in ours:
+        assert all(same_values(a, b) for a, b in zip(ours[name], theirs[name]))
+
+
+def test_lapack_wrappers_refuse_a_bad_call():
+    if not isinstance(kernels._routines, kernels._ILP64Lapack):
+        pytest.skip("numpy bundles no ILP64 OpenBLAS here")
+    ab = np.zeros((13, 20), order="F")
+    with pytest.raises(ValueError):
+        kernels.dgbsv(4, 4, ab, np.ones(19))     # b too short
+    with pytest.raises(ValueError):
+        kernels.dptsv(np.ones(5), np.ones(5), np.ones(5))
+    with pytest.raises(ctypes.ArgumentError):   # argtypes: int64 pivots
+        kernels._routines._gbsv(None, None, None, None, ab, None,
+                                np.zeros(20, dtype=np.int32), None, None,
+                                None)
+
+
+def test_gstrf_loads_superlu_once_on_its_first_call(monkeypatch):
+    real, loads = kernels._extension, []
+
+    def extension(package, name):
+        loads.append((package, name))
+        return real(package, name)
+    monkeypatch.setattr(kernels, "_extension", extension)
+    monkeypatch.setattr(kernels, "_superlu", None)
+    form = oracles.bands_of(sp.diags([-np.ones(9), np.full(10, 2.0),
+                                      -np.ones(9)], [-1, 0, 1]))
+    for _ in range(2):
+        lu, negative, _ = operators._inertia(form, np.ones(10), -0.5)
+        assert negative == 0
+    assert loads == [("sparse.linalg._dsolve", "_superlu")]
 
 
 def factor(superlu, form, mass, tau):
@@ -86,6 +167,8 @@ def factor(superlu, form, mass, tau):
 
 @pytest.mark.parametrize("failure", ["file not found", "load fails"])
 def test_loader_falls_back_to_scipy_imports(monkeypatch, failure):
+    loaded = (kernels._extension("linalg", "_flapack"),
+              kernels._extension("sparse.linalg._dsolve", "_superlu"))
     if failure == "file not found":
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
     else:
@@ -98,20 +181,64 @@ def test_loader_falls_back_to_scipy_imports(monkeypatch, failure):
     assert flapack is importlib.import_module("scipy.linalg._flapack")
     assert superlu is importlib.import_module(
         "scipy.sparse.linalg._dsolve._superlu")
-    assert flapack is not kernels._flapack
+    assert flapack is not loaded[0] and superlu is not loaded[1]
     # the same compiled routines: the same bits
     fallback, _ = lapack_cases(flapack)
-    loaded, _ = lapack_cases(kernels)
-    for name in loaded:
-        for a, b in zip(fallback[name], loaded[name]):
+    from_file, _ = lapack_cases(loaded[0])
+    for name in from_file:
+        for a, b in zip(fallback[name], from_file[name]):
             assert same_bits(a, b), name
     form = oracles.bands_of(sp.diags([-np.ones(99), np.full(100, 2.0),
                                       -np.ones(99)], [-1, 0, 1]))
     rhs = np.random.default_rng(3).normal(size=100)
     lu_a, lu_b = (factor(m, form, np.ones(100), -0.5)
-                  for m in (superlu, kernels._superlu))
+                  for m in (superlu, loaded[1]))
     assert lu_a.U == lu_b.U and lu_a.L == lu_b.L
     assert same_bits(lu_a.solve(rhs), lu_b.solve(rhs))
+
+
+MAPPED_SCIPY = """
+import json, os, sys, sngs.cli
+def scipy_files():
+    files = set()
+    for line in open('/proc/self/maps'):
+        path = line.split(maxsplit=5)[5:]
+        parts = path[0].strip().split(os.sep) if path else []
+        for i, part in enumerate(parts):
+            if part in ('scipy', 'scipy.libs'):
+                files.add('/'.join(parts[i:]))
+    return sorted(files)
+for argv in (['solve', '--q', '4', '--lambda', '0.1', '--n', '512',
+              '--out', 'g'], ['check', '--out', 'g'],
+             ['limits', '--q', '4', '--side', 'zero', '--lambdas', '0.1',
+              '--n', '512', '--out', 'lim']):
+    assert sngs.cli.main(['sngs', *argv]) == 0, argv
+print('mapped', json.dumps(scipy_files()))
+assert sngs.cli.main(['sngs', 'spectrum', '--q', '4', '--lambda', '0.01',
+                      '--n', '1024', '--out', 'gs']) == 0
+print('mapped', json.dumps(scipy_files()))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/maps")
+def test_only_spectrum_maps_a_scipy_library(tmp_path):
+    src = str(Path(sngs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", MAPPED_SCIPY], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = (json.loads(line.split(" ", 1)[1])
+                     for line in proc.stdout.splitlines()
+                     if line.startswith("mapped "))
+    if not isinstance(kernels._routines, kernels._ILP64Lapack):
+        pytest.skip("numpy bundles no ILP64 OpenBLAS: _flapack is mapped")
+    assert before == []
+    # SuperLU's module and what it links, scipy's OpenBLAS among them
+    assert any(f.startswith("scipy/sparse/linalg/_dsolve/_superlu")
+               for f in after), after
+    assert all(f.startswith(("scipy/sparse/linalg/_dsolve/_superlu",
+                             "scipy.libs/")) for f in after), after
 
 
 @pytest.fixture(scope="module")
