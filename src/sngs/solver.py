@@ -16,9 +16,10 @@ r^2 dr norm, where `residual_floor` is the rounding level of F, taken once
 per solve after the warm start.  No active row of F, no active value of v
 and no r^2 dr norm reads u_0 (every coupling into node 0 and both sweep
 integrands carry r_0 = 0), so the warm start and every Newton step solve
-the active nodes 1..n-3 alone and leave u_0 as it is; then ORIGIN_STEPS
-scalar Newton steps on u_0, the one place that solves row 0, set it from
-the active field Newton returns.
+the active nodes 1..n-3 alone and leave u_0 as it is; then scalar Newton
+steps on u_0, the one place that solves row 0, set it from the active field
+Newton returns, until a step leaves u_0 unchanged or non-finite
+(ORIGIN_STEPS caps them).
 `acceptance_failures` is the one rule that accepts a state: its residual
 ratio within GroundState.residual_bound = 10 max(TOL, floor), the floor
 taken at the state, |F(u)_0|, weightless in that ratio, within
@@ -69,7 +70,7 @@ MAX_ITER = 60         # Newton iterations
 DAMPING = 20          # max step halvings per Newton iteration
 WARM_SWEEPS = 60      # cap on the spectral-renormalization sweeps
 WARM_TOL = 1e-4       # the warm start stops at |Rayleigh ratio - 1| <= WARM_TOL
-ORIGIN_STEPS = 4      # scalar Newton steps on row 0 after the active loop
+ORIGIN_STEPS = 8      # cap on the scalar Newton steps on row 0 after it
 DEDUP_TOL = 1e-6      # relative sup distance under which two scan states agree
 R_MAX = 28.0          # member domain past W's sech offset (`member_rmax`)
 
@@ -423,10 +424,10 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
         for _ in range(ORIGIN_STEPS):
             F, v = _residual_values(u, params, grid, A)
             pot0 = linearization(u[:1], v[:1], params, grid.h)[0][0]
-            step = F[0] / (A.origin[0] + pot0)
-            if not np.isfinite(step):   # u_0 stays as it is
+            u0 = u[0] - F[0] / (A.origin[0] + pot0)
+            if not np.isfinite(u0) or u0 == u[0]:   # u_0 stays as it is
                 break
-            u[0] -= step
+            u[0] = u0
         return ground_state(grid, u, params, steps, A)   # non-finite: refused
 
 

@@ -263,6 +263,22 @@ def test_acceptance_failures(solved_cache, spoil, names):
         assert state.residual_bound == 10 * sngs.solver.TOL
 
 
+def test_origin_steps_run_until_u0_stops_moving(monkeypatch):
+    # the q=5.95, lambda = 10^0.25 member on 8191 nodes ends unconverged
+    # (60 Newton steps), and four scalar steps from u(0) = 0 left
+    # |F(u)_0| = 3e-2, so its record listed origin_residual beside its real
+    # failures; stepping until u(0) no longer moves closes row 0
+    params = sngs.normal_form(5.95, 10 ** 0.25)[1]
+    st = sngs.solve(params, 8191)
+    names = [f[0] for f in sngs.acceptance_failures(st)]
+    assert names == ["residual_norm", "identity_residuals"]
+    assert st.origin_residual < 1e-8
+    monkeypatch.setattr(sngs.solver, "ORIGIN_STEPS", 4)
+    four = sngs.solve(params, 8191)
+    assert four.origin_residual > 1e-2
+    assert np.array_equal(st.u[1:], four.u[1:])
+
+
 def test_origin_row_is_closed_after_the_active_loop(monkeypatch):
     # no active row and no r^2 dr norm reads u(0), so the warm start and the
     # Newton steps leave it where it was (0) and solve the active nodes
