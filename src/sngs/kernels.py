@@ -1,27 +1,24 @@
 """The compiled routines sngs calls: four LAPACK routines and SuperLU's gstrf.
 
-sngs calls dgbsv, dpbtrf, dpbtrs and dptsv, and SuperLU's gstrf, and nothing
-else of a compiled library beyond numpy.  The LAPACK routines are taken
-through ctypes from the ILP64 OpenBLAS that numpy bundles (under numpy.libs/
-or numpy/.dylibs/, symbols `scipy_<name>_64_` or `<name>_64_`), which
-`import numpy` has already mapped, so a solve maps no library of its own.
-Every routine has its argtypes set, so a call with the wrong kind of array
-raises TypeError instead of crashing, and each wrapper checks its shapes.
-The wrappers take the arguments and return the tuples of scipy's f2py
-wrappers of the same names, for the arguments sngs passes.  When numpy
-bundles no such library, or it lacks a symbol, the four routines come from
-scipy's own compiled _flapack instead.
+dgbsv, dpbtrf, dpbtrs and dptsv are called through ctypes from the ILP64
+OpenBLAS that numpy bundles (under numpy.libs/ or numpy/.dylibs/, symbols
+`scipy_<name>_64_` or `<name>_64_`) and that `import numpy` has already
+mapped, so a solve maps no library of its own.  Each routine has its argtypes
+set, so an array of the wrong kind raises ctypes.ArgumentError instead of
+crashing, and each wrapper checks its shapes; it takes the arguments and
+returns the tuple of scipy's f2py wrapper of the same name, for the
+arguments sngs passes.  Where numpy bundles no such library, or it lacks a
+symbol, the four come from scipy's _flapack.
 
 Importing scipy's compiled modules through `scipy.linalg` or
 `scipy.sparse.linalg` runs those packages' __init__ and scipy's array-API
 layer: most of a short job's wall time and about 29 MB of its memory.  So
-_flapack and _superlu (scipy/linalg/_flapack and
-scipy/sparse/linalg/_dsolve/_superlu) are loaded from their files
-(`_extension`) under names in this module's namespace, and no `scipy` module
-is imported.  The file layout is scipy's private one: when a file is not
-found or does not load, the module comes from scipy's own import of it, the
-same compiled code.  _superlu, with scipy's OpenBLAS that it links, is loaded
-on the first gstrf call, so only `spectrum` maps it.
+_flapack and _superlu are loaded from their files (`_extension`) under names
+in this module's namespace, and no `scipy` module is imported.  The file
+layout is scipy's private one: when a file is not found or does not load,
+the module comes from scipy's own import of it, the same compiled code.
+_superlu, with the scipy OpenBLAS it links, is loaded on the first gstrf
+call, so only `spectrum` maps it.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ def _openblas():
 
 _INT = ctypes.POINTER(ctypes.c_int64)   # a Fortran integer, by reference
 _REAL = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
-_PIVOTS = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
+_PIVOTS = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _CHAR = ctypes.c_char_p
 _CHAR_LEN = ctypes.c_size_t             # gfortran's hidden length of a CHAR
 
@@ -103,9 +100,9 @@ def _columns(b: np.ndarray) -> int:
     return 1 if b.ndim == 1 else b.shape[1]
 
 
-def _require(ok: bool, what: str) -> None:
+def _require(ok: bool, routine: str) -> None:
     if not ok:
-        raise ValueError(f"LAPACK call: {what}")
+        raise ValueError(f"{routine}: arrays of the wrong shape")
 
 
 class _ILP64Lapack:
@@ -127,8 +124,9 @@ class _ILP64Lapack:
         """(lu, piv, x, info) of the banded system ab x = b, piv 0-based."""
         ab, b = _fortran(ab, overwrite_ab), _fortran(b, overwrite_b)
         n = ab.shape[-1]
-        _require(ab.ndim == 2 and ab.shape[0] == 2 * kl + ku + 1
-                 and b.shape[0] == n, "dgbsv shapes")
+        _require(kl >= 0 and ku >= 0 and ab.ndim == 2
+                 and ab.shape[0] == 2 * kl + ku + 1 and b.shape[0] == n,
+                 "dgbsv")
         piv, info = np.empty(n, dtype=np.int64), ctypes.c_int64()
         self._gbsv(_int(n), _int(kl), _int(ku), _int(_columns(b)), ab,
                    _int(ab.shape[0]), piv, b, _int(n), ctypes.byref(info))
@@ -138,17 +136,17 @@ class _ILP64Lapack:
     def dpbtrf(self, ab):
         """(c, info): the upper banded Cholesky factor of ab."""
         c, info = _fortran(ab), ctypes.c_int64()
-        _require(c.ndim == 2, "dpbtrf shapes")
+        _require(c.ndim == 2, "dpbtrf")
         self._pbtrf(b"U", _int(c.shape[1]), _int(c.shape[0] - 1), c,
                     _int(c.shape[0]), ctypes.byref(info), 1)
         return c, info.value
 
     def dpbtrs(self, ab, b, overwrite_b=False):
-        """(x, info) of c^T c x = b, c the upper factor dpbtrf returns."""
+        """(x, info) of c^T c x = b, ab = c the upper factor dpbtrf returns."""
         ab = np.asfortranarray(ab, dtype=np.float64)   # read, not written
         b = _fortran(b, overwrite_b)
         n, info = ab.shape[-1], ctypes.c_int64()
-        _require(ab.ndim == 2 and b.shape[0] == n, "dpbtrs shapes")
+        _require(ab.ndim == 2 and b.shape[0] == n, "dpbtrs")
         self._pbtrs(b"U", _int(n), _int(ab.shape[0] - 1), _int(_columns(b)),
                     ab, _int(ab.shape[0]), b, _int(n), ctypes.byref(info), 1)
         return b, info.value
@@ -159,7 +157,7 @@ class _ILP64Lapack:
         d, e, b = _fortran(d), _fortran(e), _fortran(b)
         n, info = len(d), ctypes.c_int64()
         _require(d.ndim == e.ndim == 1 and len(e) == n - 1
-                 and b.shape[0] == n, "dptsv shapes")
+                 and b.shape[0] == n, "dptsv")
         self._ptsv(_int(n), _int(_columns(b)), d, e, b, _int(n),
                    ctypes.byref(info))
         return d, e, b, info.value

@@ -70,7 +70,7 @@ MAX_ITER = 60         # Newton iterations
 DAMPING = 20          # max step halvings per Newton iteration
 WARM_SWEEPS = 60      # cap on the spectral-renormalization sweeps
 WARM_TOL = 1e-4       # the warm start stops at |Rayleigh ratio - 1| <= WARM_TOL
-ORIGIN_STEPS = 8      # cap on the scalar Newton steps on row 0 after it
+ORIGIN_STEPS = 8      # cap on the scalar Newton steps on row 0 after Newton
 DEDUP_TOL = 1e-6      # relative sup distance under which two scan states agree
 R_MAX = 28.0          # member domain past W's sech offset (`member_rmax`)
 

@@ -131,6 +131,8 @@ def test_lapack_wrappers_refuse_a_bad_call():
     with pytest.raises(ValueError):
         kernels.dgbsv(4, 4, ab, np.ones(19))     # b too short
     with pytest.raises(ValueError):
+        kernels.dgbsv(-1, 14, ab, np.ones(20))   # bands that do not exist
+    with pytest.raises(ValueError):
         kernels.dptsv(np.ones(5), np.ones(5), np.ones(5))
     with pytest.raises(ctypes.ArgumentError):   # argtypes: int64 pivots
         kernels._routines._gbsv(None, None, None, None, ab, None,
