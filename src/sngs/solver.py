@@ -298,10 +298,7 @@ def _warm_start(u, params, grid, A):
     """Amplitude-stabilized Picard iteration (spectral renormalization).
 
     u <- S^gamma (A + lam)^(-1) N(u) with S the Rayleigh ratio of the linear
-    and nonlinear pairings; gamma = p / (p - 1) from the degree p - 1 of N,
-    its terms' degrees (2 for a v u, q - 2 for nu u^(q-1)) weighted by their
-    shares of the nonlinear pairing, taken each sweep: 3/2 and
-    (q - 1)/(q - 2) exactly at a pure Hartree and a pure power N.  Stops
+    and nonlinear pairings; gamma from the dominant homogeneity of N.  Stops
     once |S - 1| <= WARM_TOL or after WARM_SWEEPS sweeps.  On a grid too coarse
     for the state the iteration can blow up: the first non-finite ratio or
     iterate raises NonConvergence, and the overflow that produced it is not
@@ -309,16 +306,15 @@ def _warm_start(u, params, grid, A):
     """
     W = grid.weights_r2dr
     solve = _shifted_solve(grid, A, params.lam)
+    gamma = 1.5 if params.a > 0 else (params.q - 1.0) / (params.q - 2.0)
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         for sweep in range(1, WARM_SWEEPS + 1):
             if np.max(np.abs(u)) < TRIVIAL_SUP:
                 break
             v = coulomb_apply(grid, u * u)
-            hartree = params.a * v * u
-            N = hartree + params.nu * _power(u, params.q - 1.0)
-            Wu = W * u
-            num = np.dot(Wu, A @ u + params.lam * u)
-            den = np.dot(Wu, N)
+            N = params.a * v * u + params.nu * _power(u, params.q - 1.0)
+            num = np.dot(W * u, A @ u + params.lam * u)
+            den = np.dot(W * u, N)
             if den <= 0.0 or num <= 0.0:
                 break
             ratio = num / den
@@ -327,10 +323,7 @@ def _warm_start(u, params, grid, A):
                                      f"non-finite Rayleigh ratio in sweep {sweep}")
             if abs(ratio - 1.0) <= WARM_TOL:
                 break
-            # N's degree p - 1, each term's weighted by its share of den
-            share = np.dot(Wu, hartree) / den
-            degree = 2.0 * share + (params.q - 2.0) * (1.0 - share)
-            u = ratio ** ((degree + 1.0) / degree) * solve(N)
+            u = ratio ** gamma * solve(N)
             if not np.all(np.isfinite(u)):
                 raise NonConvergence(f"warm start for {params.label()}: "
                                      f"non-finite iterate in sweep {sweep}")

@@ -353,18 +353,17 @@ def test_sweep_rows_are_direct_solves(tmp_path):
 
 
 def test_failed_solve_writes_its_manifest(tmp_path, capsys):
-    # q=2.0001, lambda=1e300 on 16 nodes: the iterate collapses onto the
-    # origin, a TrivialCollapse with no state; exit 2, and the manifest still
-    # records the error and the node count of `solve`'s grid; `check` names
-    # that error
+    # q=5.9999, lambda=1e100 on 17 nodes: the iterate collapses, a
+    # TrivialCollapse with no state; exit 2, and the manifest still records
+    # the error and the node count of `solve`'s grid; `check` names that error
     out = str(tmp_path / "run")
-    assert run(["solve", "--q", "2.0001", "--lambda", "1e300", "--n", "16",
+    assert run(["solve", "--q", "5.9999", "--lambda", "1e100", "--n", "17",
                 "--out", out]) == 2
     assert "TrivialCollapse" in capsys.readouterr().err
     man = manifest(out)
     assert "iterate collapsed" in man["summary"]["error"]
     assert man["outputs"] == []
-    assert man["grid"] == {"n": 16} and "state" not in man
+    assert man["grid"] == {"n": 17} and "state" not in man
     assert not os.path.exists(out + ".csv")
     assert run(["check", "--out", out]) == 2
     err = capsys.readouterr().err
@@ -426,12 +425,11 @@ def test_check_refuses_a_sign_flipped_field(tmp_path, capsys):
 
 
 def test_sweep_keeps_the_row_of_an_unconverged_lambda(tmp_path, capsys):
-    # at q=5.95 on 8191 nodes the second lambda's line search finds no
-    # descent: its last iterate is a refused state with a row of its own,
-    # and the run exits 2
+    # at q=5.95 the second lambda's line search finds no descent: its last
+    # iterate is a refused state with a row of its own, and the run exits 2
     out = str(tmp_path / "sweep")
     assert run(["sweep", "--q", "5.95", "--lambdas", "1,5.623413251903491",
-                "--n", "8191", "--out", out]) == 2
+                "--n", "4096", "--out", out]) == 2
     man = manifest(out)
     assert len(man["states"]) == 2
     assert len(Path(out + ".csv").read_text().strip().splitlines()) == 3
