@@ -265,11 +265,16 @@ def cmd_spectrum(args, command_line):
                    "sector_s": [e.seconds for e in report.sectors]},
         "shift": linearized.GAP_TOL,
         "verdict": report.verdict,
+        "under_resolved": report.under_resolved,
         "tolerances": {"gap_tol": linearized.GAP_TOL}})
     print(f"spectrum: verdict = {report.verdict} "
           f"(gap_tol {linearized.GAP_TOL:.3e})")
-    for f in solver.acceptance_failures(state):
+    failures = solver.acceptance_failures(state)
+    for f in failures:
         print(f"spectrum: under-resolved state {f}", file=sys.stderr)
+    if report.under_resolved and not failures:
+        print(f"spectrum: under-resolved, {report.under_resolved}",
+              file=sys.stderr)
     return EXIT_OK if report.verdict == "nondegenerate" else EXIT_NUMERICAL
 
 

@@ -150,6 +150,7 @@ class NondegeneracyReport:
                                      # unless sector 1's enclosure holds),
                                      # r_act, ordering_gap; None when
                                      # under-resolved
+    under_resolved: Optional[str] = None   # why, when under-resolved
 
 
 def _angle(M, x, y) -> float:
@@ -223,12 +224,19 @@ def nondegeneracy_report(state: GroundState) -> NondegeneracyReport:
     degenerate: either sector counts two or more eigenvalues below +GAP_TOL.
     under-resolved, before any form is assembled: `solver.acceptance_failures`
     refuses the state, or 50 h^2 >= 1, a grid so coarse (n - 1 below about
-    7 r_max, 200 nodes on r_max = 28) that no zero test is asked of it.
+    7 r_max, 200 nodes on r_max = 28) that no zero test is asked of it;
+    `under_resolved` says which.
     """
     h = state.grid.h
-    if acceptance_failures(state) or 50.0 * h * h >= 1.0:
+    why = None
+    if acceptance_failures(state):
+        why = "the acceptance rule refuses the state"
+    elif 50.0 * h * h >= 1.0:
+        why = (f"grid too coarse for a zero test: 50 h^2 = {50.0 * h * h:.4g}"
+               " >= 1")
+    if why:
         return NondegeneracyReport(sectors=[], verdict="under-resolved",
-                                   higher_sectors=None)
+                                   higher_sectors=None, under_resolved=why)
     act = operators.active_slice(state.grid)
     probes = (state.u[act], translation_mode(state)[act])
     # each form dies with its certificate, so one sector is alive at a time

@@ -701,6 +701,12 @@ def _spectrum_verdict_is_the_acceptance_rule(man, n, code):
     assert code == (0 if man["verdict"] == "nondegenerate" else 2)
     if man["verdict"] == "under-resolved":
         assert man["sectors"] == [] and man["higher_sectors"] is None
+        assert man["under_resolved"] == (
+            "the acceptance rule refuses the state" if refused
+            else "grid too coarse for a zero test: "
+                 f"50 h^2 = {50.0 * h * h:.4g} >= 1")
+    else:
+        assert man["under_resolved"] is None
 
 
 def test_spectrum_certifies_the_normal_form_state(tmp_path):

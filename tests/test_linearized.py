@@ -130,6 +130,25 @@ def test_report_refuses_a_state_before_assembling_a_form(choquard, monkeypatch,
     rep = nondegeneracy_report(bogus)
     assert rep.verdict == "under-resolved"
     assert rep.sectors == [] and rep.higher_sectors is None
+    assert rep.under_resolved == "the acceptance rule refuses the state"
+
+
+def test_report_names_a_grid_too_coarse_for_a_zero_test(monkeypatch):
+    # a state the rule accepts on a grid with 50 h^2 >= 1 is under-resolved
+    # too, and the report says it is the grid
+    g = sngs.make_grid(20.0, 64)
+    st = sngs.ground_state(g, np.exp(-g.nodes**2),
+                           sngs.ModelParams(lam=1.0, a=1.0, nu=0.0, q=4.0), 0,
+                           sngs.operators.radial_laplacian(g))
+    monkeypatch.setattr(sngs.linearized, "acceptance_failures", lambda s: [])
+
+    def assembled(*args):
+        raise AssertionError("a sector form was assembled")
+    monkeypatch.setattr(sngs.linearized.operators, "dirichlet_form", assembled)
+    rep = nondegeneracy_report(st)
+    assert rep.verdict == "under-resolved" and rep.sectors == []
+    assert rep.under_resolved == ("grid too coarse for a zero test: "
+                                  "50 h^2 = 5.039 >= 1")
 
 
 def test_sector_form_accepts_residual_within_its_bound():
