@@ -425,6 +425,7 @@ def newton_solve(grid: RadialGrid, guess: np.ndarray,
             F, v = _residual_values(u, params, grid, A)
             pot0 = linearization(u[:1], v[:1], params, grid.h)[0][0]
             u0 = u[0] - F[0] / (A.origin[0] + pot0)
+            del F, v   # ground_state computes both again
             if not np.isfinite(u0) or u0 == u[0]:   # u_0 stays as it is
                 break
             u[0] = u0
