@@ -1,8 +1,8 @@
-"""Which scipy files a run maps: solve, check and limits map none, and
-spectrum maps only SuperLU's _superlu and the libraries it links from
-scipy.libs/.  No subcommand imports a scipy module.
+"""Which scipy files a run maps: solve, check, sweep, scan and limits map
+none, and spectrum maps only SuperLU's _superlu and the libraries it links
+from scipy.libs/.  No subcommand imports a scipy module.
 
-Runs the four subcommands in this process, writing into the current
+Runs the six subcommands in this process, writing into the current
 directory, and reads /proc/self/maps (Linux only):
 
     python tests/scipy_maps.py
@@ -47,6 +47,10 @@ def main():
         return 3
     run("solve", "--q", "4", "--lambda", "0.1", "--n", "512", "--out", "g")
     run("check", "--out", "g")
+    run("sweep", "--q", "4", "--lambdas", "0.1,0.05", "--n", "1024",
+        "--out", "sw")
+    run("scan", "--q", "4", "--lambda", "0.1", "--starts", "2", "--n", "1024",
+        "--out", "sc")
     run("limits", "--q", "4", "--side", "zero", "--lambdas", "0.1",
         "--n", "512", "--out", "lim")
     before = scipy_files()
