@@ -44,8 +44,8 @@ of the solve; each step writes the entries no iterate changes into it
 afresh from -Delta_r's weighted bands and T_0's closed form, so nothing but
 the workspace outlives a step.
 The solve's three LAPACK routines, dgbsv for the step and dpbtrf and dpbtrs
-for the warm start, come from `kernels`, out of the OpenBLAS numpy bundles:
-no solve imports a scipy module or maps a scipy library.
+for the warm start, come from `kernels`, out of the OpenBLAS numpy bundles
+(scipy's _flapack where numpy bundles none): no solve imports a scipy module.
 """
 
 from __future__ import annotations
